@@ -1,6 +1,9 @@
 // Simulator and profiler throughput microbenchmarks (google-benchmark):
 // how fast the substrate chews through trace events and word accesses —
-// the practical limit on evaluation scale.
+// the practical limit on evaluation scale. Three shapes, each at scale 4:
+// sha keeps every block SPM-resident under FTSPM (no cache traffic), fft
+// sends millions of words of long runs through the cache path, and
+// dijkstra is event-heavy (short runs, many call markers).
 #include <benchmark/benchmark.h>
 
 #include "bench_io.h"
@@ -13,42 +16,55 @@ namespace {
 
 using namespace ftspm;
 
-const Workload& workload() {
-  static const Workload w = make_benchmark(MiBenchmark::Sha, 4);
-  return w;
+const Workload& workload(MiBenchmark bench) {
+  static const Workload sha = make_benchmark(MiBenchmark::Sha, 4);
+  static const Workload fft = make_benchmark(MiBenchmark::Fft, 4);
+  static const Workload dijkstra = make_benchmark(MiBenchmark::Dijkstra, 4);
+  switch (bench) {
+    case MiBenchmark::Fft: return fft;
+    case MiBenchmark::Dijkstra: return dijkstra;
+    default: return sha;
+  }
 }
 
-void BM_ProfileWorkload(benchmark::State& state) {
-  for (auto _ : state)
-    benchmark::DoNotOptimize(profile_workload(workload()));
+void set_items(benchmark::State& state, const Workload& w) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(
-                              workload().total_accesses()));
+                          static_cast<std::int64_t>(w.total_accesses()));
 }
-BENCHMARK(BM_ProfileWorkload);
 
-void BM_SimulateFtspm(benchmark::State& state) {
+void BM_ProfileWorkload(benchmark::State& state, MiBenchmark bench) {
+  const Workload& w = workload(bench);
+  for (auto _ : state) benchmark::DoNotOptimize(profile_workload(w));
+  set_items(state, w);
+}
+BENCHMARK_CAPTURE(BM_ProfileWorkload, sha, MiBenchmark::Sha);
+BENCHMARK_CAPTURE(BM_ProfileWorkload, fft, MiBenchmark::Fft);
+BENCHMARK_CAPTURE(BM_ProfileWorkload, dijkstra, MiBenchmark::Dijkstra);
+
+void BM_SimulateFtspm(benchmark::State& state, MiBenchmark bench) {
+  const Workload& w = workload(bench);
   const StructureEvaluator evaluator;
-  const ProgramProfile prof = profile_workload(workload());
+  const ProgramProfile prof = profile_workload(w);
   const MappingDeterminer mda(evaluator.ftspm_layout(),
                               evaluator.sim_config());
-  const MappingPlan plan = mda.determine(workload().program, prof);
+  const MappingPlan plan = mda.determine(w.program, prof);
   const Simulator sim(evaluator.ftspm_layout(), evaluator.sim_config());
   for (auto _ : state)
-    benchmark::DoNotOptimize(sim.run(workload(), plan.block_to_region()));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(
-                              workload().total_accesses()));
+    benchmark::DoNotOptimize(sim.run(w, plan.block_to_region()));
+  set_items(state, w);
 }
-BENCHMARK(BM_SimulateFtspm);
+BENCHMARK_CAPTURE(BM_SimulateFtspm, sha, MiBenchmark::Sha);
+BENCHMARK_CAPTURE(BM_SimulateFtspm, fft, MiBenchmark::Fft);
+BENCHMARK_CAPTURE(BM_SimulateFtspm, dijkstra, MiBenchmark::Dijkstra);
 
 void BM_MdaDetermine(benchmark::State& state) {
+  const Workload& w = workload(MiBenchmark::Sha);
   const StructureEvaluator evaluator;
-  const ProgramProfile prof = profile_workload(workload());
+  const ProgramProfile prof = profile_workload(w);
   const MappingDeterminer mda(evaluator.ftspm_layout(),
                               evaluator.sim_config());
   for (auto _ : state)
-    benchmark::DoNotOptimize(mda.determine(workload().program, prof));
+    benchmark::DoNotOptimize(mda.determine(w.program, prof));
 }
 BENCHMARK(BM_MdaDetermine);
 

@@ -113,27 +113,37 @@ ProgramProfile profile_workload(const Workload& workload) {
       case AccessType::Write: {
         switch_current(current_data, data_since, e.block);
         WordState& ws = words[e.block];
-        const std::uint32_t n_words = program.block(e.block).size_words();
+        const WordRun run(e.offset, e.repeat,
+                          program.block(e.block).size_words());
         const std::uint64_t step = e.gap + 1ULL;
         const bool is_read = e.type == AccessType::Read;
         if (is_read)
           bp.reads += e.repeat;
         else
           bp.writes += e.repeat;
-        for (std::uint32_t k = 0; k < e.repeat; ++k) {
-          const std::uint32_t w = (e.offset + k) % n_words;
-          const std::uint64_t t = now + (k + 1) * step;
+        // Visit k happens at now + (k + 1) * step. Per word, only the
+        // run's first visit can close an ACE interval (a later one finds
+        // the value this run wrote, never read) and only its last visit's
+        // timestamp survives: so each distinct word is touched once.
+        run.for_each_distinct([&](std::uint64_t first, std::uint64_t len,
+                                  std::uint64_t visits,
+                                  std::uint64_t last_visit) {
+          const std::uint64_t t0 = now + (last_visit + 1) * step;
           if (is_read) {
-            ws.last_read[w] = t;
-          } else {
+            for (std::uint64_t i = 0; i < len; ++i)
+              ws.last_read[first + i] = t0 + i * step;
+            return;
+          }
+          for (std::uint64_t i = 0; i < len; ++i) {
+            const std::uint64_t w = first + i;
             // Close the previous value's vulnerable interval.
             if (ws.last_read[w] > ws.value_born[w])
               bp.ace_cycles += ws.last_read[w] - ws.value_born[w];
-            ws.value_born[w] = t;
+            ws.value_born[w] = t0 + i * step;
             ws.last_read[w] = 0;
-            ++ws.write_count[w];
+            ws.write_count[w] += visits;
           }
-        }
+        });
         now += e.nominal_cycles();
         break;
       }

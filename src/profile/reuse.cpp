@@ -84,14 +84,16 @@ ReuseProfile compute_reuse_profile(const Workload& workload, ReuseScope scope,
     if (e.is_marker()) continue;
     const bool is_fetch = e.type == AccessType::Fetch;
     if (is_fetch != want_code) continue;
-    const Block& blk = workload.program.block(e.block);
     const std::uint64_t base = workload.program.base_address(e.block);
-    const std::uint32_t words = blk.size_words();
-    for (std::uint32_t k = 0; k < e.repeat; ++k) {
-      const std::uint64_t addr =
-          base + static_cast<std::uint64_t>((e.offset + k) % words) * 8;
-      touch(addr / line_bytes);
-    }
+    // Every word after the first of a line piece re-touches the line
+    // just touched: distance 0, stack unchanged.
+    WordRun(e.offset, e.repeat, workload.program.block(e.block).size_words())
+        .for_each_line(base, line_bytes,
+                       [&](std::uint64_t addr, std::uint64_t words) {
+                         touch(addr / line_bytes);
+                         profile.total_accesses += words - 1;
+                         profile.histogram[0] += words - 1;
+                       });
   }
   return profile;
 }

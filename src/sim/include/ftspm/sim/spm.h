@@ -14,6 +14,7 @@
 
 #include "ftspm/mem/geometry.h"
 #include "ftspm/mem/technology.h"
+#include "ftspm/util/error.h"
 
 namespace ftspm {
 
@@ -55,7 +56,10 @@ class SpmLayout {
   const std::vector<SpmRegionSpec>& regions() const noexcept {
     return regions_;
   }
-  const SpmRegionSpec& region(RegionId id) const;
+  const SpmRegionSpec& region(RegionId id) const {
+    FTSPM_REQUIRE(id < regions_.size(), "region id out of range");
+    return regions_[id];
+  }
   std::size_t region_count() const noexcept { return regions_.size(); }
 
   std::optional<RegionId> find(std::string_view name) const noexcept;

@@ -267,16 +267,18 @@ RunResult Simulator::run_impl(
     bs.resident = true;
   };
 
+  // `words` consecutive word accesses within one cache line. Only the
+  // first can miss (Cache::access_run), so cycles and the fill trace see
+  // it first, then the hits that follow it. Energies are still added once
+  // per word, which keeps the floating-point sums bit-identical to a
+  // word-by-word walk.
   auto cache_access = [&](Cache& cache, std::uint32_t cline_words,
-                          std::uint64_t addr, bool is_write,
-                          const char* fill_counter) {
-    const CacheAccessResult r = cache.access(addr, is_write);
-    res.cache_cycles += cache.config().hit_latency_cycles;
-    res.cache_energy_pj += config_.cache_access_energy_pj;
-    if constexpr (WithObs) {
-      cur_phase->cache_cycles += cache.config().hit_latency_cycles;
-      cur_phase->cache_energy_pj += config_.cache_access_energy_pj;
-    }
+                          std::uint64_t addr, std::uint64_t words,
+                          bool is_write, const char* fill_counter) {
+    const CacheAccessResult r = cache.access_run(addr, words, is_write);
+    const std::uint64_t hit_cycles = cache.config().hit_latency_cycles;
+    res.cache_cycles += hit_cycles;
+    if constexpr (WithObs) cur_phase->cache_cycles += hit_cycles;
     if (!r.hit) {
       res.dram_penalty_cycles += config_.dram.line_latency_cycles;
       res.dram_energy_pj += cline_words * config_.dram.read_energy_pj;
@@ -304,6 +306,14 @@ RunResult Simulator::run_impl(
             cline_words * config_.dram.write_energy_pj;
       }
     }
+    res.cache_cycles += (words - 1) * hit_cycles;
+    if constexpr (WithObs)
+      cur_phase->cache_cycles += (words - 1) * hit_cycles;
+    for (std::uint64_t k = 0; k < words; ++k) {
+      res.cache_energy_pj += config_.cache_access_energy_pj;
+      if constexpr (WithObs)
+        cur_phase->cache_energy_pj += config_.cache_access_energy_pj;
+    }
   };
 
   for (const TraceEvent& e : workload.trace) {
@@ -325,8 +335,7 @@ RunResult Simulator::run_impl(
       }
       continue;
     }
-    const Block& blk = program.block(e.block);
-    const std::uint32_t n_words = blk.size_words();
+    const std::uint32_t n_words = program.block(e.block).size_words();
     res.compute_cycles += static_cast<std::uint64_t>(e.gap) * e.repeat;
     if constexpr (WithObs) {
       cur_phase->compute_cycles += static_cast<std::uint64_t>(e.gap) *
@@ -360,10 +369,16 @@ RunResult Simulator::run_impl(
                           spec.tech.write_latency_cycles;
         bs.dirty = true;
         if (spec.tech.endurance_writes > 0.0) {
-          // Endurance-limited technology: track per-word wear.
+          // Endurance-limited technology: track per-word wear. Every
+          // word takes one write per full lap of the run, and the words
+          // of the partial lap one more.
           if (bs.wear.empty()) bs.wear.assign(n_words, 0);
-          for (std::uint32_t k = 0; k < e.repeat; ++k)
-            ++bs.wear[(e.offset + k) % n_words];
+          WordRun(e.offset, e.repeat, n_words)
+              .for_each_distinct([&](std::uint64_t first, std::uint64_t len,
+                                     std::uint64_t visits, std::uint64_t) {
+                for (std::uint64_t i = 0; i < len; ++i)
+                  bs.wear[first + i] += visits;
+              });
         }
       } else {
         rstats.reads += e.repeat;
@@ -378,11 +393,12 @@ RunResult Simulator::run_impl(
       const std::uint32_t cline = is_code ? line_words : dline_words;
       const std::uint64_t base = program.base_address(e.block);
       const char* fill_counter = is_code ? "icache_fills" : "dcache_fills";
-      for (std::uint32_t k = 0; k < e.repeat; ++k) {
-        const std::uint64_t addr =
-            base + static_cast<std::uint64_t>((e.offset + k) % n_words) * 8;
-        cache_access(cache, cline, addr, is_write, fill_counter);
-      }
+      WordRun(e.offset, e.repeat, n_words)
+          .for_each_line(base, cache.config().line_bytes,
+                         [&](std::uint64_t addr, std::uint64_t words) {
+                           cache_access(cache, cline, addr, words, is_write,
+                                        fill_counter);
+                         });
     }
   }
 

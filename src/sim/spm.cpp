@@ -18,11 +18,6 @@ SpmLayout::SpmLayout(std::string name, std::vector<SpmRegionSpec> regions)
   }
 }
 
-const SpmRegionSpec& SpmLayout::region(RegionId id) const {
-  FTSPM_REQUIRE(id < regions_.size(), "region id out of range");
-  return regions_[id];
-}
-
 std::optional<RegionId> SpmLayout::find(std::string_view name) const noexcept {
   for (std::size_t i = 0; i < regions_.size(); ++i)
     if (regions_[i].name == name) return static_cast<RegionId>(i);

@@ -13,6 +13,8 @@
 #include <string_view>
 #include <vector>
 
+#include "ftspm/util/error.h"
+
 namespace ftspm {
 
 /// Index of a block within its Program. Stable across the whole
@@ -49,11 +51,17 @@ class Program {
 
   const std::string& name() const noexcept { return name_; }
   const std::vector<Block>& blocks() const noexcept { return blocks_; }
-  const Block& block(BlockId id) const;
+  const Block& block(BlockId id) const {
+    FTSPM_REQUIRE(id < blocks_.size(), "block id out of range");
+    return blocks_[id];
+  }
   std::size_t block_count() const noexcept { return blocks_.size(); }
 
   /// Off-chip base address of a block (bytes).
-  std::uint64_t base_address(BlockId id) const;
+  std::uint64_t base_address(BlockId id) const {
+    FTSPM_REQUIRE(id < blocks_.size(), "block id out of range");
+    return base_addresses_[id];
+  }
 
   /// Finds a block by name.
   std::optional<BlockId> find(std::string_view name) const noexcept;

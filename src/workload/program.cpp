@@ -37,16 +37,6 @@ Program::Program(std::string name, std::vector<Block> blocks)
   FTSPM_REQUIRE(stack_blocks <= 1, "at most one stack block per program");
 }
 
-const Block& Program::block(BlockId id) const {
-  FTSPM_REQUIRE(id < blocks_.size(), "block id out of range");
-  return blocks_[id];
-}
-
-std::uint64_t Program::base_address(BlockId id) const {
-  FTSPM_REQUIRE(id < blocks_.size(), "block id out of range");
-  return base_addresses_[id];
-}
-
 std::optional<BlockId> Program::find(std::string_view name) const noexcept {
   for (std::size_t i = 0; i < blocks_.size(); ++i)
     if (blocks_[i].name == name) return static_cast<BlockId>(i);

@@ -222,5 +222,23 @@ TEST(ProfilerTest, MarkersAdvanceNoTime) {
   EXPECT_EQ(prof.total_cycles, 3u);
 }
 
+// A 2^32 - 1 write run on a 3-word block costs three word steps, and its
+// writes spread over the words by 64-bit index: offset 2 + visit 2^32 - 2
+// is word 2^32 % 3 = 1, not word 0 as a 32-bit wrap would make it.
+TEST(ProfilerTest, HugeWriteRunOnAnOddSizedBlock) {
+  const Program p("demo", {Block{"three", BlockKind::Data, 24}});
+  const std::uint64_t repeat = 4294967295u;
+  Workload w{p,
+             {TraceEvent{0, AccessType::Write, 0, 2, 4294967295u},
+              TraceEvent{0, AccessType::Read, 0, 0, 3}}};
+  const ProgramProfile prof = profile_workload(w);
+  EXPECT_EQ(prof.block(0).writes, repeat);
+  EXPECT_EQ(prof.block(0).max_word_writes, repeat / 3);
+  EXPECT_EQ(prof.total_cycles, repeat + 3);
+  // Last writes: word 2 at t = repeat - 2, word 0 at repeat - 1, word 1
+  // at repeat; reads of words 0, 1, 2 at repeat + 1, + 2, + 3.
+  EXPECT_EQ(prof.block(0).ace_cycles, 2u + 2u + 5u);
+}
+
 }  // namespace
 }  // namespace ftspm

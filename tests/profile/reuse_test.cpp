@@ -6,6 +6,7 @@
 #include "ftspm/sim/simulator.h"
 #include "ftspm/util/error.h"
 #include "ftspm/workload/suite.h"
+#include "support/run_traces.h"
 
 namespace ftspm {
 namespace {
@@ -79,6 +80,30 @@ TEST(ReuseProfileTest, PredictsTheSimulatedCacheWithinABand) {
         compute_reuse_profile(w, ReuseScope::Data, cfg.dcache.line_bytes)
             .hit_rate_estimate(cache_lines);
     EXPECT_NEAR(predicted, simulated, 0.08) << to_string(bench);
+  }
+}
+
+// Per-line run handling against the same trace split into one event per
+// word, for several line sizes and a horizon small enough to clip.
+TEST(ReuseProfileTest, RunLengthEventsMatchWordByWordEvents) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const Workload runs = testing_support::random_run_workload(seed);
+    const Workload words = testing_support::split_into_words(runs);
+    for (const ReuseScope scope :
+         {ReuseScope::Data, ReuseScope::Instructions}) {
+      for (const std::uint32_t line : {8u, 16u, 64u}) {
+        for (const std::size_t horizon : {4u, 4096u}) {
+          const ReuseProfile a =
+              compute_reuse_profile(runs, scope, line, horizon);
+          const ReuseProfile b =
+              compute_reuse_profile(words, scope, line, horizon);
+          EXPECT_EQ(a.total_accesses, b.total_accesses);
+          EXPECT_EQ(a.histogram, b.histogram)
+              << "seed " << seed << " line " << line << " horizon "
+              << horizon;
+        }
+      }
+    }
   }
 }
 

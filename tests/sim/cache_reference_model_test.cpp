@@ -1,6 +1,7 @@
 // Property test: the production cache against an executable reference
 // model (per-set LRU lists, the textbook definition). Random address
-// streams must produce identical hit/miss/writeback sequences.
+// streams must produce identical hit/miss/writeback sequences, whether
+// they come one word at a time or as run-length access_run() calls.
 #include <gtest/gtest.h>
 
 #include <list>
@@ -72,6 +73,46 @@ TEST_P(CacheVsReference, IdenticalBehaviourOnRandomStreams) {
     ASSERT_EQ(got.hit, want.hit) << "access " << i;
     ASSERT_EQ(got.writeback, want.writeback) << "access " << i;
   }
+}
+
+// access_run(addr, m) against m reference accesses to consecutive words
+// of one line. Runs start anywhere in the line (mid-line included) and
+// end at or before its last word; half are single words. The first
+// reference access must match the run's result and the rest must hit;
+// later misses and writebacks then check that a run leaves the same LRU
+// order as its m single accesses.
+TEST_P(CacheVsReference, RunsMatchWordByWordAccesses) {
+  const auto [ways, seed] = GetParam();
+  const CacheConfig cfg{1024, 32, ways, 1};
+  const std::uint64_t line_words = cfg.line_bytes / 8;
+  Cache cache(cfg);
+  ReferenceCache reference(cfg);
+  Rng rng(seed);
+  std::uint64_t accesses = 0, misses = 0, writebacks = 0;
+  for (int i = 0; i < 20'000; ++i) {
+    const std::uint64_t word = rng.next_bool(0.7)
+                                   ? rng.next_below(4 * 1024 / 8)
+                                   : rng.next_below((1ULL << 20) / 8);
+    const std::uint64_t room = line_words - word % line_words;
+    const std::uint64_t m = rng.next_bool(0.5) ? 1 : 1 + rng.next_below(room);
+    const bool is_write = rng.next_bool(0.3);
+    const CacheAccessResult got = cache.access_run(word * 8, m, is_write);
+    const CacheAccessResult want = reference.access(word * 8, is_write);
+    ASSERT_EQ(got.hit, want.hit) << "run " << i;
+    ASSERT_EQ(got.writeback, want.writeback) << "run " << i;
+    for (std::uint64_t k = 1; k < m; ++k) {
+      const CacheAccessResult rest =
+          reference.access((word + k) * 8, is_write);
+      ASSERT_TRUE(rest.hit) << "run " << i << " word " << k;
+      ASSERT_FALSE(rest.writeback);
+    }
+    accesses += m;
+    misses += want.hit ? 0 : 1;
+    writebacks += want.writeback ? 1 : 0;
+  }
+  EXPECT_EQ(cache.stats().accesses(), accesses);
+  EXPECT_EQ(cache.stats().misses(), misses);
+  EXPECT_EQ(cache.stats().writebacks, writebacks);
 }
 
 INSTANTIATE_TEST_SUITE_P(

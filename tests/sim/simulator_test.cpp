@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "ftspm/mem/technology_library.h"
 #include "ftspm/util/error.h"
+#include "support/run_traces.h"
 
 namespace ftspm {
 namespace {
@@ -122,6 +125,85 @@ TEST(SimulatorTest, WearTracksSttWordWritesOnly) {
   EXPECT_EQ(res.block_max_word_writes[2], 0u);  // SRAM: not tracked
   EXPECT_EQ(res.regions[3].max_word_writes, 3u);
   EXPECT_EQ(res.regions[2].max_word_writes, 0u);
+}
+
+// Wear of a 2^32 - 1 write run on a 3-word STT block is one write per
+// full lap on every word, plus the partial lap's words: no word-by-word
+// walk, and 64-bit word indices (see WordRunTest).
+TEST(SimulatorTest, HugeWriteRunWearIsFullLapsPlusTheRest) {
+  const SpmLayout layout = demo_layout();
+  const Simulator sim(layout, demo_config());
+  const Program program("demo", {Block{"fn", BlockKind::Code, 512},
+                                 Block{"three", BlockKind::Data, 24}});
+  const std::uint64_t repeat = 4294967295u;
+  Workload w{program, {TraceEvent{1, AccessType::Write, 0, 2, 4294967295u}}};
+  const RunResult res = sim.run(w, std::vector<RegionId>{kNoRegion, 3});
+  EXPECT_EQ(res.regions[3].writes, repeat);
+  EXPECT_EQ(res.block_max_word_writes[1], repeat / 3);
+  EXPECT_EQ(res.regions[3].max_word_writes, repeat / 3);
+}
+
+// Run-length events against the same trace split into one event per
+// word, through a small cache that evicts and writes back, with some
+// blocks in SPM regions (one wear-tracked). Every counter must match;
+// SPM energies are priced once per event (repeat x energy), so they
+// match up to rounding.
+TEST(SimulatorTest, RunLengthEventsMatchWordByWordEvents) {
+  const SpmLayout layout(
+      "runs", {SpmRegionSpec{"I", SpmSpace::Instruction, 1024,
+                             lib().stt_ram()},
+               SpmRegionSpec{"DT", SpmSpace::Data, 64, lib().stt_ram()},
+               SpmRegionSpec{"DS", SpmSpace::Data, 64,
+                             lib().secded_sram()}});
+  SimConfig cfg = demo_config();
+  cfg.icache = CacheConfig{256, 32, 2, 1};
+  cfg.dcache = CacheConfig{256, 16, 2, 1};
+  const Simulator sim(layout, cfg);
+  // f -> I-SPM, g cached; three and eight time-share DT, five in DS,
+  // one / big / stack cached.
+  const std::vector<RegionId> map{0, kNoRegion, kNoRegion, 1, 2, 1,
+                                  kNoRegion, kNoRegion};
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const Workload runs = testing_support::random_run_workload(seed);
+    const RunResult a = sim.run(runs, map);
+    const RunResult b = sim.run(testing_support::split_into_words(runs), map);
+    SCOPED_TRACE(seed);
+    EXPECT_EQ(a.total_cycles, b.total_cycles);
+    EXPECT_EQ(a.compute_cycles, b.compute_cycles);
+    EXPECT_EQ(a.spm_cycles, b.spm_cycles);
+    EXPECT_EQ(a.cache_cycles, b.cache_cycles);
+    EXPECT_EQ(a.dram_penalty_cycles, b.dram_penalty_cycles);
+    EXPECT_EQ(a.dma_cycles, b.dma_cycles);
+    for (const auto& [x, y] : {std::pair{a.icache, b.icache},
+                               std::pair{a.dcache, b.dcache}}) {
+      EXPECT_EQ(x.reads, y.reads);
+      EXPECT_EQ(x.writes, y.writes);
+      EXPECT_EQ(x.read_misses, y.read_misses);
+      EXPECT_EQ(x.write_misses, y.write_misses);
+      EXPECT_EQ(x.writebacks, y.writebacks);
+    }
+    EXPECT_GT(a.dcache.writebacks, 0u);
+    ASSERT_EQ(a.regions.size(), b.regions.size());
+    for (std::size_t r = 0; r < a.regions.size(); ++r) {
+      EXPECT_EQ(a.regions[r].reads, b.regions[r].reads);
+      EXPECT_EQ(a.regions[r].writes, b.regions[r].writes);
+      EXPECT_EQ(a.regions[r].dma_in_words, b.regions[r].dma_in_words);
+      EXPECT_EQ(a.regions[r].dma_out_words, b.regions[r].dma_out_words);
+      EXPECT_EQ(a.regions[r].capacity_evictions,
+                b.regions[r].capacity_evictions);
+      EXPECT_EQ(a.regions[r].max_word_writes, b.regions[r].max_word_writes);
+      EXPECT_NEAR(a.regions[r].energy_pj(), b.regions[r].energy_pj(),
+                  1e-9 * std::abs(b.regions[r].energy_pj()));
+    }
+    EXPECT_GT(a.regions[1].max_word_writes, 0u);
+    EXPECT_EQ(a.block_max_word_writes, b.block_max_word_writes);
+    EXPECT_EQ(a.block_spm_accesses, b.block_spm_accesses);
+    EXPECT_EQ(a.block_cache_accesses, b.block_cache_accesses);
+    // Cache and DRAM energies are added per word and per miss on both
+    // sides, in the same order.
+    EXPECT_EQ(a.cache_energy_pj, b.cache_energy_pj);
+    EXPECT_EQ(a.dram_energy_pj, b.dram_energy_pj);
+  }
 }
 
 TEST(SimulatorTest, UnmappedBlocksGoThroughTheCache) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "ftspm/util/error.h"
 
 namespace ftspm {
@@ -107,6 +110,84 @@ TEST(AccessTypeTest, ToString) {
   EXPECT_STREQ(to_string(AccessType::Write), "write");
   EXPECT_STREQ(to_string(AccessType::CallEnter), "call-enter");
   EXPECT_STREQ(to_string(AccessType::CallExit), "call-exit");
+}
+
+// Every (offset, repeat, words) up to a few laps: the ranges cover the
+// visits in order, and the distinct-word walk gives each word its visit
+// count and last visit, all as a word-by-word walk of (offset + k) %
+// words finds them.
+TEST(WordRunTest, MatchesAWordByWordWalk) {
+  for (std::uint64_t words = 1; words <= 9; ++words) {
+    for (std::uint64_t offset = 0; offset < words; ++offset) {
+      for (std::uint64_t repeat = 1; repeat <= 4 * words + 3; ++repeat) {
+        const WordRun run(offset, repeat, words);
+        std::vector<std::uint64_t> walked;
+        std::vector<std::uint64_t> count(words, 0), last(words, 0);
+        for (std::uint64_t k = 0; k < repeat; ++k) {
+          const std::uint64_t w = (offset + k) % words;
+          walked.push_back(w);
+          ++count[w];
+          last[w] = k;
+        }
+        std::vector<std::uint64_t> ranged;
+        run.for_each_range(0, repeat, [&](std::uint64_t first,
+                                          std::uint64_t len,
+                                          std::uint64_t k0) {
+          ASSERT_EQ(k0, ranged.size());
+          ASSERT_LE(first + len, words);
+          for (std::uint64_t i = 0; i < len; ++i) ranged.push_back(first + i);
+        });
+        ASSERT_EQ(ranged, walked);
+
+        std::vector<std::uint64_t> distinct;
+        run.for_each_distinct([&](std::uint64_t first, std::uint64_t len,
+                                  std::uint64_t visits,
+                                  std::uint64_t last_visit) {
+          ASSERT_LE(first + len, words);
+          for (std::uint64_t i = 0; i < len; ++i) {
+            const std::uint64_t w = first + i;
+            distinct.push_back(w);
+            ASSERT_EQ(visits, count[w]) << "word " << w;
+            ASSERT_EQ(last_visit + i, last[w]) << "word " << w;
+          }
+        });
+        const std::vector<std::uint64_t> first_visits(
+            walked.begin(),
+            walked.begin() + static_cast<std::ptrdiff_t>(
+                                 std::min(repeat, words)));
+        ASSERT_EQ(distinct, first_visits);
+      }
+    }
+  }
+}
+
+// Regression: the word index used to be computed as (offset + k) % words
+// in 32 bits, so a run with offset + repeat > 2^32 on a block whose size
+// is not a power of two wrapped at 2^32 and hit the wrong words.
+TEST(WordRunTest, HugeRunOnAnOddSizedBlockSpreadsEvenly) {
+  const std::uint64_t repeat = 4294967295u;
+  const WordRun run(2, repeat, 3);
+  std::vector<std::uint64_t> writes(3, 0);
+  std::uint64_t last_word = 0, last_visit = 0;
+  run.for_each_distinct([&](std::uint64_t first, std::uint64_t len,
+                            std::uint64_t visits, std::uint64_t last) {
+    for (std::uint64_t i = 0; i < len; ++i) {
+      writes[first + i] += visits;
+      if (last + i > last_visit) {
+        last_visit = last + i;
+        last_word = first + i;
+      }
+    }
+  });
+  EXPECT_EQ(writes[0] + writes[1] + writes[2], repeat);
+  const auto [lo, hi] = std::minmax_element(writes.begin(), writes.end());
+  EXPECT_LE(*hi - *lo, 1u);
+  // The last visit, 2 + (2^32 - 2) = 2^32, lands on word 2^32 % 3 = 1.
+  EXPECT_EQ(last_visit, repeat - 1);
+  EXPECT_EQ(last_word, 1u);
+  run.for_each_range(repeat - 1, 1, [&](std::uint64_t first, std::uint64_t,
+                                        std::uint64_t) { last_word = first; });
+  EXPECT_EQ(last_word, 1u);
 }
 
 }  // namespace
