@@ -68,11 +68,25 @@ void BM_MdaDetermine(benchmark::State& state) {
 }
 BENCHMARK(BM_MdaDetermine);
 
-void BM_GenerateSuiteWorkload(benchmark::State& state) {
-  for (auto _ : state)
-    benchmark::DoNotOptimize(make_benchmark(MiBenchmark::Sha, 4));
+// Trace generation. dijkstra and qsort at scale 1 build the largest
+// traces of the paper pipeline (about a million events each), where the
+// trace buffer's growth and page faults show; sha at scale 4 is small.
+void BM_GenerateSuiteWorkload(benchmark::State& state, MiBenchmark bench,
+                              std::uint64_t scale) {
+  std::size_t events = 0;
+  for (auto _ : state) {
+    const Workload w = make_benchmark(bench, scale);
+    events = w.trace.size();
+    benchmark::DoNotOptimize(w.trace.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(events));
 }
-BENCHMARK(BM_GenerateSuiteWorkload);
+BENCHMARK_CAPTURE(BM_GenerateSuiteWorkload, sha_scale4, MiBenchmark::Sha, 4);
+BENCHMARK_CAPTURE(BM_GenerateSuiteWorkload, dijkstra_scale1,
+                  MiBenchmark::Dijkstra, 1);
+BENCHMARK_CAPTURE(BM_GenerateSuiteWorkload, qsort_scale1, MiBenchmark::Qsort,
+                  1);
 
 }  // namespace
 

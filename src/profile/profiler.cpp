@@ -129,20 +129,27 @@ ProgramProfile profile_workload(const Workload& workload) {
                                   std::uint64_t visits,
                                   std::uint64_t last_visit) {
           const std::uint64_t t0 = now + (last_visit + 1) * step;
+          std::uint64_t* const last_read = ws.last_read.data() + first;
           if (is_read) {
             for (std::uint64_t i = 0; i < len; ++i)
-              ws.last_read[first + i] = t0 + i * step;
+              last_read[i] = t0 + i * step;
             return;
           }
+          std::uint64_t* const born = ws.value_born.data() + first;
+          std::uint64_t* const writes = ws.write_count.data() + first;
+          std::uint64_t ace = 0;
           for (std::uint64_t i = 0; i < len; ++i) {
-            const std::uint64_t w = first + i;
-            // Close the previous value's vulnerable interval.
-            if (ws.last_read[w] > ws.value_born[w])
-              bp.ace_cycles += ws.last_read[w] - ws.value_born[w];
-            ws.value_born[w] = t0 + i * step;
-            ws.last_read[w] = 0;
-            ws.write_count[w] += visits;
+            // Close the previous value's vulnerable interval. Whether it
+            // was read is data-dependent and unpredictable, so the
+            // interval is masked in rather than branched on.
+            const std::uint64_t lr = last_read[i];
+            const std::uint64_t vb = born[i];
+            ace += (lr - vb) & (0 - static_cast<std::uint64_t>(lr > vb));
+            born[i] = t0 + i * step;
+            last_read[i] = 0;
+            writes[i] += visits;
           }
+          bp.ace_cycles += ace;
         });
         now += e.nominal_cycles();
         break;

@@ -18,11 +18,14 @@ Cache::Cache(CacheConfig config) : config_(config) {
   line_shift_ =
       static_cast<std::uint32_t>(std::countr_zero(config_.line_bytes));
   set_shift_ = static_cast<std::uint32_t>(std::countr_zero(sets_));
-  lines_.assign(static_cast<std::size_t>(sets_) * config_.ways, Line{});
+  reset();
 }
 
 void Cache::reset() {
-  lines_.assign(lines_.size(), Line{});
+  const std::size_t n = static_cast<std::size_t>(sets_) * config_.ways;
+  tags_.assign(n, kInvalidTag);
+  stamps_.assign(n, 0);
+  dirty_.assign(n, 0);
   stats_ = CacheStats{};
   tick_ = 0;
 }

@@ -6,6 +6,7 @@
 // true LRU, write-allocate, write-back; no coherence (single core).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -64,34 +65,34 @@ class Cache {
     const std::uint64_t line_addr = addr >> line_shift_;
     const std::uint64_t set = line_addr & (sets_ - 1);
     const std::uint64_t tag = line_addr >> set_shift_;
-    Line* base = &lines_[set * config_.ways];
+    const std::size_t first = set * config_.ways;
+    std::uint64_t* const tags = &tags_[first];
+    std::uint64_t* const stamps = &stamps_[first];
+    std::uint8_t* const dirty = &dirty_[first];
 
-    for (std::uint32_t w = 0; w < config_.ways; ++w) {
-      Line& line = base[w];
-      if (line.valid && line.tag == tag) {
-        line.lru = tick_;
-        line.dirty = line.dirty || is_write;
-        return CacheAccessResult{true, false};
-      }
+    // Both scans are selects, not branches: which way hits, and which
+    // way is oldest, is data-dependent and unpredictable.
+    std::uint32_t hit = config_.ways;
+    for (std::uint32_t w = 0; w < config_.ways; ++w)
+      hit = tags[w] == tag ? w : hit;
+    if (hit != config_.ways) {
+      stamps[hit] = tick_;
+      dirty[hit] |= static_cast<std::uint8_t>(is_write);
+      return CacheAccessResult{true, false};
     }
 
-    // Miss: pick the invalid or least-recently-used way.
+    // Miss: the first invalid way, else the least recently used one.
+    // Invalid ways hold stamp 0 and valid ones distinct stamps >= 1, so
+    // both are the first way with the smallest stamp.
     ++(is_write ? stats_.write_misses : stats_.read_misses);
-    Line* victim = base;
-    for (std::uint32_t w = 0; w < config_.ways; ++w) {
-      Line& line = base[w];
-      if (!line.valid) {
-        victim = &line;
-        break;
-      }
-      if (line.lru < victim->lru) victim = &line;
-    }
-    const bool writeback = victim->valid && victim->dirty;
+    std::uint32_t victim = 0;
+    for (std::uint32_t w = 1; w < config_.ways; ++w)
+      victim = stamps[w] < stamps[victim] ? w : victim;
+    const bool writeback = dirty[victim] != 0;
     if (writeback) ++stats_.writebacks;
-    victim->valid = true;
-    victim->dirty = is_write;  // write-allocate
-    victim->tag = tag;
-    victim->lru = tick_;
+    tags[victim] = tag;
+    stamps[victim] = tick_;
+    dirty[victim] = static_cast<std::uint8_t>(is_write);  // write-allocate
     return CacheAccessResult{false, writeback};
   }
 
@@ -99,16 +100,17 @@ class Cache {
   void reset();
 
  private:
-  struct Line {
-    std::uint64_t tag = 0;
-    bool valid = false;
-    bool dirty = false;
-    std::uint64_t lru = 0;  ///< Monotonic use stamp.
-  };
+  /// Tag of an invalid way. Real tags are addresses shifted right by at
+  /// least three bits, so they never reach it.
+  static constexpr std::uint64_t kInvalidTag = ~std::uint64_t{0};
 
   CacheConfig config_;
   CacheStats stats_;
-  std::vector<Line> lines_;  ///< sets * ways, row-major by set.
+  // Per way, sets * ways entries row-major by set. An invalid way has
+  // tag kInvalidTag, stamp 0 and is clean.
+  std::vector<std::uint64_t> tags_;
+  std::vector<std::uint64_t> stamps_;  ///< Monotonic use stamps.
+  std::vector<std::uint8_t> dirty_;
   // Line size and set count are powers of two, so an address splits
   // into line, set and tag by shift and mask.
   std::uint32_t sets_ = 0;

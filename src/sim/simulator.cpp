@@ -8,6 +8,7 @@
 #include "ftspm/obs/metrics.h"
 #include "ftspm/obs/trace_sink.h"
 #include "ftspm/util/error.h"
+#include "ftspm/util/repeated_add.h"
 
 namespace ftspm {
 
@@ -103,6 +104,8 @@ struct ObsState {
   /// Phase bookkeeping: stack of indices into RunResult::phases.
   std::map<std::string, std::size_t> phase_index;
   std::vector<std::size_t> phase_stack;
+  /// Cache word accesses per phase, for its cache energy.
+  std::vector<std::uint64_t> phase_cache_words;
 };
 
 /// Sampling period for cache-fill counter events in the trace (every
@@ -159,8 +162,10 @@ RunResult Simulator::run_impl(
   [[maybe_unused]] auto enter_phase = [&](const std::string& name) {
     auto [it, inserted] =
         obs_state->phase_index.emplace(name, res.phases.size());
-    if (inserted) res.phases.push_back(PhaseStats{name, 0, 0, 0, 0, 0, 0,
-                                                  0.0, 0.0, 0.0});
+    if (inserted) {
+      res.phases.push_back(PhaseStats{name, 0, 0, 0, 0, 0, 0, 0.0, 0.0, 0.0});
+      obs_state->phase_cache_words.push_back(0);
+    }
     obs_state->phase_stack.push_back(it->second);
     cur_phase = &res.phases[it->second];
   };
@@ -269,9 +274,9 @@ RunResult Simulator::run_impl(
 
   // `words` consecutive word accesses within one cache line. Only the
   // first can miss (Cache::access_run), so cycles and the fill trace see
-  // it first, then the hits that follow it. Energies are still added once
-  // per word, which keeps the floating-point sums bit-identical to a
-  // word-by-word walk.
+  // it first, then the hits that follow it. Cache energy is summed after
+  // the run from the access counts (repeated_add), bit-identical to
+  // adding it once per word.
   auto cache_access = [&](Cache& cache, std::uint32_t cline_words,
                           std::uint64_t addr, std::uint64_t words,
                           bool is_write, const char* fill_counter) {
@@ -307,12 +312,9 @@ RunResult Simulator::run_impl(
       }
     }
     res.cache_cycles += (words - 1) * hit_cycles;
-    if constexpr (WithObs)
+    if constexpr (WithObs) {
       cur_phase->cache_cycles += (words - 1) * hit_cycles;
-    for (std::uint64_t k = 0; k < words; ++k) {
-      res.cache_energy_pj += config_.cache_access_energy_pj;
-      if constexpr (WithObs)
-        cur_phase->cache_energy_pj += config_.cache_access_energy_pj;
+      obs_state->phase_cache_words[obs_state->phase_stack.back()] += words;
     }
   };
 
@@ -425,6 +427,15 @@ RunResult Simulator::run_impl(
 
   res.icache = icache.stats();
   res.dcache = dcache.stats();
+  res.cache_energy_pj =
+      repeated_add(0.0, config_.cache_access_energy_pj,
+                   res.icache.accesses() + res.dcache.accesses());
+  if constexpr (WithObs) {
+    for (std::size_t i = 0; i < res.phases.size(); ++i)
+      res.phases[i].cache_energy_pj =
+          repeated_add(0.0, config_.cache_access_energy_pj,
+                       obs_state->phase_cache_words[i]);
+  }
   res.total_cycles = res.compute_cycles + res.spm_cycles + res.cache_cycles +
                      res.dram_penalty_cycles + res.dma_cycles;
   if constexpr (WithObs) {

@@ -8,12 +8,20 @@
 // program's Stack block at the current depth, which is what makes the
 // stack show up in the profile (and later in MDA's endurance filter)
 // exactly like the paper's Table I "Stack" row.
+//
+// Every call checks its arguments against the program and throws
+// InvalidArgument on the spot, so the builder enforces each invariant
+// validate_trace() checks and take() does not validate again.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <optional>
 #include <vector>
 
+#include "ftspm/util/error.h"
 #include "ftspm/workload/trace.h"
 
 namespace ftspm {
@@ -22,6 +30,10 @@ class TraceBuilder {
  public:
   /// `program` must outlive the builder.
   explicit TraceBuilder(const Program& program);
+
+  // The chunk pointers below point into storage the builder owns.
+  TraceBuilder(const TraceBuilder&) = delete;
+  TraceBuilder& operator=(const TraceBuilder&) = delete;
 
   // --- code ---------------------------------------------------------
 
@@ -39,27 +51,44 @@ class TraceBuilder {
   /// Emits `count` instruction fetches from the innermost active code
   /// block, starting at word 0 and wrapping; `gap` compute cycles
   /// precede each fetch.
-  void fetch(std::uint64_t count, std::uint16_t gap = 0);
+  void fetch(std::uint64_t count, std::uint16_t gap = 0) {
+    FTSPM_REQUIRE(!frames_.empty(), "fetch needs an active call frame");
+    fetch_from(frames_.back().fn, count, gap);
+  }
 
   /// Fetches from an explicit code block (for sequences outside calls).
   void fetch_from(BlockId code_block, std::uint64_t count,
-                  std::uint16_t gap = 0);
+                  std::uint16_t gap = 0) {
+    const Block& b = program_.block(code_block);
+    FTSPM_REQUIRE(b.is_code(), "fetch target must be code");
+    emit(code_block, AccessType::Fetch, gap, 0, count, b.size_words());
+  }
 
   // --- data ---------------------------------------------------------
 
   /// A run of `count` sequential word reads from `block` starting at
   /// word `offset` (wrapping modulo the block size).
   void read(BlockId block, std::uint64_t count, std::uint32_t offset = 0,
-            std::uint16_t gap = 0);
+            std::uint16_t gap = 0) {
+    emit(block, AccessType::Read, gap, offset, count,
+         data_words(block, offset));
+  }
 
   /// Sequential word writes, same conventions as read().
   void write(BlockId block, std::uint64_t count, std::uint32_t offset = 0,
-             std::uint16_t gap = 0);
+             std::uint16_t gap = 0) {
+    emit(block, AccessType::Write, gap, offset, count,
+         data_words(block, offset));
+  }
 
   /// Single-word accesses at an arbitrary offset (random-access
   /// patterns).
-  void read_at(BlockId block, std::uint32_t offset, std::uint16_t gap = 0);
-  void write_at(BlockId block, std::uint32_t offset, std::uint16_t gap = 0);
+  void read_at(BlockId block, std::uint32_t offset, std::uint16_t gap = 0) {
+    read(block, 1, offset, gap);
+  }
+  void write_at(BlockId block, std::uint32_t offset, std::uint16_t gap = 0) {
+    write(block, 1, offset, gap);
+  }
 
   /// Reads/writes near the current stack top (requires a Stack block).
   void stack_read(std::uint64_t count, std::uint16_t gap = 0);
@@ -73,8 +102,9 @@ class TraceBuilder {
   /// Current call depth (0 at top level).
   std::size_t call_depth() const noexcept { return frames_.size(); }
 
-  /// Finishes the trace: requires all calls returned; validates and
-  /// returns the event stream, leaving the builder empty.
+  /// Finishes the trace: requires all calls returned; returns the event
+  /// stream in a vector whose capacity is its size, leaving the builder
+  /// empty.
   std::vector<TraceEvent> take();
 
  private:
@@ -83,11 +113,52 @@ class TraceBuilder {
     std::uint32_t frame_bytes;
   };
 
-  void push(TraceEvent event);
+  /// Events per chunk: 64 KiB of 16-byte events, below glibc's default
+  /// mmap threshold, so the chunks of one build are recycled from the
+  /// heap by the next instead of being mapped (and faulted in) afresh.
+  static constexpr std::size_t kChunkEvents = 4096;
+  static constexpr std::uint64_t kMaxRepeat =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// Checks a data-access target and returns its size in words.
+  std::uint32_t data_words(BlockId block, std::uint32_t offset) const {
+    const Block& b = program_.block(block);
+    FTSPM_REQUIRE(b.is_data(), "data access target must be a data block");
+    FTSPM_REQUIRE(offset < b.size_words(), "offset outside block " + b.name);
+    return b.size_words();
+  }
+
+  /// `count` word accesses from word `offset` of a block of `words`
+  /// words; nothing for count 0.
+  void emit(BlockId block, AccessType type, std::uint16_t gap,
+            std::uint32_t offset, std::uint64_t count, std::uint32_t words) {
+    if (count == 0) return;
+    if (count > kMaxRepeat) [[unlikely]] {
+      emit_split(block, type, gap, offset, count, words);
+      return;
+    }
+    push(TraceEvent{block, type, gap, offset,
+                    static_cast<std::uint32_t>(count)});
+  }
+
+  /// emit() for counts above a u32 repeat: consecutive events, each
+  /// starting where the previous one stopped.
+  void emit_split(BlockId block, AccessType type, std::uint16_t gap,
+                  std::uint32_t offset, std::uint64_t count,
+                  std::uint32_t words);
+
+  void push(const TraceEvent& event) {
+    if (tail_ == chunk_end_) [[unlikely]] add_chunk();
+    *tail_++ = event;
+  }
+  void add_chunk();
+
   std::uint32_t stack_top_word() const noexcept;
 
   const Program& program_;
-  std::vector<TraceEvent> events_;
+  std::vector<std::unique_ptr<TraceEvent[]>> chunks_;
+  TraceEvent* tail_ = nullptr;       ///< Next free slot of the last chunk.
+  TraceEvent* chunk_end_ = nullptr;  ///< One past the last chunk.
   std::vector<Frame> frames_;
   std::uint32_t stack_bytes_ = 0;
   std::uint32_t max_stack_bytes_ = 0;

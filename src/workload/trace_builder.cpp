@@ -1,9 +1,6 @@
 #include "ftspm/workload/trace_builder.h"
 
 #include <algorithm>
-#include <limits>
-
-#include "ftspm/util/error.h"
 
 namespace ftspm {
 
@@ -16,7 +13,23 @@ TraceBuilder::TraceBuilder(const Program& program) : program_(program) {
   }
 }
 
-void TraceBuilder::push(TraceEvent event) { events_.push_back(event); }
+void TraceBuilder::add_chunk() {
+  chunks_.push_back(
+      std::make_unique_for_overwrite<TraceEvent[]>(kChunkEvents));
+  tail_ = chunks_.back().get();
+  chunk_end_ = tail_ + kChunkEvents;
+}
+
+void TraceBuilder::emit_split(BlockId block, AccessType type,
+                              std::uint16_t gap, std::uint32_t offset,
+                              std::uint64_t count, std::uint32_t words) {
+  while (count > 0) {
+    const std::uint64_t n = std::min(count, kMaxRepeat);
+    push(TraceEvent{block, type, gap, offset, static_cast<std::uint32_t>(n)});
+    offset = static_cast<std::uint32_t>((offset + n) % words);
+    count -= n;
+  }
+}
 
 std::uint32_t TraceBuilder::stack_top_word() const noexcept {
   if (frames_.empty() || stack_bytes_ == 0) return 0;
@@ -45,64 +58,6 @@ void TraceBuilder::ret(std::uint32_t reload_words) {
   push(TraceEvent{frame.fn, AccessType::CallExit, 0, 0, 1});
 }
 
-void TraceBuilder::fetch(std::uint64_t count, std::uint16_t gap) {
-  FTSPM_REQUIRE(!frames_.empty(), "fetch needs an active call frame");
-  fetch_from(frames_.back().fn, count, gap);
-}
-
-void TraceBuilder::fetch_from(BlockId code_block, std::uint64_t count,
-                              std::uint16_t gap) {
-  FTSPM_REQUIRE(program_.block(code_block).is_code(),
-                "fetch target must be code");
-  constexpr std::uint64_t kChunk = std::numeric_limits<std::uint32_t>::max();
-  while (count > 0) {
-    const auto n = static_cast<std::uint32_t>(std::min(count, kChunk));
-    push(TraceEvent{code_block, AccessType::Fetch, gap, 0, n});
-    count -= n;
-  }
-}
-
-namespace {
-void check_data_target(const Program& program, BlockId block,
-                       std::uint32_t offset) {
-  const Block& b = program.block(block);
-  FTSPM_REQUIRE(b.is_data(), "data access target must be a data block");
-  FTSPM_REQUIRE(offset < b.size_words(), "offset outside block " + b.name);
-}
-}  // namespace
-
-void TraceBuilder::read(BlockId block, std::uint64_t count,
-                        std::uint32_t offset, std::uint16_t gap) {
-  check_data_target(program_, block, offset);
-  constexpr std::uint64_t kChunk = std::numeric_limits<std::uint32_t>::max();
-  while (count > 0) {
-    const auto n = static_cast<std::uint32_t>(std::min(count, kChunk));
-    push(TraceEvent{block, AccessType::Read, gap, offset, n});
-    count -= n;
-  }
-}
-
-void TraceBuilder::write(BlockId block, std::uint64_t count,
-                         std::uint32_t offset, std::uint16_t gap) {
-  check_data_target(program_, block, offset);
-  constexpr std::uint64_t kChunk = std::numeric_limits<std::uint32_t>::max();
-  while (count > 0) {
-    const auto n = static_cast<std::uint32_t>(std::min(count, kChunk));
-    push(TraceEvent{block, AccessType::Write, gap, offset, n});
-    count -= n;
-  }
-}
-
-void TraceBuilder::read_at(BlockId block, std::uint32_t offset,
-                           std::uint16_t gap) {
-  read(block, 1, offset, gap);
-}
-
-void TraceBuilder::write_at(BlockId block, std::uint32_t offset,
-                            std::uint16_t gap) {
-  write(block, 1, offset, gap);
-}
-
 void TraceBuilder::stack_read(std::uint64_t count, std::uint16_t gap) {
   FTSPM_REQUIRE(stack_block_.has_value(), "program has no stack block");
   read(*stack_block_, count,
@@ -117,9 +72,18 @@ void TraceBuilder::stack_write(std::uint64_t count, std::uint16_t gap) {
 
 std::vector<TraceEvent> TraceBuilder::take() {
   FTSPM_REQUIRE(frames_.empty(), "take() with unreturned calls");
-  validate_trace(program_, events_);
   std::vector<TraceEvent> out;
-  out.swap(events_);
+  if (!chunks_.empty()) {
+    out.reserve((chunks_.size() - 1) * kChunkEvents +
+                static_cast<std::size_t>(tail_ - chunks_.back().get()));
+    for (const auto& chunk : chunks_) {
+      const TraceEvent* first = chunk.get();
+      out.insert(out.end(), first,
+                 chunk == chunks_.back() ? tail_ : first + kChunkEvents);
+    }
+  }
+  chunks_.clear();
+  tail_ = chunk_end_ = nullptr;
   return out;
 }
 

@@ -115,6 +115,71 @@ TEST_P(CacheVsReference, RunsMatchWordByWordAccesses) {
   EXPECT_EQ(cache.stats().writebacks, writebacks);
 }
 
+// Targeted set-level sequences the random streams rarely produce, in
+// lockstep with the reference: cold sets, whose invalid ways must all
+// fill (in way order, the LRU order) before any valid line is evicted;
+// sets of dirty lines, whose victims must write back; and reset(),
+// after which nothing is resident, nothing is dirty and the statistics
+// restart.
+TEST_P(CacheVsReference, ColdSetsDirtyVictimsAndReset) {
+  const auto [ways, seed] = GetParam();
+  const CacheConfig cfg{1024, 32, ways, 1};
+  const std::uint64_t sets = cfg.size_bytes / (cfg.line_bytes * ways);
+  Cache cache(cfg);
+  ReferenceCache reference(cfg);
+  Rng rng(seed);
+  int step = 0;
+  const auto access = [&](std::uint64_t set, std::uint64_t tag,
+                          bool is_write) {
+    const std::uint64_t addr =
+        (tag * sets + set) * cfg.line_bytes + 8 * rng.next_below(4);
+    const CacheAccessResult got = cache.access(addr, is_write);
+    const CacheAccessResult want = reference.access(addr, is_write);
+    EXPECT_EQ(got.hit, want.hit) << "step " << step;
+    EXPECT_EQ(got.writeback, want.writeback) << "step " << step;
+    ++step;
+    return got;
+  };
+
+  // Each round starts on a cold cache: new, then reset() while the same
+  // set holds dirty lines, old_tag among them.
+  const std::uint64_t set = rng.next_below(sets);
+  const std::uint64_t old_tag = 1 + rng.next_below(1000);
+  const std::uint64_t new_tag = old_tag + ways;
+  for (int round = 0; round < 3; ++round) {
+    // Cold set: every way fills with a miss and no writeback, and then
+    // every line is still resident.
+    for (std::uint32_t w = 0; w < ways; ++w) {
+      const CacheAccessResult r = access(set, old_tag + w, w % 2 == 1);
+      EXPECT_FALSE(r.hit);
+      EXPECT_FALSE(r.writeback);
+    }
+    for (std::uint32_t w = 0; w < ways; ++w)
+      EXPECT_TRUE(access(set, old_tag + w, true).hit);
+    // A full set of dirty lines: each new tag evicts the least recently
+    // used of them and writes it back.
+    for (std::uint32_t w = 0; w < ways; ++w) {
+      const CacheAccessResult r = access(set, new_tag + w, false);
+      EXPECT_FALSE(r.hit);
+      EXPECT_TRUE(r.writeback);
+    }
+    // The evicted lines are gone; their clean successors leave quietly.
+    const CacheAccessResult back = access(set, old_tag, false);
+    EXPECT_FALSE(back.hit);
+    EXPECT_FALSE(back.writeback);
+    // Random traffic, then reset() with dirty lines resident.
+    for (int i = 0; i < 500; ++i)
+      access(rng.next_below(sets), rng.next_below(16), rng.next_bool(0.5));
+    access(set, old_tag, true);
+    for (std::uint32_t w = 1; w < ways; ++w) access(set, new_tag + w, true);
+    cache.reset();
+    reference = ReferenceCache(cfg);
+    EXPECT_EQ(cache.stats().accesses(), 0u);
+    EXPECT_EQ(cache.stats().misses(), 0u);
+    EXPECT_EQ(cache.stats().writebacks, 0u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     WaysAndSeeds, CacheVsReference,
     ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u),

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ftspm/util/error.h"
 
 namespace ftspm {
@@ -126,6 +128,98 @@ TEST(TraceBuilderTest, LargeCountsAreChunked) {
   for (const auto& e : trace) total += e.accesses();
   EXPECT_EQ(total, big);
   EXPECT_GE(trace.size(), 2u);
+}
+
+// A count above a u32 repeat is split into several events; together
+// they must visit each word exactly as one continuous run does, each
+// piece starting where the previous one stopped. (A 3-word block alone
+// would not catch pieces that restart at `offset`: 2^32 - 1 is a
+// multiple of 3, as it is of 5 and 17, but not of 2 or 7.)
+TEST(TraceBuilderTest, LargeCountsContinueAcrossChunks) {
+  const std::uint64_t big = 2 * ((1ULL << 32) - 1) + 5;
+  for (const std::uint32_t words : {3u, 2u, 7u}) {
+    Program p("tiny", {Block{"fn", BlockKind::Code, words * 8},
+                       Block{"arr", BlockKind::Data, words * 8}});
+    for (std::uint32_t offset = 0; offset < words; ++offset) {
+      TraceBuilder b(p);
+      b.write(1, big, offset);
+      b.fetch_from(0, big);
+      const auto trace = b.take();
+      ASSERT_GE(trace.size(), 6u);
+      for (const AccessType type : {AccessType::Write, AccessType::Fetch}) {
+        const std::uint64_t start = type == AccessType::Fetch ? 0 : offset;
+        std::vector<std::uint64_t> got(words, 0), want(words, 0);
+        for (const TraceEvent& e : trace) {
+          if (e.type != type) continue;
+          WordRun(e.offset, e.repeat, words)
+              .for_each_distinct([&](std::uint64_t first, std::uint64_t len,
+                                     std::uint64_t visits, std::uint64_t) {
+                for (std::uint64_t i = 0; i < len; ++i)
+                  got[first + i] += visits;
+              });
+        }
+        WordRun(start, big, words)
+            .for_each_distinct([&](std::uint64_t first, std::uint64_t len,
+                                   std::uint64_t visits, std::uint64_t) {
+              for (std::uint64_t i = 0; i < len; ++i)
+                want[first + i] += visits;
+            });
+        EXPECT_EQ(got, want) << words << " words, offset " << offset << ", "
+                             << to_string(type);
+      }
+    }
+  }
+}
+
+// The builder enforces at each call every invariant validate_trace()
+// checks, which is why take() does not validate: a rejected call
+// throws there and leaves no event behind.
+TEST(TraceBuilderTest, RejectsEachValidateTraceViolationAtTheCall) {
+  const Program p = demo_program();
+  TraceBuilder b(p);
+  const BlockId unknown = 4;
+  EXPECT_THROW(b.read(unknown, 1), InvalidArgument);
+  EXPECT_THROW(b.write(unknown, 1), InvalidArgument);
+  EXPECT_THROW(b.fetch_from(unknown, 1), InvalidArgument);
+  EXPECT_THROW(b.call(unknown, 32), InvalidArgument);
+  EXPECT_THROW(b.read(0, 1), InvalidArgument);  // data access to code
+  EXPECT_THROW(b.write(1, 1), InvalidArgument);
+  EXPECT_THROW(b.read_at(0, 0), InvalidArgument);
+  EXPECT_THROW(b.fetch_from(2, 1), InvalidArgument);  // fetch from data
+  EXPECT_THROW(b.fetch_from(3, 1), InvalidArgument);  // ... and stack
+  EXPECT_THROW(b.read(2, 1, 64), InvalidArgument);    // offset >= words
+  EXPECT_THROW(b.write(3, 1, 32), InvalidArgument);
+  EXPECT_THROW(b.write_at(2, 1000), InvalidArgument);
+  EXPECT_THROW(b.ret(), InvalidArgument);  // ret without call
+  b.call(0, 32);
+  EXPECT_THROW(b.take(), InvalidArgument);  // open frame
+  b.ret();
+  const auto trace = b.take();
+  ASSERT_EQ(trace.size(), 2u);
+  EXPECT_EQ(trace[0].type, AccessType::CallEnter);
+  EXPECT_EQ(trace[1].type, AccessType::CallExit);
+  EXPECT_NO_THROW(validate_trace(p, trace));
+}
+
+// take() copies the builder's chunks into one vector of exactly the
+// trace's size, in order, and leaves the builder empty for reuse.
+TEST(TraceBuilderTest, TakeReturnsAnExactlySizedVectorAcrossChunks) {
+  const Program p = demo_program();
+  TraceBuilder b(p);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                              std::size_t{4096}, std::size_t{4097},
+                              std::size_t{20'000}}) {
+    for (std::size_t i = 0; i < n; ++i)
+      b.read_at(2, static_cast<std::uint32_t>(i % 64),
+                static_cast<std::uint16_t>(i % 1000));
+    const auto trace = b.take();
+    ASSERT_EQ(trace.size(), n);
+    EXPECT_EQ(trace.capacity(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(trace[i].offset, i % 64) << i;
+      ASSERT_EQ(trace[i].gap, i % 1000) << i;
+    }
+  }
 }
 
 TEST(TraceBuilderTest, CallRejectsMisalignedFrame) {

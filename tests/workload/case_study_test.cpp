@@ -35,9 +35,12 @@ TEST(CaseStudyTest, BlockStructureMatchesPaper) {
             16u * 1024u);
 }
 
+// TraceBuilder::take() does not validate; profile_workload() does.
+// The builder's trace must pass and come exactly sized.
 TEST(CaseStudyTest, TraceValidates) {
   const Workload& w = full_case_study();
   EXPECT_NO_THROW(validate_trace(w.program, w.trace));
+  EXPECT_EQ(w.trace.capacity(), w.trace.size());
 }
 
 // Table I, reproduced exactly: reads and writes per block.

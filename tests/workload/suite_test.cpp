@@ -29,6 +29,17 @@ TEST_P(SuiteBenchmark, GeneratesAValidWorkload) {
   EXPECT_GT(w.total_accesses(), 0u);
 }
 
+// TraceBuilder::take() does not validate; profile_workload() does.
+// Every suite trace, at the pipeline's scale and the bench's, must pass
+// and come exactly sized.
+TEST_P(SuiteBenchmark, FullScaleTracesValidateAndAreExactlySized) {
+  for (const std::uint64_t scale : {1u, 4u}) {
+    const Workload w = make_benchmark(GetParam(), scale);
+    EXPECT_NO_THROW(validate_trace(w.program, w.trace)) << "scale " << scale;
+    EXPECT_EQ(w.trace.capacity(), w.trace.size()) << "scale " << scale;
+  }
+}
+
 TEST_P(SuiteBenchmark, HasCodeDataAndOneStack) {
   const Workload w = make_benchmark(GetParam(), kTestScale);
   std::size_t code = 0, data = 0, stack = 0;
