@@ -72,15 +72,6 @@ RecoveryResult run_recovery_system_campaign(
     const ProgramProfile& profile, const StrikeMultiplicityModel& strikes,
     const CampaignConfig& config, const RecoveryPolicy& policy);
 
-/// Sharded/parallel run_recovery_system_campaign; same determinism
-/// contract as run_system_campaign_parallel (jobs-invariant, shards
-/// merged in index order).
-exec::RecoveryShardedRun run_recovery_system_campaign_parallel(
-    const SpmLayout& layout, const MappingPlan& plan, const Program& program,
-    const ProgramProfile& profile, const StrikeMultiplicityModel& strikes,
-    const CampaignConfig& config, const RecoveryPolicy& policy,
-    const exec::ExecConfig& exec_config);
-
 /// Precomputed read-only context for the temporal campaign: the
 /// transfer schedule, per-region residency spans, and the injection
 /// surfaces. Building it once and sharing it across shards is what

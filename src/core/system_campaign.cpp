@@ -125,16 +125,6 @@ RecoveryResult run_recovery_system_campaign(
       policy);
 }
 
-exec::RecoveryShardedRun run_recovery_system_campaign_parallel(
-    const SpmLayout& layout, const MappingPlan& plan, const Program& program,
-    const ProgramProfile& profile, const StrikeMultiplicityModel& strikes,
-    const CampaignConfig& config, const RecoveryPolicy& policy,
-    const exec::ExecConfig& exec_config) {
-  return exec::run_recovery_campaign_sharded(
-      make_recovery_regions(layout, plan, program, profile), strikes, config,
-      policy, exec_config);
-}
-
 TemporalCampaign::TemporalCampaign(const SpmLayout& layout,
                                    const MappingPlan& plan,
                                    const Program& program,

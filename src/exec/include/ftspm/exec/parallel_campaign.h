@@ -31,8 +31,8 @@ namespace ftspm::exec {
 
 class ThreadPool;
 
-/// Opt-in wall-clock liveness stream for long sharded campaigns. A
-/// dedicated emitter thread samples the runner's thread-safe progress
+/// Opt-in wall-clock liveness stream for long sharded campaigns. An
+/// obs::PeriodicWriter thread samples the runner's thread-safe progress
 /// aggregation every `interval_ms` and appends one NDJSON heartbeat
 /// record (per-shard strikes/sec, completed/total chunks, pool
 /// utilization, ETA) to `out_path`. Heartbeats are nondeterministic by

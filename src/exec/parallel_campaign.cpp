@@ -3,17 +3,17 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <mutex>
-#include <thread>
+#include <optional>
+#include <utility>
 
 #include "ftspm/exec/thread_pool.h"
 #include "ftspm/fault/campaign_observer.h"
 #include "ftspm/obs/event_log.h"
 #include "ftspm/obs/metrics.h"
+#include "ftspm/obs/periodic_writer.h"
 #include "ftspm/obs/trace_sink.h"
 #include "ftspm/util/error.h"
 #include "ftspm/util/json.h"
@@ -113,72 +113,29 @@ class CheckpointWriter {
   std::vector<std::uint64_t> writes_;
 };
 
-/// The live-telemetry emitter thread (see HeartbeatConfig). Reads the
-/// per-shard progress slots the workers publish with relaxed stores and
-/// appends one NDJSON record per interval; entirely off the hot path —
-/// workers never wait on it, and I/O failures are reported once on
-/// stderr instead of thrown.
-class HeartbeatEmitter {
- public:
-  HeartbeatEmitter(const HeartbeatConfig& config,
-                   const std::vector<CampaignShard>& plan,
-                   std::uint64_t already_done, std::uint64_t total_strikes,
-                   std::uint64_t chunks_total,
-                   const std::atomic<std::uint64_t>* shard_done,
-                   const std::atomic<std::uint64_t>& chunks_done,
-                   const ThreadPool& pool)
-      : config_(config), plan_(plan), already_done_(already_done),
-        total_strikes_(total_strikes), chunks_total_(chunks_total),
-        shard_done_(shard_done), chunks_done_(chunks_done), pool_(pool),
-        prev_done_(plan.size(), 0), start_(Clock::now()), prev_time_(start_) {
-    out_.open(config.out_path, std::ios::binary | std::ios::app);
-    FTSPM_REQUIRE(out_.good(), "cannot open heartbeat output '" +
-                                   config.out_path + "'");
-    for (std::size_t i = 0; i < plan_.size(); ++i)
-      prev_done_[i] = shard_done_[i].load(std::memory_order_relaxed);
-    thread_ = std::thread([this] { run(); });
-  }
-
-  ~HeartbeatEmitter() { stop(); }
-
-  /// Emits the final beat and joins the emitter. Idempotent; also
-  /// called from the destructor so an exception in the runner still
-  /// shuts the thread down.
-  void stop() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (stopped_) return;
-      stopped_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-
- private:
+/// The heartbeat record builder (see HeartbeatConfig) for an
+/// obs::PeriodicWriter. Reads the per-shard progress slots the workers
+/// publish with relaxed stores, so it is entirely off the hot path:
+/// workers never wait on it. The returned function keeps its own rate
+/// state and runs only on the writer thread.
+obs::PeriodicWriter::LineFn heartbeat_line(
+    const HeartbeatConfig& config, const std::vector<CampaignShard>& plan,
+    std::uint64_t already_done, std::uint64_t total_strikes,
+    std::uint64_t chunks_total, const std::atomic<std::uint64_t>* shard_done,
+    const std::atomic<std::uint64_t>& chunks_done, const ThreadPool& pool) {
   using Clock = std::chrono::steady_clock;
-
-  void run() {
-    const auto interval =
-        std::chrono::milliseconds(std::max<std::uint32_t>(
-            config_.interval_ms, 1));
-    beat(/*final=*/false);  // At least one record, however short the run.
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!stopped_) {
-      if (cv_.wait_for(lock, interval, [this] { return stopped_; })) break;
-      lock.unlock();
-      beat(/*final=*/false);
-      lock.lock();
-    }
-    lock.unlock();
-    beat(/*final=*/true);
-  }
-
-  void beat(bool final) {
+  std::vector<std::uint64_t> prev_done(plan.size());
+  for (std::size_t i = 0; i < plan.size(); ++i)
+    prev_done[i] = shard_done[i].load(std::memory_order_relaxed);
+  const Clock::time_point start = Clock::now();
+  return [&config, &plan, already_done, total_strikes, chunks_total,
+          shard_done, &chunks_done, &pool, prev_done = std::move(prev_done),
+          start, prev_time = start](bool final) mutable {
     const Clock::time_point now = Clock::now();
     const double wall_ms =
-        std::chrono::duration<double, std::milli>(now - start_).count();
+        std::chrono::duration<double, std::milli>(now - start).count();
     const double delta_s =
-        std::chrono::duration<double>(now - prev_time_).count();
+        std::chrono::duration<double>(now - prev_time).count();
     std::uint64_t done = 0;
     JsonWriter w;
     w.begin_object()
@@ -187,88 +144,64 @@ class HeartbeatEmitter {
         .field("final", final)
         .field("wall_ms", wall_ms);
     w.begin_array("shards");
-    for (std::size_t i = 0; i < plan_.size(); ++i) {
-      const std::uint64_t d = shard_done_[i].load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      const std::uint64_t d = shard_done[i].load(std::memory_order_relaxed);
       done += d;
       const double rate =
           delta_s > 0.0
-              ? static_cast<double>(d - prev_done_[i]) / delta_s
+              ? static_cast<double>(d - prev_done[i]) / delta_s
               : 0.0;
       w.begin_object()
           .field("shard", static_cast<std::uint64_t>(i))
           .field("done", d)
-          .field("total", plan_[i].config.strikes)
+          .field("total", plan[i].config.strikes)
           .field("strikes_per_sec", rate)
           .end_object();
-      prev_done_[i] = d;
+      prev_done[i] = d;
     }
     w.end_array();
     const double elapsed_s = wall_ms / 1000.0;
     const double rate =
         elapsed_s > 0.0
-            ? static_cast<double>(done - already_done_) / elapsed_s
+            ? static_cast<double>(done - already_done) / elapsed_s
             : 0.0;
     const double eta_s =
-        rate > 0.0 ? static_cast<double>(total_strikes_ - done) / rate : 0.0;
-    const std::uint64_t busy_ns = pool_.total_busy_ns();
+        rate > 0.0 ? static_cast<double>(total_strikes - done) / rate : 0.0;
+    const std::uint64_t busy_ns = pool.total_busy_ns();
     const double capacity_ns =
-        elapsed_s * 1e9 * static_cast<double>(pool_.size());
+        elapsed_s * 1e9 * static_cast<double>(pool.size());
     const double utilization =
         capacity_ns > 0.0
             ? std::min(static_cast<double>(busy_ns) / capacity_ns, 1.0)
             : 0.0;
     w.field("done", done)
-        .field("total", total_strikes_)
+        .field("total", total_strikes)
         .field("strikes_per_sec", rate)
         .field("eta_s", eta_s)
         .field("chunks_done",
-               chunks_done_.load(std::memory_order_relaxed))
-        .field("chunks_total", chunks_total_)
-        .field("jobs", static_cast<std::uint64_t>(pool_.size()))
+               chunks_done.load(std::memory_order_relaxed))
+        .field("chunks_total", chunks_total)
+        .field("jobs", static_cast<std::uint64_t>(pool.size()))
         .field("pool_utilization", utilization)
         .end_object();
-    prev_time_ = now;
+    prev_time = now;
 
-    out_ << w.str() << '\n';
-    out_.flush();
-    if (!out_.good() && !write_failed_) {
-      write_failed_ = true;
-      std::fprintf(stderr, "warning: heartbeat write to '%s' failed\n",
-                   config_.out_path.c_str());
-    }
-    if (config_.stderr_line) {
+    if (config.stderr_line) {
       const double pct =
-          total_strikes_ != 0
+          total_strikes != 0
               ? 100.0 * static_cast<double>(done) /
-                    static_cast<double>(total_strikes_)
+                    static_cast<double>(total_strikes)
               : 100.0;
       std::fprintf(stderr,
                    "heartbeat: %5.1f%% (%llu/%llu strikes) %.0f strikes/s "
                    "eta %.0fs pool %.0f%%\n",
                    pct, static_cast<unsigned long long>(done),
-                   static_cast<unsigned long long>(total_strikes_), rate,
+                   static_cast<unsigned long long>(total_strikes), rate,
                    eta_s, utilization * 100.0);
     }
-  }
-
-  const HeartbeatConfig& config_;
-  const std::vector<CampaignShard>& plan_;
-  const std::uint64_t already_done_;
-  const std::uint64_t total_strikes_;
-  const std::uint64_t chunks_total_;
-  const std::atomic<std::uint64_t>* shard_done_;
-  const std::atomic<std::uint64_t>& chunks_done_;
-  const ThreadPool& pool_;
-  std::vector<std::uint64_t> prev_done_;
-  const Clock::time_point start_;
-  Clock::time_point prev_time_;
-  std::ofstream out_;
-  bool write_failed_ = false;
-  std::thread thread_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stopped_ = false;
-};
+    return w.str();
+  };
+}
 
 /// Deterministic post-run observability: per-shard trace lanes and
 /// pool-utilization wall timers. Emitted by the coordinator after the
@@ -468,13 +401,15 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
     });
   }
   {
-    // The emitter joins (and writes its final beat) before results are
+    // The writer joins (and writes its final beat) before results are
     // merged, even when a worker throws.
-    std::unique_ptr<HeartbeatEmitter> heartbeat;
+    std::optional<obs::PeriodicWriter> heartbeat;
     if (exec.heartbeat.enabled())
-      heartbeat = std::make_unique<HeartbeatEmitter>(
-          exec.heartbeat, plan, already_done, root.strikes, chunks_total,
-          shard_done.get(), chunks_done, pool);
+      heartbeat.emplace("heartbeat", exec.heartbeat.out_path,
+                        exec.heartbeat.interval_ms,
+                        heartbeat_line(exec.heartbeat, plan, already_done,
+                                       root.strikes, chunks_total,
+                                       shard_done.get(), chunks_done, pool));
     pool.run_all(std::move(tasks));
   }
 

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "ftspm/core/system_campaign.h"
@@ -77,30 +78,31 @@ CampaignSpec spec_from_json(const JsonValue& value) {
       FTSPM_REQUIRE(v.is_string(), "spec.protection must be a string");
       spec.protection = v.string;
     } else if (key == "strikes") {
-      spec.strikes = as_u64(v, key, std::uint64_t{1} << 53);
+      spec.strikes = as_u64(v, key, kMaxSpecCount);
     } else if (key == "seed") {
-      spec.seed = as_u64(v, key, std::uint64_t{1} << 53);
+      spec.seed = as_u64(v, key, kMaxSpecCount);
     } else if (key == "size") {
-      spec.size = as_u64(v, key, std::uint64_t{1} << 40);
+      spec.size = as_u64(v, key, kMaxSpecSize);
     } else if (key == "interleave") {
-      spec.interleave = static_cast<std::uint32_t>(as_u64(v, key, 1u << 16));
+      spec.interleave =
+          static_cast<std::uint32_t>(as_u64(v, key, kMaxSpecInterleave));
     } else if (key == "node") {
       spec.node = as_double(v, key);
     } else if (key == "occupancy") {
       spec.occupancy = as_double(v, key);
     } else if (key == "shards") {
-      spec.shards = static_cast<std::uint32_t>(as_u64(v, key, 4096));
+      spec.shards = static_cast<std::uint32_t>(as_u64(v, key, kMaxSpecShards));
     } else if (key == "recover") {
       FTSPM_REQUIRE(v.is_bool(), "spec.recover must be a boolean");
       spec.recover = v.boolean;
     } else if (key == "scrub_interval") {
-      spec.scrub_interval = as_u64(v, key, std::uint64_t{1} << 53);
+      spec.scrub_interval = as_u64(v, key, kMaxSpecCount);
     } else if (key == "dirty_fraction") {
       spec.dirty_fraction = as_double(v, key);
     } else if (key == "refetch_words") {
-      spec.refetch_words = as_u64(v, key, std::uint64_t{1} << 32);
+      spec.refetch_words = as_u64(v, key, kMaxSpecRefetchWords);
     } else if (key == "heartbeat_strikes") {
-      spec.heartbeat_strikes = as_u64(v, key, std::uint64_t{1} << 53);
+      spec.heartbeat_strikes = as_u64(v, key, kMaxSpecCount);
     } else {
       throw InvalidArgument("unknown spec field '" + key + "'");
     }
@@ -158,12 +160,8 @@ CampaignOutcome run_campaign_spec(const CampaignSpec& spec,
   const RecoveryPolicy policy =
       make_recovery_policy(SimConfig{}, spec.recover, spec.scrub_interval);
 
-  exec::ExecConfig exec_cfg;
-  exec_cfg.jobs = hooks.jobs;
+  exec::ExecConfig exec_cfg = hooks;
   exec_cfg.shards = spec.shards;
-  exec_cfg.pool = hooks.pool;
-  exec_cfg.cancel = hooks.cancel;
-  exec_cfg.shard_span = hooks.shard_span;
 
   const StrikeMultiplicityModel strikes =
       StrikeMultiplicityModel::for_node(spec.node);
@@ -185,6 +183,7 @@ CampaignOutcome run_campaign_spec(const CampaignSpec& spec,
       out.wall_ms > 0.0
           ? static_cast<double>(out.result.strikes.strikes) * 1e3 / out.wall_ms
           : 0.0;
+  out.sensitivity = std::move(run.sensitivity);
   return out;
 }
 

@@ -1,31 +1,38 @@
-// The campaign request spec shared by the serve daemon, its client
-// library, and the load injector.
+// The campaign request spec shared by `ftspm_tool campaign`, the serve
+// daemon, its client library, and the load injector.
 //
-// A CampaignSpec mirrors `ftspm_tool campaign`'s flags field for field,
-// so a request submitted over the wire describes exactly the same run a
-// one-shot invocation would perform. run_campaign_spec() executes it
-// through the same engine (`exec::run_recovery_campaign_sharded`) and
-// campaign_spec_record() builds the same ledger record — which is what
-// makes the served-vs-one-shot determinism contract checkable: same
+// The CLI fills a CampaignSpec from its flags and the daemon decodes
+// one off the wire; both run it through run_campaign_spec() (the
+// sharded recovery runner, `exec::run_recovery_campaign_sharded`) and
+// build their ledger record with campaign_spec_record(). One code path
+// is what makes the served-vs-one-shot determinism contract hold: same
 // spec + same seed => bit-identical counters and an equivalent record,
 // whether the run came through a socket or argv.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
 
+#include "ftspm/exec/parallel_campaign.h"
 #include "ftspm/fault/injector.h"
 #include "ftspm/fault/recovery.h"
+#include "ftspm/fault/sensitivity.h"
 #include "ftspm/obs/ledger.h"
 #include "ftspm/util/json.h"
 
-namespace ftspm::exec {
-class ThreadPool;
-}
-
 namespace ftspm::serve {
+
+/// Upper bounds on the spec's count fields. spec_from_json and the
+/// `ftspm_tool campaign` flag parser both apply them, so the wire and
+/// argv accept the same counts; validate_spec checks the lower bounds.
+/// kMaxSpecCount (strikes, seed, scrub interval, heartbeat strikes)
+/// is 2^53, the largest range a JSON number carries exactly.
+inline constexpr std::uint64_t kMaxSpecCount = std::uint64_t{1} << 53;
+inline constexpr std::uint64_t kMaxSpecSize = std::uint64_t{1} << 40;
+inline constexpr std::uint64_t kMaxSpecInterleave = std::uint64_t{1} << 16;
+inline constexpr std::uint64_t kMaxSpecShards = 4096;
+inline constexpr std::uint64_t kMaxSpecRefetchWords = std::uint64_t{1} << 32;
 
 /// One campaign request. Field names and defaults match the
 /// `ftspm_tool campaign` flags (plus an explicit seed, which the CLI
@@ -61,25 +68,15 @@ CampaignSpec spec_from_json(const JsonValue& value);
 /// spec_from_json).
 std::string spec_to_json(const CampaignSpec& spec);
 
-/// Execution context the daemon threads onto a spec run: the shared
-/// pool, the per-request cancel flag, and the heartbeat sink. All
-/// optional — the defaults run the spec standalone, like the CLI.
-struct CampaignRunHooks {
-  exec::ThreadPool* pool = nullptr;
-  const std::atomic<bool>* cancel = nullptr;
-  /// Worker threads when `pool` is null (0 = hardware concurrency).
-  std::uint32_t jobs = 1;
+/// How to execute a spec run: the scheduling half of exec::ExecConfig
+/// (pool or jobs, cancel flag, shard spans, checkpoint/resume, halt,
+/// heartbeat, sensitivity buckets) plus the progress sink. The spec
+/// owns the shard count: run_campaign_spec overwrites `shards` with
+/// spec.shards. The defaults run the spec standalone on one worker.
+struct CampaignRunHooks : exec::ExecConfig {
   /// Invoked every spec.heartbeat_strikes strikes (aggregated across
-  /// shards) with (done, total). Must not throw.
+  /// shards, at chunk granularity) with (done, total). Must not throw.
   std::function<void(std::uint64_t, std::uint64_t)> progress;
-  /// Wall-clock per-shard attribution, forwarded to
-  /// exec::ExecConfig::shard_span: called after the run joins, once
-  /// per shard in shard order, with the shard's task start/finish in
-  /// ns since the runner launched the tasks. Reporting only — the
-  /// daemon turns these into child spans of the request's wall trace.
-  std::function<void(std::uint32_t shard, std::uint64_t start_ns,
-                     std::uint64_t end_ns)>
-      shard_span;
 };
 
 /// What one spec run produced.
@@ -94,6 +91,9 @@ struct CampaignOutcome {
   std::uint32_t used_shards = 1;
   double wall_ms = 0.0;
   double strikes_per_sec = 0.0;
+  /// Shard-order merge of the per-shard sensitivity grids; inactive
+  /// unless hooks.sensitivity_buckets was set.
+  SensitivityGrid sensitivity;
 };
 
 /// Runs the spec. Counters depend only on (seed, strikes, shards,
@@ -101,8 +101,8 @@ struct CampaignOutcome {
 CampaignOutcome run_campaign_spec(const CampaignSpec& spec,
                                   const CampaignRunHooks& hooks = {});
 
-/// The outcome as a ledger record (id left empty for the appender),
-/// built by the same report helper the CLI uses.
+/// The outcome as a ledger record (id left empty for the appender);
+/// the CLI and the daemon both record their runs through this.
 obs::LedgerRecord campaign_spec_record(const CampaignSpec& spec,
                                        const CampaignOutcome& outcome);
 

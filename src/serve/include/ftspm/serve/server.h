@@ -65,9 +65,10 @@ struct ServerConfig {
   /// bit-identical with tracing on or off.
   std::string trace_path;
   /// Append periodic NDJSON snapshots of the serving-layer registry
-  /// here from a dedicated telemetry thread (empty = disabled). Like
-  /// the campaign heartbeat emitter: off the hot path, and the first
-  /// and final snapshots are guaranteed however short the run.
+  /// here through an obs::PeriodicWriter (empty = disabled), the
+  /// writer behind the campaign heartbeat too: off the hot path, and
+  /// the first and final snapshots are guaranteed however short the
+  /// run.
   std::string telemetry_path;
   /// Milliseconds between telemetry snapshots (clamped to >= 1).
   std::uint32_t telemetry_interval_ms = 1000;

@@ -12,8 +12,6 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
-#include <fstream>
-#include <functional>
 #include <mutex>
 #include <string_view>
 #include <thread>
@@ -22,6 +20,7 @@
 #include "ftspm/exec/thread_pool.h"
 #include "ftspm/obs/ledger.h"
 #include "ftspm/obs/metrics.h"
+#include "ftspm/obs/periodic_writer.h"
 #include "ftspm/obs/wall_trace.h"
 #include "ftspm/serve/campaign_spec.h"
 #include "ftspm/serve/load.h"
@@ -127,74 +126,6 @@ struct PendingRequest {
   obs::WallTrace::LaneId lane = 0;
 };
 
-/// The serve-side telemetry writer (ServerConfig::telemetry_path): one
-/// dedicated thread appending NDJSON registry snapshots, mirroring the
-/// campaign HeartbeatEmitter's contract — an immediate first record, a
-/// final one at stop(), never on the hot path (request threads only
-/// touch the registry it snapshots), and I/O failures reported once on
-/// stderr instead of thrown.
-class TelemetryEmitter {
- public:
-  TelemetryEmitter(const std::string& path, std::uint32_t interval_ms,
-                   std::function<std::string(bool final)> snapshot_line)
-      : path_(path), interval_ms_(std::max<std::uint32_t>(interval_ms, 1)),
-        snapshot_line_(std::move(snapshot_line)) {
-    out_.open(path_, std::ios::binary | std::ios::app);
-    FTSPM_REQUIRE(out_.good(),
-                  "cannot open telemetry output '" + path_ + "'");
-    thread_ = std::thread([this] { run(); });
-  }
-
-  ~TelemetryEmitter() { stop(); }
-
-  /// Emits the final snapshot and joins. Idempotent.
-  void stop() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (stopped_) return;
-      stopped_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-
- private:
-  void run() {
-    beat(/*final=*/false);  // At least one record, however short the run.
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!stopped_) {
-      if (cv_.wait_for(lock, std::chrono::milliseconds(interval_ms_),
-                       [this] { return stopped_; }))
-        break;
-      lock.unlock();
-      beat(/*final=*/false);
-      lock.lock();
-    }
-    lock.unlock();
-    beat(/*final=*/true);
-  }
-
-  void beat(bool final) {
-    out_ << snapshot_line_(final) << '\n';
-    out_.flush();
-    if (!out_.good() && !write_failed_) {
-      write_failed_ = true;
-      std::fprintf(stderr, "warning: telemetry write to '%s' failed\n",
-                   path_.c_str());
-    }
-  }
-
-  const std::string path_;
-  const std::uint32_t interval_ms_;
-  const std::function<std::string(bool final)> snapshot_line_;
-  std::ofstream out_;
-  bool write_failed_ = false;
-  std::thread thread_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stopped_ = false;
-};
-
 }  // namespace
 
 struct Server::Impl {
@@ -244,7 +175,8 @@ struct Server::Impl {
   std::unique_ptr<obs::WallTrace> trace;
   obs::WallTrace::LaneId admission_lane = 0;  ///< Shed/shutdown marks.
   obs::WallTrace::LaneId queue_lane = 0;      ///< Queue-depth counter.
-  std::unique_ptr<TelemetryEmitter> emitter;
+  /// The telemetry snapshot stream (ServerConfig::telemetry_path).
+  std::unique_ptr<obs::PeriodicWriter> emitter;
   std::atomic<std::uint64_t> telemetry_seq{0};
   std::chrono::steady_clock::time_point started_at;
 
@@ -364,8 +296,8 @@ void Server::start() {
     impl->queue_lane = impl->trace->lane("serve", "queue");
   }
   if (!config_.telemetry_path.empty())
-    impl->emitter = std::make_unique<TelemetryEmitter>(
-        config_.telemetry_path, config_.telemetry_interval_ms,
+    impl->emitter = std::make_unique<obs::PeriodicWriter>(
+        "telemetry", config_.telemetry_path, config_.telemetry_interval_ms,
         [i = impl.get()](bool final) { return i->telemetry_line(final); });
   impl->accepting.store(true, std::memory_order_release);
   impl->executor_thread = std::thread([i = impl.get()] { i->executor_loop(); });

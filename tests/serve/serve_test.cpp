@@ -160,6 +160,47 @@ TEST(ServeTest, ServedCampaignMatchesDirectRunBitForBit) {
   std::remove(cfg.ledger_path.c_str());
 }
 
+TEST(ServeTest, SpecRunResumedFromCheckpointMatchesUninterruptedRun) {
+  // The CLI's --checkpoint/--resume reach the runner through the
+  // ExecConfig half of CampaignRunHooks; a halted spec run resumed
+  // from its checkpoint must land on the uninterrupted counters.
+  CampaignSpec spec;
+  spec.strikes = 300'000;
+  spec.shards = 3;
+  spec.occupancy = 0.6;
+  const CampaignOutcome whole = run_campaign_spec(spec);
+  ASSERT_TRUE(whole.complete);
+
+  const std::string checkpoint = test_ledger("spec-checkpoint");
+  CampaignRunHooks halt;
+  halt.jobs = 2;
+  halt.chunk_strikes = 4096;
+  halt.halt_after = 100'000;
+  halt.checkpoint_path = checkpoint;
+  const CampaignOutcome first = run_campaign_spec(spec, halt);
+  EXPECT_FALSE(first.complete);
+  EXPECT_LT(first.result.strikes.strikes, spec.strikes);
+
+  CampaignRunHooks resume;
+  resume.jobs = 2;
+  resume.resume_path = checkpoint;
+  const CampaignOutcome second = run_campaign_spec(spec, resume);
+  std::remove(checkpoint.c_str());
+  ASSERT_TRUE(second.complete);
+  const CampaignResult& a = whole.result.strikes;
+  const CampaignResult& b = second.result.strikes;
+  EXPECT_EQ(b.strikes, a.strikes);
+  EXPECT_EQ(b.masked, a.masked);
+  EXPECT_EQ(b.dre, a.dre);
+  EXPECT_EQ(b.due, a.due);
+  EXPECT_EQ(b.sdc, a.sdc);
+  EXPECT_EQ(second.used_shards, whole.used_shards);
+  const obs::LedgerRecord want = campaign_spec_record(spec, whole);
+  const obs::LedgerRecord got = campaign_spec_record(spec, second);
+  EXPECT_EQ(got.counters, want.counters);
+  EXPECT_EQ(got.metrics, want.metrics);
+}
+
 TEST(ServeTest, HeartbeatsStreamBeforeTheResult) {
   CampaignSpec spec;
   spec.strikes = 100'000;

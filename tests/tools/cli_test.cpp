@@ -7,10 +7,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "ftspm/obs/ledger.h"
+#include "ftspm/serve/campaign_spec.h"
 #include "ftspm/util/json.h"
 
 namespace ftspm {
@@ -160,8 +164,8 @@ TEST(CliTest, CampaignStdoutIsJobsInvariant) {
 }
 
 TEST(CliTest, CampaignDefaultStaysSerialCompatible) {
-  // No parallel flags: the sharded engine must stay out of the way so
-  // historical outputs keep reproducing.
+  // No parallel flags means one shard on one worker: the output, stderr
+  // included, must match the explicit spelling.
   const CommandResult plain = run_tool("campaign --strikes 20000");
   const CommandResult one =
       run_tool("--jobs 1 campaign --strikes 20000 --shards 1");
@@ -516,6 +520,77 @@ TEST(CliTest, CampaignProbabilityFlagsRejectNonFiniteAndOutOfRange) {
   }
 }
 
+TEST(CliTest, CampaignCountFlagsRejectNegativeAndOutOfRange) {
+  // Counts used to go through a signed parse and a cast: "-5" strikes
+  // wrapped to 2^64-5 and ran until killed, "--shards -1" died in
+  // bad_alloc. Each must be a usage error (exit 2) naming its flag,
+  // with the same caps the daemon applies to a wire spec.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"strikes", "-5"},
+      {"strikes", "0"},
+      {"strikes", "9007199254740993"},  // 2^53 + 1
+      {"shards", "-1"},
+      {"shards", "4097"},
+      {"size", "-8"},
+      {"size", "1099511627777"},  // 2^40 + 1
+      {"interleave", "-1"},
+      {"interleave", "65537"},
+      {"refetch-words", "-1"},
+      {"refetch-words", "4294967297"},  // 2^32 + 1
+      {"scrub-interval", "-1"},
+      {"scrub-interval", "9007199254740993"},
+  };
+  for (const auto& [flag, value] : cases) {
+    const CommandResult r = run_tool("campaign --" + flag + " " + value);
+    EXPECT_EQ(r.exit_code, 2) << flag << " " << value << "\n" << r.output;
+    EXPECT_NE(r.output.find(flag), std::string::npos)
+        << flag << " " << value << "\n" << r.output;
+  }
+}
+
+TEST(CliTest, CampaignLedgerCountersMatchRunCampaignSpec) {
+  // The CLI runs its flags through serve::run_campaign_spec and records
+  // through campaign_spec_record, so its ledger line must carry the
+  // counters of the same spec run in process.
+  serve::CampaignSpec plain;
+  plain.strikes = 20000;
+  serve::CampaignSpec recovery = plain;
+  recovery.recover = true;
+  recovery.occupancy = 0.4;
+  const std::vector<std::pair<std::string, serve::CampaignSpec>> cases = {
+      {"", plain}, {" --recover --occupancy 0.4", recovery}};
+  for (const auto& [flags, spec] : cases) {
+    const std::string ledger = temp_path("ftspm_cli_spec_ledger.jsonl");
+    std::remove(ledger.c_str());
+    ASSERT_EQ(run_tool_stdout("--ledger " + ledger +
+                              " campaign --strikes 20000" + flags)
+                  .exit_code,
+              0);
+    const std::vector<obs::LedgerRecord> records = obs::read_ledger(ledger);
+    std::remove(ledger.c_str());
+    ASSERT_EQ(records.size(), 1u) << flags;
+    const obs::LedgerRecord& got = records[0];
+    const obs::LedgerRecord want =
+        serve::campaign_spec_record(spec, serve::run_campaign_spec(spec));
+    EXPECT_EQ(got.command, want.command) << flags;
+    EXPECT_EQ(got.workload, want.workload) << flags;
+    EXPECT_EQ(got.seed, want.seed) << flags;
+    EXPECT_EQ(got.jobs, want.jobs) << flags;
+    EXPECT_EQ(got.shards, want.shards) << flags;
+    // The ledger writes keys sorted; the values must match exactly.
+    const std::map<std::string, std::uint64_t> got_counters(
+        got.counters.begin(), got.counters.end());
+    const std::map<std::string, std::uint64_t> want_counters(
+        want.counters.begin(), want.counters.end());
+    EXPECT_EQ(got_counters, want_counters) << flags;
+    const std::map<std::string, double> got_metrics(got.metrics.begin(),
+                                                    got.metrics.end());
+    ASSERT_EQ(got_metrics.size(), want.metrics.size()) << flags;
+    for (const auto& [name, value] : want.metrics)
+      EXPECT_DOUBLE_EQ(got_metrics.at(name), value) << flags << " " << name;
+  }
+}
+
 TEST(CliTest, CampaignJsonTimingOnlyWithTimeFlag) {
   const std::string args = "campaign --strikes 5000 --json";
   const CommandResult plain = run_tool_stdout(args);
@@ -558,8 +633,8 @@ TEST(CliTest, SensitivityGridFileIsJobsInvariant) {
       EXPECT_EQ(grid, reference) << "--jobs " << jobs;
   }
 
-  // The serial path (no parallel flags) writes the same grid as a
-  // one-shard sharded run.
+  // The default run (one shard on one worker) writes the same grid as
+  // a one-shard run on two workers.
   const std::string serial_path = temp_path("ftspm_cli_grid_serial");
   const std::string one_path = temp_path("ftspm_cli_grid_oneshard");
   ASSERT_EQ(run_tool_stdout("campaign --strikes 20000 "

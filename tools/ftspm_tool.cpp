@@ -61,10 +61,8 @@
 #include <vector>
 
 #include "ftspm/core/partition.h"
-#include "ftspm/core/system_campaign.h"
 #include "ftspm/core/systems.h"
 #include "ftspm/core/transfer_schedule.h"
-#include "ftspm/exec/parallel_campaign.h"
 #include "ftspm/exec/thread_pool.h"
 #include "ftspm/obs/event_log.h"
 #include "ftspm/obs/ledger.h"
@@ -81,6 +79,7 @@
 #include "ftspm/report/run_compare.h"
 #include "ftspm/report/saturation.h"
 #include "ftspm/report/suite_runner.h"
+#include "ftspm/serve/campaign_spec.h"
 #include "ftspm/serve/client.h"
 #include "ftspm/serve/load.h"
 #include "ftspm/serve/server.h"
@@ -880,33 +879,39 @@ int cmd_campaign(int argc, const char* const* argv) {
   args.add_flag("time", "report wall-clock time and strikes/sec (stderr)");
   args.parse(argc, argv, 2);
 
-  const std::string name = args.option("protection");
-  ProtectionKind kind;
-  std::uint32_t check_bits;
-  if (name == "parity") {
-    kind = ProtectionKind::Parity;
-    check_bits = 1;
-  } else if (name == "secded") {
-    kind = ProtectionKind::SecDed;
-    check_bits = 8;
-  } else if (name == "none") {
-    kind = ProtectionKind::None;
-    check_bits = 0;
-  } else {
-    throw InvalidArgument("unknown protection '" + name + "'");
-  }
+  serve::CampaignSpec spec;
+  spec.protection = args.option("protection");
+  spec.strikes = args.option_uint("strikes", serve::kMaxSpecCount);
+  spec.size = args.option_uint("size", serve::kMaxSpecSize);
+  spec.interleave = static_cast<std::uint32_t>(
+      args.option_uint("interleave", serve::kMaxSpecInterleave));
+  spec.node = args.option_double("node");
+  spec.occupancy = args.option_double("occupancy", 0.0, 1.0);
+  spec.recover = args.flag("recover");
+  spec.scrub_interval =
+      args.option_uint("scrub-interval", serve::kMaxSpecCount);
+  spec.dirty_fraction = args.option_double("dirty-fraction", 0.0, 1.0);
+  spec.refetch_words =
+      args.option_uint("refetch-words", serve::kMaxSpecRefetchWords);
 
-  const InjectionRegion region{
-      RegionGeometry(static_cast<std::uint64_t>(args.option_int("size")),
-                     check_bits),
-      kind, args.option_double("occupancy", 0.0, 1.0),
-      static_cast<std::uint32_t>(args.option_int("interleave"))};
-  CampaignConfig cfg;
-  cfg.strikes = static_cast<std::uint64_t>(args.option_int("strikes"));
+  serve::CampaignRunHooks hooks;
+  hooks.jobs = jobs_requested();
+  const std::uint64_t shards =
+      args.option_uint("shards", serve::kMaxSpecShards);
+  spec.shards = shards == 0 ? hooks.effective_jobs()
+                            : static_cast<std::uint32_t>(shards);
+  hooks.checkpoint_path = args.option("checkpoint");
+  hooks.resume_path = args.option("resume");
+  hooks.checkpoint_interval = args.option_uint("checkpoint-interval");
+  if (g_session != nullptr) {
+    hooks.heartbeat.out_path = g_session->options().heartbeat_out;
+    hooks.heartbeat.interval_ms = g_session->options().heartbeat_interval_ms;
+    hooks.heartbeat.stderr_line = progress_requested();
+  }
   if (progress_requested()) {
-    cfg.progress_interval = std::max<std::uint64_t>(1, cfg.strikes / 20);
+    spec.heartbeat_strikes = std::max<std::uint64_t>(1, spec.strikes / 20);
     const auto start = std::chrono::steady_clock::now();
-    cfg.progress = [start](std::uint64_t done, std::uint64_t total) {
+    hooks.progress = [start](std::uint64_t done, std::uint64_t total) {
       const double elapsed =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start)
@@ -920,40 +925,6 @@ int cmd_campaign(int argc, const char* const* argv) {
                 << ", ETA " << fixed(eta, 1) << "s)\n";
     };
   }
-  exec::ExecConfig exec_cfg;
-  exec_cfg.jobs = jobs_requested();
-  exec_cfg.shards = static_cast<std::uint32_t>(args.option_int("shards"));
-  exec_cfg.checkpoint_path = args.option("checkpoint");
-  exec_cfg.resume_path = args.option("resume");
-  exec_cfg.checkpoint_interval =
-      static_cast<std::uint64_t>(args.option_int("checkpoint-interval"));
-  if (g_session != nullptr) {
-    exec_cfg.heartbeat.out_path = g_session->options().heartbeat_out;
-    exec_cfg.heartbeat.interval_ms = g_session->options().heartbeat_interval_ms;
-    exec_cfg.heartbeat.stderr_line = progress_requested();
-  }
-  const StrikeMultiplicityModel strikes =
-      StrikeMultiplicityModel::for_node(args.option_double("node"));
-
-  // Recovery setup. With neither --recover nor --scrub-interval the
-  // policy is inactive and the recovery entry points delegate to the
-  // static campaign, reproducing its counters (and this command's
-  // historical stdout) bit for bit.
-  const RecoveryPolicy policy = make_recovery_policy(
-      SimConfig{}, args.flag("recover"),
-      static_cast<std::uint64_t>(args.option_int("scrub-interval")));
-  RecoveryRegion rregion;
-  rregion.inject = region;
-  const TechnologyLibrary lib;
-  rregion.tech = kind == ProtectionKind::SecDed
-                     ? lib.secded_sram()
-                     : (kind == ProtectionKind::Parity
-                            ? lib.parity_sram()
-                            : lib.unprotected_sram());
-  rregion.dirty_fraction = args.option_double("dirty-fraction", 0.0, 1.0);
-  rregion.refetch_words =
-      static_cast<std::uint64_t>(args.option_int("refetch-words"));
-  rregion.scrub = kind == ProtectionKind::SecDed;
 
   // Sensitivity grid: opt-in via --sensitivity-out. The grid never
   // affects counters or RNG draws, and the sharded runner merges its
@@ -964,20 +935,9 @@ int cmd_campaign(int argc, const char* const* argv) {
       args.option_uint("sensitivity-buckets", 1u << 20));
   FTSPM_REQUIRE(sensitivity_buckets > 0,
                 "--sensitivity-buckets must be positive");
+  if (!sensitivity_out.empty()) hooks.sensitivity_buckets = sensitivity_buckets;
 
-  // The serial path is the golden reference; only engage the sharded
-  // engine when a parallel/resumable feature was actually asked for.
-  // The heartbeat emitter lives in the sharded runner, so asking for
-  // one engages it too (with its defaults: one shard per job).
-  const bool wants_exec = exec_cfg.jobs > 1 || exec_cfg.shards > 1 ||
-                          !exec_cfg.checkpoint_path.empty() ||
-                          !exec_cfg.resume_path.empty() ||
-                          exec_cfg.heartbeat.enabled();
-  RecoveryResult result;
-  SensitivityGrid grid;
-  std::uint32_t used_jobs = 1;
-  std::uint32_t used_shards = 1;
-  const auto wall_start = std::chrono::steady_clock::now();
+  serve::CampaignOutcome outcome;
   {
     // --time books the run into the obs wall-timer registry (forcing
     // observability on for the duration so the timer is live); the
@@ -988,63 +948,45 @@ int cmd_campaign(int argc, const char* const* argv) {
       timed.emplace(true);
       span.emplace("campaign.wall");
     }
-    if (wants_exec) {
-      if (!sensitivity_out.empty())
-        exec_cfg.sensitivity_buckets = sensitivity_buckets;
-      exec::RecoveryShardedRun run = exec::run_recovery_campaign_sharded(
-          {rregion}, strikes, cfg, policy, exec_cfg);
-      result = run.merged;
-      grid = std::move(run.sensitivity);
-      used_jobs = exec_cfg.effective_jobs();
-      used_shards = static_cast<std::uint32_t>(run.shard_results.size());
-      // Informational only, and on stderr: stdout must stay byte-identical
-      // for a given (seed, strikes, shard count) whatever --jobs says.
-      std::cerr << "shards " << run.shard_results.size() << ", jobs "
-                << exec_cfg.effective_jobs() << "\n";
-    } else {
-      if (!sensitivity_out.empty())
-        grid = make_sensitivity_grid(std::vector<RecoveryRegion>{rregion},
-                                     sensitivity_buckets);
-      result = run_recovery_campaign({rregion}, strikes, cfg, policy,
-                                     grid.active() ? &grid : nullptr);
-    }
+    outcome = serve::run_campaign_spec(spec, hooks);
   }
+  // Informational only, and on stderr: stdout must stay byte-identical
+  // for a given (seed, strikes, shard count) whatever --jobs says.
+  std::cerr << "shards " << outcome.used_shards << ", jobs "
+            << outcome.used_jobs << "\n";
   if (!sensitivity_out.empty()) {
     // Labelled registry entries first, so a --metrics-out snapshot
     // written at session end carries the per-region outcome breakdown.
-    emit_sensitivity_metrics(grid, policy.active() ? "recovery" : "static");
+    emit_sensitivity_metrics(outcome.sensitivity,
+                             outcome.recovery_active ? "recovery" : "static");
     std::ofstream out(sensitivity_out, std::ios::binary);
     FTSPM_CHECK(out.good(), "cannot open " + sensitivity_out);
-    out << grid.to_csv();
+    out << outcome.sensitivity.to_csv();
     FTSPM_CHECK(out.good(), "write failed for " + sensitivity_out);
     std::cerr << "wrote sensitivity grid to " << sensitivity_out << "\n";
   }
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - wall_start)
-                             .count();
-  const double strikes_per_sec =
-      wall_ms > 0.0 ? static_cast<double>(cfg.strikes) * 1e3 / wall_ms : 0.0;
   if (args.flag("time")) {
     // Wall time is machine-dependent, so like the shard note it goes to
     // stderr: stdout stays byte-identical run to run.
     const obs::TimerStat& wall = obs::registry().timer("campaign.wall");
     const double seconds = static_cast<double>(wall.total_ns()) * 1e-9;
     const double rate = seconds > 0.0
-                            ? static_cast<double>(cfg.strikes) / seconds
+                            ? static_cast<double>(spec.strikes) / seconds
                             : 0.0;
     std::cerr << "wall time " << fixed(seconds * 1e3, 3) << " ms, "
               << with_commas(static_cast<std::uint64_t>(rate))
               << " strikes/sec\n";
   }
-  const CampaignResult& r = result.strikes;
-  const RecoveryCounters* rec = policy.active() ? &result.recovery : nullptr;
+  const CampaignResult& r = outcome.result.strikes;
+  const RecoveryCounters* rec =
+      outcome.recovery_active ? &outcome.result.recovery : nullptr;
 
   if (obs::EventLog* events = obs::current_event_log()) {
     std::vector<obs::TraceArg> fields;
-    fields.push_back(obs::TraceArg::str("protection", name));
-    fields.push_back(obs::TraceArg::num("seed", cfg.seed));
-    fields.push_back(
-        obs::TraceArg::num("shards", static_cast<std::uint64_t>(used_shards)));
+    fields.push_back(obs::TraceArg::str("protection", spec.protection));
+    fields.push_back(obs::TraceArg::num("seed", spec.seed));
+    fields.push_back(obs::TraceArg::num(
+        "shards", static_cast<std::uint64_t>(outcome.used_shards)));
     fields.push_back(obs::TraceArg::num("strikes", r.strikes));
     fields.push_back(obs::TraceArg::num("masked", r.masked));
     fields.push_back(obs::TraceArg::num("dre", r.dre));
@@ -1063,17 +1005,13 @@ int cmd_campaign(int argc, const char* const* argv) {
     events->emit("campaign_summary", r.strikes, std::move(fields));
   }
 
-  // The serve daemon builds its records through the same helper, so a
-  // served run and this one-shot path stay construction-identical.
-  append_run_record(report::campaign_run_record(r, rec, name, cfg.seed,
-                                                used_jobs, used_shards,
-                                                wall_ms, strikes_per_sec));
+  append_run_record(serve::campaign_spec_record(spec, outcome));
 
   if (args.flag("json")) {
-    const CampaignTiming timing{wall_ms, strikes_per_sec};
+    const CampaignTiming timing{outcome.wall_ms, outcome.strikes_per_sec};
     std::cout << campaign_json(r, rec,
-                               RunManifest{"ftspm_tool campaign", name, 1,
-                                           cfg.seed},
+                               RunManifest{"ftspm_tool campaign",
+                                           spec.protection, 1, spec.seed},
                                args.flag("time") ? &timing : nullptr)
               << "\n";
     return 0;
