@@ -116,7 +116,8 @@ void TemporalCampaign::run_chunk(const CampaignConfig& config,
   batch.outcome.resize(width);
   batch.ace_keep.resize(width);
 
-  // The generator runs as a stack copy, written back once per chunk.
+  // The generator runs as a local copy, written back once per chunk and
+  // lent to classify_batch_strike only through detail::on_rng_copy.
   Rng rng = state.rng;
   std::uint64_t tallies[4] = {0, 0, 0, 0};
 
@@ -153,8 +154,10 @@ void TemporalCampaign::run_chunk(const CampaignConfig& config,
       if (occupant != nullptr) {
         const std::uint32_t flips =
             detail::sample_flips_draw(rng, cuts, config.max_flips);
-        out = detail::classify_batch_strike(R, rng, state.scratch, slot,
-                                            origin, flips);
+        out = detail::on_rng_copy(rng, [&](Rng& r) {
+          return detail::classify_batch_strike(R, r, state.scratch, slot,
+                                               origin, flips);
+        });
         // Reference order: the ACE draw follows the classify burns and
         // fires iff the pre-ACE verdict is not Masked — which is
         // exactly "the surface is not Immune" (see file comment).

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "ftspm/fault/injector.h"
@@ -141,21 +142,50 @@ struct FlipCutoffs {
 FlipCutoffs make_flip_cutoffs(const StrikeMultiplicityModel& strikes,
                               std::uint32_t max_flips);
 
+/// 1 when `ub >= b`, else 0, computed as arithmetic: for ub < 2^53
+/// (draw bits) and b <= 2^53 (a cutoff), `b - 1 - ub` wraps below zero
+/// exactly when ub >= b — b = 0 wraps for every ub — so its top bit is
+/// the flag. GCC 12 turns the plain `ub >= b` sum of sample_flips_draw
+/// into a conditional jump on the first cutoff (a 62/38 coin flip at
+/// 40 nm); a subtract and a shift leave it nothing to branch on.
+inline std::uint32_t at_or_past(std::uint64_t ub, std::uint64_t b) noexcept {
+  return static_cast<std::uint32_t>((b - 1 - ub) >> 63);
+}
+
 /// sample_flips inlined draw for draw in the draw-bits domain: the
-/// if-chain `u < c1 -> 1, ...` with the branches folded into flag
-/// adds; only the rare >3-bit tail still loops, one next_u64 per coin
-/// flip exactly as next_bool(0.5) draws.
+/// if-chain `u < c1 -> 1, ...` becomes a branch-free count of the
+/// cutoffs at or below the draw (exact because the cutoffs are
+/// monotone, checked by make_flip_cutoffs); only the rare >3-bit tail
+/// still loops, one next_u64 per coin flip exactly as next_bool(0.5)
+/// draws.
 inline std::uint32_t sample_flips_draw(Rng& rng, const FlipCutoffs& c,
                                        std::uint32_t max_flips) noexcept {
   // next_bool(0.5) of the >3-bit tail: u < 0.5 <=> draw bits < 2^52.
   constexpr std::uint64_t kHalfBits = std::uint64_t{1} << 52;
   const std::uint64_t ub = rng.next_u64() >> 11;
-  std::uint32_t flips = 1 + static_cast<std::uint32_t>(ub >= c.b1) +
-                        static_cast<std::uint32_t>(ub >= c.b2) +
-                        static_cast<std::uint32_t>(ub >= c.b3);
+  std::uint32_t flips = 1 + at_or_past(ub, c.b1) + at_or_past(ub, c.b2) +
+                        at_or_past(ub, c.b3);
   if (flips == 4)
     while (flips < max_flips && (rng.next_u64() >> 11) < kHalfBits) ++flips;
   return flips;
+}
+
+/// Runs `fn(Rng&)` — an out-of-line call that draws — on a copy of a
+/// hot loop's generator and writes the copy back. Handed over this way,
+/// the loop's own generator never has its address taken, so GCC keeps
+/// its four state words in registers instead of storing them to the
+/// stack after every draw. Draws and stream position are unchanged.
+template <typename Fn>
+inline auto on_rng_copy(Rng& rng, Fn&& fn) {
+  Rng copy = rng;
+  if constexpr (std::is_void_v<std::invoke_result_t<Fn&, Rng&>>) {
+    fn(copy);
+    rng = copy;
+  } else {
+    auto out = fn(copy);
+    rng = copy;
+    return out;
+  }
 }
 
 /// Rebuilds the per-region constant table (allocation-free after the

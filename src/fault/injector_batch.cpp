@@ -15,14 +15,15 @@
 //      LUT. A single-group strike flips a contiguous run of bits, so
 //      its pattern weight IS the run length: the common case needs no
 //      mask materialization, no popcount — one table byte indexed by
-//      the group length. Masks are built only for the ~2% of SEC-DED
-//      patterns parked in the fold arrays, and for the rare shapes
-//      handled out of line (codeword straddles, interleaved aim,
-//      exotic check-bit geometries). The ACE-occupancy draw also
-//      happens here, keeping the stream position exact; a fast-path
-//      strike is never Masked pre-ACE (>= 1 surviving bit always
-//      corrupts or trips a check, and deferred patterns can never fold
-//      clean), so the draw predicate needs no classify result.
+//      the group length. Masks are built only for the SEC-DED runs of
+//      3 or more bits parked in the fold arrays (about 13% of strikes
+//      at 40 nm), and for the rare shapes handled out of line
+//      (codeword straddles, interleaved aim, exotic check-bit
+//      geometries). The ACE-occupancy draw also happens here, keeping
+//      the stream position exact; a fast-path strike is never Masked
+//      pre-ACE (>= 1 surviving bit always corrupts or trips a check,
+//      and deferred patterns can never fold clean), so the draw
+//      predicate needs no classify result.
 //  stage 2 — batched syndrome fold. One SecDedCodec::fold_syndromes
 //      call resolves every deferred pattern of the block (SIMD where
 //      available), and the 256-entry syndrome LUT merges each word's
@@ -32,11 +33,12 @@
 //
 // When nothing consumes per-strike state — observer inactive, no
 // sensitivity grid — the chunk runs in TIGHT mode: outcomes tally
-// straight into register counters inside stage 1 and the per-slot SoA
-// stores disappear entirely; deferred strikes carry their inline worst
-// and ACE keep alongside the fold entries so the post-fold tally can
-// finish them without slot arrays. Both modes draw and count
-// identically; tight mode just skips materializing state nobody reads.
+// straight into one packed counter word (OutcomeTally) inside
+// stage 1 and the per-slot SoA stores disappear entirely; deferred
+// strikes carry their inline worst and ACE keep alongside the fold
+// entries so the post-fold tally can finish them without slot arrays.
+// Both modes draw and count identically; tight mode just skips
+// materializing state nobody reads.
 //
 // The draw-domain primitives (integer-image Bernoulli/discrete picks,
 // flip cutoffs, the region table build) live in
@@ -344,6 +346,30 @@ inline InlineWord classify_word_inline(ProtectionKind protection,
   return worst;
 }
 
+/// The static chunk loop's outcome counters: the four StrikeOutcome
+/// values (0..3) as 16-bit lanes of one word, so a tally is one
+/// shift-add on one variable where four compare-adds updated four
+/// (which GCC kept in stack slots). A lane holds at most kCapacity
+/// adds; callers flush into the 64-bit counters at least that often.
+struct OutcomeTally {
+  static constexpr std::uint32_t kCapacity = 0xFFFF;
+
+  std::uint64_t packed = 0;
+
+  void add(std::uint8_t outcome) noexcept {
+    packed += std::uint64_t{1} << (16 * outcome);
+  }
+
+  /// Adds the lanes into `into`'s outcome counters and empties them.
+  void flush(CampaignResult& into) noexcept {
+    into.masked += packed & 0xFFFF;
+    into.dre += (packed >> 16) & 0xFFFF;
+    into.due += (packed >> 32) & 0xFFFF;
+    into.sdc += packed >> 48;
+    packed = 0;
+  }
+};
+
 }  // namespace
 
 namespace detail {
@@ -524,23 +550,24 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
   // for the exactness argument).
   const detail::FlipCutoffs cuts =
       detail::make_flip_cutoffs(strikes, config.max_flips);
-  const std::uint64_t flips_b1 = cuts.b1;
-  const std::uint64_t flips_b2 = cuts.b2;
-  const std::uint64_t flips_b3 = cuts.b3;
-  // next_bool(0.5) of the >3-bit tail: u < 0.5 <=> draw bits < 2^52.
-  constexpr std::uint64_t kHalfBits = std::uint64_t{1} << 52;
 
-  const std::uint32_t width = batch.width;
+  // A block tallies at most `block` outcomes and flushes its packed
+  // tally at the end, so capping the block at the tally's capacity
+  // keeps every lane from wrapping; block width is pure scheduling.
+  const std::uint32_t width =
+      std::min(batch.width, OutcomeTally::kCapacity);
   batch.region_of.resize(width);
   batch.origin.resize(width);
   batch.outcome.resize(width);
   batch.ace_keep.resize(width);
 
-  // Hot-loop locals. The generator runs as a stack copy (written back
-  // once per chunk) and the SoA arrays as raw pointers: the outcome /
-  // ace_keep stores are byte stores, which the compiler must otherwise
-  // assume alias the RNG state and the vectors' own bookkeeping,
-  // forcing a reload of all four state words around every draw.
+  // Hot-loop locals. The generator runs as a local copy (written back
+  // once per chunk, lent to out-of-line classifiers only through
+  // detail::on_rng_copy) and the SoA arrays as raw pointers: the
+  // outcome / ace_keep stores are byte stores, which the compiler must
+  // otherwise assume alias the RNG state and the vectors' own
+  // bookkeeping, forcing a reload of all four state words around every
+  // draw.
   Rng rng = state.rng;
   const BatchRegionInfo* const region_table = batch.regions.data();
   const std::uint64_t* const pick_breaks = batch.pick_bits.data();
@@ -557,7 +584,7 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
       (observer == nullptr || !observer->active()) && grid == nullptr;
 
   if (tight) {
-    std::uint64_t n_masked = 0, n_dre = 0, n_due = 0, n_sdc = 0;
+    OutcomeTally tally;
     for (std::uint64_t base = state.done; base < end; base += width) {
       const auto block = static_cast<std::uint32_t>(
           std::min<std::uint64_t>(width, end - base));
@@ -572,26 +599,13 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
             pick_region(rng, pick_breaks, region_count, pick_fallback);
         const BatchRegionInfo& R = region_table[ri];
         const std::uint64_t origin = rng.next_below(R.physical_bits);
-
-        // Flip multiplicity (sample_flips inlined draw for draw, in
-        // the draw-bits domain): the if-chain `u < c1 -> 1, ...` with
-        // the branches folded into flag adds — exact because the
-        // cutoffs are monotone (checked at build); only the rare
-        // >3-bit tail still loops, one next_u64 per coin flip exactly
-        // as next_bool(0.5) draws.
-        const std::uint64_t ub = rng.next_u64() >> 11;
-        std::uint32_t flips = 1 + static_cast<std::uint32_t>(ub >= flips_b1) +
-                              static_cast<std::uint32_t>(ub >= flips_b2) +
-                              static_cast<std::uint32_t>(ub >= flips_b3);
-        if (flips == 4)
-          while (flips < config.max_flips &&
-                 (rng.next_u64() >> 11) < kHalfBits)
-            ++flips;
+        const std::uint32_t flips =
+            detail::sample_flips_draw(rng, cuts, config.max_flips);
 
         if (R.protection == ProtectionKind::Immune) {
           // classify_strike early-outs before any word draw, and the
           // old loop skipped the ACE draw for Masked outcomes.
-          ++n_masked;
+          tally.add(static_cast<std::uint8_t>(StrikeOutcome::Masked));
           continue;
         }
 
@@ -628,18 +642,15 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
               batch.fold_keep.push_back(keep);
               continue;
             }
-            const std::uint8_t o = static_cast<std::uint8_t>(cls * keep);
-            n_masked += o == 0;
-            n_dre += o == 1;
-            n_due += o == 2;
-            n_sdc += o == 3;
+            tally.add(static_cast<std::uint8_t>(cls * keep));
             continue;
           }
           // Straddles codeword boundaries — rare, classified out of
           // line; its fold entries (if any) carry worst and keep.
           const std::size_t before = batch.fold_data.size();
-          const std::uint8_t worst =
-              classify_straddle_strike(R, rng, batch, slot, bit, m);
+          const std::uint8_t worst = detail::on_rng_copy(rng, [&](Rng& r) {
+            return classify_straddle_strike(R, r, batch, slot, bit, m);
+          });
           std::uint8_t keep;
           if (R.ace_mode == 2)
             keep = (rng.next_u64() >> 11) < R.ace_bits ? 1 : 0;
@@ -655,18 +666,16 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
             }
             continue;
           }
-          const std::uint8_t o = static_cast<std::uint8_t>(worst * keep);
-          n_masked += o == 0;
-          n_dre += o == 1;
-          n_due += o == 2;
-          n_sdc += o == 3;
+          tally.add(static_cast<std::uint8_t>(worst * keep));
           continue;
         }
 
         const std::size_t before = batch.fold_data.size();
         std::uint8_t keep = 1;
-        const std::uint8_t worst = classify_general_strike(
-            R, rng, state.scratch, slot, origin, flips, keep);
+        const std::uint8_t worst = detail::on_rng_copy(rng, [&](Rng& r) {
+          return classify_general_strike(R, r, state.scratch, slot, origin,
+                                         flips, keep);
+        });
         const std::size_t after = batch.fold_data.size();
         if (after != before) {
           batch.fold_worst.resize(after);
@@ -677,11 +686,7 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
           }
           continue;
         }
-        const std::uint8_t o = static_cast<std::uint8_t>(worst * keep);
-        n_masked += o == 0;
-        n_dre += o == 1;
-        n_due += o == 2;
-        n_sdc += o == 3;
+        tally.add(static_cast<std::uint8_t>(worst * keep));
       }
 
       // Batched syndrome fold, then finish each deferring strike: its
@@ -705,20 +710,13 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
                                                 batch.fold_data[k]));
             ++k;
           } while (k < n && batch.fold_slot[k] == slot);
-          const std::uint8_t o = static_cast<std::uint8_t>(w * keep);
-          n_masked += o == 0;
-          n_dre += o == 1;
-          n_due += o == 2;
-          n_sdc += o == 3;
+          tally.add(static_cast<std::uint8_t>(w * keep));
         }
       }
+      tally.flush(state.partial);
       state.partial.strikes += block;
       state.done = base + block;
     }
-    state.partial.masked += n_masked;
-    state.partial.dre += n_dre;
-    state.partial.due += n_due;
-    state.partial.sdc += n_sdc;
     state.rng = rng;
     state.done = end;
     return;
@@ -740,13 +738,8 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
       region_of[slot] = static_cast<std::uint32_t>(ri);
       origin_of[slot] = origin;
 
-      const std::uint64_t ub = rng.next_u64() >> 11;
-      std::uint32_t flips = 1 + static_cast<std::uint32_t>(ub >= flips_b1) +
-                            static_cast<std::uint32_t>(ub >= flips_b2) +
-                            static_cast<std::uint32_t>(ub >= flips_b3);
-      if (flips == 4)
-        while (flips < config.max_flips && (rng.next_u64() >> 11) < kHalfBits)
-          ++flips;
+      const std::uint32_t flips =
+          detail::sample_flips_draw(rng, cuts, config.max_flips);
 
       if (R.protection == ProtectionKind::Immune) {
         outcome_of[slot] = static_cast<std::uint8_t>(StrikeOutcome::Masked);
@@ -775,7 +768,9 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
             worst = cls;
           }
         } else {
-          worst = classify_straddle_strike(R, rng, batch, slot, bit, m);
+          worst = detail::on_rng_copy(rng, [&](Rng& r) {
+            return classify_straddle_strike(R, r, batch, slot, bit, m);
+          });
         }
         outcome_of[slot] = worst;
         if (R.ace_mode == 2)
@@ -785,8 +780,10 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
         continue;
       }
 
-      outcome_of[slot] = classify_general_strike(
-          R, rng, state.scratch, slot, origin, flips, ace_keep_of[slot]);
+      outcome_of[slot] = detail::on_rng_copy(rng, [&](Rng& r) {
+        return classify_general_strike(R, r, state.scratch, slot, origin,
+                                       flips, ace_keep_of[slot]);
+      });
     }
 
     // ---- Stage 2: batched syndrome fold of the deferred patterns.
@@ -807,22 +804,16 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
 
     // ---- Stage 3: ACE filter, bulk tally, observability sweeps. The
     // filter is a multiply (keep is 0/1 and Masked is 0) and the tally
-    // runs on register counters — no data-dependent branches, no
+    // is one packed word — no data-dependent branches, no
     // store-forward chain through a memory histogram.
-    std::uint64_t n_masked = 0, n_dre = 0, n_due = 0, n_sdc = 0;
+    OutcomeTally tally;
     for (std::uint32_t slot = 0; slot < block; ++slot) {
       const std::uint8_t o =
           static_cast<std::uint8_t>(outcome_of[slot] * ace_keep_of[slot]);
       outcome_of[slot] = o;
-      n_masked += o == 0;
-      n_dre += o == 1;
-      n_due += o == 2;
-      n_sdc += o == 3;
+      tally.add(o);
     }
-    state.partial.masked += n_masked;
-    state.partial.dre += n_dre;
-    state.partial.due += n_due;
-    state.partial.sdc += n_sdc;
+    tally.flush(state.partial);
     state.partial.strikes += block;
 
     if (observer != nullptr && observer->active()) {

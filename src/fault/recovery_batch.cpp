@@ -254,53 +254,69 @@ void LiveArrayCampaign::scrub_sweep_batched(RecoveryShardSide& side, Rng& rng,
     side.batch_syndrome.resize(n);
 
     // The scrub engine always repairs (reference: repairs = true), so
-    // the per-status actions below are resolve_word's scrub arms
-    // verbatim. Only a detected-uncorrectable word draws.
+    // the per-status actions below reproduce resolve_word's scrub arms.
+    // Only a detected-uncorrectable word draws.
     if (R.protection == ProtectionKind::SecDed) {
       SecDedCodec::fold_syndromes(side.batch_data.data(),
                                   side.batch_check.data(), n,
                                   side.batch_syndrome.data());
       const auto& table = SecDedCodec::syndrome_table();
+      // Selects, not a per-status switch: a sweep's statuses mix
+      // unpredictably (at the bulk_recovery spec its dirty words are
+      // about 10% clean, 34% corrected, 17% miscorrected and 39%
+      // detected). Only a detected word's dirty-fraction draw still
+      // branches, which keeps the draws in word order. The counters
+      // run in locals (the image's byte stores may alias side), and
+      // the energy sees the reference's additions in word order; a
+      // word with no cost adds +0.0, which leaves the non-negative
+      // sum bit-identical.
+      std::uint64_t corrections = 0, unrecoverable = 0, refetches = 0;
+      std::uint64_t cycles = side.counters.recovery_cycles;
+      double energy = side.counters.recovery_energy_pj;
       for (std::size_t i = 0; i < n; ++i) {
-        const SecDedCodec::SyndromeDecode& sd =
-            table[side.batch_syndrome[i]];
+        const std::uint8_t syndrome = side.batch_syndrome[i];
+        const SecDedCodec::SyndromeDecode& sd = table[syndrome];
         const std::uint64_t w = side.batch_words[i];
-        switch (sd.status) {
-          case DecodeStatus::Clean:
-            break;  // aliased to a valid codeword: latent to a scrub
-          case DecodeStatus::Corrected: {
-            const std::uint64_t residual =
-                side.batch_data[i] ^ sd.correction_mask;
-            if (residual == 0) {
-              // Right correction: the decoder rewrote the clean
-              // encoding, which truth/truth_check already hold.
-              restore_clean(R.protection, image, w);
-              ++side.counters.scrub_corrections;
-            } else {
-              // Miscorrection: self-consistent wrong data. The codec is
-              // linear, so the re-encoded check bits are the cached
-              // clean ones XOR the residual's check image.
-              image.data[w] = image.truth[w] ^ residual;
-              image.check[w] = static_cast<std::uint8_t>(
-                  image.truth_check[w] ^ SecDedCodec::compute_check(residual));
-            }
-            side.counters.recovery_cycles += R.write_latency;
-            side.counters.recovery_energy_pj += R.write_energy;
-            break;
-          }
-          case DecodeStatus::Detected: {
-            restore_clean(R.protection, image, w);
-            if (detail::draw_bernoulli(rng, R.dirty)) {
-              ++side.counters.unrecoverable;
-            } else {
-              ++side.counters.refetches;
-              side.counters.recovery_cycles += R.refetch_cycles;
-              side.counters.recovery_energy_pj += R.refetch_energy;
-            }
-            break;
-          }
-        }
+        const bool corrected = sd.status == DecodeStatus::Corrected;
+        const bool detected = sd.status == DecodeStatus::Detected;
+        // The word's error pattern once the scrub is done with it. A
+        // detected word is restored to its clean encoding. A corrected
+        // one holds the decoder's output: its data error is the
+        // residual, and — the decoded word being a codeword of a
+        // linear code — its check error is compute_check(residual),
+        // which is the old check error with the corrected check bit
+        // flipped back (a check-bit correction has correction_mask 0
+        // and syndrome 1 << bit; a data-bit one leaves the check error
+        // as found). A Clean alias keeps the pattern it has (syndrome
+        // 0, correction_mask 0), so storing it back changes nothing.
+        const std::uint64_t data_err =
+            detected ? 0 : side.batch_data[i] ^ sd.correction_mask;
+        const std::uint8_t check_err =
+            detected ? std::uint8_t{0}
+                     : static_cast<std::uint8_t>(
+                           side.batch_check[i] ^
+                           (sd.correction_mask == 0 ? syndrome : 0));
+        image.data[w] = image.truth[w] ^ data_err;
+        image.check[w] =
+            static_cast<std::uint8_t>(image.truth_check[w] ^ check_err);
+        bool dirty = false;
+        if (detected) dirty = detail::draw_bernoulli(rng, R.dirty);
+        const bool refetch = detected && !dirty;
+        corrections += corrected && data_err == 0;
+        unrecoverable += dirty;
+        refetches += refetch;
+        cycles += corrected ? R.write_latency
+                  : refetch ? R.refetch_cycles
+                            : 0;
+        energy += corrected ? R.write_energy
+                  : refetch ? R.refetch_energy
+                            : 0.0;
       }
+      side.counters.scrub_corrections += corrections;
+      side.counters.unrecoverable += unrecoverable;
+      side.counters.refetches += refetches;
+      side.counters.recovery_cycles = cycles;
+      side.counters.recovery_energy_pj = energy;
     } else {  // Parity
       ParityCodec::fold_parity(side.batch_data.data(),
                                side.batch_check.data(), n,
@@ -367,7 +383,8 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
   const std::size_t pick_fallback = tables.pick_fallback;
   const detail::FlipCutoffs cuts = tables.cuts;
 
-  // The generator runs as a stack copy, written back once per chunk.
+  // The generator runs as a local copy, written back once per chunk and
+  // lent to the scrub sweep only through detail::on_rng_copy.
   Rng rng = core.rng;
   std::vector<std::uint64_t>& touched = side.touched;
   RecoveryCounters& counters = side.counters;
@@ -394,6 +411,9 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
     StrikeOutcome outcome = StrikeOutcome::Masked;
     if (R.protection != ProtectionKind::Immune) {
       RegionImage& image = side.images[ri];
+      // Hoisted: the check-plane byte stores below may alias R, so
+      // a per-word R.has_check would be reloaded (and branched on).
+      const bool has_check = R.has_check;
       touched.clear();
       const std::uint64_t m =
           std::min<std::uint64_t>(flips, R.physical_bits - origin);
@@ -409,7 +429,11 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
               std::min<std::uint64_t>(R.codeword_bits - bit, remaining));
           const detail::GroupMasks gm = detail::group_masks(bit, bit + len);
           image.data[word] ^= gm.data;
-          if (gm.check != 0)
+          // Unconditional XOR (a zero mask when the run stays in the
+          // data half) rather than a branch on gm.check; only regions
+          // without a check plane skip it, and their runs never
+          // reach one.
+          if (has_check)
             image.check[word] =
                 static_cast<std::uint8_t>(image.check[word] ^ gm.check);
           touched.push_back(word);
@@ -496,9 +520,9 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
               const std::uint64_t w = touched[j];
               side.batch_data[j] = image.data[w] ^ image.truth[w];
               side.batch_check[j] =
-                  R.has_check ? static_cast<std::uint8_t>(
-                                    image.check[w] ^ image.truth_check[w])
-                              : std::uint8_t{0};
+                  has_check ? static_cast<std::uint8_t>(
+                                  image.check[w] ^ image.truth_check[w])
+                            : std::uint8_t{0};
             }
           }
           ++counters.demand_reads;
@@ -633,7 +657,8 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
 
     if (interval != 0 && --until_scrub == 0) {
       until_scrub = interval;
-      scrub_sweep_batched(side, rng, tables);
+      detail::on_rng_copy(
+          rng, [&](Rng& r) { scrub_sweep_batched(side, r, tables); });
       // Scrub cadence is a pure function of the strike index, so this
       // record is deterministic (see run_chunk_reference).
       if (obs::EventLog* events = obs::current_event_log())

@@ -82,8 +82,9 @@ struct LedgerScan {
 LedgerScan scan_ledger(const std::string& path);
 
 /// Appends `record` to the ledger at `path` (created if absent). The
-/// line is written with one append-mode write so concurrent appenders
-/// never interleave partial lines. Throws ftspm::Error on I/O failure.
+/// line is written with one ::write on an O_APPEND descriptor, so
+/// concurrent appenders never interleave partial lines. Throws
+/// ftspm::Error on I/O failure, including a short write.
 void append_ledger(const LedgerRecord& record, const std::string& path);
 
 /// Resolves a run reference against the ledger: exact `id` match

@@ -1,8 +1,13 @@
 #include "ftspm/obs/ledger.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -155,13 +160,33 @@ LedgerScan scan_ledger(const std::string& path) {
 
 void append_ledger(const LedgerRecord& record, const std::string& path) {
   const std::string line = record.to_json() + "\n";
-  std::ofstream out(path, std::ios::binary | std::ios::app);
-  FTSPM_REQUIRE(out.good(), "cannot open ledger '" + path + "' for append");
-  // One write call for the whole line: on POSIX the O_APPEND write is
-  // atomic for tool-sized records, so concurrent runs never interleave.
-  out.write(line.data(), static_cast<std::streamsize>(line.size()));
-  out.close();
-  if (!out.good()) throw Error("failed appending to ledger '" + path + "'");
+  // One ::write of the whole line on an O_APPEND descriptor: the kernel
+  // moves to end-of-file and writes under the inode lock, so records of
+  // concurrent appenders (threads or processes) never interleave. An
+  // ofstream gives no such promise — its buffer may split a large
+  // record into several writes.
+  // Mode 0666 and the umask decide the permissions, as for ofstream.
+  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
+                        0666);
+  if (fd < 0)
+    throw Error("cannot open ledger '" + path +
+                "' for append: " + std::strerror(errno));
+  ssize_t written = ::write(fd, line.data(), line.size());
+  while (written < 0 && errno == EINTR)
+    written = ::write(fd, line.data(), line.size());
+  const int write_errno = errno;
+  const bool closed = ::close(fd) == 0;
+  if (written < 0)
+    throw Error("failed appending to ledger '" + path +
+                "': " + std::strerror(write_errno));
+  // A short write leaves a torn line behind; retrying would append the
+  // rest as a separate write another appender could split, so fail.
+  if (static_cast<std::size_t>(written) != line.size())
+    throw Error("short write appending to ledger '" + path + "': " +
+                std::to_string(written) + " of " +
+                std::to_string(line.size()) + " bytes");
+  if (!closed)
+    throw Error("failed closing ledger '" + path + "' after append");
 }
 
 namespace {

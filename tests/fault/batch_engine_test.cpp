@@ -12,8 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "ftspm/core/mapping_plan.h"
 #include "ftspm/core/system_campaign.h"
 #include "ftspm/core/systems.h"
+#include "ftspm/fault/batch_engine.h"
 #include "ftspm/fault/injector.h"
 #include "ftspm/fault/recovery.h"
 #include "ftspm/fault/sensitivity.h"
@@ -221,6 +223,141 @@ TEST(BatchEngine, GridCellsMatchReference) {
   EXPECT_EQ(engine_grid.to_csv(), reference_grid.to_csv());
 }
 
+/// One more strike than a 16-bit lane of the static engine's packed
+/// outcome tally can hold. The recovery and temporal engines count in
+/// 64-bit words; their runs of this length guard any narrower tally.
+constexpr std::uint64_t kPastOneLane = (std::uint64_t{1} << 16) + 1;
+
+/// Block widths past a lane's capacity: the static engine must still
+/// flush before a lane wraps.
+constexpr std::uint32_t kWideBlocks[] = {70'000u, 1u << 17};
+
+TEST(BatchEngine, PackedTallyCountsPastOneLaneOfOneOutcome) {
+  // Every strike on an all-Immune surface is Masked, so one lane takes
+  // every count — in the tight loop and in the gridded stage-3 tally.
+  const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
+  const std::vector<InjectionRegion> regions{
+      {RegionGeometry(1024, 0), ProtectionKind::Immune, 1.0, 1}};
+  const CampaignConfig cfg = config_for(0x7a11e5, kPastOneLane);
+  for (const std::uint32_t width : kWideBlocks) {
+    for (const bool gridded : {false, true}) {
+      SensitivityGrid grid = make_sensitivity_grid(regions, 4);
+      CampaignShardState state = begin_campaign_shard(cfg.seed);
+      state.scratch.batch.width = width;
+      run_campaign_chunk(regions, model, cfg, state, cfg.strikes, nullptr,
+                         gridded ? &grid : nullptr);
+      const std::string what = "width " + std::to_string(width) +
+                               (gridded ? " gridded" : " tight");
+      EXPECT_EQ(state.partial.strikes, kPastOneLane) << what;
+      EXPECT_EQ(state.partial.masked, kPastOneLane) << what;
+      EXPECT_EQ(state.partial.dre + state.partial.due + state.partial.sdc, 0u)
+          << what;
+    }
+  }
+}
+
+TEST(BatchEngine, MatchesReferenceAtBlockWidthsPastOneLane) {
+  // A fully occupied SEC-DED surface corrects ~58% of these strikes, so
+  // a 2^17-strike block holds more Dre outcomes than one lane can.
+  const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
+  const std::vector<InjectionRegion> regions{
+      {RegionGeometry(8192, 8), ProtectionKind::SecDed, 1.0, 1},
+      {RegionGeometry(1024, 1), ProtectionKind::Parity, 0.7, 1}};
+  const CampaignConfig cfg = config_for(0x3a5e1a7e, 2 * kPastOneLane + 7);
+  const CampaignResult want = reference_campaign(regions, model, cfg);
+  ASSERT_GT(want.dre, kPastOneLane);
+  for (const std::uint32_t width : kWideBlocks) {
+    for (const bool gridded : {false, true}) {
+      SensitivityGrid grid = make_sensitivity_grid(regions, 4);
+      CampaignShardState state = begin_campaign_shard(cfg.seed);
+      state.scratch.batch.width = width;
+      run_campaign_chunk(regions, model, cfg, state, cfg.strikes, nullptr,
+                         gridded ? &grid : nullptr);
+      expect_equal(state.partial, want,
+                   ("width " + std::to_string(width) +
+                    (gridded ? " gridded" : " tight"))
+                       .c_str());
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The flip count. detail::sample_flips_draw counts the cutoffs at or
+// below the draw with arithmetic (detail::at_or_past) rather than
+// compares, so the compiler has no branch to make of it; it must stay
+// StrikeMultiplicityModel::sample_flips draw for draw.
+
+/// The four modelled nodes plus degenerate mixes whose cutoffs sit at
+/// the ends of the draw-bits domain, 0 and 2^53.
+std::vector<StrikeMultiplicityModel> flip_models() {
+  return {StrikeMultiplicityModel::at_22nm(),
+          StrikeMultiplicityModel::at_40nm(),
+          StrikeMultiplicityModel::at_65nm(),
+          StrikeMultiplicityModel::at_90nm(),
+          StrikeMultiplicityModel(1.0, 0.0, 0.0, 0.0),   // all at 2^53
+          StrikeMultiplicityModel(0.0, 0.0, 0.0, 1.0),   // all at 0
+          StrikeMultiplicityModel(0.0, 1.0, 0.0, 0.0)};  // 0, 2^53, 2^53
+}
+
+TEST(BatchEngineFlips, DegenerateModelsPutCutoffsAtTheDomainEnds) {
+  const std::vector<StrikeMultiplicityModel> models = flip_models();
+  const detail::FlipCutoffs one_bit = detail::make_flip_cutoffs(models[4], 16);
+  EXPECT_EQ(one_bit.b1, detail::kDrawBitsEnd);
+  EXPECT_EQ(one_bit.b3, detail::kDrawBitsEnd);
+  const detail::FlipCutoffs tail = detail::make_flip_cutoffs(models[5], 16);
+  EXPECT_EQ(tail.b1, 0u);
+  EXPECT_EQ(tail.b3, 0u);
+  const detail::FlipCutoffs two_bit = detail::make_flip_cutoffs(models[6], 16);
+  EXPECT_EQ(two_bit.b1, 0u);
+  EXPECT_EQ(two_bit.b2, detail::kDrawBitsEnd);
+}
+
+TEST(BatchEngineFlips, BranchFreeCountMatchesCompareAtEveryCutoff) {
+  for (const StrikeMultiplicityModel& model : flip_models()) {
+    const detail::FlipCutoffs c = detail::make_flip_cutoffs(model, 16);
+    for (const std::uint64_t b : {c.b1, c.b2, c.b3}) {
+      ASSERT_LE(b, detail::kDrawBitsEnd);
+      for (const std::uint64_t ub :
+           {b - 1, b, b + 1, std::uint64_t{0}, detail::kDrawBitsEnd - 1}) {
+        // Only draw bits are in the domain: this skips b - 1 at b = 0
+        // (it wraps) and b and b + 1 at b = 2^53.
+        if (ub >= detail::kDrawBitsEnd) continue;
+        EXPECT_EQ(detail::at_or_past(ub, b), ub >= b ? 1u : 0u)
+            << "ub " << ub << " cutoff " << b;
+      }
+    }
+  }
+}
+
+TEST(BatchEngineFlips, SampleFlipsDrawMatchesTheModelDrawForDraw) {
+  // 1M draws per cap, cycling through the four nodes; the >3-bit tail
+  // is capped at 4 (no coin flips at all), 5, the default 16, and 64.
+  const std::vector<StrikeMultiplicityModel> all = flip_models();
+  const std::vector<StrikeMultiplicityModel> nodes(all.begin(),
+                                                   all.begin() + 4);
+  for (const std::uint32_t max_flips : {4u, 5u, 16u, 64u}) {
+    std::vector<detail::FlipCutoffs> cuts;
+    for (const StrikeMultiplicityModel& m : nodes)
+      cuts.push_back(detail::make_flip_cutoffs(m, max_flips));
+    Rng engine(0xf11b5eed ^ max_flips);
+    Rng reference(0xf11b5eed ^ max_flips);
+    std::uint64_t mismatches = 0, tail = 0;
+    for (std::uint64_t i = 0; i < 1'000'000; ++i) {
+      const std::size_t k = i % nodes.size();
+      const std::uint32_t got =
+          detail::sample_flips_draw(engine, cuts[k], max_flips);
+      const std::uint32_t want = nodes[k].sample_flips(reference, max_flips);
+      mismatches += got != want;
+      tail += got > 4;
+    }
+    EXPECT_EQ(mismatches, 0u) << "max_flips " << max_flips;
+    EXPECT_EQ(engine.state(), reference.state()) << "max_flips " << max_flips;
+    if (max_flips > 4) {
+      EXPECT_GT(tail, 0u) << "max_flips " << max_flips;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Recovery: the batched run_chunk (recovery_batch.cpp) against the
 // strike-at-a-time run_chunk_reference it replaced. The contract is
@@ -419,6 +556,44 @@ TEST(BatchEngineRecovery, GridCellsMatchReference) {
   EXPECT_EQ(batched_grid.to_csv(), reference_grid.to_csv());
 }
 
+TEST(BatchEngineRecovery, CountsPastOneLaneOfOneOutcome) {
+  // Occupancy 0: no struck word is ever read, so every strike of a
+  // single chunk is Masked.
+  const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
+  RecoveryPolicy policy;
+  policy.recover = true;
+  const LiveArrayCampaign campaign(
+      {make_recovery_region(RegionGeometry(4096, 8), ProtectionKind::SecDed,
+                            0.0, 1, 0.25, false)},
+      model, policy);
+  const CampaignConfig cfg = config_for(0x0cc0, kPastOneLane);
+  const RecoveryRun run = drive_recovery(campaign, cfg, true, {cfg.strikes});
+  EXPECT_EQ(run.strikes.strikes, kPastOneLane);
+  EXPECT_EQ(run.strikes.masked, kPastOneLane);
+  expect_recovery_equal(run,
+                        drive_recovery(campaign, cfg, false, {cfg.strikes}),
+                        "occupancy 0");
+}
+
+TEST(BatchEngineRecovery, MatchesReferenceOverChunksPastOneLane) {
+  // The recovery loop has no block width: one chunk longer than a
+  // lane tallies every strike in one pass.
+  const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
+  RecoveryPolicy policy;
+  policy.recover = true;
+  policy.scrub_interval = 1024;
+  const LiveArrayCampaign campaign(
+      {make_recovery_region(RegionGeometry(4096, 8), ProtectionKind::SecDed,
+                            0.25, 1, 0.25, true),
+       make_recovery_region(RegionGeometry(2048, 1), ProtectionKind::Parity,
+                            0.5, 1, 0.5, true)},
+      model, policy);
+  const CampaignConfig cfg = config_for(0x1a7e, 2 * kPastOneLane + 7);
+  expect_recovery_equal(drive_recovery(campaign, cfg, true, {cfg.strikes}),
+                        drive_recovery(campaign, cfg, false, {cfg.strikes}),
+                        "one chunk past a lane");
+}
+
 // ---------------------------------------------------------------------------
 // Temporal: the batched run_chunk (system_campaign_batch.cpp) against
 // run_chunk_reference over the case-study schedule — the only
@@ -503,6 +678,44 @@ TEST(BatchEngineTemporal, GridCellsMatchReference) {
   expect_equal(batched.strikes, reference.strikes, "gridded temporal");
   EXPECT_EQ(batched.rng_probe, reference.rng_probe);
   EXPECT_EQ(batched_grid.to_csv(), reference_grid.to_csv());
+}
+
+TEST(BatchEngineTemporal, CountsPastOneLaneOfOneOutcome) {
+  // A plan that maps no block leaves no residency span, so every strike
+  // is Masked.
+  const TemporalFixture fix;
+  std::vector<BlockMapping> none(fix.workload.program.block_count());
+  for (std::size_t i = 0; i < none.size(); ++i)
+    none[i] = BlockMapping{static_cast<BlockId>(i), kNoRegion,
+                           MappingReason::TooLarge};
+  const MappingPlan unmapped(fix.evaluator.ftspm_layout(), std::move(none));
+  const TemporalCampaign campaign(fix.evaluator.ftspm_layout(), unmapped,
+                                  fix.workload.program, fix.profile,
+                                  fix.evaluator.strike_model());
+  const CampaignConfig cfg = config_for(0x7e3, kPastOneLane);
+  for (const std::uint32_t width : kWideBlocks) {
+    const TemporalRun run =
+        drive_temporal(campaign, cfg, true, width, {cfg.strikes});
+    EXPECT_EQ(run.strikes.strikes, kPastOneLane) << "width " << width;
+    EXPECT_EQ(run.strikes.masked, kPastOneLane) << "width " << width;
+  }
+}
+
+TEST(BatchEngineTemporal, MatchesReferenceAtBlockWidthsPastOneLane) {
+  const TemporalFixture fix;
+  const TemporalCampaign campaign(fix.evaluator.ftspm_layout(),
+                                  fix.system.plan, fix.workload.program,
+                                  fix.profile, fix.evaluator.strike_model());
+  const CampaignConfig cfg = config_for(0x57a1ce5eed, 2 * kPastOneLane + 7);
+  const TemporalRun want =
+      drive_temporal(campaign, cfg, false, 256, {cfg.strikes});
+  for (const std::uint32_t width : kWideBlocks) {
+    const TemporalRun got =
+        drive_temporal(campaign, cfg, true, width, {cfg.strikes});
+    expect_equal(got.strikes, want.strikes,
+                 ("temporal width " + std::to_string(width)).c_str());
+    EXPECT_EQ(got.rng_probe, want.rng_probe) << "width " << width;
+  }
 }
 
 }  // namespace

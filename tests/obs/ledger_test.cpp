@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "ftspm/util/error.h"
 #include "ftspm/util/json.h"
@@ -67,6 +72,67 @@ TEST(LedgerTest, AppendAndReadBack) {
   ASSERT_EQ(runs.size(), 2u);
   EXPECT_EQ(runs[0].id, "run-0");
   EXPECT_EQ(runs[1].id, "run-1");
+  std::remove(path.c_str());
+}
+
+TEST(LedgerTest, ConcurrentLargeAppendsNeverTear) {
+  // Several threads append records of more than 64 KiB at once. Each
+  // record must land as one whole line: scan_ledger then counts every
+  // record, and finds no torn line to skip.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 12;
+  const std::string path = temp_path("ftspm_ledger_concurrent");
+  std::remove(path.c_str());
+  const std::string payload(70'000, 'x');
+  std::atomic<int> failed_appends{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        LedgerRecord r = sample("t" + std::to_string(t) + "-" +
+                                std::to_string(i));
+        r.command = payload;
+        try {
+          append_ledger(r, path);
+        } catch (const Error&) {
+          ++failed_appends;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(failed_appends.load(), 0);
+
+  const LedgerScan scan = scan_ledger(path);
+  EXPECT_TRUE(scan.warnings.empty())
+      << scan.warnings.size() << " torn lines, first: " << scan.warnings[0];
+  ASSERT_EQ(scan.records.size(),
+            static_cast<std::size_t>(kThreads * kPerThread));
+  std::set<std::string> ids;
+  for (const LedgerRecord& r : scan.records) {
+    EXPECT_EQ(r.command, payload);
+    ids.insert(r.id);
+  }
+  EXPECT_EQ(ids.size(), static_cast<std::size_t>(kThreads * kPerThread));
+  std::remove(path.c_str());
+}
+
+TEST(LedgerTest, AppendToAnUnopenablePathThrows) {
+  EXPECT_THROW(append_ledger(sample("run-0"), "/nonexistent-dir/ledger.jsonl"),
+               Error);
+}
+
+TEST(LedgerTest, NewLedgerTakesItsModeFromTheUmask) {
+  // Created with 0666 under the umask, as an ofstream would: a
+  // group-writable umask leaves the ledger group-writable.
+  const std::string path = temp_path("ftspm_ledger_mode");
+  std::remove(path.c_str());
+  const mode_t old_mask = ::umask(002);
+  append_ledger(sample("run-0"), path);
+  ::umask(old_mask);
+  struct stat st {};
+  ASSERT_EQ(::stat(path.c_str(), &st), 0);
+  EXPECT_EQ(st.st_mode & 0777, 0664u);
   std::remove(path.c_str());
 }
 

@@ -434,6 +434,19 @@ TEST(CliTest, HeartbeatWritesNdjsonAndLeavesStdoutAlone) {
   EXPECT_EQ(beats.back().at("final").boolean, true);
 }
 
+TEST(CliTest, UnopenableLedgerIsAnIoErrorExitingOne) {
+  // The campaign runs, then the ledger append fails: an I/O failure
+  // (exit 1, no usage hint), not a usage error (exit 2).
+  const std::string ledger =
+      temp_path("ftspm_cli_no_such_dir") + "/ledger.jsonl";
+  const CommandResult r =
+      run_tool("--ledger " + ledger + " campaign --strikes 2000");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("cannot open ledger"), std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("ftspm_tool help"), std::string::npos) << r.output;
+}
+
 TEST(CliTest, LedgerCompareGatesOnRegression) {
   const std::string ledger = temp_path("ftspm_cli_ledger.jsonl");
   std::remove(ledger.c_str());
