@@ -53,23 +53,27 @@ void BM_ClassifyStrikeOracle(benchmark::State& state) {
 }
 BENCHMARK(BM_ClassifyStrikeOracle)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// The tight chunk loop — aim draws, flip count, LUT classifier, ACE
-// filter, packed tally, deferred folds — on the bulk_static region
-// (8 KB SEC-DED, occupancy 1) at the shard-scratch steady state the
-// parallel runner reaches after its first chunk, under three
-// multiplicity mixes:
-//   0  every strike 1-bit (no tail, no defer: the floor);
+// The tight chunk loop — aim draws, flip count, run-table classifier,
+// ACE filter, packed tally — on the bulk_static region (8 KB SEC-DED,
+// occupancy 1) at the shard-scratch steady state the parallel runner
+// reaches after its first chunk, under four multiplicity mixes:
+//   0  every strike 1-bit (no tail: the floor);
 //   1  the paper's 40 nm mix (62/25/6/7%);
-//   2  1 or 2 bits, 50/50 (no tail, no defer, a coin-flip count).
+//   2  1 or 2 bits, 50/50 (no tail, a coin-flip count);
+//   3  every strike 3-bit (no tail; a run whose verdict depends on
+//      which bits it covers, still one table read).
 // Rows 0 and 2 do the same work per strike, so a gap between them is
 // the price of a mispredicted branch on the flip count — the canary
-// for a compiler turning the branch-free count back into a jump.
+// for a compiler turning the branch-free count back into a jump. Row 3
+// against row 0 is the price of a multi-bit run, once a syndrome fold.
 void BM_CampaignChunk(benchmark::State& state) {
   static const StrikeMultiplicityModel kMixes[] = {
       StrikeMultiplicityModel(1.0, 0.0, 0.0, 0.0),
       StrikeMultiplicityModel::at_40nm(),
-      StrikeMultiplicityModel(0.5, 0.5, 0.0, 0.0)};
-  static const char* const kLabels[] = {"1-bit", "40nm", "1-or-2-bit"};
+      StrikeMultiplicityModel(0.5, 0.5, 0.0, 0.0),
+      StrikeMultiplicityModel(0.0, 0.0, 1.0, 0.0)};
+  static const char* const kLabels[] = {"1-bit", "40nm", "1-or-2-bit",
+                                        "3-bit"};
   const auto mix = static_cast<std::size_t>(state.range(0));
   const std::vector<InjectionRegion> regions{secded_region()};
   constexpr std::uint64_t kChunk = 4096;
@@ -84,7 +88,7 @@ void BM_CampaignChunk(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kChunk));
 }
-BENCHMARK(BM_CampaignChunk)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_CampaignChunk)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 // The same loop over a mixed surface: four regions, every protection
 // kind, partial ACE occupancy — the region pick and ACE draws that the

@@ -13,30 +13,24 @@
 //  * the residency scan runs over a flat span table with the per-block
 //    ACE fraction pre-resolved into next_bool's three arms
 //    (DrawBernoulli), in the same first-match order;
-//  * classification goes through classify_batch_strike: <= 2-bit
-//    patterns resolve from the popcount class LUT, >= 3-bit SEC-DED
-//    patterns are deferred onto the block's SoA fold list and resolved
-//    by one SecDedCodec::fold_syndromes pass per block instead of a
-//    classify_pattern call per word.
+//  * classification goes through classify_batch_strike, which reads
+//    each struck word's verdict from the run-outcome table (one byte
+//    per word; no mask is built) and returns the strike's final pre-ACE
+//    verdict, so each strike tallies as soon as it is drawn.
 //
 // Equivalence contract: counters, grids, observer calls, and the RNG
 // stream match run_chunk_reference bit for bit for every chunk
-// schedule and block width. The draw schedule per strike is region,
-// origin, instant, then — only when a mapped block occupies the struck
-// word at that instant — multiplicity, one burned draw per struck
-// codeword, and one ACE Bernoulli. The ACE draw fires exactly when the
-// surface is not Immune: any flip in an occupied non-Immune word
-// yields a non-Masked pre-ACE verdict (deferred >= 3-bit patterns
-// included — they can never fold to Masked), and Immune words classify
-// Masked without drawing, so the reference's `outcome != Masked` gate
-// never depends on a still-deferred fold. Pinned by
-// tests/fault/batch_engine_test.cpp and the CampaignGolden suite.
+// schedule. The draw schedule per strike is region, origin, instant,
+// then — only when a mapped block occupies the struck word at that
+// instant — multiplicity, one burned draw per struck codeword, and one
+// ACE Bernoulli iff the pre-ACE verdict is not Masked, the reference's
+// own gate. Pinned by tests/fault/batch_engine_test.cpp and the
+// CampaignGolden suite.
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "ftspm/core/system_campaign.h"
-#include "ftspm/ecc/secded_codec.h"
 #include "ftspm/fault/batch_engine.h"
 #include "ftspm/fault/campaign_observer.h"
 #include "ftspm/fault/sensitivity.h"
@@ -72,7 +66,7 @@ void TemporalCampaign::run_chunk(const CampaignConfig& config,
   }
 
   // An inert observer's on_strike is a no-op per strike; skip the
-  // calls outright (same block-level check the static engine makes).
+  // calls outright (the static engine makes the same check).
   if (observer != nullptr && !observer->active()) observer = nullptr;
 
   CampaignScratch::Batch& batch = state.scratch.batch;
@@ -109,94 +103,48 @@ void TemporalCampaign::run_chunk(const CampaignConfig& config,
     span_begin[region_count] = spans.size();
   }
 
-  const std::uint32_t width =
-      batch.width != 0 ? batch.width : kCampaignBatchWidth;
-  batch.region_of.resize(width);
-  batch.origin.resize(width);
-  batch.outcome.resize(width);
-  batch.ace_keep.resize(width);
-
   // The generator runs as a local copy, written back once per chunk and
   // lent to classify_batch_strike only through detail::on_rng_copy.
   Rng rng = state.rng;
   std::uint64_t tallies[4] = {0, 0, 0, 0};
 
-  for (std::uint64_t base = state.done; base < end;) {
-    const auto block =
-        static_cast<std::uint32_t>(std::min<std::uint64_t>(width, end - base));
-    batch.fold_data.clear();
-    batch.fold_check.clear();
-    batch.fold_slot.clear();
+  for (std::uint64_t strike = state.done; strike < end; ++strike) {
+    // Aim draws in the reference order: region, origin, instant.
+    const std::size_t rid =
+        detail::pick_region(rng, pick_breaks, region_count, pick_fallback);
+    const BatchRegionInfo& R = regions[rid];
+    const std::uint64_t origin = rng.next_below(R.physical_bits);
+    const std::uint64_t word = R.div_codeword.divide(origin);
+    const std::uint64_t when = rng.next_below(horizon_);
 
-    for (std::uint32_t slot = 0; slot < block; ++slot) {
-      // Aim draws in the reference order: region, origin, instant.
-      const std::size_t rid =
-          detail::pick_region(rng, pick_breaks, region_count, pick_fallback);
-      const BatchRegionInfo& R = regions[rid];
-      const std::uint64_t origin = rng.next_below(R.physical_bits);
-      const std::uint64_t word = R.div_codeword.divide(origin);
-      const std::uint64_t when = rng.next_below(horizon_);
-      batch.region_of[slot] = static_cast<std::uint32_t>(rid);
-      batch.origin[slot] = origin;
-
-      // Who holds this word at that instant? First match, span order.
-      const SpanInfo* occupant = nullptr;
-      for (std::size_t k = span_begin[rid]; k < span_begin[rid + 1]; ++k) {
-        const SpanInfo& sp = spans[k];
-        if (sp.map_index > when || when >= sp.unmap_end) continue;
-        if (word < sp.base_word || word >= sp.end_word) continue;
-        occupant = &sp;
-        break;
-      }
-
-      std::uint8_t out = static_cast<std::uint8_t>(StrikeOutcome::Masked);
-      std::uint8_t keep = 1;
-      if (occupant != nullptr) {
-        const std::uint32_t flips =
-            detail::sample_flips_draw(rng, cuts, config.max_flips);
-        out = detail::on_rng_copy(rng, [&](Rng& r) {
-          return detail::classify_batch_strike(R, r, state.scratch, slot,
-                                               origin, flips);
-        });
-        // Reference order: the ACE draw follows the classify burns and
-        // fires iff the pre-ACE verdict is not Masked — which is
-        // exactly "the surface is not Immune" (see file comment).
-        if (R.protection != ProtectionKind::Immune)
-          keep = detail::draw_bernoulli(rng, occupant->ace) ? 1 : 0;
-      }
-      batch.outcome[slot] = out;
-      batch.ace_keep[slot] = keep;
+    // Who holds this word at that instant? First match, span order.
+    const SpanInfo* occupant = nullptr;
+    for (std::size_t k = span_begin[rid]; k < span_begin[rid + 1]; ++k) {
+      const SpanInfo& sp = spans[k];
+      if (sp.map_index > when || when >= sp.unmap_end) continue;
+      if (word < sp.base_word || word >= sp.end_word) continue;
+      occupant = &sp;
+      break;
     }
 
-    // Deferred >= 3-bit SEC-DED patterns: one batched syndrome fold,
-    // max-merged into the owning slots before the ACE keep applies.
-    if (!batch.fold_data.empty()) {
-      const std::size_t n = batch.fold_data.size();
-      batch.fold_syndrome.resize(n);
-      SecDedCodec::fold_syndromes(batch.fold_data.data(),
-                                  batch.fold_check.data(), n,
-                                  batch.fold_syndrome.data());
-      for (std::size_t k = 0; k < n; ++k) {
-        std::uint8_t& o = batch.outcome[batch.fold_slot[k]];
-        o = std::max(o, detail::decode_fold_outcome(batch.fold_syndrome[k],
-                                                    batch.fold_data[k]));
-      }
+    std::uint8_t o = static_cast<std::uint8_t>(StrikeOutcome::Masked);
+    if (occupant != nullptr) {
+      const std::uint32_t flips =
+          detail::sample_flips_draw(rng, cuts, config.max_flips);
+      o = detail::on_rng_copy(rng, [&](Rng& r) {
+        return detail::classify_batch_strike(R, r, state.scratch, origin,
+                                             flips);
+      });
+      // Reference order: the ACE draw follows the classify burns and
+      // fires iff the pre-ACE verdict is not Masked.
+      if (o != static_cast<std::uint8_t>(StrikeOutcome::Masked) &&
+          !detail::draw_bernoulli(rng, occupant->ace))
+        o = static_cast<std::uint8_t>(StrikeOutcome::Masked);
     }
-
-    // Tally / observe in strike order, applying the carried ACE keep.
-    const bool want_slots = observer != nullptr || grid != nullptr;
-    for (std::uint32_t slot = 0; slot < block; ++slot) {
-      const auto o = static_cast<std::uint8_t>(batch.outcome[slot] *
-                                               batch.ace_keep[slot]);
-      ++tallies[o];
-      if (want_slots) {
-        const auto outcome = static_cast<StrikeOutcome>(o);
-        if (observer != nullptr) observer->on_strike(base + slot, outcome);
-        if (grid != nullptr)
-          grid->record(batch.region_of[slot], batch.origin[slot], outcome);
-      }
-    }
-    base += block;
+    ++tallies[o];
+    const auto outcome = static_cast<StrikeOutcome>(o);
+    if (observer != nullptr) observer->on_strike(strike, outcome);
+    if (grid != nullptr) grid->record(rid, origin, outcome);
   }
 
   state.partial.strikes += end - state.done;

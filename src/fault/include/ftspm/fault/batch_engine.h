@@ -31,9 +31,6 @@ namespace detail {
 /// (x >> 11) live in [0, 2^53).
 inline constexpr std::uint64_t kDrawBitsEnd = std::uint64_t{1} << 53;
 
-/// class_lut value 4: only the real syndrome fold can classify.
-inline constexpr std::uint8_t kDeferClass = 4;
-
 /// ceil(p * 2^53), the integer-domain image of a [0, 1] probability:
 /// `next_double() < p  <=>  (x >> 11) < ceil(p * 2^53)`. The product
 /// is exact (a double times a power of two only shifts the exponent),
@@ -194,28 +191,33 @@ inline auto on_rng_copy(Rng& rng, Fn&& fn) {
 void build_region_table(const std::vector<InjectionRegion>& regions,
                         CampaignScratch::Batch& batch);
 
+/// StrikeOutcome of one struck word's error pattern: `data_mask` holds
+/// the flipped data bits, `check_mask` the flipped check bits shifted
+/// down to bit 0 (the codecs read its low 8). This is classify_strike's
+/// per-word verdict without its burned draw; Immune words are Masked.
+StrikeOutcome word_outcome(ProtectionKind protection, std::uint64_t data_mask,
+                           std::uint32_t check_mask);
+
+/// The run-outcome table of `protection` (None, Parity or SEC-DED; null
+/// for any other kind): kRunTableBits rows, where entry [lo][len] is
+/// the word_outcome of group_masks(lo, lo + len) as a StrikeOutcome
+/// value, for every lo + len <= kRunTableBits (other entries are 0).
+/// An uninterleaved strike flips a contiguous run of bits in each
+/// codeword it touches, so one entry classifies each struck word. Each
+/// table is built once per process; safe to call concurrently.
+const RunOutcomeRow* run_outcome_table(ProtectionKind protection);
+
 /// Classifies one strike through the batch engine's fast / straddle /
-/// general paths against the region table entry `R`, pushing deferred
-/// SEC-DED patterns onto scratch.batch.fold_* under `slot` and
-/// returning the inline worst outcome (StrikeOutcome values; deferred
-/// words can never resolve to Masked). Burns exactly one next_u64 per
-/// struck codeword — the documented RNG contract. The caller owns the
-/// ACE-occupancy draw: `R.ace_occupancy` must be 1.0 (no draw taken
-/// here), which is how the temporal campaign applies its per-span ACE
-/// fractions after classification. Immune regions early-out with no
-/// draw at all.
+/// general paths against the region table entry `R` and returns its
+/// final pre-ACE verdict (a StrikeOutcome value). Burns exactly one
+/// next_u64 per struck codeword — the documented RNG contract. The
+/// caller owns the ACE-occupancy draw: `R.ace_occupancy` must be 1.0
+/// (no draw taken here), which is how the temporal campaign applies its
+/// per-span ACE fractions after classification. Immune regions
+/// early-out with no draw at all.
 std::uint8_t classify_batch_strike(const BatchRegionInfo& R, Rng& rng,
                                    CampaignScratch& scratch,
-                                   std::uint32_t slot, std::uint64_t origin,
-                                   std::uint32_t flips);
-
-/// StrikeOutcome (as a raw value) of one deferred SEC-DED word pattern
-/// from its folded syndrome and data mask — the verdict
-/// classify_pattern reaches one word at a time. Callers max-merge it
-/// into the deferring strike's inline worst after a fold_syndromes
-/// pass over scratch.batch.fold_*.
-std::uint8_t decode_fold_outcome(std::uint8_t syndrome,
-                                 std::uint64_t data_mask);
+                                   std::uint64_t origin, std::uint32_t flips);
 
 }  // namespace detail
 }  // namespace ftspm

@@ -96,12 +96,21 @@ CampaignResult run_campaign(const std::vector<InjectionRegion>& regions,
 
 class CampaignObserver;
 
-/// Strikes per block of the batched campaign engine: generation,
-/// syndrome folding, and tallying each sweep arrays of this many
-/// strikes (docs/performance.md, "Batched classification"). Block size
-/// is pure scheduling — any width yields bit-identical results — and
-/// tests pin that by overriding CampaignScratch::Batch::width.
+/// Strikes per block of the static campaign engine: it tallies and
+/// reports (observer, sensitivity grid) this many strikes at a time
+/// (docs/performance.md, "Batched classification"). Block size is pure
+/// scheduling — any width yields bit-identical results — and tests pin
+/// that by overriding CampaignScratch::Batch::width.
 inline constexpr std::uint32_t kCampaignBatchWidth = 256;
+
+/// Widest codeword the run-outcome tables cover: 64 data bits plus the
+/// 8 check bits of a standard SEC-DED word.
+inline constexpr std::uint32_t kRunTableBits = 72;
+
+/// One row of a run-outcome table (detail::run_outcome_table): row `lo`
+/// holds, at index `len`, the StrikeOutcome value of the word pattern
+/// that flips codeword bits [lo, lo + len).
+using RunOutcomeRow = std::array<std::uint8_t, kRunTableBits + 1>;
 
 /// Per-region constants the batched engine derives from an
 /// InjectionRegion once per chunk: geometry scalars hoisted out of the
@@ -121,13 +130,13 @@ struct BatchRegionInfo {
   FastDiv64 div_group;       ///< by group_bits (interleave > 1 aim).
   FastDiv64 div_interleave;  ///< by interleave (interleave > 1 aim).
 
-  /// True when the region qualifies for the branch-free classify path:
-  /// no interleaving and a geometry whose per-word outcome is fully
-  /// determined by (min(bit count, 3), pattern parity) — see the
-  /// class_lut build in injector_batch.cpp. Exotic geometries (e.g. a
-  /// parity region with extra check bits) and interleaved regions take
-  /// the general per-word path instead; both paths share every RNG
-  /// draw and produce identical outcomes.
+  /// True when the region qualifies for the run-table classify path:
+  /// no interleaving and a protection kind and geometry the run-outcome
+  /// tables cover (None or SEC-DED with <= 8 check bits, parity with
+  /// <= 1 — see lut_classifiable in injector_batch.cpp). Exotic
+  /// geometries (e.g. a parity region with extra check bits) and
+  /// interleaved regions take the general per-word path instead; both
+  /// paths share every RNG draw and produce identical outcomes.
   bool fast = false;
   /// How the ACE-occupancy draw resolves: 0 = always masked (no draw),
   /// 1 = always kept (no draw), 2 = one Bernoulli draw per non-masked
@@ -140,12 +149,12 @@ struct BatchRegionInfo {
   /// a real threshold iff it is below its ceiling. Comparing raw draw
   /// bits resolves branches earlier than the convert-to-double chain.
   std::uint64_t ace_bits = 0;
-  /// Word-pattern outcome LUT for the fast path, indexed by
-  /// min(popcount, 3) * 2 + parity: StrikeOutcome values 0..3, or 4 =
-  /// defer to the batched SEC-DED syndrome fold. A single-group strike
-  /// flips a contiguous run of bits, so its pattern weight IS the run
-  /// length and the lookup needs no mask materialization at all.
-  std::uint8_t class_lut[8] = {};
+  /// The run-outcome table of `protection` on fast regions (null
+  /// otherwise): run[bit][m] is the verdict of a struck word whose flips
+  /// are the m-bit run starting at codeword bit `bit`. An uninterleaved
+  /// strike flips a contiguous run in each word it touches, so one read
+  /// per word classifies it without building the word's masks.
+  const RunOutcomeRow* run = nullptr;
 };
 
 /// Reusable hot-loop scratch of one campaign shard. The classifier
@@ -164,12 +173,12 @@ struct CampaignScratch {
   /// flips; cleared, not shrunk, so it allocates at most once.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> spill;
 
-  /// Structure-of-arrays workspace of the batched chunk engine. One
-  /// block of `width` strikes at a time, run_campaign_chunk fills the
-  /// per-strike arrays sequentially from the shard RNG (preserving the
-  /// documented draw order exactly), parks every >= 2-flip SEC-DED word
-  /// pattern in the fold_* arrays, resolves those with one batched
-  /// SecDedCodec::fold_syndromes call, then tallies the block. All
+  /// Workspace of the batched chunk engines. run_campaign_chunk draws
+  /// and classifies one block of `width` strikes at a time, in the
+  /// documented draw order; when an observer or a sensitivity grid
+  /// listens it records each strike's region, origin and final outcome
+  /// in the per-strike arrays and replays them to the listeners after
+  /// the block (with no listener it stores nothing per strike). All
   /// vectors are sized on first use and reused for the whole campaign.
   struct Batch {
     /// Block width. kCampaignBatchWidth for real campaigns; tests set
@@ -197,23 +206,7 @@ struct CampaignScratch {
     // Per-strike arrays, indexed by slot in the current block.
     std::vector<std::uint32_t> region_of;
     std::vector<std::uint64_t> origin;
-    std::vector<std::uint8_t> outcome;   ///< StrikeOutcome, pre-ACE.
-    std::vector<std::uint8_t> ace_keep;  ///< 0 = ACE draw masked it.
-
-    // Deferred SEC-DED word patterns of the block (strike `fold_slot`
-    // contributed pattern (fold_data, fold_check)); resolved by the
-    // batched syndrome fold into fold_syndrome.
-    std::vector<std::uint64_t> fold_data;
-    std::vector<std::uint8_t> fold_check;
-    std::vector<std::uint32_t> fold_slot;
-    std::vector<std::uint8_t> fold_syndrome;
-    /// Tight-mode side-cars, parallel to fold_data: the deferring
-    /// strike's inline worst outcome and its ACE keep flag, so the
-    /// post-fold tally can finish each strike without per-slot outcome
-    /// arrays (tight mode stores nothing per slot — see
-    /// run_campaign_chunk).
-    std::vector<std::uint8_t> fold_worst;
-    std::vector<std::uint8_t> fold_keep;
+    std::vector<std::uint8_t> outcome;  ///< StrikeOutcome, after ACE.
   };
   Batch batch;
 };

@@ -5,6 +5,7 @@
 
 #include "ftspm/ecc/parity_codec.h"
 #include "ftspm/ecc/secded_codec.h"
+#include "ftspm/fault/batch_engine.h"
 #include "ftspm/fault/campaign_observer.h"
 #include "ftspm/fault/sensitivity.h"
 #include "ftspm/util/error.h"
@@ -34,6 +35,42 @@ PhysicalBit locate_strike_bit(const InjectionRegion& region,
   pb.bit_in_codeword = static_cast<std::uint32_t>(within / region.interleave);
   return pb;
 }
+
+namespace detail {
+
+StrikeOutcome word_outcome(ProtectionKind protection, std::uint64_t data_mask,
+                           std::uint32_t check_mask) {
+  switch (protection) {
+    case ProtectionKind::Immune:
+      return StrikeOutcome::Masked;
+    case ProtectionKind::None:
+      // No check bits: any flip silently corrupts the stored word.
+      return (data_mask | check_mask) != 0 ? StrikeOutcome::Sdc
+                                           : StrikeOutcome::Masked;
+    case ProtectionKind::Parity: {
+      const PatternDecode p = ParityCodec::classify_pattern(
+          data_mask, static_cast<std::uint8_t>(check_mask));
+      if (p.status == DecodeStatus::Detected) return StrikeOutcome::Due;
+      return p.data_intact() ? StrikeOutcome::Masked : StrikeOutcome::Sdc;
+    }
+    case ProtectionKind::SecDed: {
+      const PatternDecode p = SecDedCodec::classify_pattern(
+          data_mask, static_cast<std::uint8_t>(check_mask));
+      switch (p.status) {
+        case DecodeStatus::Clean:
+          return p.data_intact() ? StrikeOutcome::Masked : StrikeOutcome::Sdc;
+        case DecodeStatus::Corrected:
+          return p.data_intact() ? StrikeOutcome::Dre : StrikeOutcome::Sdc;
+        case DecodeStatus::Detected:
+          return StrikeOutcome::Due;
+      }
+      return StrikeOutcome::Sdc;
+    }
+  }
+  throw InvalidArgument("unknown protection kind");
+}
+
+}  // namespace detail
 
 namespace {
 
@@ -98,34 +135,7 @@ StrikeOutcome classify_word_pattern(ProtectionKind protection,
   // Any future hot-loop change must preserve this draw order; see
   // docs/performance.md.
   (void)rng.next_u64();
-  switch (protection) {
-    case ProtectionKind::Immune:
-      return StrikeOutcome::Masked;  // handled above
-    case ProtectionKind::None:
-      // No check bits: any flip silently corrupts the stored word.
-      return (data_mask | check_mask) != 0 ? StrikeOutcome::Sdc
-                                           : StrikeOutcome::Masked;
-    case ProtectionKind::Parity: {
-      const PatternDecode p = ParityCodec::classify_pattern(
-          data_mask, static_cast<std::uint8_t>(check_mask));
-      if (p.status == DecodeStatus::Detected) return StrikeOutcome::Due;
-      return p.data_intact() ? StrikeOutcome::Masked : StrikeOutcome::Sdc;
-    }
-    case ProtectionKind::SecDed: {
-      const PatternDecode p = SecDedCodec::classify_pattern(
-          data_mask, static_cast<std::uint8_t>(check_mask));
-      switch (p.status) {
-        case DecodeStatus::Clean:
-          return p.data_intact() ? StrikeOutcome::Masked : StrikeOutcome::Sdc;
-        case DecodeStatus::Corrected:
-          return p.data_intact() ? StrikeOutcome::Dre : StrikeOutcome::Sdc;
-        case DecodeStatus::Detected:
-          return StrikeOutcome::Due;
-      }
-      return StrikeOutcome::Sdc;
-    }
-  }
-  throw InvalidArgument("unknown protection kind");
+  return detail::word_outcome(protection, data_mask, check_mask);
 }
 
 using WordHit = std::pair<std::uint64_t, std::uint32_t>;

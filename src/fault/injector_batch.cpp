@@ -7,38 +7,32 @@
 // virtual-ish hops for every strike. This engine processes strikes in
 // blocks of CampaignScratch::Batch::width:
 //
-//  stage 1 — sequential generation + LUT classification. Each slot
-//      draws its region, origin, and flip count from the shard RNG in
-//      EXACTLY the documented per-strike order (docs/performance.md),
-//      aims the flips with precomputed magic-multiply dividers, and
-//      classifies via the 8-entry (min(popcount, 3), parity) region
-//      LUT. A single-group strike flips a contiguous run of bits, so
-//      its pattern weight IS the run length: the common case needs no
-//      mask materialization, no popcount — one table byte indexed by
-//      the group length. Masks are built only for the SEC-DED runs of
-//      3 or more bits parked in the fold arrays (about 13% of strikes
-//      at 40 nm), and for the rare shapes handled out of line
-//      (codeword straddles, interleaved aim, exotic check-bit
-//      geometries). The ACE-occupancy draw also happens here, keeping
-//      the stream position exact; a fast-path strike is never Masked
-//      pre-ACE (>= 1 surviving bit always corrupts or trips a check,
-//      and deferred patterns can never fold clean), so the draw
-//      predicate needs no classify result.
-//  stage 2 — batched syndrome fold. One SecDedCodec::fold_syndromes
-//      call resolves every deferred pattern of the block (SIMD where
-//      available), and the 256-entry syndrome LUT merges each word's
-//      outcome back into its strike.
-//  stage 3 — ACE filtering, bulk counter tally, and the observer /
-//      sensitivity-grid sweeps.
+//  stage 1 — sequential generation + run-table classification. Each
+//      slot draws its region, origin, and flip count from the shard RNG
+//      in EXACTLY the documented per-strike order (docs/performance.md)
+//      and aims the flips with precomputed magic-multiply dividers. An
+//      uninterleaved strike flips a contiguous run of bits in each
+//      codeword it touches, so each word's verdict is a function of
+//      (start bit, run length) alone: one byte of the region's
+//      run-outcome table (detail::run_outcome_table) classifies a
+//      single-word strike, one byte per word a codeword straddle, and
+//      no mask is ever built. Interleaved aim and exotic check-bit
+//      geometries take the general path out of line, which builds each
+//      word's masks and classifies them on the spot. The ACE-occupancy
+//      draw follows, keeping the stream position exact; a contiguous
+//      run is never Masked pre-ACE (>= 1 surviving bit always corrupts
+//      or trips a check), so on the fast path the draw predicate needs
+//      no verdict.
+//  stage 2 — tally: the ACE-filtered outcome (a multiply: keep is 0/1
+//      and Masked is 0) joins one packed counter word (OutcomeTally),
+//      flushed into the shard's counters after each block.
+//  stage 3 — observer and sensitivity-grid sweeps over the block.
 //
 // When nothing consumes per-strike state — observer inactive, no
-// sensitivity grid — the chunk runs in TIGHT mode: outcomes tally
-// straight into one packed counter word (OutcomeTally) inside
-// stage 1 and the per-slot SoA stores disappear entirely; deferred
-// strikes carry their inline worst and ACE keep alongside the fold
-// entries so the post-fold tally can finish them without slot arrays.
-// Both modes draw and count identically; tight mode just skips
-// materializing state nobody reads.
+// sensitivity grid — the chunk runs in TIGHT mode: stage 3 and the
+// per-slot stores that feed it disappear. Both modes draw, classify
+// and count identically; tight mode just skips materializing state
+// nobody reads.
 //
 // The draw-domain primitives (integer-image Bernoulli/discrete picks,
 // flip cutoffs, the region table build) live in
@@ -52,24 +46,21 @@
 // tests/fault/batch_engine_test.cpp against classify_strike and by
 // tests/integration/campaign_golden_test.cpp end to end.
 #include <algorithm>
-#include <bit>
-#include <cmath>
+#include <array>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 
-#include "ftspm/ecc/secded_codec.h"
 #include "ftspm/fault/batch_engine.h"
 #include "ftspm/fault/campaign_observer.h"
 #include "ftspm/fault/injector.h"
 #include "ftspm/fault/sensitivity.h"
-#include "ftspm/util/bitops.h"
 #include "ftspm/util/error.h"
 
 namespace ftspm {
 
 using detail::group_masks;
 using detail::GroupMasks;
-using detail::kDeferClass;
 using detail::kDrawBitsEnd;
 using detail::pick_region;
 using detail::prob_to_draw_bits;
@@ -89,17 +80,14 @@ inline std::uint32_t range_mask32(std::uint32_t lo, std::uint32_t hi) {
   return (len >= 32 ? ~0u : (1u << len) - 1) << lo;
 }
 
-/// Whether (protection, geometry) qualifies for the LUT classify path:
-/// every word pattern's outcome must be a function of
-/// (min(popcount, 3), parity) alone.
-///  * None with <= 8 check bits: >= 1 surviving bit is always Sdc, and
-///    the 8-bit popcount sees every check bit.
-///  * Parity with <= 1 check bit: the syndrome IS the pattern parity,
-///    odd -> Due, even (>= 1 bit, which then includes a data bit) ->
-///    Sdc. Extra check bits would alias flips the parity check cannot
-///    see (b = 2 with even parity can then be either Masked or Sdc).
-///  * SEC-DED with <= 8 check bits: the uint8 check cast is faithful,
-///    so 1 bit corrects, 2 bits detect, >= 3 defer to the fold.
+/// Whether (protection, geometry) qualifies for the run-table classify
+/// path: the protection kind must have a run-outcome table and every
+/// codeword bit must be one the table's verdicts see.
+///  * None with <= 8 check bits: any surviving bit is silent corruption.
+///  * Parity with <= 1 check bit: extra check bits would alias flips the
+///    parity check cannot see.
+///  * SEC-DED with <= 8 check bits: the codec reads 8 check bits, so a
+///    codeword is at most kRunTableBits wide.
 bool lut_classifiable(ProtectionKind protection, std::uint32_t check_bits) {
   switch (protection) {
     case ProtectionKind::None: return check_bits <= 8;
@@ -109,125 +97,26 @@ bool lut_classifiable(ProtectionKind protection, std::uint32_t check_bits) {
   }
 }
 
-void build_class_lut(ProtectionKind protection, std::uint8_t (&lut)[8]) {
-  for (std::uint32_t b = 0; b < 4; ++b) {
-    for (std::uint32_t syn = 0; syn < 2; ++syn) {
-      std::uint8_t cls = static_cast<std::uint8_t>(StrikeOutcome::Masked);
-      if (protection == ProtectionKind::None) {
-        cls = static_cast<std::uint8_t>(b == 0 ? StrikeOutcome::Masked
-                                               : StrikeOutcome::Sdc);
-      } else if (protection == ProtectionKind::Parity) {
-        // b == 0 is unreachable (a group has >= 1 bit); odd parity
-        // trips the check, even parity with bits present corrupts.
-        cls = static_cast<std::uint8_t>(
-            syn != 0 ? StrikeOutcome::Due
-                     : (b == 0 ? StrikeOutcome::Masked : StrikeOutcome::Sdc));
-      } else if (protection == ProtectionKind::SecDed) {
-        cls = b == 0   ? static_cast<std::uint8_t>(StrikeOutcome::Masked)
-              : b == 1 ? static_cast<std::uint8_t>(StrikeOutcome::Dre)
-              : b == 2 ? static_cast<std::uint8_t>(StrikeOutcome::Due)
-                       : kDeferClass;
-      }
-      lut[b * 2 + syn] = cls;
-    }
-  }
-}
-
-/// StrikeOutcome of one folded SEC-DED word, decoded from its batched
-/// syndrome — the same verdict classify_pattern reaches one word at a
-/// time.
-inline std::uint8_t decode_fold_outcome(const SecDedCodec::SyndromeDecode& d,
-                                        std::uint64_t data_mask) {
-  switch (d.status) {
-    case DecodeStatus::Detected:
-      return static_cast<std::uint8_t>(StrikeOutcome::Due);
-    case DecodeStatus::Corrected:
-      return static_cast<std::uint8_t>(data_mask == d.correction_mask
-                                           ? StrikeOutcome::Dre
-                                           : StrikeOutcome::Sdc);
-    case DecodeStatus::Clean:
-    default:
-      return static_cast<std::uint8_t>(data_mask != 0 ? StrikeOutcome::Sdc
-                                                      : StrikeOutcome::Masked);
-  }
-}
-
-/// Outcome of one struck word decided from its error pattern's bit
-/// counts alone, or Deferred when only the real SEC-DED syndrome can
-/// tell (>= 3 bits after the 8-bit check cast).
-enum class InlineWord : std::uint8_t {
-  Masked = 0,  // == StrikeOutcome values for the first four
-  Dre,
-  Due,
-  Sdc,
-  Deferred,
-};
-
-/// Per-word inline classification. Exactly classify_pattern's verdict
-/// for every case it decides (see tests/fault/batch_engine_test.cpp):
-///  * None: any flipped bit is silent corruption;
-///  * parity: one parity fold of the pattern;
-///  * SEC-DED by popcount of (data, uint8 check) — 0 bits survive the
-///    cast only on exotic geometries (check_bits > 8) and alias to a
-///    clean word; 1 bit is always corrected (odd-weight columns);
-///    2 bits XOR two distinct odd columns into a non-zero even-weight
-///    syndrome, always detected; >= 3 bits need the fold.
-inline InlineWord classify_word_inline(ProtectionKind protection,
-                                       std::uint64_t data_mask,
-                                       std::uint32_t check_mask) {
-  switch (protection) {
-    case ProtectionKind::Immune:
-      return InlineWord::Masked;  // unreachable: immune strikes early-out
-    case ProtectionKind::None:
-      return (data_mask | check_mask) != 0 ? InlineWord::Sdc
-                                           : InlineWord::Masked;
-    case ProtectionKind::Parity: {
-      if ((parity64(data_mask) ^ (check_mask & 1)) != 0)
-        return InlineWord::Due;
-      return data_mask != 0 ? InlineWord::Sdc : InlineWord::Masked;
-    }
-    case ProtectionKind::SecDed: {
-      const auto check8 = static_cast<std::uint8_t>(check_mask);
-      const int bits = std::popcount(data_mask) + std::popcount(
-                           static_cast<std::uint32_t>(check8));
-      if (bits >= 3) return InlineWord::Deferred;
-      if (bits == 2) return InlineWord::Due;
-      if (bits == 1) return InlineWord::Dre;
-      return InlineWord::Masked;
-    }
-  }
-  throw InvalidArgument("unknown protection kind");
-}
-
-/// The general per-strike path: interleaved regions, exotic check-bit
-/// geometries, and Immune-adjacent cases the LUT cannot decide. Kept
+/// The general per-strike path: interleaved regions and exotic
+/// check-bit geometries, whose word patterns are not runs the
+/// run-outcome tables cover; each word is classified as found. Kept
 /// out of line so the dominant fast path compiles to a small loop body
 /// with no spills from this machinery; identical RNG draws and
-/// outcomes to the per-strike classifier. Returns the inline worst
-/// outcome; deferred words ride the fold arrays under `slot`.
+/// outcomes to the per-strike classifier. Returns the strike's outcome
+/// after its ACE draw; at ace_occupancy 1.0 that draw is the no-draw
+/// arm, so the pre-ACE verdict comes back.
 [[gnu::noinline]] std::uint8_t classify_general_strike(
     const BatchRegionInfo& R, Rng& rng, CampaignScratch& scratch,
-    std::uint32_t slot, std::uint64_t origin, std::uint32_t flips,
-    std::uint8_t& ace_keep_out) {
-  CampaignScratch::Batch& batch = scratch.batch;
+    std::uint64_t origin, std::uint32_t flips) {
   const std::uint32_t cw = R.codeword_bits;
-  InlineWord worst = InlineWord::Masked;
-  bool deferred = false;
+  StrikeOutcome worst = StrikeOutcome::Masked;
   const auto note_word = [&](std::uint64_t data_mask,
                              std::uint32_t check_mask) {
     // One draw per struck codeword — the retained oracle draw the
     // RNG contract pins (docs/performance.md).
     (void)rng.next_u64();
-    const InlineWord w =
-        classify_word_inline(R.protection, data_mask, check_mask);
-    if (w == InlineWord::Deferred) {
-      deferred = true;
-      batch.fold_data.push_back(data_mask);
-      batch.fold_check.push_back(static_cast<std::uint8_t>(check_mask));
-      batch.fold_slot.push_back(slot);
-    } else {
-      worst = std::max(worst, w);
-    }
+    worst = std::max(worst,
+                     detail::word_outcome(R.protection, data_mask, check_mask));
   };
 
   if (R.interleave <= 1) {
@@ -302,48 +191,53 @@ inline InlineWord classify_word_inline(ProtectionKind protection,
     }
   }
 
-  // ACE draw, in stream position: the old loop drew exactly when
-  // the pre-ACE outcome was not Masked. Deferred words can never
-  // resolve to Masked (their non-zero pattern either trips the
-  // syndrome or corrupts data), so the predicate is known here.
-  if (worst != InlineWord::Masked || deferred)
-    ace_keep_out = rng.next_bool(R.ace_occupancy) ? 1 : 0;
-  else
-    ace_keep_out = 1;
+  // ACE draw, in stream position: the per-strike loop drew exactly
+  // when the pre-ACE outcome was not Masked.
+  if (worst != StrikeOutcome::Masked && !rng.next_bool(R.ace_occupancy))
+    worst = StrikeOutcome::Masked;
   return static_cast<std::uint8_t>(worst);
 }
 
 /// Fast-path strike that straddles codeword boundaries (< 1% of
-/// strikes at realistic word sizes): split into per-word runs,
-/// classify each through the region LUT, park defers. Out of line for
-/// the same reason as classify_general_strike; returns the inline
-/// worst. Draw order matches the inline path — one burned draw per
-/// struck codeword, in address order.
+/// strikes at realistic word sizes): its run splits into the tail
+/// [bit, cw) of the first word and a head [0, len) of each later one,
+/// whose run-table verdicts max-merge. Out of line for the same reason
+/// as classify_general_strike. Draw order matches the inline path —
+/// one burned draw per struck codeword, in address order.
 [[gnu::noinline]] std::uint8_t classify_straddle_strike(
-    const BatchRegionInfo& R, Rng& rng, CampaignScratch::Batch& batch,
-    std::uint32_t slot, std::uint32_t bit, std::uint64_t m) {
+    const BatchRegionInfo& R, Rng& rng, std::uint32_t bit, std::uint64_t m) {
   const std::uint32_t cw = R.codeword_bits;
-  std::uint8_t worst = 0;
-  std::uint64_t remaining = m;
+  (void)rng.next_u64();
+  std::uint8_t worst = R.run[bit][cw - bit];
+  std::uint64_t remaining = m - (cw - bit);
   while (remaining > 0) {
     const auto len =
-        static_cast<std::uint32_t>(std::min<std::uint64_t>(cw - bit, remaining));
+        static_cast<std::uint32_t>(std::min<std::uint64_t>(cw, remaining));
     (void)rng.next_u64();
-    const GroupMasks gm = group_masks(bit, bit + len);
-    const auto b = static_cast<std::uint32_t>(std::popcount(gm.data) +
-                                              std::popcount(gm.check));
-    const std::uint8_t cls = R.class_lut[std::min(b, 3u) * 2 + (b & 1)];
-    if (cls == kDeferClass) {
-      batch.fold_data.push_back(gm.data);
-      batch.fold_check.push_back(static_cast<std::uint8_t>(gm.check));
-      batch.fold_slot.push_back(slot);
-    } else {
-      worst = std::max(worst, cls);
-    }
+    worst = std::max(worst, R.run[0][len]);
     remaining -= len;
-    bit = 0;
   }
   return worst;
+}
+
+/// Pre-ACE verdict of a strike of `flips` bits at `origin` on a fast
+/// region: the run clips at the surface edge, and a run inside one
+/// codeword (the common case) is one burned draw and one table read.
+[[gnu::always_inline]] inline std::uint8_t classify_fast_strike(
+    const BatchRegionInfo& R, Rng& rng, std::uint64_t origin,
+    std::uint32_t flips) {
+  const std::uint32_t cw = R.codeword_bits;
+  const std::uint64_t m =
+      std::min<std::uint64_t>(flips, R.physical_bits - origin);
+  const std::uint64_t word = R.div_codeword.divide(origin);
+  const auto bit = static_cast<std::uint32_t>(origin - word * cw);
+  if (bit + m <= cw) [[likely]] {
+    (void)rng.next_u64();
+    return R.run[bit][m];
+  }
+  return detail::on_rng_copy(rng, [&](Rng& r) {
+    return classify_straddle_strike(R, r, bit, m);
+  });
 }
 
 /// The static chunk loop's outcome counters: the four StrikeOutcome
@@ -448,7 +342,7 @@ void build_region_table(const std::vector<InjectionRegion>& regions,
     info.fast = r.interleave == 1 && info.physical_bits > 0 &&
                 lut_classifiable(r.protection,
                                  r.geometry.check_bits_per_word());
-    if (info.fast) build_class_lut(r.protection, info.class_lut);
+    if (info.fast) info.run = run_outcome_table(r.protection);
     info.ace_mode = r.ace_occupancy <= 0.0   ? std::uint8_t{0}
                     : r.ace_occupancy >= 1.0 ? std::uint8_t{1}
                                              : std::uint8_t{2};
@@ -485,45 +379,36 @@ FlipCutoffs make_flip_cutoffs(const StrikeMultiplicityModel& strikes,
   return cuts;
 }
 
-std::uint8_t decode_fold_outcome(std::uint8_t syndrome,
-                                 std::uint64_t data_mask) {
-  return ftspm::decode_fold_outcome(SecDedCodec::syndrome_table()[syndrome],
-                                    data_mask);
+const RunOutcomeRow* run_outcome_table(ProtectionKind protection) {
+  using Table = std::array<RunOutcomeRow, kRunTableBits>;
+  static constexpr ProtectionKind kKinds[] = {
+      ProtectionKind::None, ProtectionKind::Parity, ProtectionKind::SecDed};
+  static const std::array<Table, 3> tables = [] {
+    std::array<Table, 3> built{};
+    for (std::size_t k = 0; k < 3; ++k)
+      for (std::uint32_t lo = 0; lo < kRunTableBits; ++lo)
+        for (std::uint32_t len = 0; lo + len <= kRunTableBits; ++len) {
+          const GroupMasks gm = group_masks(lo, lo + len);
+          built[k][lo][len] = static_cast<std::uint8_t>(
+              word_outcome(kKinds[k], gm.data, gm.check));
+        }
+    return built;
+  }();
+  for (std::size_t k = 0; k < 3; ++k)
+    if (kKinds[k] == protection) return tables[k].data();
+  return nullptr;
 }
 
 std::uint8_t classify_batch_strike(const BatchRegionInfo& R, Rng& rng,
                                    CampaignScratch& scratch,
-                                   std::uint32_t slot, std::uint64_t origin,
-                                   std::uint32_t flips) {
+                                   std::uint64_t origin, std::uint32_t flips) {
   if (R.protection == ProtectionKind::Immune)
     return static_cast<std::uint8_t>(StrikeOutcome::Masked);
-  CampaignScratch::Batch& batch = scratch.batch;
-  if (R.fast) [[likely]] {
-    const std::uint32_t cw = R.codeword_bits;
-    const std::uint64_t m =
-        std::min<std::uint64_t>(flips, R.physical_bits - origin);
-    const std::uint64_t word = R.div_codeword.divide(origin);
-    const auto bit = static_cast<std::uint32_t>(origin - word * cw);
-    if (bit + m <= cw) [[likely]] {
-      (void)rng.next_u64();
-      const auto b = static_cast<std::uint32_t>(m);
-      const std::uint8_t cls = R.class_lut[std::min(b, 3u) * 2 + (b & 1)];
-      if (cls == kDeferClass) [[unlikely]] {
-        const GroupMasks gm = group_masks(bit, bit + b);
-        batch.fold_data.push_back(gm.data);
-        batch.fold_check.push_back(static_cast<std::uint8_t>(gm.check));
-        batch.fold_slot.push_back(slot);
-        return 0;
-      }
-      return cls;
-    }
-    return classify_straddle_strike(R, rng, batch, slot, bit, m);
-  }
-  // ace_occupancy is 1.0 by contract, so the internal ACE draw is the
-  // no-draw arm and the out-param is discarded.
-  std::uint8_t ace_unused = 1;
-  return classify_general_strike(R, rng, scratch, slot, origin, flips,
-                                 ace_unused);
+  if (R.fast) [[likely]]
+    return classify_fast_strike(R, rng, origin, flips);
+  // ace_occupancy is 1.0 by contract, so the general path's ACE draw is
+  // the no-draw arm and its outcome is the pre-ACE verdict.
+  return classify_general_strike(R, rng, scratch, origin, flips);
 }
 
 }  // namespace detail
@@ -556,19 +441,23 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
   // keeps every lane from wrapping; block width is pure scheduling.
   const std::uint32_t width =
       std::min(batch.width, OutcomeTally::kCapacity);
-  batch.region_of.resize(width);
-  batch.origin.resize(width);
-  batch.outcome.resize(width);
-  batch.ace_keep.resize(width);
+
+  // Does anything read per-strike state? Only then are the per-slot
+  // arrays filled (see the header comment).
+  if (observer != nullptr && !observer->active()) observer = nullptr;
+  const bool record = observer != nullptr || grid != nullptr;
+  if (record) {
+    batch.region_of.resize(width);
+    batch.origin.resize(width);
+    batch.outcome.resize(width);
+  }
 
   // Hot-loop locals. The generator runs as a local copy (written back
   // once per chunk, lent to out-of-line classifiers only through
   // detail::on_rng_copy) and the SoA arrays as raw pointers: the
-  // outcome / ace_keep stores are byte stores, which the compiler must
-  // otherwise assume alias the RNG state and the vectors' own
-  // bookkeeping, forcing a reload of all four state words around every
-  // draw.
-  Rng rng = state.rng;
+  // outcome stores are byte stores, which the compiler must otherwise
+  // assume alias the RNG state and the vectors' own bookkeeping,
+  // forcing a reload of all four state words around every draw.
   const BatchRegionInfo* const region_table = batch.regions.data();
   const std::uint64_t* const pick_breaks = batch.pick_bits.data();
   const std::size_t pick_fallback = batch.pick_fallback;
@@ -576,24 +465,18 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
   std::uint32_t* const region_of = batch.region_of.data();
   std::uint64_t* const origin_of = batch.origin.data();
   std::uint8_t* const outcome_of = batch.outcome.data();
-  std::uint8_t* const ace_keep_of = batch.ace_keep.data();
 
-  // Nothing reads per-strike state? Then tally outcomes straight into
-  // registers and skip every per-slot store (see the header comment).
-  const bool tight =
-      (observer == nullptr || !observer->active()) && grid == nullptr;
-
-  if (tight) {
+  // One loop for both modes, instantiated per mode so tight mode
+  // compiles with no trace of the per-slot stores.
+  const auto run_blocks = [&](auto recording) {
+    constexpr bool kRecord = decltype(recording)::value;
+    Rng rng = state.rng;
     OutcomeTally tally;
     for (std::uint64_t base = state.done; base < end; base += width) {
       const auto block = static_cast<std::uint32_t>(
           std::min<std::uint64_t>(width, end - base));
-      batch.fold_data.clear();
-      batch.fold_check.clear();
-      batch.fold_slot.clear();
-      batch.fold_worst.clear();
-      batch.fold_keep.clear();
 
+      // ---- Stages 1 and 2: draw, classify, ACE-filter, tally.
       for (std::uint32_t slot = 0; slot < block; ++slot) {
         const std::size_t ri =
             pick_region(rng, pick_breaks, region_count, pick_fallback);
@@ -602,233 +485,60 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
         const std::uint32_t flips =
             detail::sample_flips_draw(rng, cuts, config.max_flips);
 
+        std::uint8_t outcome;
         if (R.protection == ProtectionKind::Immune) {
           // classify_strike early-outs before any word draw, and the
-          // old loop skipped the ACE draw for Masked outcomes.
-          tally.add(static_cast<std::uint8_t>(StrikeOutcome::Masked));
-          continue;
-        }
-
-        if (R.fast) [[likely]] {
-          const std::uint32_t cw = R.codeword_bits;
-          const std::uint64_t m =
-              std::min<std::uint64_t>(flips, R.physical_bits - origin);
-          const std::uint64_t word = R.div_codeword.divide(origin);
-          const auto bit = static_cast<std::uint32_t>(origin - word * cw);
-          if (bit + m <= cw) [[likely]] {
-            // One burned draw for the single struck codeword (the RNG
-            // contract), then the LUT byte — the group is a contiguous
-            // run of m bits, so its pattern weight is m and no mask
-            // ever materializes unless the verdict defers.
-            (void)rng.next_u64();
-            const auto b = static_cast<std::uint32_t>(m);
-            const std::uint8_t cls =
-                R.class_lut[std::min(b, 3u) * 2 + (b & 1)];
-            // next_bool's three arms, resolved per region at table
-            // build: 0 / 1 skip the draw, 2 consumes exactly one draw
-            // compared in the draw-bits domain. Unconditional for fast
-            // strikes — never Masked pre-ACE.
-            std::uint8_t keep;
-            if (R.ace_mode == 2)
-              keep = (rng.next_u64() >> 11) < R.ace_bits ? 1 : 0;
-            else
-              keep = R.ace_mode;
-            if (cls == kDeferClass) [[unlikely]] {
-              const GroupMasks gm = group_masks(bit, bit + b);
-              batch.fold_data.push_back(gm.data);
-              batch.fold_check.push_back(static_cast<std::uint8_t>(gm.check));
-              batch.fold_slot.push_back(slot);
-              batch.fold_worst.push_back(0);
-              batch.fold_keep.push_back(keep);
-              continue;
-            }
-            tally.add(static_cast<std::uint8_t>(cls * keep));
-            continue;
-          }
-          // Straddles codeword boundaries — rare, classified out of
-          // line; its fold entries (if any) carry worst and keep.
-          const std::size_t before = batch.fold_data.size();
-          const std::uint8_t worst = detail::on_rng_copy(rng, [&](Rng& r) {
-            return classify_straddle_strike(R, r, batch, slot, bit, m);
-          });
+          // per-strike loop skipped the ACE draw for Masked outcomes.
+          outcome = static_cast<std::uint8_t>(StrikeOutcome::Masked);
+        } else if (R.fast) [[likely]] {
+          const std::uint8_t worst =
+              classify_fast_strike(R, rng, origin, flips);
+          // next_bool's three arms, resolved per region at table
+          // build: 0 / 1 skip the draw, 2 consumes exactly one draw
+          // compared in the draw-bits domain. Unconditional for fast
+          // strikes — never Masked pre-ACE.
           std::uint8_t keep;
           if (R.ace_mode == 2)
             keep = (rng.next_u64() >> 11) < R.ace_bits ? 1 : 0;
           else
             keep = R.ace_mode;
-          const std::size_t after = batch.fold_data.size();
-          if (after != before) {
-            batch.fold_worst.resize(after);
-            batch.fold_keep.resize(after);
-            for (std::size_t k = before; k < after; ++k) {
-              batch.fold_worst[k] = worst;
-              batch.fold_keep[k] = keep;
-            }
-            continue;
-          }
-          tally.add(static_cast<std::uint8_t>(worst * keep));
-          continue;
+          outcome = static_cast<std::uint8_t>(worst * keep);
+        } else {
+          outcome = detail::on_rng_copy(rng, [&](Rng& r) {
+            return classify_general_strike(R, r, state.scratch, origin, flips);
+          });
         }
-
-        const std::size_t before = batch.fold_data.size();
-        std::uint8_t keep = 1;
-        const std::uint8_t worst = detail::on_rng_copy(rng, [&](Rng& r) {
-          return classify_general_strike(R, r, state.scratch, slot, origin,
-                                         flips, keep);
-        });
-        const std::size_t after = batch.fold_data.size();
-        if (after != before) {
-          batch.fold_worst.resize(after);
-          batch.fold_keep.resize(after);
-          for (std::size_t k = before; k < after; ++k) {
-            batch.fold_worst[k] = worst;
-            batch.fold_keep[k] = keep;
-          }
-          continue;
-        }
-        tally.add(static_cast<std::uint8_t>(worst * keep));
-      }
-
-      // Batched syndrome fold, then finish each deferring strike: its
-      // entries are consecutive (pushed while its slot was current),
-      // so one grouped sweep max-merges fold verdicts with the carried
-      // inline worst and applies the carried ACE keep.
-      if (!batch.fold_data.empty()) {
-        const std::size_t n = batch.fold_data.size();
-        batch.fold_syndrome.resize(n);
-        SecDedCodec::fold_syndromes(batch.fold_data.data(),
-                                    batch.fold_check.data(), n,
-                                    batch.fold_syndrome.data());
-        const auto& table = SecDedCodec::syndrome_table();
-        std::size_t k = 0;
-        while (k < n) {
-          const std::uint32_t slot = batch.fold_slot[k];
-          std::uint8_t w = batch.fold_worst[k];
-          const std::uint8_t keep = batch.fold_keep[k];
-          do {
-            w = std::max(w, decode_fold_outcome(table[batch.fold_syndrome[k]],
-                                                batch.fold_data[k]));
-            ++k;
-          } while (k < n && batch.fold_slot[k] == slot);
-          tally.add(static_cast<std::uint8_t>(w * keep));
+        tally.add(outcome);
+        if constexpr (kRecord) {
+          region_of[slot] = static_cast<std::uint32_t>(ri);
+          origin_of[slot] = origin;
+          outcome_of[slot] = outcome;
         }
       }
       tally.flush(state.partial);
       state.partial.strikes += block;
+
+      // ---- Stage 3: observability sweeps.
+      if constexpr (kRecord) {
+        if (observer != nullptr) {
+          for (std::uint32_t slot = 0; slot < block; ++slot)
+            observer->on_strike(base + slot,
+                                static_cast<StrikeOutcome>(outcome_of[slot]));
+        }
+        if (grid != nullptr) {
+          for (std::uint32_t slot = 0; slot < block; ++slot)
+            grid->record(region_of[slot], origin_of[slot],
+                         static_cast<StrikeOutcome>(outcome_of[slot]));
+        }
+      }
       state.done = base + block;
     }
     state.rng = rng;
-    state.done = end;
-    return;
-  }
-
-  for (std::uint64_t base = state.done; base < end; base += width) {
-    const auto block =
-        static_cast<std::uint32_t>(std::min<std::uint64_t>(width, end - base));
-    batch.fold_data.clear();
-    batch.fold_check.clear();
-    batch.fold_slot.clear();
-
-    // ---- Stage 1: sequential generation + LUT classification.
-    for (std::uint32_t slot = 0; slot < block; ++slot) {
-      const std::size_t ri =
-          pick_region(rng, pick_breaks, region_count, pick_fallback);
-      const BatchRegionInfo& R = region_table[ri];
-      const std::uint64_t origin = rng.next_below(R.physical_bits);
-      region_of[slot] = static_cast<std::uint32_t>(ri);
-      origin_of[slot] = origin;
-
-      const std::uint32_t flips =
-          detail::sample_flips_draw(rng, cuts, config.max_flips);
-
-      if (R.protection == ProtectionKind::Immune) {
-        outcome_of[slot] = static_cast<std::uint8_t>(StrikeOutcome::Masked);
-        ace_keep_of[slot] = 1;
-        continue;
-      }
-
-      if (R.fast) [[likely]] {
-        const std::uint32_t cw = R.codeword_bits;
-        const std::uint64_t m =
-            std::min<std::uint64_t>(flips, R.physical_bits - origin);
-        const std::uint64_t word = R.div_codeword.divide(origin);
-        const auto bit = static_cast<std::uint32_t>(origin - word * cw);
-        std::uint8_t worst;
-        if (bit + m <= cw) [[likely]] {
-          (void)rng.next_u64();
-          const auto b = static_cast<std::uint32_t>(m);
-          const std::uint8_t cls = R.class_lut[std::min(b, 3u) * 2 + (b & 1)];
-          if (cls == kDeferClass) [[unlikely]] {
-            const GroupMasks gm = group_masks(bit, bit + b);
-            batch.fold_data.push_back(gm.data);
-            batch.fold_check.push_back(static_cast<std::uint8_t>(gm.check));
-            batch.fold_slot.push_back(slot);
-            worst = 0;
-          } else {
-            worst = cls;
-          }
-        } else {
-          worst = detail::on_rng_copy(rng, [&](Rng& r) {
-            return classify_straddle_strike(R, r, batch, slot, bit, m);
-          });
-        }
-        outcome_of[slot] = worst;
-        if (R.ace_mode == 2)
-          ace_keep_of[slot] = (rng.next_u64() >> 11) < R.ace_bits ? 1 : 0;
-        else
-          ace_keep_of[slot] = R.ace_mode;
-        continue;
-      }
-
-      outcome_of[slot] = detail::on_rng_copy(rng, [&](Rng& r) {
-        return classify_general_strike(R, r, state.scratch, slot, origin,
-                                       flips, ace_keep_of[slot]);
-      });
-    }
-
-    // ---- Stage 2: batched syndrome fold of the deferred patterns.
-    if (!batch.fold_data.empty()) {
-      const std::size_t n = batch.fold_data.size();
-      batch.fold_syndrome.resize(n);
-      SecDedCodec::fold_syndromes(batch.fold_data.data(),
-                                  batch.fold_check.data(), n,
-                                  batch.fold_syndrome.data());
-      const auto& table = SecDedCodec::syndrome_table();
-      for (std::size_t k = 0; k < n; ++k) {
-        const std::uint8_t w = decode_fold_outcome(
-            table[batch.fold_syndrome[k]], batch.fold_data[k]);
-        std::uint8_t& slot_outcome = outcome_of[batch.fold_slot[k]];
-        slot_outcome = std::max(slot_outcome, w);
-      }
-    }
-
-    // ---- Stage 3: ACE filter, bulk tally, observability sweeps. The
-    // filter is a multiply (keep is 0/1 and Masked is 0) and the tally
-    // is one packed word — no data-dependent branches, no
-    // store-forward chain through a memory histogram.
-    OutcomeTally tally;
-    for (std::uint32_t slot = 0; slot < block; ++slot) {
-      const std::uint8_t o =
-          static_cast<std::uint8_t>(outcome_of[slot] * ace_keep_of[slot]);
-      outcome_of[slot] = o;
-      tally.add(o);
-    }
-    tally.flush(state.partial);
-    state.partial.strikes += block;
-
-    if (observer != nullptr && observer->active()) {
-      for (std::uint32_t slot = 0; slot < block; ++slot)
-        observer->on_strike(base + slot,
-                            static_cast<StrikeOutcome>(outcome_of[slot]));
-    }
-    if (grid != nullptr) {
-      for (std::uint32_t slot = 0; slot < block; ++slot)
-        grid->record(region_of[slot], origin_of[slot],
-                     static_cast<StrikeOutcome>(outcome_of[slot]));
-    }
-    state.done = base + block;
-  }
-  state.rng = rng;
+  };
+  if (record)
+    run_blocks(std::true_type{});
+  else
+    run_blocks(std::false_type{});
   state.done = end;
 }
 

@@ -92,7 +92,9 @@ struct LoadReport {
   std::string to_csv() const;
 };
 
-/// The latency bucket bounds (ms) every per-class histogram uses.
+/// The latency bucket bounds (ms) every per-class histogram and the
+/// daemon's queue-wait and service-time histograms use: log-spaced
+/// 1-2-5 bounds from 0.01 ms to 5000 ms.
 const std::vector<double>& load_latency_bounds();
 
 /// Parses a --mix string: comma-separated "name:weight[:strikes]"

@@ -25,9 +25,12 @@ double ms_since(Clock::time_point start) {
 }  // namespace
 
 const std::vector<double>& load_latency_bounds() {
-  static const std::vector<double> bounds = {0.5,  1.0,   2.0,   5.0,   10.0,
-                                             20.0, 50.0,  100.0, 200.0, 500.0,
-                                             1000.0, 2000.0, 5000.0};
+  // 1-2-5 per decade from 10 us: Histogram::quantile interpolates
+  // linearly inside a bucket, so a served request's sub-millisecond
+  // latency needs buckets that narrow, not one from 0 to 0.5 ms.
+  static const std::vector<double> bounds = {
+      0.01, 0.02, 0.05, 0.1,   0.2,   0.5,   1.0,    2.0,    5.0,
+      10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0};
   return bounds;
 }
 

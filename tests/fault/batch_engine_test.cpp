@@ -2,7 +2,7 @@
 // strike-at-a-time reference that replays the documented RNG draw
 // order (docs/performance.md, "RNG draw-order contract") through the
 // classify_strike oracle. The engine reorders *work* — region tables,
-// LUT classification, deferred syndrome folds — but never *draws*, so
+// run-table classification, blocked tallies — but never *draws*, so
 // every schedule below must reproduce the reference counters exactly:
 // any block width, any chunk schedule, tight (no observer, no grid)
 // and observed paths alike.
@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ftspm/core/mapping_plan.h"
@@ -152,8 +153,8 @@ TEST(BatchEngine, MatchesReferenceAtAceOccupancyEdges) {
 
 TEST(BatchEngine, BlockWidthNeverChangesCounters) {
   // Block size is pure scheduling (injector.h, kCampaignBatchWidth):
-  // width 1 degenerates to strike-at-a-time, 33 leaves a ragged tail
-  // in every block of deferred folds, 256 is the production width.
+  // width 1 degenerates to strike-at-a-time, 33 leaves a ragged last
+  // block, 256 is the production width.
   const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
   const CampaignConfig cfg = config_for(0x57a1ce5eed, 40'000);
   const CampaignResult want = reference_campaign(mixed_surfaces(), model, cfg);
@@ -617,6 +618,9 @@ struct TemporalRun {
   std::uint64_t rng_probe = 0;
 };
 
+/// Drives the temporal campaign with the shard scratch's block width
+/// set to `width`. The temporal engine tallies strike by strike and
+/// has no blocks, so no width may change its counters either.
 TemporalRun drive_temporal(const TemporalCampaign& campaign,
                            const CampaignConfig& cfg, bool batched,
                            std::uint32_t width,
@@ -715,6 +719,115 @@ TEST(BatchEngineTemporal, MatchesReferenceAtBlockWidthsPastOneLane) {
     expect_equal(got.strikes, want.strikes,
                  ("temporal width " + std::to_string(width)).c_str());
     EXPECT_EQ(got.rng_probe, want.rng_probe) << "width " << width;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Run-outcome tables. An uninterleaved strike flips a contiguous run
+// of bits in each word it touches, so the static and temporal engines
+// classify every word with one read of detail::run_outcome_table.
+
+TEST(BatchEngineRunTable, EveryRunMatchesTheOracle) {
+  // Every geometry the fast path accepts, every run that fits one of
+  // its codewords, against the encode/flip/decode oracle on a
+  // one-word region.
+  const struct {
+    ProtectionKind protection;
+    std::uint32_t max_check_bits;
+  } kinds[] = {{ProtectionKind::None, 8},
+               {ProtectionKind::Parity, 1},
+               {ProtectionKind::SecDed, 8}};
+  std::uint64_t runs = 0;
+  for (const auto& kind : kinds) {
+    const RunOutcomeRow* run = detail::run_outcome_table(kind.protection);
+    ASSERT_NE(run, nullptr);
+    for (std::uint32_t check = 0; check <= kind.max_check_bits; ++check) {
+      const InjectionRegion region{RegionGeometry(8, check), kind.protection,
+                                   1.0, 1};
+      const std::uint32_t cw = region.geometry.codeword_bits();
+      for (std::uint32_t lo = 0; lo < cw; ++lo) {
+        EXPECT_EQ(run[lo][0], static_cast<std::uint8_t>(StrikeOutcome::Masked));
+        for (std::uint32_t len = 1; lo + len <= cw; ++len) {
+          Rng rng(std::uint64_t{lo} * 131 + len);
+          const StrikeOutcome want =
+              classify_strike_oracle(region, lo, len, rng);
+          EXPECT_EQ(run[lo][len], static_cast<std::uint8_t>(want))
+              << to_string(want) << " protection "
+              << static_cast<int>(kind.protection) << " check bits " << check
+              << " run [" << lo << ", " << lo + len << ")";
+          // The engines draw a fast strike's ACE Bernoulli without
+          // looking at its verdict: that holds only if no run is Masked.
+          EXPECT_NE(want, StrikeOutcome::Masked);
+          ++runs;
+        }
+      }
+    }
+  }
+  // None and SEC-DED at 9 codeword widths each, parity at 2.
+  EXPECT_GT(runs, 40'000u);
+  EXPECT_EQ(detail::run_outcome_table(ProtectionKind::Immune), nullptr);
+}
+
+/// Mixes where every strike is a run the SEC-DED engines once parked
+/// for a deferred syndrome fold: all 3-bit, and all in the >3-bit
+/// coin-flip tail.
+std::vector<std::pair<std::string, StrikeMultiplicityModel>>
+multi_bit_models() {
+  return {{"3-bit", StrikeMultiplicityModel(0.0, 0.0, 1.0, 0.0)},
+          {"tail", StrikeMultiplicityModel(0.0, 0.0, 0.0, 1.0)}};
+}
+
+constexpr std::uint32_t kMultiBitWidths[] = {1u, 7u, 256u};
+
+TEST(BatchEngineRunTable, StaticMatchesReferenceOnMultiBitRuns) {
+  // The mixed surfaces plus an interleaved SEC-DED region, whose
+  // multi-bit strikes take the general path; tight (no grid) and
+  // recording (grid) modes alike.
+  std::vector<InjectionRegion> regions = mixed_surfaces();
+  regions.push_back({RegionGeometry(2048, 8), ProtectionKind::SecDed, 0.6, 2});
+  for (const auto& [name, model] : multi_bit_models()) {
+    const CampaignConfig cfg = config_for(0x3b175eed, 30'000);
+    SensitivityGrid reference_grid = make_sensitivity_grid(regions, 16);
+    const CampaignResult want =
+        reference_campaign(regions, model, cfg, &reference_grid);
+    // Miscorrected runs: the verdicts only a syndrome can tell.
+    ASSERT_GT(want.sdc, 0u) << name;
+    for (const std::uint32_t width : kMultiBitWidths) {
+      for (const bool recording : {false, true}) {
+        SensitivityGrid grid = make_sensitivity_grid(regions, 16);
+        CampaignShardState state = begin_campaign_shard(cfg.seed);
+        state.scratch.batch.width = width;
+        run_campaign_chunk(regions, model, cfg, state, cfg.strikes, nullptr,
+                           recording ? &grid : nullptr);
+        const std::string what = name + " width " + std::to_string(width) +
+                                 (recording ? " recording" : " tight");
+        expect_equal(state.partial, want, what.c_str());
+        if (recording) {
+          EXPECT_EQ(grid.to_csv(), reference_grid.to_csv()) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchEngineRunTable, TemporalMatchesReferenceOnMultiBitRuns) {
+  const TemporalFixture fix;
+  for (const auto& [name, model] : multi_bit_models()) {
+    const TemporalCampaign campaign(fix.evaluator.ftspm_layout(),
+                                    fix.system.plan, fix.workload.program,
+                                    fix.profile, model);
+    const CampaignConfig cfg = config_for(0x7e3b175e, 25'000);
+    const TemporalRun want =
+        drive_temporal(campaign, cfg, false, 256, {cfg.strikes});
+    ASSERT_GT(want.strikes.dre + want.strikes.due + want.strikes.sdc, 0u)
+        << name;
+    for (const std::uint32_t width : kMultiBitWidths) {
+      const TemporalRun got =
+          drive_temporal(campaign, cfg, true, width, {cfg.strikes});
+      const std::string what = name + " width " + std::to_string(width);
+      expect_equal(got.strikes, want.strikes, what.c_str());
+      EXPECT_EQ(got.rng_probe, want.rng_probe) << what;
+    }
   }
 }
 

@@ -142,10 +142,11 @@ TEST(CampaignGolden, TemporalCaseStudyCampaign) {
   expect_counts(run(kSeedB), 50'000, {47192, 1731, 909, 168});
 }
 
-// The recovery and temporal campaigns now run on the same batched fold
-// entry points as the static one, so their goldens get the same
-// backend sweep: every fold kernel the host offers must land exactly
-// on the numbers pinned above. The FTSPM_DISABLE_SIMD CI leg runs the
+// The recovery campaign folds syndromes through the batched entry
+// points, so its golden gets a backend sweep: every fold kernel the
+// host offers must land exactly on the numbers pinned above. The
+// temporal golden rides along; its run-outcome tables fold nothing, so
+// no backend may move it. The FTSPM_DISABLE_SIMD CI leg runs the
 // scalar iteration of this test, keeping both code paths pinned.
 TEST(CampaignGolden, RecoveryAndTemporalGoldensAcrossFoldBackends) {
   const Workload w = make_case_study(CaseStudyTargets{}.scaled_down(8));
@@ -165,12 +166,12 @@ TEST(CampaignGolden, RecoveryAndTemporalGoldensAcrossFoldBackends) {
   EXPECT_TRUE(SecDedCodec::set_fold_backend("auto"));
 }
 
-// The batched engine's deferred SEC-DED patterns resolve through
-// SecDedCodec::fold_syndromes, which dispatches to AVX2/SSSE3/scalar
-// kernels at runtime. Counters must not depend on which kernel ran:
-// every backend the host CPU offers has to land exactly on the golden
-// numbers above. An FTSPM_DISABLE_SIMD build runs the scalar leg of
-// this same test, so both code paths stay pinned in CI.
+// SecDedCodec::fold_syndromes dispatches to AVX2/SSSE3/scalar kernels
+// at runtime. The static engine classifies its SEC-DED runs from the
+// run-outcome tables, not through the fold, so its counters must not
+// depend on which kernel the process selected: every backend the host
+// CPU offers has to land exactly on the golden numbers above. An
+// FTSPM_DISABLE_SIMD build runs the scalar leg of this same test.
 TEST(CampaignGolden, ScalarAndSimdFoldPathsHitTheSameGoldens) {
   const std::vector<InjectionRegion> regions{
       {RegionGeometry(8192, 8), ProtectionKind::SecDed, 0.9, 1},

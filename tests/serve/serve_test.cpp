@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -22,6 +23,7 @@
 #include "ftspm/serve/client.h"
 #include "ftspm/serve/load.h"
 #include "ftspm/util/error.h"
+#include "ftspm/util/rng.h"
 
 namespace ftspm::serve {
 namespace {
@@ -436,6 +438,53 @@ TEST(ServeTest, LoadSustainsConcurrentClientsWithPerClassQuantiles) {
   EXPECT_EQ(server.status().completed, 12u);
   EXPECT_EQ(obs::scan_ledger(cfg.ledger_path).records.size(), 12u);
   std::remove(cfg.ledger_path.c_str());
+}
+
+TEST(ServeTest, LatencyBucketsPlaceQuantilesWithinOneBucket) {
+  // Histogram::quantile interpolates inside a bucket, so its error is
+  // at most the width of the bucket holding the true quantile. The
+  // bounds must be log-spaced from 10 us, three to a decade, for that
+  // width to stay small down where served requests land.
+  const std::vector<double>& bounds = load_latency_bounds();
+  ASSERT_EQ(bounds.size(), 18u);
+  EXPECT_DOUBLE_EQ(bounds.front(), 0.01);
+  EXPECT_DOUBLE_EQ(bounds.back(), 5000.0);
+  for (std::size_t i = 1; i < bounds.size(); ++i)
+    EXPECT_LE(bounds[i], 2.5 * bounds[i - 1] * (1 + 1e-12)) << i;
+
+  Rng rng(0x1a7e5eed);
+  const auto exponential = [&](double mean) {
+    return -mean * std::log(1.0 - rng.next_double());
+  };
+  // A served request: 0.08 ms floor plus an exponential 0.03 ms, with
+  // 2% slow outliers — the old 0-0.5 ms first bucket read its 0.1 ms
+  // median as about 0.29 ms. Then a log-uniform spread over 20 us to
+  // 40 ms, and a bimodal mix of fast pings and 5-15 ms campaigns.
+  std::vector<std::vector<double>> sets(3);
+  for (int i = 0; i < 20'000; ++i) {
+    sets[0].push_back(rng.next_double() < 0.02 ? 2.0 + 8.0 * rng.next_double()
+                                               : 0.08 + exponential(0.03));
+    sets[1].push_back(0.02 * std::pow(2000.0, rng.next_double()));
+    sets[2].push_back(rng.next_double() < 0.7 ? 0.03 + exponential(0.02)
+                                              : 5.0 + 10.0 * rng.next_double());
+  }
+  for (std::size_t k = 0; k < sets.size(); ++k) {
+    std::vector<double>& samples = sets[k];
+    ClassStats stats;
+    for (const double v : samples) stats.latency_ms.observe(v);
+    std::sort(samples.begin(), samples.end());
+    for (const double q : {0.50, 0.95, 0.99}) {
+      // Nearest-rank sample quantile and the bucket that holds it.
+      const auto rank = static_cast<std::size_t>(
+          std::ceil(q * static_cast<double>(samples.size())));
+      const double exact = samples[rank - 1];
+      const auto it = std::lower_bound(bounds.begin(), bounds.end(), exact);
+      ASSERT_NE(it, bounds.end());
+      const double width = *it - (it == bounds.begin() ? 0.0 : *(it - 1));
+      EXPECT_NEAR(stats.latency_ms.quantile(q), exact, width)
+          << "set " << k << " q " << q;
+    }
+  }
 }
 
 TEST(ServeTest, OpenLoopLoadResolvesEveryRequest) {
