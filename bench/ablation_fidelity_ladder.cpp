@@ -53,8 +53,9 @@ int main(int argc, char** argv) {
   };
   for (const Row& row : rows) {
     const CampaignResult static_mc =
-        run_system_campaign(row.layout, row.result.plan, workload.program,
-                            profile, evaluator.strike_model(), cfg);
+        run_campaign(make_injection_regions(row.layout, row.result.plan,
+                                            workload.program, profile),
+                     evaluator.strike_model(), cfg);
     const CampaignResult temporal =
         run_temporal_campaign(row.layout, row.result.plan, workload.program,
                               profile, evaluator.strike_model(), cfg);

@@ -14,6 +14,7 @@
 
 #include <iostream>
 
+#include "ftspm/exec/parallel_campaign.h"
 #include "ftspm/fault/avf.h"
 #include "ftspm/fault/injector.h"
 #include "ftspm/util/format.h"

@@ -83,8 +83,10 @@ void case_study_sweep() {
 
   CampaignConfig cfg;
   cfg.strikes = 200'000;
-  const CampaignResult statics = run_system_campaign(
-      evaluator.ftspm_layout(), sys.plan, w.program, prof, strikes, cfg);
+  const CampaignResult statics = run_campaign(
+      make_injection_regions(evaluator.ftspm_layout(), sys.plan, w.program,
+                             prof),
+      strikes, cfg);
 
   AsciiTable t({"Scrub interval", "Vulnerability", "DRE", "DUE", "SDC",
                 "Repair cycles", "Repair E (uJ)"});
@@ -96,9 +98,10 @@ void case_study_sweep() {
   for (const std::uint64_t interval : {std::uint64_t{0}, std::uint64_t{4096}}) {
     const RecoveryPolicy policy =
         make_recovery_policy(SimConfig{}, /*recover=*/true, interval);
-    const RecoveryResult r = run_recovery_system_campaign(
-        evaluator.ftspm_layout(), sys.plan, w.program, prof, strikes, cfg,
-        policy);
+    const RecoveryResult r = run_recovery_campaign(
+        make_recovery_regions(evaluator.ftspm_layout(), sys.plan, w.program,
+                              prof),
+        strikes, cfg, policy);
     t.add_row({interval_label(interval),
                fixed(r.strikes.vulnerability(), 4),
                percent(r.strikes.fraction(r.strikes.dre)),

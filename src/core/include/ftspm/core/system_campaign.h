@@ -4,9 +4,10 @@
 // becomes an injection surface whose ACE occupancy is the
 // area-and-ACE-weighted share of architecturally-required bits it
 // holds (capped at 1 for time-shared regions). Running a campaign over
-// these surfaces measures the same quantity `compute_system_avf`
-// evaluates analytically — with the real parity/SEC-DED decoders in
-// the loop instead of Eqs. 4-7's single-codeword assumption. Agreement
+// these surfaces (run_campaign over make_injection_regions) measures
+// the same quantity `compute_system_avf` evaluates analytically — with
+// the real parity/SEC-DED decoders in the loop instead of Eqs. 4-7's
+// single-codeword assumption. Agreement
 // between the two is asserted by tests and quantified by the
 // `ablation_mc_vs_avf` bench.
 #pragma once
@@ -31,23 +32,6 @@ std::vector<InjectionRegion> make_injection_regions(
     const SpmLayout& layout, const MappingPlan& plan, const Program& program,
     const ProgramProfile& profile);
 
-/// Convenience wrapper: builds the surfaces and runs the campaign.
-CampaignResult run_system_campaign(const SpmLayout& layout,
-                                   const MappingPlan& plan,
-                                   const Program& program,
-                                   const ProgramProfile& profile,
-                                   const StrikeMultiplicityModel& strikes,
-                                   const CampaignConfig& config = {});
-
-/// Sharded/parallel run_system_campaign (see ftspm/exec): for a fixed
-/// (seed, strikes, shard count) the merged counters are bit-identical
-/// across any jobs value, and exec.shards == 1 matches the serial
-/// function exactly.
-exec::ShardedRun run_system_campaign_parallel(
-    const SpmLayout& layout, const MappingPlan& plan, const Program& program,
-    const ProgramProfile& profile, const StrikeMultiplicityModel& strikes,
-    const CampaignConfig& config, const exec::ExecConfig& exec_config);
-
 /// A RecoveryPolicy whose DMA re-fetch scalars come from `sim`'s
 /// transfer-cost model, so recovery campaigns book re-fetches exactly
 /// as the simulator books block map-ins.
@@ -64,13 +48,6 @@ RecoveryPolicy make_recovery_policy(const SimConfig& sim, bool recover,
 std::vector<RecoveryRegion> make_recovery_regions(
     const SpmLayout& layout, const MappingPlan& plan, const Program& program,
     const ProgramProfile& profile);
-
-/// Convenience wrapper: builds the recovery surfaces and runs the
-/// live-array campaign serially (see fault/recovery.h for semantics).
-RecoveryResult run_recovery_system_campaign(
-    const SpmLayout& layout, const MappingPlan& plan, const Program& program,
-    const ProgramProfile& profile, const StrikeMultiplicityModel& strikes,
-    const CampaignConfig& config, const RecoveryPolicy& policy);
 
 /// Precomputed read-only context for the temporal campaign: the
 /// transfer schedule, per-region residency spans, and the injection
@@ -91,24 +68,21 @@ class TemporalCampaign {
   TemporalCampaign& operator=(const TemporalCampaign&) = delete;
 
   /// Advances `state` by up to `max_strikes` temporal strikes,
-  /// stopping at config.strikes. RNG consumption matches the serial
-  /// loop draw for draw, so any chunking schedule yields identical
-  /// counters. The observer (nullable) sees absolute strike indices;
-  /// `grid` (nullable, see fault/sensitivity.h) records each strike's
-  /// origin and final outcome without affecting results.
+  /// stopping at config.strikes. Any chunking schedule yields
+  /// identical counters. `grid` (nullable, see fault/sensitivity.h)
+  /// records each strike's origin and final outcome without affecting
+  /// results.
   void run_chunk(const CampaignConfig& config, CampaignShardState& state,
                  std::uint64_t max_strikes,
-                 CampaignObserver* observer = nullptr,
                  SensitivityGrid* grid = nullptr) const;
 
   /// The original strike-at-a-time loop, kept verbatim as the oracle
   /// run_chunk (the batched engine, system_campaign_batch.cpp) is
-  /// pinned against: same draws, counters, observer calls, and grid
-  /// records for every chunk schedule.
+  /// pinned against: same draws, counters, and grid records for every
+  /// chunk schedule.
   void run_chunk_reference(const CampaignConfig& config,
                            CampaignShardState& state,
                            std::uint64_t max_strikes,
-                           CampaignObserver* observer = nullptr,
                            SensitivityGrid* grid = nullptr) const;
 
   /// The injection surfaces (one per SPM region, in region order) the
@@ -138,7 +112,9 @@ class TemporalCampaign {
 /// masked. This is the highest-fidelity reliability path in the
 /// repository; the static campaign and the analytic Eqs. 1-7 are its
 /// successively coarser approximations, and tests assert the three
-/// agree in that order.
+/// agree in that order. A one-shard run of
+/// run_temporal_campaign_parallel on the calling thread; `grid`
+/// (nullable) accumulates every strike.
 CampaignResult run_temporal_campaign(const SpmLayout& layout,
                                      const MappingPlan& plan,
                                      const Program& program,
@@ -147,11 +123,14 @@ CampaignResult run_temporal_campaign(const SpmLayout& layout,
                                      const CampaignConfig& config = {},
                                      SensitivityGrid* grid = nullptr);
 
-/// Sharded/parallel run_temporal_campaign; same determinism contract
-/// as run_system_campaign_parallel.
+/// Sharded/parallel run_temporal_campaign (see ftspm/exec): for a
+/// fixed (seed, strikes, shard count) the merged counters are
+/// bit-identical across any jobs value. `grid` as in
+/// exec::run_campaign_sharded.
 exec::ShardedRun run_temporal_campaign_parallel(
     const SpmLayout& layout, const MappingPlan& plan, const Program& program,
     const ProgramProfile& profile, const StrikeMultiplicityModel& strikes,
-    const CampaignConfig& config, const exec::ExecConfig& exec_config);
+    const CampaignConfig& config, const exec::ExecConfig& exec_config,
+    SensitivityGrid* grid = nullptr);
 
 }  // namespace ftspm

@@ -1,8 +1,8 @@
 #include "ftspm/core/system_campaign.h"
 
 #include <algorithm>
+#include <utility>
 
-#include "ftspm/fault/campaign_observer.h"
 #include "ftspm/util/error.h"
 #include "ftspm/util/rng.h"
 
@@ -41,26 +41,6 @@ std::vector<InjectionRegion> make_injection_regions(
     regions.push_back(region);
   }
   return regions;
-}
-
-CampaignResult run_system_campaign(const SpmLayout& layout,
-                                   const MappingPlan& plan,
-                                   const Program& program,
-                                   const ProgramProfile& profile,
-                                   const StrikeMultiplicityModel& strikes,
-                                   const CampaignConfig& config) {
-  return run_campaign(
-      make_injection_regions(layout, plan, program, profile), strikes,
-      config);
-}
-
-exec::ShardedRun run_system_campaign_parallel(
-    const SpmLayout& layout, const MappingPlan& plan, const Program& program,
-    const ProgramProfile& profile, const StrikeMultiplicityModel& strikes,
-    const CampaignConfig& config, const exec::ExecConfig& exec_config) {
-  const std::vector<InjectionRegion> regions =
-      make_injection_regions(layout, plan, program, profile);
-  return exec::run_campaign_sharded(regions, strikes, config, exec_config);
 }
 
 RecoveryPolicy make_recovery_policy(const SimConfig& sim, bool recover,
@@ -116,15 +96,6 @@ std::vector<RecoveryRegion> make_recovery_regions(
   return regions;
 }
 
-RecoveryResult run_recovery_system_campaign(
-    const SpmLayout& layout, const MappingPlan& plan, const Program& program,
-    const ProgramProfile& profile, const StrikeMultiplicityModel& strikes,
-    const CampaignConfig& config, const RecoveryPolicy& policy) {
-  return run_recovery_campaign(
-      make_recovery_regions(layout, plan, program, profile), strikes, config,
-      policy);
-}
-
 TemporalCampaign::TemporalCampaign(const SpmLayout& layout,
                                    const MappingPlan& plan,
                                    const Program& program,
@@ -161,7 +132,6 @@ TemporalCampaign::TemporalCampaign(const SpmLayout& layout,
 void TemporalCampaign::run_chunk_reference(const CampaignConfig& config,
                                            CampaignShardState& state,
                                            std::uint64_t max_strikes,
-                                           CampaignObserver* observer,
                                            SensitivityGrid* grid) const {
   const std::uint64_t end =
       std::min(config.strikes, state.done + max_strikes);
@@ -204,7 +174,6 @@ void TemporalCampaign::run_chunk_reference(const CampaignConfig& config,
       case StrikeOutcome::Sdc: ++state.partial.sdc; break;
     }
     ++state.partial.strikes;
-    if (observer != nullptr) observer->on_strike(s, outcome);
     if (grid != nullptr) grid->record(rid, origin, outcome);
   }
   state.done = end;
@@ -217,46 +186,28 @@ CampaignResult run_temporal_campaign(const SpmLayout& layout,
                                      const StrikeMultiplicityModel& strikes,
                                      const CampaignConfig& config,
                                      SensitivityGrid* grid) {
-  const TemporalCampaign campaign(layout, plan, program, profile, strikes);
-  CampaignShardState state =
-      begin_campaign_shard(config.seed ^ TemporalCampaign::kSeedSalt);
-  emit_campaign_phase_start("temporal", config);
-  CampaignObserver observer(config, "temporal");
-  campaign.run_chunk(config, state, config.strikes, &observer, grid);
-  emit_campaign_phase_end("temporal", state.partial);
-  return state.partial;
+  return run_temporal_campaign_parallel(layout, plan, program, profile,
+                                        strikes, config, exec::ExecConfig{},
+                                        grid)
+      .merged;
 }
 
 exec::ShardedRun run_temporal_campaign_parallel(
     const SpmLayout& layout, const MappingPlan& plan, const Program& program,
     const ProgramProfile& profile, const StrikeMultiplicityModel& strikes,
-    const CampaignConfig& config, const exec::ExecConfig& exec_config) {
+    const CampaignConfig& config, const exec::ExecConfig& exec_config,
+    SensitivityGrid* grid) {
   const TemporalCampaign campaign(layout, plan, program, profile, strikes);
-  // One private grid per shard, merged post-join in shard order — the
-  // same discipline as the exec runner's delta registries, so the
-  // merged grid is jobs-invariant.
-  std::vector<SensitivityGrid> grids;
-  if (exec_config.sensitivity_buckets != 0) {
-    const SensitivityGrid proto = make_sensitivity_grid(
-        campaign.surfaces(), exec_config.sensitivity_buckets);
-    grids.assign(exec_config.effective_shards(), proto);
-  }
+  SensitivityGrid own;
+  SensitivityGrid* target =
+      exec::sensitivity_target(grid, exec_config, campaign.surfaces(), own);
   exec::ShardedRun run = exec::run_sharded_campaign(
-      config, exec_config, "temporal", TemporalCampaign::kSeedSalt,
+      config, exec_config, "temporal", TemporalCampaign::kSeedSalt, target,
       [&](const exec::CampaignShard& shard, CampaignShardState& state,
-          std::uint64_t max_strikes) {
-        // Tallies into the worker's per-shard delta registry; the
-        // runner merges the deltas post-join in shard order.
-        CampaignObserver observer(shard.config, "temporal");
-        campaign.run_chunk(shard.config, state, max_strikes,
-                           obs::enabled() ? &observer : nullptr,
-                           grids.empty() ? nullptr : &grids[shard.index]);
+          std::uint64_t max_strikes, SensitivityGrid* shard_grid) {
+        campaign.run_chunk(shard.config, state, max_strikes, shard_grid);
       });
-  if (!grids.empty()) {
-    run.sensitivity = grids.front();
-    for (std::size_t i = 1; i < grids.size(); ++i)
-      run.sensitivity.merge_from(grids[i]);
-  }
+  run.sensitivity = std::move(own);
   return run;
 }
 

@@ -18,13 +18,13 @@
 //    per word; no mask is built) and returns the strike's final pre-ACE
 //    verdict, so each strike tallies as soon as it is drawn.
 //
-// Equivalence contract: counters, grids, observer calls, and the RNG
-// stream match run_chunk_reference bit for bit for every chunk
-// schedule. The draw schedule per strike is region, origin, instant,
-// then — only when a mapped block occupies the struck word at that
-// instant — multiplicity, one burned draw per struck codeword, and one
-// ACE Bernoulli iff the pre-ACE verdict is not Masked, the reference's
-// own gate. Pinned by tests/fault/batch_engine_test.cpp and the
+// Equivalence contract: counters, grids, and the RNG stream match
+// run_chunk_reference bit for bit for every chunk schedule. The draw
+// schedule per strike is region, origin, instant, then — only when a
+// mapped block occupies the struck word at that instant —
+// multiplicity, one burned draw per struck codeword, and one ACE
+// Bernoulli iff the pre-ACE verdict is not Masked, the reference's own
+// gate. Pinned by tests/fault/batch_engine_test.cpp and the
 // CampaignGolden suite.
 #include <algorithm>
 #include <cstdint>
@@ -32,7 +32,6 @@
 
 #include "ftspm/core/system_campaign.h"
 #include "ftspm/fault/batch_engine.h"
-#include "ftspm/fault/campaign_observer.h"
 #include "ftspm/fault/sensitivity.h"
 
 namespace ftspm {
@@ -56,7 +55,6 @@ struct SpanInfo {
 void TemporalCampaign::run_chunk(const CampaignConfig& config,
                                  CampaignShardState& state,
                                  std::uint64_t max_strikes,
-                                 CampaignObserver* observer,
                                  SensitivityGrid* grid) const {
   const std::uint64_t end =
       std::min(config.strikes, state.done + max_strikes);
@@ -64,10 +62,6 @@ void TemporalCampaign::run_chunk(const CampaignConfig& config,
     state.done = end;
     return;
   }
-
-  // An inert observer's on_strike is a no-op per strike; skip the
-  // calls outright (the static engine makes the same check).
-  if (observer != nullptr && !observer->active()) observer = nullptr;
 
   CampaignScratch::Batch& batch = state.scratch.batch;
   detail::build_region_table(surfaces_, batch);
@@ -142,9 +136,8 @@ void TemporalCampaign::run_chunk(const CampaignConfig& config,
         o = static_cast<std::uint8_t>(StrikeOutcome::Masked);
     }
     ++tallies[o];
-    const auto outcome = static_cast<StrikeOutcome>(o);
-    if (observer != nullptr) observer->on_strike(strike, outcome);
-    if (grid != nullptr) grid->record(rid, origin, outcome);
+    if (grid != nullptr)
+      grid->record(rid, origin, static_cast<StrikeOutcome>(o));
   }
 
   state.partial.strikes += end - state.done;

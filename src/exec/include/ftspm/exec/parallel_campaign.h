@@ -1,18 +1,24 @@
-// ftspm/exec: the sharded campaign runner.
+// ftspm/exec: the campaign runner.
 //
-// Drives a set of campaign shards (see shard.h) across a ThreadPool in
-// fixed-size chunks, aggregating progress thread-safely and writing
-// JSON checkpoints so multi-hour campaigns survive a kill. The runner
-// is campaign-kind agnostic: callers supply a chunk function that
-// advances one shard's CampaignShardState, and the fault/core layers
-// provide the static and temporal kinds on top.
+// Drives a set of campaign shards (see shard.h) in fixed-size chunks,
+// on a ThreadPool or, when only one worker could run, inline on the
+// calling thread. It aggregates progress thread-safely, writes JSON
+// checkpoints so multi-hour campaigns survive a kill, and owns every
+// campaign's telemetry: event-log phase and shard records, trace
+// lanes, the campaign.* counters and the per-shard sensitivity grids.
+// The runner is campaign-kind agnostic: callers supply a chunk
+// function that advances one shard's CampaignShardState, and the
+// fault/core layers provide the static, recovery and temporal kinds on
+// top. Every kind's serial entry point (run_campaign below,
+// run_recovery_campaign, core's run_temporal_campaign) is a one-shard
+// run of its sharded counterpart.
 //
 // Determinism contract: for a fixed (seed, strikes, shard_count) the
 // merged counters are bit-identical across any jobs value, any chunk
 // size, and any suspend/resume schedule — each shard's sequence is a
 // pure function of its derived seed, and the merge is a plain sum in
 // shard order. Only shard_count changes results; shard_count == 1
-// reproduces the serial campaign exactly.
+// keeps the root seed.
 #pragma once
 
 #include <atomic>
@@ -26,6 +32,7 @@
 #include "ftspm/fault/recovery.h"
 #include "ftspm/fault/sensitivity.h"
 #include "ftspm/fault/strike_model.h"
+#include "ftspm/util/error.h"
 
 namespace ftspm::exec {
 
@@ -78,9 +85,9 @@ struct ExecConfig {
   /// Live telemetry (off unless out_path is set). Never affects
   /// results or deterministic artefacts.
   HeartbeatConfig heartbeat;
-  /// Buckets per region of the per-shard sensitivity grids (see
-  /// fault/sensitivity.h); 0 disables them. Each shard records into its
-  /// own grid and the coordinator merges them in shard order, so the
+  /// Buckets per region of the run's sensitivity grid (see
+  /// fault/sensitivity.h); 0 disables it. Each shard records into its
+  /// own copy and the runner merges the copies in shard order, so the
   /// merged grid is jobs-invariant. A resumed run's grid covers only
   /// the strikes executed by this invocation (grids are not
   /// checkpointed). Never affects campaign counters.
@@ -128,33 +135,66 @@ struct ShardedRun {
   SensitivityGrid sensitivity;
 };
 
-/// Advances `state` by at most `max_strikes` strikes of `shard`.
-/// Called concurrently for different shards, never for the same shard;
-/// implementations must touch only the shard's own state and shared
-/// *read-only* context.
+/// Advances `state` by at most `max_strikes` strikes of `shard`,
+/// recording each strike into `grid` when it is non-null (the shard's
+/// private copy of the run's sensitivity grid). Called concurrently for
+/// different shards, never for the same shard; implementations must
+/// touch only the shard's own state and shared *read-only* context.
 using ShardChunkFn = std::function<void(
     const CampaignShard& shard, CampaignShardState& state,
-    std::uint64_t max_strikes)>;
+    std::uint64_t max_strikes, SensitivityGrid* grid)>;
 
 /// Runs the sharded campaign described by (root, exec) with
 /// kind-specific chunk execution. `seed_salt` is xored into each
-/// shard's seed at generator construction (the temporal campaign's
-/// historical salt); `kind` tags checkpoints so a static checkpoint
-/// cannot resume a temporal campaign. Root progress callbacks fire
-/// with globally aggregated strike counts, monotonically, completion
-/// exactly once.
+/// shard's seed at generator construction (the recovery and temporal
+/// kinds' historical salts); `kind` tags checkpoints so a static
+/// checkpoint cannot resume a temporal campaign.
+///
+/// With no caller-owned pool and min(effective jobs, shards) == 1 the
+/// shard tasks run in order on the calling thread; otherwise on a pool.
+/// Either way the runner alone writes the telemetry: the phase and
+/// shard event-log records, the per-shard trace lanes, and the
+/// `campaign.strikes` / `campaign.vulnerable` counters, booked from
+/// each shard's counters after the join.
+///
+/// `grid` (nullable, active) receives the run's strikes: each shard
+/// records into a zeroed copy, and the copies are added into `grid` in
+/// shard order after the join, so a caller's grid keeps accumulating
+/// across runs.
+///
+/// Root progress callbacks fire with globally aggregated strike
+/// counts, monotonically, completion exactly once. Each chunk ends at
+/// its shard's next multiple of root.progress_interval, so a one-shard
+/// run reports at exactly the multiples of the interval.
 ShardedRun run_sharded_campaign(const CampaignConfig& root,
                                 const ExecConfig& exec, std::string_view kind,
-                                std::uint64_t seed_salt,
+                                std::uint64_t seed_salt, SensitivityGrid* grid,
                                 const ShardChunkFn& run_chunk);
 
-/// The static injector campaign (fault/injector.h run_campaign),
-/// sharded. merged counters with exec.shards == 1 match run_campaign
-/// bit for bit.
+/// The grid a kind's run records into: `caller` when given; else
+/// `own`, built over `regions` when exec.sensitivity_buckets asks for
+/// one; else none. Passing both a grid and sensitivity_buckets is an
+/// error.
+template <typename Region>
+SensitivityGrid* sensitivity_target(SensitivityGrid* caller,
+                                    const ExecConfig& exec,
+                                    const std::vector<Region>& regions,
+                                    SensitivityGrid& own) {
+  if (exec.sensitivity_buckets == 0) return caller;
+  FTSPM_REQUIRE(caller == nullptr,
+                "pass a sensitivity grid or sensitivity_buckets, not both");
+  own = make_sensitivity_grid(regions, exec.sensitivity_buckets);
+  return &own;
+}
+
+/// The static injector campaign (fault/injector.h), sharded. `grid`
+/// (nullable) is the caller's grid, as in run_sharded_campaign; without
+/// it, exec.sensitivity_buckets fills ShardedRun::sensitivity.
 ShardedRun run_campaign_sharded(const std::vector<InjectionRegion>& regions,
                                 const StrikeMultiplicityModel& strikes,
                                 const CampaignConfig& config,
-                                const ExecConfig& exec);
+                                const ExecConfig& exec,
+                                SensitivityGrid* grid = nullptr);
 
 /// What a sharded recovery campaign produced: merged strike and
 /// recovery counters plus the per-shard partials, all in shard order.
@@ -174,10 +214,36 @@ struct RecoveryShardedRun {
 /// `!policy.active()` this delegates to run_campaign_sharded, matching
 /// the static campaign bit for bit. Checkpoint/resume is rejected:
 /// the array images are not serialized, so a resumed shard could not
-/// reconstruct its state.
+/// reconstruct its state. `grid` as in run_campaign_sharded.
 RecoveryShardedRun run_recovery_campaign_sharded(
     const std::vector<RecoveryRegion>& regions,
     const StrikeMultiplicityModel& strikes, const CampaignConfig& config,
-    const RecoveryPolicy& policy, const ExecConfig& exec);
+    const RecoveryPolicy& policy, const ExecConfig& exec,
+    SensitivityGrid* grid = nullptr);
 
 }  // namespace ftspm::exec
+
+namespace ftspm {
+
+/// Runs a campaign of uniformly-aimed strikes over the given surfaces
+/// (weighted by physical bits). Deterministic for a fixed config. A
+/// one-shard run of exec::run_campaign_sharded on the calling thread.
+/// `grid` (nullable) accumulates every strike's (region, origin bit,
+/// final outcome) — see fault/sensitivity.h; it never affects results.
+CampaignResult run_campaign(const std::vector<InjectionRegion>& regions,
+                            const StrikeMultiplicityModel& strikes,
+                            const CampaignConfig& config = {},
+                            SensitivityGrid* grid = nullptr);
+
+/// Recovery campaign (fault/recovery.h) as a one-shard run of
+/// exec::run_recovery_campaign_sharded on the calling thread. With
+/// `!policy.active()` this is exactly run_campaign; otherwise the
+/// live-array loop runs under `config.seed ^ LiveArrayCampaign::
+/// kSeedSalt`.
+RecoveryResult run_recovery_campaign(const std::vector<RecoveryRegion>& regions,
+                                     const StrikeMultiplicityModel& strikes,
+                                     const CampaignConfig& config,
+                                     const RecoveryPolicy& policy,
+                                     SensitivityGrid* grid = nullptr);
+
+}  // namespace ftspm

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "ftspm/exec/thread_pool.h"
-#include "ftspm/fault/campaign_observer.h"
 #include "ftspm/obs/event_log.h"
 #include "ftspm/obs/metrics.h"
 #include "ftspm/obs/periodic_writer.h"
@@ -51,7 +50,11 @@ class ProgressAggregator {
     if (root_.progress_interval == 0 || !root_.progress) return;
     const std::lock_guard<std::mutex> lock(mutex_);
     if (done >= root_.strikes) return;  // completion is the coordinator's
-    if (done - last_reported_ < root_.progress_interval) return;
+    // Workers can reach the lock out of order: a count at or below the
+    // last one reported is stale, and reporting it would go backwards.
+    if (done <= last_reported_ ||
+        done - last_reported_ < root_.progress_interval)
+      return;
     last_reported_ = done;
     root_.progress(done, root_.strikes);
   }
@@ -122,14 +125,14 @@ obs::PeriodicWriter::LineFn heartbeat_line(
     const HeartbeatConfig& config, const std::vector<CampaignShard>& plan,
     std::uint64_t already_done, std::uint64_t total_strikes,
     std::uint64_t chunks_total, const std::atomic<std::uint64_t>* shard_done,
-    const std::atomic<std::uint64_t>& chunks_done, const ThreadPool& pool) {
+    const std::atomic<std::uint64_t>& chunks_done, const ThreadPool* pool) {
   using Clock = std::chrono::steady_clock;
   std::vector<std::uint64_t> prev_done(plan.size());
   for (std::size_t i = 0; i < plan.size(); ++i)
     prev_done[i] = shard_done[i].load(std::memory_order_relaxed);
   const Clock::time_point start = Clock::now();
   return [&config, &plan, already_done, total_strikes, chunks_total,
-          shard_done, &chunks_done, &pool, prev_done = std::move(prev_done),
+          shard_done, &chunks_done, pool, prev_done = std::move(prev_done),
           start, prev_time = start](bool final) mutable {
     const Clock::time_point now = Clock::now();
     const double wall_ms =
@@ -167,13 +170,19 @@ obs::PeriodicWriter::LineFn heartbeat_line(
             : 0.0;
     const double eta_s =
         rate > 0.0 ? static_cast<double>(total_strikes - done) / rate : 0.0;
-    const std::uint64_t busy_ns = pool.total_busy_ns();
-    const double capacity_ns =
-        elapsed_s * 1e9 * static_cast<double>(pool.size());
-    const double utilization =
-        capacity_ns > 0.0
-            ? std::min(static_cast<double>(busy_ns) / capacity_ns, 1.0)
-            : 0.0;
+    // An inline run (no pool) keeps its one thread busy throughout.
+    const std::uint32_t workers = pool != nullptr ? pool->size() : 1;
+    double utilization = 1.0;
+    if (pool != nullptr) {
+      const double capacity_ns =
+          elapsed_s * 1e9 * static_cast<double>(workers);
+      utilization =
+          capacity_ns > 0.0
+              ? std::min(static_cast<double>(pool->total_busy_ns()) /
+                             capacity_ns,
+                         1.0)
+              : 0.0;
+    }
     w.field("done", done)
         .field("total", total_strikes)
         .field("strikes_per_sec", rate)
@@ -181,7 +190,7 @@ obs::PeriodicWriter::LineFn heartbeat_line(
         .field("chunks_done",
                chunks_done.load(std::memory_order_relaxed))
         .field("chunks_total", chunks_total)
-        .field("jobs", static_cast<std::uint64_t>(pool.size()))
+        .field("jobs", static_cast<std::uint64_t>(workers))
         .field("pool_utilization", utilization)
         .end_object();
     prev_time = now;
@@ -203,28 +212,36 @@ obs::PeriodicWriter::LineFn heartbeat_line(
   };
 }
 
-/// Deterministic post-run observability: per-shard trace lanes and
-/// pool-utilization wall timers. Emitted by the coordinator after the
-/// pool joined, in shard order, so enabling observability never
-/// perturbs (and never races with) the campaign. Campaign counters are
-/// NOT emitted here: the per-strike observers already tallied them into
-/// the per-shard delta registries, which the runner merges into the
-/// root registry in shard order — keeping the merged snapshot
-/// byte-identical to a serial run's.
-void emit_observability(const std::vector<CampaignShard>& plan,
-                        const std::vector<CampaignShardState>& states,
-                        const ThreadPool& pool) {
+/// Deterministic post-run observability: the campaign counters this
+/// invocation added, pool-utilization wall timers, and per-shard trace
+/// lanes. Emitted by the coordinator after the join, in shard order,
+/// so enabling observability never perturbs (and never races with) the
+/// campaign, and the snapshot is the same for any --jobs.
+void emit_observability(const std::vector<CampaignShardState>& states,
+                        const std::vector<CampaignResult>& initial,
+                        const std::vector<std::uint64_t>& worker_busy_ns) {
   if (!obs::enabled()) return;
   obs::Registry& reg = obs::registry();
+  std::uint64_t strikes = 0;
+  std::uint64_t vulnerable = 0;
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    const CampaignResult& now = states[i].partial;
+    strikes += now.strikes - initial[i].strikes;
+    vulnerable += (now.due + now.sdc) - (initial[i].due + initial[i].sdc);
+  }
+  if (strikes != 0) {
+    reg.counter("campaign.strikes").add(strikes);
+    reg.counter("campaign.vulnerable").add(vulnerable);
+  }
   // Wall-clock-only pool telemetry; excluded from default snapshots,
   // so deterministic dumps stay jobs-invariant.
-  for (std::uint32_t w = 0; w < pool.size(); ++w)
+  for (std::size_t w = 0; w < worker_busy_ns.size(); ++w)
     reg.timer("exec.worker" + std::to_string(w) + ".busy")
-        .record_ns(pool.worker_busy_ns(w));
+        .record_ns(worker_busy_ns[w]);
 
   obs::TraceEventSink* trace = obs::current_trace();
   if (trace == nullptr) return;
-  for (std::size_t i = 0; i < plan.size(); ++i) {
+  for (std::size_t i = 0; i < states.size(); ++i) {
     const obs::TraceEventSink::LaneId lane =
         trace->lane("exec", "shard" + std::to_string(i));
     const CampaignResult& p = states[i].partial;
@@ -240,10 +257,12 @@ void emit_observability(const std::vector<CampaignShard>& plan,
 
 ShardedRun run_sharded_campaign(const CampaignConfig& root,
                                 const ExecConfig& exec, std::string_view kind,
-                                std::uint64_t seed_salt,
+                                std::uint64_t seed_salt, SensitivityGrid* grid,
                                 const ShardChunkFn& run_chunk) {
   FTSPM_REQUIRE(static_cast<bool>(run_chunk), "a chunk runner is required");
   FTSPM_REQUIRE(exec.chunk_strikes >= 1, "chunk_strikes must be >= 1");
+  FTSPM_REQUIRE(grid == nullptr || grid->active(),
+                "the sensitivity grid must be active");
   const std::uint32_t jobs = exec.effective_jobs();
   const std::uint32_t shard_count = exec.effective_shards();
   const std::vector<CampaignShard> plan = make_shard_plan(root, shard_count);
@@ -276,10 +295,14 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
     }
   }
 
+  // What each shard held before this invocation: the counters and
+  // telemetry cover only the strikes run here.
   std::vector<std::uint64_t> initial_done(shard_count);
+  std::vector<CampaignResult> initial(shard_count);
   std::uint64_t already_done = 0;
   for (std::uint32_t i = 0; i < shard_count; ++i) {
     initial_done[i] = states[i].done;
+    initial[i] = states[i].partial;
     already_done += states[i].done;
   }
 
@@ -309,10 +332,39 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
                     obs::TraceArg::num("seed", plan[i].config.seed)});
   }
 
-  // Per-shard delta registries: workers run with registry() redirected
-  // to their shard's delta so per-strike instrumentation keeps firing
-  // without races; merged into the root in shard order after the join.
-  std::vector<obs::Registry> shard_registries(shard_count);
+  // Per-shard sensitivity grids: zeroed copies of the caller's grid,
+  // each touched only by its shard's worker, added into `grid` in shard
+  // order after the join.
+  std::vector<SensitivityGrid> grids;
+  if (grid != nullptr)
+    grids.assign(shard_count,
+                 SensitivityGrid(grid->regions(), grid->buckets()));
+
+  // Chunk schedule: at most one granule, cut at the shard's next
+  // multiple of the progress interval so a report can land exactly
+  // there. Chunking never affects results.
+  const std::uint64_t granule = exec.effective_chunk_strikes();
+  const std::uint64_t cut = root.progress ? root.progress_interval : 0;
+  const auto chunk_end = [granule, cut](std::uint64_t done,
+                                        std::uint64_t total) {
+    std::uint64_t step = std::min(granule, total - done);
+    if (cut != 0) step = std::min(step, cut - done % cut);
+    return done + step;
+  };
+  // How many chunks chunk_end makes of [done, total): whole granules
+  // between consecutive cuts, in closed form.
+  const auto chunk_count = [granule, cut](std::uint64_t done,
+                                          std::uint64_t total) {
+    const auto granules = [granule](std::uint64_t n) {
+      return n / granule + (n % granule != 0 ? 1 : 0);
+    };
+    if (cut == 0 || total - done <= cut - done % cut)
+      return granules(total - done);
+    const std::uint64_t first = cut - done % cut;
+    const std::uint64_t rest = total - done - first;
+    return granules(first) + rest / cut * granules(cut) +
+           granules(rest % cut);
+  };
 
   // Heartbeat feed: relaxed per-shard progress slots plus a global
   // chunk counter. Cheap enough to maintain unconditionally.
@@ -322,9 +374,7 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
   std::uint64_t chunks_total = 0;
   for (std::uint32_t i = 0; i < shard_count; ++i) {
     shard_done[i].store(initial_done[i], std::memory_order_relaxed);
-    const std::uint64_t remaining = plan[i].config.strikes - initial_done[i];
-    const std::uint64_t granule = exec.effective_chunk_strikes();
-    chunks_total += (remaining + granule - 1) / granule;
+    chunks_total += chunk_count(initial_done[i], plan[i].config.strikes);
   }
 
   // Wall-clock shard attribution (ExecConfig::shard_span): each worker
@@ -349,23 +399,25 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
     }
   }
 
-  // A caller-owned pool (ExecConfig::pool) lets a long-running service
-  // amortize worker threads across requests; otherwise the run owns a
-  // private pool sized by effective_jobs(). Either way the counters are
-  // identical — concurrency never reaches the result.
+  // Where the shard tasks run. A caller-owned pool (ExecConfig::pool)
+  // lets a long-running service amortize worker threads across
+  // requests. Otherwise, when only one worker could run at a time, the
+  // tasks run in order on the calling thread — no pool to spawn and
+  // join; else the run owns a private pool sized by effective_jobs().
+  // Either way the counters are identical — concurrency never reaches
+  // the result.
   std::unique_ptr<ThreadPool> owned_pool;
-  if (exec.pool == nullptr) owned_pool = std::make_unique<ThreadPool>(jobs);
-  ThreadPool& pool = exec.pool != nullptr ? *exec.pool : *owned_pool;
+  if (exec.pool == nullptr && std::min(jobs, shard_count) > 1)
+    owned_pool = std::make_unique<ThreadPool>(jobs);
+  ThreadPool* pool = exec.pool != nullptr ? exec.pool : owned_pool.get();
+
   std::vector<std::function<void()>> tasks;
   tasks.reserve(shard_count);
   for (std::uint32_t i = 0; i < shard_count; ++i) {
     tasks.push_back([&, i] {
-      // Workers must not touch the process-wide registry, trace, or
-      // event log — counters go to the shard's delta registry and the
-      // coordinator emits the single-writer sinks after the join.
-      const obs::ThreadRegistryScope redirect(shard_registries[i]);
       const CampaignShard& shard = plan[i];
       CampaignShardState& state = states[i];
+      SensitivityGrid* shard_grid = grids.empty() ? nullptr : &grids[i];
       if (span_start != nullptr)
         span_start[i].store(span_ns(), std::memory_order_relaxed);
       std::uint64_t since_checkpoint = 0;
@@ -381,7 +433,9 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
           break;
         }
         const std::uint64_t before = state.done;
-        run_chunk(shard, state, exec.effective_chunk_strikes());
+        run_chunk(shard, state,
+                  chunk_end(before, shard.config.strikes) - before,
+                  shard_grid);
         FTSPM_CHECK(state.done > before,
                     "campaign chunk runner made no progress");
         const std::uint64_t advanced = state.done - before;
@@ -400,6 +454,7 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
         span_end[i].store(span_ns(), std::memory_order_relaxed);
     });
   }
+  std::vector<std::uint64_t> worker_busy_ns;
   {
     // The writer joins (and writes its final beat) before results are
     // merged, even when a worker throws.
@@ -410,7 +465,15 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
                         heartbeat_line(exec.heartbeat, plan, already_done,
                                        root.strikes, chunks_total,
                                        shard_done.get(), chunks_done, pool));
-    pool.run_all(std::move(tasks));
+    if (pool != nullptr) {
+      pool->run_all(std::move(tasks));
+      for (std::uint32_t w = 0; w < pool->size(); ++w)
+        worker_busy_ns.push_back(pool->worker_busy_ns(w));
+    } else {
+      const std::uint64_t start = span_ns();
+      for (const std::function<void()>& task : tasks) task();
+      worker_busy_ns.push_back(span_ns() - start);
+    }
   }
 
   if (exec.shard_span)
@@ -426,6 +489,7 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
   run.complete = true;
   for (std::uint32_t i = 0; i < shard_count; ++i)
     if (states[i].done < plan[i].config.strikes) run.complete = false;
+  for (const SensitivityGrid& shard_grid : grids) grid->merge_from(shard_grid);
 
   // One final write so a halted (or freshly finished) run leaves a
   // consistent resume point on disk.
@@ -434,14 +498,7 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
   checkpoints.flush();
 
   progress.finish(run.complete);
-  if (obs::enabled()) {
-    // Shard-order merge of the per-shard counter deltas: the root
-    // registry ends up byte-identical to a serial run's for any --jobs.
-    obs::Registry& reg = obs::registry();
-    for (const obs::Registry& shard_reg : shard_registries)
-      reg.merge_from(shard_reg);
-  }
-  emit_observability(plan, states, pool);
+  emit_observability(states, initial, worker_busy_ns);
   if (events != nullptr) {
     std::uint64_t total_done = 0;
     for (std::uint32_t i = 0; i < shard_count; ++i) {
@@ -473,55 +530,21 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
   return run;
 }
 
-namespace {
-
-/// One private sensitivity grid per shard (empty when disabled). Like
-/// the RecoveryShardSide vector, each slot is touched only by the
-/// worker that owns the shard, so no synchronization is needed.
-std::vector<SensitivityGrid> make_shard_grids(std::size_t shard_count,
-                                              const SensitivityGrid& proto) {
-  std::vector<SensitivityGrid> grids;
-  if (!proto.active()) return grids;
-  grids.reserve(shard_count);
-  for (std::size_t i = 0; i < shard_count; ++i) grids.push_back(proto);
-  return grids;
-}
-
-/// Shard-order merge of the per-shard grids into `merged`, mirroring
-/// the delta-registry merge: counts end up identical to a serial run's
-/// for any --jobs.
-void merge_shard_grids(SensitivityGrid& merged,
-                       const std::vector<SensitivityGrid>& grids) {
-  if (grids.empty()) return;
-  merged = grids.front();
-  for (std::size_t i = 1; i < grids.size(); ++i)
-    merged.merge_from(grids[i]);
-}
-
-}  // namespace
-
 ShardedRun run_campaign_sharded(const std::vector<InjectionRegion>& regions,
                                 const StrikeMultiplicityModel& strikes,
                                 const CampaignConfig& config,
-                                const ExecConfig& exec) {
-  std::vector<SensitivityGrid> grids = make_shard_grids(
-      exec.effective_shards(),
-      exec.sensitivity_buckets != 0
-          ? make_sensitivity_grid(regions, exec.sensitivity_buckets)
-          : SensitivityGrid());
+                                const ExecConfig& exec,
+                                SensitivityGrid* grid) {
+  SensitivityGrid own;
   ShardedRun run = run_sharded_campaign(
       config, exec, "static", /*seed_salt=*/0,
+      sensitivity_target(grid, exec, regions, own),
       [&](const CampaignShard& shard, CampaignShardState& state,
-          std::uint64_t max_strikes) {
-        // Tallies into the worker's per-shard delta registry (the shard
-        // config has no progress callback — make_shard_plan cleared
-        // it), merged post-join so counters match the serial run's.
-        CampaignObserver observer(shard.config, "static");
+          std::uint64_t max_strikes, SensitivityGrid* shard_grid) {
         run_campaign_chunk(regions, strikes, shard.config, state, max_strikes,
-                           obs::enabled() ? &observer : nullptr,
-                           grids.empty() ? nullptr : &grids[shard.index]);
+                           shard_grid);
       });
-  merge_shard_grids(run.sensitivity, grids);
+  run.sensitivity = std::move(own);
   return run;
 }
 
@@ -532,7 +555,18 @@ namespace {
 /// only, after the join, shard order).
 void emit_recovery_observability(const RecoveryShardedRun& run) {
   if (!obs::enabled()) return;
-  emit_recovery_metrics(run.merged.recovery);
+  obs::Registry& reg = obs::registry();
+  const RecoveryCounters& m = run.merged.recovery;
+  reg.counter("recovery.demand_reads").add(m.demand_reads);
+  reg.counter("recovery.corrections").add(m.corrections);
+  reg.counter("recovery.scrub_passes").add(m.scrub_passes);
+  reg.counter("recovery.scrub_words").add(m.scrub_words);
+  reg.counter("recovery.scrub_corrections").add(m.scrub_corrections);
+  reg.counter("recovery.refetches").add(m.refetches);
+  reg.counter("recovery.unrecoverable").add(m.unrecoverable);
+  reg.counter("recovery.sdc_reads").add(m.sdc_reads);
+  reg.counter("recovery.cycles").add(m.recovery_cycles);
+  reg.gauge("recovery.energy_pj").set(m.recovery_energy_pj);
 
   obs::TraceEventSink* trace = obs::current_trace();
   if (trace == nullptr) return;
@@ -554,7 +588,8 @@ void emit_recovery_observability(const RecoveryShardedRun& run) {
 RecoveryShardedRun run_recovery_campaign_sharded(
     const std::vector<RecoveryRegion>& regions,
     const StrikeMultiplicityModel& strikes, const CampaignConfig& config,
-    const RecoveryPolicy& policy, const ExecConfig& exec) {
+    const RecoveryPolicy& policy, const ExecConfig& exec,
+    SensitivityGrid* grid) {
   RecoveryShardedRun out;
   if (!policy.active()) {
     // Static semantics: reuse the static sharded path (including its
@@ -562,7 +597,7 @@ RecoveryShardedRun run_recovery_campaign_sharded(
     std::vector<InjectionRegion> inject;
     inject.reserve(regions.size());
     for (const RecoveryRegion& r : regions) inject.push_back(r.inject);
-    ShardedRun run = run_campaign_sharded(inject, strikes, config, exec);
+    ShardedRun run = run_campaign_sharded(inject, strikes, config, exec, grid);
     out.complete = run.complete;
     out.merged = RecoveryResult{run.merged, {}};
     out.shard_results.reserve(run.shard_results.size());
@@ -579,23 +614,16 @@ RecoveryShardedRun run_recovery_campaign_sharded(
   // The runner owns the core shard states; the image/counter sides live
   // here, indexed by shard, touched only by that shard's worker.
   std::vector<RecoveryShardSide> sides(exec.effective_shards());
-  std::vector<SensitivityGrid> grids = make_shard_grids(
-      exec.effective_shards(),
-      exec.sensitivity_buckets != 0
-          ? make_sensitivity_grid(regions, exec.sensitivity_buckets)
-          : SensitivityGrid());
   const ShardedRun run = run_sharded_campaign(
       config, exec, "recovery", LiveArrayCampaign::kSeedSalt,
+      sensitivity_target(grid, exec, regions, out.sensitivity),
       [&](const CampaignShard& shard, CampaignShardState& state,
-          std::uint64_t max_strikes) {
+          std::uint64_t max_strikes, SensitivityGrid* shard_grid) {
         RecoveryShardSide& side = sides[shard.index];
         campaign.ensure_shard_images(side, shard.config.seed);
-        CampaignObserver observer(shard.config, "recovery");
         campaign.run_chunk(shard.config, state, side, max_strikes,
-                           obs::enabled() ? &observer : nullptr,
-                           grids.empty() ? nullptr : &grids[shard.index]);
+                           shard_grid);
       });
-  merge_shard_grids(out.sensitivity, grids);
 
   out.complete = run.complete;
   out.shard_results.reserve(run.shard_results.size());
@@ -612,3 +640,26 @@ RecoveryShardedRun run_recovery_campaign_sharded(
 }
 
 }  // namespace ftspm::exec
+
+namespace ftspm {
+
+CampaignResult run_campaign(const std::vector<InjectionRegion>& regions,
+                            const StrikeMultiplicityModel& strikes,
+                            const CampaignConfig& config,
+                            SensitivityGrid* grid) {
+  return exec::run_campaign_sharded(regions, strikes, config,
+                                    exec::ExecConfig{}, grid)
+      .merged;
+}
+
+RecoveryResult run_recovery_campaign(const std::vector<RecoveryRegion>& regions,
+                                     const StrikeMultiplicityModel& strikes,
+                                     const CampaignConfig& config,
+                                     const RecoveryPolicy& policy,
+                                     SensitivityGrid* grid) {
+  return exec::run_recovery_campaign_sharded(regions, strikes, config, policy,
+                                             exec::ExecConfig{}, grid)
+      .merged;
+}
+
+}  // namespace ftspm

@@ -85,19 +85,11 @@ struct CampaignResult {
 
 class SensitivityGrid;
 
-/// Runs a campaign of uniformly-aimed strikes over the given surfaces
-/// (weighted by physical bits). Deterministic for a fixed config.
-/// `grid` (nullable) receives every strike's (region, origin bit,
-/// final outcome) — see fault/sensitivity.h; it never affects results.
-CampaignResult run_campaign(const std::vector<InjectionRegion>& regions,
-                            const StrikeMultiplicityModel& strikes,
-                            const CampaignConfig& config = {},
-                            SensitivityGrid* grid = nullptr);
-
-class CampaignObserver;
+// run_campaign, the serial entry point of the static campaign, is a
+// one-shard run of the campaign runner: see exec/parallel_campaign.h.
 
 /// Strikes per block of the static campaign engine: it tallies and
-/// reports (observer, sensitivity grid) this many strikes at a time
+/// records (sensitivity grid) this many strikes at a time
 /// (docs/performance.md, "Batched classification"). Block size is pure
 /// scheduling — any width yields bit-identical results — and tests pin
 /// that by overriding CampaignScratch::Batch::width.
@@ -175,10 +167,10 @@ struct CampaignScratch {
 
   /// Workspace of the batched chunk engines. run_campaign_chunk draws
   /// and classifies one block of `width` strikes at a time, in the
-  /// documented draw order; when an observer or a sensitivity grid
-  /// listens it records each strike's region, origin and final outcome
-  /// in the per-strike arrays and replays them to the listeners after
-  /// the block (with no listener it stores nothing per strike). All
+  /// documented draw order; when a sensitivity grid is attached it
+  /// records each strike's region, origin and final outcome in the
+  /// per-strike arrays and replays them into the grid after the block
+  /// (without a grid it stores nothing per strike). All
   /// vectors are sized on first use and reused for the whole campaign.
   struct Batch {
     /// Block width. kCampaignBatchWidth for real campaigns; tests set
@@ -232,17 +224,14 @@ CampaignShardState begin_campaign_shard(std::uint64_t seed) noexcept;
 
 /// Advances `state` by up to `max_strikes` strikes of the campaign
 /// described by (regions, strikes, config), stopping early at
-/// config.strikes. Consumes the RNG exactly as `run_campaign` does, so
-/// chunking never changes results: any chunk-size schedule reaching
-/// config.strikes yields the same counters as one serial run. The
-/// observer (nullable) sees absolute strike indices; `grid` (nullable,
-/// must be active) accumulates per-(region, bucket) outcome counts off
-/// the hot path.
+/// config.strikes. Chunking never changes results: any chunk-size
+/// schedule reaching config.strikes yields the same counters as one
+/// call. `grid` (nullable, must be active) accumulates per-(region,
+/// bucket) outcome counts off the hot path.
 void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
                         const StrikeMultiplicityModel& strikes,
                         const CampaignConfig& config,
                         CampaignShardState& state, std::uint64_t max_strikes,
-                        CampaignObserver* observer = nullptr,
                         SensitivityGrid* grid = nullptr);
 
 /// Injects one m-bit adjacent upset starting at `first_bit` of a region

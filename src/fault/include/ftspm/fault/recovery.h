@@ -36,8 +36,8 @@
 // Determinism: a shard's counters are a pure function of (seed,
 // strikes, regions, policy) and are chunk-size invariant; the sharded
 // runner merges shards in index order, so results never depend on
-// --jobs. With `!policy.active()` the entry points delegate to the
-// static injector verbatim, reproducing its counters bit for bit.
+// --jobs. With `!policy.active()` the runner delegates to the static
+// injector verbatim, reproducing its counters bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +49,6 @@
 #include "ftspm/util/rng.h"
 
 namespace ftspm {
-
-class CampaignObserver;
 
 /// What the recovery pipeline does and what each repair costs. The DMA
 /// scalars mirror sim's DmaConfig/MainMemoryConfig defaults; core's
@@ -124,13 +122,6 @@ struct RecoveryResult {
   RecoveryCounters recovery;
 };
 
-/// Adds the final recovery counters to the process-wide metrics
-/// registry ("recovery.*" names). Called once per campaign by whoever
-/// owns the merged counters — the serial runner and the sharded
-/// coordinator — so serial and sharded runs leave identical registry
-/// entries. No-op when observability is disabled.
-void emit_recovery_metrics(const RecoveryCounters& counters);
-
 /// The stored codeword image of one region: per-word data bits, check
 /// bits, and the ground-truth values written. Immune regions keep no
 /// image (their cells cannot be upset).
@@ -193,20 +184,18 @@ class LiveArrayCampaign {
   /// Advances the shard by up to `max_strikes` strikes, stopping at
   /// config.strikes. Aim draws match the static campaign draw for
   /// draw; recovery draws happen strictly within a strike, so any
-  /// chunking schedule yields identical counters. The observer
-  /// (nullable) sees absolute strike indices; `grid` (nullable, see
-  /// fault/sensitivity.h) records each strike's origin and final
+  /// chunking schedule yields identical counters. `grid` (nullable,
+  /// see fault/sensitivity.h) records each strike's origin and final
   /// outcome without affecting results.
   ///
   /// This is the batched engine (recovery_batch.cpp): integer-domain
   /// aim draws over per-chunk region tables, XOR-mask flip scatter,
   /// demand decode and scrub sweeps through the batched ECC entry
-  /// points. Counters, images, grids, observer calls, and the RNG
-  /// stream are bit-identical to run_chunk_reference — pinned by
+  /// points. Counters, images, grids, and the RNG stream are
+  /// bit-identical to run_chunk_reference — pinned by
   /// tests/fault/batch_engine_test.cpp.
   void run_chunk(const CampaignConfig& config, CampaignShardState& core,
                  RecoveryShardSide& side, std::uint64_t max_strikes,
-                 CampaignObserver* observer = nullptr,
                  SensitivityGrid* grid = nullptr) const;
 
   /// The strike-at-a-time reference loop run_chunk replaced: one
@@ -217,7 +206,6 @@ class LiveArrayCampaign {
   void run_chunk_reference(const CampaignConfig& config,
                            CampaignShardState& core, RecoveryShardSide& side,
                            std::uint64_t max_strikes,
-                           CampaignObserver* observer = nullptr,
                            SensitivityGrid* grid = nullptr) const;
 
   const std::vector<RecoveryRegion>& regions() const noexcept {
@@ -258,14 +246,7 @@ class LiveArrayCampaign {
   std::vector<double> weights_;
 };
 
-/// Serial recovery campaign. With `!policy.active()` this is exactly
-/// run_campaign (same seed handling, same counters); otherwise the
-/// live-array loop runs under `config.seed ^ LiveArrayCampaign::
-/// kSeedSalt`.
-RecoveryResult run_recovery_campaign(const std::vector<RecoveryRegion>& regions,
-                                     const StrikeMultiplicityModel& strikes,
-                                     const CampaignConfig& config,
-                                     const RecoveryPolicy& policy,
-                                     SensitivityGrid* grid = nullptr);
+// run_recovery_campaign, the serial entry point, is a one-shard run of
+// exec::run_recovery_campaign_sharded: see exec/parallel_campaign.h.
 
 }  // namespace ftspm

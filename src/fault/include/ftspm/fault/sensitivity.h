@@ -10,10 +10,9 @@
 // the grid is what makes that claim inspectable per run: rendered as a
 // heatmap by `ftspm_tool report`, or diffed as CSV.
 //
-// Sharding follows the PR-5 delta-registry pattern: each shard records
-// into its own grid and the coordinator merges them post-join in shard
-// order (merge_from), so the merged grid is byte-identical to a serial
-// run's for any --jobs. A default-constructed grid is inactive
+// Sharding: the campaign runner gives each shard its own zeroed copy
+// of the run's grid and adds the copies into it post-join in shard
+// order (merge_from), so the grid is the same for any --jobs. A default-constructed grid is inactive
 // (active() == false); campaign loops take a nullable pointer and skip
 // recording entirely when no grid was requested.
 #pragma once

@@ -6,8 +6,6 @@
 #include "ftspm/ecc/parity_codec.h"
 #include "ftspm/ecc/secded_codec.h"
 #include "ftspm/fault/batch_engine.h"
-#include "ftspm/fault/campaign_observer.h"
-#include "ftspm/fault/sensitivity.h"
 #include "ftspm/util/error.h"
 
 namespace ftspm {
@@ -259,18 +257,5 @@ CampaignShardState begin_campaign_shard(std::uint64_t seed) noexcept {
 
 // run_campaign_chunk — the batched block engine — lives in
 // injector_batch.cpp.
-
-CampaignResult run_campaign(const std::vector<InjectionRegion>& regions,
-                            const StrikeMultiplicityModel& strikes,
-                            const CampaignConfig& config,
-                            SensitivityGrid* grid) {
-  CampaignShardState state = begin_campaign_shard(config.seed);
-  emit_campaign_phase_start("static", config);
-  CampaignObserver observer(config, "static");
-  run_campaign_chunk(regions, strikes, config, state, config.strikes,
-                     &observer, grid);
-  emit_campaign_phase_end("static", state.partial);
-  return state.partial;
-}
 
 }  // namespace ftspm

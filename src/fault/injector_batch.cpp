@@ -26,11 +26,11 @@
 //  stage 2 — tally: the ACE-filtered outcome (a multiply: keep is 0/1
 //      and Masked is 0) joins one packed counter word (OutcomeTally),
 //      flushed into the shard's counters after each block.
-//  stage 3 — observer and sensitivity-grid sweeps over the block.
+//  stage 3 — the sensitivity-grid sweep over the block.
 //
-// When nothing consumes per-strike state — observer inactive, no
-// sensitivity grid — the chunk runs in TIGHT mode: stage 3 and the
-// per-slot stores that feed it disappear. Both modes draw, classify
+// Without a sensitivity grid nothing consumes per-strike state, and the
+// chunk runs in TIGHT mode: stage 3 and the per-slot stores that feed
+// it disappear. Both modes draw, classify
 // and count identically; tight mode just skips materializing state
 // nobody reads.
 //
@@ -40,9 +40,9 @@
 // and temporal engines (recovery_batch.cpp, system_campaign.cpp); the
 // non-trivial ones are defined at the bottom of this file.
 //
-// Equivalence contract: identical counters, grids, observer calls, and
-// RNG stream position to the old per-strike loop for every
-// (regions, strikes, config, chunking) — pinned by
+// Equivalence contract: identical counters, grids, and RNG stream
+// position to the old per-strike loop for every (regions, strikes,
+// config, chunking) — pinned by
 // tests/fault/batch_engine_test.cpp against classify_strike and by
 // tests/integration/campaign_golden_test.cpp end to end.
 #include <algorithm>
@@ -52,7 +52,6 @@
 #include <utility>
 
 #include "ftspm/fault/batch_engine.h"
-#include "ftspm/fault/campaign_observer.h"
 #include "ftspm/fault/injector.h"
 #include "ftspm/fault/sensitivity.h"
 #include "ftspm/util/error.h"
@@ -417,7 +416,7 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
                         const StrikeMultiplicityModel& strikes,
                         const CampaignConfig& config,
                         CampaignShardState& state, std::uint64_t max_strikes,
-                        CampaignObserver* observer, SensitivityGrid* grid) {
+                        SensitivityGrid* grid) {
   FTSPM_REQUIRE(!regions.empty(), "campaign needs at least one region");
   CampaignScratch::Batch& batch = state.scratch.batch;
   FTSPM_REQUIRE(batch.width >= 1, "batch width must be >= 1");
@@ -442,10 +441,9 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
   const std::uint32_t width =
       std::min(batch.width, OutcomeTally::kCapacity);
 
-  // Does anything read per-strike state? Only then are the per-slot
+  // Only a grid reads per-strike state; only then are the per-slot
   // arrays filled (see the header comment).
-  if (observer != nullptr && !observer->active()) observer = nullptr;
-  const bool record = observer != nullptr || grid != nullptr;
+  const bool record = grid != nullptr;
   if (record) {
     batch.region_of.resize(width);
     batch.origin.resize(width);
@@ -518,18 +516,11 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
       tally.flush(state.partial);
       state.partial.strikes += block;
 
-      // ---- Stage 3: observability sweeps.
+      // ---- Stage 3: the grid sweep.
       if constexpr (kRecord) {
-        if (observer != nullptr) {
-          for (std::uint32_t slot = 0; slot < block; ++slot)
-            observer->on_strike(base + slot,
-                                static_cast<StrikeOutcome>(outcome_of[slot]));
-        }
-        if (grid != nullptr) {
-          for (std::uint32_t slot = 0; slot < block; ++slot)
-            grid->record(region_of[slot], origin_of[slot],
-                         static_cast<StrikeOutcome>(outcome_of[slot]));
-        }
+        for (std::uint32_t slot = 0; slot < block; ++slot)
+          grid->record(region_of[slot], origin_of[slot],
+                       static_cast<StrikeOutcome>(outcome_of[slot]));
       }
       state.done = base + block;
     }

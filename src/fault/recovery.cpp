@@ -4,7 +4,6 @@
 
 #include "ftspm/ecc/parity_codec.h"
 #include "ftspm/ecc/secded_codec.h"
-#include "ftspm/fault/campaign_observer.h"
 #include "ftspm/fault/sensitivity.h"
 #include "ftspm/util/error.h"
 
@@ -260,7 +259,6 @@ void LiveArrayCampaign::run_chunk_reference(const CampaignConfig& config,
                                             CampaignShardState& core,
                                             RecoveryShardSide& side,
                                             std::uint64_t max_strikes,
-                                            CampaignObserver* observer,
                                             SensitivityGrid* grid) const {
   FTSPM_REQUIRE(side.initialized,
                 "ensure_shard_images must run before run_chunk");
@@ -322,67 +320,13 @@ void LiveArrayCampaign::run_chunk_reference(const CampaignConfig& config,
       case StrikeOutcome::Sdc: ++core.partial.sdc; break;
     }
     ++core.partial.strikes;
-    if (observer != nullptr) observer->on_strike(s, outcome);
     if (grid != nullptr) grid->record(ri, origin, outcome);
 
     if (policy_.scrub_interval != 0 &&
-        (s + 1) % policy_.scrub_interval == 0) {
+        (s + 1) % policy_.scrub_interval == 0)
       scrub_sweep(side, core.rng);
-      // Scrub cadence is a pure function of the strike index, so this
-      // record is deterministic. Worker threads in a sharded run see a
-      // null event log (single-writer sink); only serial runs log
-      // per-pass records.
-      if (obs::EventLog* events = obs::current_event_log())
-        events->emit(
-            "scrub_pass", s + 1,
-            {obs::TraceArg::num("passes", side.counters.scrub_passes),
-             obs::TraceArg::num("scrub_words", side.counters.scrub_words),
-             obs::TraceArg::num("scrub_corrections",
-                                side.counters.scrub_corrections)});
-    }
   }
   core.done = end;
-}
-
-RecoveryResult run_recovery_campaign(const std::vector<RecoveryRegion>& regions,
-                                     const StrikeMultiplicityModel& strikes,
-                                     const CampaignConfig& config,
-                                     const RecoveryPolicy& policy,
-                                     SensitivityGrid* grid) {
-  if (!policy.active()) {
-    // Nothing stateful to model: delegate to the static injector so
-    // the historical counters are reproduced bit for bit.
-    std::vector<InjectionRegion> inject;
-    inject.reserve(regions.size());
-    for (const RecoveryRegion& r : regions) inject.push_back(r.inject);
-    return RecoveryResult{run_campaign(inject, strikes, config, grid), {}};
-  }
-  const LiveArrayCampaign campaign(regions, strikes, policy);
-  CampaignShardState core =
-      begin_campaign_shard(config.seed ^ LiveArrayCampaign::kSeedSalt);
-  RecoveryShardSide side;
-  campaign.ensure_shard_images(side, config.seed);
-  emit_campaign_phase_start("recovery", config);
-  CampaignObserver observer(config, "recovery");
-  campaign.run_chunk(config, core, side, config.strikes, &observer, grid);
-  emit_campaign_phase_end("recovery", core.partial);
-  emit_recovery_metrics(side.counters);
-  return RecoveryResult{core.partial, side.counters};
-}
-
-void emit_recovery_metrics(const RecoveryCounters& m) {
-  if (!obs::enabled()) return;
-  obs::Registry& reg = obs::registry();
-  reg.counter("recovery.demand_reads").add(m.demand_reads);
-  reg.counter("recovery.corrections").add(m.corrections);
-  reg.counter("recovery.scrub_passes").add(m.scrub_passes);
-  reg.counter("recovery.scrub_words").add(m.scrub_words);
-  reg.counter("recovery.scrub_corrections").add(m.scrub_corrections);
-  reg.counter("recovery.refetches").add(m.refetches);
-  reg.counter("recovery.unrecoverable").add(m.unrecoverable);
-  reg.counter("recovery.sdc_reads").add(m.sdc_reads);
-  reg.counter("recovery.cycles").add(m.recovery_cycles);
-  reg.gauge("recovery.energy_pj").set(m.recovery_energy_pj);
 }
 
 }  // namespace ftspm

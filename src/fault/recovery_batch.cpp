@@ -22,12 +22,12 @@
 //    through an auto-vectorized compare, and only set bits are gathered
 //    for the batched classify.
 //
-// Equivalence contract: counters, images, grids, observer calls, and
-// the RNG stream match run_chunk_reference bit for bit, for every
-// chunk schedule. The draw schedule per strike is pick, origin,
-// multiplicity, then per struck word (ascending) one ACE Bernoulli,
-// then (only inside a detected-uncorrectable repair) one dirty-
-// fraction Bernoulli; classification itself never draws. Precomputing
+// Equivalence contract: counters, images, grids, and the RNG stream
+// match run_chunk_reference bit for bit, for every chunk schedule.
+// The draw schedule per strike is pick, origin, multiplicity, then
+// per struck word (ascending) one ACE Bernoulli, then (only inside a
+// detected-uncorrectable repair) one dirty-fraction Bernoulli;
+// classification itself never draws. Precomputing
 // every touched word's error pattern before the ACE walk is safe
 // because resolving word w only ever rewrites word w. The floating-
 // point energy accumulator sees the same additions in the same order
@@ -42,7 +42,6 @@
 #include "ftspm/ecc/parity_codec.h"
 #include "ftspm/ecc/secded_codec.h"
 #include "ftspm/fault/batch_engine.h"
-#include "ftspm/fault/campaign_observer.h"
 #include "ftspm/fault/recovery.h"
 #include "ftspm/fault/sensitivity.h"
 #include "ftspm/util/bitops.h"
@@ -343,7 +342,6 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
                                   CampaignShardState& core,
                                   RecoveryShardSide& side,
                                   std::uint64_t max_strikes,
-                                  CampaignObserver* observer,
                                   SensitivityGrid* grid) const {
   FTSPM_REQUIRE(side.initialized,
                 "ensure_shard_images must run before run_chunk");
@@ -364,10 +362,6 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
     core.done = end;
     return;
   }
-
-  // An inert observer's on_strike is a no-op per strike; skip the calls
-  // outright (same block-level check the static batch engine makes).
-  if (observer != nullptr && !observer->active()) observer = nullptr;
 
   // Process-wide, once: prove the distance-4 popcount shortcuts the
   // demand walk takes against the real decoder before relying on them.
@@ -652,22 +646,12 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
     }
 
     ++tallies[static_cast<std::size_t>(outcome)];
-    if (observer != nullptr) observer->on_strike(s, outcome);
     if (grid != nullptr) grid->record(ri, origin, outcome);
 
     if (interval != 0 && --until_scrub == 0) {
       until_scrub = interval;
       detail::on_rng_copy(
           rng, [&](Rng& r) { scrub_sweep_batched(side, r, tables); });
-      // Scrub cadence is a pure function of the strike index, so this
-      // record is deterministic (see run_chunk_reference).
-      if (obs::EventLog* events = obs::current_event_log())
-        events->emit(
-            "scrub_pass", s + 1,
-            {obs::TraceArg::num("passes", side.counters.scrub_passes),
-             obs::TraceArg::num("scrub_words", side.counters.scrub_words),
-             obs::TraceArg::num("scrub_corrections",
-                                side.counters.scrub_corrections)});
     }
   }
   core.partial.strikes += end - core.done;

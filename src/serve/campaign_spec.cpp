@@ -1,5 +1,6 @@
 #include "ftspm/serve/campaign_spec.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <utility>
@@ -153,7 +154,8 @@ CampaignOutcome run_campaign_spec(const CampaignSpec& spec,
   cfg.strikes = spec.strikes;
   cfg.seed = spec.seed;
   if (spec.heartbeat_strikes != 0 && hooks.progress) {
-    cfg.progress_interval = spec.heartbeat_strikes;
+    cfg.progress_interval = std::max(spec.heartbeat_strikes,
+                                     spec.strikes / kMaxSpecHeartbeats);
     cfg.progress = hooks.progress;
   }
 

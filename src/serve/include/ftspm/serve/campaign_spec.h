@@ -33,6 +33,10 @@ inline constexpr std::uint64_t kMaxSpecSize = std::uint64_t{1} << 40;
 inline constexpr std::uint64_t kMaxSpecInterleave = std::uint64_t{1} << 16;
 inline constexpr std::uint64_t kMaxSpecShards = 4096;
 inline constexpr std::uint64_t kMaxSpecRefetchWords = std::uint64_t{1} << 32;
+/// Most heartbeats a run reports, whatever its heartbeat_strikes: each
+/// one ends a runner chunk, so a tiny interval must not turn a run
+/// into one-strike chunks and one frame per strike.
+inline constexpr std::uint64_t kMaxSpecHeartbeats = 1000;
 
 /// One campaign request. Field names and defaults match the
 /// `ftspm_tool campaign` flags (plus an explicit seed, which the CLI
@@ -50,8 +54,9 @@ struct CampaignSpec {
   std::uint64_t scrub_interval = 0;
   double dirty_fraction = 0.25;
   std::uint64_t refetch_words = 64;
-  /// Strikes between streamed heartbeat frames (0 = none). Reporting
-  /// only: never touches the RNG or the counters.
+  /// Strikes between streamed heartbeat frames (0 = none), raised to
+  /// strikes / kMaxSpecHeartbeats when smaller. Reporting only: never
+  /// touches the RNG or the counters.
   std::uint64_t heartbeat_strikes = 0;
 };
 
@@ -75,7 +80,7 @@ std::string spec_to_json(const CampaignSpec& spec);
 /// spec.shards. The defaults run the spec standalone on one worker.
 struct CampaignRunHooks : exec::ExecConfig {
   /// Invoked every spec.heartbeat_strikes strikes (aggregated across
-  /// shards, at chunk granularity) with (done, total). Must not throw.
+  /// shards) and once at completion with (done, total). Must not throw.
   std::function<void(std::uint64_t, std::uint64_t)> progress;
 };
 

@@ -5,6 +5,7 @@
 
 #include <string>
 #include <unistd.h>
+#include <vector>
 
 #include <cstdio>
 #include <cstdlib>
@@ -41,15 +42,16 @@ TEST(ParallelSystemCampaignTest, OneShardMatchesSerial) {
   const Fixture& f = fixture();
   CampaignConfig cfg;
   cfg.strikes = 20'000;
-  const CampaignResult serial = run_system_campaign(
+  const std::vector<InjectionRegion> regions = make_injection_regions(
       f.evaluator.ftspm_layout(), f.ftspm.plan, f.workload.program,
-      f.profile, f.evaluator.strike_model(), cfg);
+      f.profile);
+  const CampaignResult serial =
+      run_campaign(regions, f.evaluator.strike_model(), cfg);
   exec::ExecConfig exec;
   exec.jobs = 2;
   exec.shards = 1;
-  const exec::ShardedRun run = run_system_campaign_parallel(
-      f.evaluator.ftspm_layout(), f.ftspm.plan, f.workload.program,
-      f.profile, f.evaluator.strike_model(), cfg, exec);
+  const exec::ShardedRun run = exec::run_campaign_sharded(
+      regions, f.evaluator.strike_model(), cfg, exec);
   expect_same(run.merged, serial);
 }
 
@@ -63,12 +65,13 @@ TEST(ParallelSystemCampaignTest, JobsInvariantForFixedShardCount) {
   exec::ExecConfig four;
   four.jobs = 4;
   four.shards = 4;
-  const exec::ShardedRun a = run_system_campaign_parallel(
+  const std::vector<InjectionRegion> regions = make_injection_regions(
       f.evaluator.ftspm_layout(), f.ftspm.plan, f.workload.program,
-      f.profile, f.evaluator.strike_model(), cfg, one);
-  const exec::ShardedRun b = run_system_campaign_parallel(
-      f.evaluator.ftspm_layout(), f.ftspm.plan, f.workload.program,
-      f.profile, f.evaluator.strike_model(), cfg, four);
+      f.profile);
+  const exec::ShardedRun a = exec::run_campaign_sharded(
+      regions, f.evaluator.strike_model(), cfg, one);
+  const exec::ShardedRun b = exec::run_campaign_sharded(
+      regions, f.evaluator.strike_model(), cfg, four);
   expect_same(a.merged, b.merged);
 }
 

@@ -63,9 +63,10 @@ TEST(SystemCampaignTest, TimeSharedRegionOccupancyIsCapped) {
 TEST(SystemCampaignTest, McAgreesWithAnalyticAvfForFtspm) {
   CampaignConfig cfg;
   cfg.strikes = 400'000;
-  const CampaignResult mc = run_system_campaign(
-      fixture().evaluator.ftspm_layout(), fixture().ftspm.plan,
-      fixture().workload.program, fixture().profile,
+  const CampaignResult mc = run_campaign(
+      make_injection_regions(fixture().evaluator.ftspm_layout(),
+                             fixture().ftspm.plan, fixture().workload.program,
+                             fixture().profile),
       fixture().evaluator.strike_model(), cfg);
   const double analytic = fixture().ftspm.avf.vulnerability();
   // MC sits at or slightly below the analytic value (codeword-straddle
@@ -77,9 +78,10 @@ TEST(SystemCampaignTest, McAgreesWithAnalyticAvfForFtspm) {
 TEST(SystemCampaignTest, McAgreesWithAnalyticAvfForBaseline) {
   CampaignConfig cfg;
   cfg.strikes = 400'000;
-  const CampaignResult mc = run_system_campaign(
-      fixture().evaluator.pure_sram_layout(), fixture().sram.plan,
-      fixture().workload.program, fixture().profile,
+  const CampaignResult mc = run_campaign(
+      make_injection_regions(fixture().evaluator.pure_sram_layout(),
+                             fixture().sram.plan, fixture().workload.program,
+                             fixture().profile),
       fixture().evaluator.strike_model(), cfg);
   const double analytic = fixture().sram.avf.vulnerability();
   EXPECT_LE(mc.vulnerability(), analytic * 1.10 + 0.002);
@@ -89,13 +91,15 @@ TEST(SystemCampaignTest, McAgreesWithAnalyticAvfForBaseline) {
 TEST(SystemCampaignTest, McPreservesTheStructureOrdering) {
   CampaignConfig cfg;
   cfg.strikes = 200'000;
-  const CampaignResult ft = run_system_campaign(
-      fixture().evaluator.ftspm_layout(), fixture().ftspm.plan,
-      fixture().workload.program, fixture().profile,
+  const CampaignResult ft = run_campaign(
+      make_injection_regions(fixture().evaluator.ftspm_layout(),
+                             fixture().ftspm.plan, fixture().workload.program,
+                             fixture().profile),
       fixture().evaluator.strike_model(), cfg);
-  const CampaignResult sram = run_system_campaign(
-      fixture().evaluator.pure_sram_layout(), fixture().sram.plan,
-      fixture().workload.program, fixture().profile,
+  const CampaignResult sram = run_campaign(
+      make_injection_regions(fixture().evaluator.pure_sram_layout(),
+                             fixture().sram.plan, fixture().workload.program,
+                             fixture().profile),
       fixture().evaluator.strike_model(), cfg);
   EXPECT_LT(ft.vulnerability(), 0.5 * sram.vulnerability());
 }
@@ -121,9 +125,10 @@ TEST(TemporalCampaignTest, RunsAndStaysBelowTheStaticModel) {
   const CampaignResult temporal = run_temporal_campaign(
       f.evaluator.ftspm_layout(), f.ftspm.plan, f.workload.program,
       f.profile, f.evaluator.strike_model(), cfg);
-  const CampaignResult fixed = run_system_campaign(
-      f.evaluator.ftspm_layout(), f.ftspm.plan, f.workload.program,
-      f.profile, f.evaluator.strike_model(), cfg);
+  const CampaignResult fixed = run_campaign(
+      make_injection_regions(f.evaluator.ftspm_layout(), f.ftspm.plan,
+                             f.workload.program, f.profile),
+      f.evaluator.strike_model(), cfg);
   // Fidelity ordering: temporal residency can only mask more strikes
   // than the static occupancy cap (a word is often simply empty).
   EXPECT_LE(temporal.vulnerability(), fixed.vulnerability() * 1.15 + 0.003);

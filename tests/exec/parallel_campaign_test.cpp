@@ -16,11 +16,17 @@
 #include <fstream>
 #include <sstream>
 
+#include "ftspm/core/system_campaign.h"
+#include "ftspm/core/systems.h"
 #include "ftspm/fault/injector.h"
 #include "ftspm/fault/strike_model.h"
+#include "ftspm/mem/technology_library.h"
+#include "ftspm/obs/event_log.h"
 #include "ftspm/obs/metrics.h"
+#include "ftspm/obs/trace_sink.h"
 #include "ftspm/util/error.h"
 #include "ftspm/util/json.h"
+#include "ftspm/workload/case_study.h"
 
 namespace ftspm::exec {
 namespace {
@@ -68,6 +74,113 @@ TEST(ParallelCampaignTest, OneShardReproducesTheSerialCampaign) {
     EXPECT_TRUE(run.complete);
     expect_same(run.merged, serial);
   }
+}
+
+/// What one campaign call leaves in the observability sinks, with
+/// observability on and an event log and a trace in scope.
+struct Telemetry {
+  std::string metrics;
+  std::string events;
+  std::string trace;
+  std::uint64_t strikes = 0;     ///< The campaign.strikes counter.
+  std::uint64_t vulnerable = 0;  ///< The campaign.vulnerable counter.
+};
+
+template <typename Run>
+Telemetry capture(Run&& run) {
+  obs::registry().clear();
+  Telemetry t;
+  {
+    const obs::EnabledScope enable(true);
+    obs::EventLog events;
+    obs::TraceEventSink trace;
+    {
+      const obs::EventLogScope log_scope(&events);
+      const obs::TraceScope trace_scope(&trace);
+      run();
+    }
+    t.metrics = obs::registry().to_json();
+    t.events = events.str();
+    t.trace = trace.str();
+    t.strikes = obs::registry().counter("campaign.strikes").value();
+    t.vulnerable = obs::registry().counter("campaign.vulnerable").value();
+  }
+  obs::registry().clear();
+  return t;
+}
+
+/// A serial entry point is a one-shard run of the campaign runner: it
+/// leaves the same registry snapshot, event log and trace as the
+/// sharded call with a default ExecConfig, and the runner's counters
+/// agree with the result.
+void expect_serial_is_one_shard(const char* kind, const Telemetry& serial,
+                                const Telemetry& sharded,
+                                const CampaignResult& result) {
+  SCOPED_TRACE(kind);
+  EXPECT_EQ(serial.metrics, sharded.metrics);
+  EXPECT_EQ(serial.events, sharded.events);
+  EXPECT_EQ(serial.trace, sharded.trace);
+  EXPECT_NE(serial.events.find("\"phase_start\""), std::string::npos);
+  EXPECT_NE(serial.trace.find("shard0"), std::string::npos);
+  EXPECT_EQ(serial.strikes, result.strikes);
+  EXPECT_EQ(serial.vulnerable, result.due + result.sdc);
+  EXPECT_EQ(sharded.strikes, result.strikes);
+}
+
+TEST(ParallelCampaignTest, SerialEntryPointsAreOneShardRuns) {
+  CampaignConfig cfg;
+  cfg.strikes = 20'000;
+
+  CampaignResult result;
+  const Telemetry serial_static =
+      capture([&] { result = run_campaign(surfaces(), model(), cfg); });
+  const Telemetry sharded_static = capture([&] {
+    expect_same(run_campaign_sharded(surfaces(), model(), cfg, ExecConfig{})
+                    .merged,
+                result);
+  });
+  expect_serial_is_one_shard("static", serial_static, sharded_static, result);
+
+  const TechnologyLibrary lib;
+  RecoveryRegion live;
+  live.inject = InjectionRegion{RegionGeometry(2048, 8),
+                                ProtectionKind::SecDed, 0.3, 1};
+  live.tech = lib.secded_sram();
+  live.dirty_fraction = 0.25;
+  live.scrub = true;
+  RecoveryPolicy policy;
+  policy.recover = true;
+  policy.scrub_interval = 1'024;
+  const Telemetry serial_recovery = capture([&] {
+    result = run_recovery_campaign({live}, model(), cfg, policy).strikes;
+  });
+  const Telemetry sharded_recovery = capture([&] {
+    expect_same(run_recovery_campaign_sharded({live}, model(), cfg, policy,
+                                              ExecConfig{})
+                    .merged.strikes,
+                result);
+  });
+  expect_serial_is_one_shard("recovery", serial_recovery, sharded_recovery,
+                             result);
+
+  const Workload w = make_case_study(CaseStudyTargets{}.scaled_down(8));
+  const ProgramProfile profile = profile_workload(w);
+  const StructureEvaluator evaluator;
+  const SystemResult sys = evaluator.evaluate_ftspm(w, profile);
+  const Telemetry serial_temporal = capture([&] {
+    result = run_temporal_campaign(evaluator.ftspm_layout(), sys.plan,
+                                   w.program, profile,
+                                   evaluator.strike_model(), cfg);
+  });
+  const Telemetry sharded_temporal = capture([&] {
+    expect_same(run_temporal_campaign_parallel(
+                    evaluator.ftspm_layout(), sys.plan, w.program, profile,
+                    evaluator.strike_model(), cfg, ExecConfig{})
+                    .merged,
+                result);
+  });
+  expect_serial_is_one_shard("temporal", serial_temporal, sharded_temporal,
+                             result);
 }
 
 TEST(ParallelCampaignTest, ResultsIdenticalAcrossJobCounts) {
@@ -279,6 +392,39 @@ TEST(ParallelCampaignTest, HeartbeatStreamIsSchemaValidNdjson) {
   EXPECT_EQ(beats.back().at("final").boolean, true);
   EXPECT_DOUBLE_EQ(beats.back().at("done").number,
                    static_cast<double>(cfg.strikes));
+  std::remove(path.c_str());
+}
+
+TEST(ParallelCampaignTest, HeartbeatChunksTotalCountsProgressCuts) {
+  // Chunks end at each shard's multiples of the progress interval as
+  // well as at granule boundaries; the final beat must have run every
+  // chunk chunks_total announced.
+  CampaignConfig cfg;
+  cfg.strikes = 50'003;
+  cfg.progress_interval = 1'500;
+  cfg.progress = [](std::uint64_t, std::uint64_t) {};
+  const std::string path = temp_path("ftspm_heartbeat_chunks_test");
+  std::remove(path.c_str());
+  ExecConfig exec;
+  exec.jobs = 2;
+  exec.shards = 3;
+  exec.chunk_strikes = 1'000;
+  exec.heartbeat.out_path = path;
+  run_campaign_sharded(surfaces(), model(), cfg, exec);
+
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::vector<JsonValue> beats = parse_ndjson(buffer.str());
+  ASSERT_FALSE(beats.empty());
+  const JsonValue& last = beats.back();
+  EXPECT_EQ(last.at("final").boolean, true);
+  // Shards of 16,668/16,668/16,667 strikes in granules of 1,024, cut
+  // at every multiple of 1,500: two chunks in each of 11 whole
+  // intervals, then one for the tail (17 per shard without the cuts).
+  EXPECT_DOUBLE_EQ(last.at("chunks_total").number, 3.0 * (11 * 2 + 1));
+  EXPECT_DOUBLE_EQ(last.at("chunks_done").number,
+                   last.at("chunks_total").number);
   std::remove(path.c_str());
 }
 

@@ -4,8 +4,8 @@
 // classify_strike oracle. The engine reorders *work* — region tables,
 // run-table classification, blocked tallies — but never *draws*, so
 // every schedule below must reproduce the reference counters exactly:
-// any block width, any chunk schedule, tight (no observer, no grid)
-// and observed paths alike.
+// any block width, any chunk schedule, tight (no grid) and observed
+// (grid-recording) paths alike.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -189,8 +189,7 @@ TEST(BatchEngine, ChunkScheduleNeverChangesCounters) {
 
 TEST(BatchEngine, TightAndObservedPathsAgree) {
   // With a grid attached the engine keeps full per-slot SoA arrays;
-  // without one (and with an inert observer) it tallies in registers
-  // and stores nothing. Same counters either way, and the grid totals
+  // without one it tallies in registers and stores nothing. Same counters either way, and the grid totals
   // must re-add to them.
   const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
   const CampaignConfig cfg = config_for(0x9e3779b9, 40'000);
@@ -245,7 +244,7 @@ TEST(BatchEngine, PackedTallyCountsPastOneLaneOfOneOutcome) {
       SensitivityGrid grid = make_sensitivity_grid(regions, 4);
       CampaignShardState state = begin_campaign_shard(cfg.seed);
       state.scratch.batch.width = width;
-      run_campaign_chunk(regions, model, cfg, state, cfg.strikes, nullptr,
+      run_campaign_chunk(regions, model, cfg, state, cfg.strikes,
                          gridded ? &grid : nullptr);
       const std::string what = "width " + std::to_string(width) +
                                (gridded ? " gridded" : " tight");
@@ -272,7 +271,7 @@ TEST(BatchEngine, MatchesReferenceAtBlockWidthsPastOneLane) {
       SensitivityGrid grid = make_sensitivity_grid(regions, 4);
       CampaignShardState state = begin_campaign_shard(cfg.seed);
       state.scratch.batch.width = width;
-      run_campaign_chunk(regions, model, cfg, state, cfg.strikes, nullptr,
+      run_campaign_chunk(regions, model, cfg, state, cfg.strikes,
                          gridded ? &grid : nullptr);
       expect_equal(state.partial, want,
                    ("width " + std::to_string(width) +
@@ -397,9 +396,9 @@ RecoveryRun drive_recovery(const LiveArrayCampaign& campaign,
   campaign.ensure_shard_images(side, cfg.seed);
   for (const std::uint64_t step : schedule) {
     if (batched)
-      campaign.run_chunk(cfg, core, side, step, nullptr, grid);
+      campaign.run_chunk(cfg, core, side, step, grid);
     else
-      campaign.run_chunk_reference(cfg, core, side, step, nullptr, grid);
+      campaign.run_chunk_reference(cfg, core, side, step, grid);
   }
   RecoveryRun run;
   run.strikes = core.partial;
@@ -631,9 +630,9 @@ TemporalRun drive_temporal(const TemporalCampaign& campaign,
   state.scratch.batch.width = width;
   for (const std::uint64_t step : schedule) {
     if (batched)
-      campaign.run_chunk(cfg, state, step, nullptr, grid);
+      campaign.run_chunk(cfg, state, step, grid);
     else
-      campaign.run_chunk_reference(cfg, state, step, nullptr, grid);
+      campaign.run_chunk_reference(cfg, state, step, grid);
   }
   return TemporalRun{state.partial, state.rng.next_u64()};
 }
@@ -797,7 +796,7 @@ TEST(BatchEngineRunTable, StaticMatchesReferenceOnMultiBitRuns) {
         SensitivityGrid grid = make_sensitivity_grid(regions, 16);
         CampaignShardState state = begin_campaign_shard(cfg.seed);
         state.scratch.batch.width = width;
-        run_campaign_chunk(regions, model, cfg, state, cfg.strikes, nullptr,
+        run_campaign_chunk(regions, model, cfg, state, cfg.strikes,
                            recording ? &grid : nullptr);
         const std::string what = name + " width " + std::to_string(width) +
                                  (recording ? " recording" : " tight");

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ftspm/exec/parallel_campaign.h"
 #include "ftspm/fault/avf.h"
 #include "ftspm/util/error.h"
 

@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "ftspm/exec/parallel_campaign.h"
 #include "ftspm/fault/injector.h"
 #include "ftspm/fault/strike_model.h"
 #include "ftspm/mem/technology.h"
@@ -228,8 +229,7 @@ TEST(SensitivityCampaignTest, ChunkedRecordingMatchesSerial) {
   SensitivityGrid chunked = make_sensitivity_grid(regions, 8);
   CampaignShardState state = begin_campaign_shard(config.seed);
   while (state.done < config.strikes)
-    run_campaign_chunk(regions, model, config, state, 137, nullptr,
-                       &chunked);
+    run_campaign_chunk(regions, model, config, state, 137, &chunked);
   EXPECT_EQ(chunked.to_csv(), serial.to_csv());
 }
 

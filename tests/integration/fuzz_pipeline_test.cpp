@@ -186,8 +186,9 @@ TEST_P(FuzzPipeline, SystemCampaignStaysBelowAnalyticBound) {
   CampaignConfig cfg;
   cfg.strikes = 20'000;
   cfg.seed = GetParam();
-  const CampaignResult mc = run_system_campaign(
-      evaluator.ftspm_layout(), r.plan, w.program, prof,
+  const CampaignResult mc = run_campaign(
+      make_injection_regions(evaluator.ftspm_layout(), r.plan, w.program,
+                             prof),
       evaluator.strike_model(), cfg);
   // MC can only lose harm to codeword straddles; allow MC noise.
   EXPECT_LE(mc.vulnerability(), r.avf.vulnerability() * 1.25 + 0.01);

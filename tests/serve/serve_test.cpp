@@ -239,6 +239,24 @@ TEST(ServeTest, HeartbeatsStreamBeforeTheResult) {
   server.wait();
 }
 
+TEST(ServeTest, TinyHeartbeatIntervalIsBoundedPerRun) {
+  // A one-strike interval would end a runner chunk at every strike;
+  // the spec floors it at strikes / kMaxSpecHeartbeats.
+  CampaignSpec spec;
+  spec.strikes = 200'000;
+  spec.shards = 2;
+  spec.heartbeat_strikes = 1;
+  CampaignRunHooks hooks;
+  std::uint64_t calls = 0;
+  hooks.progress = [&](std::uint64_t, std::uint64_t) { ++calls; };
+  const CampaignOutcome out = run_campaign_spec(spec, hooks);
+  EXPECT_TRUE(out.complete);
+  EXPECT_GE(calls, 2u);
+  EXPECT_LE(calls, kMaxSpecHeartbeats + 1);
+  EXPECT_EQ(campaign_spec_record(spec, out).counters,
+            campaign_spec_record(spec, run_campaign_spec(spec)).counters);
+}
+
 TEST(ServeTest, FullQueueShedsWithStructuredOverloadedError) {
   // A long blocker occupies the executor, one request fills the
   // max_queue=1 admission queue, and the third must bounce with the

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -172,6 +173,44 @@ TEST(CliTest, CampaignDefaultStaysSerialCompatible) {
   EXPECT_EQ(plain.exit_code, 0);
   EXPECT_EQ(one.exit_code, 0);
   EXPECT_EQ(plain.output, one.output);
+}
+
+/// The done counts of a campaign's --progress lines ("strikes D/T").
+std::vector<std::uint64_t> progress_counts(const std::string& args,
+                                           std::uint64_t total) {
+  const CommandResult r = run_command(std::string(FTSPM_TOOL_PATH) + " " +
+                                      args + " --progress 2>&1 >/dev/null");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  std::vector<std::uint64_t> counts;
+  std::istringstream lines(r.output);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("strikes ", 0) != 0) continue;
+    const std::size_t slash = line.find('/');
+    EXPECT_EQ(std::stoull(line.substr(slash + 1)), total) << line;
+    counts.push_back(std::stoull(line.substr(8, slash - 8)));
+  }
+  return counts;
+}
+
+TEST(CliTest, CampaignProgressReportsAtItsOwnInterval) {
+  // --progress asks for a line every strikes/20. One shard reports at
+  // exactly those counts, not at chunk boundaries.
+  std::vector<std::uint64_t> expected;
+  for (std::uint64_t done = 10'000; done <= 200'000; done += 10'000)
+    expected.push_back(done);
+  EXPECT_EQ(progress_counts("campaign --strikes 200000", 200'000), expected);
+
+  // Sharded: aggregated counts stay monotone, with one completion line.
+  const std::vector<std::uint64_t> sharded = progress_counts(
+      "--jobs 2 campaign --strikes 200000 --shards 4", 200'000);
+  ASSERT_FALSE(sharded.empty());
+  int completions = 0;
+  for (std::size_t i = 1; i < sharded.size(); ++i)
+    EXPECT_GE(sharded[i], sharded[i - 1]);
+  for (const std::uint64_t done : sharded)
+    if (done == 200'000) ++completions;
+  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(sharded.back(), 200'000u);
 }
 
 TEST(CliTest, CampaignCheckpointResumeRoundTrip) {
