@@ -8,6 +8,7 @@
 #include "bench_io.h"
 #include "ftspm/fault/injector.h"
 #include "ftspm/fault/strike_model.h"
+#include "ftspm/oracle/strike_oracle.h"
 #include "ftspm/util/rng.h"
 
 namespace {

@@ -8,6 +8,7 @@
 #include "ftspm/ecc/parity_codec.h"
 #include "ftspm/ecc/secded_codec.h"
 #include "ftspm/fault/injector.h"
+#include "ftspm/oracle/strike_oracle.h"
 #include "ftspm/util/rng.h"
 
 namespace {

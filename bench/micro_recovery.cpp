@@ -1,14 +1,15 @@
 // Recovery-loop microbenchmarks: the live-array campaign's two hot
 // halves — demand decode (every struck word read and repaired on
 // access) and scrub sweeps (periodic whole-array fold passes) — each
-// timed through the strike-at-a-time reference loop and the batched
-// engine, so the batching win is measurable per half rather than only
-// end to end (perf_harness measures the blended campaigns).
+// timed through the strike-at-a-time RecoveryReference (the
+// ftspm_oracle target) and the batched engine, so the batching win is
+// measurable per half rather than only end to end (perf_harness
+// measures the blended campaigns).
 //
 // Shapes mirror perf_harness: one SEC-DED SRAM region of 8192 words.
 // The demand shape (ACE 1.0, no scrubbing) decodes every struck word;
 // the scrub shape (ACE 0.05, sweep every 256 strikes) spends almost
-// all its time in scrub_sweep. Counters are bit-identical between the
+// all its time in scrub sweeps. Counters are bit-identical between the
 // two loops by contract (tests/fault/batch_engine_test.cpp), so the
 // pairs time the same work.
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include "bench_io.h"
 #include "ftspm/fault/recovery.h"
 #include "ftspm/mem/technology_library.h"
+#include "ftspm/oracle/recovery_reference.h"
 
 namespace {
 
@@ -29,11 +31,13 @@ struct RecoveryCase {
   StrikeMultiplicityModel model;
   RecoveryPolicy policy;
   LiveArrayCampaign campaign;
+  RecoveryReference reference;
 
   RecoveryCase(double ace_occupancy, std::uint64_t scrub_interval)
       : model(StrikeMultiplicityModel::at_40nm()),
         policy(make_policy(scrub_interval)),
-        campaign(make_regions(ace_occupancy), model, policy) {}
+        campaign(make_regions(ace_occupancy), model, policy),
+        reference(make_regions(ace_occupancy), model, policy) {}
 
   static RecoveryPolicy make_policy(std::uint64_t scrub_interval) {
     RecoveryPolicy policy;
@@ -81,7 +85,7 @@ void run_recovery(benchmark::State& state, const RecoveryCase& c,
     if (batched)
       c.campaign.run_chunk(cfg, core, side, kStrikes);
     else
-      c.campaign.run_chunk_reference(cfg, core, side, kStrikes);
+      c.reference.run_chunk(cfg, core, side, kStrikes);
     benchmark::DoNotOptimize(core.partial.masked);
     benchmark::DoNotOptimize(side.counters.demand_reads);
   }

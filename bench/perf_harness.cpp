@@ -27,6 +27,7 @@
 #include "ftspm/fault/injector.h"
 #include "ftspm/fault/recovery.h"
 #include "ftspm/mem/technology_library.h"
+#include "ftspm/oracle/strike_oracle.h"
 #include "ftspm/report/json_report.h"
 #include "ftspm/util/error.h"
 #include "ftspm/util/format.h"

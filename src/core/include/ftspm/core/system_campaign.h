@@ -12,11 +12,11 @@
 // `ablation_mc_vs_avf` bench.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "ftspm/core/mapping_plan.h"
-#include "ftspm/core/transfer_schedule.h"
 #include "ftspm/exec/parallel_campaign.h"
 #include "ftspm/fault/injector.h"
 #include "ftspm/fault/recovery.h"
@@ -50,11 +50,13 @@ std::vector<RecoveryRegion> make_recovery_regions(
     const ProgramProfile& profile);
 
 /// Precomputed read-only context for the temporal campaign: the
-/// transfer schedule, per-region residency spans, and the injection
-/// surfaces. Building it once and sharing it across shards is what
-/// makes the parallel temporal campaign cheap — all members are
+/// injection surfaces and one flat table of the transfer schedule's
+/// residency spans, grouped by region, with each occupant's extent and
+/// ACE fraction resolved. Building it once and sharing it across shards
+/// is what makes the parallel temporal campaign cheap — all members are
 /// immutable after construction, so concurrent run_chunk calls on
-/// distinct states are race-free.
+/// distinct states are race-free. The campaign keeps no reference to
+/// the program or its profile.
 class TemporalCampaign {
  public:
   /// Historical seed salt of the serial temporal campaign; applied to
@@ -64,6 +66,7 @@ class TemporalCampaign {
   TemporalCampaign(const SpmLayout& layout, const MappingPlan& plan,
                    const Program& program, const ProgramProfile& profile,
                    const StrikeMultiplicityModel& strikes);
+  ~TemporalCampaign();
   TemporalCampaign(const TemporalCampaign&) = delete;
   TemporalCampaign& operator=(const TemporalCampaign&) = delete;
 
@@ -71,19 +74,13 @@ class TemporalCampaign {
   /// stopping at config.strikes. Any chunking schedule yields
   /// identical counters. `grid` (nullable, see fault/sensitivity.h)
   /// records each strike's origin and final outcome without affecting
-  /// results.
+  /// results. This is the batched engine (system_campaign_batch.cpp);
+  /// the strike-at-a-time TemporalReference (oracle/
+  /// temporal_reference.h) it is pinned against lives in the test- and
+  /// bench-only ftspm_oracle target.
   void run_chunk(const CampaignConfig& config, CampaignShardState& state,
                  std::uint64_t max_strikes,
                  SensitivityGrid* grid = nullptr) const;
-
-  /// The original strike-at-a-time loop, kept verbatim as the oracle
-  /// run_chunk (the batched engine, system_campaign_batch.cpp) is
-  /// pinned against: same draws, counters, and grid records for every
-  /// chunk schedule.
-  void run_chunk_reference(const CampaignConfig& config,
-                           CampaignShardState& state,
-                           std::uint64_t max_strikes,
-                           SensitivityGrid* grid = nullptr) const;
 
   /// The injection surfaces (one per SPM region, in region order) the
   /// campaign strikes — what make_sensitivity_grid buckets over.
@@ -92,13 +89,15 @@ class TemporalCampaign {
   }
 
  private:
-  const Program& program_;
-  const ProgramProfile& profile_;
+  /// One residency span of the flat table (system_campaign_batch.cpp).
+  struct Span;
+
   const StrikeMultiplicityModel& strikes_;
-  TransferSchedule schedule_;
-  std::vector<std::vector<const ResidencySpan*>> region_spans_;
   std::vector<InjectionRegion> surfaces_;
-  std::vector<double> weights_;
+  /// Every span, region by region in schedule order: region r's spans
+  /// are spans_[span_begin_[r], span_begin_[r + 1]).
+  std::vector<Span> spans_;
+  std::vector<std::size_t> span_begin_;
   std::uint64_t horizon_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "ftspm/util/error.h"
@@ -42,12 +43,12 @@ std::uint64_t parse_hex_u64(const JsonValue& v, const char* what) {
   return out;
 }
 
-std::uint64_t get_u64(const JsonValue& obj, const char* key) {
-  const JsonValue& v = obj.at(key);
-  FTSPM_CHECK(v.is_number() && v.number >= 0,
-              std::string("checkpoint field '") + key +
-                  "' must be a non-negative number");
-  return static_cast<std::uint64_t>(v.number);
+std::uint64_t get_u64(const JsonValue& obj, const char* key,
+                      std::uint64_t max = UINT64_MAX) {
+  const std::optional<std::uint64_t> n = json_u64(obj.at(key), max);
+  FTSPM_CHECK(n.has_value(), std::string("checkpoint field '") + key +
+                                 "' must be a non-negative number");
+  return *n;
 }
 
 }  // namespace
@@ -177,17 +178,20 @@ CampaignCheckpoint checkpoint_from_json(std::string_view text) {
   FTSPM_CHECK(get_u64(doc, "version") == 1,
               "unsupported checkpoint version");
   CampaignCheckpoint cp;
-  cp.kind = doc.at("kind").string;
+  const JsonValue& kind = doc.at("kind");
+  FTSPM_CHECK(kind.is_string(), "checkpoint field 'kind' must be a string");
+  cp.kind = kind.string;
   cp.root_seed = parse_hex_u64(doc.at("root_seed"), "root_seed");
   cp.strikes = get_u64(doc, "strikes");
-  cp.shard_count = static_cast<std::uint32_t>(get_u64(doc, "shard_count"));
+  cp.shard_count =
+      static_cast<std::uint32_t>(get_u64(doc, "shard_count", UINT32_MAX));
   cp.seed_salt = parse_hex_u64(doc.at("seed_salt"), "seed_salt");
   const JsonValue& shards = doc.at("shards");
   FTSPM_CHECK(shards.is_array(), "checkpoint 'shards' must be an array");
   cp.shards.reserve(shards.array.size());
   for (const JsonValue& s : shards.array) {
     ShardCheckpoint shard;
-    shard.index = static_cast<std::uint32_t>(get_u64(s, "shard"));
+    shard.index = static_cast<std::uint32_t>(get_u64(s, "shard", UINT32_MAX));
     shard.strikes = get_u64(s, "strikes");
     shard.done = get_u64(s, "done");
     shard.partial.masked = get_u64(s, "masked");

@@ -193,8 +193,10 @@ void build_region_table(const std::vector<InjectionRegion>& regions,
 
 /// StrikeOutcome of one struck word's error pattern: `data_mask` holds
 /// the flipped data bits, `check_mask` the flipped check bits shifted
-/// down to bit 0 (the codecs read its low 8). This is classify_strike's
-/// per-word verdict without its burned draw; Immune words are Masked.
+/// down to bit 0 (the codecs read its low 8). This is the per-word
+/// verdict of the reference classify_strike (oracle/strike_oracle.h,
+/// in the test- and bench-only ftspm_oracle target) without its burned
+/// draw; Immune words are Masked.
 StrikeOutcome word_outcome(ProtectionKind protection, std::uint64_t data_mask,
                            std::uint32_t check_mask);
 

@@ -149,14 +149,14 @@ struct BatchRegionInfo {
   const RunOutcomeRow* run = nullptr;
 };
 
-/// Reusable hot-loop scratch of one campaign shard. The classifier
-/// records each strike's per-word hits in the fixed inline array
-/// (`flips <= kInlineHits` covers any realistic CampaignConfig::
-/// max_flips) and only falls back to the heap — once, then reusing the
-/// buffer — beyond it, and the chunk loop keeps its batch workspace
-/// here across calls; together the campaign inner loop performs
-/// no per-strike allocation. Scratch is pure workspace: it never
-/// affects results and is not checkpointed.
+/// Reusable hot-loop scratch of one campaign shard. The engines'
+/// general (interleaved) classify path records each strike's per-word
+/// hits in the fixed inline array (`flips <= kInlineHits` covers any
+/// realistic CampaignConfig::max_flips) and only falls back to the
+/// heap — once, then reusing the buffer — beyond it, and the chunk
+/// loop keeps its batch workspace here across calls; together the
+/// campaign inner loop performs no per-strike allocation. Scratch is
+/// pure workspace: it never affects results and is not checkpointed.
 struct CampaignScratch {
   static constexpr std::uint32_t kInlineHits = 64;
   /// (word index, bit-in-codeword) hits of the strike being classified.
@@ -234,41 +234,8 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
                         CampaignShardState& state, std::uint64_t max_strikes,
                         SensitivityGrid* grid = nullptr);
 
-/// Injects one m-bit adjacent upset starting at `first_bit` of a region
-/// and classifies it (ACE filtering excluded — pure code behaviour).
-/// Exposed for unit tests and the analytic-vs-MC ablation.
-///
-/// Classification runs on the codecs' syndrome kernel
-/// (classify_pattern): parity and SEC-DED are linear, so the outcome
-/// depends only on which bits flipped, never on the stored data. RNG
-/// consumption matches classify_strike_oracle draw for draw — one
-/// next_u64 per struck codeword — so campaign counters at a fixed seed
-/// are bit-identical to the pre-kernel implementation.
-StrikeOutcome classify_strike(const InjectionRegion& region,
-                              std::uint64_t first_bit, std::uint32_t flips,
-                              Rng& rng);
-
-/// classify_strike with caller-owned scratch — the campaign hot loops
-/// thread their shard's CampaignScratch through this overload so no
-/// per-strike temporaries are created.
-StrikeOutcome classify_strike(const InjectionRegion& region,
-                              std::uint64_t first_bit, std::uint32_t flips,
-                              Rng& rng, CampaignScratch& scratch);
-
-/// Reference implementation over the full encode/flip/decode oracle
-/// (heap-allocating, data-materializing). Kept as the ground truth the
-/// syndrome kernel is verified against (tests) and the perf baseline
-/// bench/micro_campaign and bench/perf_harness measure the kernel's
-/// speedup over. Identical outcomes and RNG consumption.
-StrikeOutcome classify_strike_oracle(const InjectionRegion& region,
-                                     std::uint64_t first_bit,
-                                     std::uint32_t flips, Rng& rng);
-
-/// Locates physical bit `i` of a region under its interleaving: with
-/// degree IL, consecutive physical bits rotate across IL codewords, so
-/// an adjacent MBU spreads over IL words. This is the aim function
-/// classify_strike uses; the live-array recovery campaign shares it so
-/// its deposited flips land at identical physical locations.
-PhysicalBit locate_strike_bit(const InjectionRegion& region, std::uint64_t i);
+// The per-strike reference classifiers (classify_strike,
+// classify_strike_oracle, locate_strike_bit) the engine is pinned
+// against live in the ftspm_oracle target: see oracle/strike_oracle.h.
 
 }  // namespace ftspm

@@ -130,7 +130,7 @@ struct RegionImage {
   std::vector<std::uint8_t> check;
   std::vector<std::uint64_t> truth;
   /// Check bits a clean encoding of `truth` would carry
-  /// (truth_check[w] = encode(truth[w]).check), cached so resolve_word
+  /// (truth_check[w] = encode(truth[w]).check), cached so a decode
   /// obtains a word's error pattern with two XORs — (data ^ truth,
   /// check ^ truth_check) — instead of re-encoding. Maintained at fill
   /// and wherever `truth` changes (silent consumption). Sized like
@@ -192,41 +192,14 @@ class LiveArrayCampaign {
   /// aim draws over per-chunk region tables, XOR-mask flip scatter,
   /// demand decode and scrub sweeps through the batched ECC entry
   /// points. Counters, images, grids, and the RNG stream are
-  /// bit-identical to run_chunk_reference — pinned by
+  /// bit-identical to the strike-at-a-time RecoveryReference
+  /// (oracle/recovery_reference.h) — pinned by
   /// tests/fault/batch_engine_test.cpp.
   void run_chunk(const CampaignConfig& config, CampaignShardState& core,
                  RecoveryShardSide& side, std::uint64_t max_strikes,
                  SensitivityGrid* grid = nullptr) const;
 
-  /// The strike-at-a-time reference loop run_chunk replaced: one
-  /// next_discrete/next_bool/classify_pattern call per draw, per-bit
-  /// located flips, per-word scrub resolution. Kept as the equivalence
-  /// oracle for tests and bench/micro_recovery; identical behavior by
-  /// contract, ~severalfold slower.
-  void run_chunk_reference(const CampaignConfig& config,
-                           CampaignShardState& core, RecoveryShardSide& side,
-                           std::uint64_t max_strikes,
-                           SensitivityGrid* grid = nullptr) const;
-
-  const std::vector<RecoveryRegion>& regions() const noexcept {
-    return regions_;
-  }
-
  private:
-  enum class WordRepair : std::uint8_t {
-    Clean,          ///< Decoded to the right value, nothing to do.
-    Corrected,      ///< SEC-DED fixed it (written back when repairing).
-    Refetched,      ///< DUE repaired by a DMA re-fetch.
-    Detected,       ///< DUE with demand-path repair disabled.
-    Unrecoverable,  ///< DUE on dirty/stack data; block lost.
-    Silent,         ///< Wrong value consumed without detection.
-  };
-
-  WordRepair resolve_word(std::size_t region_index, RegionImage& image,
-                          std::uint64_t word, Rng& rng,
-                          RecoveryCounters& counters, bool scrub_pass) const;
-  void scrub_sweep(RecoveryShardSide& side, Rng& rng) const;
-
   /// Per-chunk constants of the batched engine (recovery_batch.cpp):
   /// region tables with integer-domain draw thresholds and precomputed
   /// repair costs, region-pick breakpoints, flip cutoffs.
@@ -234,11 +207,6 @@ class LiveArrayCampaign {
   void build_batch_tables(BatchTables& tables, std::uint32_t max_flips) const;
   void scrub_sweep_batched(RecoveryShardSide& side, Rng& rng,
                            const BatchTables& tables) const;
-
-  /// Re-encodes `value` into the stored codeword (ground truth is the
-  /// caller's business — a hardware write-back never learns it).
-  static void write_back_word(ProtectionKind protection, RegionImage& image,
-                              std::uint64_t word, std::uint64_t value);
 
   std::vector<RecoveryRegion> regions_;
   const StrikeMultiplicityModel& strikes_;

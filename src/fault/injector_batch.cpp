@@ -37,13 +37,14 @@
 // The draw-domain primitives (integer-image Bernoulli/discrete picks,
 // flip cutoffs, the region table build) live in
 // ftspm/fault/batch_engine.h and are shared with the batched recovery
-// and temporal engines (recovery_batch.cpp, system_campaign.cpp); the
+// and temporal engines (recovery_batch.cpp, system_campaign_batch.cpp); the
 // non-trivial ones are defined at the bottom of this file.
 //
 // Equivalence contract: identical counters, grids, and RNG stream
 // position to the old per-strike loop for every (regions, strikes,
 // config, chunking) — pinned by
-// tests/fault/batch_engine_test.cpp against classify_strike and by
+// tests/fault/batch_engine_test.cpp against the reference
+// classify_strike (oracle/strike_oracle.h) and by
 // tests/integration/campaign_golden_test.cpp end to end.
 #include <algorithm>
 #include <array>
@@ -485,8 +486,9 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
 
         std::uint8_t outcome;
         if (R.protection == ProtectionKind::Immune) {
-          // classify_strike early-outs before any word draw, and the
-          // per-strike loop skipped the ACE draw for Masked outcomes.
+          // The reference classify_strike early-outs before any word
+          // draw, and the per-strike loop skipped the ACE draw for
+          // Masked outcomes.
           outcome = static_cast<std::uint8_t>(StrikeOutcome::Masked);
         } else if (R.fast) [[likely]] {
           const std::uint8_t worst =

@@ -1,9 +1,10 @@
 // Batched hot loop of the live-array recovery campaign.
 //
-// run_chunk_reference (recovery.cpp) spends its time in per-strike FP
-// draws (next_discrete's subtract-scan, next_bool conversions), a
-// locate_strike_bit divide per flipped bit, and one classify_pattern
-// call per decoded word. This file replays the identical campaign on
+// The strike-at-a-time RecoveryReference (oracle/recovery_reference.h,
+// in the test- and bench-only ftspm_oracle target) spends its time in
+// per-strike FP draws (next_discrete's subtract-scan, next_bool
+// conversions), a locate_strike_bit divide per flipped bit, and one
+// classify_pattern call per decoded word. This file replays the identical campaign on
 // the batch engine (batch_engine.h):
 //
 //  * aim draws become integer compares against per-chunk tables —
@@ -23,7 +24,8 @@
 //    for the batched classify.
 //
 // Equivalence contract: counters, images, grids, and the RNG stream
-// match run_chunk_reference bit for bit, for every chunk schedule.
+// match RecoveryReference::run_chunk bit for bit, for every chunk
+// schedule.
 // The draw schedule per strike is pick, origin, multiplicity, then
 // per struck word (ascending) one ACE Bernoulli, then (only inside a
 // detected-uncorrectable repair) one dirty-fraction Bernoulli;
@@ -49,8 +51,8 @@
 
 namespace ftspm {
 
-/// Per-chunk constants of the batched engine: every scalar resolve_word
-/// re-derived per word, hoisted to one cache-friendly row per region,
+/// Per-chunk constants of the batched engine: every scalar the
+/// reference's per-word resolve re-derives per word, hoisted to one cache-friendly row per region,
 /// with the draw probabilities pre-resolved into next_bool's three arms
 /// (DrawBernoulli) and the repair costs pre-multiplied.
 struct LiveArrayCampaign::BatchTables {
@@ -73,7 +75,7 @@ struct LiveArrayCampaign::BatchTables {
     /// Bulk per-sweep read cost of this region (words * per-read).
     std::uint64_t scrub_read_cycles = 0;
     double scrub_read_energy = 0.0;
-    /// One DMA re-fetch, exactly as handle_due books it.
+    /// One DMA re-fetch, exactly as the reference books it.
     std::uint64_t refetch_cycles = 0;
     double refetch_energy = 0.0;
   };
@@ -85,11 +87,21 @@ struct LiveArrayCampaign::BatchTables {
 
 namespace {
 
-/// write_back_word(protection, image, w, image.truth[w]) without the
-/// re-encode: truth_check caches the clean encoding's check bits
-/// (recovery.h), so restoring a word to its ground truth is two stores.
-/// Unchecked regions have no check array (write_back_word leaves it
-/// alone for None too).
+/// How the demand walk resolved one struck word; the strike's outcome
+/// is the most severe of its words' (see outcome_of in run_chunk).
+enum class WordRepair : std::uint8_t {
+  Clean,          ///< Decoded to the right value, nothing to do.
+  Corrected,      ///< SEC-DED fixed it (written back when repairing).
+  Refetched,      ///< DUE repaired by a DMA re-fetch.
+  Detected,       ///< DUE with demand-path repair disabled.
+  Unrecoverable,  ///< DUE on dirty/stack data; block lost.
+  Silent,         ///< Wrong value consumed without detection.
+};
+
+/// A write-back of image.truth[w] without the re-encode: truth_check
+/// caches the clean encoding's check bits (recovery.h), so restoring a
+/// word to its ground truth is two stores. Unchecked regions have no
+/// check array (a write-back leaves it alone for None too).
 inline void restore_clean(ProtectionKind protection, RegionImage& image,
                           std::uint64_t word) {
   image.data[word] = image.truth[word];
@@ -195,8 +207,8 @@ void LiveArrayCampaign::scrub_sweep_batched(RecoveryShardSide& side, Rng& rng,
     side.counters.recovery_energy_pj += R.scrub_read_energy;
     // Immune arrays are swept as a retention refresh (cost only);
     // unchecked arrays cannot surface an error to the scrubber at all —
-    // the reference resolve_word returns Clean for every word of both,
-    // touching neither counters nor the RNG.
+    // the reference resolves every word of both as Clean, touching
+    // neither counters nor the RNG.
     if (R.protection == ProtectionKind::Immune ||
         R.protection == ProtectionKind::None)
       continue;
@@ -253,7 +265,7 @@ void LiveArrayCampaign::scrub_sweep_batched(RecoveryShardSide& side, Rng& rng,
     side.batch_syndrome.resize(n);
 
     // The scrub engine always repairs (reference: repairs = true), so
-    // the per-status actions below reproduce resolve_word's scrub arms.
+    // the per-status actions below reproduce the reference's scrub arms.
     // Only a detected-uncorrectable word draws.
     if (R.protection == ProtectionKind::SecDed) {
       SecDedCodec::fold_syndromes(side.batch_data.data(),
@@ -526,7 +538,7 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
 
           // A detected-uncorrectable word is restored to its truth
           // either way; with repair on, the re-fetch is booked (or
-          // dirty data escalates) — resolve_word's handle_due verbatim.
+          // dirty data escalates) — the reference's DUE arm verbatim.
           const auto handle_due = [&]() {
             restore_clean(R.protection, image, w);
             if (!policy_.recover) return WordRepair::Detected;

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "ftspm/util/error.h"
@@ -19,12 +20,12 @@ namespace ftspm::obs {
 
 namespace {
 
-std::uint64_t as_u64(const JsonValue& v, std::string_view key) {
-  const JsonValue& m = v.at(key);
-  FTSPM_REQUIRE(m.is_number() && m.number >= 0,
-                "ledger member '" + std::string(key) +
-                    "' must be a non-negative number");
-  return static_cast<std::uint64_t>(m.number);
+std::uint64_t as_u64(const JsonValue& v, std::string_view key,
+                     std::uint64_t max = UINT64_MAX) {
+  const std::optional<std::uint64_t> n = json_u64(v.at(key), max);
+  FTSPM_REQUIRE(n.has_value(), "ledger member '" + std::string(key) +
+                                   "' must be a non-negative number");
+  return *n;
 }
 
 std::string as_str(const JsonValue& v, std::string_view key) {
@@ -81,16 +82,16 @@ LedgerRecord LedgerRecord::from_json(const JsonValue& v) {
   r.workload = as_str(v, "workload");
   r.scale = as_u64(v, "scale");
   r.seed = as_u64(v, "seed");
-  r.jobs = static_cast<std::uint32_t>(as_u64(v, "jobs"));
-  r.shards = static_cast<std::uint32_t>(as_u64(v, "shards"));
+  r.jobs = static_cast<std::uint32_t>(as_u64(v, "jobs", UINT32_MAX));
+  r.shards = static_cast<std::uint32_t>(as_u64(v, "shards", UINT32_MAX));
   r.library_version = as_str(v, "library_version");
   const JsonValue& counters = v.at("counters");
   FTSPM_REQUIRE(counters.is_object(), "ledger 'counters' must be an object");
   for (const auto& [name, value] : counters.object) {
-    FTSPM_REQUIRE(value.is_number() && value.number >= 0,
-                  "ledger counter '" + name + "' must be a non-negative "
-                                              "number");
-    r.counters.emplace_back(name, static_cast<std::uint64_t>(value.number));
+    const std::optional<std::uint64_t> n = json_u64(value);
+    FTSPM_REQUIRE(n.has_value(), "ledger counter '" + name +
+                                     "' must be a non-negative number");
+    r.counters.emplace_back(name, *n);
   }
   const JsonValue& metrics = v.at("metrics");
   FTSPM_REQUIRE(metrics.is_object(), "ledger 'metrics' must be an object");

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -40,12 +40,11 @@ std::uint64_t as_u64(const JsonValue& v, std::string_view key,
                      std::uint64_t max) {
   FTSPM_REQUIRE(v.is_number(), "spec." + std::string(key) +
                                    " must be a number");
-  const double d = v.number;
-  FTSPM_REQUIRE(d >= 0.0 && d <= static_cast<double>(max) &&
-                    std::floor(d) == d,
-                "spec." + std::string(key) + " must be an integer in [0, " +
-                    std::to_string(max) + "]");
-  return static_cast<std::uint64_t>(d);
+  const std::optional<std::uint64_t> n = json_u64(v, max);
+  FTSPM_REQUIRE(n.has_value(), "spec." + std::string(key) +
+                                   " must be an integer in [0, " +
+                                   std::to_string(max) + "]");
+  return *n;
 }
 
 double as_double(const JsonValue& v, std::string_view key) {

@@ -1,6 +1,6 @@
 #include "ftspm/serve/protocol.h"
 
-#include <cmath>
+#include <optional>
 
 #include "ftspm/util/error.h"
 
@@ -32,10 +32,10 @@ std::string string_field(const JsonValue& v, std::string_view key,
 std::uint32_t priority_field(const JsonValue& v) {
   const JsonValue* f = v.find("priority");
   if (f == nullptr) return 0;
-  FTSPM_REQUIRE(f->is_number() && f->number >= 0.0 && f->number <= 1e6 &&
-                    std::floor(f->number) == f->number,
+  const std::optional<std::uint64_t> n = json_u64(*f, 1'000'000);
+  FTSPM_REQUIRE(n.has_value(),
                 "request.priority must be an integer in [0, 1000000]");
-  return static_cast<std::uint32_t>(f->number);
+  return static_cast<std::uint32_t>(*n);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -92,6 +93,14 @@ class JsonValue {
   /// parse_json this round-trips any document the writer produced.
   std::string dump() const;
 };
+
+/// The unsigned integer a JSON number holds: nullopt unless `v` is a
+/// number whose value is an integer in [0, 2^64) and at most `max`.
+/// Numbers parse to doubles, so readers of counts, seeds and indices go
+/// through this instead of casting (a cast truncates 1.5 to 1 and is
+/// undefined for 1e30). Callers throw their own error on nullopt.
+std::optional<std::uint64_t> json_u64(const JsonValue& v,
+                                      std::uint64_t max = UINT64_MAX);
 
 /// Parses a complete JSON document (strict: no trailing garbage, no
 /// comments, no trailing commas). Throws ftspm::Error with an offset

@@ -213,6 +213,16 @@ const JsonValue& JsonValue::at(std::string_view key) const {
   return *v;
 }
 
+std::optional<std::uint64_t> json_u64(const JsonValue& v, std::uint64_t max) {
+  if (!v.is_number()) return std::nullopt;
+  const double d = v.number;
+  // The negated range test also rejects NaN; 0x1p64 is 2^64 exactly.
+  if (!(d >= 0.0 && d < 0x1p64) || std::floor(d) != d) return std::nullopt;
+  const auto n = static_cast<std::uint64_t>(d);
+  if (n > max) return std::nullopt;
+  return n;
+}
+
 std::string JsonValue::dump() const {
   switch (kind) {
     case Kind::Null: return "null";

@@ -142,6 +142,41 @@ TEST(CheckpointJsonTest, RejectsMalformedDocuments) {
   EXPECT_THROW(checkpoint_from_json(doc), Error);
 }
 
+/// The sample checkpoint's JSON with the first `"key":<value>` member
+/// rewritten to `"key":replacement`.
+std::string with_member(const std::string& key, const std::string& replacement) {
+  std::string doc = checkpoint_to_json(sample_checkpoint());
+  const std::string needle = "\"" + key + "\":";
+  const auto start = doc.find(needle);
+  EXPECT_NE(start, std::string::npos) << key;
+  const auto value = start + needle.size();
+  const auto end = doc.find_first_of(",}", value);
+  doc.replace(value, end - value, replacement);
+  return doc;
+}
+
+TEST(CheckpointJsonTest, RejectsCountsThatAreNotExactIntegers) {
+  // Each of these once read back as a truncated or wrapped count.
+  EXPECT_THROW(checkpoint_from_json(with_member("strikes", "1e30")), Error);
+  EXPECT_THROW(checkpoint_from_json(with_member("strikes", "1.5")), Error);
+  EXPECT_THROW(checkpoint_from_json(with_member("strikes", "-1")), Error);
+  EXPECT_THROW(
+      checkpoint_from_json(with_member("strikes", "18446744073709551616")),
+      Error);
+  EXPECT_THROW(checkpoint_from_json(with_member("shard_count", "4294967297")),
+               Error);
+  EXPECT_THROW(checkpoint_from_json(with_member("shard", "4294967296")),
+               Error);
+  EXPECT_THROW(checkpoint_from_json(with_member("kind", "7")), Error);
+  // The largest in-range values still read back exactly.
+  EXPECT_EQ(checkpoint_from_json(with_member("shard_count", "4294967295"))
+                .shard_count,
+            4294967295u);
+  EXPECT_EQ(checkpoint_from_json(with_member("strikes", "9007199254740992"))
+                .strikes,
+            9007199254740992u);
+}
+
 TEST(CheckpointValidateTest, AcceptsItsOwnCampaign) {
   const CampaignCheckpoint cp = sample_checkpoint();
   CampaignConfig root;

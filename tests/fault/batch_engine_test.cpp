@@ -23,6 +23,9 @@
 #include "ftspm/fault/strike_model.h"
 #include "ftspm/mem/geometry.h"
 #include "ftspm/mem/technology_library.h"
+#include "ftspm/oracle/recovery_reference.h"
+#include "ftspm/oracle/strike_oracle.h"
+#include "ftspm/oracle/temporal_reference.h"
 #include "ftspm/util/rng.h"
 #include "ftspm/workload/case_study.h"
 
@@ -360,11 +363,11 @@ TEST(BatchEngineFlips, SampleFlipsDrawMatchesTheModelDrawForDraw) {
 
 // ---------------------------------------------------------------------------
 // Recovery: the batched run_chunk (recovery_batch.cpp) against the
-// strike-at-a-time run_chunk_reference it replaced. The contract is
-// stronger than counter equality — the stored images, the recovery
-// counters (cycles and energy bit for bit), the sensitivity grid, and
-// the post-campaign RNG state must all match, under any chunk
-// schedule.
+// strike-at-a-time RecoveryReference (the ftspm_oracle target) it
+// replaced. The contract is stronger than counter equality — the
+// stored images, the recovery counters (cycles and energy bit for
+// bit), the sensitivity grid, and the post-campaign RNG state must all
+// match, under any chunk schedule.
 
 RecoveryRegion make_recovery_region(RegionGeometry geom, ProtectionKind prot,
                                     double ace, std::uint32_t interleave,
@@ -386,19 +389,31 @@ struct RecoveryRun {
   std::uint64_t rng_probe = 0;  ///< next_u64 after the campaign
 };
 
-RecoveryRun drive_recovery(const LiveArrayCampaign& campaign,
+/// The batched engine and its reference, built from the same
+/// arguments.
+struct RecoveryUnderTest {
+  LiveArrayCampaign engine;
+  RecoveryReference reference;
+
+  RecoveryUnderTest(const std::vector<RecoveryRegion>& regions,
+                    const StrikeMultiplicityModel& model,
+                    const RecoveryPolicy& policy)
+      : engine(regions, model, policy), reference(regions, model, policy) {}
+};
+
+RecoveryRun drive_recovery(const RecoveryUnderTest& campaign,
                            const CampaignConfig& cfg, bool batched,
                            const std::vector<std::uint64_t>& schedule,
                            SensitivityGrid* grid = nullptr) {
   CampaignShardState core =
       begin_campaign_shard(cfg.seed ^ LiveArrayCampaign::kSeedSalt);
   RecoveryShardSide side;
-  campaign.ensure_shard_images(side, cfg.seed);
+  campaign.engine.ensure_shard_images(side, cfg.seed);
   for (const std::uint64_t step : schedule) {
     if (batched)
-      campaign.run_chunk(cfg, core, side, step, grid);
+      campaign.engine.run_chunk(cfg, core, side, step, grid);
     else
-      campaign.run_chunk_reference(cfg, core, side, step, grid);
+      campaign.reference.run_chunk(cfg, core, side, step, grid);
   }
   RecoveryRun run;
   run.strikes = core.partial;
@@ -460,7 +475,7 @@ TEST(BatchEngineRecovery, MatchesReferenceAcrossScrubDirtyAndOccupancy) {
     RecoveryPolicy policy;
     policy.recover = s.recover;
     policy.scrub_interval = s.interval;
-    const LiveArrayCampaign campaign(
+    const RecoveryUnderTest campaign(
         {make_recovery_region(RegionGeometry(4096, 8), ProtectionKind::SecDed,
                               s.ace, 1, s.dirty, true)},
         model, policy);
@@ -496,7 +511,7 @@ TEST(BatchEngineRecovery, MatchesReferenceOnMixedProtections) {
   RecoveryPolicy policy;
   policy.recover = true;
   policy.scrub_interval = 128;
-  const LiveArrayCampaign campaign(regions, model, policy);
+  const RecoveryUnderTest campaign(regions, model, policy);
   for (const std::uint64_t seed : {0x57a1ce5eedULL, 0x1234fedcULL}) {
     const CampaignConfig cfg = config_for(seed, 20'000);
     expect_recovery_equal(drive_recovery(campaign, cfg, true, {cfg.strikes}),
@@ -513,7 +528,7 @@ TEST(BatchEngineRecovery, ChunkScheduleNeverChangesCountersOrImages) {
   RecoveryPolicy policy;
   policy.recover = true;
   policy.scrub_interval = 100;
-  const LiveArrayCampaign campaign(
+  const RecoveryUnderTest campaign(
       {make_recovery_region(RegionGeometry(4096, 8), ProtectionKind::SecDed,
                             0.25, 1, 0.25, true)},
       model, policy);
@@ -543,7 +558,7 @@ TEST(BatchEngineRecovery, GridCellsMatchReference) {
                            0.5, 1, 0.25, true),
       make_recovery_region(RegionGeometry(4096, 1), ProtectionKind::Parity,
                            0.7, 1, 0.5, true)};
-  const LiveArrayCampaign campaign(regions, model, policy);
+  const RecoveryUnderTest campaign(regions, model, policy);
   std::vector<InjectionRegion> surfaces;
   for (const RecoveryRegion& r : regions) surfaces.push_back(r.inject);
   SensitivityGrid batched_grid = make_sensitivity_grid(surfaces, 16);
@@ -562,7 +577,7 @@ TEST(BatchEngineRecovery, CountsPastOneLaneOfOneOutcome) {
   const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
   RecoveryPolicy policy;
   policy.recover = true;
-  const LiveArrayCampaign campaign(
+  const RecoveryUnderTest campaign(
       {make_recovery_region(RegionGeometry(4096, 8), ProtectionKind::SecDed,
                             0.0, 1, 0.25, false)},
       model, policy);
@@ -582,7 +597,7 @@ TEST(BatchEngineRecovery, MatchesReferenceOverChunksPastOneLane) {
   RecoveryPolicy policy;
   policy.recover = true;
   policy.scrub_interval = 1024;
-  const LiveArrayCampaign campaign(
+  const RecoveryUnderTest campaign(
       {make_recovery_region(RegionGeometry(4096, 8), ProtectionKind::SecDed,
                             0.25, 1, 0.25, true),
        make_recovery_region(RegionGeometry(2048, 1), ProtectionKind::Parity,
@@ -596,9 +611,9 @@ TEST(BatchEngineRecovery, MatchesReferenceOverChunksPastOneLane) {
 
 // ---------------------------------------------------------------------------
 // Temporal: the batched run_chunk (system_campaign_batch.cpp) against
-// run_chunk_reference over the case-study schedule — the only
-// workload with real residency spans, unmap indices, and per-block
-// ACE fractions.
+// TemporalReference (the ftspm_oracle target) over the case-study
+// schedule — the only workload with real residency spans, unmap
+// indices, and per-block ACE fractions.
 
 struct TemporalFixture {
   Workload workload;
@@ -617,10 +632,23 @@ struct TemporalRun {
   std::uint64_t rng_probe = 0;
 };
 
+/// The batched engine and its reference, built from the same
+/// arguments.
+struct TemporalUnderTest {
+  TemporalCampaign engine;
+  TemporalReference reference;
+
+  TemporalUnderTest(const SpmLayout& layout, const MappingPlan& plan,
+                    const Program& program, const ProgramProfile& profile,
+                    const StrikeMultiplicityModel& strikes)
+      : engine(layout, plan, program, profile, strikes),
+        reference(layout, plan, program, profile, strikes) {}
+};
+
 /// Drives the temporal campaign with the shard scratch's block width
 /// set to `width`. The temporal engine tallies strike by strike and
 /// has no blocks, so no width may change its counters either.
-TemporalRun drive_temporal(const TemporalCampaign& campaign,
+TemporalRun drive_temporal(const TemporalUnderTest& campaign,
                            const CampaignConfig& cfg, bool batched,
                            std::uint32_t width,
                            const std::vector<std::uint64_t>& schedule,
@@ -630,49 +658,65 @@ TemporalRun drive_temporal(const TemporalCampaign& campaign,
   state.scratch.batch.width = width;
   for (const std::uint64_t step : schedule) {
     if (batched)
-      campaign.run_chunk(cfg, state, step, grid);
+      campaign.engine.run_chunk(cfg, state, step, grid);
     else
-      campaign.run_chunk_reference(cfg, state, step, grid);
+      campaign.reference.run_chunk(cfg, state, step, grid);
   }
   return TemporalRun{state.partial, state.rng.next_u64()};
 }
 
 TEST(BatchEngineTemporal, MatchesReferenceAcrossWidthsAndChunks) {
+  // The FTSPM layout plus the pure-SRAM one: the engine's span table is
+  // built once per campaign, and a layout with a different region mix
+  // must flatten into the same first-match scan as the reference's.
   const TemporalFixture fix;
-  const TemporalCampaign campaign(fix.evaluator.ftspm_layout(),
-                                  fix.system.plan, fix.workload.program,
-                                  fix.profile, fix.evaluator.strike_model());
-  for (const std::uint64_t seed : {0x57a1ce5eedULL, 0x1234fedcULL}) {
-    const CampaignConfig cfg = config_for(seed, 25'000);
-    const TemporalRun want =
-        drive_temporal(campaign, cfg, false, 256, {cfg.strikes});
-    for (const std::uint32_t width : {1u, 33u, 256u}) {
-      const TemporalRun got =
-          drive_temporal(campaign, cfg, true, width, {cfg.strikes});
-      expect_equal(got.strikes, want.strikes,
-                   ("temporal width " + std::to_string(width)).c_str());
-      EXPECT_EQ(got.rng_probe, want.rng_probe) << "width " << width;
-    }
-    for (const std::vector<std::uint64_t>& schedule :
-         std::vector<std::vector<std::uint64_t>>{
-             {1, 1, 1, 24'997}, {997, 4096, 25'000}, {5'000, 5'000, 15'000}}) {
-      const TemporalRun got =
-          drive_temporal(campaign, cfg, true, 256, schedule);
-      expect_equal(got.strikes, want.strikes, "temporal chunk schedule");
-      EXPECT_EQ(got.rng_probe, want.rng_probe) << "chunk schedule";
+  const SystemResult pure_sram =
+      fix.evaluator.evaluate_pure_sram(fix.workload, fix.profile);
+  const struct {
+    const char* name;
+    const SpmLayout& layout;
+    const MappingPlan& plan;
+  } systems[] = {
+      {"ftspm", fix.evaluator.ftspm_layout(), fix.system.plan},
+      {"pure sram", fix.evaluator.pure_sram_layout(), pure_sram.plan}};
+  for (const auto& system : systems) {
+    SCOPED_TRACE(system.name);
+    const TemporalUnderTest campaign(system.layout, system.plan,
+                                     fix.workload.program, fix.profile,
+                                     fix.evaluator.strike_model());
+    for (const std::uint64_t seed : {0x57a1ce5eedULL, 0x1234fedcULL}) {
+      const CampaignConfig cfg = config_for(seed, 25'000);
+      const TemporalRun want =
+          drive_temporal(campaign, cfg, false, 256, {cfg.strikes});
+      for (const std::uint32_t width : {1u, 33u, 256u}) {
+        const TemporalRun got =
+            drive_temporal(campaign, cfg, true, width, {cfg.strikes});
+        expect_equal(got.strikes, want.strikes,
+                     ("temporal width " + std::to_string(width)).c_str());
+        EXPECT_EQ(got.rng_probe, want.rng_probe) << "width " << width;
+      }
+      for (const std::vector<std::uint64_t>& schedule :
+           std::vector<std::vector<std::uint64_t>>{{1, 1, 1, 24'997},
+                                                   {997, 4096, 25'000},
+                                                   {5'000, 5'000, 15'000}}) {
+        const TemporalRun got =
+            drive_temporal(campaign, cfg, true, 256, schedule);
+        expect_equal(got.strikes, want.strikes, "temporal chunk schedule");
+        EXPECT_EQ(got.rng_probe, want.rng_probe) << "chunk schedule";
+      }
     }
   }
 }
 
 TEST(BatchEngineTemporal, GridCellsMatchReference) {
   const TemporalFixture fix;
-  const TemporalCampaign campaign(fix.evaluator.ftspm_layout(),
-                                  fix.system.plan, fix.workload.program,
-                                  fix.profile, fix.evaluator.strike_model());
+  const TemporalUnderTest campaign(fix.evaluator.ftspm_layout(),
+                                   fix.system.plan, fix.workload.program,
+                                   fix.profile, fix.evaluator.strike_model());
   SensitivityGrid batched_grid =
-      make_sensitivity_grid(campaign.surfaces(), 16);
+      make_sensitivity_grid(campaign.engine.surfaces(), 16);
   SensitivityGrid reference_grid =
-      make_sensitivity_grid(campaign.surfaces(), 16);
+      make_sensitivity_grid(campaign.engine.surfaces(), 16);
   const CampaignConfig cfg = config_for(0x9e3779b9, 25'000);
   const TemporalRun batched =
       drive_temporal(campaign, cfg, true, 256, {cfg.strikes}, &batched_grid);
@@ -692,9 +736,9 @@ TEST(BatchEngineTemporal, CountsPastOneLaneOfOneOutcome) {
     none[i] = BlockMapping{static_cast<BlockId>(i), kNoRegion,
                            MappingReason::TooLarge};
   const MappingPlan unmapped(fix.evaluator.ftspm_layout(), std::move(none));
-  const TemporalCampaign campaign(fix.evaluator.ftspm_layout(), unmapped,
-                                  fix.workload.program, fix.profile,
-                                  fix.evaluator.strike_model());
+  const TemporalUnderTest campaign(fix.evaluator.ftspm_layout(), unmapped,
+                                   fix.workload.program, fix.profile,
+                                   fix.evaluator.strike_model());
   const CampaignConfig cfg = config_for(0x7e3, kPastOneLane);
   for (const std::uint32_t width : kWideBlocks) {
     const TemporalRun run =
@@ -706,9 +750,9 @@ TEST(BatchEngineTemporal, CountsPastOneLaneOfOneOutcome) {
 
 TEST(BatchEngineTemporal, MatchesReferenceAtBlockWidthsPastOneLane) {
   const TemporalFixture fix;
-  const TemporalCampaign campaign(fix.evaluator.ftspm_layout(),
-                                  fix.system.plan, fix.workload.program,
-                                  fix.profile, fix.evaluator.strike_model());
+  const TemporalUnderTest campaign(fix.evaluator.ftspm_layout(),
+                                   fix.system.plan, fix.workload.program,
+                                   fix.profile, fix.evaluator.strike_model());
   const CampaignConfig cfg = config_for(0x57a1ce5eed, 2 * kPastOneLane + 7);
   const TemporalRun want =
       drive_temporal(campaign, cfg, false, 256, {cfg.strikes});
@@ -812,9 +856,9 @@ TEST(BatchEngineRunTable, StaticMatchesReferenceOnMultiBitRuns) {
 TEST(BatchEngineRunTable, TemporalMatchesReferenceOnMultiBitRuns) {
   const TemporalFixture fix;
   for (const auto& [name, model] : multi_bit_models()) {
-    const TemporalCampaign campaign(fix.evaluator.ftspm_layout(),
-                                    fix.system.plan, fix.workload.program,
-                                    fix.profile, model);
+    const TemporalUnderTest campaign(fix.evaluator.ftspm_layout(),
+                                     fix.system.plan, fix.workload.program,
+                                     fix.profile, model);
     const CampaignConfig cfg = config_for(0x7e3b175e, 25'000);
     const TemporalRun want =
         drive_temporal(campaign, cfg, false, 256, {cfg.strikes});

@@ -4,6 +4,7 @@
 
 #include "ftspm/exec/parallel_campaign.h"
 #include "ftspm/fault/avf.h"
+#include "ftspm/oracle/strike_oracle.h"
 #include "ftspm/util/error.h"
 
 namespace ftspm {

@@ -16,6 +16,7 @@
 #include "ftspm/fault/injector.h"
 #include "ftspm/fault/recovery.h"
 #include "ftspm/mem/technology_library.h"
+#include "ftspm/oracle/strike_oracle.h"
 #include "ftspm/workload/case_study.h"
 
 namespace ftspm {

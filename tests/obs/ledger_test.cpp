@@ -233,6 +233,70 @@ TEST(LedgerScanTest, ToleratesCrlfAndBlankLines) {
   std::remove(path.c_str());
 }
 
+/// sample(id)'s JSON line with the first `"key":<value>` member
+/// rewritten to `"key":replacement`.
+std::string with_member(const std::string& id, const std::string& key,
+                        const std::string& replacement) {
+  std::string line = sample(id).to_json();
+  const std::string needle = "\"" + key + "\":";
+  const auto start = line.find(needle);
+  EXPECT_NE(start, std::string::npos) << key;
+  const auto value = start + needle.size();
+  const auto end = line.find_first_of(",}", value);
+  line.replace(value, end - value, replacement);
+  return line;
+}
+
+TEST(LedgerTest, RejectsIntegersThatDoNotFit) {
+  // Each of these once read back as a truncated or wrapped value.
+  const struct {
+    const char* key;
+    const char* value;
+  } bad[] = {{"seed", "1e30"},
+             {"seed", "2.5"},
+             {"seed", "18446744073709551615"},  // rounds to 2^64
+             {"scale", "-1"},
+             {"jobs", "4294967297"},
+             {"shards", "4294967296"},
+             {"sdc", "1.5"},
+             {"strikes", "1e30"}};
+  for (const auto& b : bad) {
+    EXPECT_THROW(
+        LedgerRecord::from_json(parse_json(with_member("r", b.key, b.value))),
+        Error)
+        << b.key << " = " << b.value;
+  }
+  const LedgerRecord top = LedgerRecord::from_json(
+      parse_json(with_member("r", "jobs", "4294967295")));
+  EXPECT_EQ(top.jobs, 4294967295u);
+}
+
+TEST(LedgerScanTest, CountsAnOutOfRangeLineAsInvalid) {
+  const std::string path = temp_path("ftspm_scan_range");
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const std::string body = sample("run-0").to_json() + "\n" +
+                             with_member("run-x", "seed", "1e30") + "\n" +
+                             sample("run-1").to_json() + "\n" +
+                             with_member("run-y", "jobs", "4294967297") +
+                             "\n" + sample("run-2").to_json() + "\n";
+    std::fwrite(body.data(), 1, body.size(), f);
+    std::fclose(f);
+  }
+  const LedgerScan scan = scan_ledger(path);
+  ASSERT_EQ(scan.records.size(), 3u);
+  EXPECT_EQ(scan.records[0].id, "run-0");
+  EXPECT_EQ(scan.records[1].id, "run-1");
+  EXPECT_EQ(scan.records[2].id, "run-2");
+  ASSERT_EQ(scan.warnings.size(), 2u);
+  EXPECT_NE(scan.warnings[0].find("line 2"), std::string::npos)
+      << scan.warnings[0];
+  EXPECT_NE(scan.warnings[1].find("line 4"), std::string::npos)
+      << scan.warnings[1];
+  std::remove(path.c_str());
+}
+
 TEST(LedgerTest, RejectsUnknownSchema) {
   EXPECT_THROW(
       LedgerRecord::from_json(parse_json(
