@@ -1,10 +1,10 @@
 // Recovery-loop microbenchmarks: the live-array campaign's two hot
 // halves — demand decode (every struck word read and repaired on
-// access) and scrub sweeps (periodic whole-array fold passes) — each
-// timed through the strike-at-a-time RecoveryReference (the
-// ftspm_oracle target) and the batched engine, so the batching win is
-// measurable per half rather than only end to end (perf_harness
-// measures the blended campaigns).
+// access) and scrub sweeps (periodic passes that repair every word
+// with a nonzero cached syndrome) — each timed through the
+// strike-at-a-time RecoveryReference (the ftspm_oracle target) and the
+// batched engine, so the engine's win is measurable per half rather
+// than only end to end (perf_harness measures the blended campaigns).
 //
 // Shapes mirror perf_harness: one SEC-DED SRAM region of 8192 words.
 // The demand shape (ACE 1.0, no scrubbing) decodes every struck word;

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <type_traits>
@@ -22,6 +23,7 @@
 
 #include "ftspm/fault/injector.h"
 #include "ftspm/fault/strike_model.h"
+#include "ftspm/mem/geometry.h"
 #include "ftspm/util/rng.h"
 
 namespace ftspm {
@@ -208,6 +210,26 @@ StrikeOutcome word_outcome(ProtectionKind protection, std::uint64_t data_mask,
 /// codeword it touches, so one entry classifies each struck word. Each
 /// table is built once per process; safe to call concurrently.
 const RunOutcomeRow* run_outcome_table(ProtectionKind protection);
+
+/// Widest codeword a region can carry: 64 data bits plus the most
+/// check bits RegionGeometry accepts.
+inline constexpr std::uint32_t kRunSyndromeBits =
+    RegionGeometry::kDataBitsPerWord + RegionGeometry::kMaxCheckBitsPerWord;
+
+/// One row of a run-syndrome table: row `lo` holds, at index `len`, the
+/// syndrome of the word pattern that flips codeword bits [lo, lo + len).
+using RunSyndromeRow = std::array<std::uint8_t, kRunSyndromeBits + 1>;
+
+/// The run-syndrome table of `protection` (Parity or SEC-DED; null for
+/// any other kind): kRunSyndromeBits rows, where entry [lo][len] is the
+/// syndrome of group_masks(lo, lo + len) as the stored planes hold it —
+/// check bits past the 8-bit check plane drop out, as they do from the
+/// plane itself — for every lo + len <= kRunSyndromeBits. SEC-DED
+/// syndromes are the 8-bit Hsiao fold, parity ones the 0/1 parity bit.
+/// Syndromes are linear, so XOR-ing an entry into a word's cached
+/// syndrome (RegionImage::syndrome) keeps it current across a flip of
+/// that run. Built once per process; safe to call concurrently.
+const RunSyndromeRow* run_syndrome_table(ProtectionKind protection);
 
 /// Classifies one strike through the batch engine's fast / straddle /
 /// general paths against the region table entry `R` and returns its

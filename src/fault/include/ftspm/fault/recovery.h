@@ -136,6 +136,18 @@ struct RegionImage {
   /// and wherever `truth` changes (silent consumption). Sized like
   /// `check` (empty for unchecked protections).
   std::vector<std::uint8_t> truth_check;
+  /// Parity and SEC-DED regions only (empty otherwise): syndrome[w] is
+  /// the syndrome of word w's error pattern (data ^ truth, check ^
+  /// truth_check) — the SEC-DED 8-bit Hsiao fold or the 0/1 parity bit.
+  /// Like truth_check it is a cached derived plane: the batched engine
+  /// keeps it current where a flip lands (XOR of a run-syndrome table
+  /// entry, detail::run_syndrome_table) and where it rewrites a word,
+  /// so a decode reads one byte instead of folding. Sized to the word
+  /// count rounded up to a multiple of 64, so a scrub sweep scans it in
+  /// whole blocks of 64 words, 8 per load; the pad bytes stay 0.
+  /// RecoveryReference leaves it alone, so a side the reference
+  /// advanced is not fit for the engine.
+  std::vector<std::uint8_t> syndrome;
 };
 
 /// One shard's mutable recovery state, owned by the caller alongside
@@ -146,18 +158,9 @@ struct RecoveryShardSide {
   bool initialized = false;
   std::vector<RegionImage> images;
   RecoveryCounters counters;
-  /// Struck-word scratch of run_chunk (cleared per strike, capacity
-  /// kept across chunks). Pure workspace, never checkpointed.
+  /// Struck-word scratch of an interleaved strike (cleared per strike,
+  /// capacity kept across chunks). Pure workspace, never checkpointed.
   std::vector<std::uint64_t> touched;
-  /// Batched-engine scratch (recovery_batch.cpp): the scrub sweep's
-  /// clean-word bitmap plus the gathered (word index, data mask, check
-  /// mask, syndrome) SoA of words headed for a batched classify. Pure
-  /// workspace like `touched`.
-  std::vector<std::uint64_t> batch_bitmap;
-  std::vector<std::uint64_t> batch_words;
-  std::vector<std::uint64_t> batch_data;
-  std::vector<std::uint8_t> batch_check;
-  std::vector<std::uint8_t> batch_syndrome;
 };
 
 /// Immutable shared context of a live-array campaign. Safe to share
@@ -189,10 +192,11 @@ class LiveArrayCampaign {
   /// outcome without affecting results.
   ///
   /// This is the batched engine (recovery_batch.cpp): integer-domain
-  /// aim draws over per-chunk region tables, XOR-mask flip scatter,
-  /// demand decode and scrub sweeps through the batched ECC entry
-  /// points. Counters, images, grids, and the RNG stream are
-  /// bit-identical to the strike-at-a-time RecoveryReference
+  /// aim draws over per-chunk region tables, XOR-mask flip scatter that
+  /// keeps each word's cached syndrome current, and demand decodes and
+  /// scrub sweeps that classify a word with one syndrome-table read.
+  /// Counters, images, grids, and the RNG stream are bit-identical to
+  /// the strike-at-a-time RecoveryReference
   /// (oracle/recovery_reference.h) — pinned by
   /// tests/fault/batch_engine_test.cpp.
   void run_chunk(const CampaignConfig& config, CampaignShardState& core,
@@ -207,6 +211,17 @@ class LiveArrayCampaign {
   void build_batch_tables(BatchTables& tables, std::uint32_t max_flips) const;
   void scrub_sweep_batched(RecoveryShardSide& side, Rng& rng,
                            const BatchTables& tables) const;
+  /// The batched engine's out-of-line strike halves: the demand read of
+  /// one struck word, and a whole strike on an interleaved region.
+  /// run_chunk lends them its generator through detail::on_rng_copy.
+  struct BatchRegion;
+  StrikeOutcome demand_read(const BatchRegion& R, RegionImage& image,
+                            std::uint64_t word, RecoveryCounters& counters,
+                            Rng& rng) const;
+  StrikeOutcome interleaved_strike(const BatchRegion& R, RegionImage& image,
+                                   std::vector<std::uint64_t>& touched,
+                                   std::uint64_t origin, std::uint64_t flips,
+                                   RecoveryCounters& counters, Rng& rng) const;
 
   std::vector<RecoveryRegion> regions_;
   const StrikeMultiplicityModel& strikes_;

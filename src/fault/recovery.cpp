@@ -66,6 +66,10 @@ LiveArrayCampaign::LiveArrayCampaign(std::vector<RecoveryRegion> regions,
     FTSPM_REQUIRE(r.inject.interleave >= 1, "interleave degree must be >= 1");
     FTSPM_REQUIRE(r.dirty_fraction >= 0.0 && r.dirty_fraction <= 1.0,
                   "dirty_fraction out of [0,1]");
+    FTSPM_REQUIRE((r.inject.protection != ProtectionKind::Parity &&
+                   r.inject.protection != ProtectionKind::SecDed) ||
+                      r.inject.geometry.check_bits_per_word() != 0,
+                  "a parity or SEC-DED region needs check bits");
     weights_.push_back(static_cast<double>(r.inject.geometry.physical_bits()));
   }
 }
@@ -85,6 +89,9 @@ void LiveArrayCampaign::ensure_shard_images(RecoveryShardSide& side,
       image.check.resize(words);
       image.truth_check.resize(words);
     }
+    // Clean words have a zero syndrome; see RegionImage for the pad.
+    if (region.inject.protection != ProtectionKind::None)
+      image.syndrome.assign((words + 63) / 64 * 64, 0);
     // A dedicated fill stream per (shard, region): image contents are
     // independent of the strike sequence, so enabling recovery can
     // never shift the aim draws, and every shard's array differs.

@@ -11,7 +11,8 @@ RegionGeometry::RegionGeometry(std::uint64_t data_bytes,
       check_bits_(check_bits_per_word) {
   FTSPM_REQUIRE(data_bytes > 0, "region must be non-empty");
   FTSPM_REQUIRE(data_bytes % 8 == 0, "region size must be word-aligned");
-  FTSPM_REQUIRE(check_bits_per_word <= 16, "check-bit overhead out of range");
+  FTSPM_REQUIRE(check_bits_per_word <= kMaxCheckBitsPerWord,
+                "check-bit overhead out of range");
 }
 
 RegionGeometry RegionGeometry::for_params(std::uint64_t data_bytes,

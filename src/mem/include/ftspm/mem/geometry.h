@@ -24,6 +24,8 @@ struct PhysicalBit {
 class RegionGeometry {
  public:
   static constexpr std::uint32_t kDataBitsPerWord = 64;
+  /// Widest check-bit overhead a geometry accepts.
+  static constexpr std::uint32_t kMaxCheckBitsPerWord = 16;
 
   RegionGeometry(std::uint64_t data_bytes, std::uint32_t check_bits_per_word);
 

@@ -1,14 +1,14 @@
 // Strike-at-a-time reference of the live-array recovery campaign.
 //
 // LiveArrayCampaign::run_chunk (fault/recovery_batch.cpp) is a batched
-// engine: integer-domain aim draws, XOR-mask flip scatter, batched
-// demand decodes and scrub folds. RecoveryReference is the loop it
-// replaced — one next_discrete/next_bool/classify_pattern call per
-// draw, per-bit located flips, per-word scrub resolution — kept as the
-// equivalence oracle for tests and bench/micro_recovery. Counters,
-// images, grids and the RNG stream match the engine bit for bit under
-// any chunk schedule (tests/fault/batch_engine_test.cpp); it is
-// severalfold slower.
+// engine: integer-domain aim draws, XOR-mask flip scatter, and demand
+// decodes and scrub sweeps read from each word's cached syndrome.
+// RecoveryReference is the loop it replaced — one next_discrete,
+// next_bool or classify_pattern call per draw, per-bit located flips,
+// per-word scrub resolution — kept as the equivalence oracle for tests
+// and bench/micro_recovery. Counters, images, grids and the RNG stream
+// match the engine bit for bit under any chunk schedule
+// (tests/fault/batch_engine_test.cpp); it is severalfold slower.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +33,8 @@ class RecoveryReference {
 
   /// LiveArrayCampaign::run_chunk, one strike at a time. `side` must
   /// have been filled by LiveArrayCampaign::ensure_shard_images for a
-  /// campaign over the same regions.
+  /// campaign over the same regions. The images' cached syndrome plane
+  /// is the engine's; this loop leaves it stale.
   void run_chunk(const CampaignConfig& config, CampaignShardState& core,
                  RecoveryShardSide& side, std::uint64_t max_strikes,
                  SensitivityGrid* grid = nullptr) const;

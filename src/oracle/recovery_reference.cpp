@@ -59,8 +59,13 @@ RecoveryReference::RecoveryReference(std::vector<RecoveryRegion> regions,
     : regions_(std::move(regions)), strikes_(strikes), policy_(policy) {
   FTSPM_REQUIRE(!regions_.empty(), "campaign needs at least one region");
   weights_.reserve(regions_.size());
-  for (const RecoveryRegion& r : regions_)
+  for (const RecoveryRegion& r : regions_) {
+    FTSPM_REQUIRE((r.inject.protection != ProtectionKind::Parity &&
+                   r.inject.protection != ProtectionKind::SecDed) ||
+                      r.inject.geometry.check_bits_per_word() != 0,
+                  "a parity or SEC-DED region needs check bits");
     weights_.push_back(static_cast<double>(r.inject.geometry.physical_bits()));
+  }
 }
 
 RecoveryReference::WordRepair RecoveryReference::resolve_word(

@@ -8,6 +8,7 @@
 // (grid-recording) paths alike.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -16,6 +17,8 @@
 #include "ftspm/core/mapping_plan.h"
 #include "ftspm/core/system_campaign.h"
 #include "ftspm/core/systems.h"
+#include "ftspm/ecc/parity_codec.h"
+#include "ftspm/ecc/secded_codec.h"
 #include "ftspm/fault/batch_engine.h"
 #include "ftspm/fault/injector.h"
 #include "ftspm/fault/recovery.h"
@@ -26,6 +29,7 @@
 #include "ftspm/oracle/recovery_reference.h"
 #include "ftspm/oracle/strike_oracle.h"
 #include "ftspm/oracle/temporal_reference.h"
+#include "ftspm/util/error.h"
 #include "ftspm/util/rng.h"
 #include "ftspm/workload/case_study.h"
 
@@ -392,14 +396,61 @@ struct RecoveryRun {
 /// The batched engine and its reference, built from the same
 /// arguments.
 struct RecoveryUnderTest {
+  std::vector<RecoveryRegion> regions;
   LiveArrayCampaign engine;
   RecoveryReference reference;
 
   RecoveryUnderTest(const std::vector<RecoveryRegion>& regions,
                     const StrikeMultiplicityModel& model,
                     const RecoveryPolicy& policy)
-      : engine(regions, model, policy), reference(regions, model, policy) {}
+      : regions(regions),
+        engine(regions, model, policy),
+        reference(regions, model, policy) {}
 };
+
+/// The engine's shadow invariant (RegionImage::syndrome): every word of
+/// a Parity or SEC-DED image caches the syndrome its images fold to,
+/// and the pad past the last word stays 0.
+void expect_syndrome_shadow(const std::vector<RecoveryRegion>& regions,
+                            const RecoveryShardSide& side,
+                            const std::string& what) {
+  for (std::size_t r = 0; r < regions.size(); ++r) {
+    const ProtectionKind protection = regions[r].inject.protection;
+    const RegionImage& image = side.images[r];
+    if (protection != ProtectionKind::Parity &&
+        protection != ProtectionKind::SecDed) {
+      EXPECT_TRUE(image.syndrome.empty()) << what << " region " << r;
+      continue;
+    }
+    const std::size_t words = image.data.size();
+    ASSERT_EQ(image.syndrome.size(), (words + 63) / 64 * 64)
+        << what << " region " << r;
+    std::vector<std::uint64_t> data_masks(words);
+    std::vector<std::uint8_t> check_masks(words);
+    for (std::size_t w = 0; w < words; ++w) {
+      data_masks[w] = image.data[w] ^ image.truth[w];
+      check_masks[w] =
+          static_cast<std::uint8_t>(image.check[w] ^ image.truth_check[w]);
+    }
+    std::vector<std::uint8_t> want(words);
+    if (protection == ProtectionKind::SecDed)
+      SecDedCodec::fold_syndromes_scalar(data_masks.data(),
+                                         check_masks.data(), words,
+                                         want.data());
+    else
+      ParityCodec::fold_parity(data_masks.data(), check_masks.data(), words,
+                               want.data());
+    std::size_t stale = 0, first = words;
+    for (std::size_t w = 0; w < words; ++w)
+      if (image.syndrome[w] != want[w] && stale++ == 0) first = w;
+    EXPECT_EQ(stale, 0u) << what << " region " << r
+                         << " stale syndromes, the first at word " << first;
+    EXPECT_TRUE(std::all_of(image.syndrome.begin() + words,
+                            image.syndrome.end(),
+                            [](std::uint8_t b) { return b == 0; }))
+        << what << " region " << r << " pad";
+  }
+}
 
 RecoveryRun drive_recovery(const RecoveryUnderTest& campaign,
                            const CampaignConfig& cfg, bool batched,
@@ -410,10 +461,14 @@ RecoveryRun drive_recovery(const RecoveryUnderTest& campaign,
   RecoveryShardSide side;
   campaign.engine.ensure_shard_images(side, cfg.seed);
   for (const std::uint64_t step : schedule) {
-    if (batched)
+    if (batched) {
       campaign.engine.run_chunk(cfg, core, side, step, grid);
-    else
+      expect_syndrome_shadow(campaign.regions, side,
+                             "after chunk ending at " +
+                                 std::to_string(core.done));
+    } else {
       campaign.reference.run_chunk(cfg, core, side, step, grid);
+    }
   }
   RecoveryRun run;
   run.strikes = core.partial;
@@ -607,6 +662,89 @@ TEST(BatchEngineRecovery, MatchesReferenceOverChunksPastOneLane) {
   expect_recovery_equal(drive_recovery(campaign, cfg, true, {cfg.strikes}),
                         drive_recovery(campaign, cfg, false, {cfg.strikes}),
                         "one chunk past a lane");
+}
+
+TEST(BatchEngineRecovery, MatchesReferenceAtExoticCheckWidths) {
+  // Check widths the CLI never builds: SEC-DED with fewer or more check
+  // bits than its 8-bit code reads, parity with check bits past its
+  // one parity bit. Flips into check bits >= 8 drop out of the 8-bit
+  // check plane, and flips into a parity word's extra check bits stay
+  // unseen by the code yet keep its error pattern nonzero. A mix heavy
+  // in multi-bit strikes makes runs reach those bits often.
+  const StrikeMultiplicityModel model(0.4, 0.3, 0.2, 0.1);
+  const struct {
+    ProtectionKind protection;
+    std::uint32_t check_bits;
+  } widths[] = {{ProtectionKind::SecDed, 1},  {ProtectionKind::SecDed, 4},
+                {ProtectionKind::SecDed, 8},  {ProtectionKind::SecDed, 12},
+                {ProtectionKind::SecDed, 16}, {ProtectionKind::Parity, 1},
+                {ProtectionKind::Parity, 4}};
+  for (const auto& width : widths) {
+    for (const std::uint32_t interleave : {1u, 2u}) {
+      for (const bool recover : {true, false}) {
+        RecoveryPolicy policy;
+        policy.recover = recover;
+        policy.scrub_interval = 64;
+        const RecoveryUnderTest campaign(
+            {make_recovery_region(RegionGeometry(1024, width.check_bits),
+                                  width.protection, 0.5, interleave, 0.25,
+                                  true)},
+            model, policy);
+        const CampaignConfig cfg = config_for(0xe207c, 6'000);
+        expect_recovery_equal(
+            drive_recovery(campaign, cfg, true, {2'500, 3'500}),
+            drive_recovery(campaign, cfg, false, {cfg.strikes}),
+            std::string(width.protection == ProtectionKind::SecDed
+                            ? "secded"
+                            : "parity") +
+                " check bits " + std::to_string(width.check_bits) +
+                " interleave " + std::to_string(interleave) +
+                " recover=" + std::to_string(recover));
+      }
+    }
+  }
+}
+
+TEST(BatchEngineRecovery, UnwrittenCorrectionsKeepTheirSyndrome) {
+  // Demand repair off and no scrubbing: a corrected or miscorrected
+  // word is never written back, so its error — and its cached
+  // syndrome — stays in the array. drive_recovery checks the shadow
+  // after every chunk; this pins that such words exist.
+  const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
+  RecoveryPolicy policy;
+  policy.recover = false;
+  policy.scrub_interval = 0;
+  const RecoveryUnderTest campaign(
+      {make_recovery_region(RegionGeometry(4096, 8), ProtectionKind::SecDed,
+                            1.0, 1, 0.25, false)},
+      model, policy);
+  const CampaignConfig cfg = config_for(0x5badc0de, 4'000);
+  const RecoveryRun run =
+      drive_recovery(campaign, cfg, true, {1'000, 1'000, 2'000});
+  EXPECT_GT(run.strikes.dre, 0u);
+  const std::vector<std::uint8_t>& syndrome = run.images[0].syndrome;
+  EXPECT_GT(std::count_if(syndrome.begin(), syndrome.end(),
+                          [](std::uint8_t s) { return s != 0; }),
+            0);
+  expect_recovery_equal(run,
+                        drive_recovery(campaign, cfg, false, {cfg.strikes}),
+                        "recover off, no scrub");
+}
+
+TEST(BatchEngineRecovery, RejectsCodedRegionsWithoutCheckBits) {
+  // A parity or SEC-DED region needs a check plane to hold its code;
+  // both the engine and its reference refuse one without.
+  const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
+  RecoveryPolicy policy;
+  policy.recover = true;
+  policy.scrub_interval = 64;
+  for (const ProtectionKind protection :
+       {ProtectionKind::Parity, ProtectionKind::SecDed}) {
+    const std::vector<RecoveryRegion> regions{make_recovery_region(
+        RegionGeometry(1024, 0), protection, 0.5, 1, 0.25, true)};
+    EXPECT_THROW(LiveArrayCampaign(regions, model, policy), InvalidArgument);
+    EXPECT_THROW(RecoveryReference(regions, model, policy), InvalidArgument);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -809,6 +947,34 @@ TEST(BatchEngineRunTable, EveryRunMatchesTheOracle) {
   // None and SEC-DED at 9 codeword widths each, parity at 2.
   EXPECT_GT(runs, 40'000u);
   EXPECT_EQ(detail::run_outcome_table(ProtectionKind::Immune), nullptr);
+}
+
+TEST(BatchEngineRunTable, EverySyndromeRunMatchesTheFold) {
+  // Every run of every codeword width a region can have, against the
+  // codecs' own folds over the run's masks as the 8-bit check plane
+  // holds them.
+  for (const ProtectionKind protection :
+       {ProtectionKind::Parity, ProtectionKind::SecDed}) {
+    const detail::RunSyndromeRow* run = detail::run_syndrome_table(protection);
+    ASSERT_NE(run, nullptr);
+    for (std::uint32_t lo = 0; lo < detail::kRunSyndromeBits; ++lo) {
+      for (std::uint32_t len = 0; lo + len <= detail::kRunSyndromeBits;
+           ++len) {
+        const detail::GroupMasks gm = detail::group_masks(lo, lo + len);
+        const auto check = static_cast<std::uint8_t>(gm.check);
+        std::uint8_t want = 0;
+        if (protection == ProtectionKind::SecDed)
+          SecDedCodec::fold_syndromes_scalar(&gm.data, &check, 1, &want);
+        else
+          ParityCodec::fold_parity(&gm.data, &check, 1, &want);
+        EXPECT_EQ(run[lo][len], want)
+            << "protection " << static_cast<int>(protection) << " run ["
+            << lo << ", " << lo + len << ")";
+      }
+    }
+  }
+  EXPECT_EQ(detail::run_syndrome_table(ProtectionKind::None), nullptr);
+  EXPECT_EQ(detail::run_syndrome_table(ProtectionKind::Immune), nullptr);
 }
 
 /// Mixes where every strike is a run the SEC-DED engines once parked
