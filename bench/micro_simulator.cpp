@@ -3,11 +3,14 @@
 // the practical limit on evaluation scale. Three shapes, each at scale 4:
 // sha keeps every block SPM-resident under FTSPM (no cache traffic), fft
 // sends millions of words of long runs through the cache path, and
-// dijkstra is event-heavy (short runs, many call markers).
+// dijkstra is event-heavy (short runs, many call markers). The pure
+// STT-RAM structure maps data blocks into endurance-limited regions, so
+// its runs take the per-word wear path on every SPM write.
 #include <benchmark/benchmark.h>
 
 #include "bench_io.h"
 
+#include "ftspm/core/baseline_mapper.h"
 #include "ftspm/core/systems.h"
 #include "ftspm/profile/profiler.h"
 #include "ftspm/workload/suite.h"
@@ -56,6 +59,19 @@ void BM_SimulateFtspm(benchmark::State& state, MiBenchmark bench) {
 BENCHMARK_CAPTURE(BM_SimulateFtspm, sha, MiBenchmark::Sha);
 BENCHMARK_CAPTURE(BM_SimulateFtspm, fft, MiBenchmark::Fft);
 BENCHMARK_CAPTURE(BM_SimulateFtspm, dijkstra, MiBenchmark::Dijkstra);
+
+void BM_SimulatePureStt(benchmark::State& state, MiBenchmark bench) {
+  const Workload& w = workload(bench);
+  const StructureEvaluator evaluator;
+  const MappingPlan plan = determine_baseline_mapping(
+      evaluator.pure_stt_layout(), w.program, profile_workload(w));
+  const Simulator sim(evaluator.pure_stt_layout(), evaluator.sim_config());
+  for (auto _ : state)
+    benchmark::DoNotOptimize(sim.run(w, plan.block_to_region()));
+  set_items(state, w);
+}
+BENCHMARK_CAPTURE(BM_SimulatePureStt, fft, MiBenchmark::Fft);
+BENCHMARK_CAPTURE(BM_SimulatePureStt, dijkstra, MiBenchmark::Dijkstra);
 
 void BM_MdaDetermine(benchmark::State& state) {
   const Workload& w = workload(MiBenchmark::Sha);

@@ -1,7 +1,6 @@
 #include "ftspm/profile/profiler.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "ftspm/util/error.h"
 
@@ -24,12 +23,18 @@ double ProgramProfile::ace_fraction(const Program& program,
 
 namespace {
 
-/// Per-word ACE bookkeeping for one data block.
-struct WordState {
-  std::vector<std::uint64_t> value_born;   ///< Cycle the live value was
-                                           ///< written (0 = initial load).
-  std::vector<std::uint64_t> last_read;    ///< Last read of that value.
-  std::vector<std::uint64_t> write_count;  ///< Wear per word.
+/// One block's row of the per-call block table. A data block's rows
+/// point at its words' ACE state, three word-indexed arrays in one
+/// allocation shared by all blocks.
+struct ProfileRow {
+  std::uint64_t* value_born = nullptr;   ///< Cycle the live value was
+                                         ///< written (0 = initial load).
+  std::uint64_t* last_read = nullptr;    ///< Last read of that value.
+  std::uint64_t* write_count = nullptr;  ///< Wear per word.
+  std::uint64_t last_fetch = 0;          ///< Code blocks: end of the last
+                                         ///< fetch run.
+  std::uint32_t words = 0;
+  bool is_data = false;
 };
 
 /// Tracks one open activation for max-stack accounting.
@@ -39,46 +44,65 @@ struct Activation {
   std::uint32_t max_depth_bytes;
 };
 
+/// No block: the class (code or data) has not been referenced yet.
+constexpr BlockId kNoBlock = ~BlockId{0};
+
 }  // namespace
 
 ProgramProfile profile_workload(const Workload& workload) {
   const Program& program = workload.program;
-  validate_trace(program, workload.trace);
+  const std::size_t n_blocks = program.block_count();
 
   ProgramProfile out;
-  out.blocks.resize(program.block_count());
-  for (std::size_t i = 0; i < out.blocks.size(); ++i)
+  out.blocks.resize(n_blocks);
+  for (std::size_t i = 0; i < n_blocks; ++i)
     out.blocks[i].id = static_cast<BlockId>(i);
 
-  std::vector<WordState> words(program.block_count());
-  for (std::size_t i = 0; i < program.block_count(); ++i) {
-    const Block& b = program.block(static_cast<BlockId>(i));
-    if (b.is_data()) {
-      words[i].value_born.assign(b.size_words(), 0);
-      words[i].last_read.assign(b.size_words(), 0);
-      words[i].write_count.assign(b.size_words(), 0);
-    }
+  std::vector<ProfileRow> rows(n_blocks);
+  std::size_t data_words = 0;
+  for (std::size_t i = 0; i < n_blocks; ++i) {
+    const Block& b = program.blocks()[i];
+    rows[i].words = b.size_words();
+    rows[i].is_data = b.is_data();
+    if (b.is_data()) data_words += b.size_words();
+  }
+  std::vector<std::uint64_t> word_state(3 * data_words, 0);
+  std::uint64_t* next_state = word_state.data();
+  for (ProfileRow& row : rows) {
+    if (!row.is_data) continue;
+    row.value_born = next_state;
+    row.last_read = next_state + row.words;
+    row.write_count = next_state + 2 * row.words;
+    next_state += 3 * row.words;
   }
 
   std::uint64_t now = 0;
-  std::optional<BlockId> current_code, current_data;
+  std::uint64_t total_accesses = 0;
+  BlockId current_code = kNoBlock, current_data = kNoBlock;
   std::uint64_t code_since = 0, data_since = 0;
-  std::vector<std::uint64_t> last_fetch(program.block_count(), 0);
   std::vector<Activation> activations;
   std::uint32_t stack_depth_bytes = 0;
 
-  auto switch_current = [&](std::optional<BlockId>& current,
-                            std::uint64_t& since, BlockId next) {
+  auto switch_current = [&](BlockId& current, std::uint64_t& since,
+                            BlockId next) {
     if (current == next) return;
-    if (current) out.blocks[*current].lifetime_cycles += now - since;
+    if (current != kNoBlock) out.blocks[current].lifetime_cycles += now - since;
     current = next;
     since = now;
     ++out.blocks[next].references;
     out.reference_sequence.push_back(next);
   };
 
-  for (const TraceEvent& e : workload.trace) {
+  // One walk: each event is validated (exactly as validate_trace would,
+  // so a malformed trace throws the same error at the same event), then
+  // profiled.
+  TraceChecker checker(program);
+  const std::vector<TraceEvent>& trace = workload.trace;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const TraceEvent& e = trace[i];
+    checker.check(e, i);
     BlockProfile& bp = out.blocks[e.block];
+    ProfileRow& row = rows[e.block];
     switch (e.type) {
       case AccessType::CallEnter: {
         ++bp.stack_calls;
@@ -105,22 +129,22 @@ ProgramProfile profile_workload(const Workload& workload) {
       case AccessType::Fetch: {
         switch_current(current_code, code_since, e.block);
         bp.reads += e.repeat;
+        total_accesses += e.repeat;
         now += e.nominal_cycles();
-        last_fetch[e.block] = now;
+        row.last_fetch = now;
         break;
       }
       case AccessType::Read:
       case AccessType::Write: {
         switch_current(current_data, data_since, e.block);
-        WordState& ws = words[e.block];
-        const WordRun run(e.offset, e.repeat,
-                          program.block(e.block).size_words());
+        const WordRun run(e.offset, e.repeat, row.words);
         const std::uint64_t step = e.gap + 1ULL;
         const bool is_read = e.type == AccessType::Read;
         if (is_read)
           bp.reads += e.repeat;
         else
           bp.writes += e.repeat;
+        total_accesses += e.repeat;
         // Visit k happens at now + (k + 1) * step. Per word, only the
         // run's first visit can close an ACE interval (a later one finds
         // the value this run wrote, never read) and only its last visit's
@@ -129,14 +153,14 @@ ProgramProfile profile_workload(const Workload& workload) {
                                   std::uint64_t visits,
                                   std::uint64_t last_visit) {
           const std::uint64_t t0 = now + (last_visit + 1) * step;
-          std::uint64_t* const last_read = ws.last_read.data() + first;
+          std::uint64_t* const last_read = row.last_read + first;
           if (is_read) {
             for (std::uint64_t i = 0; i < len; ++i)
               last_read[i] = t0 + i * step;
             return;
           }
-          std::uint64_t* const born = ws.value_born.data() + first;
-          std::uint64_t* const writes = ws.write_count.data() + first;
+          std::uint64_t* const born = row.value_born + first;
+          std::uint64_t* const writes = row.write_count + first;
           std::uint64_t ace = 0;
           for (std::uint64_t i = 0; i < len; ++i) {
             // Close the previous value's vulnerable interval. Whether it
@@ -156,32 +180,31 @@ ProgramProfile profile_workload(const Workload& workload) {
       }
     }
   }
+  checker.finish();
 
   // Close open state at end-of-trace.
-  if (current_code)
-    out.blocks[*current_code].lifetime_cycles += now - code_since;
-  if (current_data)
-    out.blocks[*current_data].lifetime_cycles += now - data_since;
-  for (std::size_t i = 0; i < program.block_count(); ++i) {
-    const Block& b = program.block(static_cast<BlockId>(i));
+  if (current_code != kNoBlock)
+    out.blocks[current_code].lifetime_cycles += now - code_since;
+  if (current_data != kNoBlock)
+    out.blocks[current_data].lifetime_cycles += now - data_since;
+  for (std::size_t i = 0; i < n_blocks; ++i) {
+    const ProfileRow& row = rows[i];
     BlockProfile& bp = out.blocks[i];
-    if (b.is_data()) {
-      WordState& ws = words[i];
-      for (std::uint32_t w = 0; w < b.size_words(); ++w) {
-        if (ws.last_read[w] > ws.value_born[w])
-          bp.ace_cycles += ws.last_read[w] - ws.value_born[w];
-        bp.max_word_writes = std::max(bp.max_word_writes, ws.write_count[w]);
+    if (row.is_data) {
+      for (std::uint32_t w = 0; w < row.words; ++w) {
+        if (row.last_read[w] > row.value_born[w])
+          bp.ace_cycles += row.last_read[w] - row.value_born[w];
+        bp.max_word_writes = std::max(bp.max_word_writes, row.write_count[w]);
       }
     } else {
       // Instructions are read-only: every word is needed from program
       // start until the block's last fetch.
-      bp.ace_cycles = static_cast<std::uint64_t>(b.size_words()) *
-                      last_fetch[i];
+      bp.ace_cycles = static_cast<std::uint64_t>(row.words) * row.last_fetch;
     }
   }
 
   out.total_cycles = now;
-  out.total_accesses = workload.total_accesses();
+  out.total_accesses = total_accesses;
   return out;
 }
 

@@ -6,6 +6,7 @@
 // true LRU, write-allocate, write-back; no coherence (single core).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -51,49 +52,82 @@ class Cache {
     return access_run(addr, 1, is_write);
   }
 
-  /// Performs `words` >= 1 consecutive word accesses, all within the
-  /// line holding byte address `addr`. Exactly equivalent to `words`
-  /// access() calls: only the first can miss, since it leaves the line
-  /// resident and nothing else touches the cache before the rest, which
-  /// hit it. The result is the first access's; the rest only bump the
-  /// statistics and the line's use stamp.
+  /// The one-line case of access_range(): `words` >= 1 consecutive word
+  /// accesses from the word holding byte address `addr`, all within its
+  /// line. Only the first can miss, so the result is the first access's.
   CacheAccessResult access_run(std::uint64_t addr, std::uint64_t words,
                                bool is_write) {
-    tick_ += words;
-    (is_write ? stats_.writes : stats_.reads) += words;
+    CacheAccessResult r;
+    access_range(addr & ~std::uint64_t{7}, words, is_write,
+                 [&r](std::uint64_t, bool writeback) {
+                   r = CacheAccessResult{false, writeback};
+                 });
+    return r;
+  }
 
-    const std::uint64_t line_addr = addr >> line_shift_;
-    const std::uint64_t set = line_addr & (sets_ - 1);
-    const std::uint64_t tag = line_addr >> set_shift_;
-    const std::size_t first = set * config_.ways;
-    std::uint64_t* const tags = &tags_[first];
-    std::uint64_t* const stamps = &stamps_[first];
-    std::uint8_t* const dirty = &dirty_[first];
+  /// Performs `words` >= 1 word accesses to consecutive words from byte
+  /// address `addr` (a multiple of 8), exactly as `words` access() calls
+  /// would. The range is walked one line piece at a time: the words of a
+  /// piece are accessed back to back, so only the piece's first access
+  /// can miss; it leaves the line resident and the rest hit it, and the
+  /// line's use stamp is the piece's last access's tick. For each piece
+  /// whose first access misses, calls on_miss(words_before, writeback)
+  /// in line order, with `words_before` the range's accesses made before
+  /// that piece and `writeback` whether a dirty victim was evicted.
+  /// Statistics are updated when the range is done.
+  template <class OnMiss>
+  void access_range(std::uint64_t addr, std::uint64_t words, bool is_write,
+                    OnMiss&& on_miss) {
+    const std::uint32_t ways = config_.ways;
+    const std::uint64_t line_mask = config_.line_bytes - 1;
+    std::uint64_t* const tags_base = tags_.data();
+    std::uint64_t* const stamps_base = stamps_.data();
+    std::uint8_t* const dirty_base = dirty_.data();
+    std::uint64_t tick = tick_;
+    std::uint64_t misses = 0;
+    std::uint64_t writebacks = 0;
+    const std::uint64_t end = addr + words * 8;
+    for (std::uint64_t a = addr; a < end;) {
+      const std::uint64_t next = std::min(end, (a | line_mask) + 1);
+      const std::uint64_t piece = (next - a) >> 3;
+      tick += piece;
+      const std::uint64_t line_addr = a >> line_shift_;
+      const std::uint64_t set = line_addr & (sets_ - 1);
+      const std::uint64_t tag = line_addr >> set_shift_;
+      const std::size_t first = set * ways;
+      std::uint64_t* const tags = tags_base + first;
+      std::uint64_t* const stamps = stamps_base + first;
+      std::uint8_t* const dirty = dirty_base + first;
 
-    // Both scans are selects, not branches: which way hits, and which
-    // way is oldest, is data-dependent and unpredictable.
-    std::uint32_t hit = config_.ways;
-    for (std::uint32_t w = 0; w < config_.ways; ++w)
-      hit = tags[w] == tag ? w : hit;
-    if (hit != config_.ways) {
-      stamps[hit] = tick_;
-      dirty[hit] |= static_cast<std::uint8_t>(is_write);
-      return CacheAccessResult{true, false};
+      // Both scans are selects, not branches: which way hits, and which
+      // way is oldest, is data-dependent and unpredictable.
+      std::uint32_t hit = ways;
+      for (std::uint32_t w = 0; w < ways; ++w)
+        hit = tags[w] == tag ? w : hit;
+      if (hit != ways) {
+        stamps[hit] = tick;
+        dirty[hit] |= static_cast<std::uint8_t>(is_write);
+      } else {
+        // Miss: the first invalid way, else the least recently used
+        // one. Invalid ways hold stamp 0 and valid ones distinct stamps
+        // >= 1, so both are the first way with the smallest stamp.
+        ++misses;
+        std::uint32_t victim = 0;
+        for (std::uint32_t w = 1; w < ways; ++w)
+          victim = stamps[w] < stamps[victim] ? w : victim;
+        const bool writeback = dirty[victim] != 0;
+        writebacks += writeback;
+        tags[victim] = tag;
+        stamps[victim] = tick;
+        dirty[victim] = static_cast<std::uint8_t>(is_write);  // allocate
+        on_miss(words - ((end - a) >> 3), writeback);
+      }
+      a = next;
     }
-
-    // Miss: the first invalid way, else the least recently used one.
-    // Invalid ways hold stamp 0 and valid ones distinct stamps >= 1, so
-    // both are the first way with the smallest stamp.
-    ++(is_write ? stats_.write_misses : stats_.read_misses);
-    std::uint32_t victim = 0;
-    for (std::uint32_t w = 1; w < config_.ways; ++w)
-      victim = stamps[w] < stamps[victim] ? w : victim;
-    const bool writeback = dirty[victim] != 0;
-    if (writeback) ++stats_.writebacks;
-    tags[victim] = tag;
-    stamps[victim] = tick_;
-    dirty[victim] = static_cast<std::uint8_t>(is_write);  // write-allocate
-    return CacheAccessResult{false, writeback};
+    tick_ = tick;
+    (is_write ? stats_.writes : stats_.reads) += words;
+    (is_write ? stats_.write_misses : stats_.read_misses) += misses;
+    stats_.writebacks += writebacks;
   }
 
   /// Invalidates everything and clears statistics.

@@ -168,14 +168,18 @@ class Simulator {
 
   /// Runs `workload` with the given block->region assignment
   /// (kNoRegion = cache path). Throws InvalidArgument when a mapped
-  /// block does not fit its region or targets the wrong space.
+  /// block does not fit its region or targets the wrong space, or when
+  /// a memory event names a block the program does not have.
   RunResult run(const Workload& workload,
                 std::span<const RegionId> block_to_region) const;
 
  private:
-  /// The actual engine. Instantiated twice so the WithObs=false hot
-  /// path carries no instrumentation code at all — run() picks the
-  /// variant from obs::enabled() once per call.
+  /// The actual engine: one walk of the trace over per-call block and
+  /// region tables, with every running total in a local until the end.
+  /// One kernel, instantiated twice so the WithObs=false hot path
+  /// carries no instrumentation code at all: run() picks the variant
+  /// from obs::enabled() once per call, and WithObs=true adds phase
+  /// accounting and trace events under `if constexpr`.
   template <bool WithObs>
   RunResult run_impl(const Workload& workload,
                      std::span<const RegionId> block_to_region) const;

@@ -58,32 +58,35 @@ Simulator::Simulator(SpmLayout layout, SimConfig config)
   FTSPM_REQUIRE(config_.clock_mhz > 0.0, "clock must be positive");
 }
 
-// Per-event helper lambdas must stay inlined into the run loop: at -O2
-// the inliner's unit-growth budget otherwise outlines evict() and
-// ensure_resident(), a measured ~10% throughput loss on
-// bench/micro_simulator. Mandatory-inline keeps codegen identical to a
-// build without the instrumented run_impl<true> instantiation.
-#if defined(__GNUC__) || defined(__clang__)
-#define FTSPM_SIM_INLINE __attribute__((always_inline))
-#else
-#define FTSPM_SIM_INLINE
-#endif
-
 namespace {
 
-/// Runtime residency bookkeeping for one block.
-struct BlockState {
+/// One block's row of the per-call block table: everything the run loop
+/// reads for an event, and the block's residency and wear state.
+struct BlockRow {
+  std::uint64_t base = 0;         ///< Off-chip byte address.
+  std::uint64_t last_use = 0;     ///< Allocator tick of the last access.
+  std::uint64_t accesses = 0;     ///< Word accesses (SPM or cache path).
+  std::uint64_t* wear = nullptr;  ///< Per-word program writes while
+                                  ///< resident; endurance-limited
+                                  ///< regions only.
+  std::uint32_t words = 0;
+  RegionId region = kNoRegion;    ///< kNoRegion: the cache path.
   bool resident = false;
   bool dirty = false;
-  std::uint64_t last_use = 0;
-  std::vector<std::uint64_t> wear;  ///< Per-word program writes while
-                                    ///< resident (STT regions only).
 };
 
-/// Runtime state of one region's dynamic allocator.
-struct RegionState {
+/// One region's row of the per-call region table: its technology's
+/// costs, its dynamic allocator and its counters.
+struct RegionRow {
+  double read_energy_pj = 0.0;
+  double write_energy_pj = 0.0;
+  std::uint32_t read_latency_cycles = 0;
+  std::uint32_t write_latency_cycles = 0;
+  bool endurance_limited = false;  ///< Wear is tracked per word.
+  std::uint64_t capacity_words = 0;
   std::uint64_t used_words = 0;
   std::vector<BlockId> resident;  ///< Blocks currently loaded.
+  RegionRunStats stats;
 };
 
 /// Everything the optional observability path needs; only the
@@ -119,45 +122,79 @@ RunResult Simulator::run_impl(
     const Workload& workload,
     std::span<const RegionId> block_to_region) const {
   const Program& program = workload.program;
-  FTSPM_REQUIRE(block_to_region.size() == program.block_count(),
+  const std::size_t n_blocks = program.block_count();
+  FTSPM_REQUIRE(block_to_region.size() == n_blocks,
                 "mapping must cover every block");
-  for (std::size_t i = 0; i < program.block_count(); ++i) {
-    const RegionId r = block_to_region[i];
-    if (r == kNoRegion) continue;
-    const Block& b = program.block(static_cast<BlockId>(i));
-    const SpmRegionSpec& spec = layout_.region(r);
+
+  // The per-call tables. The run loop reads an event's block and region
+  // from these rows alone, and every counter it bumps lives in a row or
+  // in a local below: kept in the returned RunResult, the totals would
+  // be reloaded and stored around every event.
+  std::vector<RegionRow> regions(layout_.region_count());
+  for (std::size_t r = 0; r < regions.size(); ++r) {
+    const SpmRegionSpec& spec = layout_.region(static_cast<RegionId>(r));
+    RegionRow& row = regions[r];
+    row.read_energy_pj = spec.tech.read_energy_pj;
+    row.write_energy_pj = spec.tech.write_energy_pj;
+    row.read_latency_cycles = spec.tech.read_latency_cycles;
+    row.write_latency_cycles = spec.tech.write_latency_cycles;
+    row.endurance_limited = spec.tech.endurance_writes > 0.0;
+    row.capacity_words = spec.data_words();
+  }
+  std::vector<BlockRow> blocks(n_blocks);
+  std::size_t wear_words = 0;
+  for (std::size_t i = 0; i < n_blocks; ++i) {
+    const Block& b = program.blocks()[i];
+    BlockRow& row = blocks[i];
+    row.base = program.base_address(static_cast<BlockId>(i));
+    row.words = b.size_words();
+    row.region = block_to_region[i];
+    if (row.region == kNoRegion) continue;
+    const SpmRegionSpec& spec = layout_.region(row.region);
     FTSPM_REQUIRE(b.size_bytes <= spec.data_bytes,
                   "block " + b.name + " does not fit region " + spec.name);
     const bool wants_code = spec.space == SpmSpace::Instruction;
     FTSPM_REQUIRE(b.is_code() == wants_code,
                   "block " + b.name + " mapped to wrong space " + spec.name);
+    if (regions[row.region].endurance_limited) wear_words += row.words;
   }
-
-  RunResult res;
-  res.layout_name = layout_.name();
-  res.clock_mhz = config_.clock_mhz;
-  res.regions.resize(layout_.region_count());
-  res.block_max_word_writes.assign(program.block_count(), 0);
-  res.block_spm_accesses.assign(program.block_count(), 0);
-  res.block_cache_accesses.assign(program.block_count(), 0);
+  std::vector<std::uint64_t> wear(wear_words, 0);
+  std::uint64_t* next_wear = wear.data();
+  for (BlockRow& row : blocks) {
+    if (row.region == kNoRegion || !regions[row.region].endurance_limited)
+      continue;
+    row.wear = next_wear;
+    next_wear += row.words;
+  }
 
   Cache icache(config_.icache);
   Cache dcache(config_.dcache);
   const std::uint32_t line_words = config_.icache.line_bytes / 8;
   const std::uint32_t dline_words = config_.dcache.line_bytes / 8;
 
-  std::vector<BlockState> blocks(program.block_count());
-  std::vector<RegionState> regions(layout_.region_count());
+  // Running totals, written to the result once the trace is done.
+  std::uint64_t compute_cycles = 0;
+  std::uint64_t spm_cycles = 0;
+  std::uint64_t cache_cycles = 0;
+  std::uint64_t dram_penalty_cycles = 0;
+  std::uint64_t dma_cycles = 0;
+  double dram_energy_pj = 0.0;
+  double dma_energy_pj = 0.0;
+  double dma_dram_side_energy_pj = 0.0;
   std::uint64_t tick = 0;
+
+  RunResult res;
+  res.layout_name = layout_.name();
+  res.clock_mhz = config_.clock_mhz;
 
   // --- optional observability ---------------------------------------
   // Everything obs-related sits behind `if constexpr (WithObs)` so the
   // common WithObs=false instantiation is instrumentation-free code.
   [[maybe_unused]] std::unique_ptr<ObsState> obs_state;
   [[maybe_unused]] PhaseStats* cur_phase = nullptr;
-  [[maybe_unused]] auto now = [&res]() noexcept {
-    return res.compute_cycles + res.spm_cycles + res.cache_cycles +
-           res.dram_penalty_cycles + res.dma_cycles;
+  [[maybe_unused]] auto now = [&]() noexcept {
+    return compute_cycles + spm_cycles + cache_cycles + dram_penalty_cycles +
+           dma_cycles;
   };
   [[maybe_unused]] auto enter_phase = [&](const std::string& name) {
     auto [it, inserted] =
@@ -194,15 +231,15 @@ RunResult Simulator::run_impl(
   // DMA transfer of `words` words of `blk` between DRAM and a region.
   auto dma_transfer = [&](RegionId rid, BlockId blk, std::uint64_t words,
                           bool into_spm) {
-    const SpmRegionSpec& spec = layout_.region(rid);
-    const std::uint32_t spm_lat = into_spm ? spec.tech.write_latency_cycles
-                                           : spec.tech.read_latency_cycles;
+    RegionRow& region = regions[rid];
+    const std::uint32_t spm_lat = into_spm ? region.write_latency_cycles
+                                           : region.read_latency_cycles;
     const std::uint64_t cycles =
         dma_transfer_cycles(config_.dma, config_.dram, spm_lat, words);
     const double dram_e = words * (into_spm ? config_.dram.read_energy_pj
                                             : config_.dram.write_energy_pj);
-    const double spm_e = words * (into_spm ? spec.tech.write_energy_pj
-                                           : spec.tech.read_energy_pj);
+    const double spm_e = words * (into_spm ? region.write_energy_pj
+                                           : region.read_energy_pj);
     if constexpr (WithObs) {
       obs_state->dma_transfers->add(1);
       obs_state->dma_words->add(words);
@@ -215,22 +252,22 @@ RunResult Simulator::run_impl(
             obs_state->dma_lane,
             (into_spm ? "load " : "writeback ") + program.block(blk).name,
             now(), cycles,
-            {obs::TraceArg::str("region", spec.name),
+            {obs::TraceArg::str("region", layout_.region(rid).name),
              obs::TraceArg::num("words", words)});
       }
     }
-    res.dma_cycles += cycles;
-    res.dma_energy_pj += dram_e + spm_e;
-    res.dma_dram_side_energy_pj += dram_e;
+    dma_cycles += cycles;
+    dma_energy_pj += dram_e + spm_e;
+    dma_dram_side_energy_pj += dram_e;
     if (into_spm)
-      res.regions[rid].dma_in_words += words;
+      region.stats.dma_in_words += words;
     else
-      res.regions[rid].dma_out_words += words;
+      region.stats.dma_out_words += words;
   };
 
-  auto evict = [&](RegionId rid, BlockId victim) FTSPM_SIM_INLINE {
-    RegionState& rs = regions[rid];
-    BlockState& vs = blocks[victim];
+  auto evict = [&](RegionId rid, BlockId victim) {
+    RegionRow& region = regions[rid];
+    BlockRow& vs = blocks[victim];
     if constexpr (WithObs) {
       obs_state->evictions->add(1);
       if (obs_state->trace != nullptr) {
@@ -241,81 +278,80 @@ RunResult Simulator::run_impl(
              obs::TraceArg::str("dirty", vs.dirty ? "yes" : "no")});
       }
     }
-    if (vs.dirty)
-      dma_transfer(rid, victim, program.block(victim).size_words(), false);
+    if (vs.dirty) dma_transfer(rid, victim, vs.words, false);
     vs.resident = false;
     vs.dirty = false;
-    rs.used_words -= program.block(victim).size_words();
-    rs.resident.erase(std::find(rs.resident.begin(), rs.resident.end(),
-                                victim));
+    region.used_words -= vs.words;
+    region.resident.erase(
+        std::find(region.resident.begin(), region.resident.end(), victim));
   };
 
-  auto ensure_resident = [&](BlockId id, RegionId rid) FTSPM_SIM_INLINE {
-    BlockState& bs = blocks[id];
-    bs.last_use = ++tick;
-    if (bs.resident) return;
-    RegionState& rs = regions[rid];
-    const std::uint64_t need = program.block(id).size_words();
-    while (rs.used_words + need > layout_.region(rid).data_words()) {
-      FTSPM_CHECK(!rs.resident.empty(),
+  // First touch of a non-resident block: make room by evicting the
+  // least-recently-used residents, then DMA the block in.
+  auto load = [&](BlockId id, BlockRow& bs) {
+    const RegionId rid = bs.region;
+    RegionRow& region = regions[rid];
+    const std::uint64_t need = bs.words;
+    while (region.used_words + need > region.capacity_words) {
+      FTSPM_CHECK(!region.resident.empty(),
                   "allocator invariant: block fits an empty region");
-      // Evict the least-recently-used resident block.
-      BlockId victim = rs.resident.front();
-      for (BlockId b : rs.resident)
+      BlockId victim = region.resident.front();
+      for (BlockId b : region.resident)
         if (blocks[b].last_use < blocks[victim].last_use) victim = b;
-      ++res.regions[rid].capacity_evictions;
+      ++region.stats.capacity_evictions;
       evict(rid, victim);
     }
     dma_transfer(rid, id, need, true);
-    rs.used_words += need;
-    rs.resident.push_back(id);
+    region.used_words += need;
+    region.resident.push_back(id);
     bs.resident = true;
   };
 
-  // `words` consecutive word accesses within one cache line. Only the
-  // first can miss (Cache::access_run), so cycles and the fill trace see
-  // it first, then the hits that follow it. Cache energy is summed after
-  // the run from the access counts (repeated_add), bit-identical to
-  // adding it once per word.
-  auto cache_access = [&](Cache& cache, std::uint32_t cline_words,
-                          std::uint64_t addr, std::uint64_t words,
-                          bool is_write, const char* fill_counter) {
-    const CacheAccessResult r = cache.access_run(addr, words, is_write);
-    const std::uint64_t hit_cycles = cache.config().hit_latency_cycles;
-    res.cache_cycles += hit_cycles;
-    if constexpr (WithObs) cur_phase->cache_cycles += hit_cycles;
-    if (!r.hit) {
-      res.dram_penalty_cycles += config_.dram.line_latency_cycles;
-      res.dram_energy_pj += cline_words * config_.dram.read_energy_pj;
-      if constexpr (WithObs) {
-        obs_state->cache_fills->add(1);
-        cur_phase->dram_penalty_cycles += config_.dram.line_latency_cycles;
-        cur_phase->dram_energy_pj +=
-            cline_words * config_.dram.read_energy_pj;
-        if (obs_state->trace != nullptr &&
-            obs_state->cache_fills->value() % kCacheFillSamplePeriod == 0) {
-          obs_state->trace->value(
-              obs_state->cache_lane, fill_counter, now(),
-              static_cast<double>(obs_state->cache_fills->value()));
-        }
-      }
-    }
-    if (r.writeback) {
-      res.dram_penalty_cycles += config_.dram.word_latency_cycles *
-                                 cline_words;
-      res.dram_energy_pj += cline_words * config_.dram.write_energy_pj;
-      if constexpr (WithObs) {
-        cur_phase->dram_penalty_cycles +=
-            config_.dram.word_latency_cycles * cline_words;
-        cur_phase->dram_energy_pj +=
-            cline_words * config_.dram.write_energy_pj;
-      }
-    }
-    res.cache_cycles += (words - 1) * hit_cycles;
-    if constexpr (WithObs) {
-      cur_phase->cache_cycles += (words - 1) * hit_cycles;
-      obs_state->phase_cache_words[obs_state->phase_stack.back()] += words;
-    }
+  // A contiguous word range of a cached block: one Cache::access_range
+  // call, which reports each line fill, with the dirty victim it wrote
+  // back, in line order. The event's hit cycles are booked after its
+  // ranges (see the cache branch below), so a fill's trace timestamp
+  // adds the hits of the event's words up to and including the filling
+  // piece's first: `words_before_range` and the piece's `words_before`.
+  auto cache_range = [&](Cache& cache, std::uint32_t cline_words,
+                         std::uint64_t addr, std::uint64_t words,
+                         bool is_write,
+                         [[maybe_unused]] std::uint64_t words_before_range,
+                         [[maybe_unused]] const char* fill_counter) {
+    cache.access_range(
+        addr, words, is_write,
+        [&]([[maybe_unused]] std::uint64_t words_before, bool writeback) {
+          dram_penalty_cycles += config_.dram.line_latency_cycles;
+          dram_energy_pj += cline_words * config_.dram.read_energy_pj;
+          if constexpr (WithObs) {
+            obs_state->cache_fills->add(1);
+            cur_phase->dram_penalty_cycles +=
+                config_.dram.line_latency_cycles;
+            cur_phase->dram_energy_pj +=
+                cline_words * config_.dram.read_energy_pj;
+            if (obs_state->trace != nullptr &&
+                obs_state->cache_fills->value() % kCacheFillSamplePeriod ==
+                    0) {
+              const std::uint64_t hits =
+                  (words_before_range + words_before + 1) *
+                  cache.config().hit_latency_cycles;
+              obs_state->trace->value(
+                  obs_state->cache_lane, fill_counter, now() + hits,
+                  static_cast<double>(obs_state->cache_fills->value()));
+            }
+          }
+          if (writeback) {
+            dram_penalty_cycles +=
+                config_.dram.word_latency_cycles * cline_words;
+            dram_energy_pj += cline_words * config_.dram.write_energy_pj;
+            if constexpr (WithObs) {
+              cur_phase->dram_penalty_cycles +=
+                  config_.dram.word_latency_cycles * cline_words;
+              cur_phase->dram_energy_pj +=
+                  cline_words * config_.dram.write_energy_pj;
+            }
+          }
+        });
   };
 
   for (const TraceEvent& e : workload.trace) {
@@ -337,45 +373,43 @@ RunResult Simulator::run_impl(
       }
       continue;
     }
-    const std::uint32_t n_words = program.block(e.block).size_words();
-    res.compute_cycles += static_cast<std::uint64_t>(e.gap) * e.repeat;
+    FTSPM_REQUIRE(e.block < n_blocks, "block id out of range");
+    BlockRow& bs = blocks[e.block];
+    compute_cycles += static_cast<std::uint64_t>(e.gap) * e.repeat;
+    bs.accesses += e.repeat;
     if constexpr (WithObs) {
       cur_phase->compute_cycles += static_cast<std::uint64_t>(e.gap) *
                                    e.repeat;
       cur_phase->accesses += e.repeat;
     }
-
-    const RegionId rid = block_to_region[e.block];
     const bool is_write = e.type == AccessType::Write;
 
-    if (rid != kNoRegion) {
-      res.block_spm_accesses[e.block] += e.repeat;
-      ensure_resident(e.block, rid);
-      const SpmRegionSpec& spec = layout_.region(rid);
-      RegionRunStats& rstats = res.regions[rid];
-      BlockState& bs = blocks[e.block];
+    if (bs.region != kNoRegion) {
+      bs.last_use = ++tick;
+      if (!bs.resident) load(e.block, bs);
+      RegionRow& region = regions[bs.region];
+      RegionRunStats& rstats = region.stats;
       if constexpr (WithObs) {
         const std::uint64_t spm_cyc =
             static_cast<std::uint64_t>(e.repeat) *
-            (is_write ? spec.tech.write_latency_cycles
-                      : spec.tech.read_latency_cycles);
+            (is_write ? region.write_latency_cycles
+                      : region.read_latency_cycles);
         cur_phase->spm_cycles += spm_cyc;
         cur_phase->spm_energy_pj +=
-            e.repeat * (is_write ? spec.tech.write_energy_pj
-                                 : spec.tech.read_energy_pj);
+            e.repeat * (is_write ? region.write_energy_pj
+                                 : region.read_energy_pj);
       }
       if (is_write) {
         rstats.writes += e.repeat;
-        rstats.write_energy_pj += e.repeat * spec.tech.write_energy_pj;
-        res.spm_cycles += static_cast<std::uint64_t>(e.repeat) *
-                          spec.tech.write_latency_cycles;
+        rstats.write_energy_pj += e.repeat * region.write_energy_pj;
+        spm_cycles += static_cast<std::uint64_t>(e.repeat) *
+                      region.write_latency_cycles;
         bs.dirty = true;
-        if (spec.tech.endurance_writes > 0.0) {
+        if (region.endurance_limited) {
           // Endurance-limited technology: track per-word wear. Every
           // word takes one write per full lap of the run, and the words
           // of the partial lap one more.
-          if (bs.wear.empty()) bs.wear.assign(n_words, 0);
-          WordRun(e.offset, e.repeat, n_words)
+          WordRun(e.offset, e.repeat, bs.words)
               .for_each_distinct([&](std::uint64_t first, std::uint64_t len,
                                      std::uint64_t visits, std::uint64_t) {
                 for (std::uint64_t i = 0; i < len; ++i)
@@ -384,47 +418,72 @@ RunResult Simulator::run_impl(
         }
       } else {
         rstats.reads += e.repeat;
-        rstats.read_energy_pj += e.repeat * spec.tech.read_energy_pj;
-        res.spm_cycles += static_cast<std::uint64_t>(e.repeat) *
-                          spec.tech.read_latency_cycles;
+        rstats.read_energy_pj += e.repeat * region.read_energy_pj;
+        spm_cycles += static_cast<std::uint64_t>(e.repeat) *
+                      region.read_latency_cycles;
       }
     } else {
-      res.block_cache_accesses[e.block] += e.repeat;
       const bool is_code = e.type == AccessType::Fetch;
       Cache& cache = is_code ? icache : dcache;
       const std::uint32_t cline = is_code ? line_words : dline_words;
-      const std::uint64_t base = program.base_address(e.block);
       const char* fill_counter = is_code ? "icache_fills" : "dcache_fills";
-      WordRun(e.offset, e.repeat, n_words)
-          .for_each_line(base, cache.config().line_bytes,
-                         [&](std::uint64_t addr, std::uint64_t words) {
-                           cache_access(cache, cline, addr, words, is_write,
-                                        fill_counter);
-                         });
+      WordRun(e.offset, e.repeat, bs.words)
+          .for_each_range(0, e.repeat,
+                          [&](std::uint64_t first, std::uint64_t len,
+                              std::uint64_t visit) {
+                            cache_range(cache, cline, bs.base + first * 8,
+                                        len, is_write, visit, fill_counter);
+                          });
+      // Every word access costs the hit latency; a fill's DRAM penalty
+      // comes on top of it.
+      const std::uint64_t hit_cycles =
+          static_cast<std::uint64_t>(e.repeat) *
+          cache.config().hit_latency_cycles;
+      cache_cycles += hit_cycles;
+      if constexpr (WithObs) {
+        cur_phase->cache_cycles += hit_cycles;
+        obs_state->phase_cache_words[obs_state->phase_stack.back()] +=
+            e.repeat;
+      }
     }
   }
 
   // Final write-back of dirty resident blocks (end-of-program flush).
-  for (std::size_t i = 0; i < program.block_count(); ++i) {
-    const RegionId rid = block_to_region[i];
-    if (rid != kNoRegion && blocks[i].resident && blocks[i].dirty)
-      dma_transfer(rid, static_cast<BlockId>(i),
-                   program.block(static_cast<BlockId>(i)).size_words(),
-                   false);
+  for (std::size_t i = 0; i < n_blocks; ++i) {
+    const BlockRow& row = blocks[i];
+    if (row.region != kNoRegion && row.resident && row.dirty)
+      dma_transfer(row.region, static_cast<BlockId>(i), row.words, false);
   }
 
-  // Wear roll-up.
-  for (std::size_t i = 0; i < program.block_count(); ++i) {
-    if (blocks[i].wear.empty()) continue;
+  // Wear roll-up, and the block rows' access counts by path.
+  res.block_max_word_writes.assign(n_blocks, 0);
+  res.block_spm_accesses.assign(n_blocks, 0);
+  res.block_cache_accesses.assign(n_blocks, 0);
+  for (std::size_t i = 0; i < n_blocks; ++i) {
+    const BlockRow& row = blocks[i];
+    if (row.region == kNoRegion) {
+      res.block_cache_accesses[i] = row.accesses;
+      continue;
+    }
+    res.block_spm_accesses[i] = row.accesses;
+    if (row.wear == nullptr) continue;
     const std::uint64_t hottest =
-        *std::max_element(blocks[i].wear.begin(), blocks[i].wear.end());
+        *std::max_element(row.wear, row.wear + row.words);
     res.block_max_word_writes[i] = hottest;
-    const RegionId rid = block_to_region[i];
-    if (rid != kNoRegion)
-      res.regions[rid].max_word_writes =
-          std::max(res.regions[rid].max_word_writes, hottest);
+    RegionRunStats& rstats = regions[row.region].stats;
+    rstats.max_word_writes = std::max(rstats.max_word_writes, hottest);
   }
+  res.regions.reserve(regions.size());
+  for (const RegionRow& row : regions) res.regions.push_back(row.stats);
 
+  res.compute_cycles = compute_cycles;
+  res.spm_cycles = spm_cycles;
+  res.cache_cycles = cache_cycles;
+  res.dram_penalty_cycles = dram_penalty_cycles;
+  res.dma_cycles = dma_cycles;
+  res.dram_energy_pj = dram_energy_pj;
+  res.dma_energy_pj = dma_energy_pj;
+  res.dma_dram_side_energy_pj = dma_dram_side_energy_pj;
   res.icache = icache.stats();
   res.dcache = dcache.stats();
   res.cache_energy_pj =
@@ -458,7 +517,5 @@ RunResult Simulator::run(const Workload& workload,
   if (obs::enabled()) return run_impl<true>(workload, block_to_region);
   return run_impl<false>(workload, block_to_region);
 }
-
-#undef FTSPM_SIM_INLINE
 
 }  // namespace ftspm

@@ -10,9 +10,12 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "ftspm/util/error.h"
+#include "ftspm/util/format.h"
 #include "ftspm/workload/program.h"
 
 namespace ftspm {
@@ -155,5 +158,64 @@ struct Workload {
 /// first violation.
 void validate_trace(const Program& program,
                     const std::vector<TraceEvent>& trace);
+
+/// The checks validate_trace() makes, one event at a time, for trace
+/// consumers that validate in the same walk that consumes the trace.
+/// check() tests event `i` and finish() the trace's end, in
+/// validate_trace()'s order and with its messages, so a walk that calls
+/// them throws exactly what validate_trace() would, at the same event.
+class TraceChecker {
+ public:
+  explicit TraceChecker(const Program& program) noexcept
+      : blocks_(program.blocks().data()),
+        block_count_(program.block_count()) {}
+
+  // Inlined into each caller's loop: out of line, the call and the
+  // checker's state round-trip through memory on every event.
+  [[gnu::always_inline]] void check(const TraceEvent& e, std::size_t i) {
+    const auto where = [i] {
+      return " (event " + with_commas(static_cast<std::uint64_t>(i)) + ")";
+    };
+    FTSPM_CHECK(e.block < block_count_,
+                "trace references unknown block" + where());
+    const Block& b = blocks_[e.block];
+    switch (e.type) {
+      case AccessType::Fetch:
+        FTSPM_CHECK(b.is_code(), "fetch from non-code block " + b.name + where());
+        FTSPM_CHECK(e.offset < b.size_words(),
+                    "fetch offset outside block " + b.name + where());
+        FTSPM_CHECK(e.repeat >= 1, "empty fetch run" + where());
+        break;
+      case AccessType::Read:
+      case AccessType::Write:
+        FTSPM_CHECK(b.is_data(),
+                    "data access to code block " + b.name + where());
+        FTSPM_CHECK(e.offset < b.size_words(),
+                    "data offset outside block " + b.name + where());
+        FTSPM_CHECK(e.repeat >= 1, "empty access run" + where());
+        break;
+      case AccessType::CallEnter:
+        FTSPM_CHECK(b.is_code(), "call into non-code block" + where());
+        FTSPM_CHECK(e.repeat == 1, "markers must have repeat == 1" + where());
+        ++call_depth_;
+        break;
+      case AccessType::CallExit:
+        FTSPM_CHECK(b.is_code(), "return from non-code block" + where());
+        FTSPM_CHECK(e.repeat == 1, "markers must have repeat == 1" + where());
+        --call_depth_;
+        FTSPM_CHECK(call_depth_ >= 0, "unbalanced call markers" + where());
+        break;
+    }
+  }
+
+  void finish() const {
+    FTSPM_CHECK(call_depth_ == 0, "trace ends with open calls");
+  }
+
+ private:
+  const Block* blocks_;
+  std::size_t block_count_;
+  std::int64_t call_depth_ = 0;
+};
 
 }  // namespace ftspm

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <typeinfo>
+#include <vector>
+
 #include "ftspm/util/error.h"
+#include "support/run_traces.h"
 
 namespace ftspm {
 namespace {
@@ -177,6 +182,84 @@ TEST(ProfilerTest, RejectsMalformedTraces) {
   const Program p = demo_program();
   Workload w{p, {TraceEvent{9, AccessType::Read, 0, 0, 1}}};
   EXPECT_THROW(profile_workload(w), Error);
+}
+
+// The profiler validates each event in the walk that profiles it. An
+// unknown block throws what validate_trace() throws for it: a plain
+// Error, "trace references unknown block", naming the event.
+TEST(ProfilerTest, RejectsOutOfRangeBlockIdLikeValidateTrace) {
+  const Program p = demo_program();
+  const Workload w{p,
+                   {TraceEvent{1, AccessType::Write, 0, 0, 4},
+                    TraceEvent{9, AccessType::Read, 0, 0, 1}}};
+  try {
+    profile_workload(w);
+    ADD_FAILURE() << "no throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(typeid(e), typeid(Error));
+    const std::string what = e.what();
+    EXPECT_EQ(what.substr(what.find(" — ")),
+              " — trace references unknown block (event 1)");
+  }
+}
+
+// Every malformed trace of ValidateTraceTest, alone and behind valid
+// events the walk profiles first: profile_workload() throws the error
+// validate_trace() throws, message for message.
+TEST(ProfilerTest, ThrowsValidateTracesFirstErrorOnMalformedTraces) {
+  const Program p("demo", {Block{"fn", BlockKind::Code, 1024},
+                           Block{"arr", BlockKind::Data, 512},
+                           Block{"stack", BlockKind::Stack, 256}});
+  const std::vector<std::vector<TraceEvent>> malformed{
+      {TraceEvent{9, AccessType::Read, 0, 0, 1}},
+      {TraceEvent{1, AccessType::Fetch, 0, 0, 1}},
+      {TraceEvent{0, AccessType::Read, 0, 0, 1}},
+      {TraceEvent{0, AccessType::Write, 0, 0, 1}},
+      {TraceEvent{1, AccessType::Read, 0, 64, 1}},
+      {TraceEvent{0, AccessType::CallExit, 0, 0, 1}},
+      {TraceEvent{0, AccessType::CallEnter, 0, 16, 1}},
+      {TraceEvent{0, AccessType::CallEnter, 0, 16, 2},
+       TraceEvent{0, AccessType::CallExit, 0, 0, 1}},
+      {TraceEvent{1, AccessType::CallEnter, 0, 16, 1},
+       TraceEvent{1, AccessType::CallExit, 0, 0, 1}}};
+  const std::vector<TraceEvent> prefix{
+      TraceEvent{0, AccessType::CallEnter, 0, 16, 1},
+      TraceEvent{0, AccessType::Fetch, 0, 0, 10},
+      TraceEvent{1, AccessType::Write, 0, 60, 8},
+      TraceEvent{2, AccessType::Read, 0, 0, 2},
+      TraceEvent{0, AccessType::CallExit, 0, 0, 1}};
+  const auto first_error = [](const auto& consume) -> std::string {
+    try {
+      consume();
+    } catch (const Error& e) {
+      EXPECT_EQ(typeid(e), typeid(Error));
+      return e.what();
+    }
+    return "no error";
+  };
+  for (std::size_t k = 0; k < malformed.size(); ++k) {
+    for (const bool behind_prefix : {false, true}) {
+      SCOPED_TRACE("trace " + std::to_string(k) +
+                   (behind_prefix ? " behind valid events" : ""));
+      Workload w{p, behind_prefix ? prefix : std::vector<TraceEvent>{}};
+      w.trace.insert(w.trace.end(), malformed[k].begin(),
+                     malformed[k].end());
+      const std::string want =
+          first_error([&] { validate_trace(w.program, w.trace); });
+      EXPECT_NE(want, "no error");
+      EXPECT_EQ(first_error([&] { profile_workload(w); }), want);
+    }
+  }
+}
+
+// The profile counts accesses in its own walk; the count is the
+// workload's.
+TEST(ProfilerTest, TotalAccessesMatchTheWorkloads) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const Workload w = testing_support::random_run_workload(seed);
+    EXPECT_EQ(profile_workload(w).total_accesses, w.total_accesses())
+        << "seed " << seed;
+  }
 }
 
 TEST(ProfilerTest, WrappingWritesDistributeWear) {

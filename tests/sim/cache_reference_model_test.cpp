@@ -1,10 +1,12 @@
 // Property test: the production cache against an executable reference
 // model (per-set LRU lists, the textbook definition). Random address
 // streams must produce identical hit/miss/writeback sequences, whether
-// they come one word at a time or as run-length access_run() calls.
+// they come one word at a time, as one-line access_run() calls, or as
+// multi-line access_range() calls.
 #include <gtest/gtest.h>
 
 #include <list>
+#include <utility>
 #include <vector>
 
 #include "ftspm/sim/cache.h"
@@ -113,6 +115,60 @@ TEST_P(CacheVsReference, RunsMatchWordByWordAccesses) {
   EXPECT_EQ(cache.stats().accesses(), accesses);
   EXPECT_EQ(cache.stats().misses(), misses);
   EXPECT_EQ(cache.stats().writebacks, writebacks);
+}
+
+// access_range(addr, m) against m reference accesses to consecutive
+// words. Ranges start anywhere in a line and run up to several lines
+// past it (a quarter are single words, a quarter stay in the line), over
+// a footprint larger than the cache. The misses the range reports, as
+// (words before the filling piece, writeback) in line order, must be
+// exactly the reference's misses among its m accesses; every other
+// reference access hits. The final statistics must match the
+// reference's counts.
+TEST_P(CacheVsReference, RangesMatchWordByWordAccesses) {
+  const auto [ways, seed] = GetParam();
+  const CacheConfig cfg{1024, 32, ways, 1};
+  const std::uint64_t line_words = cfg.line_bytes / 8;
+  Cache cache(cfg);
+  ReferenceCache reference(cfg);
+  Rng rng(seed);
+  std::uint64_t reads = 0, writes = 0, read_misses = 0, write_misses = 0,
+                writebacks = 0;
+  for (int i = 0; i < 10'000; ++i) {
+    const std::uint64_t word = rng.next_bool(0.7)
+                                   ? rng.next_below(4 * 1024 / 8)
+                                   : rng.next_below((1ULL << 20) / 8);
+    const std::uint64_t room = line_words - word % line_words;
+    std::uint64_t m = 1;
+    switch (rng.next_below(4)) {
+      case 0: break;
+      case 1: m = 1 + rng.next_below(room); break;
+      case 2: m = room + 1 + rng.next_below(3 * line_words); break;
+      default: m = 1 + rng.next_below(40 * line_words); break;
+    }
+    const bool is_write = rng.next_bool(0.3);
+    std::vector<std::pair<std::uint64_t, bool>> got;
+    cache.access_range(word * 8, m, is_write,
+                       [&](std::uint64_t words_before, bool writeback) {
+                         got.emplace_back(words_before, writeback);
+                       });
+    std::vector<std::pair<std::uint64_t, bool>> want;
+    for (std::uint64_t k = 0; k < m; ++k) {
+      const CacheAccessResult r = reference.access((word + k) * 8, is_write);
+      if (!r.hit) want.emplace_back(k, r.writeback);
+      ASSERT_FALSE(r.writeback && r.hit);
+    }
+    ASSERT_EQ(got, want) << "range " << i << " of " << m << " words";
+    (is_write ? writes : reads) += m;
+    (is_write ? write_misses : read_misses) += want.size();
+    for (const auto& miss : want) writebacks += miss.second ? 1 : 0;
+  }
+  EXPECT_EQ(cache.stats().reads, reads);
+  EXPECT_EQ(cache.stats().writes, writes);
+  EXPECT_EQ(cache.stats().read_misses, read_misses);
+  EXPECT_EQ(cache.stats().write_misses, write_misses);
+  EXPECT_EQ(cache.stats().writebacks, writebacks);
+  EXPECT_GT(writebacks, 0u);
 }
 
 // Targeted set-level sequences the random streams rarely produce, in

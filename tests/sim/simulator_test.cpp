@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <string>
 
+#include "ftspm/core/mapping_determiner.h"
+#include "ftspm/core/systems.h"
 #include "ftspm/mem/technology_library.h"
+#include "ftspm/obs/metrics.h"
+#include "ftspm/obs/trace_sink.h"
+#include "ftspm/profile/profiler.h"
 #include "ftspm/util/error.h"
+#include "ftspm/workload/suite.h"
 #include "support/run_traces.h"
 
 namespace ftspm {
@@ -203,6 +211,131 @@ TEST(SimulatorTest, RunLengthEventsMatchWordByWordEvents) {
     // sides, in the same order.
     EXPECT_EQ(a.cache_energy_pj, b.cache_energy_pj);
     EXPECT_EQ(a.dram_energy_pj, b.dram_energy_pj);
+  }
+}
+
+// Every RunResult field but the observability-only `phases`, doubles
+// compared by bit pattern.
+void expect_same_run_bits(const RunResult& a, const RunResult& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(a.layout_name, b.layout_name);
+  EXPECT_EQ(bits(a.clock_mhz), bits(b.clock_mhz));
+  EXPECT_EQ(a.total_cycles, b.total_cycles);
+  EXPECT_EQ(a.compute_cycles, b.compute_cycles);
+  EXPECT_EQ(a.spm_cycles, b.spm_cycles);
+  EXPECT_EQ(a.cache_cycles, b.cache_cycles);
+  EXPECT_EQ(a.dram_penalty_cycles, b.dram_penalty_cycles);
+  EXPECT_EQ(a.dma_cycles, b.dma_cycles);
+  ASSERT_EQ(a.regions.size(), b.regions.size());
+  for (std::size_t r = 0; r < a.regions.size(); ++r) {
+    SCOPED_TRACE("region " + std::to_string(r));
+    const RegionRunStats& x = a.regions[r];
+    const RegionRunStats& y = b.regions[r];
+    EXPECT_EQ(x.reads, y.reads);
+    EXPECT_EQ(x.writes, y.writes);
+    EXPECT_EQ(bits(x.read_energy_pj), bits(y.read_energy_pj));
+    EXPECT_EQ(bits(x.write_energy_pj), bits(y.write_energy_pj));
+    EXPECT_EQ(x.dma_in_words, y.dma_in_words);
+    EXPECT_EQ(x.dma_out_words, y.dma_out_words);
+    EXPECT_EQ(x.capacity_evictions, y.capacity_evictions);
+    EXPECT_EQ(x.max_word_writes, y.max_word_writes);
+  }
+  for (const auto& [x, y] : {std::pair{a.icache, b.icache},
+                             std::pair{a.dcache, b.dcache}}) {
+    EXPECT_EQ(x.reads, y.reads);
+    EXPECT_EQ(x.writes, y.writes);
+    EXPECT_EQ(x.read_misses, y.read_misses);
+    EXPECT_EQ(x.write_misses, y.write_misses);
+    EXPECT_EQ(x.writebacks, y.writebacks);
+  }
+  EXPECT_EQ(bits(a.cache_energy_pj), bits(b.cache_energy_pj));
+  EXPECT_EQ(bits(a.dram_energy_pj), bits(b.dram_energy_pj));
+  EXPECT_EQ(bits(a.dma_energy_pj), bits(b.dma_energy_pj));
+  EXPECT_EQ(bits(a.dma_dram_side_energy_pj), bits(b.dma_dram_side_energy_pj));
+  EXPECT_EQ(bits(a.spm_static_energy_pj), bits(b.spm_static_energy_pj));
+  EXPECT_EQ(a.block_max_word_writes, b.block_max_word_writes);
+  EXPECT_EQ(a.block_spm_accesses, b.block_spm_accesses);
+  EXPECT_EQ(a.block_cache_accesses, b.block_cache_accesses);
+}
+
+// `sim.run(w, map)` with observability off, then on with a trace sink
+// attached: one kernel serves both, so only `phases` may differ.
+void expect_observability_changes_nothing(const Simulator& sim,
+                                          const Workload& w,
+                                          std::span<const RegionId> map) {
+  const RunResult off = sim.run(w, map);
+  EXPECT_TRUE(off.phases.empty());
+  obs::registry().clear();
+  const obs::EnabledScope enable(true);
+  obs::TraceEventSink sink;
+  RunResult on;
+  {
+    const obs::TraceScope scope(&sink);
+    on = sim.run(w, map);
+  }
+  obs::registry().clear();
+  EXPECT_FALSE(on.phases.empty());
+  expect_same_run_bits(off, on);
+}
+
+TEST(SimulatorTest, ObservabilityChangesNoResultBit) {
+  // The RunLengthEventsMatchWordByWordEvents set-up: small caches that
+  // evict and write back, time-shared and wear-tracked regions.
+  const SpmLayout layout(
+      "runs", {SpmRegionSpec{"I", SpmSpace::Instruction, 1024,
+                             lib().stt_ram()},
+               SpmRegionSpec{"DT", SpmSpace::Data, 64, lib().stt_ram()},
+               SpmRegionSpec{"DS", SpmSpace::Data, 64,
+                             lib().secded_sram()}});
+  SimConfig cfg = demo_config();
+  cfg.icache = CacheConfig{256, 32, 2, 1};
+  cfg.dcache = CacheConfig{256, 16, 2, 1};
+  const Simulator sim(layout, cfg);
+  const std::vector<RegionId> map{0, kNoRegion, kNoRegion, 1, 2, 1,
+                                  kNoRegion, kNoRegion};
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    expect_observability_changes_nothing(
+        sim, testing_support::random_run_workload(seed), map);
+  }
+
+  // A suite benchmark under its FTSPM mapping: cache traffic, DMA,
+  // evictions and STT wear at the evaluation's own sizes.
+  const Workload w = make_benchmark(MiBenchmark::Fft, 4);
+  const StructureEvaluator ev;
+  const MappingDeterminer mda(ev.ftspm_layout(), ev.sim_config());
+  const MappingPlan plan = mda.determine(w.program, profile_workload(w));
+  SCOPED_TRACE("fft");
+  expect_observability_changes_nothing(
+      Simulator(ev.ftspm_layout(), ev.sim_config()), w,
+      plan.block_to_region());
+}
+
+// The message clause of an ftspm error: what() after the check site.
+std::string check_message(const Error& e) {
+  const std::string what = e.what();
+  const std::size_t at = what.find(" — ");
+  return at == std::string::npos ? what : what.substr(at);
+}
+
+// A memory event naming a block the program does not have throws the
+// error Program::block gives for it: InvalidArgument, "block id out of
+// range".
+TEST(SimulatorTest, RejectsOutOfRangeBlockIds) {
+  const SpmLayout layout = demo_layout();
+  const Simulator sim(layout, demo_config());
+  const std::vector<RegionId> map{0, 1, kNoRegion, kNoRegion};
+  for (const AccessType type :
+       {AccessType::Fetch, AccessType::Read, AccessType::Write}) {
+    const Workload w{demo_program(),
+                     {TraceEvent{1, AccessType::Read, 0, 0, 4},
+                      TraceEvent{4, type, 0, 0, 1}}};
+    try {
+      sim.run(w, map);
+      ADD_FAILURE() << "no throw for " << to_string(type);
+    } catch (const InvalidArgument& e) {
+      EXPECT_EQ(check_message(e), " — block id out of range");
+    }
   }
 }
 
