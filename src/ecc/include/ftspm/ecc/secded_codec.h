@@ -65,45 +65,29 @@ class SecDedCodec {
   /// outcomes without a per-pattern call.
   static const std::array<SyndromeDecode, 256>& syndrome_table() noexcept;
 
-  // --- Batch entry points (docs/performance.md, "Batched classification").
-
   /// Folds `count` error patterns into their 8-bit syndromes:
-  /// syndromes[i] = syndrome of (data_masks[i], check_masks[i]).
-  /// Dispatches at runtime to the best available kernel — AVX2 or SSSE3
-  /// `pshufb` nibble-table folds on x86, else the scalar byte-table
-  /// kernel — all bit-identical (the SIMD kernels hand their tail to
-  /// the scalar one). Safe to call concurrently.
+  /// syndromes[i] = syndrome of (data_masks[i], check_masks[i]). A
+  /// scalar byte-table fold built from the H-matrix columns — the
+  /// independent reference the run-syndrome table and the recovery
+  /// engine's syndrome shadow are tested against; no campaign engine
+  /// calls it. Safe to call concurrently.
   static void fold_syndromes(const std::uint64_t* data_masks,
                              const std::uint8_t* check_masks,
                              std::size_t count,
                              std::uint8_t* syndromes) noexcept;
 
-  /// The scalar byte-table fold — always available, and the reference
-  /// the SIMD kernels are pinned against in tests.
+  /// Same as fold_syndromes. Only perfbench's `ecc` rung names it; it
+  /// goes away with that rung.
   static void fold_syndromes_scalar(const std::uint64_t* data_masks,
                                     const std::uint8_t* check_masks,
                                     std::size_t count,
-                                    std::uint8_t* syndromes) noexcept;
+                                    std::uint8_t* syndromes) noexcept {
+    fold_syndromes(data_masks, check_masks, count, syndromes);
+  }
 
-  /// classify_pattern over arrays: out[i] == classify_pattern(
-  /// data_masks[i], check_masks[i]) for every i, computed via
-  /// fold_syndromes plus the syndrome LUT.
-  static void classify_pattern_batch(const std::uint64_t* data_masks,
-                                     const std::uint8_t* check_masks,
-                                     std::size_t count,
-                                     PatternDecode* out) noexcept;
-
-  /// Name of the fold kernel fold_syndromes currently dispatches to:
-  /// "avx2", "ssse3", or "scalar".
-  static const char* fold_backend() noexcept;
-
-  /// Forces the fold kernel: "auto" (re-resolve the best available),
-  /// "scalar", "ssse3", or "avx2". Returns false — leaving the current
-  /// kernel in place — when the request is unknown or the CPU (or an
-  /// FTSPM_DISABLE_SIMD build) cannot honour it. All kernels produce
-  /// identical syndromes; this only exists so tests and benchmarks can
-  /// pin a path. Not for use while campaigns are running.
-  static bool set_fold_backend(const char* name) noexcept;
+  /// Always "scalar". Only perfbench's `ecc` rung and its manifest name
+  /// it; it goes away with that rung.
+  static const char* fold_backend() noexcept { return "scalar"; }
 
   /// Recomputes the 8 check bits for `data`.
   static std::uint8_t compute_check(std::uint64_t data) noexcept;

@@ -29,9 +29,6 @@ PatternDecode ParityCodec::classify_pattern(
       data_mask};
 }
 
-// fold_parity / classify_pattern_batch live in parity_batch.cpp with
-// the SIMD kernels and the shared backend dispatch.
-
 void ParityCodec::flip_bit(ParityWord& word, std::uint32_t bit) {
   FTSPM_REQUIRE(bit < kCodewordBits, "parity codeword bit out of range");
   if (bit < 64) {

@@ -1,53 +1,27 @@
-// Batched Hsiao SEC-DED syndrome folding.
+// The Hsiao SEC-DED syndrome fold over arrays (SecDedCodec::
+// fold_syndromes).
 //
-// The batched campaign engine (src/fault) classifies most strikes with
-// a couple of popcounts, but every word pattern touching >= 3 surviving
-// bits still needs its real syndrome. Those patterns are collected into
-// structure-of-arrays blocks and folded here, whole arrays at a time:
-//
-//  * scalar kernel: 8 byte-table lookups per pattern
-//    (byte_fold[j][byte j of the data mask], XOR-reduced with the
-//    check-bit mask) — branch-free, autovectorizable table code;
-//  * SSSE3/AVX2 kernels: the same fold as `pshufb` nibble-table
-//    lookups. 16 (SSSE3) or 32 (AVX2) patterns are byte-transposed in
-//    registers with an unpack tree, each byte plane indexes a pair of
-//    16-entry nibble tables, and the per-plane results XOR into the
-//    syndrome vector. Tails (and non-x86 builds, and
-//    -DFTSPM_DISABLE_SIMD=ON builds) run the scalar kernel, so every
-//    path is bit-identical by construction — and pinned against
-//    classify_pattern by tests/ecc/pattern_equivalence_test.cpp.
-//
-// Runtime dispatch picks the widest kernel the CPU supports once, on
-// first use; tests pin a specific path via set_fold_backend().
-#include <atomic>
-#include <bit>
+// Eight byte-table lookups per pattern: byte_fold[j][byte j of the
+// data mask], XOR-reduced with the check-bit mask. The byte tables are
+// built from the H-matrix columns (SecDedCodec::column), not through
+// compute_check, so this fold is an independent reference for what the
+// campaign engines derive from compute_check (the run-syndrome table,
+// the recovery engine's syndrome shadow); tests/ecc and tests/fault pin
+// both against it. No campaign engine calls it, and it sits in its own
+// translation unit so ftspm_tool links none of it.
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 #include "ftspm/ecc/secded_codec.h"
-#include "fold_backend.h"
-
-#if defined(__x86_64__) || defined(__i386__)
-#define FTSPM_X86 1
-#include <immintrin.h>
-#else
-#define FTSPM_X86 0
-#endif
 
 namespace ftspm {
 
 namespace {
 
-/// Precomputed fold tables, all derived from the Hsiao H-matrix
-/// columns. byte_fold[j][b] is the XOR of the columns guarding data
-/// bits 8j..8j+7 selected by the bits of b; the nibble tables split the
-/// same information for the 16-entry `pshufb` lookups (low nibble and
-/// high nibble of byte plane j).
+/// byte_fold[j][b] is the XOR of the columns guarding data bits
+/// 8j..8j+7 selected by the bits of b.
 struct FoldTables {
   std::uint8_t byte_fold[8][256];
-  alignas(32) std::uint8_t nibble_lo[8][16];
-  alignas(32) std::uint8_t nibble_hi[8][16];
 
   FoldTables() {
     for (std::uint32_t j = 0; j < 8; ++j) {
@@ -56,10 +30,6 @@ struct FoldTables {
         for (std::uint32_t i = 0; i < 8; ++i)
           if (b & (1u << i)) fold ^= SecDedCodec::column(8 * j + i);
         byte_fold[j][b] = fold;
-      }
-      for (std::uint32_t n = 0; n < 16; ++n) {
-        nibble_lo[j][n] = byte_fold[j][n];
-        nibble_hi[j][n] = byte_fold[j][n << 4];
       }
     }
   }
@@ -70,271 +40,22 @@ const FoldTables& fold_tables() noexcept {
   return t;
 }
 
-void fold_scalar(const std::uint64_t* data, const std::uint8_t* check,
-                 std::size_t count, std::uint8_t* out) noexcept {
-  const FoldTables& t = fold_tables();
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t d = data[i];
-    std::uint8_t s = check[i];
-    s = static_cast<std::uint8_t>(
-        s ^ t.byte_fold[0][d & 0xff] ^ t.byte_fold[1][(d >> 8) & 0xff] ^
-        t.byte_fold[2][(d >> 16) & 0xff] ^ t.byte_fold[3][(d >> 24) & 0xff] ^
-        t.byte_fold[4][(d >> 32) & 0xff] ^ t.byte_fold[5][(d >> 40) & 0xff] ^
-        t.byte_fold[6][(d >> 48) & 0xff] ^ t.byte_fold[7][(d >> 56) & 0xff]);
-    out[i] = s;
-  }
-}
-
-#if FTSPM_X86
-
-// Byte-pair interleave: a register holding two words' bytes
-// [w0..w7, w'0..w'7] becomes [w0,w'0, w1,w'1, ..., w7,w'7] — eight
-// 16-bit units, unit j = byte plane j of the word pair. Three unpack
-// levels (16/32/64-bit) over eight such registers then yield one full
-// 16-byte plane per register, bytes in pattern order.
-#define FTSPM_PAIR_SHUFFLE 0, 8, 1, 9, 2, 10, 3, 11, 4, 12, 5, 13, 6, 14, 7, 15
-
-__attribute__((target("ssse3"))) void fold_ssse3(const std::uint64_t* data,
-                                                 const std::uint8_t* check,
-                                                 std::size_t count,
-                                                 std::uint8_t* out) noexcept {
-  const FoldTables& t = fold_tables();
-  __m128i lo_tbl[8], hi_tbl[8];
-  for (int j = 0; j < 8; ++j) {
-    lo_tbl[j] = _mm_load_si128(
-        reinterpret_cast<const __m128i*>(t.nibble_lo[j]));
-    hi_tbl[j] = _mm_load_si128(
-        reinterpret_cast<const __m128i*>(t.nibble_hi[j]));
-  }
-  const __m128i pair = _mm_setr_epi8(FTSPM_PAIR_SHUFFLE);
-  const __m128i nib = _mm_set1_epi8(0x0f);
-  std::size_t i = 0;
-  for (; i + 16 <= count; i += 16) {
-    __m128i r[8];
-    for (int k = 0; k < 8; ++k)
-      r[k] = _mm_shuffle_epi8(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i + 2 * k)),
-          pair);
-    // Planes p/q of words w..w+3 after level 1, w..w+7 after level 2,
-    // all 16 words after level 3.
-    const __m128i a0 = _mm_unpacklo_epi16(r[0], r[1]);
-    const __m128i a1 = _mm_unpackhi_epi16(r[0], r[1]);
-    const __m128i a2 = _mm_unpacklo_epi16(r[2], r[3]);
-    const __m128i a3 = _mm_unpackhi_epi16(r[2], r[3]);
-    const __m128i a4 = _mm_unpacklo_epi16(r[4], r[5]);
-    const __m128i a5 = _mm_unpackhi_epi16(r[4], r[5]);
-    const __m128i a6 = _mm_unpacklo_epi16(r[6], r[7]);
-    const __m128i a7 = _mm_unpackhi_epi16(r[6], r[7]);
-    const __m128i b0 = _mm_unpacklo_epi32(a0, a2);  // planes 0,1 w0..7
-    const __m128i b1 = _mm_unpackhi_epi32(a0, a2);  // planes 2,3 w0..7
-    const __m128i b2 = _mm_unpacklo_epi32(a1, a3);  // planes 4,5 w0..7
-    const __m128i b3 = _mm_unpackhi_epi32(a1, a3);  // planes 6,7 w0..7
-    const __m128i b4 = _mm_unpacklo_epi32(a4, a6);  // planes 0,1 w8..15
-    const __m128i b5 = _mm_unpackhi_epi32(a4, a6);
-    const __m128i b6 = _mm_unpacklo_epi32(a5, a7);
-    const __m128i b7 = _mm_unpackhi_epi32(a5, a7);
-    __m128i plane[8];
-    plane[0] = _mm_unpacklo_epi64(b0, b4);
-    plane[1] = _mm_unpackhi_epi64(b0, b4);
-    plane[2] = _mm_unpacklo_epi64(b1, b5);
-    plane[3] = _mm_unpackhi_epi64(b1, b5);
-    plane[4] = _mm_unpacklo_epi64(b2, b6);
-    plane[5] = _mm_unpackhi_epi64(b2, b6);
-    plane[6] = _mm_unpacklo_epi64(b3, b7);
-    plane[7] = _mm_unpackhi_epi64(b3, b7);
-    __m128i acc =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(check + i));
-    for (int j = 0; j < 8; ++j) {
-      const __m128i lo_n = _mm_and_si128(plane[j], nib);
-      const __m128i hi_n = _mm_and_si128(_mm_srli_epi16(plane[j], 4), nib);
-      acc = _mm_xor_si128(acc, _mm_shuffle_epi8(lo_tbl[j], lo_n));
-      acc = _mm_xor_si128(acc, _mm_shuffle_epi8(hi_tbl[j], hi_n));
-    }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), acc);
-  }
-  if (i < count) fold_scalar(data + i, check + i, count - i, out + i);
-}
-
-__attribute__((target("avx2"))) void fold_avx2(const std::uint64_t* data,
-                                               const std::uint8_t* check,
-                                               std::size_t count,
-                                               std::uint8_t* out) noexcept {
-  const FoldTables& t = fold_tables();
-  __m256i lo_tbl[8], hi_tbl[8];
-  for (int j = 0; j < 8; ++j) {
-    lo_tbl[j] = _mm256_broadcastsi128_si256(_mm_load_si128(
-        reinterpret_cast<const __m128i*>(t.nibble_lo[j])));
-    hi_tbl[j] = _mm256_broadcastsi128_si256(_mm_load_si128(
-        reinterpret_cast<const __m128i*>(t.nibble_hi[j])));
-  }
-  const __m256i pair = _mm256_setr_epi8(FTSPM_PAIR_SHUFFLE,
-                                        FTSPM_PAIR_SHUFFLE);
-  const __m256i nib = _mm256_set1_epi8(0x0f);
-  std::size_t i = 0;
-  for (; i + 32 <= count; i += 32) {
-    // Lane 0 carries patterns i..i+15, lane 1 patterns i+16..i+31; the
-    // per-lane unpack tree is then exactly two SSSE3 kernels abreast,
-    // and the 32 syndromes land in order for a single store.
-    __m256i r[8];
-    for (int k = 0; k < 8; ++k) {
-      const __m128i lo_words = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(data + i + 2 * k));
-      const __m128i hi_words = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(data + i + 16 + 2 * k));
-      r[k] = _mm256_shuffle_epi8(
-          _mm256_inserti128_si256(_mm256_castsi128_si256(lo_words), hi_words,
-                                  1),
-          pair);
-    }
-    const __m256i a0 = _mm256_unpacklo_epi16(r[0], r[1]);
-    const __m256i a1 = _mm256_unpackhi_epi16(r[0], r[1]);
-    const __m256i a2 = _mm256_unpacklo_epi16(r[2], r[3]);
-    const __m256i a3 = _mm256_unpackhi_epi16(r[2], r[3]);
-    const __m256i a4 = _mm256_unpacklo_epi16(r[4], r[5]);
-    const __m256i a5 = _mm256_unpackhi_epi16(r[4], r[5]);
-    const __m256i a6 = _mm256_unpacklo_epi16(r[6], r[7]);
-    const __m256i a7 = _mm256_unpackhi_epi16(r[6], r[7]);
-    const __m256i b0 = _mm256_unpacklo_epi32(a0, a2);
-    const __m256i b1 = _mm256_unpackhi_epi32(a0, a2);
-    const __m256i b2 = _mm256_unpacklo_epi32(a1, a3);
-    const __m256i b3 = _mm256_unpackhi_epi32(a1, a3);
-    const __m256i b4 = _mm256_unpacklo_epi32(a4, a6);
-    const __m256i b5 = _mm256_unpackhi_epi32(a4, a6);
-    const __m256i b6 = _mm256_unpacklo_epi32(a5, a7);
-    const __m256i b7 = _mm256_unpackhi_epi32(a5, a7);
-    __m256i plane[8];
-    plane[0] = _mm256_unpacklo_epi64(b0, b4);
-    plane[1] = _mm256_unpackhi_epi64(b0, b4);
-    plane[2] = _mm256_unpacklo_epi64(b1, b5);
-    plane[3] = _mm256_unpackhi_epi64(b1, b5);
-    plane[4] = _mm256_unpacklo_epi64(b2, b6);
-    plane[5] = _mm256_unpackhi_epi64(b2, b6);
-    plane[6] = _mm256_unpacklo_epi64(b3, b7);
-    plane[7] = _mm256_unpackhi_epi64(b3, b7);
-    __m256i acc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(check + i));
-    for (int j = 0; j < 8; ++j) {
-      const __m256i lo_n = _mm256_and_si256(plane[j], nib);
-      const __m256i hi_n =
-          _mm256_and_si256(_mm256_srli_epi16(plane[j], 4), nib);
-      acc = _mm256_xor_si256(acc, _mm256_shuffle_epi8(lo_tbl[j], lo_n));
-      acc = _mm256_xor_si256(acc, _mm256_shuffle_epi8(hi_tbl[j], hi_n));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), acc);
-  }
-  if (i < count) fold_scalar(data + i, check + i, count - i, out + i);
-}
-
-#undef FTSPM_PAIR_SHUFFLE
-
-#endif  // FTSPM_X86
-
-using FoldFn = void (*)(const std::uint64_t*, const std::uint8_t*,
-                        std::size_t, std::uint8_t*) noexcept;
-
-struct Backend {
-  FoldFn fn;
-  const char* name;
-  detail::FoldBackendKind kind;
-};
-
-constexpr Backend kScalar{fold_scalar, "scalar",
-                          detail::FoldBackendKind::Scalar};
-#if FTSPM_X86
-constexpr Backend kSsse3{fold_ssse3, "ssse3", detail::FoldBackendKind::Ssse3};
-constexpr Backend kAvx2{fold_avx2, "avx2", detail::FoldBackendKind::Avx2};
-#endif
-
-bool simd_allowed() noexcept {
-#if defined(FTSPM_DISABLE_SIMD)
-  return false;
-#else
-  return FTSPM_X86 != 0;
-#endif
-}
-
-const Backend* resolve_auto() noexcept {
-#if FTSPM_X86
-  if (simd_allowed()) {
-    if (__builtin_cpu_supports("avx2")) return &kAvx2;
-    if (__builtin_cpu_supports("ssse3")) return &kSsse3;
-  }
-#endif
-  return &kScalar;
-}
-
-std::atomic<const Backend*>& backend_slot() noexcept {
-  static std::atomic<const Backend*> slot{nullptr};
-  return slot;
-}
-
-const Backend* backend() noexcept {
-  const Backend* b = backend_slot().load(std::memory_order_acquire);
-  if (b == nullptr) {
-    b = resolve_auto();
-    backend_slot().store(b, std::memory_order_release);
-  }
-  return b;
-}
-
 }  // namespace
-
-detail::FoldBackendKind detail::fold_backend_kind() noexcept {
-  return backend()->kind;
-}
 
 void SecDedCodec::fold_syndromes(const std::uint64_t* data_masks,
                                  const std::uint8_t* check_masks,
                                  std::size_t count,
                                  std::uint8_t* syndromes) noexcept {
-  backend()->fn(data_masks, check_masks, count, syndromes);
-}
-
-void SecDedCodec::fold_syndromes_scalar(const std::uint64_t* data_masks,
-                                        const std::uint8_t* check_masks,
-                                        std::size_t count,
-                                        std::uint8_t* syndromes) noexcept {
-  fold_scalar(data_masks, check_masks, count, syndromes);
-}
-
-void SecDedCodec::classify_pattern_batch(const std::uint64_t* data_masks,
-                                         const std::uint8_t* check_masks,
-                                         std::size_t count,
-                                         PatternDecode* out) noexcept {
-  const std::array<SyndromeDecode, 256>& table = syndrome_table();
-  std::uint8_t syndromes[256];
-  for (std::size_t base = 0; base < count; base += sizeof(syndromes)) {
-    const std::size_t n = count - base < sizeof(syndromes)
-                              ? count - base
-                              : sizeof(syndromes);
-    fold_syndromes(data_masks + base, check_masks + base, n, syndromes);
-    for (std::size_t k = 0; k < n; ++k) {
-      const SyndromeDecode& o = table[syndromes[k]];
-      out[base + k] = PatternDecode{o.status, o.correction_mask,
-                                    data_masks[base + k] ^ o.correction_mask};
-    }
+  const FoldTables& t = fold_tables();
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t d = data_masks[i];
+    syndromes[i] = static_cast<std::uint8_t>(
+        check_masks[i] ^ t.byte_fold[0][d & 0xff] ^
+        t.byte_fold[1][(d >> 8) & 0xff] ^ t.byte_fold[2][(d >> 16) & 0xff] ^
+        t.byte_fold[3][(d >> 24) & 0xff] ^ t.byte_fold[4][(d >> 32) & 0xff] ^
+        t.byte_fold[5][(d >> 40) & 0xff] ^ t.byte_fold[6][(d >> 48) & 0xff] ^
+        t.byte_fold[7][(d >> 56) & 0xff]);
   }
-}
-
-const char* SecDedCodec::fold_backend() noexcept { return backend()->name; }
-
-bool SecDedCodec::set_fold_backend(const char* name) noexcept {
-  if (name == nullptr) return false;
-  const Backend* pick = nullptr;
-  if (std::strcmp(name, "auto") == 0) {
-    pick = resolve_auto();
-  } else if (std::strcmp(name, "scalar") == 0) {
-    pick = &kScalar;
-#if FTSPM_X86
-  } else if (std::strcmp(name, "ssse3") == 0) {
-    if (simd_allowed() && __builtin_cpu_supports("ssse3")) pick = &kSsse3;
-  } else if (std::strcmp(name, "avx2") == 0) {
-    if (simd_allowed() && __builtin_cpu_supports("avx2")) pick = &kAvx2;
-#endif
-  }
-  if (pick == nullptr) return false;
-  backend_slot().store(pick, std::memory_order_release);
-  return true;
 }
 
 }  // namespace ftspm

@@ -43,7 +43,6 @@ ReuseProfile compute_reuse_profile(const Workload& workload, ReuseScope scope,
   FTSPM_REQUIRE(line_bytes >= 8 && std::has_single_bit(line_bytes),
                 "line size must be a power of two >= 8");
   FTSPM_REQUIRE(horizon_lines >= 2, "horizon too small");
-  validate_trace(workload.program, workload.trace);
 
   ReuseProfile profile;
   profile.line_bytes = line_bytes;
@@ -79,8 +78,15 @@ ReuseProfile compute_reuse_profile(const Workload& workload, ReuseScope scope,
     }
   };
 
+  // One walk: each event is validated (exactly as validate_trace would,
+  // so a malformed trace throws the same error at the same event), then
+  // profiled if it is in scope.
+  TraceChecker checker(workload.program);
   const bool want_code = scope == ReuseScope::Instructions;
-  for (const TraceEvent& e : workload.trace) {
+  const std::vector<TraceEvent>& trace = workload.trace;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const TraceEvent& e = trace[i];
+    checker.check(e, i);
     if (e.is_marker()) continue;
     const bool is_fetch = e.type == AccessType::Fetch;
     if (is_fetch != want_code) continue;
@@ -95,6 +101,7 @@ ReuseProfile compute_reuse_profile(const Workload& workload, ReuseScope scope,
                          profile.histogram[0] += words - 1;
                        });
   }
+  checker.finish();
   return profile;
 }
 

@@ -80,15 +80,6 @@ const std::string& ArgParser::option(const std::string& name) const {
   return spec.value;
 }
 
-std::int64_t ArgParser::option_int(const std::string& name) const {
-  const std::string& raw = option(name);
-  char* end = nullptr;
-  const long long v = std::strtoll(raw.c_str(), &end, 10);
-  FTSPM_REQUIRE(end && *end == '\0' && !raw.empty(),
-                "--" + name + " expects an integer, got '" + raw + "'");
-  return v;
-}
-
 std::uint64_t ArgParser::option_uint(const std::string& name,
                                      std::uint64_t max) const {
   const std::string& raw = option(name);

@@ -29,7 +29,6 @@ class ArgParser {
 
   bool flag(const std::string& name) const;
   const std::string& option(const std::string& name) const;
-  std::int64_t option_int(const std::string& name) const;
   /// Strict non-negative integer: rejects signs, trailing garbage, and
   /// values above `max` with InvalidArgument (exit 2 at the CLI).
   std::uint64_t option_uint(const std::string& name,

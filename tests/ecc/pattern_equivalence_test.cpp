@@ -3,17 +3,14 @@
 // 2-, and 3-bit error pattern over the full 72-bit SEC-DED codeword
 // and the 65-bit parity word, each checked against several stored
 // originals to witness the linearity argument — the pattern alone
-// determines the outcome, the data never does. The batch entry points
-// (fold_syndromes / classify_pattern_batch) are then driven over the
-// same exhaustive pattern sets at several batch sizes — including 1
-// and a non-multiple-of-SIMD-width tail — and every fold backend the
-// host CPU offers is pinned against the scalar kernel.
+// determines the outcome, the data never does. The reference syndrome
+// fold (fold_syndromes) is then pinned against classify_pattern over
+// the same exhaustive SEC-DED pattern set.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "ftspm/ecc/parity_codec.h"
@@ -131,107 +128,35 @@ TEST(PatternEquivalence, SingleBitCorrectionTargetsTheFlippedBit) {
   }
 }
 
-// ---- Batch entry points (docs/performance.md, "Batched
-// classification"): same exhaustive pattern sets, pushed through the
-// array kernels in blocks of several sizes. 1 exercises the
-// degenerate batch, 5 and 33 leave tails smaller than any SIMD lane
-// group, 256 is the campaign block width, and 333 is a deliberate
-// non-multiple of every kernel width so the SIMD body must hand its
-// remainder to the scalar tail.
-constexpr std::array<std::size_t, 5> kBatchSizes = {1, 5, 33, 256, 333};
-
-/// Collects every 1/2/3-bit pattern over `width` bits in SoA form.
-struct PatternSet {
+// The reference fold (fold_syndromes), in one call over every 1-, 2-
+// and 3-bit SEC-DED pattern: each syndrome must be the one decode()
+// computes, and must read from syndrome_table() exactly the outcome
+// classify_pattern reports.
+TEST(PatternEquivalence, SecDedFoldMatchesClassifyPattern) {
   std::vector<std::uint64_t> data;
   std::vector<std::uint8_t> check;
-};
-
-PatternSet all_patterns(std::uint32_t width) {
-  PatternSet set;
-  for_each_pattern(width, [&](const std::vector<std::uint32_t>& bits) {
+  for_each_pattern(SecDedCodec::kCodewordBits,
+                   [&](const std::vector<std::uint32_t>& bits) {
     const Pattern p = make_pattern(bits);
-    set.data.push_back(p.data_mask);
-    set.check.push_back(p.check_mask);
+    data.push_back(p.data_mask);
+    check.push_back(p.check_mask);
   });
-  return set;
-}
-
-void expect_same_decode(const PatternDecode& got, const PatternDecode& want,
-                        std::size_t i, const char* what) {
-  ASSERT_EQ(got.status, want.status) << what << " pattern " << i;
-  ASSERT_EQ(got.correction_mask, want.correction_mask)
-      << what << " pattern " << i;
-  ASSERT_EQ(got.residual_mask, want.residual_mask) << what << " pattern " << i;
-}
-
-TEST(PatternEquivalence, SecDedBatchMatchesScalarAtEveryBatchSize) {
-  const PatternSet set = all_patterns(SecDedCodec::kCodewordBits);
-  const std::size_t total = set.data.size();
-  std::vector<PatternDecode> out(total);
-  for (const std::size_t batch : kBatchSizes) {
-    for (std::size_t base = 0; base < total; base += batch) {
-      const std::size_t n = std::min(batch, total - base);
-      SecDedCodec::classify_pattern_batch(set.data.data() + base,
-                                          set.check.data() + base, n,
-                                          out.data() + base);
-    }
-    for (std::size_t i = 0; i < total; ++i)
-      expect_same_decode(
-          out[i], SecDedCodec::classify_pattern(set.data[i], set.check[i]), i,
-          "secded batch");
+  ASSERT_EQ(data.size(), 72u + 2556u + 59640u);
+  std::vector<std::uint8_t> syndromes(data.size(), 0xA5);
+  SecDedCodec::fold_syndromes(data.data(), check.data(), data.size(),
+                              syndromes.data());
+  const auto& table = SecDedCodec::syndrome_table();
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    ASSERT_EQ(syndromes[i], SecDedCodec::compute_check(data[i]) ^ check[i])
+        << "pattern " << i;
+    const PatternDecode want =
+        SecDedCodec::classify_pattern(data[i], check[i]);
+    const SecDedCodec::SyndromeDecode& got = table[syndromes[i]];
+    ASSERT_EQ(got.status, want.status) << "pattern " << i;
+    ASSERT_EQ(got.correction_mask, want.correction_mask) << "pattern " << i;
+    ASSERT_EQ(data[i] ^ got.correction_mask, want.residual_mask)
+        << "pattern " << i;
   }
-}
-
-TEST(PatternEquivalence, ParityBatchMatchesScalarAtEveryBatchSize) {
-  const PatternSet set = all_patterns(ParityCodec::kCodewordBits);
-  const std::size_t total = set.data.size();
-  std::vector<PatternDecode> out(total);
-  for (const std::size_t batch : kBatchSizes) {
-    for (std::size_t base = 0; base < total; base += batch) {
-      const std::size_t n = std::min(batch, total - base);
-      ParityCodec::classify_pattern_batch(set.data.data() + base,
-                                          set.check.data() + base, n,
-                                          out.data() + base);
-    }
-    for (std::size_t i = 0; i < total; ++i)
-      expect_same_decode(
-          out[i], ParityCodec::classify_pattern(set.data[i], set.check[i]), i,
-          "parity batch");
-  }
-}
-
-TEST(PatternEquivalence, EveryFoldBackendMatchesScalarSyndromes) {
-  // fold_syndromes dispatches to the best kernel the CPU offers; every
-  // kernel must produce byte-identical syndromes to the always-present
-  // scalar one, at every batch size, over the exhaustive pattern set.
-  const PatternSet set = all_patterns(SecDedCodec::kCodewordBits);
-  const std::size_t total = set.data.size();
-  std::vector<std::uint8_t> want(total), got(total);
-  SecDedCodec::fold_syndromes_scalar(set.data.data(), set.check.data(), total,
-                                     want.data());
-  const std::string original = SecDedCodec::fold_backend();
-  for (const char* backend : {"scalar", "ssse3", "avx2"}) {
-    if (!SecDedCodec::set_fold_backend(backend)) continue;  // CPU lacks it
-    ASSERT_STREQ(SecDedCodec::fold_backend(), backend);
-    for (const std::size_t batch : kBatchSizes) {
-      std::fill(got.begin(), got.end(), 0xA5);
-      for (std::size_t base = 0; base < total; base += batch) {
-        const std::size_t n = std::min(batch, total - base);
-        SecDedCodec::fold_syndromes(set.data.data() + base,
-                                    set.check.data() + base, n,
-                                    got.data() + base);
-      }
-      EXPECT_EQ(got, want) << backend << " batch " << batch;
-    }
-  }
-  EXPECT_TRUE(SecDedCodec::set_fold_backend("auto"));
-  EXPECT_STREQ(SecDedCodec::fold_backend(), original.c_str());
-}
-
-TEST(PatternEquivalence, UnknownFoldBackendIsRefusedInPlace) {
-  const std::string before = SecDedCodec::fold_backend();
-  EXPECT_FALSE(SecDedCodec::set_fold_backend("quantum"));
-  EXPECT_STREQ(SecDedCodec::fold_backend(), before.c_str());
 }
 
 }  // namespace

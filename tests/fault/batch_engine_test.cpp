@@ -17,7 +17,6 @@
 #include "ftspm/core/mapping_plan.h"
 #include "ftspm/core/system_campaign.h"
 #include "ftspm/core/systems.h"
-#include "ftspm/ecc/parity_codec.h"
 #include "ftspm/ecc/secded_codec.h"
 #include "ftspm/fault/batch_engine.h"
 #include "ftspm/fault/injector.h"
@@ -29,6 +28,7 @@
 #include "ftspm/oracle/recovery_reference.h"
 #include "ftspm/oracle/strike_oracle.h"
 #include "ftspm/oracle/temporal_reference.h"
+#include "ftspm/util/bitops.h"
 #include "ftspm/util/error.h"
 #include "ftspm/util/rng.h"
 #include "ftspm/workload/case_study.h"
@@ -434,12 +434,12 @@ void expect_syndrome_shadow(const std::vector<RecoveryRegion>& regions,
     }
     std::vector<std::uint8_t> want(words);
     if (protection == ProtectionKind::SecDed)
-      SecDedCodec::fold_syndromes_scalar(data_masks.data(),
-                                         check_masks.data(), words,
-                                         want.data());
+      SecDedCodec::fold_syndromes(data_masks.data(), check_masks.data(),
+                                  words, want.data());
     else
-      ParityCodec::fold_parity(data_masks.data(), check_masks.data(), words,
-                               want.data());
+      for (std::size_t w = 0; w < words; ++w)
+        want[w] = static_cast<std::uint8_t>(parity64(data_masks[w]) ^
+                                            (check_masks[w] & 1));
     std::size_t stale = 0, first = words;
     for (std::size_t w = 0; w < words; ++w)
       if (image.syndrome[w] != want[w] && stale++ == 0) first = w;
@@ -951,8 +951,8 @@ TEST(BatchEngineRunTable, EveryRunMatchesTheOracle) {
 
 TEST(BatchEngineRunTable, EverySyndromeRunMatchesTheFold) {
   // Every run of every codeword width a region can have, against the
-  // codecs' own folds over the run's masks as the 8-bit check plane
-  // holds them.
+  // SEC-DED reference fold and the parity bit over the run's masks as
+  // the 8-bit check plane holds them.
   for (const ProtectionKind protection :
        {ProtectionKind::Parity, ProtectionKind::SecDed}) {
     const detail::RunSyndromeRow* run = detail::run_syndrome_table(protection);
@@ -964,9 +964,9 @@ TEST(BatchEngineRunTable, EverySyndromeRunMatchesTheFold) {
         const auto check = static_cast<std::uint8_t>(gm.check);
         std::uint8_t want = 0;
         if (protection == ProtectionKind::SecDed)
-          SecDedCodec::fold_syndromes_scalar(&gm.data, &check, 1, &want);
+          SecDedCodec::fold_syndromes(&gm.data, &check, 1, &want);
         else
-          ParityCodec::fold_parity(&gm.data, &check, 1, &want);
+          want = static_cast<std::uint8_t>(parity64(gm.data) ^ (check & 1));
         EXPECT_EQ(run[lo][len], want)
             << "protection " << static_cast<int>(protection) << " run ["
             << lo << ", " << lo + len << ")";

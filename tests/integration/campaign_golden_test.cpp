@@ -12,7 +12,6 @@
 
 #include "ftspm/core/system_campaign.h"
 #include "ftspm/core/systems.h"
-#include "ftspm/ecc/secded_codec.h"
 #include "ftspm/fault/injector.h"
 #include "ftspm/fault/recovery.h"
 #include "ftspm/mem/technology_library.h"
@@ -141,54 +140,6 @@ TEST(CampaignGolden, TemporalCaseStudyCampaign) {
   };
   expect_counts(run(kSeedA), 50'000, {47129, 1771, 946, 154});
   expect_counts(run(kSeedB), 50'000, {47192, 1731, 909, 168});
-}
-
-// The recovery campaign folds syndromes through the batched entry
-// points, so its golden gets a backend sweep: every fold kernel the
-// host offers must land exactly on the numbers pinned above. The
-// temporal golden rides along; its run-outcome tables fold nothing, so
-// no backend may move it. The FTSPM_DISABLE_SIMD CI leg runs the
-// scalar iteration of this test, keeping both code paths pinned.
-TEST(CampaignGolden, RecoveryAndTemporalGoldensAcrossFoldBackends) {
-  const Workload w = make_case_study(CaseStudyTargets{}.scaled_down(8));
-  const ProgramProfile prof = profile_workload(w);
-  const StructureEvaluator evaluator;
-  const SystemResult sys = evaluator.evaluate_ftspm(w, prof);
-  for (const char* backend : {"scalar", "ssse3", "avx2"}) {
-    if (!SecDedCodec::set_fold_backend(backend)) continue;  // CPU lacks it
-    SCOPED_TRACE(backend);
-    expect_golden_recovery_a(run_golden_recovery(kSeedA));
-    expect_counts(
-        run_temporal_campaign(evaluator.ftspm_layout(), sys.plan, w.program,
-                              prof, evaluator.strike_model(),
-                              config_for(kSeedA, 50'000)),
-        50'000, {47129, 1771, 946, 154});
-  }
-  EXPECT_TRUE(SecDedCodec::set_fold_backend("auto"));
-}
-
-// SecDedCodec::fold_syndromes dispatches to AVX2/SSSE3/scalar kernels
-// at runtime. The static engine classifies its SEC-DED runs from the
-// run-outcome tables, not through the fold, so its counters must not
-// depend on which kernel the process selected: every backend the host
-// CPU offers has to land exactly on the golden numbers above. An
-// FTSPM_DISABLE_SIMD build runs the scalar leg of this same test.
-TEST(CampaignGolden, ScalarAndSimdFoldPathsHitTheSameGoldens) {
-  const std::vector<InjectionRegion> regions{
-      {RegionGeometry(8192, 8), ProtectionKind::SecDed, 0.9, 1},
-      {RegionGeometry(8192, 1), ProtectionKind::Parity, 0.7, 1},
-      {RegionGeometry(2048, 0), ProtectionKind::None, 0.4, 1},
-      {RegionGeometry(2048, 0), ProtectionKind::Immune, 1.0, 1}};
-  const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
-  for (const char* backend : {"scalar", "ssse3", "avx2"}) {
-    if (!SecDedCodec::set_fold_backend(backend)) continue;  // CPU lacks it
-    SCOPED_TRACE(backend);
-    expect_counts(run_campaign(regions, model, config_for(kSeedA, 200'000)),
-                  200'000, {61866, 47912, 62273, 27949});
-    expect_counts(run_campaign(regions, model, config_for(kSeedB, 200'000)),
-                  200'000, {62043, 48020, 62235, 27702});
-  }
-  EXPECT_TRUE(SecDedCodec::set_fold_backend("auto"));
 }
 
 // The scratch-carrying classifier overload, the convenience overload,

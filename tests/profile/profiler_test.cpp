@@ -207,27 +207,6 @@ TEST(ProfilerTest, RejectsOutOfRangeBlockIdLikeValidateTrace) {
 // events the walk profiles first: profile_workload() throws the error
 // validate_trace() throws, message for message.
 TEST(ProfilerTest, ThrowsValidateTracesFirstErrorOnMalformedTraces) {
-  const Program p("demo", {Block{"fn", BlockKind::Code, 1024},
-                           Block{"arr", BlockKind::Data, 512},
-                           Block{"stack", BlockKind::Stack, 256}});
-  const std::vector<std::vector<TraceEvent>> malformed{
-      {TraceEvent{9, AccessType::Read, 0, 0, 1}},
-      {TraceEvent{1, AccessType::Fetch, 0, 0, 1}},
-      {TraceEvent{0, AccessType::Read, 0, 0, 1}},
-      {TraceEvent{0, AccessType::Write, 0, 0, 1}},
-      {TraceEvent{1, AccessType::Read, 0, 64, 1}},
-      {TraceEvent{0, AccessType::CallExit, 0, 0, 1}},
-      {TraceEvent{0, AccessType::CallEnter, 0, 16, 1}},
-      {TraceEvent{0, AccessType::CallEnter, 0, 16, 2},
-       TraceEvent{0, AccessType::CallExit, 0, 0, 1}},
-      {TraceEvent{1, AccessType::CallEnter, 0, 16, 1},
-       TraceEvent{1, AccessType::CallExit, 0, 0, 1}}};
-  const std::vector<TraceEvent> prefix{
-      TraceEvent{0, AccessType::CallEnter, 0, 16, 1},
-      TraceEvent{0, AccessType::Fetch, 0, 0, 10},
-      TraceEvent{1, AccessType::Write, 0, 60, 8},
-      TraceEvent{2, AccessType::Read, 0, 0, 2},
-      TraceEvent{0, AccessType::CallExit, 0, 0, 1}};
   const auto first_error = [](const auto& consume) -> std::string {
     try {
       consume();
@@ -237,18 +216,14 @@ TEST(ProfilerTest, ThrowsValidateTracesFirstErrorOnMalformedTraces) {
     }
     return "no error";
   };
-  for (std::size_t k = 0; k < malformed.size(); ++k) {
-    for (const bool behind_prefix : {false, true}) {
-      SCOPED_TRACE("trace " + std::to_string(k) +
-                   (behind_prefix ? " behind valid events" : ""));
-      Workload w{p, behind_prefix ? prefix : std::vector<TraceEvent>{}};
-      w.trace.insert(w.trace.end(), malformed[k].begin(),
-                     malformed[k].end());
-      const std::string want =
-          first_error([&] { validate_trace(w.program, w.trace); });
-      EXPECT_NE(want, "no error");
-      EXPECT_EQ(first_error([&] { profile_workload(w); }), want);
-    }
+  const std::vector<Workload> cases = testing_support::malformed_workloads();
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    SCOPED_TRACE("malformed case " + std::to_string(k));
+    const Workload& w = cases[k];
+    const std::string want =
+        first_error([&] { validate_trace(w.program, w.trace); });
+    EXPECT_NE(want, "no error");
+    EXPECT_EQ(first_error([&] { profile_workload(w); }), want);
   }
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <typeinfo>
+#include <vector>
+
 #include "ftspm/core/spm_config.h"
 #include "ftspm/sim/simulator.h"
 #include "ftspm/util/error.h"
@@ -104,6 +108,31 @@ TEST(ReuseProfileTest, RunLengthEventsMatchWordByWordEvents) {
         }
       }
     }
+  }
+}
+
+// The reuse walk validates each event as it goes: on every malformed
+// trace it throws the error validate_trace() throws, message for
+// message, in either scope.
+TEST(ReuseProfileTest, ThrowsValidateTracesFirstErrorOnMalformedTraces) {
+  const auto first_error = [](const auto& consume) -> std::string {
+    try {
+      consume();
+    } catch (const Error& e) {
+      EXPECT_EQ(typeid(e), typeid(Error));
+      return e.what();
+    }
+    return "no error";
+  };
+  const std::vector<Workload> cases = testing_support::malformed_workloads();
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    SCOPED_TRACE("malformed case " + std::to_string(k));
+    const Workload& w = cases[k];
+    const std::string want =
+        first_error([&] { validate_trace(w.program, w.trace); });
+    EXPECT_NE(want, "no error");
+    for (const ReuseScope scope : {ReuseScope::Data, ReuseScope::Instructions})
+      EXPECT_EQ(first_error([&] { compute_reuse_profile(w, scope); }), want);
   }
 }
 

@@ -1,6 +1,7 @@
 // Random run-length traces, and the same traces split into one event per
 // word, for checking the per-run trace consumers against word-by-word
-// semantics.
+// semantics; and malformed traces, for checking that a consumer which
+// validates in its own walk throws what validate_trace() throws.
 #pragma once
 
 #include <cstdint>
@@ -87,6 +88,41 @@ inline Workload split_into_words(const Workload& w) {
     }
   }
   return Workload{w.program, std::move(trace)};
+}
+
+/// Every malformed trace of ValidateTraceTest over one small program,
+/// each alone and then behind valid events a consumer walks first.
+inline std::vector<Workload> malformed_workloads() {
+  const Program p("demo", {Block{"fn", BlockKind::Code, 1024},
+                           Block{"arr", BlockKind::Data, 512},
+                           Block{"stack", BlockKind::Stack, 256}});
+  const std::vector<std::vector<TraceEvent>> malformed{
+      {TraceEvent{9, AccessType::Read, 0, 0, 1}},
+      {TraceEvent{1, AccessType::Fetch, 0, 0, 1}},
+      {TraceEvent{0, AccessType::Read, 0, 0, 1}},
+      {TraceEvent{0, AccessType::Write, 0, 0, 1}},
+      {TraceEvent{1, AccessType::Read, 0, 64, 1}},
+      {TraceEvent{0, AccessType::CallExit, 0, 0, 1}},
+      {TraceEvent{0, AccessType::CallEnter, 0, 16, 1}},
+      {TraceEvent{0, AccessType::CallEnter, 0, 16, 2},
+       TraceEvent{0, AccessType::CallExit, 0, 0, 1}},
+      {TraceEvent{1, AccessType::CallEnter, 0, 16, 1},
+       TraceEvent{1, AccessType::CallExit, 0, 0, 1}}};
+  const std::vector<TraceEvent> prefix{
+      TraceEvent{0, AccessType::CallEnter, 0, 16, 1},
+      TraceEvent{0, AccessType::Fetch, 0, 0, 10},
+      TraceEvent{1, AccessType::Write, 0, 60, 8},
+      TraceEvent{2, AccessType::Read, 0, 0, 2},
+      TraceEvent{0, AccessType::CallExit, 0, 0, 1}};
+  std::vector<Workload> out;
+  for (const std::vector<TraceEvent>& bad : malformed) {
+    for (const bool behind_prefix : {false, true}) {
+      Workload w{p, behind_prefix ? prefix : std::vector<TraceEvent>{}};
+      w.trace.insert(w.trace.end(), bad.begin(), bad.end());
+      out.push_back(std::move(w));
+    }
+  }
+  return out;
 }
 
 }  // namespace ftspm::testing_support

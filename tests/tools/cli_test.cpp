@@ -280,7 +280,7 @@ TEST(CliTest, HeartbeatIntervalRejectsGarbageAndZero) {
 }
 
 TEST(CliTest, SensitivityBucketsRejectsGarbageNegativeAndZero) {
-  // option_int used to accept "-4" here and wrap it through a uint32
+  // A signed parse used to accept "-4" here and wrap it through a uint32
   // cast into four billion buckets; pin the strict parse.
   for (const char* bad : {"64x", "-4", "0", "4.5", "9999999999999999999999"}) {
     const CommandResult r = run_tool(
@@ -594,6 +594,24 @@ TEST(CliTest, CampaignCountFlagsRejectNegativeAndOutOfRange) {
   };
   for (const auto& [flag, value] : cases) {
     const CommandResult r = run_tool("campaign --" + flag + " " + value);
+    EXPECT_EQ(r.exit_code, 2) << flag << " " << value << "\n" << r.output;
+    EXPECT_NE(r.output.find(flag), std::string::npos)
+        << flag << " " << value << "\n" << r.output;
+  }
+}
+
+TEST(CliTest, ReuseRejectsNegativeScaleWideLineAndUnknownScope) {
+  // --scale and --line-bytes went through a signed parse and a cast:
+  // "-8" wrapped to a huge divisor and profiled a near-empty trace,
+  // 2^32 + 32 truncated to 32, and an unknown scope silently ran the
+  // data scope. Each must be a usage error (exit 2) naming its flag.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"scale", "-8"},
+      {"line-bytes", "4294967328"},  // 2^32 + 32
+      {"scope", "instruction"},
+  };
+  for (const auto& [flag, value] : cases) {
+    const CommandResult r = run_tool("reuse crc32 --" + flag + " " + value);
     EXPECT_EQ(r.exit_code, 2) << flag << " " << value << "\n" << r.output;
     EXPECT_NE(r.output.find(flag), std::string::npos)
         << flag << " " << value << "\n" << r.output;

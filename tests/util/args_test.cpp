@@ -19,7 +19,7 @@ TEST(ArgParserTest, FlagsAndDefaults) {
   p.parse(static_cast<int>(argv.size()), argv.data());
   EXPECT_TRUE(p.flag("verbose"));
   EXPECT_EQ(p.option("count"), "7");
-  EXPECT_EQ(p.option_int("count"), 7);
+  EXPECT_EQ(p.option_uint("count"), 7u);
 }
 
 TEST(ArgParserTest, OptionWithSeparateValue) {
@@ -27,7 +27,7 @@ TEST(ArgParserTest, OptionWithSeparateValue) {
   p.add_option("count", "how many", "0");
   const auto argv = argv_of({"demo", "--count", "42"});
   p.parse(static_cast<int>(argv.size()), argv.data());
-  EXPECT_EQ(p.option_int("count"), 42);
+  EXPECT_EQ(p.option_uint("count"), 42u);
 }
 
 TEST(ArgParserTest, OptionWithEqualsValue) {
@@ -53,7 +53,7 @@ TEST(ArgParserTest, StartOffsetSkipsSubcommand) {
   p.add_option("n", "n", "1");
   const auto argv = argv_of({"demo", "subcmd", "--n", "3"});
   p.parse(static_cast<int>(argv.size()), argv.data(), 2);
-  EXPECT_EQ(p.option_int("n"), 3);
+  EXPECT_EQ(p.option_uint("n"), 3u);
   EXPECT_TRUE(p.positionals().empty());
 }
 
@@ -86,7 +86,7 @@ TEST(ArgParserTest, BadNumbersThrow) {
   p.add_option("ratio", "r", "1.2.3");
   const auto argv = argv_of({"demo"});
   p.parse(static_cast<int>(argv.size()), argv.data());
-  EXPECT_THROW(p.option_int("count"), InvalidArgument);
+  EXPECT_THROW(p.option_uint("count"), InvalidArgument);
   EXPECT_THROW(p.option_double("ratio"), InvalidArgument);
 }
 
@@ -147,8 +147,8 @@ TEST(ArgParserTest, OptionUintAcceptsPlainDigitsOnly) {
 }
 
 TEST(ArgParserTest, OptionUintRejectsSignsGarbageAndOverflow) {
-  // option_int happily returns -4 here; option_uint is the strict
-  // spelling the CLI uses for count-like flags.
+  // strtoull would wrap "-4" and skip the space in " 4"; option_uint
+  // is the strict spelling the CLI uses for every count-like flag.
   for (const char* bad : {"-4", "+4", " 4", "4x", "4.0", "", "x",
                           "18446744073709551616" /* 2^64 */}) {
     ArgParser p("demo", "test");

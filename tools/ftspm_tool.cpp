@@ -50,6 +50,7 @@
 #include <chrono>
 #include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -338,10 +339,8 @@ MdaConfig mda_config_from(const ArgParser& args) {
   cfg.priority = resolve_priority(args.option("priority"));
   cfg.thresholds.performance_overhead = args.option_double("perf-overhead");
   cfg.thresholds.energy_overhead = args.option_double("energy-overhead");
-  cfg.thresholds.write_cycles_threshold =
-      static_cast<std::uint64_t>(args.option_int("write-threshold"));
-  cfg.thresholds.word_write_threshold =
-      static_cast<std::uint64_t>(args.option_int("word-threshold"));
+  cfg.thresholds.write_cycles_threshold = args.option_uint("write-threshold");
+  cfg.thresholds.word_write_threshold = args.option_uint("word-threshold");
   return cfg;
 }
 
@@ -371,9 +370,8 @@ int cmd_profile(int argc, const char* const* argv) {
   args.add_flag("csv", "emit CSV instead of an ASCII table");
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().size() == 1, "expected one workload name");
-  const Workload w = resolve_workload(
-      args.positionals()[0],
-      static_cast<std::uint64_t>(args.option_int("scale")));
+  const Workload w =
+      resolve_workload(args.positionals()[0], args.option_uint("scale"));
   const ProgramProfile prof = profile_workload(w);
   if (args.flag("csv")) {
     CsvWriter csv({"block", "kind", "size_bytes", "reads", "writes",
@@ -402,9 +400,8 @@ int cmd_map(int argc, const char* const* argv) {
   add_common_options(args);
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().size() == 1, "expected one workload name");
-  const Workload w = resolve_workload(
-      args.positionals()[0],
-      static_cast<std::uint64_t>(args.option_int("scale")));
+  const Workload w =
+      resolve_workload(args.positionals()[0], args.option_uint("scale"));
   const ProgramProfile prof = profile_workload(w);
   const StructureEvaluator evaluator(TechnologyLibrary(),
                                      mda_config_from(args));
@@ -422,9 +419,8 @@ int cmd_simulate(int argc, const char* const* argv) {
   args.add_flag("blocks", "print the per-block diagnostic table");
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().size() == 1, "expected one workload name");
-  const Workload w = resolve_workload(
-      args.positionals()[0],
-      static_cast<std::uint64_t>(args.option_int("scale")));
+  const Workload w =
+      resolve_workload(args.positionals()[0], args.option_uint("scale"));
   const ProgramProfile prof = profile_workload(w);
   const StructureEvaluator evaluator(TechnologyLibrary(),
                                      mda_config_from(args));
@@ -476,8 +472,7 @@ int cmd_evaluate(int argc, const char* const* argv) {
   args.add_flag("json", "emit machine-readable JSON");
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().size() == 1, "expected one workload name");
-  const std::uint64_t scale =
-      static_cast<std::uint64_t>(args.option_int("scale"));
+  const std::uint64_t scale = args.option_uint("scale");
   const Workload w = resolve_workload(args.positionals()[0], scale);
   const StructureEvaluator evaluator(TechnologyLibrary(),
                                      mda_config_from(args));
@@ -522,9 +517,8 @@ int cmd_schedule(int argc, const char* const* argv) {
   args.add_option("max-commands", "listing length cap", "40");
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().size() == 1, "expected one workload name");
-  const Workload w = resolve_workload(
-      args.positionals()[0],
-      static_cast<std::uint64_t>(args.option_int("scale")));
+  const Workload w =
+      resolve_workload(args.positionals()[0], args.option_uint("scale"));
   const ProgramProfile prof = profile_workload(w);
   const StructureEvaluator evaluator(TechnologyLibrary(),
                                      mda_config_from(args));
@@ -533,7 +527,7 @@ int cmd_schedule(int argc, const char* const* argv) {
       w.program, prof, r.plan, evaluator.ftspm_layout());
   std::cout << sched.render(
       w.program, evaluator.ftspm_layout(),
-      static_cast<std::size_t>(args.option_int("max-commands")));
+      static_cast<std::size_t>(args.option_uint("max-commands", SIZE_MAX)));
   return 0;
 }
 
@@ -542,8 +536,7 @@ int cmd_suite(int argc, const char* const* argv) {
   args.add_option("scale", "trace scale divisor", "1");
   args.add_flag("json", "emit machine-readable JSON");
   args.parse(argc, argv, 2);
-  const std::uint64_t scale =
-      static_cast<std::uint64_t>(args.option_int("scale"));
+  const std::uint64_t scale = args.option_uint("scale");
   const StructureEvaluator evaluator;
   const auto wall_start = std::chrono::steady_clock::now();
   const std::vector<SuiteRow> rows = run_suite_parallel(
@@ -600,14 +593,18 @@ int cmd_reuse(int argc, const char* const* argv) {
   args.add_option("scope", "data|instructions", "data");
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().size() == 1, "expected one workload name");
-  const Workload w = resolve_workload(
-      args.positionals()[0],
-      static_cast<std::uint64_t>(args.option_int("scale")));
-  const ReuseScope scope = args.option("scope") == "instructions"
-                               ? ReuseScope::Instructions
-                               : ReuseScope::Data;
-  const ReuseProfile prof = compute_reuse_profile(
-      w, scope, static_cast<std::uint32_t>(args.option_int("line-bytes")));
+  const ReuseScope scope = [&] {
+    const std::string& name = args.option("scope");
+    if (name == "data") return ReuseScope::Data;
+    if (name == "instructions") return ReuseScope::Instructions;
+    throw InvalidArgument("unknown scope '" + name +
+                          "' (expected data|instructions)");
+  }();
+  const auto line_bytes =
+      static_cast<std::uint32_t>(args.option_uint("line-bytes", UINT32_MAX));
+  const Workload w =
+      resolve_workload(args.positionals()[0], args.option_uint("scale"));
+  const ReuseProfile prof = compute_reuse_profile(w, scope, line_bytes);
   std::cout << "accesses: " << with_commas(prof.total_accesses)
             << ", mean finite reuse distance "
             << fixed(prof.mean_finite_distance(), 1) << " lines\n";
@@ -664,16 +661,14 @@ int cmd_partition(int argc, const char* const* argv) {
         throw InvalidArgument("bad weight in '" + spec +
                               "': expected a positive number after ':'");
     }
-    workloads.push_back(resolve_workload(
-        name, static_cast<std::uint64_t>(args.option_int("scale"))));
+    workloads.push_back(resolve_workload(name, args.option_uint("scale")));
     weights.push_back(weight);
   }
   std::vector<TaskSpec> tasks;
   for (std::size_t i = 0; i < workloads.size(); ++i)
     tasks.push_back(TaskSpec{&workloads[i], weights[i]});
   PartitionConfig pcfg;
-  pcfg.granule_bytes =
-      static_cast<std::uint64_t>(args.option_int("granule"));
+  pcfg.granule_bytes = args.option_uint("granule");
   const PartitionResult result = partition_and_evaluate(
       tasks, TechnologyLibrary(), MdaConfig{}, FtspmDimensions{}, pcfg);
 
@@ -841,7 +836,7 @@ int cmd_report(int argc, const char* const* argv) {
   args.parse(argc, argv, 2);
   const StructureEvaluator evaluator;
   const std::vector<SuiteRow> rows = run_suite_parallel(
-      evaluator, static_cast<std::uint64_t>(args.option_int("scale")),
+      evaluator, args.option_uint("scale"),
       jobs_requested(), make_suite_progress());
   for (const std::string& path :
        write_all_csv(evaluator, rows, args.option("out-dir")))
@@ -1049,9 +1044,8 @@ int cmd_stats(int argc, const char* const* argv) {
   args.add_option("structure", "ftspm|sram|stt", "ftspm");
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().size() == 1, "expected one workload name");
-  const Workload w = resolve_workload(
-      args.positionals()[0],
-      static_cast<std::uint64_t>(args.option_int("scale")));
+  const Workload w =
+      resolve_workload(args.positionals()[0], args.option_uint("scale"));
   const ProgramProfile prof = profile_workload(w);
   const StructureEvaluator evaluator(TechnologyLibrary(),
                                      mda_config_from(args));
@@ -1108,9 +1102,8 @@ int cmd_export(int argc, const char* const* argv) {
   args.add_option("out", "output path ('-' = stdout)", "-");
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().size() == 1, "expected one workload name");
-  const Workload w = resolve_workload(
-      args.positionals()[0],
-      static_cast<std::uint64_t>(args.option_int("scale")));
+  const Workload w =
+      resolve_workload(args.positionals()[0], args.option_uint("scale"));
   if (args.option("out") == "-") {
     std::cout << serialize_workload(w);
   } else {
@@ -1140,8 +1133,7 @@ int cmd_runs(int argc, const char* const* argv) {
     std::cout << "ledger " << path << " has no runs\n";
     return 0;
   }
-  const std::uint64_t last =
-      static_cast<std::uint64_t>(args.option_int("last"));
+  const std::uint64_t last = args.option_uint("last");
   const std::size_t first =
       last != 0 && last < runs.size() ? runs.size() - last : 0;
   AsciiTable t({"#", "Id", "Command", "Workload", "Seed", "Shards", "Jobs",
