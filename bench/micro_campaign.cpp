@@ -1,8 +1,8 @@
 // Campaign hot-loop microbenchmarks (google-benchmark): the syndrome
 // kernel strike classifier against the encode/flip/decode oracle it
 // replaced, and the allocation-free static-campaign chunk loop. The
-// kernel-vs-oracle pair is the per-strike view of the speedup
-// bench/perf_harness records end to end in BENCH_campaign.json.
+// kernel-vs-oracle pair is the per-flip-count view of the classifier
+// ratio bench/ratio_gate gates on.
 #include <benchmark/benchmark.h>
 
 #include "bench_io.h"

@@ -4,9 +4,9 @@
 // with a nonzero cached syndrome) — each timed through the
 // strike-at-a-time RecoveryReference (the ftspm_oracle target) and the
 // batched engine, so the engine's win is measurable per half rather
-// than only end to end (perf_harness measures the blended campaigns).
+// than only end to end (ratio_gate times the blended campaigns).
 //
-// Shapes mirror perf_harness: one SEC-DED SRAM region of 8192 words.
+// Shapes mirror ratio_gate: one SEC-DED SRAM region of 8192 words.
 // The demand shape (ACE 1.0, no scrubbing) decodes every struck word;
 // the scrub shape (ACE 0.05, sweep every 256 strikes) spends almost
 // all its time in scrub sweeps. Counters are bit-identical between the

@@ -76,12 +76,8 @@ struct ExecConfig {
   /// Per-shard strikes between checkpoint writes.
   std::uint64_t checkpoint_interval = 1u << 20;
   /// Scheduling granule: strikes a worker runs between bookkeeping
-  /// (progress, checkpoint, halt checks). Never affects results.
+  /// (progress, checkpoint, cancel checks). Never affects results.
   std::uint64_t chunk_strikes = 1u << 16;
-  /// Testing hook: stop scheduling new chunks once this many strikes
-  /// completed globally (0 = run to completion). A halted run writes a
-  /// final checkpoint and reports complete() == false.
-  std::uint64_t halt_after = 0;
   /// Live telemetry (off unless out_path is set). Never affects
   /// results or deterministic artefacts.
   HeartbeatConfig heartbeat;
@@ -101,8 +97,9 @@ struct ExecConfig {
   /// Cooperative cancellation: workers poll this flag at chunk
   /// granularity and stop scheduling further chunks once it reads
   /// true. A cancelled run writes its final checkpoint and reports
-  /// complete() == false, exactly like a halt_after stop. Non-owning;
-  /// may be flipped from any thread.
+  /// complete() == false; resuming from that checkpoint lands on the
+  /// uninterrupted run's counters. Non-owning; may be flipped from any
+  /// thread.
   const std::atomic<bool>* cancel = nullptr;
   /// Wall-clock shard attribution: when set, each worker stamps its
   /// shard's task start and finish (ns since the runner launched the

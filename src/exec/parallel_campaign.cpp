@@ -422,11 +422,6 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
         span_start[i].store(span_ns(), std::memory_order_relaxed);
       std::uint64_t since_checkpoint = 0;
       while (state.done < shard.config.strikes) {
-        if (exec.halt_after != 0 &&
-            progress.done() >= exec.halt_after) {
-          halted.store(true, std::memory_order_relaxed);
-          break;
-        }
         if (exec.cancel != nullptr &&
             exec.cancel->load(std::memory_order_relaxed)) {
           halted.store(true, std::memory_order_relaxed);

@@ -1,15 +1,17 @@
-// Per-strike reference classifiers of the static campaign.
+// Per-strike reference classifiers of the static campaign, and the
+// strike-at-a-time campaign loop built on them.
 //
 // The batched chunk engine (fault/injector_batch.cpp) classifies whole
 // blocks of strikes from run-outcome tables. These functions classify
 // one strike at a time, in the documented draw order, and are the
 // ground truth the engine is pinned against (tests/fault/
 // batch_engine_test.cpp, the CampaignGolden suite) and the baselines
-// bench/micro_campaign and bench/perf_harness time it against. They
+// bench/micro_campaign and bench/ratio_gate time it against. They
 // live in the ftspm_oracle target, which only tests and benches link.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "ftspm/fault/injector.h"
 #include "ftspm/mem/geometry.h"
@@ -39,7 +41,7 @@ StrikeOutcome classify_strike(const InjectionRegion& region,
 /// Reference implementation over the full encode/flip/decode oracle
 /// (heap-allocating, data-materializing). Kept as the ground truth the
 /// syndrome kernel is verified against (tests) and the perf baseline
-/// bench/micro_campaign and bench/perf_harness measure the kernel's
+/// bench/micro_campaign and bench/ratio_gate measure the kernel's
 /// speedup over. Identical outcomes and RNG consumption.
 StrikeOutcome classify_strike_oracle(const InjectionRegion& region,
                                      std::uint64_t first_bit,
@@ -51,5 +53,16 @@ StrikeOutcome classify_strike_oracle(const InjectionRegion& region,
 /// classify_strike uses; the recovery reference shares it so its
 /// deposited flips land at identical physical locations.
 PhysicalBit locate_strike_bit(const InjectionRegion& region, std::uint64_t i);
+
+/// The static campaign one strike at a time, drawing exactly what
+/// docs/performance.md promises: region pick, origin, multiplicity
+/// (with its coin-flip tail), one burn per struck codeword inside
+/// classify_strike, then the ACE draw iff the pre-ACE outcome was not
+/// Masked. run_campaign's counters (and `grid`, when given) match it
+/// at every seed.
+CampaignResult reference_campaign(const std::vector<InjectionRegion>& regions,
+                                  const StrikeMultiplicityModel& model,
+                                  const CampaignConfig& cfg,
+                                  SensitivityGrid* grid = nullptr);
 
 }  // namespace ftspm

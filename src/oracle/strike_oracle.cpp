@@ -7,6 +7,7 @@
 #include "ftspm/ecc/parity_codec.h"
 #include "ftspm/ecc/secded_codec.h"
 #include "ftspm/fault/batch_engine.h"
+#include "ftspm/fault/sensitivity.h"
 #include "ftspm/util/error.h"
 
 namespace ftspm {
@@ -202,6 +203,38 @@ StrikeOutcome classify_strike_oracle(const InjectionRegion& region,
                                                  rng));
   }
   return worst;
+}
+
+CampaignResult reference_campaign(const std::vector<InjectionRegion>& regions,
+                                  const StrikeMultiplicityModel& model,
+                                  const CampaignConfig& cfg,
+                                  SensitivityGrid* grid) {
+  std::vector<double> weights;
+  weights.reserve(regions.size());
+  for (const InjectionRegion& r : regions)
+    weights.push_back(static_cast<double>(r.geometry.physical_bits()));
+  Rng rng(cfg.seed);
+  CampaignScratch scratch;
+  CampaignResult res;
+  res.strikes = cfg.strikes;
+  for (std::uint64_t s = 0; s < cfg.strikes; ++s) {
+    const std::size_t idx = rng.next_discrete(weights);
+    const InjectionRegion& region = regions[idx];
+    const std::uint64_t origin =
+        rng.next_below(region.geometry.physical_bits());
+    const std::uint32_t flips = model.sample_flips(rng, cfg.max_flips);
+    StrikeOutcome o = classify_strike(region, origin, flips, rng, scratch);
+    if (o != StrikeOutcome::Masked && !rng.next_bool(region.ace_occupancy))
+      o = StrikeOutcome::Masked;
+    switch (o) {
+      case StrikeOutcome::Masked: ++res.masked; break;
+      case StrikeOutcome::Dre: ++res.dre; break;
+      case StrikeOutcome::Due: ++res.due; break;
+      case StrikeOutcome::Sdc: ++res.sdc; break;
+    }
+    if (grid != nullptr) grid->record(idx, origin, o);
+  }
+  return res;
 }
 
 }  // namespace ftspm

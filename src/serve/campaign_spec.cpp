@@ -38,18 +38,19 @@ ProtectionKind protection_kind(const std::string& name,
 /// doubles; 1e18-scale counts still round-trip, fractions do not).
 std::uint64_t as_u64(const JsonValue& v, std::string_view key,
                      std::uint64_t max) {
-  FTSPM_REQUIRE(v.is_number(), "spec." + std::string(key) +
-                                   " must be a number");
+  if (!v.is_number())
+    throw InvalidArgument("spec." + std::string(key) + " must be a number");
   const std::optional<std::uint64_t> n = json_u64(v, max);
-  FTSPM_REQUIRE(n.has_value(), "spec." + std::string(key) +
-                                   " must be an integer in [0, " +
-                                   std::to_string(max) + "]");
+  if (!n.has_value())
+    throw InvalidArgument("spec." + std::string(key) +
+                          " must be an integer in [0, " + std::to_string(max) +
+                          "]");
   return *n;
 }
 
 double as_double(const JsonValue& v, std::string_view key) {
-  FTSPM_REQUIRE(v.is_number(), "spec." + std::string(key) +
-                                   " must be a number");
+  if (!v.is_number())
+    throw InvalidArgument("spec." + std::string(key) + " must be a number");
   return v.number;
 }
 
@@ -58,24 +59,28 @@ double as_double(const JsonValue& v, std::string_view key) {
 void validate_spec(const CampaignSpec& spec) {
   std::uint32_t check_bits = 0;
   protection_kind(spec.protection, check_bits);  // throws on unknown
-  FTSPM_REQUIRE(spec.strikes >= 1, "spec.strikes must be >= 1");
-  FTSPM_REQUIRE(spec.size >= 8, "spec.size must be >= 8 bytes");
-  FTSPM_REQUIRE(spec.interleave >= 1, "spec.interleave must be >= 1");
-  FTSPM_REQUIRE(spec.node > 0.0, "spec.node must be positive");
-  FTSPM_REQUIRE(spec.occupancy >= 0.0 && spec.occupancy <= 1.0,
-                "spec.occupancy must be in [0, 1]");
-  FTSPM_REQUIRE(spec.shards >= 1, "spec.shards must be >= 1");
-  FTSPM_REQUIRE(spec.dirty_fraction >= 0.0 && spec.dirty_fraction <= 1.0,
-                "spec.dirty_fraction must be in [0, 1]");
-  FTSPM_REQUIRE(spec.refetch_words >= 1, "spec.refetch_words must be >= 1");
+  if (spec.strikes < 1) throw InvalidArgument("spec.strikes must be >= 1");
+  if (spec.size < 8) throw InvalidArgument("spec.size must be >= 8 bytes");
+  if (spec.interleave < 1)
+    throw InvalidArgument("spec.interleave must be >= 1");
+  if (!(spec.node > 0.0)) throw InvalidArgument("spec.node must be positive");
+  if (!(spec.occupancy >= 0.0 && spec.occupancy <= 1.0))
+    throw InvalidArgument("spec.occupancy must be in [0, 1]");
+  if (spec.shards < 1) throw InvalidArgument("spec.shards must be >= 1");
+  if (!(spec.dirty_fraction >= 0.0 && spec.dirty_fraction <= 1.0))
+    throw InvalidArgument("spec.dirty_fraction must be in [0, 1]");
+  if (spec.refetch_words < 1)
+    throw InvalidArgument("spec.refetch_words must be >= 1");
 }
 
 CampaignSpec spec_from_json(const JsonValue& value) {
-  FTSPM_REQUIRE(value.is_object(), "campaign spec must be an object");
+  if (!value.is_object())
+    throw InvalidArgument("campaign spec must be an object");
   CampaignSpec spec;
   for (const auto& [key, v] : value.object) {
     if (key == "protection") {
-      FTSPM_REQUIRE(v.is_string(), "spec.protection must be a string");
+      if (!v.is_string())
+        throw InvalidArgument("spec.protection must be a string");
       spec.protection = v.string;
     } else if (key == "strikes") {
       spec.strikes = as_u64(v, key, kMaxSpecCount);
@@ -93,7 +98,7 @@ CampaignSpec spec_from_json(const JsonValue& value) {
     } else if (key == "shards") {
       spec.shards = static_cast<std::uint32_t>(as_u64(v, key, kMaxSpecShards));
     } else if (key == "recover") {
-      FTSPM_REQUIRE(v.is_bool(), "spec.recover must be a boolean");
+      if (!v.is_bool()) throw InvalidArgument("spec.recover must be a boolean");
       spec.recover = v.boolean;
     } else if (key == "scrub_interval") {
       spec.scrub_interval = as_u64(v, key, kMaxSpecCount);

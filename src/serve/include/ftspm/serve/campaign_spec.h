@@ -74,7 +74,7 @@ CampaignSpec spec_from_json(const JsonValue& value);
 std::string spec_to_json(const CampaignSpec& spec);
 
 /// How to execute a spec run: the scheduling half of exec::ExecConfig
-/// (pool or jobs, cancel flag, shard spans, checkpoint/resume, halt,
+/// (pool or jobs, cancel flag, shard spans, checkpoint/resume,
 /// heartbeat, sensitivity buckets) plus the progress sink. The spec
 /// owns the shard count: run_campaign_spec overwrites `shards` with
 /// spec.shards. The defaults run the spec standalone on one worker.

@@ -24,8 +24,8 @@ std::string string_field(const JsonValue& v, std::string_view key,
                          std::string_view fallback) {
   const JsonValue* f = v.find(key);
   if (f == nullptr) return std::string(fallback);
-  FTSPM_REQUIRE(f->is_string(),
-                "request." + std::string(key) + " must be a string");
+  if (!f->is_string())
+    throw InvalidArgument("request." + std::string(key) + " must be a string");
   return f->string;
 }
 
@@ -33,17 +33,20 @@ std::uint32_t priority_field(const JsonValue& v) {
   const JsonValue* f = v.find("priority");
   if (f == nullptr) return 0;
   const std::optional<std::uint64_t> n = json_u64(*f, 1'000'000);
-  FTSPM_REQUIRE(n.has_value(),
-                "request.priority must be an integer in [0, 1000000]");
+  if (!n.has_value())
+    throw InvalidArgument(
+        "request.priority must be an integer in [0, 1000000]");
   return static_cast<std::uint32_t>(*n);
 }
 
 }  // namespace
 
 Request parse_request(const JsonValue& value) {
-  FTSPM_REQUIRE(value.is_object(), "request frame must be a JSON object");
+  if (!value.is_object())
+    throw InvalidArgument("request frame must be a JSON object");
   const std::string type = string_field(value, "type", "");
-  FTSPM_REQUIRE(!type.empty(), "request frame needs a \"type\" field");
+  if (type.empty())
+    throw InvalidArgument("request frame needs a \"type\" field");
   Request req;
   if (type == "ping") {
     req.type = Request::Type::Ping;
@@ -56,7 +59,7 @@ Request parse_request(const JsonValue& value) {
   } else if (type == "cancel") {
     req.type = Request::Type::Cancel;
     req.id = string_field(value, "id", "");
-    FTSPM_REQUIRE(!req.id.empty(), "cancel needs the target \"id\"");
+    if (req.id.empty()) throw InvalidArgument("cancel needs the target \"id\"");
   } else if (type == "campaign") {
     req.type = Request::Type::Campaign;
     req.id = string_field(value, "id", "");

@@ -26,12 +26,10 @@ ArgParser& ArgParser::add_option(const std::string& name, std::string help,
   return *this;
 }
 
-ArgParser::Spec& ArgParser::known(const std::string& name) {
-  auto it = specs_.find(name);
-  FTSPM_REQUIRE(it != specs_.end(), "unknown option --" + name);
-  return it->second;
-}
-
+// FTSPM_REQUIRE guards the parser's own API (an option registered
+// twice, or read under a name or kind it was not registered with): a
+// programmer error. Bad user input throws InvalidArgument with the
+// message alone, which the CLI prints as is.
 const ArgParser::Spec& ArgParser::known(const std::string& name) const {
   auto it = specs_.find(name);
   FTSPM_REQUIRE(it != specs_.end(), "unknown option --" + name);
@@ -53,16 +51,19 @@ void ArgParser::parse(int argc, const char* const* argv, int start) {
       arg.erase(eq);
       has_inline = true;
     }
-    Spec& spec = known(arg);
+    const auto it = specs_.find(arg);
+    if (it == specs_.end()) throw InvalidArgument("unknown option --" + arg);
+    Spec& spec = it->second;
     spec.seen = true;
     if (!spec.takes_value) {
-      FTSPM_REQUIRE(!has_inline, "--" + arg + " does not take a value");
+      if (has_inline)
+        throw InvalidArgument("--" + arg + " does not take a value");
       continue;
     }
     if (has_inline) {
       spec.value = std::move(inline_value);
     } else {
-      FTSPM_REQUIRE(i + 1 < argc, "--" + arg + " needs a value");
+      if (i + 1 >= argc) throw InvalidArgument("--" + arg + " needs a value");
       spec.value = argv[++i];
     }
   }
@@ -100,10 +101,13 @@ std::uint64_t ArgParser::option_uint(const std::string& name,
     }
     v = v * 10 + digit;
   }
-  FTSPM_REQUIRE(ok, "--" + name + " expects a non-negative integer, got '" +
-                        raw + "'");
-  FTSPM_REQUIRE(v <= max, "--" + name + " must be at most " +
-                              std::to_string(max) + ", got '" + raw + "'");
+  if (!ok)
+    throw InvalidArgument("--" + name +
+                          " expects a non-negative integer, got '" + raw +
+                          "'");
+  if (v > max)
+    throw InvalidArgument("--" + name + " must be at most " +
+                          std::to_string(max) + ", got '" + raw + "'");
   return v;
 }
 
@@ -142,19 +146,22 @@ double ArgParser::option_double(const std::string& name) const {
   const double v = std::strtod(raw.c_str(), &end);
   // Shape first (rejects nan/inf/hex-float spellings outright), then
   // finiteness — a huge plain decimal like 1e999 overflows to inf.
-  FTSPM_REQUIRE(plain_decimal_shape(raw) && end && *end == '\0' &&
-                    std::isfinite(v),
-                "--" + name + " expects a finite number, got '" + raw + "'");
+  if (!plain_decimal_shape(raw) || end == nullptr || *end != '\0' ||
+      !std::isfinite(v))
+    throw InvalidArgument("--" + name + " expects a finite number, got '" +
+                          raw + "'");
   return v;
 }
 
 double ArgParser::option_double(const std::string& name, double min_value,
                                 double max_value) const {
   const double v = option_double(name);
-  std::ostringstream os;
-  os << "--" << name << " must be in [" << min_value << ", " << max_value
-     << "], got '" << option(name) << "'";
-  FTSPM_REQUIRE(v >= min_value && v <= max_value, os.str());
+  if (v < min_value || v > max_value) {
+    std::ostringstream os;
+    os << "--" << name << " must be in [" << min_value << ", " << max_value
+       << "], got '" << option(name) << "'";
+    throw InvalidArgument(os.str());
+  }
   return v;
 }
 

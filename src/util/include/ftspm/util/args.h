@@ -56,7 +56,6 @@ class ArgParser {
     bool seen = false;
   };
 
-  Spec& known(const std::string& name);
   const Spec& known(const std::string& name) const;
 
   std::string program_;

@@ -3,6 +3,7 @@
 // one-shard plan and be jobs-invariant for any fixed shard count.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -109,19 +110,25 @@ TEST(ParallelTemporalCampaignTest, JobsInvariantAndResumable) {
       f.profile, f.evaluator.strike_model(), cfg, four);
   expect_same(a.merged, b.merged);
 
-  // Halt + resume through the temporal kind as well (the salt and kind
-  // tag must round-trip through the checkpoint).
+  // Cancel + resume through the temporal kind as well (the salt and
+  // kind tag must round-trip through the checkpoint).
   const char* tmpdir = std::getenv("TMPDIR");
   const std::string path = std::string(tmpdir != nullptr ? tmpdir : "/tmp") +
                            "/ftspm_temporal_resume." +
                            std::to_string(::getpid());
+  std::atomic<bool> cancel{false};
   exec::ExecConfig halted = four;
   halted.checkpoint_path = path;
   halted.chunk_strikes = 1'000;
-  halted.halt_after = 5'000;
+  halted.cancel = &cancel;
+  CampaignConfig cancelling = cfg;
+  cancelling.progress_interval = 1'000;
+  cancelling.progress = [&](std::uint64_t done, std::uint64_t) {
+    if (done >= 5'000) cancel.store(true, std::memory_order_relaxed);
+  };
   const exec::ShardedRun partial = run_temporal_campaign_parallel(
       f.evaluator.ftspm_layout(), f.ftspm.plan, f.workload.program,
-      f.profile, f.evaluator.strike_model(), cfg, halted);
+      f.profile, f.evaluator.strike_model(), cancelling, halted);
   EXPECT_FALSE(partial.complete);
 
   exec::ExecConfig resumed = four;

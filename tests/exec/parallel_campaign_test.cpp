@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -252,14 +253,20 @@ TEST(ParallelCampaignTest, HaltCheckpointResumeMatchesUninterrupted) {
   const ShardedRun whole = run_campaign_sharded(surfaces(), model(), cfg,
                                                 plain);
 
-  // Same campaign, killed partway (simulated via halt_after), then
+  // Same campaign, cancelled partway once 7k strikes are done, then
   // resumed from the checkpoint it left behind.
+  std::atomic<bool> cancel{false};
   ExecConfig first = plain;
   first.checkpoint_path = path;
   first.chunk_strikes = 1'000;
-  first.halt_after = 7'000;
-  const ShardedRun halted = run_campaign_sharded(surfaces(), model(), cfg,
-                                                 first);
+  first.cancel = &cancel;
+  CampaignConfig cancelling = cfg;
+  cancelling.progress_interval = 1'000;
+  cancelling.progress = [&](std::uint64_t done, std::uint64_t) {
+    if (done >= 7'000) cancel.store(true, std::memory_order_relaxed);
+  };
+  const ShardedRun halted = run_campaign_sharded(surfaces(), model(),
+                                                 cancelling, first);
   EXPECT_FALSE(halted.complete);
   EXPECT_LT(halted.merged.strikes, cfg.strikes);
   EXPECT_GT(halted.merged.strikes, 0u);

@@ -1,11 +1,11 @@
-// The batched SoA campaign engine (injector_batch.cpp) against a
-// strike-at-a-time reference that replays the documented RNG draw
-// order (docs/performance.md, "RNG draw-order contract") through the
-// classify_strike oracle. The engine reorders *work* — region tables,
-// run-table classification, blocked tallies — but never *draws*, so
-// every schedule below must reproduce the reference counters exactly:
-// any block width, any chunk schedule, tight (no grid) and observed
-// (grid-recording) paths alike.
+// The batched SoA campaign engine (injector_batch.cpp) against
+// reference_campaign (the ftspm_oracle target), a strike-at-a-time
+// loop that replays the documented RNG draw order (docs/performance.md,
+// "RNG draw-order contract") through the classify_strike oracle. The
+// engine reorders *work* — region tables, run-table classification,
+// blocked tallies — but never *draws*, so every schedule below must
+// reproduce the reference counters exactly: any block width, any chunk
+// schedule, tight (no grid) and observed (grid-recording) paths alike.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,42 +35,6 @@
 
 namespace ftspm {
 namespace {
-
-/// One strike at a time, drawing exactly what docs/performance.md
-/// promises: region pick, origin, multiplicity (with its coin-flip
-/// tail), one burn per struck codeword inside classify_strike, then
-/// the ACE draw iff the pre-ACE outcome was not Masked.
-CampaignResult reference_campaign(const std::vector<InjectionRegion>& regions,
-                                  const StrikeMultiplicityModel& model,
-                                  const CampaignConfig& cfg,
-                                  SensitivityGrid* grid = nullptr) {
-  std::vector<double> weights;
-  weights.reserve(regions.size());
-  for (const InjectionRegion& r : regions)
-    weights.push_back(static_cast<double>(r.geometry.physical_bits()));
-  Rng rng(cfg.seed);
-  CampaignScratch scratch;
-  CampaignResult res;
-  res.strikes = cfg.strikes;
-  for (std::uint64_t s = 0; s < cfg.strikes; ++s) {
-    const std::size_t idx = rng.next_discrete(weights);
-    const InjectionRegion& region = regions[idx];
-    const std::uint64_t origin =
-        rng.next_below(region.geometry.physical_bits());
-    const std::uint32_t flips = model.sample_flips(rng, cfg.max_flips);
-    StrikeOutcome o = classify_strike(region, origin, flips, rng, scratch);
-    if (o != StrikeOutcome::Masked && !rng.next_bool(region.ace_occupancy))
-      o = StrikeOutcome::Masked;
-    switch (o) {
-      case StrikeOutcome::Masked: ++res.masked; break;
-      case StrikeOutcome::Dre: ++res.dre; break;
-      case StrikeOutcome::Due: ++res.due; break;
-      case StrikeOutcome::Sdc: ++res.sdc; break;
-    }
-    if (grid != nullptr) grid->record(idx, origin, o);
-  }
-  return res;
-}
 
 void expect_equal(const CampaignResult& got, const CampaignResult& want,
                   const char* what) {

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -22,7 +23,9 @@
 #include "ftspm/obs/ledger.h"
 #include "ftspm/serve/client.h"
 #include "ftspm/serve/load.h"
+#include "ftspm/serve/protocol.h"
 #include "ftspm/util/error.h"
+#include "ftspm/util/json.h"
 #include "ftspm/util/rng.h"
 
 namespace ftspm::serve {
@@ -164,8 +167,10 @@ TEST(ServeTest, ServedCampaignMatchesDirectRunBitForBit) {
 
 TEST(ServeTest, SpecRunResumedFromCheckpointMatchesUninterruptedRun) {
   // The CLI's --checkpoint/--resume reach the runner through the
-  // ExecConfig half of CampaignRunHooks; a halted spec run resumed
-  // from its checkpoint must land on the uninterrupted counters.
+  // ExecConfig half of CampaignRunHooks; a spec run cancelled partway
+  // and resumed from its checkpoint must land on the uninterrupted
+  // counters. heartbeat_strikes only wires the progress sink, which
+  // the counters never see.
   CampaignSpec spec;
   spec.strikes = 300'000;
   spec.shards = 3;
@@ -174,12 +179,18 @@ TEST(ServeTest, SpecRunResumedFromCheckpointMatchesUninterruptedRun) {
   ASSERT_TRUE(whole.complete);
 
   const std::string checkpoint = test_ledger("spec-checkpoint");
+  std::atomic<bool> cancel{false};
+  CampaignSpec cancelling = spec;
+  cancelling.heartbeat_strikes = 4096;
   CampaignRunHooks halt;
   halt.jobs = 2;
   halt.chunk_strikes = 4096;
-  halt.halt_after = 100'000;
+  halt.cancel = &cancel;
+  halt.progress = [&](std::uint64_t done, std::uint64_t) {
+    if (done >= 100'000) cancel.store(true, std::memory_order_relaxed);
+  };
   halt.checkpoint_path = checkpoint;
-  const CampaignOutcome first = run_campaign_spec(spec, halt);
+  const CampaignOutcome first = run_campaign_spec(cancelling, halt);
   EXPECT_FALSE(first.complete);
   EXPECT_LT(first.result.strikes.strikes, spec.strikes);
 
@@ -380,6 +391,19 @@ TEST(ServeTest, MalformedFramesAnswerBadRequestAndKeepTheConnection) {
 
   server.request_stop();
   server.wait();
+}
+
+TEST(ServeTest, BadRequestMessageIsTheInputErrorAlone) {
+  // The daemon sends what() to the client in its bad_request frame, so
+  // a rejected spec must name the field and carry no check internals.
+  try {
+    parse_request(parse_json(R"({"type":"campaign","spec":{"strikes":0}})"));
+    FAIL() << "a zero-strike spec was accepted";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("spec.strikes"), std::string::npos) << what;
+    EXPECT_EQ(what.find(".cpp:"), std::string::npos) << what;
+  }
 }
 
 TEST(ServeTest, ShutdownRequestDrainsTheDaemon) {

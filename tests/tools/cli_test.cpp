@@ -92,6 +92,17 @@ TEST(CliTest, UnknownFlagFailsNonzero) {
   EXPECT_NE(r.output.find("error:"), std::string::npos);
 }
 
+TEST(CliTest, BadFlagValuePrintsTheMessageAlone) {
+  // A user-input error names the flag and the value; the checker's
+  // source path, line and condition are for programmer errors only.
+  const CommandResult r = run_command(
+      std::string(FTSPM_TOOL_PATH) + " reuse crc32 --scale -8 2>&1 >/dev/null");
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_EQ(r.output,
+            "error: --scale expects a non-negative integer, got '-8'\n"
+            "run `ftspm_tool help` for usage\n");
+}
+
 TEST(CliTest, UnknownWorkloadFailsNonzero) {
   const CommandResult r = run_tool("profile no_such_workload");
   EXPECT_EQ(r.exit_code, 2);
