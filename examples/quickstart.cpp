@@ -41,7 +41,7 @@ int main() {
     b.ret(2);
   }
   b.ret();
-  std::vector<TraceEvent> trace = b.take();  // each call checked `program`
+  Trace trace = b.take();  // each call checked `program`
   Workload workload{std::move(program), std::move(trace)};
 
   // --- 2. profile -----------------------------------------------------

@@ -213,17 +213,20 @@ void store_checkpoint(const CampaignCheckpoint& cp, const std::string& path) {
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::trunc);
-    FTSPM_CHECK(out.good(), "cannot open " + tmp);
+    if (!out.good())
+      throw InvalidArgument("cannot open checkpoint '" + path +
+                            "' for writing");
     out << checkpoint_to_json(cp) << "\n";
-    FTSPM_CHECK(out.good(), "write failed for " + tmp);
+    if (!out.good()) throw Error("write to '" + tmp + "' failed");
   }
-  FTSPM_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-              "cannot move " + tmp + " into place");
+  if (std::rename(tmp.c_str(), path.c_str()) != 0)
+    throw Error("cannot move '" + tmp + "' into place");
 }
 
 CampaignCheckpoint load_checkpoint(const std::string& path) {
   std::ifstream in(path);
-  FTSPM_CHECK(in.good(), "cannot open checkpoint " + path);
+  if (!in.good())
+    throw InvalidArgument("cannot open checkpoint '" + path + "'");
   std::ostringstream ss;
   ss << in.rdbuf();
   return checkpoint_from_json(ss.str());

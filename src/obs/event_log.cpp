@@ -32,7 +32,8 @@ std::string EventLog::str() const {
 
 void EventLog::write_file(const std::string& path) const {
   std::ofstream out(path, std::ios::binary);
-  FTSPM_REQUIRE(out.good(), "cannot open event-log output '" + path + "'");
+  if (!out.good())
+    throw InvalidArgument("cannot open event-log output '" + path + "'");
   out << str();
   out.close();
   if (!out.good())

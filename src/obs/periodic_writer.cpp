@@ -15,8 +15,8 @@ PeriodicWriter::PeriodicWriter(std::string what, std::string path,
       interval_ms_(std::max<std::uint32_t>(interval_ms, 1)),
       line_fn_(std::move(line_fn)) {
   out_.open(path_, std::ios::binary | std::ios::app);
-  FTSPM_REQUIRE(out_.good(),
-                "cannot open " + what_ + " output '" + path_ + "'");
+  if (!out_.good())
+    throw InvalidArgument("cannot open " + what_ + " output '" + path_ + "'");
   thread_ = std::thread([this] { run(); });
 }
 

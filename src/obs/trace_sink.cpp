@@ -122,7 +122,8 @@ std::string TraceEventSink::str() const {
 
 void TraceEventSink::write_file(const std::string& path) const {
   std::ofstream out(path, std::ios::binary);
-  FTSPM_REQUIRE(out.good(), "cannot open trace output '" + path + "'");
+  if (!out.good())
+    throw InvalidArgument("cannot open trace output '" + path + "'");
   out << str();
   out.close();
   if (!out.good()) throw Error("failed writing trace output '" + path + "'");

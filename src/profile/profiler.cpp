@@ -41,7 +41,8 @@ struct ProfileRow {
 struct Activation {
   BlockId fn;
   std::uint32_t entry_depth_bytes;
-  std::uint32_t max_depth_bytes;
+  std::uint32_t max_depth_bytes;  ///< Deepest point so far, callees'
+                                  ///< included once they return.
 };
 
 /// No block: the class (code or data) has not been referenced yet.
@@ -97,86 +98,89 @@ ProgramProfile profile_workload(const Workload& workload) {
   // so a malformed trace throws the same error at the same event), then
   // profiled.
   TraceChecker checker(program);
-  const std::vector<TraceEvent>& trace = workload.trace;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const TraceEvent& e = trace[i];
-    checker.check(e, i);
-    BlockProfile& bp = out.blocks[e.block];
-    ProfileRow& row = rows[e.block];
-    switch (e.type) {
-      case AccessType::CallEnter: {
-        ++bp.stack_calls;
-        stack_depth_bytes += e.offset;  // offset carries frame bytes
-        for (auto& act : activations)
-          act.max_depth_bytes = std::max(act.max_depth_bytes,
-                                         stack_depth_bytes);
-        activations.push_back(
-            Activation{e.block, stack_depth_bytes - e.offset,
-                       stack_depth_bytes});
-        break;
-      }
-      case AccessType::CallExit: {
-        FTSPM_CHECK(!activations.empty(), "exit without activation");
-        const Activation act = activations.back();
-        activations.pop_back();
-        const std::uint32_t needed =
-            act.max_depth_bytes - act.entry_depth_bytes;
-        BlockProfile& fn = out.blocks[act.fn];
-        fn.max_stack_bytes = std::max(fn.max_stack_bytes, needed);
-        stack_depth_bytes = act.entry_depth_bytes;
-        break;
-      }
-      case AccessType::Fetch: {
-        switch_current(current_code, code_since, e.block);
-        bp.reads += e.repeat;
-        total_accesses += e.repeat;
-        now += e.nominal_cycles();
-        row.last_fetch = now;
-        break;
-      }
-      case AccessType::Read:
-      case AccessType::Write: {
-        switch_current(current_data, data_since, e.block);
-        const WordRun run(e.offset, e.repeat, row.words);
-        const std::uint64_t step = e.gap + 1ULL;
-        const bool is_read = e.type == AccessType::Read;
-        if (is_read)
+  const Trace& trace = workload.trace;
+  for (std::size_t k = 0; k < trace.chunk_count(); ++k) {
+    for (const TraceEvent& e : trace.chunk(k)) {
+      checker.check(e);
+      BlockProfile& bp = out.blocks[e.block];
+      ProfileRow& row = rows[e.block];
+      switch (e.type) {
+        case AccessType::CallEnter: {
+          ++bp.stack_calls;
+          stack_depth_bytes += e.offset;  // offset carries frame bytes
+          activations.push_back(
+              Activation{e.block, stack_depth_bytes - e.offset,
+                         stack_depth_bytes});
+          break;
+        }
+        case AccessType::CallExit: {
+          FTSPM_CHECK(!activations.empty(), "exit without activation");
+          const Activation act = activations.back();
+          activations.pop_back();
+          const std::uint32_t needed =
+              act.max_depth_bytes - act.entry_depth_bytes;
+          BlockProfile& fn = out.blocks[act.fn];
+          fn.max_stack_bytes = std::max(fn.max_stack_bytes, needed);
+          stack_depth_bytes = act.entry_depth_bytes;
+          // The caller was open for the whole of this activation, so its
+          // deepest point is at least this activation's.
+          if (!activations.empty())
+            activations.back().max_depth_bytes = std::max(
+                activations.back().max_depth_bytes, act.max_depth_bytes);
+          break;
+        }
+        case AccessType::Fetch: {
+          switch_current(current_code, code_since, e.block);
           bp.reads += e.repeat;
-        else
-          bp.writes += e.repeat;
-        total_accesses += e.repeat;
-        // Visit k happens at now + (k + 1) * step. Per word, only the
-        // run's first visit can close an ACE interval (a later one finds
-        // the value this run wrote, never read) and only its last visit's
-        // timestamp survives: so each distinct word is touched once.
-        run.for_each_distinct([&](std::uint64_t first, std::uint64_t len,
-                                  std::uint64_t visits,
-                                  std::uint64_t last_visit) {
-          const std::uint64_t t0 = now + (last_visit + 1) * step;
-          std::uint64_t* const last_read = row.last_read + first;
-          if (is_read) {
-            for (std::uint64_t i = 0; i < len; ++i)
-              last_read[i] = t0 + i * step;
-            return;
-          }
-          std::uint64_t* const born = row.value_born + first;
-          std::uint64_t* const writes = row.write_count + first;
-          std::uint64_t ace = 0;
-          for (std::uint64_t i = 0; i < len; ++i) {
-            // Close the previous value's vulnerable interval. Whether it
-            // was read is data-dependent and unpredictable, so the
-            // interval is masked in rather than branched on.
-            const std::uint64_t lr = last_read[i];
-            const std::uint64_t vb = born[i];
-            ace += (lr - vb) & (0 - static_cast<std::uint64_t>(lr > vb));
-            born[i] = t0 + i * step;
-            last_read[i] = 0;
-            writes[i] += visits;
-          }
-          bp.ace_cycles += ace;
-        });
-        now += e.nominal_cycles();
-        break;
+          total_accesses += e.repeat;
+          now += e.nominal_cycles();
+          row.last_fetch = now;
+          break;
+        }
+        case AccessType::Read:
+        case AccessType::Write: {
+          switch_current(current_data, data_since, e.block);
+          const WordRun run(e.offset, e.repeat, row.words);
+          const std::uint64_t step = e.gap + 1ULL;
+          const bool is_read = e.type == AccessType::Read;
+          if (is_read)
+            bp.reads += e.repeat;
+          else
+            bp.writes += e.repeat;
+          total_accesses += e.repeat;
+          // Visit k happens at now + (k + 1) * step. Per word, only the
+          // run's first visit can close an ACE interval (a later one finds
+          // the value this run wrote, never read) and only its last visit's
+          // timestamp survives: so each distinct word is touched once.
+          run.for_each_distinct([&](std::uint64_t first, std::uint64_t len,
+                                    std::uint64_t visits,
+                                    std::uint64_t last_visit) {
+            const std::uint64_t t0 = now + (last_visit + 1) * step;
+            std::uint64_t* const last_read = row.last_read + first;
+            if (is_read) {
+              for (std::uint64_t i = 0; i < len; ++i)
+                last_read[i] = t0 + i * step;
+              return;
+            }
+            std::uint64_t* const born = row.value_born + first;
+            std::uint64_t* const writes = row.write_count + first;
+            std::uint64_t ace = 0;
+            for (std::uint64_t i = 0; i < len; ++i) {
+              // Close the previous value's vulnerable interval. Whether it
+              // was read is data-dependent and unpredictable, so the
+              // interval is masked in rather than branched on.
+              const std::uint64_t lr = last_read[i];
+              const std::uint64_t vb = born[i];
+              ace += (lr - vb) & (0 - static_cast<std::uint64_t>(lr > vb));
+              born[i] = t0 + i * step;
+              last_read[i] = 0;
+              writes[i] += visits;
+            }
+            bp.ace_cycles += ace;
+          });
+          now += e.nominal_cycles();
+          break;
+        }
       }
     }
   }

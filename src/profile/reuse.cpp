@@ -83,23 +83,25 @@ ReuseProfile compute_reuse_profile(const Workload& workload, ReuseScope scope,
   // profiled if it is in scope.
   TraceChecker checker(workload.program);
   const bool want_code = scope == ReuseScope::Instructions;
-  const std::vector<TraceEvent>& trace = workload.trace;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const TraceEvent& e = trace[i];
-    checker.check(e, i);
-    if (e.is_marker()) continue;
-    const bool is_fetch = e.type == AccessType::Fetch;
-    if (is_fetch != want_code) continue;
-    const std::uint64_t base = workload.program.base_address(e.block);
-    // Every word after the first of a line piece re-touches the line
-    // just touched: distance 0, stack unchanged.
-    WordRun(e.offset, e.repeat, workload.program.block(e.block).size_words())
-        .for_each_line(base, line_bytes,
-                       [&](std::uint64_t addr, std::uint64_t words) {
-                         touch(addr / line_bytes);
-                         profile.total_accesses += words - 1;
-                         profile.histogram[0] += words - 1;
-                       });
+  const Trace& trace = workload.trace;
+  for (std::size_t k = 0; k < trace.chunk_count(); ++k) {
+    for (const TraceEvent& e : trace.chunk(k)) {
+      checker.check(e);
+      if (e.is_marker()) continue;
+      const bool is_fetch = e.type == AccessType::Fetch;
+      if (is_fetch != want_code) continue;
+      const std::uint64_t base = workload.program.base_address(e.block);
+      // Every word after the first of a line piece re-touches the line
+      // just touched: distance 0, stack unchanged.
+      WordRun(e.offset, e.repeat,
+              workload.program.block(e.block).size_words())
+          .for_each_line(base, line_bytes,
+                         [&](std::uint64_t addr, std::uint64_t words) {
+                           touch(addr / line_bytes);
+                           profile.total_accesses += words - 1;
+                           profile.histogram[0] += words - 1;
+                         });
+    }
   }
   checker.finish();
   return profile;

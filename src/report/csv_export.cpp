@@ -169,14 +169,16 @@ std::vector<std::string> write_all_csv(const StructureEvaluator& evaluator,
   namespace fs = std::filesystem;
   std::error_code ec;
   fs::create_directories(directory, ec);
-  FTSPM_REQUIRE(!ec, "cannot create directory '" + directory + "'");
+  if (ec)
+    throw InvalidArgument("cannot create directory '" + directory + "'");
   std::vector<std::string> written;
   for (const auto& [name, contents] : export_all_csv(evaluator, rows)) {
     const std::string path = directory + "/" + name;
     std::ofstream file(path, std::ios::binary);
-    FTSPM_REQUIRE(file.good(), "cannot open '" + path + "'");
+    if (!file.good())
+      throw InvalidArgument("cannot open '" + path + "' for writing");
     file << contents;
-    FTSPM_REQUIRE(file.good(), "write to '" + path + "' failed");
+    if (!file.good()) throw Error("write to '" + path + "' failed");
     written.push_back(path);
   }
   return written;

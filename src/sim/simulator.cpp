@@ -354,96 +354,99 @@ RunResult Simulator::run_impl(
         });
   };
 
-  for (const TraceEvent& e : workload.trace) {
-    if (e.is_marker()) {
-      if constexpr (WithObs) {
-        if (e.type == AccessType::CallEnter) {
-          const std::string& name = program.block(e.block).name;
-          if (obs_state->trace != nullptr)
-            obs_state->trace->begin(obs_state->phase_lane, name, now());
-          enter_phase(name);
-        } else if (obs_state->phase_stack.size() > 1) {
-          // CallExit: return to the caller's phase. The guard tolerates
-          // truncated traces whose call markers are unbalanced.
-          if (obs_state->trace != nullptr)
-            obs_state->trace->end(obs_state->phase_lane, now());
-          obs_state->phase_stack.pop_back();
-          cur_phase = &res.phases[obs_state->phase_stack.back()];
+  const Trace& trace = workload.trace;
+  for (std::size_t k = 0; k < trace.chunk_count(); ++k) {
+    for (const TraceEvent& e : trace.chunk(k)) {
+      if (e.is_marker()) {
+        if constexpr (WithObs) {
+          if (e.type == AccessType::CallEnter) {
+            const std::string& name = program.block(e.block).name;
+            if (obs_state->trace != nullptr)
+              obs_state->trace->begin(obs_state->phase_lane, name, now());
+            enter_phase(name);
+          } else if (obs_state->phase_stack.size() > 1) {
+            // CallExit: return to the caller's phase. The guard tolerates
+            // truncated traces whose call markers are unbalanced.
+            if (obs_state->trace != nullptr)
+              obs_state->trace->end(obs_state->phase_lane, now());
+            obs_state->phase_stack.pop_back();
+            cur_phase = &res.phases[obs_state->phase_stack.back()];
+          }
         }
+        continue;
       }
-      continue;
-    }
-    FTSPM_REQUIRE(e.block < n_blocks, "block id out of range");
-    BlockRow& bs = blocks[e.block];
-    compute_cycles += static_cast<std::uint64_t>(e.gap) * e.repeat;
-    bs.accesses += e.repeat;
-    if constexpr (WithObs) {
-      cur_phase->compute_cycles += static_cast<std::uint64_t>(e.gap) *
-                                   e.repeat;
-      cur_phase->accesses += e.repeat;
-    }
-    const bool is_write = e.type == AccessType::Write;
-
-    if (bs.region != kNoRegion) {
-      bs.last_use = ++tick;
-      if (!bs.resident) load(e.block, bs);
-      RegionRow& region = regions[bs.region];
-      RegionRunStats& rstats = region.stats;
+      FTSPM_REQUIRE(e.block < n_blocks, "block id out of range");
+      BlockRow& bs = blocks[e.block];
+      compute_cycles += static_cast<std::uint64_t>(e.gap) * e.repeat;
+      bs.accesses += e.repeat;
       if constexpr (WithObs) {
-        const std::uint64_t spm_cyc =
-            static_cast<std::uint64_t>(e.repeat) *
-            (is_write ? region.write_latency_cycles
-                      : region.read_latency_cycles);
-        cur_phase->spm_cycles += spm_cyc;
-        cur_phase->spm_energy_pj +=
-            e.repeat * (is_write ? region.write_energy_pj
-                                 : region.read_energy_pj);
+        cur_phase->compute_cycles += static_cast<std::uint64_t>(e.gap) *
+                                     e.repeat;
+        cur_phase->accesses += e.repeat;
       }
-      if (is_write) {
-        rstats.writes += e.repeat;
-        rstats.write_energy_pj += e.repeat * region.write_energy_pj;
-        spm_cycles += static_cast<std::uint64_t>(e.repeat) *
-                      region.write_latency_cycles;
-        bs.dirty = true;
-        if (region.endurance_limited) {
-          // Endurance-limited technology: track per-word wear. Every
-          // word takes one write per full lap of the run, and the words
-          // of the partial lap one more.
-          WordRun(e.offset, e.repeat, bs.words)
-              .for_each_distinct([&](std::uint64_t first, std::uint64_t len,
-                                     std::uint64_t visits, std::uint64_t) {
-                for (std::uint64_t i = 0; i < len; ++i)
-                  bs.wear[first + i] += visits;
-              });
+      const bool is_write = e.type == AccessType::Write;
+
+      if (bs.region != kNoRegion) {
+        bs.last_use = ++tick;
+        if (!bs.resident) load(e.block, bs);
+        RegionRow& region = regions[bs.region];
+        RegionRunStats& rstats = region.stats;
+        if constexpr (WithObs) {
+          const std::uint64_t spm_cyc =
+              static_cast<std::uint64_t>(e.repeat) *
+              (is_write ? region.write_latency_cycles
+                        : region.read_latency_cycles);
+          cur_phase->spm_cycles += spm_cyc;
+          cur_phase->spm_energy_pj +=
+              e.repeat * (is_write ? region.write_energy_pj
+                                   : region.read_energy_pj);
+        }
+        if (is_write) {
+          rstats.writes += e.repeat;
+          rstats.write_energy_pj += e.repeat * region.write_energy_pj;
+          spm_cycles += static_cast<std::uint64_t>(e.repeat) *
+                        region.write_latency_cycles;
+          bs.dirty = true;
+          if (region.endurance_limited) {
+            // Endurance-limited technology: track per-word wear. Every
+            // word takes one write per full lap of the run, and the words
+            // of the partial lap one more.
+            WordRun(e.offset, e.repeat, bs.words)
+                .for_each_distinct([&](std::uint64_t first, std::uint64_t len,
+                                       std::uint64_t visits, std::uint64_t) {
+                  for (std::uint64_t i = 0; i < len; ++i)
+                    bs.wear[first + i] += visits;
+                });
+          }
+        } else {
+          rstats.reads += e.repeat;
+          rstats.read_energy_pj += e.repeat * region.read_energy_pj;
+          spm_cycles += static_cast<std::uint64_t>(e.repeat) *
+                        region.read_latency_cycles;
         }
       } else {
-        rstats.reads += e.repeat;
-        rstats.read_energy_pj += e.repeat * region.read_energy_pj;
-        spm_cycles += static_cast<std::uint64_t>(e.repeat) *
-                      region.read_latency_cycles;
-      }
-    } else {
-      const bool is_code = e.type == AccessType::Fetch;
-      Cache& cache = is_code ? icache : dcache;
-      const std::uint32_t cline = is_code ? line_words : dline_words;
-      const char* fill_counter = is_code ? "icache_fills" : "dcache_fills";
-      WordRun(e.offset, e.repeat, bs.words)
-          .for_each_range(0, e.repeat,
-                          [&](std::uint64_t first, std::uint64_t len,
-                              std::uint64_t visit) {
-                            cache_range(cache, cline, bs.base + first * 8,
-                                        len, is_write, visit, fill_counter);
-                          });
-      // Every word access costs the hit latency; a fill's DRAM penalty
-      // comes on top of it.
-      const std::uint64_t hit_cycles =
-          static_cast<std::uint64_t>(e.repeat) *
-          cache.config().hit_latency_cycles;
-      cache_cycles += hit_cycles;
-      if constexpr (WithObs) {
-        cur_phase->cache_cycles += hit_cycles;
-        obs_state->phase_cache_words[obs_state->phase_stack.back()] +=
-            e.repeat;
+        const bool is_code = e.type == AccessType::Fetch;
+        Cache& cache = is_code ? icache : dcache;
+        const std::uint32_t cline = is_code ? line_words : dline_words;
+        const char* fill_counter = is_code ? "icache_fills" : "dcache_fills";
+        WordRun(e.offset, e.repeat, bs.words)
+            .for_each_range(0, e.repeat,
+                            [&](std::uint64_t first, std::uint64_t len,
+                                std::uint64_t visit) {
+                              cache_range(cache, cline, bs.base + first * 8,
+                                          len, is_write, visit, fill_counter);
+                            });
+        // Every word access costs the hit latency; a fill's DRAM penalty
+        // comes on top of it.
+        const std::uint64_t hit_cycles =
+            static_cast<std::uint64_t>(e.repeat) *
+            cache.config().hit_latency_cycles;
+        cache_cycles += hit_cycles;
+        if constexpr (WithObs) {
+          cur_phase->cache_cycles += hit_cycles;
+          obs_state->phase_cache_words[obs_state->phase_stack.back()] +=
+              e.repeat;
+        }
       }
     }
   }

@@ -172,7 +172,7 @@ Workload make_case_study(const CaseStudyTargets& t) {
   }
 
   builder.ret();
-  std::vector<TraceEvent> trace = builder.take();
+  Trace trace = builder.take();
   return Workload{std::move(program), std::move(trace)};
 }
 

@@ -6,12 +6,18 @@
 // all consume. Events are *aggregated*: one TraceEvent can represent a
 // run of `repeat` consecutive word accesses (a streaming loop), which
 // keeps multi-million-access workloads compact while preserving exact
-// per-word counts.
+// per-word counts. A Trace holds the events in fixed 64 KiB chunks,
+// append-only.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <iterator>
+#include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "ftspm/util/error.h"
@@ -61,6 +67,8 @@ struct TraceEvent {
 
   /// Word accesses this event performs.
   std::uint64_t accesses() const noexcept { return is_marker() ? 0 : repeat; }
+
+  bool operator==(const TraceEvent&) const = default;
 };
 
 /// The word visits of one access run, walked per run instead of per
@@ -141,29 +149,157 @@ class WordRun {
   std::uint64_t partial_;  ///< Visits past the last full pass.
 };
 
+/// An append-only event sequence, stored in fixed chunks of
+/// kChunkEvents events: chunk k holds events [k * kChunkEvents,
+/// (k + 1) * kChunkEvents), and a trace of n events holds
+/// ceil(n / kChunkEvents) chunks. Appending never moves an event, so a
+/// builder hands its trace over without copying it, and the running
+/// totals stay exact because no event changes once appended. Hot loops
+/// walk chunk(k) as contiguous spans; operator[] and the iterators are
+/// for everything else.
+class Trace {
+ public:
+  /// Events per chunk: 64 KiB of 16-byte events, below glibc's default
+  /// mmap threshold, so the chunks of one trace are recycled from the
+  /// heap by the next instead of being mapped (and faulted in) afresh.
+  static constexpr std::size_t kChunkEvents = 4096;
+
+  /// Forward iterator over a Trace's events by index.
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = TraceEvent;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const TraceEvent*;
+    using reference = const TraceEvent&;
+
+    const_iterator() = default;
+    const_iterator(const Trace* trace, std::size_t i) noexcept
+        : trace_(trace), i_(i) {}
+
+    reference operator*() const noexcept { return (*trace_)[i_]; }
+    pointer operator->() const noexcept { return &**this; }
+    const_iterator& operator++() noexcept {
+      ++i_;
+      return *this;
+    }
+    const_iterator operator++(int) noexcept {
+      const_iterator before = *this;
+      ++i_;
+      return before;
+    }
+    friend bool operator==(const const_iterator& a,
+                           const const_iterator& b) noexcept {
+      return a.i_ == b.i_;
+    }
+
+   private:
+    const Trace* trace_ = nullptr;
+    std::size_t i_ = 0;
+  };
+
+  Trace() = default;
+  Trace(std::initializer_list<TraceEvent> events) {
+    append(events.begin(), events.end());
+  }
+  template <std::input_iterator It>
+  Trace(It first, It last) {
+    append(first, last);
+  }
+  Trace(const Trace& other) { append(other.begin(), other.end()); }
+  Trace& operator=(const Trace& other) {
+    if (this != &other) *this = Trace(other);
+    return *this;
+  }
+  Trace(Trace&& other) noexcept
+      : chunks_(std::exchange(other.chunks_, {})),
+        size_(std::exchange(other.size_, 0)),
+        accesses_(std::exchange(other.accesses_, 0)),
+        nominal_cycles_(std::exchange(other.nominal_cycles_, 0)) {}
+  Trace& operator=(Trace&& other) noexcept {
+    chunks_ = std::exchange(other.chunks_, {});
+    size_ = std::exchange(other.size_, 0);
+    accesses_ = std::exchange(other.accesses_, 0);
+    nominal_cycles_ = std::exchange(other.nominal_cycles_, 0);
+    return *this;
+  }
+
+  std::size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return size_ == 0; }
+
+  std::size_t chunk_count() const noexcept { return chunks_.size(); }
+  /// Events [k * kChunkEvents, min(size(), (k + 1) * kChunkEvents)).
+  std::span<const TraceEvent> chunk(std::size_t k) const noexcept {
+    return {chunks_[k].get(),
+            std::min(kChunkEvents, size_ - k * kChunkEvents)};
+  }
+
+  const TraceEvent& operator[](std::size_t i) const noexcept {
+    return chunks_[i / kChunkEvents][i % kChunkEvents];
+  }
+  const TraceEvent& front() const noexcept { return (*this)[0]; }
+  const TraceEvent& back() const noexcept { return (*this)[size_ - 1]; }
+  const_iterator begin() const noexcept { return {this, 0}; }
+  const_iterator end() const noexcept { return {this, size_}; }
+
+  void push_back(const TraceEvent& event) {
+    const std::size_t slot = size_ % kChunkEvents;
+    if (slot == 0) [[unlikely]] add_chunk();
+    chunks_.back()[slot] = event;
+    ++size_;
+    accesses_ += event.accesses();
+    nominal_cycles_ += event.nominal_cycles();
+  }
+  template <std::input_iterator It>
+  void append(It first, It last) {
+    for (; first != last; ++first) push_back(*first);
+  }
+
+  /// Word accesses across the trace, kept as events are appended.
+  std::uint64_t total_accesses() const noexcept { return accesses_; }
+  /// Nominal cycles (profiler timebase) across the trace, likewise.
+  std::uint64_t nominal_cycles() const noexcept { return nominal_cycles_; }
+
+  friend bool operator==(const Trace& a, const Trace& b) noexcept {
+    return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
+  }
+
+ private:
+  void add_chunk();
+
+  std::vector<std::unique_ptr<TraceEvent[]>> chunks_;
+  std::size_t size_ = 0;
+  std::uint64_t accesses_ = 0;
+  std::uint64_t nominal_cycles_ = 0;
+};
+
 /// A complete workload: the program plus its deterministic trace.
 struct Workload {
   Program program;
-  std::vector<TraceEvent> trace;
+  Trace trace;
 
   /// Total word accesses across the trace.
-  std::uint64_t total_accesses() const noexcept;
+  std::uint64_t total_accesses() const noexcept {
+    return trace.total_accesses();
+  }
   /// Total nominal cycles (profiler timebase).
-  std::uint64_t nominal_cycles() const noexcept;
+  std::uint64_t nominal_cycles() const noexcept {
+    return trace.nominal_cycles();
+  }
 };
 
 /// Validates a trace against its program: block ids in range, offsets
 /// within blocks, fetches only from code blocks, reads/writes only to
 /// data blocks, and balanced call markers. Throws ftspm::Error on the
 /// first violation.
-void validate_trace(const Program& program,
-                    const std::vector<TraceEvent>& trace);
+void validate_trace(const Program& program, const Trace& trace);
 
 /// The checks validate_trace() makes, one event at a time, for trace
 /// consumers that validate in the same walk that consumes the trace.
-/// check() tests event `i` and finish() the trace's end, in
-/// validate_trace()'s order and with its messages, so a walk that calls
-/// them throws exactly what validate_trace() would, at the same event.
+/// check() tests the trace's next event, counting events itself, and
+/// finish() the trace's end, in validate_trace()'s order and with its
+/// messages, so a walk that calls them throws exactly what
+/// validate_trace() would, at the same event.
 class TraceChecker {
  public:
   explicit TraceChecker(const Program& program) noexcept
@@ -172,7 +308,8 @@ class TraceChecker {
 
   // Inlined into each caller's loop: out of line, the call and the
   // checker's state round-trip through memory on every event.
-  [[gnu::always_inline]] void check(const TraceEvent& e, std::size_t i) {
+  [[gnu::always_inline]] void check(const TraceEvent& e) {
+    const std::size_t i = next_++;
     const auto where = [i] {
       return " (event " + with_commas(static_cast<std::uint64_t>(i)) + ")";
     };
@@ -215,6 +352,7 @@ class TraceChecker {
  private:
   const Block* blocks_;
   std::size_t block_count_;
+  std::size_t next_ = 0;  ///< Index of the next event check() sees.
   std::int64_t call_depth_ = 0;
 };
 

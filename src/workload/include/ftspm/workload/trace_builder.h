@@ -17,7 +17,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -30,10 +29,6 @@ class TraceBuilder {
  public:
   /// `program` must outlive the builder.
   explicit TraceBuilder(const Program& program);
-
-  // The chunk pointers below point into storage the builder owns.
-  TraceBuilder(const TraceBuilder&) = delete;
-  TraceBuilder& operator=(const TraceBuilder&) = delete;
 
   // --- code ---------------------------------------------------------
 
@@ -102,10 +97,10 @@ class TraceBuilder {
   /// Current call depth (0 at top level).
   std::size_t call_depth() const noexcept { return frames_.size(); }
 
-  /// Finishes the trace: requires all calls returned; returns the event
-  /// stream in a vector whose capacity is its size, leaving the builder
+  /// Finishes the trace: requires all calls returned; hands over the
+  /// events in the chunks they were appended to, leaving the builder
   /// empty.
-  std::vector<TraceEvent> take();
+  Trace take();
 
  private:
   struct Frame {
@@ -113,10 +108,6 @@ class TraceBuilder {
     std::uint32_t frame_bytes;
   };
 
-  /// Events per chunk: 64 KiB of 16-byte events, below glibc's default
-  /// mmap threshold, so the chunks of one build are recycled from the
-  /// heap by the next instead of being mapped (and faulted in) afresh.
-  static constexpr std::size_t kChunkEvents = 4096;
   static constexpr std::uint64_t kMaxRepeat =
       std::numeric_limits<std::uint32_t>::max();
 
@@ -137,8 +128,8 @@ class TraceBuilder {
       emit_split(block, type, gap, offset, count, words);
       return;
     }
-    push(TraceEvent{block, type, gap, offset,
-                    static_cast<std::uint32_t>(count)});
+    trace_.push_back(TraceEvent{block, type, gap, offset,
+                                static_cast<std::uint32_t>(count)});
   }
 
   /// emit() for counts above a u32 repeat: consecutive events, each
@@ -147,18 +138,10 @@ class TraceBuilder {
                   std::uint32_t offset, std::uint64_t count,
                   std::uint32_t words);
 
-  void push(const TraceEvent& event) {
-    if (tail_ == chunk_end_) [[unlikely]] add_chunk();
-    *tail_++ = event;
-  }
-  void add_chunk();
-
   std::uint32_t stack_top_word() const noexcept;
 
   const Program& program_;
-  std::vector<std::unique_ptr<TraceEvent[]>> chunks_;
-  TraceEvent* tail_ = nullptr;       ///< Next free slot of the last chunk.
-  TraceEvent* chunk_end_ = nullptr;  ///< One past the last chunk.
+  Trace trace_;
   std::vector<Frame> frames_;
   std::uint32_t stack_bytes_ = 0;
   std::uint32_t max_stack_bytes_ = 0;

@@ -88,7 +88,7 @@ Workload make_basicmath(std::uint64_t div) {
   }
   b.fetch(600);
   b.ret();
-  std::vector<TraceEvent> trace = b.take();
+  Trace trace = b.take();
   return Workload{std::move(p), std::move(trace)};
 }
 
@@ -126,7 +126,7 @@ Workload make_bitcount(std::uint64_t div) {
                                              p.block(5).size_words()));
   }
   b.ret();
-  std::vector<TraceEvent> trace = b.take();
+  Trace trace = b.take();
   return Workload{std::move(p), std::move(trace)};
 }
 
@@ -164,7 +164,7 @@ Workload make_qsort(std::uint64_t div) {
     }
   }
   b.ret();
-  std::vector<TraceEvent> trace = b.take();
+  Trace trace = b.take();
   return Workload{std::move(p), std::move(trace)};
 }
 
@@ -205,7 +205,7 @@ Workload make_susan(std::uint64_t div) {
     b.ret(4);
   }
   b.ret();
-  std::vector<TraceEvent> trace = b.take();
+  Trace trace = b.take();
   return Workload{std::move(p), std::move(trace)};
 }
 
@@ -250,7 +250,7 @@ Workload make_jpeg(std::uint64_t div) {
     b.ret(6);
   }
   b.ret();
-  std::vector<TraceEvent> trace = b.take();
+  Trace trace = b.take();
   return Workload{std::move(p), std::move(trace)};
 }
 
@@ -290,7 +290,7 @@ Workload make_dijkstra(std::uint64_t div) {
     b.ret(4);
   }
   b.ret();
-  std::vector<TraceEvent> trace = b.take();
+  Trace trace = b.take();
   return Workload{std::move(p), std::move(trace)};
 }
 
@@ -322,7 +322,7 @@ Workload make_stringsearch(std::uint64_t div) {
     b.ret(2);
   }
   b.ret();
-  std::vector<TraceEvent> trace = b.take();
+  Trace trace = b.take();
   return Workload{std::move(p), std::move(trace)};
 }
 
@@ -360,7 +360,7 @@ Workload make_sha(std::uint64_t div) {
                                                p.block(5).size_words()));
   }
   b.ret();
-  std::vector<TraceEvent> trace = b.take();
+  Trace trace = b.take();
   return Workload{std::move(p), std::move(trace)};
 }
 
@@ -395,7 +395,7 @@ Workload make_crc32(std::uint64_t div) {
     }
   }
   b.ret();
-  std::vector<TraceEvent> trace = b.take();
+  Trace trace = b.take();
   return Workload{std::move(p), std::move(trace)};
 }
 
@@ -433,7 +433,7 @@ Workload make_fft(std::uint64_t div) {
     b.ret(5);
   }
   b.ret();
-  std::vector<TraceEvent> trace = b.take();
+  Trace trace = b.take();
   return Workload{std::move(p), std::move(trace)};
 }
 
@@ -467,7 +467,7 @@ Workload make_adpcm(std::uint64_t div) {
     b.ret(2);
   }
   b.ret();
-  std::vector<TraceEvent> trace = b.take();
+  Trace trace = b.take();
   return Workload{std::move(p), std::move(trace)};
 }
 
@@ -511,7 +511,7 @@ Workload make_rijndael(std::uint64_t div) {
                                              p.block(6).size_words()));
   }
   b.ret();
-  std::vector<TraceEvent> trace = b.take();
+  Trace trace = b.take();
   return Workload{std::move(p), std::move(trace)};
 }
 

@@ -13,22 +13,15 @@ const char* to_string(AccessType type) noexcept {
   return "?";
 }
 
-std::uint64_t Workload::total_accesses() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& e : trace) n += e.accesses();
-  return n;
+void Trace::add_chunk() {
+  chunks_.push_back(
+      std::make_unique_for_overwrite<TraceEvent[]>(kChunkEvents));
 }
 
-std::uint64_t Workload::nominal_cycles() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& e : trace) n += e.nominal_cycles();
-  return n;
-}
-
-void validate_trace(const Program& program,
-                    const std::vector<TraceEvent>& trace) {
+void validate_trace(const Program& program, const Trace& trace) {
   TraceChecker checker(program);
-  for (std::size_t i = 0; i < trace.size(); ++i) checker.check(trace[i], i);
+  for (std::size_t k = 0; k < trace.chunk_count(); ++k)
+    for (const TraceEvent& e : trace.chunk(k)) checker.check(e);
   checker.finish();
 }
 

@@ -1,6 +1,7 @@
 #include "ftspm/workload/trace_builder.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace ftspm {
 
@@ -13,19 +14,13 @@ TraceBuilder::TraceBuilder(const Program& program) : program_(program) {
   }
 }
 
-void TraceBuilder::add_chunk() {
-  chunks_.push_back(
-      std::make_unique_for_overwrite<TraceEvent[]>(kChunkEvents));
-  tail_ = chunks_.back().get();
-  chunk_end_ = tail_ + kChunkEvents;
-}
-
 void TraceBuilder::emit_split(BlockId block, AccessType type,
                               std::uint16_t gap, std::uint32_t offset,
                               std::uint64_t count, std::uint32_t words) {
   while (count > 0) {
     const std::uint64_t n = std::min(count, kMaxRepeat);
-    push(TraceEvent{block, type, gap, offset, static_cast<std::uint32_t>(n)});
+    trace_.push_back(
+        TraceEvent{block, type, gap, offset, static_cast<std::uint32_t>(n)});
     offset = static_cast<std::uint32_t>((offset + n) % words);
     count -= n;
   }
@@ -42,7 +37,7 @@ void TraceBuilder::call(BlockId fn, std::uint32_t frame_bytes,
                         std::uint32_t spill_words) {
   FTSPM_REQUIRE(program_.block(fn).is_code(), "call target must be code");
   FTSPM_REQUIRE(frame_bytes % 4 == 0, "frame bytes must be 4-aligned");
-  push(TraceEvent{fn, AccessType::CallEnter, 0, frame_bytes, 1});
+  trace_.push_back(TraceEvent{fn, AccessType::CallEnter, 0, frame_bytes, 1});
   frames_.push_back(Frame{fn, frame_bytes});
   stack_bytes_ += frame_bytes;
   max_stack_bytes_ = std::max(max_stack_bytes_, stack_bytes_);
@@ -55,7 +50,7 @@ void TraceBuilder::ret(std::uint32_t reload_words) {
   const Frame frame = frames_.back();
   frames_.pop_back();
   stack_bytes_ -= std::min(stack_bytes_, frame.frame_bytes);
-  push(TraceEvent{frame.fn, AccessType::CallExit, 0, 0, 1});
+  trace_.push_back(TraceEvent{frame.fn, AccessType::CallExit, 0, 0, 1});
 }
 
 void TraceBuilder::stack_read(std::uint64_t count, std::uint16_t gap) {
@@ -70,21 +65,9 @@ void TraceBuilder::stack_write(std::uint64_t count, std::uint16_t gap) {
         stack_top_word() % program_.block(*stack_block_).size_words(), gap);
 }
 
-std::vector<TraceEvent> TraceBuilder::take() {
+Trace TraceBuilder::take() {
   FTSPM_REQUIRE(frames_.empty(), "take() with unreturned calls");
-  std::vector<TraceEvent> out;
-  if (!chunks_.empty()) {
-    out.reserve((chunks_.size() - 1) * kChunkEvents +
-                static_cast<std::size_t>(tail_ - chunks_.back().get()));
-    for (const auto& chunk : chunks_) {
-      const TraceEvent* first = chunk.get();
-      out.insert(out.end(), first,
-                 chunk == chunks_.back() ? tail_ : first + kChunkEvents);
-    }
-  }
-  chunks_.clear();
-  tail_ = chunk_end_ = nullptr;
-  return out;
+  return std::exchange(trace_, Trace{});
 }
 
 }  // namespace ftspm

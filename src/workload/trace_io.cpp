@@ -69,10 +69,12 @@ std::string serialize_workload(const Workload& workload) {
   for (const Block& blk : workload.program.blocks())
     os << "block " << blk.name << " " << to_string(blk.kind) << " "
        << blk.size_bytes << "\n";
-  os << "trace " << workload.trace.size() << "\n";
-  for (const TraceEvent& e : workload.trace)
-    os << type_code(e.type) << " " << e.block << " " << e.offset << " "
-       << e.repeat << " " << e.gap << "\n";
+  const Trace& trace = workload.trace;
+  os << "trace " << trace.size() << "\n";
+  for (std::size_t k = 0; k < trace.chunk_count(); ++k)
+    for (const TraceEvent& e : trace.chunk(k))
+      os << type_code(e.type) << " " << e.block << " " << e.offset << " "
+         << e.repeat << " " << e.gap << "\n";
   return os.str();
 }
 
@@ -123,8 +125,10 @@ Workload parse_workload(std::string_view text) {
   }
   if (blocks.empty()) fail(line_no, "no blocks declared");
 
-  std::vector<TraceEvent> trace;
-  trace.reserve(event_count);
+  // The header's count is not trusted with an allocation: events are
+  // appended as their lines parse, so a file that claims more than it
+  // holds fails as truncated after reading what it has.
+  Trace trace;
   for (std::size_t i = 0; i < event_count; ++i) {
     if (!next_line()) fail(line_no, "trace truncated: expected " +
                                         std::to_string(event_count) +
@@ -152,14 +156,15 @@ Workload parse_workload(std::string_view text) {
 
 void save_workload(const Workload& workload, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
-  FTSPM_REQUIRE(out.good(), "cannot open '" + path + "' for writing");
+  if (!out.good())
+    throw InvalidArgument("cannot open '" + path + "' for writing");
   out << serialize_workload(workload);
-  FTSPM_REQUIRE(out.good(), "write to '" + path + "' failed");
+  if (!out.good()) throw Error("write to '" + path + "' failed");
 }
 
 Workload load_workload(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  FTSPM_REQUIRE(in.good(), "cannot open '" + path + "'");
+  if (!in.good()) throw InvalidArgument("cannot open '" + path + "'");
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return parse_workload(buffer.str());

@@ -37,7 +37,7 @@ TEST(EstimatorConsistencyTest, ExactOnUncontendedFullyMappedScenarios) {
     b.write(2, 32, 0);
   }
   b.ret();
-  std::vector<TraceEvent> trace = b.take();
+  Trace trace = b.take();
   const Workload w{program, std::move(trace)};
   const ProgramProfile prof = profile_workload(w);
 
@@ -100,7 +100,7 @@ TEST(EstimatorConsistencyTest, ThrashTermTracksSimulatedDma) {
     b.read(2, 16, static_cast<std::uint32_t>(rng.next_below(192)));
   }
   b.ret();
-  std::vector<TraceEvent> trace = b.take();
+  Trace trace = b.take();
   const Workload w{program, std::move(trace)};
   const ProgramProfile prof = profile_workload(w);
 

@@ -24,7 +24,7 @@ struct Fixture {
 };
 
 ProgramProfile profile_of(const Fixture& f,
-                          const std::vector<TraceEvent>& trace) {
+                          const Trace& trace) {
   return profile_workload(Workload{f.program, trace});
 }
 
@@ -80,7 +80,7 @@ TEST(ScenarioEstimatorTest, TimeSharingIsPricedByLruReplay) {
   // SEC-DED region they exactly fill together -> no faults beyond the
   // two initial loads. Shrink the region via custom dimensions so they
   // *cannot* coexist and every alternation faults.
-  std::vector<TraceEvent> trace;
+  Trace trace;
   for (int i = 0; i < 10; ++i) {
     trace.push_back(TraceEvent{1, AccessType::Read, 0, 0, 4});
     trace.push_back(TraceEvent{2, AccessType::Read, 0, 0, 4});

@@ -79,7 +79,7 @@ Workload random_workload(std::uint64_t seed) {
     }
   }
   while (depth-- > 0) b.ret();
-  std::vector<TraceEvent> trace = b.take();
+  Trace trace = b.take();
   return Workload{std::move(program), std::move(trace)};
 }
 

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <typeinfo>
 #include <vector>
 
 #include "ftspm/util/error.h"
+#include "ftspm/util/rng.h"
 #include "support/run_traces.h"
 
 namespace ftspm {
@@ -162,6 +165,65 @@ TEST(ProfilerTest, StackCallsAndMaxStack) {
   EXPECT_EQ(prof.block(0).stack_calls, 3u);
   // Outer activation: grew from 0 to 96 bytes at its deepest.
   EXPECT_EQ(prof.block(0).max_stack_bytes, 96u);
+}
+
+// max_stack_bytes against its definition: over every activation of a
+// block, the deepest the stack got while it was open, less the depth
+// at its entry. The brute force raises every open activation at each
+// call; random nested and recursive call trees with uneven frames.
+TEST(ProfilerTest, MaxStackMatchesABruteForceOverOpenActivations) {
+  const Program p("calls", {Block{"f0", BlockKind::Code, 64},
+                            Block{"f1", BlockKind::Code, 64},
+                            Block{"f2", BlockKind::Code, 64},
+                            Block{"f3", BlockKind::Code, 64},
+                            Block{"f4", BlockKind::Code, 64},
+                            Block{"stack", BlockKind::Stack, 64}});
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    Trace trace;
+    struct Open {
+      BlockId fn;
+      std::uint32_t entry;
+      std::uint32_t max;
+    };
+    std::vector<Open> open;
+    std::vector<std::uint32_t> expected(p.block_count(), 0);
+    std::uint32_t depth = 0;
+    const auto exit_one = [&] {
+      const Open act = open.back();
+      open.pop_back();
+      expected[act.fn] = std::max(expected[act.fn], act.max - act.entry);
+      depth = act.entry;
+      trace.push_back(TraceEvent{act.fn, AccessType::CallExit, 0, 0, 1});
+    };
+    for (int step = 0; step < 400; ++step) {
+      const std::uint64_t pick = rng.next_below(10);
+      if (pick < 5 && open.size() < 30) {
+        // Recursion half the time when a call is open.
+        const BlockId fn =
+            !open.empty() && rng.next_bool(0.5)
+                ? open.back().fn
+                : static_cast<BlockId>(rng.next_below(5));
+        const std::uint32_t frame =
+            4 * static_cast<std::uint32_t>(rng.next_below(65));
+        trace.push_back(TraceEvent{fn, AccessType::CallEnter, 0, frame, 1});
+        depth += frame;
+        open.push_back(Open{fn, depth - frame, depth});
+        for (Open& act : open) act.max = std::max(act.max, depth);
+      } else if (pick < 9 && !open.empty()) {
+        exit_one();
+      } else {
+        trace.push_back(TraceEvent{
+            open.empty() ? 0 : open.back().fn, AccessType::Fetch, 0, 0, 1});
+      }
+    }
+    while (!open.empty()) exit_one();
+
+    const ProgramProfile prof = profile_workload(Workload{p, trace});
+    for (BlockId b = 0; b < 5; ++b)
+      EXPECT_EQ(prof.block(b).max_stack_bytes, expected[b])
+          << "seed " << seed << " block " << b;
+  }
 }
 
 TEST(ProfilerTest, SusceptibilityIsReferencesTimesLifetime) {

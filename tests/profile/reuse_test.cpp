@@ -19,7 +19,7 @@ Workload streaming_workload(std::uint32_t block_bytes,
                             std::uint32_t passes) {
   Program p("stream", {Block{"fn", BlockKind::Code, 512},
                        Block{"buf", BlockKind::Data, block_bytes}});
-  std::vector<TraceEvent> t;
+  Trace t;
   const std::uint32_t words = block_bytes / 8;
   for (std::uint32_t i = 0; i < passes; ++i)
     t.push_back(TraceEvent{1, AccessType::Read, 0, 0, words});
@@ -54,7 +54,7 @@ TEST(ReuseProfileTest, TinyWorkingSetAlwaysHits) {
 TEST(ReuseProfileTest, ScopeSeparatesStreams) {
   Program p("mix", {Block{"fn", BlockKind::Code, 512},
                     Block{"buf", BlockKind::Data, 512}});
-  std::vector<TraceEvent> t{TraceEvent{0, AccessType::Fetch, 0, 0, 100},
+  Trace t{TraceEvent{0, AccessType::Fetch, 0, 0, 100},
                             TraceEvent{1, AccessType::Read, 0, 0, 40}};
   const Workload w{std::move(p), std::move(t)};
   EXPECT_EQ(compute_reuse_profile(w, ReuseScope::Instructions)

@@ -29,7 +29,7 @@ inline Workload random_run_workload(std::uint64_t seed,
                            Block{"big", BlockKind::Data, 800},
                            Block{"stack", BlockKind::Stack, 56}});
   Rng rng(seed);
-  std::vector<TraceEvent> trace;
+  Trace trace;
   std::uint32_t depth = 0;
   while (trace.size() < events) {
     const std::uint64_t pick = rng.next_below(20);
@@ -73,7 +73,7 @@ inline Workload random_run_workload(std::uint64_t seed,
 /// The same accesses, one event per word: the word-by-word semantics
 /// every run-length consumer must reproduce.
 inline Workload split_into_words(const Workload& w) {
-  std::vector<TraceEvent> trace;
+  Trace trace;
   for (const TraceEvent& e : w.trace) {
     if (e.is_marker()) {
       trace.push_back(e);
@@ -96,7 +96,7 @@ inline std::vector<Workload> malformed_workloads() {
   const Program p("demo", {Block{"fn", BlockKind::Code, 1024},
                            Block{"arr", BlockKind::Data, 512},
                            Block{"stack", BlockKind::Stack, 256}});
-  const std::vector<std::vector<TraceEvent>> malformed{
+  const std::vector<Trace> malformed{
       {TraceEvent{9, AccessType::Read, 0, 0, 1}},
       {TraceEvent{1, AccessType::Fetch, 0, 0, 1}},
       {TraceEvent{0, AccessType::Read, 0, 0, 1}},
@@ -108,17 +108,17 @@ inline std::vector<Workload> malformed_workloads() {
        TraceEvent{0, AccessType::CallExit, 0, 0, 1}},
       {TraceEvent{1, AccessType::CallEnter, 0, 16, 1},
        TraceEvent{1, AccessType::CallExit, 0, 0, 1}}};
-  const std::vector<TraceEvent> prefix{
+  const Trace prefix{
       TraceEvent{0, AccessType::CallEnter, 0, 16, 1},
       TraceEvent{0, AccessType::Fetch, 0, 0, 10},
       TraceEvent{1, AccessType::Write, 0, 60, 8},
       TraceEvent{2, AccessType::Read, 0, 0, 2},
       TraceEvent{0, AccessType::CallExit, 0, 0, 1}};
   std::vector<Workload> out;
-  for (const std::vector<TraceEvent>& bad : malformed) {
+  for (const Trace& bad : malformed) {
     for (const bool behind_prefix : {false, true}) {
-      Workload w{p, behind_prefix ? prefix : std::vector<TraceEvent>{}};
-      w.trace.insert(w.trace.end(), bad.begin(), bad.end());
+      Workload w{p, behind_prefix ? prefix : Trace{}};
+      w.trace.append(bad.begin(), bad.end());
       out.push_back(std::move(w));
     }
   }

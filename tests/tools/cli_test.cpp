@@ -51,6 +51,12 @@ CommandResult run_tool_stdout(const std::string& args) {
                      " 2>/dev/null");
 }
 
+/// Like run_tool but keeps stderr alone.
+CommandResult run_tool_stderr(const std::string& args) {
+  return run_command(std::string(FTSPM_TOOL_PATH) + " " + args +
+                     " 2>&1 >/dev/null");
+}
+
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
   std::ostringstream ss;
@@ -495,6 +501,28 @@ TEST(CliTest, UnopenableLedgerIsAnIoErrorExitingOne) {
   EXPECT_NE(r.output.find("cannot open ledger"), std::string::npos)
       << r.output;
   EXPECT_EQ(r.output.find("ftspm_tool help"), std::string::npos) << r.output;
+}
+
+TEST(CliTest, UnopenableUserFilesAreUsageErrorsNamingThePath) {
+  // A file the user named that cannot be opened is a usage error: exit
+  // 2, the message and the usage hint, and no check internals.
+  const std::string missing = temp_path("ftspm_cli_no_such_dir") + "/x";
+  const std::pair<std::string, std::string> cases[] = {
+      {"report saturation --in " + missing, "cannot open '" + missing + "'"},
+      {"campaign --strikes 2000 --resume " + missing,
+       "cannot open checkpoint '" + missing + "'"},
+      {"campaign --strikes 2000 --checkpoint " + missing + ".json",
+       "cannot open checkpoint '" + missing + ".json' for writing"},
+      {"profile " + missing + ".trace",
+       "cannot open '" + missing + ".trace'"},
+  };
+  for (const auto& [args, message] : cases) {
+    const CommandResult r = run_tool_stderr(args);
+    EXPECT_EQ(r.exit_code, 2) << args;
+    EXPECT_EQ(r.output,
+              "error: " + message + "\nrun `ftspm_tool help` for usage\n")
+        << args;
+  }
 }
 
 TEST(CliTest, LedgerCompareGatesOnRegression) {

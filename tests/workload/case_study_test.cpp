@@ -36,11 +36,13 @@ TEST(CaseStudyTest, BlockStructureMatchesPaper) {
 }
 
 // TraceBuilder::take() does not validate; profile_workload() does.
-// The builder's trace must pass and come exactly sized.
+// The builder's trace must pass and come exactly sized: n events in
+// ceil(n / 4096) chunks.
 TEST(CaseStudyTest, TraceValidates) {
   const Workload& w = full_case_study();
   EXPECT_NO_THROW(validate_trace(w.program, w.trace));
-  EXPECT_EQ(w.trace.capacity(), w.trace.size());
+  EXPECT_EQ(w.trace.chunk_count(),
+            (w.trace.size() + Trace::kChunkEvents - 1) / Trace::kChunkEvents);
 }
 
 // Table I, reproduced exactly: reads and writes per block.

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
 #include "ftspm/profile/profiler.h"
 #include "ftspm/util/error.h"
+#include "ftspm/workload/trace_io.h"
 
 namespace ftspm {
 namespace {
@@ -31,12 +33,39 @@ TEST_P(SuiteBenchmark, GeneratesAValidWorkload) {
 
 // TraceBuilder::take() does not validate; profile_workload() does.
 // Every suite trace, at the pipeline's scale and the bench's, must pass
-// and come exactly sized.
+// and come exactly sized: n events in ceil(n / 4096) chunks.
 TEST_P(SuiteBenchmark, FullScaleTracesValidateAndAreExactlySized) {
   for (const std::uint64_t scale : {1u, 4u}) {
     const Workload w = make_benchmark(GetParam(), scale);
     EXPECT_NO_THROW(validate_trace(w.program, w.trace)) << "scale " << scale;
-    EXPECT_EQ(w.trace.capacity(), w.trace.size()) << "scale " << scale;
+    EXPECT_EQ(w.trace.chunk_count(),
+              (w.trace.size() + Trace::kChunkEvents - 1) / Trace::kChunkEvents)
+        << "scale " << scale;
+  }
+}
+
+// A Trace keeps its totals as events are appended; they must equal a
+// walk over the events, for a generated trace and for one parsed back
+// from its text form.
+TEST_P(SuiteBenchmark, RunningTotalsEqualAWalk) {
+  const auto walk = [](const Trace& trace) {
+    std::pair<std::uint64_t, std::uint64_t> totals{0, 0};
+    for (const TraceEvent& e : trace) {
+      totals.first += e.accesses();
+      totals.second += e.nominal_cycles();
+    }
+    return totals;
+  };
+  for (const std::uint64_t scale : {1u, 4u}) {
+    const Workload w = make_benchmark(GetParam(), scale);
+    const auto [accesses, cycles] = walk(w.trace);
+    EXPECT_EQ(w.total_accesses(), accesses) << "scale " << scale;
+    EXPECT_EQ(w.nominal_cycles(), cycles) << "scale " << scale;
+    if (scale != 4) continue;
+    const Workload parsed = parse_workload(serialize_workload(w));
+    EXPECT_EQ(parsed.trace, w.trace);
+    EXPECT_EQ(parsed.total_accesses(), accesses);
+    EXPECT_EQ(parsed.nominal_cycles(), cycles);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 #include "ftspm/util/error.h"
 #include "ftspm/workload/case_study.h"
@@ -15,7 +16,7 @@ Workload tiny_workload() {
   Program p("tiny", {Block{"fn", BlockKind::Code, 64},
                      Block{"arr", BlockKind::Data, 64},
                      Block{"stack", BlockKind::Stack, 64}});
-  std::vector<TraceEvent> t{
+  Trace t{
       TraceEvent{0, AccessType::CallEnter, 0, 16, 1},
       TraceEvent{0, AccessType::Fetch, 1, 0, 5},
       TraceEvent{1, AccessType::Read, 0, 3, 2},
@@ -86,6 +87,23 @@ TEST(TraceIoTest, RejectsTruncatedTrace) {
   EXPECT_THROW(parse_workload("ftspm-trace v1\nprogram x\n"
                               "block a data 64\ntrace 2\nR 0 0 1 0\n"),
                Error);
+}
+
+// The header's event count sets no allocation: a file claiming far
+// more events than it holds fails as truncated once its lines run out.
+TEST(TraceIoTest, OversizedEventCountFailsAsTruncated) {
+  for (const char* count : {"100000000", "1000000000000"}) {
+    try {
+      parse_workload(std::string("ftspm-trace v1\nprogram x\n"
+                                 "block a data 64\ntrace ") +
+                     count + "\nR 0 0 1 0\n");
+      ADD_FAILURE() << count << ": parsed";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("trace line 5: trace truncated: expected ") +
+                    count + " events");
+    }
+  }
 }
 
 TEST(TraceIoTest, RejectsBadEventType) {
