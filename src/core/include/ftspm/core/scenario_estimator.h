@@ -30,6 +30,12 @@ struct ScenarioEstimate {
   double dynamic_energy_pj = 0.0;
 };
 
+/// A scenario's overheads over its matched ideal, as fractions.
+struct ScenarioOverheads {
+  double performance = 0.0;
+  double energy = 0.0;
+};
+
 /// Knobs of the analytic model.
 struct EstimatorConfig {
   double cache_hit_rate = 0.92;   ///< Expected L1 hit rate for unmapped
@@ -59,10 +65,17 @@ class ScenarioEstimator {
   /// Absolute floor: everything (mapped or not) at 1-cycle SRAM.
   ScenarioEstimate ideal() const noexcept { return ideal_; }
 
-  /// (scenario - matched_ideal) / matched_ideal, for cycles and energy.
+  /// (scenario - matched_ideal) / matched_ideal, for cycles and energy,
+  /// from one estimate() and one matched_ideal() of the scenario.
+  ScenarioOverheads overheads(std::span<const RegionId> block_to_region) const;
+  /// overheads().performance and overheads().energy.
   double performance_overhead(
-      std::span<const RegionId> block_to_region) const;
-  double energy_overhead(std::span<const RegionId> block_to_region) const;
+      std::span<const RegionId> block_to_region) const {
+    return overheads(block_to_region).performance;
+  }
+  double energy_overhead(std::span<const RegionId> block_to_region) const {
+    return overheads(block_to_region).energy;
+  }
 
  private:
   /// LRU replay of the profiled reference sequence restricted to one

@@ -336,11 +336,9 @@ MappingPlan MappingDeterminer::determine(const Program& program,
       const BlockMapping saved = mappings[id];
       mappings[id].region = d_stt_;
       mappings[id].reason = MappingReason::RestoredStt;
-      const std::vector<RegionId> scenario = region_vector();
-      if (estimator.performance_overhead(scenario) >
-              config_.thresholds.performance_overhead ||
-          estimator.energy_overhead(scenario) >
-              config_.thresholds.energy_overhead) {
+      const ScenarioOverheads over = estimator.overheads(region_vector());
+      if (over.performance > config_.thresholds.performance_overhead ||
+          over.energy > config_.thresholds.energy_overhead) {
         mappings[id] = saved;  // revert: backfill must stay in budget
         continue;
       }

@@ -138,19 +138,13 @@ ScenarioEstimate ScenarioEstimator::matched_ideal(
   return est;
 }
 
-double ScenarioEstimator::performance_overhead(
+ScenarioOverheads ScenarioEstimator::overheads(
     std::span<const RegionId> block_to_region) const {
   const ScenarioEstimate est = estimate(block_to_region);
   const ScenarioEstimate ref = matched_ideal(block_to_region);
-  return (est.cycles - ref.cycles) / ref.cycles;
-}
-
-double ScenarioEstimator::energy_overhead(
-    std::span<const RegionId> block_to_region) const {
-  const ScenarioEstimate est = estimate(block_to_region);
-  const ScenarioEstimate ref = matched_ideal(block_to_region);
-  return (est.dynamic_energy_pj - ref.dynamic_energy_pj) /
-         ref.dynamic_energy_pj;
+  return {(est.cycles - ref.cycles) / ref.cycles,
+          (est.dynamic_energy_pj - ref.dynamic_energy_pj) /
+              ref.dynamic_energy_pj};
 }
 
 }  // namespace ftspm

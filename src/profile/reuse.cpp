@@ -85,7 +85,7 @@ ReuseProfile compute_reuse_profile(const Workload& workload, ReuseScope scope,
   const bool want_code = scope == ReuseScope::Instructions;
   const Trace& trace = workload.trace;
   for (std::size_t k = 0; k < trace.chunk_count(); ++k) {
-    for (const TraceEvent& e : trace.chunk(k)) {
+    for (const TraceEvent e : trace.chunk(k)) {
       checker.check(e);
       if (e.is_marker()) continue;
       const bool is_fetch = e.type == AccessType::Fetch;

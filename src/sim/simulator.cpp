@@ -356,7 +356,7 @@ RunResult Simulator::run_impl(
 
   const Trace& trace = workload.trace;
   for (std::size_t k = 0; k < trace.chunk_count(); ++k) {
-    for (const TraceEvent& e : trace.chunk(k)) {
+    for (const TraceEvent e : trace.chunk(k)) {
       if (e.is_marker()) {
         if constexpr (WithObs) {
           if (e.type == AccessType::CallEnter) {

@@ -6,8 +6,8 @@
 // all consume. Events are *aggregated*: one TraceEvent can represent a
 // run of `repeat` consecutive word accesses (a streaming loop), which
 // keeps multi-million-access workloads compact while preserving exact
-// per-word counts. A Trace holds the events in fixed 64 KiB chunks,
-// append-only.
+// per-word counts. A Trace packs each event into one 8-byte slot (see
+// TraceSlot) and holds the slots in fixed 64 KiB chunks, append-only.
 #pragma once
 
 #include <algorithm>
@@ -149,36 +149,131 @@ class WordRun {
   std::uint64_t partial_;  ///< Visits past the last full pass.
 };
 
-/// An append-only event sequence, stored in fixed chunks of
-/// kChunkEvents events: chunk k holds events [k * kChunkEvents,
-/// (k + 1) * kChunkEvents), and a trace of n events holds
-/// ceil(n / kChunkEvents) chunks. Appending never moves an event, so a
-/// builder hands its trace over without copying it, and the running
-/// totals stay exact because no event changes once appended. Hot loops
-/// walk chunk(k) as contiguous spans; operator[] and the iterators are
-/// for everything else.
-class Trace {
- public:
-  /// Events per chunk: 64 KiB of 16-byte events, below glibc's default
-  /// mmap threshold, so the chunks of one trace are recycled from the
-  /// heap by the next instead of being mapped (and faulted in) afresh.
-  static constexpr std::size_t kChunkEvents = 4096;
+/// How a Trace stores one event: a single 8-byte slot. Bits, low to
+/// high: type 3, gap 16, block 13, offset 16, repeat 16. An event with
+/// a block of 2^13 or more, an offset or repeat of 2^16 or more, or a
+/// type value of 7 or more is stored instead as an escape slot: type
+/// field 7, and the upper 61 bits index the trace's side vector of
+/// full TraceEvents. So every event round-trips exactly, and an escape
+/// costs its 8-byte slot plus one 16-byte TraceEvent.
+struct TraceSlot {
+  static constexpr std::uint64_t kEscape = 7;  ///< Type field of an escape.
 
-  /// Forward iterator over a Trace's events by index.
-  class const_iterator {
+  /// Whether `e` packs into a slot of its own, without an escape.
+  static constexpr bool fits(const TraceEvent& e) noexcept {
+    return static_cast<std::uint64_t>(e.type) < kEscape &&
+           e.block < (1u << 13) && e.offset < (1u << 16) &&
+           e.repeat < (1u << 16);
+  }
+  /// The slot of an event that fits().
+  static constexpr std::uint64_t pack(const TraceEvent& e) noexcept {
+    return static_cast<std::uint64_t>(e.type) |
+           static_cast<std::uint64_t>(e.gap) << 3 |
+           static_cast<std::uint64_t>(e.block) << 19 |
+           static_cast<std::uint64_t>(e.offset) << 32 |
+           static_cast<std::uint64_t>(e.repeat) << 48;
+  }
+  /// The slot of the escaped event at `index` of the side vector.
+  static constexpr std::uint64_t escape(std::uint64_t index) noexcept {
+    return index << 3 | kEscape;
+  }
+  /// The event in `slot`; `escapes` is its trace's side vector.
+  static TraceEvent decode(std::uint64_t slot,
+                           const std::vector<TraceEvent>& escapes) noexcept {
+    if ((slot & 7) == kEscape) [[unlikely]] return escapes[slot >> 3];
+    return TraceEvent{static_cast<BlockId>(slot >> 19 & 0x1fff),
+                      static_cast<AccessType>(slot & 7),
+                      static_cast<std::uint16_t>(slot >> 3),
+                      static_cast<std::uint32_t>(slot >> 32 & 0xffff),
+                      static_cast<std::uint32_t>(slot >> 48)};
+  }
+};
+
+/// One chunk of a Trace: its slots, decoded event by event as they are
+/// read. Valid until its trace is destroyed or moved from; appends
+/// leave it valid.
+class TraceChunk {
+ public:
+  /// Forward iterator yielding each event by value.
+  class iterator {
    public:
-    using iterator_category = std::forward_iterator_tag;
+    using iterator_concept = std::forward_iterator_tag;
+    using iterator_category = std::input_iterator_tag;
     using value_type = TraceEvent;
     using difference_type = std::ptrdiff_t;
-    using pointer = const TraceEvent*;
-    using reference = const TraceEvent&;
+
+    iterator() = default;
+    iterator(const std::uint64_t* slot,
+             const std::vector<TraceEvent>* escapes) noexcept
+        : slot_(slot), escapes_(escapes) {}
+
+    TraceEvent operator*() const noexcept {
+      return TraceSlot::decode(*slot_, *escapes_);
+    }
+    iterator& operator++() noexcept {
+      ++slot_;
+      return *this;
+    }
+    iterator operator++(int) noexcept {
+      iterator before = *this;
+      ++slot_;
+      return before;
+    }
+    friend bool operator==(const iterator& a, const iterator& b) noexcept {
+      return a.slot_ == b.slot_;
+    }
+
+   private:
+    const std::uint64_t* slot_ = nullptr;
+    const std::vector<TraceEvent>* escapes_ = nullptr;
+  };
+
+  TraceChunk(std::span<const std::uint64_t> slots,
+             const std::vector<TraceEvent>& escapes) noexcept
+      : slots_(slots), escapes_(&escapes) {}
+
+  std::size_t size() const noexcept { return slots_.size(); }
+  iterator begin() const noexcept { return {slots_.data(), escapes_}; }
+  iterator end() const noexcept {
+    return {slots_.data() + slots_.size(), escapes_};
+  }
+  /// The chunk's raw slots, in TraceSlot's format.
+  std::span<const std::uint64_t> slots() const noexcept { return slots_; }
+
+ private:
+  std::span<const std::uint64_t> slots_;
+  const std::vector<TraceEvent>* escapes_;
+};
+
+/// An append-only event sequence, stored one TraceSlot per event in
+/// fixed chunks of kChunkEvents slots: chunk k holds events
+/// [k * kChunkEvents, (k + 1) * kChunkEvents), and a trace of n events
+/// holds ceil(n / kChunkEvents) chunks. Appending never moves a slot,
+/// so a builder hands its trace over without copying it, and the
+/// running totals stay exact because no event changes once appended.
+/// Events are read by value: hot loops walk chunk(k), and operator[]
+/// and the iterators serve everything else.
+class Trace {
+ public:
+  /// Slots per chunk: 64 KiB of 8-byte slots, below glibc's default
+  /// mmap threshold, so the chunks of one trace are recycled from the
+  /// heap by the next instead of being mapped (and faulted in) afresh.
+  static constexpr std::size_t kChunkEvents = 8192;
+
+  /// Forward iterator over a Trace's events by index, yielding each by
+  /// value.
+  class const_iterator {
+   public:
+    using iterator_concept = std::forward_iterator_tag;
+    using iterator_category = std::input_iterator_tag;
+    using value_type = TraceEvent;
+    using difference_type = std::ptrdiff_t;
 
     const_iterator() = default;
     const_iterator(const Trace* trace, std::size_t i) noexcept
         : trace_(trace), i_(i) {}
 
-    reference operator*() const noexcept { return (*trace_)[i_]; }
-    pointer operator->() const noexcept { return &**this; }
+    TraceEvent operator*() const noexcept { return (*trace_)[i_]; }
     const_iterator& operator++() noexcept {
       ++i_;
       return *this;
@@ -213,11 +308,13 @@ class Trace {
   }
   Trace(Trace&& other) noexcept
       : chunks_(std::exchange(other.chunks_, {})),
+        escapes_(std::exchange(other.escapes_, {})),
         size_(std::exchange(other.size_, 0)),
         accesses_(std::exchange(other.accesses_, 0)),
         nominal_cycles_(std::exchange(other.nominal_cycles_, 0)) {}
   Trace& operator=(Trace&& other) noexcept {
     chunks_ = std::exchange(other.chunks_, {});
+    escapes_ = std::exchange(other.escapes_, {});
     size_ = std::exchange(other.size_, 0);
     accesses_ = std::exchange(other.accesses_, 0);
     nominal_cycles_ = std::exchange(other.nominal_cycles_, 0);
@@ -229,23 +326,30 @@ class Trace {
 
   std::size_t chunk_count() const noexcept { return chunks_.size(); }
   /// Events [k * kChunkEvents, min(size(), (k + 1) * kChunkEvents)).
-  std::span<const TraceEvent> chunk(std::size_t k) const noexcept {
-    return {chunks_[k].get(),
-            std::min(kChunkEvents, size_ - k * kChunkEvents)};
+  TraceChunk chunk(std::size_t k) const noexcept {
+    return {{chunks_[k].get(),
+             std::min(kChunkEvents, size_ - k * kChunkEvents)},
+            escapes_};
   }
 
-  const TraceEvent& operator[](std::size_t i) const noexcept {
-    return chunks_[i / kChunkEvents][i % kChunkEvents];
+  TraceEvent operator[](std::size_t i) const noexcept {
+    return TraceSlot::decode(chunks_[i / kChunkEvents][i % kChunkEvents],
+                             escapes_);
   }
-  const TraceEvent& front() const noexcept { return (*this)[0]; }
-  const TraceEvent& back() const noexcept { return (*this)[size_ - 1]; }
+  TraceEvent front() const noexcept { return (*this)[0]; }
+  TraceEvent back() const noexcept { return (*this)[size_ - 1]; }
   const_iterator begin() const noexcept { return {this, 0}; }
   const_iterator end() const noexcept { return {this, size_}; }
 
   void push_back(const TraceEvent& event) {
     const std::size_t slot = size_ % kChunkEvents;
     if (slot == 0) [[unlikely]] add_chunk();
-    chunks_.back()[slot] = event;
+    if (TraceSlot::fits(event)) [[likely]] {
+      chunks_.back()[slot] = TraceSlot::pack(event);
+    } else {
+      chunks_.back()[slot] = TraceSlot::escape(escapes_.size());
+      escapes_.push_back(event);
+    }
     ++size_;
     accesses_ += event.accesses();
     nominal_cycles_ += event.nominal_cycles();
@@ -259,6 +363,14 @@ class Trace {
   std::uint64_t total_accesses() const noexcept { return accesses_; }
   /// Nominal cycles (profiler timebase) across the trace, likewise.
   std::uint64_t nominal_cycles() const noexcept { return nominal_cycles_; }
+  /// Events stored as escapes, in the side vector.
+  std::size_t escape_count() const noexcept { return escapes_.size(); }
+  /// Heap bytes the events occupy: every chunk's slots, whole, plus the
+  /// side vector's capacity.
+  std::size_t stored_bytes() const noexcept {
+    return chunks_.size() * kChunkEvents * sizeof(std::uint64_t) +
+           escapes_.capacity() * sizeof(TraceEvent);
+  }
 
   friend bool operator==(const Trace& a, const Trace& b) noexcept {
     return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
@@ -267,7 +379,8 @@ class Trace {
  private:
   void add_chunk();
 
-  std::vector<std::unique_ptr<TraceEvent[]>> chunks_;
+  std::vector<std::unique_ptr<std::uint64_t[]>> chunks_;
+  std::vector<TraceEvent> escapes_;  ///< Events too wide for a slot.
   std::size_t size_ = 0;
   std::uint64_t accesses_ = 0;
   std::uint64_t nominal_cycles_ = 0;

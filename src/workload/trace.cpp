@@ -13,15 +13,17 @@ const char* to_string(AccessType type) noexcept {
   return "?";
 }
 
+// Slots are plain integers, so a fresh chunk is left unwritten until
+// push_back fills it.
 void Trace::add_chunk() {
   chunks_.push_back(
-      std::make_unique_for_overwrite<TraceEvent[]>(kChunkEvents));
+      std::make_unique_for_overwrite<std::uint64_t[]>(kChunkEvents));
 }
 
 void validate_trace(const Program& program, const Trace& trace) {
   TraceChecker checker(program);
   for (std::size_t k = 0; k < trace.chunk_count(); ++k)
-    for (const TraceEvent& e : trace.chunk(k)) checker.check(e);
+    for (const TraceEvent e : trace.chunk(k)) checker.check(e);
   checker.finish();
 }
 

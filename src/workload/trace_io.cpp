@@ -1,8 +1,11 @@
 #include "ftspm/workload/trace_io.h"
 
+#include <charconv>
 #include <cstdint>
 #include <fstream>
+#include <istream>
 #include <limits>
+#include <ostream>
 #include <sstream>
 
 #include "ftspm/util/error.h"
@@ -35,12 +38,12 @@ AccessType type_of(char code, std::size_t line) {
   }
 }
 
-BlockKind kind_of(const std::string& word, std::size_t line) {
+BlockKind kind_of(std::string_view word, std::size_t line) {
   if (word == "code") return BlockKind::Code;
   if (word == "data") return BlockKind::Data;
   if (word == "stack") return BlockKind::Stack;
   throw Error("trace line " + std::to_string(line) + ": unknown block kind '" +
-              word + "'");
+              std::string(word) + "'");
 }
 
 [[noreturn]] void fail(std::size_t line, const std::string& what) {
@@ -60,10 +63,106 @@ Narrow narrow_field(std::uint64_t value, const char* field,
   return static_cast<Narrow>(value);
 }
 
-}  // namespace
+/// The non-empty lines of a text, without their '\n' or one trailing
+/// '\r', numbered as they are read. The text is either one string in
+/// memory or a stream read in blocks of kBlockBytes, so a file is never
+/// held whole: only its current block and any line left unfinished at
+/// the block's end.
+class LineReader {
+ public:
+  explicit LineReader(std::string_view text) noexcept : rest_(text) {}
+  explicit LineReader(std::istream& in) : in_(&in) {}
 
-std::string serialize_workload(const Workload& workload) {
-  std::ostringstream os;
+  /// Sets `line` to the next non-empty line; false at the end.
+  bool next(std::string_view& line) {
+    while (true) {
+      std::size_t nl = rest_.find('\n');
+      while (nl == std::string_view::npos && refill()) nl = rest_.find('\n');
+      if (rest_.empty()) return false;
+      line = rest_.substr(0, nl);
+      rest_.remove_prefix(nl == std::string_view::npos ? rest_.size()
+                                                       : nl + 1);
+      ++line_no_;
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+      if (!line.empty()) return true;
+    }
+  }
+  /// Number of the line next() last read (0 before the first).
+  std::size_t line_no() const noexcept { return line_no_; }
+
+ private:
+  static constexpr std::size_t kBlockBytes = 64 * 1024;
+
+  /// Keeps the unread rest of the buffer and appends the stream's next
+  /// block; false once the stream has nothing more.
+  bool refill() {
+    if (in_ == nullptr || !in_->good()) return false;
+    buffer_.erase(0, buffer_.size() - rest_.size());
+    const std::size_t kept = buffer_.size();
+    buffer_.resize(kept + kBlockBytes);
+    in_->read(buffer_.data() + kept, static_cast<std::streamsize>(kBlockBytes));
+    buffer_.resize(kept + static_cast<std::size_t>(in_->gcount()));
+    rest_ = buffer_;
+    return buffer_.size() > kept;
+  }
+
+  std::istream* in_ = nullptr;
+  std::string buffer_;     ///< Stream input only: the unread bytes.
+  std::string_view rest_;  ///< The part of the text not read yet.
+  std::size_t line_no_ = 0;
+};
+
+/// The whitespace-separated fields of one line, read left to right the
+/// way operator>> reads them from a stream: word() takes the next run
+/// of non-space characters and number() an optionally signed decimal
+/// (a '-' negating modulo 2^64), stopping at its first non-digit. A
+/// missing field or an out-of-range number sets the sticky fail().
+class Fields {
+ public:
+  explicit Fields(std::string_view line) noexcept : rest_(line) {}
+
+  std::string_view word() noexcept {
+    skip_space();
+    std::size_t end = 0;
+    while (end < rest_.size() && !is_space(rest_[end])) ++end;
+    if (end == 0) failed_ = true;
+    const std::string_view out = rest_.substr(0, end);
+    rest_.remove_prefix(end);
+    return out;
+  }
+
+  std::uint64_t number() noexcept {
+    skip_space();
+    const bool negative = !rest_.empty() && rest_.front() == '-';
+    if (!rest_.empty() && (negative || rest_.front() == '+'))
+      rest_.remove_prefix(1);
+    std::uint64_t value = 0;
+    const auto [end, ec] =
+        std::from_chars(rest_.data(), rest_.data() + rest_.size(), value);
+    if (ec != std::errc{}) {
+      failed_ = true;
+      return 0;
+    }
+    rest_.remove_prefix(static_cast<std::size_t>(end - rest_.data()));
+    return negative ? 0 - value : value;
+  }
+
+  bool fail() const noexcept { return failed_; }
+
+ private:
+  static bool is_space(char c) noexcept {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+  }
+  void skip_space() noexcept {
+    while (!rest_.empty() && is_space(rest_.front())) rest_.remove_prefix(1);
+  }
+
+  std::string_view rest_;
+  bool failed_ = false;
+};
+
+/// The v1 format, written to `os`.
+void write_workload(std::ostream& os, const Workload& workload) {
   os << "ftspm-trace v1\n";
   os << "program " << workload.program.name() << "\n";
   for (const Block& blk : workload.program.blocks())
@@ -72,71 +171,64 @@ std::string serialize_workload(const Workload& workload) {
   const Trace& trace = workload.trace;
   os << "trace " << trace.size() << "\n";
   for (std::size_t k = 0; k < trace.chunk_count(); ++k)
-    for (const TraceEvent& e : trace.chunk(k))
+    for (const TraceEvent e : trace.chunk(k))
       os << type_code(e.type) << " " << e.block << " " << e.offset << " "
          << e.repeat << " " << e.gap << "\n";
-  return os.str();
 }
 
-Workload parse_workload(std::string_view text) {
-  std::istringstream is{std::string(text)};
-  std::string line;
-  std::size_t line_no = 0;
-  auto next_line = [&]() -> bool {
-    while (std::getline(is, line)) {
-      ++line_no;
-      // Tolerate CRLF files: getline only strips the '\n'.
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (!line.empty()) return true;
-    }
-    return false;
-  };
+/// The v1 format, read from `lines`.
+Workload read_workload(LineReader& lines) {
+  std::string_view line;
+  if (!lines.next(line) || line != "ftspm-trace v1")
+    fail(lines.line_no() ? lines.line_no() : 1,
+         "missing 'ftspm-trace v1' header");
 
-  if (!next_line() || line != "ftspm-trace v1")
-    fail(line_no ? line_no : 1, "missing 'ftspm-trace v1' header");
-
-  if (!next_line()) fail(line_no, "missing 'program' record");
-  std::istringstream header(line);
-  std::string keyword, program_name;
-  header >> keyword >> program_name;
-  if (keyword != "program" || program_name.empty())
-    fail(line_no, "expected 'program <name>'");
+  if (!lines.next(line)) fail(lines.line_no(), "missing 'program' record");
+  Fields header(line);
+  const std::string_view keyword = header.word();
+  const std::string program(header.word());
+  if (keyword != "program" || program.empty())
+    fail(lines.line_no(), "expected 'program <name>'");
 
   std::vector<Block> blocks;
-  std::size_t event_count = 0;
-  while (next_line()) {
-    std::istringstream fields(line);
-    fields >> keyword;
-    if (keyword == "block") {
-      std::string name, kind;
-      std::uint64_t bytes = 0;
-      fields >> name >> kind >> bytes;
+  std::uint64_t event_count = 0;
+  while (lines.next(line)) {
+    const std::size_t line_no = lines.line_no();
+    Fields fields(line);
+    const std::string_view record = fields.word();
+    if (record == "block") {
+      const std::string_view name = fields.word();
+      const std::string_view kind = fields.word();
+      const std::uint64_t bytes = fields.number();
       if (fields.fail()) fail(line_no, "expected 'block <name> <kind> <bytes>'");
-      blocks.push_back(Block{name, kind_of(kind, line_no),
+      blocks.push_back(Block{std::string(name), kind_of(kind, line_no),
                              narrow_field<std::uint32_t>(bytes, "block size",
                                                          line_no)});
-    } else if (keyword == "trace") {
-      fields >> event_count;
+    } else if (record == "trace") {
+      event_count = fields.number();
       if (fields.fail()) fail(line_no, "expected 'trace <count>'");
       break;
     } else {
-      fail(line_no, "unexpected record '" + keyword + "'");
+      fail(line_no, "unexpected record '" + std::string(record) + "'");
     }
   }
-  if (blocks.empty()) fail(line_no, "no blocks declared");
+  if (blocks.empty()) fail(lines.line_no(), "no blocks declared");
 
   // The header's count is not trusted with an allocation: events are
   // appended as their lines parse, so a file that claims more than it
   // holds fails as truncated after reading what it has.
   Trace trace;
-  for (std::size_t i = 0; i < event_count; ++i) {
-    if (!next_line()) fail(line_no, "trace truncated: expected " +
-                                        std::to_string(event_count) +
-                                        " events");
-    std::istringstream fields(line);
-    std::string code;
-    std::uint64_t block = 0, offset = 0, repeat = 0, gap = 0;
-    fields >> code >> block >> offset >> repeat >> gap;
+  for (std::uint64_t i = 0; i < event_count; ++i) {
+    if (!lines.next(line))
+      fail(lines.line_no(), "trace truncated: expected " +
+                                std::to_string(event_count) + " events");
+    const std::size_t line_no = lines.line_no();
+    Fields fields(line);
+    const std::string_view code = fields.word();
+    const std::uint64_t block = fields.number();
+    const std::uint64_t offset = fields.number();
+    const std::uint64_t repeat = fields.number();
+    const std::uint64_t gap = fields.number();
     if (fields.fail() || code.size() != 1)
       fail(line_no, "expected '<type> <block> <offset> <repeat> <gap>'");
     TraceEvent e;
@@ -148,26 +240,40 @@ Workload parse_workload(std::string_view text) {
     trace.push_back(e);
   }
 
-  Workload workload{Program(program_name, std::move(blocks)),
-                    std::move(trace)};
+  Workload workload{Program(program, std::move(blocks)), std::move(trace)};
   validate_trace(workload.program, workload.trace);
   return workload;
+}
+
+}  // namespace
+
+std::string serialize_workload(const Workload& workload) {
+  std::ostringstream os;
+  write_workload(os, workload);
+  return std::move(os).str();
+}
+
+Workload parse_workload(std::string_view text) {
+  LineReader lines(text);
+  return read_workload(lines);
 }
 
 void save_workload(const Workload& workload, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out.good())
     throw InvalidArgument("cannot open '" + path + "' for writing");
-  out << serialize_workload(workload);
+  write_workload(out, workload);
+  out.flush();
   if (!out.good()) throw Error("write to '" + path + "' failed");
 }
 
 Workload load_workload(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in.good()) throw InvalidArgument("cannot open '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_workload(buffer.str());
+  LineReader lines(in);
+  Workload workload = read_workload(lines);
+  if (in.bad()) throw Error("read from '" + path + "' failed");
+  return workload;
 }
 
 }  // namespace ftspm

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -56,14 +57,15 @@ Trace numbered_trace(std::size_t n) {
   return t;
 }
 
+constexpr std::size_t K = Trace::kChunkEvents;
+
 TEST(TraceTest, IndexesAcrossChunkBoundaries) {
-  const std::size_t n = 3 * Trace::kChunkEvents + 5;
+  const std::size_t n = 3 * K + 5;
   const Trace t = numbered_trace(n);
   ASSERT_EQ(t.size(), n);
-  ASSERT_EQ(Trace::kChunkEvents, 4096u);
-  for (const std::size_t i : {std::size_t{0}, std::size_t{4095},
-                              std::size_t{4096}, std::size_t{4097},
-                              std::size_t{8191}, std::size_t{8192}, n - 1}) {
+  ASSERT_EQ(K, 8192u);  // 64 KiB of 8-byte slots
+  for (const std::size_t i :
+       {std::size_t{0}, K - 1, K, K + 1, 2 * K - 1, 2 * K, n - 1}) {
     EXPECT_EQ(t[i].offset, i % 64) << i;
     EXPECT_EQ(t[i].gap, i % 7) << i;
     EXPECT_EQ(t[i].repeat, 1 + i / 64) << i;
@@ -80,7 +82,7 @@ TEST(TraceTest, IndexesAcrossChunkBoundaries) {
   EXPECT_EQ(i, n);
   EXPECT_EQ(std::distance(t.begin(), t.end()),
             static_cast<std::ptrdiff_t>(n));
-  EXPECT_EQ(*std::next(t.begin(), 4097), t[4097]);
+  EXPECT_EQ(*std::next(t.begin(), K + 1), t[K + 1]);
   EXPECT_EQ(std::count_if(t.begin(), t.end(),
                           [](const TraceEvent& e) { return e.offset == 0; }),
             static_cast<std::ptrdiff_t>((n + 63) / 64));
@@ -88,24 +90,23 @@ TEST(TraceTest, IndexesAcrossChunkBoundaries) {
 
 TEST(TraceTest, ChunksCoverEveryEventExactlyOnce) {
   for (const std::size_t n :
-       {std::size_t{0}, std::size_t{1}, std::size_t{4095}, std::size_t{4096},
-        std::size_t{4097}, std::size_t{10'000}}) {
+       {std::size_t{0}, std::size_t{1}, K - 1, K, K + 1, 2 * K + 1'000}) {
     const Trace t = numbered_trace(n);
-    ASSERT_EQ(t.chunk_count(),
-              (n + Trace::kChunkEvents - 1) / Trace::kChunkEvents)
-        << n;
+    ASSERT_EQ(t.chunk_count(), (n + K - 1) / K) << n;
     std::size_t next = 0;
     for (std::size_t k = 0; k < t.chunk_count(); ++k) {
-      const std::span<const TraceEvent> chunk = t.chunk(k);
-      EXPECT_EQ(chunk.size(), std::min(Trace::kChunkEvents, n - next))
-          << n << " chunk " << k;
+      const TraceChunk chunk = t.chunk(k);
+      EXPECT_EQ(chunk.size(), std::min(K, n - next)) << n << " chunk " << k;
+      EXPECT_EQ(chunk.slots().size(), chunk.size());
       for (const TraceEvent& e : chunk) {
-        ASSERT_EQ(&e, &t[next]) << n << " event " << next;
+        ASSERT_EQ(e, t[next]) << n << " event " << next;
         ++next;
       }
     }
     EXPECT_EQ(next, n);
     EXPECT_EQ(t.empty(), n == 0);
+    EXPECT_EQ(t.escape_count(), 0u);
+    EXPECT_EQ(t.stored_bytes(), t.chunk_count() * K * sizeof(std::uint64_t));
   }
 }
 
@@ -124,16 +125,22 @@ TEST(TraceTest, InitializerListAndRangeConstructionKeepOrder) {
   EXPECT_EQ(Trace{}.chunk_count(), 0u);
 }
 
+/// Where chunk 0's slots live: a deep copy has its own, a move hands
+/// them over.
+const std::uint64_t* first_slot(const Trace& t) {
+  return t.chunk(0).slots().data();
+}
+
 TEST(TraceTest, AppendCopyMoveAndEquality) {
-  const Trace whole = numbered_trace(9000);
-  Trace built = numbered_trace(4000);
-  built.append(std::next(whole.begin(), 4000), whole.end());
+  const Trace whole = numbered_trace(2 * K + 808);
+  Trace built = numbered_trace(K / 2);
+  built.append(std::next(whole.begin(), K / 2), whole.end());
   EXPECT_EQ(built, whole);
   EXPECT_EQ(built.chunk_count(), 3u);
 
   Trace copy = whole;
   EXPECT_EQ(copy, whole);
-  EXPECT_NE(&copy[0], &whole[0]);  // deep: its own chunks
+  EXPECT_NE(first_slot(copy), first_slot(whole));  // deep: its own chunks
   copy.push_back(TraceEvent{0, AccessType::Fetch, 0, 0, 1});
   EXPECT_NE(copy, whole);
   EXPECT_EQ(copy.size(), whole.size() + 1);
@@ -143,15 +150,15 @@ TEST(TraceTest, AppendCopyMoveAndEquality) {
   EXPECT_EQ(assigned, whole);
 
   // A different event at the last slot of a full chunk breaks equality.
-  Trace differs = numbered_trace(4095);
+  Trace differs = numbered_trace(K - 1);
   differs.push_back(TraceEvent{1, AccessType::Write, 0, 0, 1});
-  differs.append(std::next(whole.begin(), 4096), whole.end());
+  differs.append(std::next(whole.begin(), K), whole.end());
   ASSERT_EQ(differs.size(), whole.size());
   EXPECT_NE(differs, whole);
 
-  const TraceEvent* first = &copy[0];
+  const std::uint64_t* first = first_slot(copy);
   Trace moved = std::move(copy);
-  EXPECT_EQ(&moved[0], first);  // a move hands the chunks over
+  EXPECT_EQ(first_slot(moved), first);  // a move hands the chunks over
   EXPECT_EQ(moved.size(), whole.size() + 1);
   EXPECT_TRUE(copy.empty());
   EXPECT_EQ(copy.chunk_count(), 0u);
@@ -159,9 +166,126 @@ TEST(TraceTest, AppendCopyMoveAndEquality) {
 
   Trace target = numbered_trace(5);
   target = std::move(moved);
-  EXPECT_EQ(&target[0], first);
+  EXPECT_EQ(first_slot(target), first);
   EXPECT_TRUE(moved.empty());
   EXPECT_EQ(moved.nominal_cycles(), 0u);
+}
+
+// Every field at the edges of its slot width and of its own type, for
+// every access type: each event reads back exactly as appended, and
+// only those past a slot field's width take an escape.
+TEST(TraceSlotTest, RoundTripsEveryFieldAtItsExtremes) {
+  const std::uint32_t wide[] = {0u, 1u, 8191u, 8192u, 65535u, 65536u,
+                                UINT32_MAX - 1, UINT32_MAX};
+  const std::uint16_t gaps[] = {0, 1, 0x7fff, UINT16_MAX};
+  const AccessType types[] = {AccessType::Fetch, AccessType::Read,
+                              AccessType::Write, AccessType::CallEnter,
+                              AccessType::CallExit};
+  std::vector<TraceEvent> events;
+  for (const AccessType type : types)
+    for (const std::uint16_t gap : gaps)
+      for (const std::uint32_t block : wide)
+        for (const std::uint32_t offset : wide)
+          for (const std::uint32_t repeat : wide)
+            events.push_back(TraceEvent{block, type, gap, offset, repeat});
+  std::size_t wide_events = 0;
+  for (const TraceEvent& e : events) {
+    const bool fits = e.block < 8192 && e.offset < 65536 && e.repeat < 65536;
+    EXPECT_EQ(TraceSlot::fits(e), fits);
+    wide_events += !fits;
+  }
+  const Trace t(events.begin(), events.end());
+  ASSERT_EQ(t.size(), events.size());
+  EXPECT_EQ(t.escape_count(), wide_events);
+  for (std::size_t i = 0; i < events.size(); ++i)
+    ASSERT_EQ(t[i], events[i]) << i;
+  EXPECT_TRUE(std::equal(t.begin(), t.end(), events.begin(), events.end()));
+}
+
+// A slot that fits puts each field where TraceSlot documents it.
+TEST(TraceSlotTest, PacksTheDocumentedLayout) {
+  const TraceEvent e{8191, AccessType::Write, 0xbeef, 0x1234, 0xfffe};
+  ASSERT_TRUE(TraceSlot::fits(e));
+  const std::uint64_t slot = TraceSlot::pack(e);
+  EXPECT_EQ(slot & 7, 2u);
+  EXPECT_EQ(slot >> 3 & 0xffff, 0xbeefu);
+  EXPECT_EQ(slot >> 19 & 0x1fff, 8191u);
+  EXPECT_EQ(slot >> 32 & 0xffff, 0x1234u);
+  EXPECT_EQ(slot >> 48, 0xfffeu);
+  EXPECT_EQ(TraceSlot::decode(slot, {}), e);
+  EXPECT_EQ(TraceSlot::escape(5), 5u << 3 | 7);
+}
+
+/// The read at `i` of block 1: an escape (offset 2^16 + i) when `wide`,
+/// a plain slot otherwise.
+TraceEvent marked(std::size_t i, bool wide) {
+  return TraceEvent{1, AccessType::Read, static_cast<std::uint16_t>(i % 5),
+                    static_cast<std::uint32_t>(wide ? 65536 + i : i % 64),
+                    static_cast<std::uint32_t>(1 + i % 3)};
+}
+
+// Escapes on either side of each chunk boundary (and in a run across
+// one) read back through operator[], both iterators, a copy and a move,
+// and leave the running totals what the events sum to.
+TEST(TraceTest, EscapesAtChunkBoundariesSurviveCopyMoveAndIndexing) {
+  const std::size_t n = 3 * K + 2;
+  const auto wide_at = [](std::size_t i) {
+    const std::size_t r = i % K;
+    return r == 0 || r == K - 1 || (i >= 2 * K - 3 && i <= 2 * K + 2) ||
+           i % 1000 == 7;
+  };
+  std::vector<TraceEvent> events;
+  Trace t;
+  std::uint64_t accesses = 0, cycles = 0;
+  std::size_t wide = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    events.push_back(marked(i, wide_at(i)));
+    t.push_back(events.back());
+    accesses += events.back().accesses();
+    cycles += events.back().nominal_cycles();
+    wide += wide_at(i);
+  }
+  ASSERT_EQ(t.escape_count(), wide);
+  EXPECT_EQ(t.total_accesses(), accesses);
+  EXPECT_EQ(t.nominal_cycles(), cycles);
+  EXPECT_GE(t.stored_bytes(), 4 * K * sizeof(std::uint64_t) +
+                                  wide * sizeof(TraceEvent));
+
+  const auto expect_events = [&](const Trace& got, const char* what) {
+    ASSERT_EQ(got.size(), n) << what;
+    for (const std::size_t i : {std::size_t{0}, K - 1, K, 2 * K - 2, 2 * K,
+                                2 * K + 1, 3 * K, n - 1})
+      EXPECT_EQ(got[i], events[i]) << what << " " << i;
+    std::size_t i = 0;
+    for (std::size_t k = 0; k < got.chunk_count(); ++k)
+      for (const TraceEvent& e : got.chunk(k)) ASSERT_EQ(e, events[i++]) << what;
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), events.begin(),
+                           events.end()))
+        << what;
+    EXPECT_EQ(got.escape_count(), wide) << what;
+    EXPECT_EQ(got.total_accesses(), accesses) << what;
+    EXPECT_EQ(got.nominal_cycles(), cycles) << what;
+  };
+  expect_events(t, "built");
+  const Trace copy = t;
+  expect_events(copy, "copy");
+  EXPECT_EQ(copy, t);
+  Trace moved = Trace(copy);
+  const std::uint64_t* first = first_slot(moved);
+  Trace target = std::move(moved);
+  EXPECT_EQ(first_slot(target), first);
+  expect_events(target, "moved");
+  EXPECT_EQ(moved.escape_count(), 0u);
+
+  // Appending after a copy leaves the copy's escapes alone.
+  target.push_back(marked(n, true));
+  expect_events(copy, "copy after the original grew");
+  EXPECT_EQ(target.back(), marked(n, true));
+  EXPECT_NE(target, copy);
+
+  // A trace equal event for event but built a second time compares
+  // equal, escapes and all.
+  EXPECT_EQ(Trace(events.begin(), events.end()), t);
 }
 
 TEST(TraceTest, RunningTotalsEqualAWalk) {
@@ -257,6 +381,53 @@ TEST(ValidateTraceTest, RejectsCallIntoData) {
       validate_trace(p, {TraceEvent{1, AccessType::CallEnter, 0, 16, 1},
                          TraceEvent{1, AccessType::CallExit, 0, 0, 1}}),
       Error);
+}
+
+/// The message validate_trace gives `trace` on the demo program, after
+/// the check's expression and source location; "" when it passes.
+std::string validation_error(const Trace& trace) {
+  try {
+    validate_trace(demo_program(), trace);
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    const std::string dash = " \u2014 ";
+    const std::string::size_type at = what.find(dash);
+    return at == std::string::npos ? what : what.substr(at + dash.size());
+  }
+  return "";
+}
+
+// The checker names the failing event by its index, wherever the event
+// sits: at a chunk's first or last slot, and stored as an escape or not.
+TEST(ValidateTraceTest, MessagesNameTheEventAcrossChunksAndEscapes) {
+  const auto fails_at = [](std::size_t at, const TraceEvent& bad) {
+    Trace t;
+    for (std::size_t i = 0; i < at; ++i) t.push_back(marked(i, false));
+    t.push_back(bad);
+    t.push_back(marked(at + 1, false));
+    return validation_error(t);
+  };
+  const TraceEvent past_end{1, AccessType::Read, 0, 64, 1};   // a slot
+  const TraceEvent far_past{1, AccessType::Read, 0, 70000, 1};  // escape
+  const TraceEvent no_block{9000, AccessType::Read, 0, 0, 1};  // escape
+  const TraceEvent empty_run{1, AccessType::Write, 0, 0, 0};
+  EXPECT_EQ(fails_at(0, past_end),
+            "data offset outside block arr (event 0)");
+  EXPECT_EQ(fails_at(K - 1, past_end),
+            "data offset outside block arr (event 8,191)");
+  EXPECT_EQ(fails_at(K, far_past),
+            "data offset outside block arr (event 8,192)");
+  EXPECT_EQ(fails_at(2 * K - 1, no_block),
+            "trace references unknown block (event 16,383)");
+  EXPECT_EQ(fails_at(K + 3, empty_run), "empty access run (event 8,195)");
+  EXPECT_EQ(validation_error({TraceEvent{0, AccessType::Fetch, 0, 0, 1},
+                              TraceEvent{0, AccessType::CallExit, 0, 0, 1}}),
+            "unbalanced call markers (event 1)");
+  EXPECT_EQ(validation_error({TraceEvent{0, AccessType::CallEnter, 0, 16, 1}}),
+            "trace ends with open calls");
+  EXPECT_EQ(validation_error({TraceEvent{0, AccessType::CallEnter, 0, 70000,
+                                         2}}),
+            "markers must have repeat == 1 (event 0)");
 }
 
 TEST(AccessTypeTest, ToString) {
