@@ -153,10 +153,8 @@ struct RegionImage {
 /// One shard's mutable recovery state, owned by the caller alongside
 /// the shard's CampaignShardState. Images are seeded lazily from the
 /// shard seed (never from the strike RNG, so image fill cannot shift
-/// the strike sequence). Each side starts a cache line of its own, so
-/// shards that run side by side, each writing its counters on every
-/// demand read, never share a line.
-struct alignas(64) RecoveryShardSide {
+/// the strike sequence).
+struct RecoveryShardSide {
   bool initialized = false;
   std::vector<RegionImage> images;
   RecoveryCounters counters;

@@ -1,6 +1,5 @@
 #include "ftspm/workload/trace_io.h"
 
-#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <istream>
@@ -38,12 +37,12 @@ AccessType type_of(char code, std::size_t line) {
   }
 }
 
-BlockKind kind_of(std::string_view word, std::size_t line) {
+BlockKind kind_of(const std::string& word, std::size_t line) {
   if (word == "code") return BlockKind::Code;
   if (word == "data") return BlockKind::Data;
   if (word == "stack") return BlockKind::Stack;
   throw Error("trace line " + std::to_string(line) + ": unknown block kind '" +
-              std::string(word) + "'");
+              word + "'");
 }
 
 [[noreturn]] void fail(std::size_t line, const std::string& what) {
@@ -63,21 +62,26 @@ Narrow narrow_field(std::uint64_t value, const char* field,
   return static_cast<Narrow>(value);
 }
 
-/// The non-empty lines of a text, without their '\n' or one trailing
-/// '\r', numbered as they are read. The text is either one string in
-/// memory or a stream read in blocks of kBlockBytes, so a file is never
-/// held whole: only its current block and any line left unfinished at
-/// the block's end.
+/// The non-empty lines of a stream, without their '\n' or one trailing
+/// '\r', numbered as they are read. The stream is read in blocks of
+/// kBlockBytes, so a file is never held whole: only its current block
+/// and any line left unfinished at the block's end.
 class LineReader {
  public:
-  explicit LineReader(std::string_view text) noexcept : rest_(text) {}
-  explicit LineReader(std::istream& in) : in_(&in) {}
+  explicit LineReader(std::istream& in) : in_(in) {}
 
   /// Sets `line` to the next non-empty line; false at the end.
   bool next(std::string_view& line) {
     while (true) {
       std::size_t nl = rest_.find('\n');
-      while (nl == std::string_view::npos && refill()) nl = rest_.find('\n');
+      while (nl == std::string_view::npos) {
+        // The kept text was searched already: a refill appends to it,
+        // so only the new block is searched and a long line costs one
+        // pass over its bytes.
+        const std::size_t searched = rest_.size();
+        if (!refill()) break;
+        nl = rest_.find('\n', searched);
+      }
       if (rest_.empty()) return false;
       line = rest_.substr(0, nl);
       rest_.remove_prefix(nl == std::string_view::npos ? rest_.size()
@@ -96,69 +100,20 @@ class LineReader {
   /// Keeps the unread rest of the buffer and appends the stream's next
   /// block; false once the stream has nothing more.
   bool refill() {
-    if (in_ == nullptr || !in_->good()) return false;
+    if (!in_.good()) return false;
     buffer_.erase(0, buffer_.size() - rest_.size());
     const std::size_t kept = buffer_.size();
     buffer_.resize(kept + kBlockBytes);
-    in_->read(buffer_.data() + kept, static_cast<std::streamsize>(kBlockBytes));
-    buffer_.resize(kept + static_cast<std::size_t>(in_->gcount()));
+    in_.read(buffer_.data() + kept, static_cast<std::streamsize>(kBlockBytes));
+    buffer_.resize(kept + static_cast<std::size_t>(in_.gcount()));
     rest_ = buffer_;
     return buffer_.size() > kept;
   }
 
-  std::istream* in_ = nullptr;
-  std::string buffer_;     ///< Stream input only: the unread bytes.
-  std::string_view rest_;  ///< The part of the text not read yet.
+  std::istream& in_;
+  std::string buffer_;     ///< The unread bytes read so far.
+  std::string_view rest_;  ///< The part of buffer_ not read yet.
   std::size_t line_no_ = 0;
-};
-
-/// The whitespace-separated fields of one line, read left to right the
-/// way operator>> reads them from a stream: word() takes the next run
-/// of non-space characters and number() an optionally signed decimal
-/// (a '-' negating modulo 2^64), stopping at its first non-digit. A
-/// missing field or an out-of-range number sets the sticky fail().
-class Fields {
- public:
-  explicit Fields(std::string_view line) noexcept : rest_(line) {}
-
-  std::string_view word() noexcept {
-    skip_space();
-    std::size_t end = 0;
-    while (end < rest_.size() && !is_space(rest_[end])) ++end;
-    if (end == 0) failed_ = true;
-    const std::string_view out = rest_.substr(0, end);
-    rest_.remove_prefix(end);
-    return out;
-  }
-
-  std::uint64_t number() noexcept {
-    skip_space();
-    const bool negative = !rest_.empty() && rest_.front() == '-';
-    if (!rest_.empty() && (negative || rest_.front() == '+'))
-      rest_.remove_prefix(1);
-    std::uint64_t value = 0;
-    const auto [end, ec] =
-        std::from_chars(rest_.data(), rest_.data() + rest_.size(), value);
-    if (ec != std::errc{}) {
-      failed_ = true;
-      return 0;
-    }
-    rest_.remove_prefix(static_cast<std::size_t>(end - rest_.data()));
-    return negative ? 0 - value : value;
-  }
-
-  bool fail() const noexcept { return failed_; }
-
- private:
-  static bool is_space(char c) noexcept {
-    return c == ' ' || (c >= '\t' && c <= '\r');
-  }
-  void skip_space() noexcept {
-    while (!rest_.empty() && is_space(rest_.front())) rest_.remove_prefix(1);
-  }
-
-  std::string_view rest_;
-  bool failed_ = false;
 };
 
 /// The v1 format, written to `os`.
@@ -184,32 +139,32 @@ Workload read_workload(LineReader& lines) {
          "missing 'ftspm-trace v1' header");
 
   if (!lines.next(line)) fail(lines.line_no(), "missing 'program' record");
-  Fields header(line);
-  const std::string_view keyword = header.word();
-  const std::string program(header.word());
-  if (keyword != "program" || program.empty())
+  std::istringstream header{std::string(line)};
+  std::string keyword, program_name;
+  header >> keyword >> program_name;
+  if (keyword != "program" || program_name.empty())
     fail(lines.line_no(), "expected 'program <name>'");
 
   std::vector<Block> blocks;
-  std::uint64_t event_count = 0;
+  std::size_t event_count = 0;
   while (lines.next(line)) {
     const std::size_t line_no = lines.line_no();
-    Fields fields(line);
-    const std::string_view record = fields.word();
-    if (record == "block") {
-      const std::string_view name = fields.word();
-      const std::string_view kind = fields.word();
-      const std::uint64_t bytes = fields.number();
+    std::istringstream fields{std::string(line)};
+    fields >> keyword;
+    if (keyword == "block") {
+      std::string name, kind;
+      std::uint64_t bytes = 0;
+      fields >> name >> kind >> bytes;
       if (fields.fail()) fail(line_no, "expected 'block <name> <kind> <bytes>'");
-      blocks.push_back(Block{std::string(name), kind_of(kind, line_no),
+      blocks.push_back(Block{name, kind_of(kind, line_no),
                              narrow_field<std::uint32_t>(bytes, "block size",
                                                          line_no)});
-    } else if (record == "trace") {
-      event_count = fields.number();
+    } else if (keyword == "trace") {
+      fields >> event_count;
       if (fields.fail()) fail(line_no, "expected 'trace <count>'");
       break;
     } else {
-      fail(line_no, "unexpected record '" + std::string(record) + "'");
+      fail(line_no, "unexpected record '" + keyword + "'");
     }
   }
   if (blocks.empty()) fail(lines.line_no(), "no blocks declared");
@@ -218,17 +173,15 @@ Workload read_workload(LineReader& lines) {
   // appended as their lines parse, so a file that claims more than it
   // holds fails as truncated after reading what it has.
   Trace trace;
-  for (std::uint64_t i = 0; i < event_count; ++i) {
+  for (std::size_t i = 0; i < event_count; ++i) {
     if (!lines.next(line))
       fail(lines.line_no(), "trace truncated: expected " +
                                 std::to_string(event_count) + " events");
     const std::size_t line_no = lines.line_no();
-    Fields fields(line);
-    const std::string_view code = fields.word();
-    const std::uint64_t block = fields.number();
-    const std::uint64_t offset = fields.number();
-    const std::uint64_t repeat = fields.number();
-    const std::uint64_t gap = fields.number();
+    std::istringstream fields{std::string(line)};
+    std::string code;
+    std::uint64_t block = 0, offset = 0, repeat = 0, gap = 0;
+    fields >> code >> block >> offset >> repeat >> gap;
     if (fields.fail() || code.size() != 1)
       fail(line_no, "expected '<type> <block> <offset> <repeat> <gap>'");
     TraceEvent e;
@@ -240,7 +193,8 @@ Workload read_workload(LineReader& lines) {
     trace.push_back(e);
   }
 
-  Workload workload{Program(program, std::move(blocks)), std::move(trace)};
+  Workload workload{Program(program_name, std::move(blocks)),
+                    std::move(trace)};
   validate_trace(workload.program, workload.trace);
   return workload;
 }
@@ -254,7 +208,8 @@ std::string serialize_workload(const Workload& workload) {
 }
 
 Workload parse_workload(std::string_view text) {
-  LineReader lines(text);
+  std::istringstream in{std::string(text)};
+  LineReader lines(in);
   return read_workload(lines);
 }
 

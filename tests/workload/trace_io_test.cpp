@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 #include "ftspm/util/error.h"
@@ -177,6 +178,70 @@ TEST(TraceIoTest, RejectsOversizeFieldsWithLineNumbers) {
   // offset/repeat at 2^32-1 would fail block-bounds validation, which
   // is the separate validate_trace contract).
   EXPECT_NO_THROW(parse_workload(head + "R 0 0 1 65535\n"));
+}
+
+/// The trace reader's block size: a stream is read 64 KiB at a time.
+constexpr std::size_t kReadBlock = 64 * 1024;
+
+TEST(TraceIoTest, LinesAndCrlfSplitAcrossReadBlocksParseExactly) {
+  const Workload original = make_benchmark(MiBenchmark::Sha, 4);
+  std::string crlf;
+  for (const char c : serialize_workload(original)) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  ASSERT_GT(crlf.size(), 3 * kReadBlock);
+  // Leading blank lines shift the text so that the first block ends
+  // between a '\r' and its '\n'; later blocks end inside lines.
+  const std::size_t cr = crlf.rfind('\r', kReadBlock - 1);
+  ASSERT_NE(cr, std::string::npos);
+  std::string text(kReadBlock - 1 - cr, '\n');
+  text += crlf;
+  ASSERT_EQ(text[kReadBlock - 1], '\r');
+  ASSERT_EQ(text[kReadBlock], '\n');
+  // The last line ends without a newline.
+  text.resize(text.size() - 2);
+
+  const Workload parsed = parse_workload(text);
+  EXPECT_EQ(parsed.program.name(), original.program.name());
+  EXPECT_EQ(parsed.program.block_count(), original.program.block_count());
+  EXPECT_EQ(parsed.trace, original.trace);
+
+  const std::string path = ::testing::TempDir() + "/ftspm_trace_io_blocks.txt";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+  const Workload loaded = load_workload(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(loaded.trace, original.trace);
+}
+
+TEST(TraceIoTest, FileWithoutNewlineFailsAsMissingHeader) {
+  // One line many read blocks long: the reader must keep extending it
+  // and then report the header, not stop at a block's end.
+  const std::string path = ::testing::TempDir() + "/ftspm_trace_io_long.txt";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << std::string(16 * kReadBlock + 5, 'x');
+  }
+  try {
+    load_workload(path);
+    ADD_FAILURE() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "trace line 1: missing 'ftspm-trace v1' header"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceIoTest, WhitespaceOnlyRecordLineKeepsTheOldDiagnosis) {
+  // operator>> leaves the keyword of the line before in place, so a
+  // blank-looking line after a block record reads as a short block.
+  expect_parse_error("ftspm-trace v1\nprogram x\nblock a data 64\n \t \n",
+                     "trace line 4", "expected 'block <name> <kind> <bytes>'");
 }
 
 TEST(TraceIoTest, MissingFileThrows) {
