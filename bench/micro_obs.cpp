@@ -1,53 +1,44 @@
 // Observability overhead microbenchmarks (google-benchmark): the cost
 // of the registry instruments and the trace sink, and — the number the
-// <2% regression budget hangs on — a full simulator run with
-// observability off, metrics-only, and fully traced.
+// <2% regression budget hangs on — a full simulator run with no
+// context, a metrics-only context, and a traced one.
 #include <benchmark/benchmark.h>
 
 #include "bench_io.h"
 
 #include "ftspm/core/systems.h"
-#include "ftspm/obs/metrics.h"
-#include "ftspm/obs/trace_sink.h"
+#include "ftspm/obs/context.h"
 #include "ftspm/workload/suite.h"
 
 namespace {
 
 using namespace ftspm;
 
-void BM_CounterDisabled(benchmark::State& state) {
-  obs::set_enabled(false);
-  for (auto _ : state) FTSPM_OBS_COUNT("bench.counter", 1);
+void BM_CounterLookup(benchmark::State& state) {
+  obs::Registry reg;
+  for (auto _ : state) reg.counter("bench.counter").add(1);
+  benchmark::DoNotOptimize(reg.counter("bench.counter").value());
 }
-BENCHMARK(BM_CounterDisabled);
-
-void BM_CounterEnabledMacro(benchmark::State& state) {
-  const obs::EnabledScope enable(true);
-  for (auto _ : state) FTSPM_OBS_COUNT("bench.counter", 1);
-  obs::registry().clear();
-}
-BENCHMARK(BM_CounterEnabledMacro);
+BENCHMARK(BM_CounterLookup);
 
 void BM_CounterCachedHandle(benchmark::State& state) {
-  const obs::EnabledScope enable(true);
-  obs::Counter& c = obs::registry().counter("bench.cached");
+  obs::Registry reg;
+  obs::Counter& c = reg.counter("bench.cached");
   for (auto _ : state) c.add(1);
   benchmark::DoNotOptimize(c.value());
-  obs::registry().clear();
 }
 BENCHMARK(BM_CounterCachedHandle);
 
 void BM_HistogramObserve(benchmark::State& state) {
-  const obs::EnabledScope enable(true);
-  obs::Histogram& h = obs::registry().histogram(
-      "bench.hist", {8.0, 16.0, 32.0, 64.0, 128.0, 256.0});
+  obs::Registry reg;
+  obs::Histogram& h =
+      reg.histogram("bench.hist", {8.0, 16.0, 32.0, 64.0, 128.0, 256.0});
   double v = 1.0;
   for (auto _ : state) {
     h.observe(v);
     v = v < 512.0 ? v * 2.0 : 1.0;
   }
   benchmark::DoNotOptimize(h.count());
-  obs::registry().clear();
 }
 BENCHMARK(BM_HistogramObserve);
 
@@ -80,7 +71,6 @@ SimFixture& fixture() {
 }
 
 void BM_SimulateObsOff(benchmark::State& state) {
-  obs::set_enabled(false);
   SimFixture& f = fixture();
   for (auto _ : state)
     benchmark::DoNotOptimize(f.sim.run(workload(), f.plan.block_to_region()));
@@ -91,31 +81,31 @@ void BM_SimulateObsOff(benchmark::State& state) {
 BENCHMARK(BM_SimulateObsOff);
 
 void BM_SimulateMetricsOnly(benchmark::State& state) {
-  const obs::EnabledScope enable(true);
+  obs::Context ctx;
   SimFixture& f = fixture();
   for (auto _ : state)
-    benchmark::DoNotOptimize(f.sim.run(workload(), f.plan.block_to_region()));
+    benchmark::DoNotOptimize(
+        f.sim.run(workload(), f.plan.block_to_region(), &ctx));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(
                               workload().total_accesses()));
-  obs::registry().clear();
 }
 BENCHMARK(BM_SimulateMetricsOnly);
 
 void BM_SimulateTraced(benchmark::State& state) {
-  const obs::EnabledScope enable(true);
+  obs::Context ctx;
   SimFixture& f = fixture();
   for (auto _ : state) {
     state.PauseTiming();
     obs::TraceEventSink sink;  // fresh sink so the file can't grow unbounded
-    const obs::TraceScope scope(&sink);
+    ctx.trace = &sink;
     state.ResumeTiming();
-    benchmark::DoNotOptimize(f.sim.run(workload(), f.plan.block_to_region()));
+    benchmark::DoNotOptimize(
+        f.sim.run(workload(), f.plan.block_to_region(), &ctx));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(
                               workload().total_accesses()));
-  obs::registry().clear();
 }
 BENCHMARK(BM_SimulateTraced);
 

@@ -87,9 +87,11 @@ class MappingDeterminer {
 
   const MdaConfig& config() const noexcept { return config_; }
 
-  /// Runs Algorithm 1.
-  MappingPlan determine(const Program& program,
-                        const ProgramProfile& profile) const;
+  /// Runs Algorithm 1. With `obs` set, each placement decision bumps
+  /// an mda.<step> counter and, when obs->trace is set, lands on the
+  /// trace's "mda" lane.
+  MappingPlan determine(const Program& program, const ProgramProfile& profile,
+                        obs::Context* obs = nullptr) const;
 
  private:
   const SpmLayout& layout_;

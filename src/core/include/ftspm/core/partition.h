@@ -57,12 +57,12 @@ struct PartitionResult {
 /// Splits `total` (the shared complement) among the tasks and runs the
 /// per-task pipeline. Demand per task = weight x total profiled
 /// accesses. Throws on empty task sets, null workloads, or non-positive
-/// weights.
+/// weights. Each task's evaluation is handed `obs` (nullable).
 PartitionResult partition_and_evaluate(
     const std::vector<TaskSpec>& tasks,
     const TechnologyLibrary& lib = TechnologyLibrary(),
     const MdaConfig& mda = {}, const FtspmDimensions& total = {},
-    const PartitionConfig& config = {});
+    const PartitionConfig& config = {}, obs::Context* obs = nullptr);
 
 /// The split itself, exposed for tests and tooling: returns one
 /// FtspmDimensions per task, each region summing to the total (up to

@@ -113,14 +113,16 @@ class TemporalCampaign {
 /// successively coarser approximations, and tests assert the three
 /// agree in that order. A one-shard run of
 /// run_temporal_campaign_parallel on the calling thread; `grid`
-/// (nullable) accumulates every strike.
+/// (nullable) accumulates every strike, and `obs` (nullable) is the
+/// runner's ExecConfig::obs.
 CampaignResult run_temporal_campaign(const SpmLayout& layout,
                                      const MappingPlan& plan,
                                      const Program& program,
                                      const ProgramProfile& profile,
                                      const StrikeMultiplicityModel& strikes,
                                      const CampaignConfig& config = {},
-                                     SensitivityGrid* grid = nullptr);
+                                     SensitivityGrid* grid = nullptr,
+                                     obs::Context* obs = nullptr);
 
 /// Sharded/parallel run_temporal_campaign (see ftspm/exec): for a
 /// fixed (seed, strikes, shard count) the merged counters are

@@ -64,22 +64,29 @@ class StructureEvaluator {
     return strikes_;
   }
 
+  /// Each evaluation hands `obs` (nullable, see obs/context.h) to the
+  /// simulator and, for FTSPM, to the MDA.
   SystemResult evaluate_ftspm(const Workload& workload,
-                              const ProgramProfile& profile) const;
+                              const ProgramProfile& profile,
+                              obs::Context* obs = nullptr) const;
   SystemResult evaluate_pure_sram(const Workload& workload,
-                                  const ProgramProfile& profile) const;
+                                  const ProgramProfile& profile,
+                                  obs::Context* obs = nullptr) const;
   SystemResult evaluate_pure_stt(const Workload& workload,
-                                 const ProgramProfile& profile) const;
+                                 const ProgramProfile& profile,
+                                 obs::Context* obs = nullptr) const;
 
   /// The reliability-unaware energy-oriented hybrid policy (the
   /// paper's reference [10]) on the *same* FTSPM layout — the ablation
   /// isolating what susceptibility-aware placement buys.
   SystemResult evaluate_energy_hybrid(const Workload& workload,
-                                      const ProgramProfile& profile) const;
+                                      const ProgramProfile& profile,
+                                      obs::Context* obs = nullptr) const;
 
   /// Profiles once and evaluates all three structures, in the order
   /// {FTSPM, Pure SRAM, Pure STT-RAM}.
-  std::vector<SystemResult> evaluate_all(const Workload& workload) const;
+  std::vector<SystemResult> evaluate_all(const Workload& workload,
+                                         obs::Context* obs = nullptr) const;
 
  private:
   TechnologyLibrary lib_;

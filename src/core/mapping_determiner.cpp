@@ -5,8 +5,7 @@
 #include <optional>
 #include <vector>
 
-#include "ftspm/obs/metrics.h"
-#include "ftspm/obs/trace_sink.h"
+#include "ftspm/obs/context.h"
 #include "ftspm/util/error.h"
 
 namespace ftspm {
@@ -64,18 +63,19 @@ namespace {
 /// evicted first.
 /// Records each MDA placement decision on its own trace lane
 /// (timestamped by decision index — the algorithm has no cycle domain)
-/// and tallies per-step eviction counters. No-op when observability is
-/// disabled.
+/// and tallies per-step eviction counters. No-op without a context.
 class MdaObserver {
  public:
-  MdaObserver() {
-    if (obs::enabled() && (trace_ = obs::current_trace()) != nullptr)
-      lane_ = trace_->lane("mda", "decisions");
+  explicit MdaObserver(obs::Context* obs)
+      : registry_(obs != nullptr ? &obs->registry : nullptr),
+        trace_(obs != nullptr ? obs->trace : nullptr) {
+    if (trace_ != nullptr) lane_ = trace_->lane("mda", "decisions");
   }
 
   void decision(const char* step, const std::string& block_name,
                 double score) {
-    FTSPM_OBS_COUNT(std::string("mda.") + step, 1);
+    if (registry_ != nullptr)
+      registry_->counter(std::string("mda.") + step).add(1);
     if (trace_ != nullptr)
       trace_->instant(lane_, std::string(step) + " " + block_name, index_,
                       {obs::TraceArg::num("score", score)});
@@ -83,7 +83,8 @@ class MdaObserver {
   }
 
  private:
-  obs::TraceEventSink* trace_ = nullptr;
+  obs::Registry* registry_;
+  obs::TraceEventSink* trace_;
   obs::TraceEventSink::LaneId lane_ = 0;
   std::uint64_t index_ = 0;
 };
@@ -108,11 +109,12 @@ double victim_score(OptimizationPriority priority, const BlockProfile& bp,
 }  // namespace
 
 MappingPlan MappingDeterminer::determine(const Program& program,
-                                         const ProgramProfile& profile) const {
+                                         const ProgramProfile& profile,
+                                         obs::Context* obs) const {
   FTSPM_REQUIRE(profile.blocks.size() == program.block_count(),
                 "profile does not match program");
 
-  MdaObserver observer;
+  MdaObserver observer(obs);
   std::vector<BlockMapping> mappings(program.block_count());
   for (std::size_t i = 0; i < mappings.size(); ++i)
     mappings[i] = BlockMapping{static_cast<BlockId>(i), kNoRegion,

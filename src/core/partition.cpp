@@ -102,7 +102,8 @@ PartitionResult partition_and_evaluate(const std::vector<TaskSpec>& tasks,
                                        const TechnologyLibrary& lib,
                                        const MdaConfig& mda,
                                        const FtspmDimensions& total,
-                                       const PartitionConfig& config) {
+                                       const PartitionConfig& config,
+                                       obs::Context* obs) {
   FTSPM_REQUIRE(!tasks.empty(), "no tasks to evaluate");
   std::vector<double> demands;
   std::vector<ProgramProfile> profiles;
@@ -126,7 +127,7 @@ PartitionResult partition_and_evaluate(const std::vector<TaskSpec>& tasks,
     TaskPartition part{tasks[i].workload->program.name(), tasks[i].weight,
                        demands[i], dims[i],
                        evaluator.evaluate_ftspm(*tasks[i].workload,
-                                                profiles[i])};
+                                                profiles[i], obs)};
     result.tasks.push_back(std::move(part));
   }
   return result;

@@ -101,10 +101,12 @@ CampaignResult run_temporal_campaign(const SpmLayout& layout,
                                      const ProgramProfile& profile,
                                      const StrikeMultiplicityModel& strikes,
                                      const CampaignConfig& config,
-                                     SensitivityGrid* grid) {
+                                     SensitivityGrid* grid,
+                                     obs::Context* obs) {
+  exec::ExecConfig exec;
+  exec.obs = obs;
   return run_temporal_campaign_parallel(layout, plan, program, profile,
-                                        strikes, config, exec::ExecConfig{},
-                                        grid)
+                                        strikes, config, exec, grid)
       .merged;
 }
 

@@ -94,9 +94,9 @@ SystemResult finish(const SpmLayout& layout, const SimConfig& sim,
                     MappingPlan plan, const Workload& workload,
                     const ProgramProfile& profile,
                     const StrikeMultiplicityModel& strikes,
-                    std::string structure) {
+                    std::string structure, obs::Context* obs) {
   const Simulator simulator(layout, sim);
-  RunResult run = simulator.run(workload, plan.block_to_region());
+  RunResult run = simulator.run(workload, plan.block_to_region(), obs);
   AvfResult avf =
       compute_system_avf(layout, plan, workload.program, profile, strikes);
   EnduranceReport endurance = compute_endurance(layout, run);
@@ -107,45 +107,49 @@ SystemResult finish(const SpmLayout& layout, const SimConfig& sim,
 }  // namespace
 
 SystemResult StructureEvaluator::evaluate_ftspm(
-    const Workload& workload, const ProgramProfile& profile) const {
+    const Workload& workload, const ProgramProfile& profile,
+    obs::Context* obs) const {
   const MappingDeterminer mda(ftspm_, sim_, mda_);
-  MappingPlan plan = mda.determine(workload.program, profile);
+  MappingPlan plan = mda.determine(workload.program, profile, obs);
   return finish(ftspm_, sim_, std::move(plan), workload, profile, strikes_,
-                "FTSPM");
+                "FTSPM", obs);
 }
 
 SystemResult StructureEvaluator::evaluate_pure_sram(
-    const Workload& workload, const ProgramProfile& profile) const {
+    const Workload& workload, const ProgramProfile& profile,
+    obs::Context* obs) const {
   MappingPlan plan =
       determine_baseline_mapping(sram_, workload.program, profile);
   return finish(sram_, sim_, std::move(plan), workload, profile, strikes_,
-                "Pure SRAM");
+                "Pure SRAM", obs);
 }
 
 SystemResult StructureEvaluator::evaluate_pure_stt(
-    const Workload& workload, const ProgramProfile& profile) const {
+    const Workload& workload, const ProgramProfile& profile,
+    obs::Context* obs) const {
   MappingPlan plan =
       determine_baseline_mapping(stt_, workload.program, profile);
   return finish(stt_, sim_, std::move(plan), workload, profile, strikes_,
-                "Pure STT-RAM");
+                "Pure STT-RAM", obs);
 }
 
 SystemResult StructureEvaluator::evaluate_energy_hybrid(
-    const Workload& workload, const ProgramProfile& profile) const {
+    const Workload& workload, const ProgramProfile& profile,
+    obs::Context* obs) const {
   MappingPlan plan =
       determine_energy_hybrid_mapping(ftspm_, workload.program, profile);
   return finish(ftspm_, sim_, std::move(plan), workload, profile, strikes_,
-                "Energy hybrid");
+                "Energy hybrid", obs);
 }
 
 std::vector<SystemResult> StructureEvaluator::evaluate_all(
-    const Workload& workload) const {
+    const Workload& workload, obs::Context* obs) const {
   const ProgramProfile profile = profile_workload(workload);
   std::vector<SystemResult> results;
   results.reserve(3);
-  results.push_back(evaluate_ftspm(workload, profile));
-  results.push_back(evaluate_pure_sram(workload, profile));
-  results.push_back(evaluate_pure_stt(workload, profile));
+  results.push_back(evaluate_ftspm(workload, profile, obs));
+  results.push_back(evaluate_pure_sram(workload, profile, obs));
+  results.push_back(evaluate_pure_stt(workload, profile, obs));
   return results;
 }
 

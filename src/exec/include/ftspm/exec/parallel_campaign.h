@@ -34,6 +34,10 @@
 #include "ftspm/fault/strike_model.h"
 #include "ftspm/util/error.h"
 
+namespace ftspm::obs {
+struct Context;
+}  // namespace ftspm::obs
+
 namespace ftspm::exec {
 
 class ThreadPool;
@@ -111,6 +115,11 @@ struct ExecConfig {
   std::function<void(std::uint32_t shard, std::uint64_t start_ns,
                      std::uint64_t end_ns)>
       shard_span;
+  /// Telemetry (obs/context.h): the runner books the campaign.*
+  /// counters, the per-shard trace lanes and the phase/shard event-log
+  /// records into it, on the calling thread, after the join; workers
+  /// never see it. Null = telemetry off. Never affects results.
+  obs::Context* obs = nullptr;
 
   std::uint32_t effective_jobs() const noexcept;
   std::uint32_t effective_shards() const noexcept;
@@ -149,9 +158,9 @@ using ShardChunkFn = std::function<void(
 ///
 /// With no caller-owned pool and min(effective jobs, shards) == 1 the
 /// shard tasks run in order on the calling thread; otherwise on a pool.
-/// Either way the runner alone writes the telemetry: the phase and
-/// shard event-log records, the per-shard trace lanes, and the
-/// `campaign.strikes` / `campaign.vulnerable` counters, booked from
+/// Either way the runner alone writes the telemetry into exec.obs: the
+/// phase and shard event-log records, the per-shard trace lanes, and
+/// the `campaign.strikes` / `campaign.vulnerable` counters, booked from
 /// each shard's counters after the join.
 ///
 /// `grid` (nullable, active) receives the run's strikes: each shard
@@ -227,20 +236,23 @@ namespace ftspm {
 /// one-shard run of exec::run_campaign_sharded on the calling thread.
 /// `grid` (nullable) accumulates every strike's (region, origin bit,
 /// final outcome) — see fault/sensitivity.h; it never affects results.
+/// `obs` (nullable) is the runner's ExecConfig::obs.
 CampaignResult run_campaign(const std::vector<InjectionRegion>& regions,
                             const StrikeMultiplicityModel& strikes,
                             const CampaignConfig& config = {},
-                            SensitivityGrid* grid = nullptr);
+                            SensitivityGrid* grid = nullptr,
+                            obs::Context* obs = nullptr);
 
 /// Recovery campaign (fault/recovery.h) as a one-shard run of
 /// exec::run_recovery_campaign_sharded on the calling thread. With
 /// `!policy.active()` this is exactly run_campaign; otherwise the
 /// live-array loop runs under `config.seed ^ LiveArrayCampaign::
-/// kSeedSalt`.
+/// kSeedSalt`. `grid` and `obs` as in run_campaign.
 RecoveryResult run_recovery_campaign(const std::vector<RecoveryRegion>& regions,
                                      const StrikeMultiplicityModel& strikes,
                                      const CampaignConfig& config,
                                      const RecoveryPolicy& policy,
-                                     SensitivityGrid* grid = nullptr);
+                                     SensitivityGrid* grid = nullptr,
+                                     obs::Context* obs = nullptr);
 
 }  // namespace ftspm

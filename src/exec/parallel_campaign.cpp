@@ -10,10 +10,8 @@
 #include <utility>
 
 #include "ftspm/exec/thread_pool.h"
-#include "ftspm/obs/event_log.h"
-#include "ftspm/obs/metrics.h"
+#include "ftspm/obs/context.h"
 #include "ftspm/obs/periodic_writer.h"
-#include "ftspm/obs/trace_sink.h"
 #include "ftspm/util/error.h"
 #include "ftspm/util/json.h"
 
@@ -215,13 +213,14 @@ obs::PeriodicWriter::LineFn heartbeat_line(
 /// Deterministic post-run observability: the campaign counters this
 /// invocation added, pool-utilization wall timers, and per-shard trace
 /// lanes. Emitted by the coordinator after the join, in shard order,
-/// so enabling observability never perturbs (and never races with) the
-/// campaign, and the snapshot is the same for any --jobs.
+/// so telemetry never perturbs (and never races with) the campaign,
+/// and the snapshot is the same for any --jobs.
 void emit_observability(const std::vector<CampaignShardState>& states,
                         const std::vector<CampaignResult>& initial,
-                        const std::vector<std::uint64_t>& worker_busy_ns) {
-  if (!obs::enabled()) return;
-  obs::Registry& reg = obs::registry();
+                        const std::vector<std::uint64_t>& worker_busy_ns,
+                        obs::Context* obs) {
+  if (obs == nullptr) return;
+  obs::Registry& reg = obs->registry;
   std::uint64_t strikes = 0;
   std::uint64_t vulnerable = 0;
   for (std::size_t i = 0; i < states.size(); ++i) {
@@ -239,7 +238,7 @@ void emit_observability(const std::vector<CampaignShardState>& states,
     reg.timer("exec.worker" + std::to_string(w) + ".busy")
         .record_ns(worker_busy_ns[w]);
 
-  obs::TraceEventSink* trace = obs::current_trace();
+  obs::TraceEventSink* trace = obs->trace;
   if (trace == nullptr) return;
   for (std::size_t i = 0; i < states.size(); ++i) {
     const obs::TraceEventSink::LaneId lane =
@@ -316,7 +315,7 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
   // Simulated-time lifecycle records; coordinator-only, so the log for
   // a fixed (seed, strikes, shard_count, chunk schedule) is identical
   // regardless of --jobs.
-  obs::EventLog* events = obs::enabled() ? obs::current_event_log() : nullptr;
+  obs::EventLog* events = exec.obs != nullptr ? exec.obs->events : nullptr;
   if (events != nullptr) {
     events->emit("phase_start", already_done,
                  {obs::TraceArg::str("kind", kind),
@@ -493,7 +492,7 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
   checkpoints.flush();
 
   progress.finish(run.complete);
-  emit_observability(states, initial, worker_busy_ns);
+  emit_observability(states, initial, worker_busy_ns, exec.obs);
   if (events != nullptr) {
     std::uint64_t total_done = 0;
     for (std::uint32_t i = 0; i < shard_count; ++i) {
@@ -548,9 +547,10 @@ namespace {
 /// Deterministic post-run observability for the recovery side of a
 /// sharded campaign; mirrors emit_observability's contract (coordinator
 /// only, after the join, shard order).
-void emit_recovery_observability(const RecoveryShardedRun& run) {
-  if (!obs::enabled()) return;
-  obs::Registry& reg = obs::registry();
+void emit_recovery_observability(const RecoveryShardedRun& run,
+                                 obs::Context* obs) {
+  if (obs == nullptr) return;
+  obs::Registry& reg = obs->registry;
   const RecoveryCounters& m = run.merged.recovery;
   reg.counter("recovery.demand_reads").add(m.demand_reads);
   reg.counter("recovery.corrections").add(m.corrections);
@@ -563,7 +563,7 @@ void emit_recovery_observability(const RecoveryShardedRun& run) {
   reg.counter("recovery.cycles").add(m.recovery_cycles);
   reg.gauge("recovery.energy_pj").set(m.recovery_energy_pj);
 
-  obs::TraceEventSink* trace = obs::current_trace();
+  obs::TraceEventSink* trace = obs->trace;
   if (trace == nullptr) return;
   for (std::size_t i = 0; i < run.shard_results.size(); ++i) {
     const obs::TraceEventSink::LaneId lane =
@@ -630,7 +630,7 @@ RecoveryShardedRun run_recovery_campaign_sharded(
   // reproducible across any jobs value.
   for (const RecoveryResult& shard : out.shard_results)
     out.merged.recovery.add(shard.recovery);
-  emit_recovery_observability(out);
+  emit_recovery_observability(out, exec.obs);
   return out;
 }
 
@@ -641,9 +641,10 @@ namespace ftspm {
 CampaignResult run_campaign(const std::vector<InjectionRegion>& regions,
                             const StrikeMultiplicityModel& strikes,
                             const CampaignConfig& config,
-                            SensitivityGrid* grid) {
-  return exec::run_campaign_sharded(regions, strikes, config,
-                                    exec::ExecConfig{}, grid)
+                            SensitivityGrid* grid, obs::Context* obs) {
+  exec::ExecConfig exec;
+  exec.obs = obs;
+  return exec::run_campaign_sharded(regions, strikes, config, exec, grid)
       .merged;
 }
 
@@ -651,9 +652,12 @@ RecoveryResult run_recovery_campaign(const std::vector<RecoveryRegion>& regions,
                                      const StrikeMultiplicityModel& strikes,
                                      const CampaignConfig& config,
                                      const RecoveryPolicy& policy,
-                                     SensitivityGrid* grid) {
+                                     SensitivityGrid* grid,
+                                     obs::Context* obs) {
+  exec::ExecConfig exec;
+  exec.obs = obs;
   return exec::run_recovery_campaign_sharded(regions, strikes, config, policy,
-                                             exec::ExecConfig{}, grid)
+                                             exec, grid)
       .merged;
 }
 

@@ -25,6 +25,10 @@
 #include "ftspm/fault/injector.h"
 #include "ftspm/fault/recovery.h"
 
+namespace ftspm::obs {
+class Registry;
+}  // namespace ftspm::obs
+
 namespace ftspm {
 
 /// Per-(region, bucket) outcome accumulator over the SPM address space.
@@ -117,15 +121,16 @@ SensitivityGrid make_sensitivity_grid(
     const std::vector<RecoveryRegion>& regions, std::uint32_t buckets,
     const std::vector<std::string>& labels = {});
 
-/// Folds a merged grid into the process-wide labelled metrics:
+/// Folds a merged grid into `registry`'s labelled metrics:
 /// "campaign.outcome" counters keyed by {region, ecc, outcome, phase}
 /// (zero cells skipped) and a "campaign.bucket_strikes" histogram per
 /// {region, ecc, phase} observing every bucket's strike count — its
 /// p50/p95/p99 quantify how concentrated the region's exposure is.
 /// Coordinator-only, once per campaign, after any shard merge; a pure
 /// function of the grid, so snapshots stay jobs-invariant. No-op when
-/// observability is disabled or the grid is inactive.
+/// `registry` is null or the grid is inactive.
 void emit_sensitivity_metrics(const SensitivityGrid& grid,
-                              std::string_view phase);
+                              std::string_view phase,
+                              obs::Registry* registry);
 
 }  // namespace ftspm

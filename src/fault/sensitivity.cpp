@@ -277,9 +277,10 @@ SensitivityGrid make_sensitivity_grid(
 }
 
 void emit_sensitivity_metrics(const SensitivityGrid& grid,
-                              std::string_view phase) {
-  if (!obs::enabled() || !grid.active()) return;
-  obs::Registry& reg = obs::registry();
+                              std::string_view phase,
+                              obs::Registry* registry) {
+  if (registry == nullptr || !grid.active()) return;
+  obs::Registry& reg = *registry;
   // Log-spaced strike-count buckets: wide enough for anything from a
   // smoke test to a billion-strike campaign.
   const std::vector<double> bounds{1.0,    10.0,    100.0,    1000.0,

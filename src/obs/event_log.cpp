@@ -40,21 +40,4 @@ void EventLog::write_file(const std::string& path) const {
     throw Error("failed writing event-log output '" + path + "'");
 }
 
-namespace {
-EventLog* g_current_event_log = nullptr;
-}  // namespace
-
-EventLog* current_event_log() noexcept {
-  // Single-writer, deterministic sink: invisible to suppressed or
-  // redirected (worker) threads — the coordinator emits for them.
-  if (!enabled() || thread_registry_redirected()) return nullptr;
-  return g_current_event_log;
-}
-
-EventLogScope::EventLogScope(EventLog* log) : prev_(g_current_event_log) {
-  g_current_event_log = log;
-}
-
-EventLogScope::~EventLogScope() { g_current_event_log = prev_; }
-
 }  // namespace ftspm::obs

@@ -13,10 +13,9 @@
 // Line shape:
 //   {"schema":1,"seq":0,"ts":0,"event":"run_manifest","command":...}
 //
-// The sink is single-writer: only the coordinating thread emits.
-// current_event_log() returns nullptr on worker threads running under
-// an obs::ThreadRegistryScope redirect or an obs::ThreadSuppressScope,
-// mirroring current_trace().
+// The log is single-writer: a run reaches it through the
+// obs::Context it was handed (context.h), and only the coordinating
+// thread emits; worker threads are never handed a context.
 #pragma once
 
 #include <cstdint>
@@ -57,25 +56,6 @@ class EventLog {
     std::vector<TraceArg> fields;
   };
   std::vector<Record> records_;
-};
-
-/// The process-wide event log instrumentation sites emit into, or
-/// nullptr when event logging is off, or when the calling thread is
-/// suppressed/redirected (the log is single-writer). Sites must also
-/// check obs::enabled().
-EventLog* current_event_log() noexcept;
-
-/// Installs `log` as the current event log for this scope (RAII
-/// restore).
-class EventLogScope {
- public:
-  explicit EventLogScope(EventLog* log);
-  ~EventLogScope();
-  EventLogScope(const EventLogScope&) = delete;
-  EventLogScope& operator=(const EventLogScope&) = delete;
-
- private:
-  EventLog* prev_;
 };
 
 }  // namespace ftspm::obs

@@ -1,14 +1,8 @@
 // Observability: the metrics registry.
 //
-// A process-wide registry of named counters, gauges, and fixed-bucket
-// histograms that any layer can increment without threading a handle
-// through every API. Two guards keep the cost near zero when nobody is
-// looking:
-//
-//  * compile time — building with -DFTSPM_OBS=0 turns the FTSPM_OBS_*
-//    macros into no-ops (no registry lookups are even compiled in);
-//  * run time — the registry starts disabled; `set_enabled(false)`
-//    (the default) makes every mutation a single predictable branch.
+// A registry of named counters, gauges, and fixed-bucket histograms.
+// A run books into the registry of the obs::Context it was handed
+// (context.h); a run handed no context books nothing and pays nothing.
 //
 // Instruments cache their handles (`Counter&` etc.) outside hot loops:
 // name lookup happens once per run, not per event. Snapshots are
@@ -25,10 +19,6 @@
 #include <vector>
 
 #include "ftspm/obs/labels.h"
-
-#ifndef FTSPM_OBS
-#define FTSPM_OBS 1
-#endif
 
 namespace ftspm::obs {
 
@@ -203,89 +193,4 @@ class Registry {
   std::map<std::string, HistogramFamily, std::less<>> labelled_histograms_;
 };
 
-/// The process-wide registry used by the FTSPM_OBS_* macros and by all
-/// built-in instrumentation.
-Registry& registry();
-
-/// Runtime master switch; instrumentation sites must check this before
-/// touching the registry or the trace sink. Starts false.
-bool enabled() noexcept;
-void set_enabled(bool on) noexcept;
-
-/// RAII per-thread kill switch: while alive on a thread, enabled()
-/// returns false *on that thread only*. Parallel workers that have no
-/// per-thread delta registry (e.g. the suite runner's pool tasks) hold
-/// one so instrumentation sites never race on the registry or the
-/// trace sink; the coordinating thread emits the aggregated per-shard
-/// metrics deterministically after joining. Nests; reentrant on the
-/// same thread.
-class ThreadSuppressScope {
- public:
-  ThreadSuppressScope() noexcept;
-  ~ThreadSuppressScope();
-  ThreadSuppressScope(const ThreadSuppressScope&) = delete;
-  ThreadSuppressScope& operator=(const ThreadSuppressScope&) = delete;
-};
-
-/// RAII per-thread registry redirect: while alive, registry() on this
-/// thread resolves to `local` instead of the process-wide instance, so
-/// instrumentation keeps firing on worker threads without racing —
-/// each worker tallies into its own delta registry and the coordinator
-/// merges the deltas into the root (merge_from) in deterministic shard
-/// order after the join. Tracing and the event log are suppressed on
-/// redirected threads (current_trace()/current_event_log() return
-/// nullptr): those sinks are single-writer by design, and their
-/// deterministic records are emitted by the coordinator. Nests; the
-/// innermost redirect wins.
-class ThreadRegistryScope {
- public:
-  explicit ThreadRegistryScope(Registry& local) noexcept;
-  ~ThreadRegistryScope();
-  ThreadRegistryScope(const ThreadRegistryScope&) = delete;
-  ThreadRegistryScope& operator=(const ThreadRegistryScope&) = delete;
-
- private:
-  Registry* prev_;
-};
-
-/// True while the calling thread's registry() is redirected by a
-/// ThreadRegistryScope (used by the trace/event-log accessors to stay
-/// coordinator-only).
-bool thread_registry_redirected() noexcept;
-
-/// RAII enable/disable for tests and tool scopes.
-class EnabledScope {
- public:
-  explicit EnabledScope(bool on) : prev_(enabled()) { set_enabled(on); }
-  ~EnabledScope() { set_enabled(prev_); }
-  EnabledScope(const EnabledScope&) = delete;
-  EnabledScope& operator=(const EnabledScope&) = delete;
-
- private:
-  bool prev_;
-};
-
 }  // namespace ftspm::obs
-
-// Fire-and-forget instrumentation macros for sites too cold to bother
-// caching a handle. Hot loops should hoist `obs::enabled()` and the
-// handle lookup instead.
-#if FTSPM_OBS
-#define FTSPM_OBS_COUNT(name, n)                          \
-  do {                                                    \
-    if (::ftspm::obs::enabled())                          \
-      ::ftspm::obs::registry().counter(name).add(n);      \
-  } while (false)
-#define FTSPM_OBS_GAUGE(name, v)                          \
-  do {                                                    \
-    if (::ftspm::obs::enabled())                          \
-      ::ftspm::obs::registry().gauge(name).set(v);        \
-  } while (false)
-#else
-#define FTSPM_OBS_COUNT(name, n) \
-  do {                           \
-  } while (false)
-#define FTSPM_OBS_GAUGE(name, v) \
-  do {                           \
-  } while (false)
-#endif

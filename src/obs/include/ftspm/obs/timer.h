@@ -22,12 +22,12 @@
 namespace ftspm::obs {
 
 /// Accumulates the scope's wall-clock duration into
-/// registry().timer(name). Inactive (and free of clock calls) when
-/// observability is disabled at construction time.
+/// registry->timer(name). Inactive (and free of clock calls) when
+/// `registry` is null.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(std::string_view name)
-      : stat_(enabled() ? &registry().timer(name) : nullptr) {
+  ScopedTimer(Registry* registry, std::string_view name)
+      : stat_(registry != nullptr ? &registry->timer(name) : nullptr) {
     if (stat_ != nullptr) start_ = std::chrono::steady_clock::now();
   }
   ~ScopedTimer() {

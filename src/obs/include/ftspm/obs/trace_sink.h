@@ -13,6 +13,9 @@
 // byte-identical across runs with the same seed, which the golden
 // tests assert.
 //
+// The sink is single-writer: a run reaches it through the obs::Context
+// it was handed (context.h), and only the coordinating thread emits.
+//
 // Event vocabulary (Chrome `ph` phases):
 //   begin/end   B/E  nested spans (phase markers, call stack)
 //   complete    X    one span with an explicit duration (DMA transfer)
@@ -24,8 +27,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "ftspm/obs/metrics.h"
 
 namespace ftspm::obs {
 
@@ -90,22 +91,6 @@ class TraceEventSink {
   std::vector<Lane> lanes_;
   std::vector<std::string> processes_;  ///< pid = index + 1.
   std::vector<Event> events_;
-};
-
-/// The process-wide sink instrumentation sites emit into, or nullptr
-/// when tracing is off. Sites must also check obs::enabled().
-TraceEventSink* current_trace() noexcept;
-
-/// Installs `sink` as the current trace for this scope (RAII restore).
-class TraceScope {
- public:
-  explicit TraceScope(TraceEventSink* sink);
-  ~TraceScope();
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
-
- private:
-  TraceEventSink* prev_;
 };
 
 }  // namespace ftspm::obs

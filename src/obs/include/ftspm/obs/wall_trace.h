@@ -6,9 +6,9 @@
 // strike indices, and safe to feed from several threads at once (the
 // daemon's reader threads, its executor, and its telemetry emitter all
 // record into one trace). Each WallTrace owns a private TraceEventSink
-// guarded by a mutex — it never touches the process-wide current_trace()
-// sink, so the deterministic simulated-time domains stay single-writer
-// and byte-identical whether or not a wall trace is live.
+// guarded by a mutex — it never touches a run's obs::Context trace, so
+// the deterministic simulated-time domains stay single-writer and
+// byte-identical whether or not a wall trace is live.
 //
 // The two clock domains share one viewer: wall-clock lanes register
 // under their own process rows ("serve"), so a trace written by

@@ -312,30 +312,4 @@ void Registry::merge_from(const Registry& other) {
   }
 }
 
-namespace {
-bool g_enabled = false;
-thread_local int t_suppress_depth = 0;
-thread_local Registry* t_registry = nullptr;
-}  // namespace
-
-Registry& registry() {
-  if (t_registry != nullptr) return *t_registry;
-  static Registry instance;
-  return instance;
-}
-
-bool enabled() noexcept { return g_enabled && t_suppress_depth == 0; }
-void set_enabled(bool on) noexcept { g_enabled = on; }
-
-ThreadSuppressScope::ThreadSuppressScope() noexcept { ++t_suppress_depth; }
-ThreadSuppressScope::~ThreadSuppressScope() { --t_suppress_depth; }
-
-ThreadRegistryScope::ThreadRegistryScope(Registry& local) noexcept
-    : prev_(t_registry) {
-  t_registry = &local;
-}
-ThreadRegistryScope::~ThreadRegistryScope() { t_registry = prev_; }
-
-bool thread_registry_redirected() noexcept { return t_registry != nullptr; }
-
 }  // namespace ftspm::obs

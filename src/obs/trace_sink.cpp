@@ -129,21 +129,4 @@ void TraceEventSink::write_file(const std::string& path) const {
   if (!out.good()) throw Error("failed writing trace output '" + path + "'");
 }
 
-namespace {
-TraceEventSink* g_current_trace = nullptr;
-}  // namespace
-
-TraceEventSink* current_trace() noexcept {
-  // The trace sink is single-writer: worker threads running under a
-  // per-shard registry redirect never see it, only the coordinator
-  // emits (deterministic) trace records.
-  return thread_registry_redirected() ? nullptr : g_current_trace;
-}
-
-TraceScope::TraceScope(TraceEventSink* sink) : prev_(g_current_trace) {
-  g_current_trace = sink;
-}
-
-TraceScope::~TraceScope() { g_current_trace = prev_; }
-
 }  // namespace ftspm::obs

@@ -124,14 +124,15 @@ std::string campaign_csv(const CampaignResult& result,
 }
 
 std::map<std::string, std::string> export_all_csv(
-    const StructureEvaluator& evaluator, const std::vector<SuiteRow>& rows) {
+    const StructureEvaluator& evaluator, const std::vector<SuiteRow>& rows,
+    obs::Context* obs) {
   std::map<std::string, std::string> out;
 
   // Case-study artefacts (Tables I-III, Fig. 2).
   const Workload cs = make_case_study();
   const ProgramProfile prof = profile_workload(cs);
-  const SystemResult ft = evaluator.evaluate_ftspm(cs, prof);
-  const SystemResult stt = evaluator.evaluate_pure_stt(cs, prof);
+  const SystemResult ft = evaluator.evaluate_ftspm(cs, prof, obs);
+  const SystemResult stt = evaluator.evaluate_pure_stt(cs, prof, obs);
   out["table1_profile.csv"] = table1_csv(cs.program, prof);
   out["table2_mapping.csv"] =
       table2_csv(cs.program, ft.plan, evaluator.ftspm_layout());
@@ -165,14 +166,15 @@ std::map<std::string, std::string> export_all_csv(
 
 std::vector<std::string> write_all_csv(const StructureEvaluator& evaluator,
                                        const std::vector<SuiteRow>& rows,
-                                       const std::string& directory) {
+                                       const std::string& directory,
+                                       obs::Context* obs) {
   namespace fs = std::filesystem;
   std::error_code ec;
   fs::create_directories(directory, ec);
   if (ec)
     throw InvalidArgument("cannot create directory '" + directory + "'");
   std::vector<std::string> written;
-  for (const auto& [name, contents] : export_all_csv(evaluator, rows)) {
+  for (const auto& [name, contents] : export_all_csv(evaluator, rows, obs)) {
     const std::string path = directory + "/" + name;
     std::ofstream file(path, std::ios::binary);
     if (!file.good())

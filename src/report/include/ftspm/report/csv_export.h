@@ -21,14 +21,17 @@ std::string campaign_csv(const CampaignResult& result,
 
 /// All artefact CSVs for one full evaluation: filename -> contents.
 /// `rows` must come from run_suite(evaluator, ...); the case-study
-/// artefacts are generated internally at full scale.
+/// artefacts are generated internally at full scale, their evaluations
+/// handed `obs` (nullable).
 std::map<std::string, std::string> export_all_csv(
-    const StructureEvaluator& evaluator, const std::vector<SuiteRow>& rows);
+    const StructureEvaluator& evaluator, const std::vector<SuiteRow>& rows,
+    obs::Context* obs = nullptr);
 
 /// Writes every entry of export_all_csv() under `directory` (created
 /// if needed). Returns the file paths written.
 std::vector<std::string> write_all_csv(const StructureEvaluator& evaluator,
                                        const std::vector<SuiteRow>& rows,
-                                       const std::string& directory);
+                                       const std::string& directory,
+                                       obs::Context* obs = nullptr);
 
 }  // namespace ftspm

@@ -28,27 +28,30 @@ struct SuiteRow {
 using SuiteProgress =
     std::function<void(std::size_t, std::size_t, const std::string&)>;
 
-/// Runs every benchmark at the given scale. Deterministic. When
-/// observability is enabled, each benchmark also gets a wall-clock
-/// timer in the registry ("suite.<name>") and a span on the trace's
-/// "suite" lane, timestamped by cumulative simulated FTSPM cycles.
+/// Runs every benchmark at the given scale. Deterministic. With `obs`
+/// set, every evaluation is handed it, and each benchmark also gets a
+/// wall-clock timer in its registry ("suite.<name>"), phase records in
+/// its event log and a span on its trace's "suite" lane, timestamped
+/// by cumulative simulated FTSPM cycles.
 std::vector<SuiteRow> run_suite(const StructureEvaluator& evaluator,
                                 std::uint64_t scale_divisor = 1,
-                                const SuiteProgress& progress = {});
+                                const SuiteProgress& progress = {},
+                                obs::Context* obs = nullptr);
 
 /// run_suite fanned across a ftspm/exec worker pool: each benchmark is
 /// one independent task, results are collected in benchmark order, and
 /// the returned rows are identical to the serial function's for any
 /// jobs value. `jobs <= 1` falls through to run_suite. The progress
 /// callback fires (serialized) in *completion* order — that is the
-/// only observable difference. When observability is enabled, workers
-/// run suppressed and the per-benchmark timers and trace spans are
-/// emitted after the join, in benchmark order, so the trace document
-/// matches the serial one byte for byte.
+/// only observable difference. The workers' evaluations are handed no
+/// context; with `obs` set, the per-benchmark timers, phase records and
+/// trace spans are emitted after the join, in benchmark order, so the
+/// suite lane matches the serial one byte for byte.
 std::vector<SuiteRow> run_suite_parallel(const StructureEvaluator& evaluator,
                                          std::uint64_t scale_divisor,
                                          std::uint32_t jobs,
-                                         const SuiteProgress& progress = {});
+                                         const SuiteProgress& progress = {},
+                                         obs::Context* obs = nullptr);
 
 /// Geometric mean of per-row ratios f(row); rows where the ratio is
 /// non-positive or non-finite are skipped.

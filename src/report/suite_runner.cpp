@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "ftspm/exec/thread_pool.h"
-#include "ftspm/obs/event_log.h"
+#include "ftspm/obs/context.h"
 #include "ftspm/obs/timer.h"
 #include "ftspm/util/error.h"
 
@@ -15,12 +15,12 @@ namespace ftspm {
 
 std::vector<SuiteRow> run_suite(const StructureEvaluator& evaluator,
                                 std::uint64_t scale_divisor,
-                                const SuiteProgress& progress) {
-  obs::TraceEventSink* trace =
-      obs::enabled() ? obs::current_trace() : nullptr;
+                                const SuiteProgress& progress,
+                                obs::Context* obs) {
+  obs::TraceEventSink* trace = obs != nullptr ? obs->trace : nullptr;
   const obs::TraceEventSink::LaneId lane =
       trace != nullptr ? trace->lane("suite", "benchmarks") : 0;
-  obs::EventLog* events = obs::enabled() ? obs::current_event_log() : nullptr;
+  obs::EventLog* events = obs != nullptr ? obs->events : nullptr;
   std::uint64_t cumulative_cycles = 0;
 
   std::vector<SuiteRow> rows;
@@ -34,9 +34,10 @@ std::vector<SuiteRow> run_suite(const StructureEvaluator& evaluator,
                     obs::TraceArg::str("benchmark", name)});
     std::vector<SystemResult> results;
     {
-      const obs::ScopedTimer timer("suite." + name);
+      const obs::ScopedTimer timer(obs != nullptr ? &obs->registry : nullptr,
+                                   "suite." + name);
       const Workload workload = make_benchmark(bench, scale_divisor);
-      results = evaluator.evaluate_all(workload);
+      results = evaluator.evaluate_all(workload, obs);
     }
     FTSPM_CHECK(results.size() == 3, "expected three structures");
     if (trace != nullptr) {
@@ -66,8 +67,9 @@ std::vector<SuiteRow> run_suite(const StructureEvaluator& evaluator,
 std::vector<SuiteRow> run_suite_parallel(const StructureEvaluator& evaluator,
                                          std::uint64_t scale_divisor,
                                          std::uint32_t jobs,
-                                         const SuiteProgress& progress) {
-  if (jobs <= 1) return run_suite(evaluator, scale_divisor, progress);
+                                         const SuiteProgress& progress,
+                                         obs::Context* obs) {
+  if (jobs <= 1) return run_suite(evaluator, scale_divisor, progress, obs);
 
   const std::vector<MiBenchmark> benchmarks = [] {
     std::vector<MiBenchmark> v;
@@ -81,9 +83,8 @@ std::vector<SuiteRow> run_suite_parallel(const StructureEvaluator& evaluator,
 
   exec::ThreadPool pool(jobs);
   parallel_for(pool, benchmarks.size(), [&](std::size_t i) {
-    // Workers stay out of the process-wide registry/trace; the
-    // per-benchmark timers and spans are emitted below, in order.
-    const obs::ThreadSuppressScope suppress;
+    // Workers get no context; the per-benchmark timers and spans are
+    // emitted below, in order.
     const MiBenchmark bench = benchmarks[i];
     const std::string name = to_string(bench);
     const auto start = std::chrono::steady_clock::now();
@@ -109,14 +110,13 @@ std::vector<SuiteRow> run_suite_parallel(const StructureEvaluator& evaluator,
   // Deterministic post-join observability, mirroring the serial path:
   // wall timers per benchmark and suite spans on a cumulative
   // simulated-cycle axis, both in benchmark order.
-  if (obs::enabled()) {
-    obs::Registry& reg = obs::registry();
+  if (obs != nullptr) {
     for (std::size_t i = 0; i < rows.size(); ++i)
-      reg.timer("suite." + rows[i].name).record_ns(wall_ns[i]);
-    obs::TraceEventSink* trace = obs::current_trace();
+      obs->registry.timer("suite." + rows[i].name).record_ns(wall_ns[i]);
+    obs::TraceEventSink* trace = obs->trace;
     const obs::TraceEventSink::LaneId lane =
         trace != nullptr ? trace->lane("suite", "benchmarks") : 0;
-    obs::EventLog* events = obs::current_event_log();
+    obs::EventLog* events = obs->events;
     std::uint64_t cumulative_cycles = 0;
     for (const SuiteRow& row : rows) {
       if (events != nullptr)

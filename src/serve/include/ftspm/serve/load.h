@@ -106,9 +106,7 @@ std::vector<RequestClass> parse_mix(const std::string& text);
 std::vector<RequestClass> default_mix(bool quick);
 
 /// Runs the load. Blocks until every submitted request resolved (or
-/// its connection died). Also folds the per-class histograms into the
-/// process registry as load.latency_ms{class=...} when observability
-/// is enabled.
+/// its connection died).
 LoadReport run_load(const LoadConfig& config);
 
 }  // namespace ftspm::serve

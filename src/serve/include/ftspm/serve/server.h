@@ -27,7 +27,7 @@
 // serve.service_ms{kind=...} histograms, a serve.queue_depth gauge,
 // serve.requests{outcome=...} counters) that the `metrics` frame
 // snapshots on demand, the telemetry thread streams as NDJSON, and the
-// drain folds into the process registry. With trace_path set, the same
+// drain folds into ServerConfig::obs. With trace_path set, the same
 // lifecycle is recorded as wall-clock spans (obs::WallTrace) — one
 // lane per request id plus a queue-depth counter lane.
 #pragma once
@@ -39,6 +39,10 @@
 
 #include "ftspm/serve/protocol.h"
 #include "ftspm/util/ndjson.h"
+
+namespace ftspm::obs {
+struct Context;
+}  // namespace ftspm::obs
 
 namespace ftspm::serve {
 
@@ -72,6 +76,11 @@ struct ServerConfig {
   std::string telemetry_path;
   /// Milliseconds between telemetry snapshots (clamped to >= 1).
   std::uint32_t telemetry_interval_ms = 1000;
+  /// The session's telemetry (nullable, not owned): every served run
+  /// books its campaign telemetry here, and the drain folds the
+  /// serving-layer registry into obs->registry. Only the executor
+  /// thread writes it while the daemon runs.
+  obs::Context* obs = nullptr;
 };
 
 class Server {

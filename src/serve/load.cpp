@@ -292,16 +292,6 @@ LoadReport run_load(const LoadConfig& cfg) {
     report.overloaded += merged.overloaded;
     report.errors += merged.errors;
   }
-
-  if (obs::enabled()) {
-    // Post-join, single-threaded fold into the process registry so a
-    // --metrics-out snapshot carries the per-class latency families.
-    obs::Registry& reg = obs::registry();
-    for (const ClassStats& s : report.classes)
-      reg.histogram("load.latency_ms", obs::LabelSet{{"class", s.name}},
-                    load_latency_bounds())
-          .merge_from(s.latency_ms);
-  }
   return report;
 }
 

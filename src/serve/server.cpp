@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "ftspm/exec/thread_pool.h"
+#include "ftspm/obs/context.h"
 #include "ftspm/obs/ledger.h"
-#include "ftspm/obs/metrics.h"
 #include "ftspm/obs/periodic_writer.h"
 #include "ftspm/obs/wall_trace.h"
 #include "ftspm/serve/campaign_spec.h"
@@ -652,6 +652,7 @@ void Server::Impl::run_one(PendingRequest req) {
   CampaignRunHooks hooks;
   hooks.pool = pool.get();
   hooks.cancel = req.cancel.get();
+  hooks.obs = cfg.obs;
   if (req.spec.heartbeat_strikes != 0) {
     hooks.progress = [this, &req](std::uint64_t done, std::uint64_t total) {
       write_frame(req.conn, heartbeat_frame(req.id, done, total));
@@ -722,12 +723,12 @@ void Server::Impl::run_one(PendingRequest req) {
 void Server::Impl::fold_into_registry() const {
   // Post-join, single-threaded: the serving-layer registry — the
   // serve.requests{outcome=...} counters plus the queue-wait/service
-  // histograms and queue-depth gauge — folds into the process registry,
-  // so a --metrics-out snapshot of a serve session carries the request
-  // mix next to the campaign counters.
-  if (!obs::enabled()) return;
+  // histograms and queue-depth gauge — folds into the session's
+  // registry, so a --metrics-out snapshot of a serve session carries
+  // the request mix next to the campaign counters.
+  if (cfg.obs == nullptr) return;
   const std::lock_guard<std::mutex> lock(telemetry_mutex);
-  obs::registry().merge_from(telemetry);
+  cfg.obs->registry.merge_from(telemetry);
 }
 
 }  // namespace ftspm::serve

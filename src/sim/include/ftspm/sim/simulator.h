@@ -25,6 +25,10 @@
 #include "ftspm/sim/spm.h"
 #include "ftspm/workload/trace.h"
 
+namespace ftspm::obs {
+struct Context;
+}  // namespace ftspm::obs
+
 namespace ftspm {
 
 /// Off-chip memory timing/energy (per 64-bit word).
@@ -83,8 +87,8 @@ struct RegionRunStats {
 /// Cycle/energy attribution for one execution phase. Phases follow the
 /// trace's CallEnter/CallExit markers: costs are charged to the
 /// innermost active code block, and to "(top)" outside any call.
-/// Populated only when observability is enabled during run()
-/// (obs::set_enabled) so the default hot path pays nothing.
+/// Populated only when run() is handed an obs::Context, so the default
+/// hot path pays nothing.
 struct PhaseStats {
   std::string name;
   std::uint64_t compute_cycles = 0;
@@ -131,7 +135,7 @@ struct RunResult {
   double spm_static_energy_pj = 0.0;
 
   /// Per-phase attribution in first-appearance order; empty unless
-  /// observability was enabled during the run.
+  /// run() was handed an obs::Context.
   std::vector<PhaseStats> phases;
 
   /// Per-block hottest-word write count while SPM-resident (wear).
@@ -169,20 +173,25 @@ class Simulator {
   /// Runs `workload` with the given block->region assignment
   /// (kNoRegion = cache path). Throws InvalidArgument when a mapped
   /// block does not fit its region or targets the wrong space, or when
-  /// a memory event names a block the program does not have.
+  /// a memory event names a block the program does not have. With
+  /// `obs` set, the run also attributes cycles and energy to phases
+  /// (RunResult::phases), books the sim.* metrics into obs->registry
+  /// and records its lanes on obs->trace when that is set.
   RunResult run(const Workload& workload,
-                std::span<const RegionId> block_to_region) const;
+                std::span<const RegionId> block_to_region,
+                obs::Context* obs = nullptr) const;
 
  private:
   /// The actual engine: one walk of the trace over per-call block and
   /// region tables, with every running total in a local until the end.
   /// One kernel, instantiated twice so the WithObs=false hot path
   /// carries no instrumentation code at all: run() picks the variant
-  /// from obs::enabled() once per call, and WithObs=true adds phase
+  /// by whether it was handed a context, and WithObs=true adds phase
   /// accounting and trace events under `if constexpr`.
   template <bool WithObs>
   RunResult run_impl(const Workload& workload,
-                     std::span<const RegionId> block_to_region) const;
+                     std::span<const RegionId> block_to_region,
+                     obs::Context* obs) const;
 
   SpmLayout layout_;
   SimConfig config_;

@@ -5,8 +5,7 @@
 #include <map>
 #include <memory>
 
-#include "ftspm/obs/metrics.h"
-#include "ftspm/obs/trace_sink.h"
+#include "ftspm/obs/context.h"
 #include "ftspm/util/error.h"
 #include "ftspm/util/repeated_add.h"
 
@@ -118,9 +117,9 @@ constexpr std::uint64_t kCacheFillSamplePeriod = 256;
 }  // namespace
 
 template <bool WithObs>
-RunResult Simulator::run_impl(
-    const Workload& workload,
-    std::span<const RegionId> block_to_region) const {
+RunResult Simulator::run_impl(const Workload& workload,
+                              std::span<const RegionId> block_to_region,
+                              [[maybe_unused]] obs::Context* obs) const {
   const Program& program = workload.program;
   const std::size_t n_blocks = program.block_count();
   FTSPM_REQUIRE(block_to_region.size() == n_blocks,
@@ -208,7 +207,7 @@ RunResult Simulator::run_impl(
   };
   if constexpr (WithObs) {
     obs_state = std::make_unique<ObsState>();
-    obs::Registry& reg = obs::registry();
+    obs::Registry& reg = obs->registry;
     reg.counter("sim.runs").add(1);
     obs_state->evictions = &reg.counter("sim.evictions");
     obs_state->dma_transfers = &reg.counter("sim.dma_transfers");
@@ -217,7 +216,7 @@ RunResult Simulator::run_impl(
     obs_state->dma_span = &reg.histogram(
         "sim.dma_words_per_transfer",
         {8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0});
-    if (obs::TraceEventSink* tr = obs::current_trace()) {
+    if (obs::TraceEventSink* tr = obs->trace) {
       obs_state->trace = tr;
       obs_state->phase_lane = tr->lane("sim", "phases");
       obs_state->dma_lane = tr->lane("sim", "dma");
@@ -516,9 +515,10 @@ RunResult Simulator::run_impl(
 }
 
 RunResult Simulator::run(const Workload& workload,
-                         std::span<const RegionId> block_to_region) const {
-  if (obs::enabled()) return run_impl<true>(workload, block_to_region);
-  return run_impl<false>(workload, block_to_region);
+                         std::span<const RegionId> block_to_region,
+                         obs::Context* obs) const {
+  if (obs != nullptr) return run_impl<true>(workload, block_to_region, obs);
+  return run_impl<false>(workload, block_to_region, nullptr);
 }
 
 }  // namespace ftspm

@@ -18,6 +18,7 @@
 // via the standard trace validator.
 #pragma once
 
+#include <ostream>
 #include <string>
 #include <string_view>
 
@@ -27,6 +28,10 @@ namespace ftspm {
 
 /// Serializes to the v1 text format.
 std::string serialize_workload(const Workload& workload);
+
+/// Streams the v1 text format to `os` without building it in memory
+/// first. The caller checks `os`'s state afterwards.
+void write_workload(std::ostream& os, const Workload& workload);
 
 /// Parses the v1 text format; throws ftspm::Error with a line number
 /// on any malformed input, and validates the resulting trace.

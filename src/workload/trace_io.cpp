@@ -1,5 +1,6 @@
 #include "ftspm/workload/trace_io.h"
 
+#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <istream>
@@ -116,21 +117,6 @@ class LineReader {
   std::size_t line_no_ = 0;
 };
 
-/// The v1 format, written to `os`.
-void write_workload(std::ostream& os, const Workload& workload) {
-  os << "ftspm-trace v1\n";
-  os << "program " << workload.program.name() << "\n";
-  for (const Block& blk : workload.program.blocks())
-    os << "block " << blk.name << " " << to_string(blk.kind) << " "
-       << blk.size_bytes << "\n";
-  const Trace& trace = workload.trace;
-  os << "trace " << trace.size() << "\n";
-  for (std::size_t k = 0; k < trace.chunk_count(); ++k)
-    for (const TraceEvent e : trace.chunk(k))
-      os << type_code(e.type) << " " << e.block << " " << e.offset << " "
-         << e.repeat << " " << e.gap << "\n";
-}
-
 /// The v1 format, read from `lines`.
 Workload read_workload(LineReader& lines) {
   std::string_view line;
@@ -200,6 +186,42 @@ Workload read_workload(LineReader& lines) {
 }
 
 }  // namespace
+
+void write_workload(std::ostream& os, const Workload& workload) {
+  os << "ftspm-trace v1\n";
+  os << "program " << workload.program.name() << "\n";
+  for (const Block& blk : workload.program.blocks())
+    os << "block " << blk.name << " " << to_string(blk.kind) << " "
+       << blk.size_bytes << "\n";
+  const Trace& trace = workload.trace;
+  os << "trace " << trace.size() << "\n";
+  // Event lines go out in 64 KiB blocks, one stream write each rather
+  // than one per field: a std::cout synced with stdio pays per write.
+  constexpr std::size_t kBlockBytes = 64 * 1024;
+  std::string block;
+  block.reserve(kBlockBytes + 64);
+  const auto field = [&block](std::uint64_t value, char separator) {
+    char digits[24];
+    block.append(digits,
+                 std::to_chars(digits, digits + sizeof digits, value).ptr);
+    block.push_back(separator);
+  };
+  for (std::size_t k = 0; k < trace.chunk_count(); ++k) {
+    for (const TraceEvent e : trace.chunk(k)) {
+      block.push_back(type_code(e.type));
+      block.push_back(' ');
+      field(e.block, ' ');
+      field(e.offset, ' ');
+      field(e.repeat, ' ');
+      field(e.gap, '\n');
+      if (block.size() >= kBlockBytes) {
+        os.write(block.data(), static_cast<std::streamsize>(block.size()));
+        block.clear();
+      }
+    }
+  }
+  os.write(block.data(), static_cast<std::streamsize>(block.size()));
+}
 
 std::string serialize_workload(const Workload& workload) {
   std::ostringstream os;

@@ -22,9 +22,7 @@
 #include "ftspm/fault/injector.h"
 #include "ftspm/fault/strike_model.h"
 #include "ftspm/mem/technology_library.h"
-#include "ftspm/obs/event_log.h"
-#include "ftspm/obs/metrics.h"
-#include "ftspm/obs/trace_sink.h"
+#include "ftspm/obs/context.h"
 #include "ftspm/util/error.h"
 #include "ftspm/util/json.h"
 #include "ftspm/workload/case_study.h"
@@ -77,8 +75,8 @@ TEST(ParallelCampaignTest, OneShardReproducesTheSerialCampaign) {
   }
 }
 
-/// What one campaign call leaves in the observability sinks, with
-/// observability on and an event log and a trace in scope.
+/// What one campaign call leaves in the telemetry of the context it is
+/// handed, a context with an event log and a trace.
 struct Telemetry {
   std::string metrics;
   std::string events;
@@ -89,25 +87,26 @@ struct Telemetry {
 
 template <typename Run>
 Telemetry capture(Run&& run) {
-  obs::registry().clear();
+  obs::EventLog events;
+  obs::TraceEventSink trace;
+  obs::Context ctx;
+  ctx.events = &events;
+  ctx.trace = &trace;
+  run(&ctx);
   Telemetry t;
-  {
-    const obs::EnabledScope enable(true);
-    obs::EventLog events;
-    obs::TraceEventSink trace;
-    {
-      const obs::EventLogScope log_scope(&events);
-      const obs::TraceScope trace_scope(&trace);
-      run();
-    }
-    t.metrics = obs::registry().to_json();
-    t.events = events.str();
-    t.trace = trace.str();
-    t.strikes = obs::registry().counter("campaign.strikes").value();
-    t.vulnerable = obs::registry().counter("campaign.vulnerable").value();
-  }
-  obs::registry().clear();
+  t.metrics = ctx.registry.to_json();
+  t.events = events.str();
+  t.trace = trace.str();
+  t.strikes = ctx.registry.counter("campaign.strikes").value();
+  t.vulnerable = ctx.registry.counter("campaign.vulnerable").value();
   return t;
+}
+
+/// A default (one-shard, inline) ExecConfig handing the run `obs`.
+ExecConfig exec_with(obs::Context* obs) {
+  ExecConfig exec;
+  exec.obs = obs;
+  return exec;
 }
 
 /// A serial entry point is a one-shard run of the campaign runner: it
@@ -133,12 +132,13 @@ TEST(ParallelCampaignTest, SerialEntryPointsAreOneShardRuns) {
   cfg.strikes = 20'000;
 
   CampaignResult result;
-  const Telemetry serial_static =
-      capture([&] { result = run_campaign(surfaces(), model(), cfg); });
-  const Telemetry sharded_static = capture([&] {
-    expect_same(run_campaign_sharded(surfaces(), model(), cfg, ExecConfig{})
-                    .merged,
-                result);
+  const Telemetry serial_static = capture([&](obs::Context* obs) {
+    result = run_campaign(surfaces(), model(), cfg, nullptr, obs);
+  });
+  const Telemetry sharded_static = capture([&](obs::Context* obs) {
+    expect_same(
+        run_campaign_sharded(surfaces(), model(), cfg, exec_with(obs)).merged,
+        result);
   });
   expect_serial_is_one_shard("static", serial_static, sharded_static, result);
 
@@ -152,12 +152,13 @@ TEST(ParallelCampaignTest, SerialEntryPointsAreOneShardRuns) {
   RecoveryPolicy policy;
   policy.recover = true;
   policy.scrub_interval = 1'024;
-  const Telemetry serial_recovery = capture([&] {
-    result = run_recovery_campaign({live}, model(), cfg, policy).strikes;
+  const Telemetry serial_recovery = capture([&](obs::Context* obs) {
+    result = run_recovery_campaign({live}, model(), cfg, policy, nullptr, obs)
+                 .strikes;
   });
-  const Telemetry sharded_recovery = capture([&] {
+  const Telemetry sharded_recovery = capture([&](obs::Context* obs) {
     expect_same(run_recovery_campaign_sharded({live}, model(), cfg, policy,
-                                              ExecConfig{})
+                                              exec_with(obs))
                     .merged.strikes,
                 result);
   });
@@ -168,15 +169,16 @@ TEST(ParallelCampaignTest, SerialEntryPointsAreOneShardRuns) {
   const ProgramProfile profile = profile_workload(w);
   const StructureEvaluator evaluator;
   const SystemResult sys = evaluator.evaluate_ftspm(w, profile);
-  const Telemetry serial_temporal = capture([&] {
+  const Telemetry serial_temporal = capture([&](obs::Context* obs) {
     result = run_temporal_campaign(evaluator.ftspm_layout(), sys.plan,
                                    w.program, profile,
-                                   evaluator.strike_model(), cfg);
+                                   evaluator.strike_model(), cfg, nullptr,
+                                   obs);
   });
-  const Telemetry sharded_temporal = capture([&] {
+  const Telemetry sharded_temporal = capture([&](obs::Context* obs) {
     expect_same(run_temporal_campaign_parallel(
                     evaluator.ftspm_layout(), sys.plan, w.program, profile,
-                    evaluator.strike_model(), cfg, ExecConfig{})
+                    evaluator.strike_model(), cfg, exec_with(obs))
                     .merged,
                 result);
   });
@@ -350,15 +352,14 @@ TEST(ParallelCampaignTest, MetricsSnapshotIdenticalAcrossJobCounts) {
   cfg.strikes = 30'000;
   std::vector<std::string> snapshots;
   for (std::uint32_t jobs : {1u, 2u, 8u}) {
-    obs::registry().clear();
-    const obs::EnabledScope enable(true);
+    obs::Context ctx;
     ExecConfig exec;
     exec.shards = 4;
     exec.jobs = jobs;
+    exec.obs = &ctx;
     run_campaign_sharded(surfaces(), model(), cfg, exec);
-    snapshots.push_back(obs::registry().to_json());
+    snapshots.push_back(ctx.registry.to_json());
   }
-  obs::registry().clear();
   EXPECT_EQ(snapshots[0], snapshots[1]);
   EXPECT_EQ(snapshots[0], snapshots[2]);
   // The snapshot must actually carry the campaign counters.
@@ -440,34 +441,24 @@ TEST(ParallelCampaignTest, HeartbeatNeverTouchesDeterministicArtefacts) {
   // metrics registry exactly as a silent run would.
   CampaignConfig cfg;
   cfg.strikes = 20'000;
+  obs::Context silent_obs;
   ExecConfig silent;
   silent.shards = 2;
   silent.jobs = 2;
-
-  obs::registry().clear();
-  std::string silent_metrics;
-  ShardedRun plain;
-  {
-    const obs::EnabledScope enable(true);
-    plain = run_campaign_sharded(surfaces(), model(), cfg, silent);
-    silent_metrics = obs::registry().to_json();
-  }
+  silent.obs = &silent_obs;
+  const ShardedRun plain =
+      run_campaign_sharded(surfaces(), model(), cfg, silent);
 
   const std::string path = temp_path("ftspm_heartbeat_purity_test");
+  obs::Context noisy_obs;
   ExecConfig noisy = silent;
   noisy.heartbeat.out_path = path;
   noisy.heartbeat.interval_ms = 1;
-  obs::registry().clear();
-  std::string noisy_metrics;
-  ShardedRun beating;
-  {
-    const obs::EnabledScope enable(true);
-    beating = run_campaign_sharded(surfaces(), model(), cfg, noisy);
-    noisy_metrics = obs::registry().to_json();
-  }
-  obs::registry().clear();
+  noisy.obs = &noisy_obs;
+  const ShardedRun beating =
+      run_campaign_sharded(surfaces(), model(), cfg, noisy);
   expect_same(plain.merged, beating.merged);
-  EXPECT_EQ(silent_metrics, noisy_metrics);
+  EXPECT_EQ(silent_obs.registry.to_json(), noisy_obs.registry.to_json());
   std::remove(path.c_str());
 }
 

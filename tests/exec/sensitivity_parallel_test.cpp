@@ -14,7 +14,7 @@
 #include "ftspm/fault/sensitivity.h"
 #include "ftspm/fault/strike_model.h"
 #include "ftspm/mem/technology_library.h"
-#include "ftspm/obs/metrics.h"
+#include "ftspm/obs/context.h"
 
 namespace ftspm::exec {
 namespace {
@@ -164,18 +164,17 @@ TEST(SensitivityParallelTest, LabelledMetricsSnapshotIsJobsInvariant) {
   cfg.strikes = 20'000;
   std::vector<std::string> snapshots;
   for (std::uint32_t jobs : {1u, 2u, 8u}) {
-    obs::registry().clear();
-    const obs::EnabledScope enable(true);
+    obs::Context ctx;
     ExecConfig exec;
     exec.shards = 4;
     exec.jobs = jobs;
     exec.sensitivity_buckets = 32;
+    exec.obs = &ctx;
     const ShardedRun run = run_campaign_sharded(surfaces(), model(), cfg,
                                                 exec);
-    emit_sensitivity_metrics(run.sensitivity, "static");
-    snapshots.push_back(obs::registry().to_json());
+    emit_sensitivity_metrics(run.sensitivity, "static", &ctx.registry);
+    snapshots.push_back(ctx.registry.to_json());
   }
-  obs::registry().clear();
   EXPECT_EQ(snapshots[0], snapshots[1]);
   EXPECT_EQ(snapshots[0], snapshots[2]);
   EXPECT_NE(snapshots[0].find("labelled_counters"), std::string::npos);

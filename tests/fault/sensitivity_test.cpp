@@ -240,10 +240,8 @@ TEST(SensitivityMetricsTest, EmitFoldsGridIntoLabelledRegistry) {
   grid.record(0, 90, StrikeOutcome::Masked);
   grid.record(1, 1, StrikeOutcome::Due);
 
-  obs::registry().clear();
-  const obs::EnabledScope scoped(true);
-  emit_sensitivity_metrics(grid, "static");
-  obs::Registry& reg = obs::registry();
+  obs::Registry reg;
+  emit_sensitivity_metrics(grid, "static", &reg);
   EXPECT_EQ(reg.counter("campaign.outcome",
                         obs::LabelSet{{"region", "dspm"},
                                       {"ecc", "secded"},
@@ -261,18 +259,15 @@ TEST(SensitivityMetricsTest, EmitFoldsGridIntoLabelledRegistry) {
   // Every bucket is observed, including empty ones.
   const std::string json = reg.to_json();
   EXPECT_NE(json.find("campaign.bucket_strikes"), std::string::npos);
-  obs::registry().clear();
 }
 
 TEST(SensitivityMetricsTest, EmitIsANoOpWhenDisabledOrInactive) {
-  obs::registry().clear();
-  // Disabled observability: nothing reaches the registry.
-  emit_sensitivity_metrics(small_grid(), "static");
-  EXPECT_EQ(obs::registry().size(), 0u);
-  // Inactive grid under enabled observability: also nothing.
-  const obs::EnabledScope scoped(true);
-  emit_sensitivity_metrics(SensitivityGrid(), "static");
-  EXPECT_EQ(obs::registry().size(), 0u);
+  // No registry (telemetry off): nothing to book into.
+  emit_sensitivity_metrics(small_grid(), "static", nullptr);
+  // Inactive grid with a registry: nothing reaches it.
+  obs::Registry reg;
+  emit_sensitivity_metrics(SensitivityGrid(), "static", &reg);
+  EXPECT_EQ(reg.size(), 0u);
 }
 
 }  // namespace

@@ -25,8 +25,7 @@
 
 #include "ftspm/core/baseline_mapper.h"
 #include "ftspm/core/systems.h"
-#include "ftspm/obs/metrics.h"
-#include "ftspm/obs/trace_sink.h"
+#include "ftspm/obs/context.h"
 #include "ftspm/workload/case_study.h"
 #include "ftspm/workload/suite.h"
 #include "support/run_traces.h"
@@ -150,15 +149,11 @@ std::uint64_t pipeline_digest(const Workload& w) {
     const Simulator sim(*layouts[s], ev.sim_config());
     add_run(d, sim.run(w, plans[s].block_to_region()));
 
-    obs::registry().clear();
-    const obs::EnabledScope enable(true);
     obs::TraceEventSink sink;
-    {
-      const obs::TraceScope scope(&sink);
-      add_run(d, sim.run(w, plans[s].block_to_region()));
-    }
+    obs::Context ctx;
+    ctx.trace = &sink;
+    add_run(d, sim.run(w, plans[s].block_to_region(), &ctx));
     d.add(sink.str());
-    obs::registry().clear();
   }
   return d.value();
 }

@@ -1,5 +1,5 @@
-// End-to-end observability: a small case_study run under a trace scope
-// must produce a valid Chrome trace-event document with the DMA,
+// End-to-end observability: a small case_study run handed a traced
+// context must produce a valid Chrome trace-event document with the DMA,
 // eviction, and phase-span lanes populated — and byte-identical output
 // across repeated runs (the determinism contract).
 #include <gtest/gtest.h>
@@ -7,8 +7,7 @@
 #include <string>
 
 #include "ftspm/core/systems.h"
-#include "ftspm/obs/metrics.h"
-#include "ftspm/obs/trace_sink.h"
+#include "ftspm/obs/context.h"
 #include "ftspm/util/json.h"
 #include "ftspm/workload/case_study.h"
 
@@ -21,20 +20,15 @@ struct TraceRun {
 };
 
 TraceRun run_traced_case_study() {
-  obs::registry().clear();
-  const obs::EnabledScope enable(true);
   obs::TraceEventSink sink;
-  {
-    const obs::TraceScope scope(&sink);
-    // Scale 8 keeps the run small but still forces capacity evictions.
-    const Workload w = make_case_study(CaseStudyTargets{}.scaled_down(8));
-    const ProgramProfile prof = profile_workload(w);
-    const StructureEvaluator evaluator;
-    (void)evaluator.evaluate_ftspm(w, prof);
-  }
-  TraceRun out{sink.str(), obs::registry().to_json()};
-  obs::registry().clear();
-  return out;
+  obs::Context ctx;
+  ctx.trace = &sink;
+  // Scale 8 keeps the run small but still forces capacity evictions.
+  const Workload w = make_case_study(CaseStudyTargets{}.scaled_down(8));
+  const ProgramProfile prof = profile_workload(w);
+  const StructureEvaluator evaluator;
+  (void)evaluator.evaluate_ftspm(w, prof, &ctx);
+  return TraceRun{sink.str(), ctx.registry.to_json()};
 }
 
 TEST(TraceGoldenTest, CaseStudyTraceIsValidAndComplete) {
@@ -81,13 +75,12 @@ TEST(TraceGoldenTest, PhasesPopulateOnlyWhenEnabled) {
   const ProgramProfile prof = profile_workload(w);
   const StructureEvaluator evaluator;
   {
-    const obs::EnabledScope off(false);
     const SystemResult r = evaluator.evaluate_ftspm(w, prof);
     EXPECT_TRUE(r.run.phases.empty());
   }
   {
-    const obs::EnabledScope on(true);
-    const SystemResult r = evaluator.evaluate_ftspm(w, prof);
+    obs::Context ctx;
+    const SystemResult r = evaluator.evaluate_ftspm(w, prof, &ctx);
     ASSERT_FALSE(r.run.phases.empty());
     // Phase attribution must account for every simulated cycle.
     std::uint64_t phase_cycles = 0;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "ftspm/obs/metrics.h"
 #include "ftspm/util/json.h"
 
 namespace ftspm::obs {
@@ -33,22 +32,6 @@ TEST(EventLogTest, StrIsStableAcrossCalls) {
   EventLog log;
   log.emit("run_manifest", 0, {TraceArg::str("command", "test")});
   EXPECT_EQ(log.str(), log.str());
-}
-
-TEST(EventLogTest, CurrentLogRespectsEnableAndRedirect) {
-  EventLog log;
-  const EventLogScope install(&log);
-  EXPECT_EQ(current_event_log(), nullptr);  // obs disabled
-  const EnabledScope enable(true);
-  EXPECT_EQ(current_event_log(), &log);
-  {
-    // Worker threads run under a registry redirect; the event log is
-    // single-writer so it must vanish for them.
-    Registry local;
-    const ThreadRegistryScope redirect(local);
-    EXPECT_EQ(current_event_log(), nullptr);
-  }
-  EXPECT_EQ(current_event_log(), &log);
 }
 
 }  // namespace

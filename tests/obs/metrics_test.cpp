@@ -148,22 +148,6 @@ TEST(RegistryTest, MergeFoldsEveryInstrumentKind) {
   EXPECT_EQ(a.timer("t").count(), 1u);
 }
 
-TEST(RegistryTest, ThreadScopeRedirectsAndRestores) {
-  registry().clear();
-  const EnabledScope enable(true);
-  Registry local;
-  EXPECT_FALSE(thread_registry_redirected());
-  {
-    const ThreadRegistryScope scope(local);
-    EXPECT_TRUE(thread_registry_redirected());
-    FTSPM_OBS_COUNT("redirected", 1);
-  }
-  EXPECT_FALSE(thread_registry_redirected());
-  EXPECT_EQ(local.counter("redirected").value(), 1u);
-  EXPECT_EQ(registry().size(), 0u);
-  registry().clear();
-}
-
 TEST(TimerStatTest, TracksCountTotalAndMax) {
   TimerStat t;
   t.record_ns(100);
@@ -241,23 +225,6 @@ TEST(RegistryTest, CsvHasOneRowPerScalar) {
   const std::string csv = r.to_csv();
   EXPECT_NE(csv.find("counter,c,value,3"), std::string::npos);
   EXPECT_NE(csv.find("gauge,g,value,2"), std::string::npos);
-}
-
-TEST(EnabledTest, MacrosAreInertWhenDisabled) {
-  registry().clear();
-  set_enabled(false);
-  FTSPM_OBS_COUNT("inert", 1);
-  EXPECT_EQ(registry().size(), 0u);
-  {
-    const EnabledScope scope(true);
-    EXPECT_TRUE(enabled());
-    FTSPM_OBS_COUNT("live", 1);
-    FTSPM_OBS_GAUGE("g", 4.0);
-  }
-  EXPECT_FALSE(enabled());
-  EXPECT_EQ(registry().counter("live").value(), 1u);
-  EXPECT_DOUBLE_EQ(registry().gauge("g").value(), 4.0);
-  registry().clear();
 }
 
 }  // namespace

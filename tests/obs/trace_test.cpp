@@ -93,22 +93,6 @@ TEST(TraceSinkTest, SerializationIsDeterministic) {
   EXPECT_EQ(build(), build());
 }
 
-TEST(CurrentTraceTest, TraceScopeInstallsAndRestores) {
-  EXPECT_EQ(current_trace(), nullptr);
-  TraceEventSink outer;
-  {
-    TraceScope scope(&outer);
-    EXPECT_EQ(current_trace(), &outer);
-    TraceEventSink inner;
-    {
-      TraceScope nested(&inner);
-      EXPECT_EQ(current_trace(), &inner);
-    }
-    EXPECT_EQ(current_trace(), &outer);
-  }
-  EXPECT_EQ(current_trace(), nullptr);
-}
-
 TEST(PhaseSpanTest, EmitsBalancedBeginEnd) {
   TraceEventSink sink;
   const auto lane = sink.lane("suite", "benchmarks");

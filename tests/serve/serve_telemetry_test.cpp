@@ -9,6 +9,9 @@
 //   * Tracing is reporting only: ledger counters and metrics are
 //     bit-identical with the trace and telemetry writers on or off.
 //   * The `metrics` frame has a pinned deterministic schema.
+//   * Served runs book their campaign telemetry into ServerConfig::obs,
+//     as a one-shot run does into its own, and the drain folds the
+//     serving-layer registry in.
 //   * The telemetry NDJSON writer emits a first and a final snapshot,
 //     every line strict-parseable, sequence numbers strictly
 //     increasing. Runs under TSan via the CI `Serve` regex.
@@ -24,7 +27,9 @@
 #include <utility>
 #include <vector>
 
+#include "ftspm/obs/context.h"
 #include "ftspm/obs/ledger.h"
+#include "ftspm/serve/campaign_spec.h"
 #include "ftspm/serve/client.h"
 #include "ftspm/serve/server.h"
 #include "ftspm/util/json.h"
@@ -183,6 +188,46 @@ TEST(ServeTelemetryTest, LedgerRecordBitIdenticalWithTracingOnOrOff) {
     EXPECT_EQ(plain.metrics[i].second, traced.metrics[i].second)
         << plain.metrics[i].first;  // Bitwise: EXPECT_EQ, not NEAR.
   }
+}
+
+TEST(ServeTelemetryTest, ServedRunsAndTheDrainBookIntoTheConfiguredContext) {
+  CampaignSpec spec;
+  spec.strikes = 20'000;
+  spec.shards = 4;
+
+  // The one-shot run's telemetry, for comparison.
+  obs::EventLog direct_events;
+  obs::Context direct;
+  direct.events = &direct_events;
+  CampaignRunHooks hooks;
+  hooks.obs = &direct;
+  (void)run_campaign_spec(spec, hooks);
+
+  obs::EventLog events;
+  obs::Context served;
+  served.events = &events;
+  ServerConfig cfg;
+  cfg.socket_path = test_path("ctx", ".sock");
+  cfg.jobs = 2;
+  cfg.obs = &served;
+  Server server(cfg);
+  server.start();
+  Client client = Client::connect_unix(cfg.socket_path);
+  client.submit(spec, "ctx-1");
+  EXPECT_TRUE(frame_of_type(client, "result").at("complete").boolean);
+  server.request_stop();
+  server.wait();
+
+  // The served run books what the one-shot run books; the drain adds
+  // the serving-layer instruments.
+  EXPECT_EQ(events.str(), direct_events.str());
+  EXPECT_EQ(served.registry.counter("campaign.strikes").value(),
+            spec.strikes);
+  EXPECT_EQ(served.registry
+                .counter("serve.requests",
+                         obs::LabelSet{{"outcome", "completed"}})
+                .value(),
+            1u);
 }
 
 TEST(ServeTelemetryTest, MetricsFrameSchemaIsPinned) {

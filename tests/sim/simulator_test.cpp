@@ -9,8 +9,7 @@
 #include "ftspm/core/mapping_determiner.h"
 #include "ftspm/core/systems.h"
 #include "ftspm/mem/technology_library.h"
-#include "ftspm/obs/metrics.h"
-#include "ftspm/obs/trace_sink.h"
+#include "ftspm/obs/context.h"
 #include "ftspm/profile/profiler.h"
 #include "ftspm/util/error.h"
 #include "ftspm/workload/suite.h"
@@ -258,22 +257,17 @@ void expect_same_run_bits(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.block_cache_accesses, b.block_cache_accesses);
 }
 
-// `sim.run(w, map)` with observability off, then on with a trace sink
-// attached: one kernel serves both, so only `phases` may differ.
+// `sim.run(w, map)` with no context, then with a context holding a trace
+// sink: one kernel serves both, so only `phases` may differ.
 void expect_observability_changes_nothing(const Simulator& sim,
                                           const Workload& w,
                                           std::span<const RegionId> map) {
   const RunResult off = sim.run(w, map);
   EXPECT_TRUE(off.phases.empty());
-  obs::registry().clear();
-  const obs::EnabledScope enable(true);
   obs::TraceEventSink sink;
-  RunResult on;
-  {
-    const obs::TraceScope scope(&sink);
-    on = sim.run(w, map);
-  }
-  obs::registry().clear();
+  obs::Context ctx;
+  ctx.trace = &sink;
+  const RunResult on = sim.run(w, map, &ctx);
   EXPECT_FALSE(on.phases.empty());
   expect_same_run_bits(off, on);
 }

@@ -926,5 +926,137 @@ TEST(CliTest, EvaluateJsonEmbedsManifest) {
   EXPECT_FALSE(manifest.at("library_version").string.empty());
 }
 
+TEST(CliTest, ExportToStdoutMatchesExportToFile) {
+  // The stdout path streams the trace text instead of building it in
+  // memory first; the bytes must not change.
+  const std::string path = temp_path("ftspm_cli_export_dijkstra.trace");
+  const CommandResult to_file =
+      run_tool_stdout("export dijkstra --out " + path);
+  ASSERT_EQ(to_file.exit_code, 0);
+  const CommandResult to_stdout = run_tool_stdout("export dijkstra");
+  ASSERT_EQ(to_stdout.exit_code, 0);
+  const std::string file = slurp(path);
+  EXPECT_GT(file.size(), 1'000'000u);
+  EXPECT_TRUE(to_stdout.output == file)
+      << "stdout " << to_stdout.output.size() << " bytes, file "
+      << file.size() << " bytes";
+  std::remove(path.c_str());
+}
+
+// CLI artefact goldens: each command runs with --metrics-out,
+// --trace-out and --events-out, and its stdout and the three files
+// must keep the size and FNV-1a 64 digest they had when the goldens
+// were captured (before telemetry became an obs::Context handed down
+// the call graph, so they pin that the threading changed no byte).
+// Traces run to megabytes, hence digests rather than files. A mismatch
+// names the file it left behind and the row that would match it.
+
+struct ArtefactDigest {
+  std::size_t bytes;
+  std::uint64_t fnv1a;
+};
+
+/// stdout, metrics, trace, event log — in that order.
+using ArtefactGoldens = std::array<ArtefactDigest, 4>;
+
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+void expect_artefacts(const std::string& name, const std::string& args,
+                      const ArtefactGoldens& goldens) {
+  SCOPED_TRACE(args);
+  const std::string stem = temp_path(("ftspm_cli_golden_" + name).c_str());
+  const std::array<std::string, 4> paths = {
+      stem + ".out", stem + ".metrics.json", stem + ".trace.json",
+      stem + ".events.ndjson"};
+  const CommandResult r = run_command(
+      std::string(FTSPM_TOOL_PATH) + " " + args + " --metrics-out " +
+      paths[1] + " --trace-out " + paths[2] + " --events-out " + paths[3] +
+      " >" + paths[0] + " 2>/dev/null");
+  ASSERT_EQ(r.exit_code, 0);
+  bool all_match = true;
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    const std::string bytes = slurp(paths[i]);
+    const ArtefactDigest got{bytes.size(), fnv1a64(bytes)};
+    const bool match =
+        got.bytes == goldens[i].bytes && got.fnv1a == goldens[i].fnv1a;
+    char row[64];
+    std::snprintf(row, sizeof row, "{%zu, 0x%016llXULL}", got.bytes,
+                  static_cast<unsigned long long>(got.fnv1a));
+    EXPECT_TRUE(match) << paths[i] << " is " << row;
+    all_match = all_match && match;
+  }
+  if (all_match)
+    for (const std::string& path : paths) std::remove(path.c_str());
+}
+
+constexpr ArtefactGoldens kStaticCampaign = {{{106, 0x59BCF1770A8F1F71ULL},
+                                              {557, 0x3D2C4B6792C45067ULL},
+                                              {1616, 0x3EAE7F3653DC0D34ULL},
+                                              {2469, 0x1DF094593E29D3DDULL}}};
+constexpr ArtefactGoldens kRecoveryCampaign = {
+    {{264, 0xB5BEFAA9C733D968ULL},
+     {897, 0x941885DC52970800ULL},
+     {3458, 0xCE6CAAFF192C2BACULL},
+     {2552, 0x7F2EA2C0F1CFC9BDULL}}};
+
+TEST(CliArtefactGoldenTest, StaticCampaignAtTwoAndEightJobs) {
+  // The sharded-campaign determinism gate's command: the artefacts are
+  // also the same at any --jobs.
+  for (const char* jobs : {"2", "8"})
+    expect_artefacts(std::string("static_j") + jobs,
+                     std::string("campaign --strikes 200000 --shards 8 "
+                                 "--jobs ") +
+                         jobs + " --sensitivity-out " +
+                         temp_path("ftspm_cli_golden_static.csv"),
+                     kStaticCampaign);
+  std::remove(temp_path("ftspm_cli_golden_static.csv").c_str());
+}
+
+TEST(CliArtefactGoldenTest, RecoveryCampaignAtTwoAndEightJobs) {
+  for (const char* jobs : {"2", "8"})
+    expect_artefacts(std::string("recovery_j") + jobs,
+                     std::string("campaign --strikes 30000 --shards 8 "
+                                 "--occupancy 0.3 --recover "
+                                 "--scrub-interval 1024 --jobs ") +
+                         jobs + " --sensitivity-out " +
+                         temp_path("ftspm_cli_golden_recovery.csv"),
+                     kRecoveryCampaign);
+  std::remove(temp_path("ftspm_cli_golden_recovery.csv").c_str());
+}
+
+TEST(CliArtefactGoldenTest, SuiteSerial) {
+  // One job: every evaluation books its sim.* and mda.* telemetry.
+  expect_artefacts("suite_j1", "suite --scale 16 --jobs 1",
+                   {{{1328, 0x02A1E54E9FF06981ULL},
+                     {571, 0x94A394B22EC7DA44ULL},
+                     {4641214, 0x0B16D6190298A42CULL},
+                     {2496, 0xEC7B9ABA749377E7ULL}}});
+}
+
+TEST(CliArtefactGoldenTest, SuiteParallel) {
+  // Four jobs: the workers' evaluations book nothing; only the suite
+  // lane, its phase records and the (wall-clock, unsnapshotted) timers.
+  expect_artefacts("suite_j4", "suite --scale 16 --jobs 4",
+                   {{{1328, 0x02A1E54E9FF06981ULL},
+                     {44, 0xF09D75CA259F0701ULL},
+                     {1319, 0xD8ED007942126018ULL},
+                     {2496, 0xEC7B9ABA749377E7ULL}}});
+}
+
+TEST(CliArtefactGoldenTest, StatsDijkstra) {
+  expect_artefacts("stats_dijkstra", "stats dijkstra",
+                   {{{888, 0x87091D5F4F19E92EULL},
+                     {471, 0x77E461873BE58586ULL},
+                     {124987, 0xAEF365AE707F4E69ULL},
+                     {106, 0x81403715AEB7C215ULL}}});
+}
+
 }  // namespace
 }  // namespace ftspm

@@ -65,11 +65,9 @@
 #include "ftspm/core/systems.h"
 #include "ftspm/core/transfer_schedule.h"
 #include "ftspm/exec/thread_pool.h"
-#include "ftspm/obs/event_log.h"
+#include "ftspm/obs/context.h"
 #include "ftspm/obs/ledger.h"
-#include "ftspm/obs/metrics.h"
 #include "ftspm/obs/timer.h"
-#include "ftspm/obs/trace_sink.h"
 #include "ftspm/profile/reuse.h"
 #include "ftspm/fault/injector.h"
 #include "ftspm/fault/sensitivity.h"
@@ -130,36 +128,33 @@ struct GlobalOptions {
   std::uint32_t jobs = 1;  // 0 = hardware concurrency
 };
 
-/// Owns the observability state for one tool invocation: enables the
-/// registry when any output was requested, installs the trace sink for
-/// the duration of the command, and writes the files at the end.
+/// Owns the telemetry of one tool invocation: the obs::Context every
+/// command hands its runs when any artefact was requested, the trace
+/// sink and event log it points at, and the files written at the end.
 class ObsSession {
  public:
-  explicit ObsSession(GlobalOptions opts) : opts_(std::move(opts)) {
-    if (!opts_.trace_out.empty() || !opts_.metrics_out.empty() ||
-        !opts_.events_out.empty())
-      obs::set_enabled(true);
-    if (!opts_.trace_out.empty()) {
-      sink_ = std::make_unique<obs::TraceEventSink>();
-      scope_ = std::make_unique<obs::TraceScope>(sink_.get());
-    }
-    if (!opts_.events_out.empty()) {
-      events_ = std::make_unique<obs::EventLog>();
-      event_scope_ = std::make_unique<obs::EventLogScope>(events_.get());
-    }
+  explicit ObsSession(GlobalOptions opts)
+      : opts_(std::move(opts)),
+        on_(!opts_.trace_out.empty() || !opts_.metrics_out.empty() ||
+            !opts_.events_out.empty()) {
+    if (!opts_.trace_out.empty()) context_.trace = &trace_;
+    if (!opts_.events_out.empty()) context_.events = &events_;
   }
 
   bool progress() const noexcept { return opts_.progress; }
   std::uint32_t jobs() const noexcept { return opts_.jobs; }
   const GlobalOptions& options() const noexcept { return opts_; }
 
+  /// The invocation's telemetry, or null when no artefact was
+  /// requested (telemetry off).
+  obs::Context* context() noexcept { return on_ ? &context_ : nullptr; }
+
   /// Hands the --trace-out destination to a command that records its
   /// own trace in the wall-clock domain (`serve`) and disarms the
   /// simulated-time sink, so finish() neither clobbers the file nor
   /// reports a second write. Returns the path (empty when none).
   std::string take_trace_out() {
-    scope_.reset();
-    sink_.reset();
+    context_.trace = nullptr;
     std::string path = std::move(opts_.trace_out);
     opts_.trace_out.clear();
     return path;
@@ -168,30 +163,28 @@ class ObsSession {
   /// Writes the requested artefacts. Called after the command ran so
   /// I/O errors surface as a nonzero exit instead of dying in a dtor.
   void finish() {
-    if (sink_ != nullptr) {
-      scope_.reset();
-      sink_->write_file(opts_.trace_out);
-      std::cerr << "wrote trace (" << sink_->event_count() << " events) to "
+    if (!opts_.trace_out.empty()) {
+      trace_.write_file(opts_.trace_out);
+      std::cerr << "wrote trace (" << trace_.event_count() << " events) to "
                 << opts_.trace_out << "\n";
     }
     if (!opts_.metrics_out.empty()) {
-      write_text_file(opts_.metrics_out, obs::registry().to_json() + "\n");
+      write_text_file(opts_.metrics_out, context_.registry.to_json() + "\n");
       std::cerr << "wrote metrics to " << opts_.metrics_out << "\n";
     }
-    if (events_ != nullptr) {
-      event_scope_.reset();
-      events_->write_file(opts_.events_out);
-      std::cerr << "wrote event log (" << events_->record_count()
+    if (!opts_.events_out.empty()) {
+      events_.write_file(opts_.events_out);
+      std::cerr << "wrote event log (" << events_.record_count()
                 << " records) to " << opts_.events_out << "\n";
     }
   }
 
  private:
   GlobalOptions opts_;
-  std::unique_ptr<obs::TraceEventSink> sink_;
-  std::unique_ptr<obs::TraceScope> scope_;
-  std::unique_ptr<obs::EventLog> events_;
-  std::unique_ptr<obs::EventLogScope> event_scope_;
+  bool on_;
+  obs::TraceEventSink trace_;
+  obs::EventLog events_;
+  obs::Context context_;
 };
 
 /// The invocation's session, set by dispatch() before any cmd_* runs.
@@ -199,6 +192,11 @@ ObsSession* g_session = nullptr;
 
 bool progress_requested() {
   return g_session != nullptr && g_session->progress();
+}
+
+/// The session's telemetry context; null when telemetry is off.
+obs::Context* session_obs() {
+  return g_session != nullptr ? g_session->context() : nullptr;
 }
 
 /// Worker threads requested via the global --jobs option; resolves the
@@ -422,7 +420,7 @@ int cmd_map(int argc, const char* const* argv) {
   const ProgramProfile prof = profile_workload(w);
   const StructureEvaluator evaluator(TechnologyLibrary(),
                                      mda_config_from(args));
-  const SystemResult r = evaluator.evaluate_ftspm(w, prof);
+  const SystemResult r = evaluator.evaluate_ftspm(w, prof, session_obs());
   std::cout << render_mapping_table(w.program, r.plan,
                                     evaluator.ftspm_layout());
   return 0;
@@ -443,10 +441,11 @@ int cmd_simulate(int argc, const char* const* argv) {
                                      mda_config_from(args));
 
   const std::string structure = args.option("structure");
+  obs::Context* obs = session_obs();
   SystemResult r = [&] {
-    if (structure == "ftspm") return evaluator.evaluate_ftspm(w, prof);
-    if (structure == "sram") return evaluator.evaluate_pure_sram(w, prof);
-    if (structure == "stt") return evaluator.evaluate_pure_stt(w, prof);
+    if (structure == "ftspm") return evaluator.evaluate_ftspm(w, prof, obs);
+    if (structure == "sram") return evaluator.evaluate_pure_sram(w, prof, obs);
+    if (structure == "stt") return evaluator.evaluate_pure_stt(w, prof, obs);
     throw InvalidArgument("unknown structure '" + structure + "'");
   }();
   const SpmLayout& layout = structure == "ftspm"
@@ -497,15 +496,17 @@ int cmd_evaluate(int argc, const char* const* argv) {
     const RunManifest manifest{"ftspm_tool evaluate", args.positionals()[0],
                                scale, 0};
     const ProgramProfile prof = profile_workload(w);
-    std::cout << "[" << system_result_json(evaluator.evaluate_ftspm(w, prof),
-                                           evaluator.ftspm_layout(),
-                                           w.program, manifest)
+    obs::Context* obs = session_obs();
+    std::cout << "["
+              << system_result_json(evaluator.evaluate_ftspm(w, prof, obs),
+                                    evaluator.ftspm_layout(), w.program,
+                                    manifest)
               << ","
-              << system_result_json(evaluator.evaluate_pure_sram(w, prof),
+              << system_result_json(evaluator.evaluate_pure_sram(w, prof, obs),
                                     evaluator.pure_sram_layout(), w.program,
                                     manifest)
               << ","
-              << system_result_json(evaluator.evaluate_pure_stt(w, prof),
+              << system_result_json(evaluator.evaluate_pure_stt(w, prof, obs),
                                     evaluator.pure_stt_layout(), w.program,
                                     manifest)
               << "]\n";
@@ -514,7 +515,7 @@ int cmd_evaluate(int argc, const char* const* argv) {
   AsciiTable t({"Structure", "Cycles", "Vulnerability", "Dyn E (uJ)",
                 "Stat E (uJ)", "Max STT wr/s"});
   t.set_align(0, Align::Left);
-  for (const SystemResult& r : evaluator.evaluate_all(w)) {
+  for (const SystemResult& r : evaluator.evaluate_all(w, session_obs())) {
     t.add_row({r.structure, with_commas(r.run.total_cycles),
                fixed(r.avf.vulnerability(), 4),
                fixed(r.run.spm_dynamic_energy_pj() / 1e6, 1),
@@ -539,7 +540,7 @@ int cmd_schedule(int argc, const char* const* argv) {
   const ProgramProfile prof = profile_workload(w);
   const StructureEvaluator evaluator(TechnologyLibrary(),
                                      mda_config_from(args));
-  const SystemResult r = evaluator.evaluate_ftspm(w, prof);
+  const SystemResult r = evaluator.evaluate_ftspm(w, prof, session_obs());
   const TransferSchedule sched = TransferSchedule::generate(
       w.program, prof, r.plan, evaluator.ftspm_layout());
   std::cout << sched.render(
@@ -556,8 +557,9 @@ int cmd_suite(int argc, const char* const* argv) {
   const std::uint64_t scale = args.option_uint("scale");
   const StructureEvaluator evaluator;
   const auto wall_start = std::chrono::steady_clock::now();
-  const std::vector<SuiteRow> rows = run_suite_parallel(
-      evaluator, scale, jobs_requested(), make_suite_progress());
+  const std::vector<SuiteRow> rows =
+      run_suite_parallel(evaluator, scale, jobs_requested(),
+                         make_suite_progress(), session_obs());
   {
     obs::LedgerRecord record;
     record.command = "suite";
@@ -686,8 +688,9 @@ int cmd_partition(int argc, const char* const* argv) {
     tasks.push_back(TaskSpec{&workloads[i], weights[i]});
   PartitionConfig pcfg;
   pcfg.granule_bytes = args.option_uint("granule");
-  const PartitionResult result = partition_and_evaluate(
-      tasks, TechnologyLibrary(), MdaConfig{}, FtspmDimensions{}, pcfg);
+  const PartitionResult result =
+      partition_and_evaluate(tasks, TechnologyLibrary(), MdaConfig{},
+                             FtspmDimensions{}, pcfg, session_obs());
 
   AsciiTable t({"Task", "Weight", "I-SPM B", "D-STT B", "D-ECC B",
                 "D-Par B", "Cycles", "Vulnerability"});
@@ -830,11 +833,12 @@ int cmd_report(int argc, const char* const* argv) {
   args.add_option("out-dir", "output directory", "ftspm_report");
   args.parse(argc, argv, 2);
   const StructureEvaluator evaluator;
-  const std::vector<SuiteRow> rows = run_suite_parallel(
-      evaluator, args.option_uint("scale"),
-      jobs_requested(), make_suite_progress());
-  for (const std::string& path :
-       write_all_csv(evaluator, rows, args.option("out-dir")))
+  const std::vector<SuiteRow> rows =
+      run_suite_parallel(evaluator, args.option_uint("scale"),
+                         jobs_requested(), make_suite_progress(),
+                         session_obs());
+  for (const std::string& path : write_all_csv(
+           evaluator, rows, args.option("out-dir"), session_obs()))
     std::cout << "wrote " << path << "\n";
   return 0;
 }
@@ -884,8 +888,10 @@ int cmd_campaign(int argc, const char* const* argv) {
   spec.refetch_words =
       args.option_uint("refetch-words", serve::kMaxSpecRefetchWords);
 
+  obs::Context* obs = session_obs();
   serve::CampaignRunHooks hooks;
   hooks.jobs = jobs_requested();
+  hooks.obs = obs;
   const std::uint64_t shards =
       args.option_uint("shards", serve::kMaxSpecShards);
   spec.shards = shards == 0 ? hooks.effective_jobs()
@@ -928,16 +934,12 @@ int cmd_campaign(int argc, const char* const* argv) {
   if (!sensitivity_out.empty()) hooks.sensitivity_buckets = sensitivity_buckets;
 
   serve::CampaignOutcome outcome;
+  // --time books the run into a wall timer of its own; the reading
+  // happens after the scope closes the span.
+  obs::Registry timers;
   {
-    // --time books the run into the obs wall-timer registry (forcing
-    // observability on for the duration so the timer is live); the
-    // reading happens after the scope closes the span.
-    std::optional<obs::EnabledScope> timed;
-    std::optional<obs::ScopedTimer> span;
-    if (args.flag("time")) {
-      timed.emplace(true);
-      span.emplace("campaign.wall");
-    }
+    const obs::ScopedTimer span(args.flag("time") ? &timers : nullptr,
+                                "campaign.wall");
     outcome = serve::run_campaign_spec(spec, hooks);
   }
   // Informational only, and on stderr: stdout must stay byte-identical
@@ -948,14 +950,15 @@ int cmd_campaign(int argc, const char* const* argv) {
     // Labelled registry entries first, so a --metrics-out snapshot
     // written at session end carries the per-region outcome breakdown.
     emit_sensitivity_metrics(outcome.sensitivity,
-                             outcome.recovery_active ? "recovery" : "static");
+                             outcome.recovery_active ? "recovery" : "static",
+                             obs != nullptr ? &obs->registry : nullptr);
     write_text_file(sensitivity_out, outcome.sensitivity.to_csv());
     std::cerr << "wrote sensitivity grid to " << sensitivity_out << "\n";
   }
   if (args.flag("time")) {
     // Wall time is machine-dependent, so like the shard note it goes to
     // stderr: stdout stays byte-identical run to run.
-    const obs::TimerStat& wall = obs::registry().timer("campaign.wall");
+    const obs::TimerStat& wall = timers.timer("campaign.wall");
     const double seconds = static_cast<double>(wall.total_ns()) * 1e-9;
     const double rate = seconds > 0.0
                             ? static_cast<double>(spec.strikes) / seconds
@@ -968,7 +971,7 @@ int cmd_campaign(int argc, const char* const* argv) {
   const RecoveryCounters* rec =
       outcome.recovery_active ? &outcome.result.recovery : nullptr;
 
-  if (obs::EventLog* events = obs::current_event_log()) {
+  if (obs::EventLog* events = obs != nullptr ? obs->events : nullptr) {
     std::vector<obs::TraceArg> fields;
     fields.push_back(obs::TraceArg::str("protection", spec.protection));
     fields.push_back(obs::TraceArg::num("seed", spec.seed));
@@ -1042,13 +1045,15 @@ int cmd_stats(int argc, const char* const* argv) {
   const StructureEvaluator evaluator(TechnologyLibrary(),
                                      mda_config_from(args));
 
-  // Phase attribution is only collected while observability is on.
-  const obs::EnabledScope enable(true);
+  // Phase attribution is only collected by a run handed a context: the
+  // session's, or a local one nobody writes out.
+  obs::Context local;
+  obs::Context* obs = session_obs() != nullptr ? session_obs() : &local;
   const std::string structure = args.option("structure");
   const SystemResult r = [&] {
-    if (structure == "ftspm") return evaluator.evaluate_ftspm(w, prof);
-    if (structure == "sram") return evaluator.evaluate_pure_sram(w, prof);
-    if (structure == "stt") return evaluator.evaluate_pure_stt(w, prof);
+    if (structure == "ftspm") return evaluator.evaluate_ftspm(w, prof, obs);
+    if (structure == "sram") return evaluator.evaluate_pure_sram(w, prof, obs);
+    if (structure == "stt") return evaluator.evaluate_pure_stt(w, prof, obs);
     throw InvalidArgument("unknown structure '" + structure + "'");
   }();
 
@@ -1097,7 +1102,9 @@ int cmd_export(int argc, const char* const* argv) {
   const Workload w =
       resolve_workload(args.positionals()[0], args.option_uint("scale"));
   if (args.option("out") == "-") {
-    std::cout << serialize_workload(w);
+    write_workload(std::cout, w);
+    std::cout.flush();
+    if (!std::cout.good()) throw Error("write to stdout failed");
   } else {
     save_workload(w, args.option("out"));
     std::cout << "wrote " << w.trace.size() << " events ("
@@ -1226,6 +1233,7 @@ int cmd_serve(int argc, const char* const* argv) {
     // The daemon records request-lifecycle spans in wall-clock time;
     // the session's simulated-time sink would record nothing useful.
     cfg.trace_path = g_session->take_trace_out();
+    cfg.obs = g_session->context();
   }
 
   serve::Server server(cfg);
@@ -1362,6 +1370,15 @@ int cmd_load(int argc, const char* const* argv) {
                             : serve::parse_mix(mix);
 
   const serve::LoadReport report = serve::run_load(cfg);
+  if (obs::Context* obs = session_obs()) {
+    // The per-class latency families go into the session's registry,
+    // so a --metrics-out snapshot carries them.
+    for (const serve::ClassStats& c : report.classes)
+      obs->registry
+          .histogram("load.latency_ms", obs::LabelSet{{"class", c.name}},
+                     serve::load_latency_bounds())
+          .merge_from(c.latency_ms);
+  }
 
   if (args.flag("json")) {
     std::cout << report.to_json() << "\n";
@@ -1485,10 +1502,12 @@ int dispatch(int argc, const char* const* argv) {
 
   ObsSession session(globals);
   g_session = &session;
-  if (obs::EventLog* events = obs::current_event_log()) {
-    events->emit("run_manifest", 0,
-                 {obs::TraceArg::str("command", "ftspm_tool " + cmd),
-                  obs::TraceArg::str("library_version", kLibraryVersion)});
+  if (obs::Context* obs = session.context();
+      obs != nullptr && obs->events != nullptr) {
+    obs->events->emit(
+        "run_manifest", 0,
+        {obs::TraceArg::str("command", "ftspm_tool " + cmd),
+         obs::TraceArg::str("library_version", kLibraryVersion)});
   }
   const char* const* av = rest_argv.data();
   int rc = -1;
