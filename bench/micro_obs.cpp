@@ -24,7 +24,10 @@ BENCHMARK(BM_CounterLookup);
 void BM_CounterCachedHandle(benchmark::State& state) {
   obs::Registry reg;
   obs::Counter& c = reg.counter("bench.cached");
-  for (auto _ : state) c.add(1);
+  for (auto _ : state) {
+    c.add(1);
+    benchmark::ClobberMemory();  // a local registry's loop would fold away
+  }
   benchmark::DoNotOptimize(c.value());
 }
 BENCHMARK(BM_CounterCachedHandle);
