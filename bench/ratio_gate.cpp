@@ -8,11 +8,14 @@
 //
 //   ratio_gate            (takes no options; any argument exits 2)
 //
-// Prints one JSON document and exits 1 if any median is below its
-// floor. See docs/performance.md.
+// Prints one JSON document on stdout and exits 1 if any median is below
+// its floor. Each pair also prints one line on stderr (its median, floor
+// and margin over the floor), so a miss reads straight from a CI log.
+// See docs/performance.md.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <iostream>
 #include <vector>
 
@@ -173,6 +176,12 @@ bool gate_pair(JsonWriter& w, const char* name, double floor,
       .field("floor", floor)
       .field("pass", median >= floor)
       .end_object();
+  char line[128];
+  std::snprintf(line, sizeof line,
+                "ratio_gate: %-14s median %.3f floor %.2f margin %+.1f%% %s",
+                name, median, floor, 100.0 * (median / floor - 1.0),
+                median >= floor ? "pass" : "FAIL");
+  std::cerr << line << "\n";
   return median >= floor;
 }
 

@@ -9,8 +9,9 @@
 //
 // A context is single-writer. Whoever passes it to a run lets that run
 // write it from the calling thread only: the parallel runners book
-// their workers' results on the coordinating thread after the join,
-// and hand their workers no context at all.
+// their workers' results on the coordinating thread after the join.
+// A worker gets no context, or one of its own that the coordinating
+// thread folds in after the join (run_suite_parallel).
 #pragma once
 
 #include "ftspm/obs/event_log.h"

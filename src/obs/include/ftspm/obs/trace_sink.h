@@ -62,6 +62,14 @@ class TraceEventSink {
   void value(LaneId lane, std::string_view name, std::uint64_t ts,
              double value);
 
+  /// Appends `other`'s events after this sink's own: each of `other`'s
+  /// lanes is registered here by its (process, thread) name, in
+  /// `other`'s registration order, and each event goes onto the lane
+  /// its own maps to. A run recorded into a sink of its own and then
+  /// appended reads as if it had been recorded here. `other` must be
+  /// another sink.
+  void append(const TraceEventSink& other);
+
   std::size_t event_count() const noexcept { return events_.size(); }
 
   /// The complete trace document:

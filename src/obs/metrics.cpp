@@ -279,8 +279,9 @@ void Registry::clear() {
 }
 
 void Registry::merge_from(const Registry& other) {
-  for (const auto& [name, c] : other.counters_)
-    if (c.value() != 0) counter(name).add(c.value());
+  // A counter registered at zero is carried over registered, as the
+  // serial run would have left it.
+  for (const auto& [name, c] : other.counters_) counter(name).add(c.value());
   for (const auto& [name, g] : other.gauges_) gauge(name).set(g.value());
   for (const auto& [name, h] : other.histograms_)
     histogram(name, h.bounds()).merge_from(h);
@@ -290,8 +291,7 @@ void Registry::merge_from(const Registry& other) {
   // (canonical label encoding) needs no LabelSet round trip.
   for (const auto& [name, series] : other.labelled_counters_) {
     auto& mine = labelled_counters_[name];
-    for (const auto& [labels, c] : series)
-      if (c.value() != 0) mine[labels].add(c.value());
+    for (const auto& [labels, c] : series) mine[labels].add(c.value());
   }
   for (const auto& [name, family] : other.labelled_histograms_) {
     auto it = labelled_histograms_.find(name);

@@ -71,6 +71,17 @@ void TraceEventSink::value(LaneId lane, std::string_view name,
   events_.push_back(Event{'C', lane, std::string(name), ts, 0, value, {}});
 }
 
+void TraceEventSink::append(const TraceEventSink& other) {
+  FTSPM_REQUIRE(&other != this, "a trace sink cannot append itself");
+  std::vector<LaneId> lanes;
+  lanes.reserve(other.lanes_.size());
+  for (const Lane& l : other.lanes_) lanes.push_back(lane(l.process, l.thread));
+  for (const Event& e : other.events_) {
+    events_.push_back(e);
+    events_.back().lane = lanes[e.lane];
+  }
+}
+
 std::string TraceEventSink::str() const {
   JsonWriter w;
   w.begin_object();

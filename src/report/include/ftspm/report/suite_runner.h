@@ -29,10 +29,12 @@ using SuiteProgress =
     std::function<void(std::size_t, std::size_t, const std::string&)>;
 
 /// Runs every benchmark at the given scale. Deterministic. With `obs`
-/// set, every evaluation is handed it, and each benchmark also gets a
-/// wall-clock timer in its registry ("suite.<name>"), phase records in
-/// its event log and a span on its trace's "suite" lane, timestamped
-/// by cumulative simulated FTSPM cycles.
+/// set, each benchmark's evaluations book into a context of its own (a
+/// registry, and a trace sink when `obs` has one), folded into `obs`
+/// after the benchmark: its registry merged, its trace appended, then a
+/// span on the "suite" lane and phase records in the event log,
+/// timestamped by cumulative simulated FTSPM cycles. Each benchmark
+/// also gets a wall-clock timer ("suite.<name>").
 std::vector<SuiteRow> run_suite(const StructureEvaluator& evaluator,
                                 std::uint64_t scale_divisor = 1,
                                 const SuiteProgress& progress = {},
@@ -43,10 +45,10 @@ std::vector<SuiteRow> run_suite(const StructureEvaluator& evaluator,
 /// the returned rows are identical to the serial function's for any
 /// jobs value. `jobs <= 1` falls through to run_suite. The progress
 /// callback fires (serialized) in *completion* order — that is the
-/// only observable difference. The workers' evaluations are handed no
-/// context; with `obs` set, the per-benchmark timers, phase records and
-/// trace spans are emitted after the join, in benchmark order, so the
-/// suite lane matches the serial one byte for byte.
+/// only observable difference. Each task books into a context of its
+/// own, as run_suite's benchmarks do, and the contexts are folded into
+/// `obs` after the join in benchmark order, so the metrics, trace and
+/// event log match the serial run's byte for byte at any jobs value.
 std::vector<SuiteRow> run_suite_parallel(const StructureEvaluator& evaluator,
                                          std::uint64_t scale_divisor,
                                          std::uint32_t jobs,

@@ -1,6 +1,5 @@
 #include "ftspm/report/suite_runner.h"
 
-#include <chrono>
 #include <cmath>
 #include <mutex>
 #include <optional>
@@ -13,53 +12,94 @@
 
 namespace ftspm {
 
+namespace {
+
+/// One benchmark's telemetry, booked apart from the caller's context
+/// and folded into it afterwards (SuiteFold).
+struct BenchmarkTelemetry {
+  obs::Context context;
+  obs::TraceEventSink trace;
+};
+
+/// Generates and evaluates one benchmark. With `caller` set, its
+/// evaluations book into `telemetry`: a registry, and a trace sink when
+/// `caller` traces. Evaluations emit no event log records.
+SuiteRow run_benchmark(const StructureEvaluator& evaluator, MiBenchmark bench,
+                       std::uint64_t scale_divisor, const obs::Context* caller,
+                       BenchmarkTelemetry& telemetry) {
+  const std::string name = to_string(bench);
+  obs::Context* obs = nullptr;
+  if (caller != nullptr) {
+    obs = &telemetry.context;
+    if (caller->trace != nullptr) obs->trace = &telemetry.trace;
+  }
+  std::vector<SystemResult> results;
+  {
+    const obs::ScopedTimer timer(obs != nullptr ? &obs->registry : nullptr,
+                                 "suite." + name);
+    const Workload workload = make_benchmark(bench, scale_divisor);
+    results = evaluator.evaluate_all(workload, obs);
+  }
+  FTSPM_CHECK(results.size() == 3, "expected three structures");
+  return SuiteRow{bench, name, std::move(results[0]), std::move(results[1]),
+                  std::move(results[2])};
+}
+
+/// Folds each benchmark's telemetry into the caller's context, in
+/// benchmark order: its registry merged, its trace appended, then its
+/// span on the "suite" lane and its phase records, on a cumulative
+/// simulated-cycle axis (deterministic, unlike wall time).
+class SuiteFold {
+ public:
+  /// Registers the "suite" lane first, before any benchmark's lanes.
+  explicit SuiteFold(obs::Context* obs)
+      : obs_(obs),
+        lane_(obs != nullptr && obs->trace != nullptr
+                  ? obs->trace->lane("suite", "benchmarks")
+                  : 0) {}
+
+  void fold(const SuiteRow& row, const BenchmarkTelemetry& t) {
+    if (obs_ == nullptr) return;
+    const std::uint64_t cycles = row.ftspm.run.total_cycles;
+    obs_->registry.merge_from(t.context.registry);
+    if (obs_->events != nullptr)
+      obs_->events->emit("phase_start", cumulative_cycles_,
+                         {obs::TraceArg::str("kind", "suite"),
+                          obs::TraceArg::str("benchmark", row.name)});
+    if (obs_->trace != nullptr) {
+      obs_->trace->append(t.trace);
+      obs_->trace->complete(lane_, row.name, cumulative_cycles_, cycles,
+                            {obs::TraceArg::num("cycles", cycles)});
+    }
+    if (obs_->events != nullptr)
+      obs_->events->emit("phase_end", cumulative_cycles_ + cycles,
+                         {obs::TraceArg::str("kind", "suite"),
+                          obs::TraceArg::str("benchmark", row.name),
+                          obs::TraceArg::num("cycles", cycles)});
+    cumulative_cycles_ += cycles;
+  }
+
+ private:
+  obs::Context* obs_;
+  obs::TraceEventSink::LaneId lane_;
+  std::uint64_t cumulative_cycles_ = 0;
+};
+
+}  // namespace
+
 std::vector<SuiteRow> run_suite(const StructureEvaluator& evaluator,
                                 std::uint64_t scale_divisor,
                                 const SuiteProgress& progress,
                                 obs::Context* obs) {
-  obs::TraceEventSink* trace = obs != nullptr ? obs->trace : nullptr;
-  const obs::TraceEventSink::LaneId lane =
-      trace != nullptr ? trace->lane("suite", "benchmarks") : 0;
-  obs::EventLog* events = obs != nullptr ? obs->events : nullptr;
-  std::uint64_t cumulative_cycles = 0;
-
+  SuiteFold fold(obs);
   std::vector<SuiteRow> rows;
   rows.reserve(kMiBenchmarkCount);
-  std::size_t done = 0;
   for (MiBenchmark bench : all_benchmarks()) {
-    const std::string name = to_string(bench);
-    if (events != nullptr)
-      events->emit("phase_start", cumulative_cycles,
-                   {obs::TraceArg::str("kind", "suite"),
-                    obs::TraceArg::str("benchmark", name)});
-    std::vector<SystemResult> results;
-    {
-      const obs::ScopedTimer timer(obs != nullptr ? &obs->registry : nullptr,
-                                   "suite." + name);
-      const Workload workload = make_benchmark(bench, scale_divisor);
-      results = evaluator.evaluate_all(workload, obs);
-    }
-    FTSPM_CHECK(results.size() == 3, "expected three structures");
-    if (trace != nullptr) {
-      // Span the benchmark over its own FTSPM run on a cumulative
-      // simulated-cycle axis (deterministic, unlike wall time).
-      trace->complete(lane, name, cumulative_cycles,
-                      results[0].run.total_cycles,
-                      {obs::TraceArg::num("cycles",
-                                          results[0].run.total_cycles)});
-    }
-    if (events != nullptr)
-      events->emit("phase_end",
-                   cumulative_cycles + results[0].run.total_cycles,
-                   {obs::TraceArg::str("kind", "suite"),
-                    obs::TraceArg::str("benchmark", name),
-                    obs::TraceArg::num("cycles",
-                                       results[0].run.total_cycles)});
-    cumulative_cycles += results[0].run.total_cycles;
-    rows.push_back(SuiteRow{bench, name, std::move(results[0]),
-                            std::move(results[1]), std::move(results[2])});
-    ++done;
-    if (progress) progress(done, kMiBenchmarkCount, name);
+    BenchmarkTelemetry telemetry;
+    rows.push_back(
+        run_benchmark(evaluator, bench, scale_divisor, obs, telemetry));
+    fold.fold(rows.back(), telemetry);
+    if (progress) progress(rows.size(), kMiBenchmarkCount, rows.back().name);
   }
   return rows;
 }
@@ -71,72 +111,28 @@ std::vector<SuiteRow> run_suite_parallel(const StructureEvaluator& evaluator,
                                          obs::Context* obs) {
   if (jobs <= 1) return run_suite(evaluator, scale_divisor, progress, obs);
 
-  const std::vector<MiBenchmark> benchmarks = [] {
-    std::vector<MiBenchmark> v;
-    for (MiBenchmark b : all_benchmarks()) v.push_back(b);
-    return v;
-  }();
+  const std::vector<MiBenchmark>& benchmarks = all_benchmarks();
+  SuiteFold fold(obs);
   std::vector<std::optional<SuiteRow>> slots(benchmarks.size());
-  std::vector<std::uint64_t> wall_ns(benchmarks.size(), 0);
+  std::vector<BenchmarkTelemetry> telemetry(benchmarks.size());
   std::mutex progress_mutex;
   std::size_t completed = 0;
 
   exec::ThreadPool pool(jobs);
   parallel_for(pool, benchmarks.size(), [&](std::size_t i) {
-    // Workers get no context; the per-benchmark timers and spans are
-    // emitted below, in order.
-    const MiBenchmark bench = benchmarks[i];
-    const std::string name = to_string(bench);
-    const auto start = std::chrono::steady_clock::now();
-    const Workload workload = make_benchmark(bench, scale_divisor);
-    std::vector<SystemResult> results = evaluator.evaluate_all(workload);
-    wall_ns[i] = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-    FTSPM_CHECK(results.size() == 3, "expected three structures");
-    slots[i] = SuiteRow{bench, name, std::move(results[0]),
-                        std::move(results[1]), std::move(results[2])};
+    slots[i] = run_benchmark(evaluator, benchmarks[i], scale_divisor, obs,
+                             telemetry[i]);
     if (progress) {
       const std::lock_guard<std::mutex> lock(progress_mutex);
-      progress(++completed, benchmarks.size(), name);
+      progress(++completed, benchmarks.size(), slots[i]->name);
     }
   });
 
   std::vector<SuiteRow> rows;
   rows.reserve(slots.size());
-  for (std::optional<SuiteRow>& slot : slots) rows.push_back(std::move(*slot));
-
-  // Deterministic post-join observability, mirroring the serial path:
-  // wall timers per benchmark and suite spans on a cumulative
-  // simulated-cycle axis, both in benchmark order.
-  if (obs != nullptr) {
-    for (std::size_t i = 0; i < rows.size(); ++i)
-      obs->registry.timer("suite." + rows[i].name).record_ns(wall_ns[i]);
-    obs::TraceEventSink* trace = obs->trace;
-    const obs::TraceEventSink::LaneId lane =
-        trace != nullptr ? trace->lane("suite", "benchmarks") : 0;
-    obs::EventLog* events = obs->events;
-    std::uint64_t cumulative_cycles = 0;
-    for (const SuiteRow& row : rows) {
-      if (events != nullptr)
-        events->emit("phase_start", cumulative_cycles,
-                     {obs::TraceArg::str("kind", "suite"),
-                      obs::TraceArg::str("benchmark", row.name)});
-      if (trace != nullptr)
-        trace->complete(lane, row.name, cumulative_cycles,
-                        row.ftspm.run.total_cycles,
-                        {obs::TraceArg::num("cycles",
-                                            row.ftspm.run.total_cycles)});
-      if (events != nullptr)
-        events->emit("phase_end",
-                     cumulative_cycles + row.ftspm.run.total_cycles,
-                     {obs::TraceArg::str("kind", "suite"),
-                      obs::TraceArg::str("benchmark", row.name),
-                      obs::TraceArg::num("cycles",
-                                         row.ftspm.run.total_cycles)});
-      cumulative_cycles += row.ftspm.run.total_cycles;
-    }
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    rows.push_back(std::move(*slots[i]));
+    fold.fold(rows.back(), telemetry[i]);
   }
   return rows;
 }

@@ -6,7 +6,7 @@
 // all consume. Events are *aggregated*: one TraceEvent can represent a
 // run of `repeat` consecutive word accesses (a streaming loop), which
 // keeps multi-million-access workloads compact while preserving exact
-// per-word counts. A Trace packs each event into one 8-byte slot (see
+// per-word counts. A Trace packs each event into one 4-byte slot (see
 // TraceSlot) and holds the slots in fixed 64 KiB chunks, append-only.
 #pragma once
 
@@ -149,43 +149,49 @@ class WordRun {
   std::uint64_t partial_;  ///< Visits past the last full pass.
 };
 
-/// How a Trace stores one event: a single 8-byte slot. Bits, low to
-/// high: type 3, gap 16, block 13, offset 16, repeat 16. An event with
-/// a block of 2^13 or more, an offset or repeat of 2^16 or more, or a
-/// type value of 7 or more is stored instead as an escape slot: type
-/// field 7, and the upper 61 bits index the trace's side vector of
-/// full TraceEvents. So every event round-trips exactly, and an escape
-/// costs its 8-byte slot plus one 16-byte TraceEvent.
+/// How a Trace stores one event: a single 4-byte slot. Bits, low to
+/// high: type 3, gap 1, block 4, offset 12, repeat 12. An event with a
+/// gap of 2 or more, a block of 16 or more, an offset or repeat of 4096
+/// or more, or a type value of 7 or more is stored instead as an escape
+/// slot: type field 7, and the upper 29 bits index the trace's side
+/// vector of full TraceEvents. So every event round-trips exactly, and
+/// an escape costs its 4-byte slot plus one 16-byte TraceEvent. The
+/// widths follow what the workloads emit: no suite benchmark needs an
+/// escape, the case study 0.07% of its events (docs/performance.md,
+/// "One slot per event").
 struct TraceSlot {
-  static constexpr std::uint64_t kEscape = 7;  ///< Type field of an escape.
+  using Word = std::uint32_t;
+  static constexpr Word kEscape = 7;  ///< Type field of an escape.
+  /// Escape indices are below 2^kIndexBits.
+  static constexpr unsigned kIndexBits = 29;
 
   /// Whether `e` packs into a slot of its own, without an escape.
   static constexpr bool fits(const TraceEvent& e) noexcept {
-    return static_cast<std::uint64_t>(e.type) < kEscape &&
-           e.block < (1u << 13) && e.offset < (1u << 16) &&
-           e.repeat < (1u << 16);
+    return static_cast<Word>(e.type) < kEscape && e.gap < 2 &&
+           e.block < 16 && e.offset < 4096 && e.repeat < 4096;
   }
   /// The slot of an event that fits().
-  static constexpr std::uint64_t pack(const TraceEvent& e) noexcept {
-    return static_cast<std::uint64_t>(e.type) |
-           static_cast<std::uint64_t>(e.gap) << 3 |
-           static_cast<std::uint64_t>(e.block) << 19 |
-           static_cast<std::uint64_t>(e.offset) << 32 |
-           static_cast<std::uint64_t>(e.repeat) << 48;
+  static constexpr Word pack(const TraceEvent& e) noexcept {
+    return static_cast<Word>(e.type) | static_cast<Word>(e.gap) << 3 |
+           static_cast<Word>(e.block) << 4 |
+           static_cast<Word>(e.offset) << 8 |
+           static_cast<Word>(e.repeat) << 20;
   }
   /// The slot of the escaped event at `index` of the side vector.
-  static constexpr std::uint64_t escape(std::uint64_t index) noexcept {
-    return index << 3 | kEscape;
+  /// Throws Error when `index` does not fit the slot's upper bits.
+  static constexpr Word escape(std::size_t index) {
+    if (index >= std::size_t{1} << kIndexBits)
+      throw Error("a trace holds at most 2^29 escaped events");
+    return static_cast<Word>(index) << 3 | kEscape;
   }
   /// The event in `slot`; `escapes` is its trace's side vector.
-  static TraceEvent decode(std::uint64_t slot,
+  static TraceEvent decode(Word slot,
                            const std::vector<TraceEvent>& escapes) noexcept {
     if ((slot & 7) == kEscape) [[unlikely]] return escapes[slot >> 3];
-    return TraceEvent{static_cast<BlockId>(slot >> 19 & 0x1fff),
+    return TraceEvent{static_cast<BlockId>(slot >> 4 & 0xf),
                       static_cast<AccessType>(slot & 7),
-                      static_cast<std::uint16_t>(slot >> 3),
-                      static_cast<std::uint32_t>(slot >> 32 & 0xffff),
-                      static_cast<std::uint32_t>(slot >> 48)};
+                      static_cast<std::uint16_t>(slot >> 3 & 1),
+                      slot >> 8 & 0xfff, slot >> 20};
   }
 };
 
@@ -203,7 +209,7 @@ class TraceChunk {
     using difference_type = std::ptrdiff_t;
 
     iterator() = default;
-    iterator(const std::uint64_t* slot,
+    iterator(const TraceSlot::Word* slot,
              const std::vector<TraceEvent>* escapes) noexcept
         : slot_(slot), escapes_(escapes) {}
 
@@ -224,11 +230,11 @@ class TraceChunk {
     }
 
    private:
-    const std::uint64_t* slot_ = nullptr;
+    const TraceSlot::Word* slot_ = nullptr;
     const std::vector<TraceEvent>* escapes_ = nullptr;
   };
 
-  TraceChunk(std::span<const std::uint64_t> slots,
+  TraceChunk(std::span<const TraceSlot::Word> slots,
              const std::vector<TraceEvent>& escapes) noexcept
       : slots_(slots), escapes_(&escapes) {}
 
@@ -238,10 +244,10 @@ class TraceChunk {
     return {slots_.data() + slots_.size(), escapes_};
   }
   /// The chunk's raw slots, in TraceSlot's format.
-  std::span<const std::uint64_t> slots() const noexcept { return slots_; }
+  std::span<const TraceSlot::Word> slots() const noexcept { return slots_; }
 
  private:
-  std::span<const std::uint64_t> slots_;
+  std::span<const TraceSlot::Word> slots_;
   const std::vector<TraceEvent>* escapes_;
 };
 
@@ -255,10 +261,10 @@ class TraceChunk {
 /// and the iterators serve everything else.
 class Trace {
  public:
-  /// Slots per chunk: 64 KiB of 8-byte slots, below glibc's default
+  /// Slots per chunk: 64 KiB of 4-byte slots, below glibc's default
   /// mmap threshold, so the chunks of one trace are recycled from the
   /// heap by the next instead of being mapped (and faulted in) afresh.
-  static constexpr std::size_t kChunkEvents = 8192;
+  static constexpr std::size_t kChunkEvents = 16384;
 
   /// Forward iterator over a Trace's events by index, yielding each by
   /// value.
@@ -342,14 +348,14 @@ class Trace {
   const_iterator end() const noexcept { return {this, size_}; }
 
   void push_back(const TraceEvent& event) {
+    // An escape index that does not fit throws before the trace changes.
+    const bool fits = TraceSlot::fits(event);
+    const TraceSlot::Word word = fits ? TraceSlot::pack(event)
+                                      : TraceSlot::escape(escapes_.size());
     const std::size_t slot = size_ % kChunkEvents;
     if (slot == 0) [[unlikely]] add_chunk();
-    if (TraceSlot::fits(event)) [[likely]] {
-      chunks_.back()[slot] = TraceSlot::pack(event);
-    } else {
-      chunks_.back()[slot] = TraceSlot::escape(escapes_.size());
-      escapes_.push_back(event);
-    }
+    chunks_.back()[slot] = word;
+    if (!fits) [[unlikely]] escapes_.push_back(event);
     ++size_;
     accesses_ += event.accesses();
     nominal_cycles_ += event.nominal_cycles();
@@ -368,7 +374,7 @@ class Trace {
   /// Heap bytes the events occupy: every chunk's slots, whole, plus the
   /// side vector's capacity.
   std::size_t stored_bytes() const noexcept {
-    return chunks_.size() * kChunkEvents * sizeof(std::uint64_t) +
+    return chunks_.size() * kChunkEvents * sizeof(TraceSlot::Word) +
            escapes_.capacity() * sizeof(TraceEvent);
   }
 
@@ -379,7 +385,7 @@ class Trace {
  private:
   void add_chunk();
 
-  std::vector<std::unique_ptr<std::uint64_t[]>> chunks_;
+  std::vector<std::unique_ptr<TraceSlot::Word[]>> chunks_;
   std::vector<TraceEvent> escapes_;  ///< Events too wide for a slot.
   std::size_t size_ = 0;
   std::uint64_t accesses_ = 0;

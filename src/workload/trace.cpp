@@ -17,7 +17,7 @@ const char* to_string(AccessType type) noexcept {
 // push_back fills it.
 void Trace::add_chunk() {
   chunks_.push_back(
-      std::make_unique_for_overwrite<std::uint64_t[]>(kChunkEvents));
+      std::make_unique_for_overwrite<TraceSlot::Word[]>(kChunkEvents));
 }
 
 void validate_trace(const Program& program, const Trace& trace) {

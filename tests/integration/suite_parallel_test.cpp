@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "ftspm/obs/context.h"
 #include "ftspm/report/suite_runner.h"
 
 namespace ftspm {
@@ -40,6 +41,27 @@ TEST(SuiteParallelTest, RowsMatchSerialForAnyJobsValue) {
         run_suite_parallel(evaluator, kScale, jobs);
     expect_same_rows(serial, parallel);
   }
+}
+
+/// The suite's telemetry (metrics, trace, event log) at `jobs`.
+std::string suite_telemetry(std::uint32_t jobs) {
+  const StructureEvaluator evaluator;
+  obs::TraceEventSink trace;
+  obs::EventLog events;
+  obs::Context obs;
+  obs.trace = &trace;
+  obs.events = &events;
+  run_suite_parallel(evaluator, kScale, jobs, {}, &obs);
+  return obs.registry.to_json() + "\n" + trace.str() + "\n" + events.str();
+}
+
+// Each worker books into a context of its own, folded in benchmark
+// order after the join: every artefact is the serial run's.
+TEST(SuiteParallelTest, TelemetryMatchesSerialForAnyJobsValue) {
+  const std::string serial = suite_telemetry(1);
+  EXPECT_NE(serial.find("sim.runs"), std::string::npos);
+  for (std::uint32_t jobs : {2u, 4u})
+    EXPECT_EQ(suite_telemetry(jobs), serial) << "jobs " << jobs;
 }
 
 TEST(SuiteParallelTest, JobsOneFallsThroughToSerial) {

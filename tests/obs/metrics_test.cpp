@@ -148,6 +148,21 @@ TEST(RegistryTest, MergeFoldsEveryInstrumentKind) {
   EXPECT_EQ(a.timer("t").count(), 1u);
 }
 
+// A counter another registry registered but left at zero arrives
+// registered, so the merged snapshot lists it as a serial run's would.
+TEST(RegistryTest, MergeCarriesZeroCountersRegistered) {
+  Registry serial;
+  serial.counter("evictions");
+  serial.counter("o", LabelSet{{"outcome", "sdc"}});
+  Registry shard;
+  shard.counter("evictions");
+  shard.counter("o", LabelSet{{"outcome", "sdc"}});
+  Registry merged;
+  merged.merge_from(shard);
+  EXPECT_EQ(merged.to_json(), serial.to_json());
+  EXPECT_EQ(merged.to_csv(), serial.to_csv());
+}
+
 TEST(TimerStatTest, TracksCountTotalAndMax) {
   TimerStat t;
   t.record_ns(100);

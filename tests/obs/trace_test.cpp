@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ftspm/obs/timer.h"
+#include "ftspm/util/error.h"
 #include "ftspm/util/json.h"
 
 namespace ftspm::obs {
@@ -91,6 +92,41 @@ TEST(TraceSinkTest, SerializationIsDeterministic) {
     return sink.str();
   };
   EXPECT_EQ(build(), build());
+}
+
+// Recording into two sinks and appending the second to the first reads
+// exactly as recording everything into one: the appended sink's lanes
+// are found or registered by name, in its order, and its events keep
+// their order on the lanes they map to.
+TEST(TraceSinkTest, AppendRemapsLanesByName) {
+  const auto record_first = [](TraceEventSink& sink) {
+    const auto suite = sink.lane("suite", "benchmarks");
+    const auto dma = sink.lane("sim", "dma");
+    sink.complete(dma, "load A", 10, 5, {TraceArg::str("region", "D-STT")});
+    sink.complete(suite, "crc32", 0, 40);
+  };
+  const auto record_second = [](TraceEventSink& sink) {
+    const auto mda = sink.lane("mda", "decisions");
+    const auto dma = sink.lane("sim", "dma");
+    const auto phases = sink.lane("sim", "phases");
+    sink.begin(phases, "main", 40);
+    sink.instant(mda, "evict B", 3);
+    sink.complete(dma, "load C", 50, 2);
+    sink.value(dma, "fills", 51, 4.0);
+    sink.end(phases, 60);
+  };
+  TraceEventSink whole;
+  record_first(whole);
+  record_second(whole);
+
+  TraceEventSink first;
+  TraceEventSink second;
+  record_first(first);
+  record_second(second);
+  first.append(second);
+  EXPECT_EQ(first.event_count(), whole.event_count());
+  EXPECT_EQ(first.str(), whole.str());
+  EXPECT_THROW(first.append(first), Error);
 }
 
 TEST(PhaseSpanTest, EmitsBalancedBeginEnd) {

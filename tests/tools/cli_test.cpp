@@ -1041,12 +1041,13 @@ TEST(CliArtefactGoldenTest, SuiteSerial) {
 }
 
 TEST(CliArtefactGoldenTest, SuiteParallel) {
-  // Four jobs: the workers' evaluations book nothing; only the suite
-  // lane, its phase records and the (wall-clock, unsnapshotted) timers.
+  // Four jobs: each worker books into a context of its own, folded in
+  // benchmark order after the join, so every artefact is the serial
+  // run's.
   expect_artefacts("suite_j4", "suite --scale 16 --jobs 4",
                    {{{1328, 0x02A1E54E9FF06981ULL},
-                     {44, 0xF09D75CA259F0701ULL},
-                     {1319, 0xD8ED007942126018ULL},
+                     {571, 0x94A394B22EC7DA44ULL},
+                     {4641214, 0x0B16D6190298A42CULL},
                      {2496, 0xEC7B9ABA749377E7ULL}}});
 }
 

@@ -45,13 +45,13 @@ TEST(WorkloadTest, TotalsSumEvents) {
 }
 
 /// n read events on block 1 whose offset is the event's index mod 64
-/// and whose gap is its index mod 7: each is told apart from its
-/// neighbours.
+/// and whose gap is its index mod 2: each is told apart from its
+/// neighbours, and each fits a slot.
 Trace numbered_trace(std::size_t n) {
   Trace t;
   for (std::size_t i = 0; i < n; ++i)
     t.push_back(TraceEvent{1, AccessType::Read,
-                           static_cast<std::uint16_t>(i % 7),
+                           static_cast<std::uint16_t>(i % 2),
                            static_cast<std::uint32_t>(i % 64),
                            static_cast<std::uint32_t>(1 + i / 64)});
   return t;
@@ -63,11 +63,11 @@ TEST(TraceTest, IndexesAcrossChunkBoundaries) {
   const std::size_t n = 3 * K + 5;
   const Trace t = numbered_trace(n);
   ASSERT_EQ(t.size(), n);
-  ASSERT_EQ(K, 8192u);  // 64 KiB of 8-byte slots
+  ASSERT_EQ(K, 16384u);  // 64 KiB of 4-byte slots
   for (const std::size_t i :
        {std::size_t{0}, K - 1, K, K + 1, 2 * K - 1, 2 * K, n - 1}) {
     EXPECT_EQ(t[i].offset, i % 64) << i;
-    EXPECT_EQ(t[i].gap, i % 7) << i;
+    EXPECT_EQ(t[i].gap, i % 2) << i;
     EXPECT_EQ(t[i].repeat, 1 + i / 64) << i;
   }
   EXPECT_EQ(t.front(), t[0]);
@@ -106,7 +106,7 @@ TEST(TraceTest, ChunksCoverEveryEventExactlyOnce) {
     EXPECT_EQ(next, n);
     EXPECT_EQ(t.empty(), n == 0);
     EXPECT_EQ(t.escape_count(), 0u);
-    EXPECT_EQ(t.stored_bytes(), t.chunk_count() * K * sizeof(std::uint64_t));
+    EXPECT_EQ(t.stored_bytes(), t.chunk_count() * K * 4);
   }
 }
 
@@ -127,7 +127,7 @@ TEST(TraceTest, InitializerListAndRangeConstructionKeepOrder) {
 
 /// Where chunk 0's slots live: a deep copy has its own, a move hands
 /// them over.
-const std::uint64_t* first_slot(const Trace& t) {
+const TraceSlot::Word* first_slot(const Trace& t) {
   return t.chunk(0).slots().data();
 }
 
@@ -156,7 +156,7 @@ TEST(TraceTest, AppendCopyMoveAndEquality) {
   ASSERT_EQ(differs.size(), whole.size());
   EXPECT_NE(differs, whole);
 
-  const std::uint64_t* first = first_slot(copy);
+  const TraceSlot::Word* first = first_slot(copy);
   Trace moved = std::move(copy);
   EXPECT_EQ(first_slot(moved), first);  // a move hands the chunks over
   EXPECT_EQ(moved.size(), whole.size() + 1);
@@ -175,9 +175,9 @@ TEST(TraceTest, AppendCopyMoveAndEquality) {
 // every access type: each event reads back exactly as appended, and
 // only those past a slot field's width take an escape.
 TEST(TraceSlotTest, RoundTripsEveryFieldAtItsExtremes) {
-  const std::uint32_t wide[] = {0u, 1u, 8191u, 8192u, 65535u, 65536u,
-                                UINT32_MAX - 1, UINT32_MAX};
-  const std::uint16_t gaps[] = {0, 1, 0x7fff, UINT16_MAX};
+  const std::uint32_t wide[] = {0u,    1u,     15u,           16u,       4095u,
+                                4096u, 65536u, UINT32_MAX - 1, UINT32_MAX};
+  const std::uint16_t gaps[] = {0, 1, 2, 0x7fff, UINT16_MAX};
   const AccessType types[] = {AccessType::Fetch, AccessType::Read,
                               AccessType::Write, AccessType::CallEnter,
                               AccessType::CallExit};
@@ -190,7 +190,8 @@ TEST(TraceSlotTest, RoundTripsEveryFieldAtItsExtremes) {
             events.push_back(TraceEvent{block, type, gap, offset, repeat});
   std::size_t wide_events = 0;
   for (const TraceEvent& e : events) {
-    const bool fits = e.block < 8192 && e.offset < 65536 && e.repeat < 65536;
+    const bool fits =
+        e.gap < 2 && e.block < 16 && e.offset < 4096 && e.repeat < 4096;
     EXPECT_EQ(TraceSlot::fits(e), fits);
     wide_events += !fits;
   }
@@ -204,22 +205,39 @@ TEST(TraceSlotTest, RoundTripsEveryFieldAtItsExtremes) {
 
 // A slot that fits puts each field where TraceSlot documents it.
 TEST(TraceSlotTest, PacksTheDocumentedLayout) {
-  const TraceEvent e{8191, AccessType::Write, 0xbeef, 0x1234, 0xfffe};
+  static_assert(sizeof(TraceSlot::Word) == 4);
+  const TraceEvent e{15, AccessType::Write, 1, 0x123, 0xffe};
   ASSERT_TRUE(TraceSlot::fits(e));
-  const std::uint64_t slot = TraceSlot::pack(e);
+  const TraceSlot::Word slot = TraceSlot::pack(e);
   EXPECT_EQ(slot & 7, 2u);
-  EXPECT_EQ(slot >> 3 & 0xffff, 0xbeefu);
-  EXPECT_EQ(slot >> 19 & 0x1fff, 8191u);
-  EXPECT_EQ(slot >> 32 & 0xffff, 0x1234u);
-  EXPECT_EQ(slot >> 48, 0xfffeu);
+  EXPECT_EQ(slot >> 3 & 1, 1u);
+  EXPECT_EQ(slot >> 4 & 0xf, 15u);
+  EXPECT_EQ(slot >> 8 & 0xfff, 0x123u);
+  EXPECT_EQ(slot >> 20, 0xffeu);
   EXPECT_EQ(TraceSlot::decode(slot, {}), e);
   EXPECT_EQ(TraceSlot::escape(5), 5u << 3 | 7);
+}
+
+// The escape index fills the slot's upper 29 bits; the first index past
+// them throws, with the message alone, instead of wrapping to index 0.
+TEST(TraceSlotTest, EscapeIndexPastTwentyNineBitsThrows) {
+  constexpr std::size_t kLimit = std::size_t{1} << 29;
+  EXPECT_EQ(TraceSlot::escape(kLimit - 1), UINT32_MAX);
+  EXPECT_EQ(TraceSlot::escape(kLimit - 1) >> 3, kLimit - 1);
+  for (const std::size_t index : {kLimit, kLimit + 1, std::size_t{1} << 32}) {
+    try {
+      TraceSlot::escape(index);
+      ADD_FAILURE() << "escape(" << index << ") did not throw";
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), "a trace holds at most 2^29 escaped events");
+    }
+  }
 }
 
 /// The read at `i` of block 1: an escape (offset 2^16 + i) when `wide`,
 /// a plain slot otherwise.
 TraceEvent marked(std::size_t i, bool wide) {
-  return TraceEvent{1, AccessType::Read, static_cast<std::uint16_t>(i % 5),
+  return TraceEvent{1, AccessType::Read, static_cast<std::uint16_t>(i % 2),
                     static_cast<std::uint32_t>(wide ? 65536 + i : i % 64),
                     static_cast<std::uint32_t>(1 + i % 3)};
 }
@@ -248,7 +266,7 @@ TEST(TraceTest, EscapesAtChunkBoundariesSurviveCopyMoveAndIndexing) {
   ASSERT_EQ(t.escape_count(), wide);
   EXPECT_EQ(t.total_accesses(), accesses);
   EXPECT_EQ(t.nominal_cycles(), cycles);
-  EXPECT_GE(t.stored_bytes(), 4 * K * sizeof(std::uint64_t) +
+  EXPECT_GE(t.stored_bytes(), 4 * K * sizeof(TraceSlot::Word) +
                                   wide * sizeof(TraceEvent));
 
   const auto expect_events = [&](const Trace& got, const char* what) {
@@ -271,7 +289,7 @@ TEST(TraceTest, EscapesAtChunkBoundariesSurviveCopyMoveAndIndexing) {
   expect_events(copy, "copy");
   EXPECT_EQ(copy, t);
   Trace moved = Trace(copy);
-  const std::uint64_t* first = first_slot(moved);
+  const TraceSlot::Word* first = first_slot(moved);
   Trace target = std::move(moved);
   EXPECT_EQ(first_slot(target), first);
   expect_events(target, "moved");
@@ -411,15 +429,18 @@ TEST(ValidateTraceTest, MessagesNameTheEventAcrossChunksAndEscapes) {
   const TraceEvent far_past{1, AccessType::Read, 0, 70000, 1};  // escape
   const TraceEvent no_block{9000, AccessType::Read, 0, 0, 1};  // escape
   const TraceEvent empty_run{1, AccessType::Write, 0, 0, 0};
+  const auto event = [](std::size_t i) {
+    return " (event " + with_commas(static_cast<std::uint64_t>(i)) + ")";
+  };
   EXPECT_EQ(fails_at(0, past_end),
             "data offset outside block arr (event 0)");
   EXPECT_EQ(fails_at(K - 1, past_end),
-            "data offset outside block arr (event 8,191)");
+            "data offset outside block arr" + event(K - 1));
   EXPECT_EQ(fails_at(K, far_past),
-            "data offset outside block arr (event 8,192)");
+            "data offset outside block arr" + event(K));
   EXPECT_EQ(fails_at(2 * K - 1, no_block),
-            "trace references unknown block (event 16,383)");
-  EXPECT_EQ(fails_at(K + 3, empty_run), "empty access run (event 8,195)");
+            "trace references unknown block" + event(2 * K - 1));
+  EXPECT_EQ(fails_at(K + 3, empty_run), "empty access run" + event(K + 3));
   EXPECT_EQ(validation_error({TraceEvent{0, AccessType::Fetch, 0, 0, 1},
                               TraceEvent{0, AccessType::CallExit, 0, 0, 1}}),
             "unbalanced call markers (event 1)");
