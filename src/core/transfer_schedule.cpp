@@ -93,9 +93,10 @@ TransferSchedule TransferSchedule::generate(const Program& program,
   };
 
   std::uint64_t tick = 0;
-  for (std::uint64_t seq = 0; seq < profile.reference_sequence.size();
-       ++seq) {
-    const BlockId id = profile.reference_sequence[seq];
+  std::uint64_t seq = 0;  // index of the reference being replayed
+  for (auto it = profile.reference_sequence.begin();
+       it != profile.reference_sequence.end(); ++it, ++seq) {
+    const BlockId id = *it;
     const RegionId rid = plan.block_to_region()[id];
     if (rid == kNoRegion) continue;  // cache-served
     RegionState& rs = regions[rid];

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "ftspm/profile/reference_sequence.h"
 #include "ftspm/workload/trace.h"
 
 namespace ftspm {
@@ -69,8 +70,8 @@ struct ProgramProfile {
   /// "sequence of blocks accesses ... extracted from the static
   /// profiling information" the paper's on-line phase is generated
   /// from; the mapping pipeline replays it to price region
-  /// time-sharing exactly.
-  std::vector<BlockId> reference_sequence;
+  /// time-sharing exactly. One byte per reference (ReferenceSequence).
+  ReferenceSequence reference_sequence;
 
   const BlockProfile& block(BlockId id) const;
 

@@ -100,9 +100,9 @@ ProgramProfile profile_workload(const Workload& workload) {
   TraceChecker checker(program);
   const Trace& trace = workload.trace;
   // Each event switches at most one current block, so the trace's event
-  // count bounds the sequence: reserved once, the vector never regrows
-  // (and so never holds two copies), and pages it leaves untouched
-  // cost no memory.
+  // count bounds the sequence: its codes, one byte each, are reserved
+  // once, so they never regrow (and so never hold two copies), and pages
+  // they leave untouched cost no memory.
   out.reference_sequence.reserve(trace.size());
   for (std::size_t k = 0; k < trace.chunk_count(); ++k) {
     for (const TraceEvent e : trace.chunk(k)) {

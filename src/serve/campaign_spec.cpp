@@ -61,6 +61,13 @@ void validate_spec(const CampaignSpec& spec) {
   protection_kind(spec.protection, check_bits);  // throws on unknown
   if (spec.strikes < 1) throw InvalidArgument("spec.strikes must be >= 1");
   if (spec.size < 8) throw InvalidArgument("spec.size must be >= 8 bytes");
+  if (spec.size % 8 != 0)
+    throw InvalidArgument("spec.size must be a multiple of 8 bytes");
+  if ((spec.recover || spec.scrub_interval != 0) &&
+      spec.size > kMaxRecoverySpecSize)
+    throw InvalidArgument(
+        "spec.size must be at most " + std::to_string(kMaxRecoverySpecSize) +
+        " bytes (2^24) with recover or scrub_interval set");
   if (spec.interleave < 1)
     throw InvalidArgument("spec.interleave must be >= 1");
   if (!(spec.node > 0.0)) throw InvalidArgument("spec.node must be positive");

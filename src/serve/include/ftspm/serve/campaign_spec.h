@@ -33,6 +33,11 @@ inline constexpr std::uint64_t kMaxSpecSize = std::uint64_t{1} << 40;
 inline constexpr std::uint64_t kMaxSpecInterleave = std::uint64_t{1} << 16;
 inline constexpr std::uint64_t kMaxSpecShards = 4096;
 inline constexpr std::uint64_t kMaxSpecRefetchWords = std::uint64_t{1} << 32;
+/// Largest surface of a recovery spec (recover or scrub_interval set):
+/// each shard in flight keeps a live image of about 19 bytes per 8-byte
+/// word, so 2^24 bytes cost about 40 MB a shard where kMaxSpecSize would
+/// cost 2.4 TiB. validate_spec applies it.
+inline constexpr std::uint64_t kMaxRecoverySpecSize = std::uint64_t{1} << 24;
 /// Most heartbeats a run reports, whatever its heartbeat_strikes: each
 /// one ends a runner chunk, so a tiny interval must not turn a run
 /// into one-strike chunks and one frame per strike.
@@ -61,7 +66,9 @@ struct CampaignSpec {
 };
 
 /// Throws InvalidArgument when a field is out of range (unknown
-/// protection, zero strikes/shards, occupancy outside [0,1], ...).
+/// protection, zero strikes/shards, a size that is not a whole number
+/// of 8-byte words, a recovery size above kMaxRecoverySpecSize,
+/// occupancy outside [0,1], ...).
 void validate_spec(const CampaignSpec& spec);
 
 /// Decodes the "spec" object of a campaign request. Unknown keys are

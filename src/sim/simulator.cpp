@@ -101,6 +101,9 @@ struct ObsState {
   obs::Counter* dma_transfers = nullptr;
   obs::Counter* dma_words = nullptr;
   obs::Counter* cache_fills = nullptr;
+  /// This run's cache fills: the trace samples them, so a run's trace
+  /// does not depend on the runs booked into the registry before it.
+  std::uint64_t run_fills = 0;
   obs::Histogram* dma_span = nullptr;  ///< Words per DMA transfer.
 
   /// Phase bookkeeping: stack of indices into RunResult::phases.
@@ -324,19 +327,19 @@ RunResult Simulator::run_impl(const Workload& workload,
           dram_energy_pj += cline_words * config_.dram.read_energy_pj;
           if constexpr (WithObs) {
             obs_state->cache_fills->add(1);
+            ++obs_state->run_fills;
             cur_phase->dram_penalty_cycles +=
                 config_.dram.line_latency_cycles;
             cur_phase->dram_energy_pj +=
                 cline_words * config_.dram.read_energy_pj;
             if (obs_state->trace != nullptr &&
-                obs_state->cache_fills->value() % kCacheFillSamplePeriod ==
-                    0) {
+                obs_state->run_fills % kCacheFillSamplePeriod == 0) {
               const std::uint64_t hits =
                   (words_before_range + words_before + 1) *
                   cache.config().hit_latency_cycles;
               obs_state->trace->value(
                   obs_state->cache_lane, fill_counter, now() + hits,
-                  static_cast<double>(obs_state->cache_fills->value()));
+                  static_cast<double>(obs_state->run_fills));
             }
           }
           if (writeback) {

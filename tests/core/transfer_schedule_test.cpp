@@ -28,7 +28,7 @@ struct Fixture {
       {SpmRegionSpec{"I", SpmSpace::Instruction, 1024, lib().stt_ram()},
        SpmRegionSpec{"D", SpmSpace::Data, 1024, lib().stt_ram()}}};
 
-  ProgramProfile profile_for(std::vector<BlockId> sequence,
+  ProgramProfile profile_for(ReferenceSequence sequence,
                              std::vector<std::uint64_t> writes = {}) {
     ProgramProfile prof;
     prof.blocks.resize(program.block_count());

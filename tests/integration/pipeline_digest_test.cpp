@@ -54,6 +54,11 @@ class Digest {
     add(static_cast<std::uint64_t>(v.size()));
     for (const T& x : v) add(static_cast<std::uint64_t>(x));
   }
+  /// Folds the ids exactly as add(std::vector<BlockId>) folded them.
+  void add(const ReferenceSequence& seq) {
+    add(static_cast<std::uint64_t>(seq.size()));
+    for (const BlockId id : seq) add(static_cast<std::uint64_t>(id));
+  }
   std::uint64_t value() const { return h_; }
 
  private:

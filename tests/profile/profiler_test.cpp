@@ -70,8 +70,7 @@ TEST(ProfilerTest, ReferenceSequenceRecordsRuns) {
               TraceEvent{2, AccessType::Write, 0, 0, 1},
               TraceEvent{1, AccessType::Read, 0, 0, 1}}};
   const ProgramProfile prof = profile_workload(w);
-  const std::vector<BlockId> expected{1, 0, 2, 1};
-  EXPECT_EQ(prof.reference_sequence, expected);
+  EXPECT_EQ(prof.reference_sequence, (ReferenceSequence{1, 0, 2, 1}));
 }
 
 TEST(ProfilerTest, LifetimeIsTimeAsCurrentBlockOfClass) {

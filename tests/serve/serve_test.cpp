@@ -406,6 +406,41 @@ TEST(ServeTest, BadRequestMessageIsTheInputErrorAlone) {
   }
 }
 
+TEST(ServeTest, SpecSizeIsWholeWordsAndRecoverySizeIsBounded) {
+  // A size of 9 bytes used to reach the geometry's check and send its
+  // text; a 1 GiB recovery spec was accepted, and each running shard
+  // then built about 2.4 GiB of live image. Both are input errors now.
+  // Only validation runs here: no spec is run, so nothing allocates.
+  const auto rejects = [](const char* spec_json, const char* needle) {
+    SCOPED_TRACE(spec_json);
+    try {
+      spec_from_json(parse_json(spec_json));
+      ADD_FAILURE() << "the spec was accepted";
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(needle), std::string::npos) << what;
+      EXPECT_EQ(what.find("FTSPM_"), std::string::npos) << what;
+    }
+  };
+  rejects(R"({"size":9})", "multiple of 8");
+  rejects(R"({"size":1073741824,"recover":true})", "2^24");
+  rejects(R"({"size":16777224,"scrub_interval":1024})", "2^24");
+
+  CampaignSpec spec;
+  spec.recover = true;
+  spec.size = kMaxRecoverySpecSize;
+  EXPECT_NO_THROW(validate_spec(spec));
+  spec.scrub_interval = 1024;
+  EXPECT_NO_THROW(validate_spec(spec));
+  spec.size += 8;
+  EXPECT_THROW(validate_spec(spec), InvalidArgument);
+  // The bound is on recovery alone: a static spec keeps kMaxSpecSize.
+  spec.recover = false;
+  spec.scrub_interval = 0;
+  spec.size = kMaxSpecSize;
+  EXPECT_NO_THROW(validate_spec(spec));
+}
+
 TEST(ServeTest, ShutdownRequestDrainsTheDaemon) {
   ServerConfig cfg;
   cfg.socket_path = test_socket("bye");

@@ -55,8 +55,7 @@ TEST(TracePeakMemoryTest, SuitePassHoldsEachTraceOnce) {
   const std::uint64_t before = peak_rss_bytes();
   ASSERT_GT(before, 0u);
   // The largest trace, and the reference sequence profiling it filled:
-  // one 4-byte block id per block switch, which the trace's own
-  // shrinking does not shrink.
+  // one byte per block switch.
   std::uint64_t largest_trace_bytes = 0;
   std::uint64_t its_sequence_bytes = 0;
   for (const MiBenchmark bench : all_benchmarks()) {
@@ -65,8 +64,7 @@ TEST(TracePeakMemoryTest, SuitePassHoldsEachTraceOnce) {
     EXPECT_GT(profile.total_accesses, 0u);
     if (w.trace.stored_bytes() > largest_trace_bytes) {
       largest_trace_bytes = w.trace.stored_bytes();
-      its_sequence_bytes =
-          profile.reference_sequence.size() * sizeof(BlockId);
+      its_sequence_bytes = profile.reference_sequence.stored_bytes();
     }
   }
   const std::uint64_t rise = peak_rss_bytes() - before;

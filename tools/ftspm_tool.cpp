@@ -325,6 +325,13 @@ SuiteProgress make_suite_progress() {
   };
 }
 
+/// The --scale divisor. Zero is a usage error, not a synonym for 1.
+std::uint64_t scale_option(const ArgParser& args) {
+  const std::uint64_t scale = args.option_uint("scale");
+  if (scale == 0) throw InvalidArgument("--scale must be >= 1");
+  return scale;
+}
+
 Workload resolve_workload(const std::string& name, std::uint64_t scale) {
   // Anything that looks like a path is loaded from the trace format.
   if (name.find('/') != std::string::npos ||
@@ -386,7 +393,7 @@ int cmd_profile(int argc, const char* const* argv) {
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().size() == 1, "expected one workload name");
   const Workload w =
-      resolve_workload(args.positionals()[0], args.option_uint("scale"));
+      resolve_workload(args.positionals()[0], scale_option(args));
   const ProgramProfile prof = profile_workload(w);
   if (args.flag("csv")) {
     CsvWriter csv({"block", "kind", "size_bytes", "reads", "writes",
@@ -416,7 +423,7 @@ int cmd_map(int argc, const char* const* argv) {
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().size() == 1, "expected one workload name");
   const Workload w =
-      resolve_workload(args.positionals()[0], args.option_uint("scale"));
+      resolve_workload(args.positionals()[0], scale_option(args));
   const ProgramProfile prof = profile_workload(w);
   const StructureEvaluator evaluator(TechnologyLibrary(),
                                      mda_config_from(args));
@@ -435,7 +442,7 @@ int cmd_simulate(int argc, const char* const* argv) {
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().size() == 1, "expected one workload name");
   const Workload w =
-      resolve_workload(args.positionals()[0], args.option_uint("scale"));
+      resolve_workload(args.positionals()[0], scale_option(args));
   const ProgramProfile prof = profile_workload(w);
   const StructureEvaluator evaluator(TechnologyLibrary(),
                                      mda_config_from(args));
@@ -488,7 +495,7 @@ int cmd_evaluate(int argc, const char* const* argv) {
   args.add_flag("json", "emit machine-readable JSON");
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().size() == 1, "expected one workload name");
-  const std::uint64_t scale = args.option_uint("scale");
+  const std::uint64_t scale = scale_option(args);
   const Workload w = resolve_workload(args.positionals()[0], scale);
   const StructureEvaluator evaluator(TechnologyLibrary(),
                                      mda_config_from(args));
@@ -536,7 +543,7 @@ int cmd_schedule(int argc, const char* const* argv) {
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().size() == 1, "expected one workload name");
   const Workload w =
-      resolve_workload(args.positionals()[0], args.option_uint("scale"));
+      resolve_workload(args.positionals()[0], scale_option(args));
   const ProgramProfile prof = profile_workload(w);
   const StructureEvaluator evaluator(TechnologyLibrary(),
                                      mda_config_from(args));
@@ -554,7 +561,7 @@ int cmd_suite(int argc, const char* const* argv) {
   args.add_option("scale", "trace scale divisor", "1");
   args.add_flag("json", "emit machine-readable JSON");
   args.parse(argc, argv, 2);
-  const std::uint64_t scale = args.option_uint("scale");
+  const std::uint64_t scale = scale_option(args);
   const StructureEvaluator evaluator;
   const auto wall_start = std::chrono::steady_clock::now();
   const std::vector<SuiteRow> rows =
@@ -622,7 +629,7 @@ int cmd_reuse(int argc, const char* const* argv) {
   const auto line_bytes =
       static_cast<std::uint32_t>(args.option_uint("line-bytes", UINT32_MAX));
   const Workload w =
-      resolve_workload(args.positionals()[0], args.option_uint("scale"));
+      resolve_workload(args.positionals()[0], scale_option(args));
   const ReuseProfile prof = compute_reuse_profile(w, scope, line_bytes);
   std::cout << "accesses: " << with_commas(prof.total_accesses)
             << ", mean finite reuse distance "
@@ -680,7 +687,7 @@ int cmd_partition(int argc, const char* const* argv) {
         throw InvalidArgument("bad weight in '" + spec +
                               "': expected a positive number after ':'");
     }
-    workloads.push_back(resolve_workload(name, args.option_uint("scale")));
+    workloads.push_back(resolve_workload(name, scale_option(args)));
     weights.push_back(weight);
   }
   std::vector<TaskSpec> tasks;
@@ -834,7 +841,7 @@ int cmd_report(int argc, const char* const* argv) {
   args.parse(argc, argv, 2);
   const StructureEvaluator evaluator;
   const std::vector<SuiteRow> rows =
-      run_suite_parallel(evaluator, args.option_uint("scale"),
+      run_suite_parallel(evaluator, scale_option(args),
                          jobs_requested(), make_suite_progress(),
                          session_obs());
   for (const std::string& path : write_all_csv(
@@ -1040,7 +1047,7 @@ int cmd_stats(int argc, const char* const* argv) {
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().size() == 1, "expected one workload name");
   const Workload w =
-      resolve_workload(args.positionals()[0], args.option_uint("scale"));
+      resolve_workload(args.positionals()[0], scale_option(args));
   const ProgramProfile prof = profile_workload(w);
   const StructureEvaluator evaluator(TechnologyLibrary(),
                                      mda_config_from(args));
@@ -1100,7 +1107,7 @@ int cmd_export(int argc, const char* const* argv) {
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().size() == 1, "expected one workload name");
   const Workload w =
-      resolve_workload(args.positionals()[0], args.option_uint("scale"));
+      resolve_workload(args.positionals()[0], scale_option(args));
   if (args.option("out") == "-") {
     write_workload(std::cout, w);
     std::cout.flush();
