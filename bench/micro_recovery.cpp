@@ -73,21 +73,28 @@ void run_recovery(benchmark::State& state, const RecoveryCase& c,
                   bool batched) {
   CampaignConfig cfg;
   cfg.strikes = kStrikes;
-  RecoveryShardSide side;  // scratch capacity persists across iterations
+  RecoveryShardSide side;
+  RecoveryReferenceSide reference_side;
   for (auto _ : state) {
+    // Each run starts from a fresh side, set up outside the timing.
     state.PauseTiming();
-    side.initialized = false;
-    side.counters = RecoveryCounters{};
-    c.campaign.ensure_shard_images(side, cfg.seed);
+    if (batched) {
+      side = RecoveryShardSide{};
+      c.campaign.ensure_shard_images(side);
+    } else {
+      reference_side = RecoveryReferenceSide{};
+      c.reference.fill_reference_images(reference_side, cfg.seed);
+    }
     CampaignShardState core =
         begin_campaign_shard(cfg.seed ^ LiveArrayCampaign::kSeedSalt);
     state.ResumeTiming();
     if (batched)
       c.campaign.run_chunk(cfg, core, side, kStrikes);
     else
-      c.reference.run_chunk(cfg, core, side, kStrikes);
+      c.reference.run_chunk(cfg, core, reference_side, kStrikes);
     benchmark::DoNotOptimize(core.partial.masked);
     benchmark::DoNotOptimize(side.counters.demand_reads);
+    benchmark::DoNotOptimize(reference_side.counters.demand_reads);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kStrikes));

@@ -73,21 +73,26 @@ RecoveryPolicy scrub_every(std::uint64_t interval) {
   return policy;
 }
 
-/// Both recovery sides start from a fresh RecoveryShardSide, as a
-/// shard does; image setup is left out of the timing.
+/// Both recovery sides start fresh, as a shard does: the engine's zero
+/// error planes, the reference's filled images. Setup is left out of
+/// the timing.
 double run_recovery(const LiveArrayCampaign& engine,
                     const RecoveryReference& reference, std::uint64_t strikes,
                     bool batched) {
   const CampaignConfig cfg = config_for(strikes);
   RecoveryShardSide side;
-  engine.ensure_shard_images(side, cfg.seed);
+  RecoveryReferenceSide reference_side;
+  if (batched)
+    engine.ensure_shard_images(side);
+  else
+    reference.fill_reference_images(reference_side, cfg.seed);
   CampaignShardState core =
       begin_campaign_shard(cfg.seed ^ LiveArrayCampaign::kSeedSalt);
   const double ms = elapsed_ms([&] {
     if (batched)
       engine.run_chunk(cfg, core, side, strikes);
     else
-      reference.run_chunk(cfg, core, side, strikes);
+      reference.run_chunk(cfg, core, reference_side, strikes);
   });
   FTSPM_CHECK(core.done == strikes, "recovery side ran short");
   return ms;

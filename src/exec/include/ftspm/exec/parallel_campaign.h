@@ -214,13 +214,13 @@ struct RecoveryShardedRun {
 };
 
 /// The live-array recovery campaign (fault/recovery.h), sharded. Each
-/// shard owns a private array image set seeded from its shard seed, so
-/// shards stay independent and the merged counters depend only on
-/// (seed, strikes, shard_count, policy) — never on --jobs. With
-/// `!policy.active()` this delegates to run_campaign_sharded, matching
-/// the static campaign bit for bit. Checkpoint/resume is rejected:
-/// the array images are not serialized, so a resumed shard could not
-/// reconstruct its state. `grid` as in run_campaign_sharded.
+/// shard owns private error planes, so shards stay independent and the
+/// merged counters depend only on (seed, strikes, shard_count, policy)
+/// — never on --jobs. With `!policy.active()` this delegates to
+/// run_campaign_sharded, matching the static campaign bit for bit.
+/// Checkpoint/resume is rejected: the error planes are not serialized,
+/// so a resumed shard could not reconstruct its state. `grid` as in
+/// run_campaign_sharded.
 RecoveryShardedRun run_recovery_campaign_sharded(
     const std::vector<RecoveryRegion>& regions,
     const StrikeMultiplicityModel& strikes, const CampaignConfig& config,

@@ -67,8 +67,9 @@ struct CampaignCheckpoint {
   bool complete() const noexcept;
 
   /// Throws ftspm::Error unless this checkpoint describes exactly the
-  /// campaign (root, shard_count, salt, kind) — a checkpoint resumed
-  /// under different parameters would silently produce wrong numbers.
+  /// campaign (root, shard_count, salt, kind), with each shard's budget
+  /// its share of make_shard_plan — a checkpoint resumed under different
+  /// parameters would silently produce wrong numbers.
   void validate_against(const CampaignConfig& root, std::uint32_t shards,
                         std::uint64_t salt, std::string_view kind) const;
 };

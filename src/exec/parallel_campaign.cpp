@@ -603,11 +603,12 @@ RecoveryShardedRun run_recovery_campaign_sharded(
   }
   FTSPM_REQUIRE(exec.checkpoint_path.empty() && exec.resume_path.empty(),
                 "recovery campaigns do not support checkpoint/resume: the "
-                "live array images are not serialized");
+                "error planes are not serialized");
 
   const LiveArrayCampaign campaign(regions, strikes, policy);
-  // The runner owns the core shard states; the image/counter sides live
-  // here, indexed by shard, touched only by that shard's worker.
+  // The runner owns the core shard states; the error-plane/counter
+  // sides live here, indexed by shard, touched only by that shard's
+  // worker, which sizes its planes at first use.
   std::vector<RecoveryShardSide> sides(exec.effective_shards());
   const ShardedRun run = run_sharded_campaign(
       config, exec, "recovery", LiveArrayCampaign::kSeedSalt,
@@ -615,7 +616,7 @@ RecoveryShardedRun run_recovery_campaign_sharded(
       [&](const CampaignShard& shard, CampaignShardState& state,
           std::uint64_t max_strikes, SensitivityGrid* shard_grid) {
         RecoveryShardSide& side = sides[shard.index];
-        campaign.ensure_shard_images(side, shard.config.seed);
+        campaign.ensure_shard_images(side);
         campaign.run_chunk(shard.config, state, side, max_strikes,
                            shard_grid);
       });

@@ -111,8 +111,12 @@ void CampaignCheckpoint::validate_against(const CampaignConfig& root,
               "checkpoint belongs to a different campaign kind");
   FTSPM_CHECK(shards.size() == shard_count,
               "checkpoint shard list does not match its shard count");
+  const std::vector<CampaignShard> plan = make_shard_plan(root, shard_count);
   for (std::size_t i = 0; i < shards.size(); ++i) {
     FTSPM_CHECK(shards[i].index == i, "checkpoint shards out of order");
+    FTSPM_CHECK(shards[i].strikes == plan[i].config.strikes,
+                "checkpoint shard strike budget does not match the plan's "
+                "share");
     FTSPM_CHECK(shards[i].done <= shards[i].strikes,
                 "checkpoint shard overran its strike budget");
     FTSPM_CHECK(shards[i].partial.strikes == shards[i].done &&

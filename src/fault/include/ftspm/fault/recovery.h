@@ -5,10 +5,12 @@
 // *recovers*: SEC-DED corrections are written back, detected-
 // uncorrectable words are re-fetched from DRAM, and a scrub engine
 // sweeps the arrays so latent errors cannot accumulate into multi-bit
-// upsets. This module models that pipeline on an actual stored image of
-// every region:
+// upsets. This module models that pipeline on the error pattern of
+// every stored word (RegionImage): parity and SEC-DED are linear, so a
+// decode's verdict depends on which bits are wrong, never on the value
+// stored, and the model keeps no values at all:
 //
-//  * strikes flip bits of real encoded codewords and *stay there* until
+//  * strikes flip bits of a word's error pattern and *stay there* until
 //    something decodes the word, so errors from different strikes
 //    combine in one codeword — exactly the accumulation scrubbing
 //    exists to prevent;
@@ -31,7 +33,8 @@
 // aliasing or a miscorrection) is SDC — so CampaignResult::
 // vulnerability() measures *residual* vulnerability after recovery,
 // which is the quantity the scrub-interval ablation trades against
-// recovery energy.
+// recovery energy. A consumed wrong value is what later reads are
+// judged against, so the error the code saw leaves the word.
 //
 // Determinism: a shard's counters are a pure function of (seed,
 // strikes, regions, policy) and are chunk-size invariant; the sharded
@@ -122,40 +125,33 @@ struct RecoveryResult {
   RecoveryCounters recovery;
 };
 
-/// The stored codeword image of one region: per-word data bits, check
-/// bits, and the ground-truth values written. Immune regions keep no
-/// image (their cells cannot be upset).
+/// The stored state of one region as error planes: each word's error
+/// pattern (the bits in which it differs from a clean encoding of the
+/// value last written) and its syndrome. The planes start at zero and
+/// hold no data. Immune regions keep none (their cells cannot be
+/// upset).
 struct RegionImage {
-  std::vector<std::uint64_t> data;
-  std::vector<std::uint8_t> check;
-  std::vector<std::uint64_t> truth;
-  /// Check bits a clean encoding of `truth` would carry
-  /// (truth_check[w] = encode(truth[w]).check), cached so a decode
-  /// obtains a word's error pattern with two XORs — (data ^ truth,
-  /// check ^ truth_check) — instead of re-encoding. Maintained at fill
-  /// and wherever `truth` changes (silent consumption). Sized like
-  /// `check` (empty for unchecked protections).
-  std::vector<std::uint8_t> truth_check;
+  std::vector<std::uint64_t> err;  ///< Data-bit error per word.
+  /// Error in each word's low 8 check bits; empty when the geometry
+  /// has no check bits.
+  std::vector<std::uint8_t> err_check;
   /// Parity and SEC-DED regions only (empty otherwise): syndrome[w] is
-  /// the syndrome of word w's error pattern (data ^ truth, check ^
-  /// truth_check) — the SEC-DED 8-bit Hsiao fold or the 0/1 parity bit.
-  /// Like truth_check it is a cached derived plane: the batched engine
-  /// keeps it current where a flip lands (XOR of a run-syndrome table
-  /// entry, detail::run_syndrome_table) and where it rewrites a word,
-  /// so a decode reads one byte instead of folding. Sized to the word
-  /// count rounded up to a multiple of 64, so a scrub sweep scans it in
-  /// whole blocks of 64 words, 8 per load; the pad bytes stay 0.
-  /// RecoveryReference leaves it alone, so a side the reference
-  /// advanced is not fit for the engine.
+  /// the syndrome of (err[w], err_check[w]) — the SEC-DED 8-bit Hsiao
+  /// fold or the 0/1 parity bit. A cached derived plane: the batched
+  /// engine keeps it current where a flip lands (XOR of a run-syndrome
+  /// table entry, detail::run_syndrome_table) and where it rewrites a
+  /// word, so a decode reads one byte instead of folding. Sized to the
+  /// word count rounded up to a multiple of 64, so a scrub sweep scans
+  /// it in whole blocks of 64 words, 8 per load; the pad bytes stay 0.
   std::vector<std::uint8_t> syndrome;
 };
 
 /// One shard's mutable recovery state, owned by the caller alongside
-/// the shard's CampaignShardState. Images are seeded lazily from the
-/// shard seed (never from the strike RNG, so image fill cannot shift
-/// the strike sequence).
-struct RecoveryShardSide {
-  bool initialized = false;
+/// the shard's CampaignShardState. Cache-line aligned: neighbouring
+/// sides belong to different workers and must not share a line (at
+/// 128 bytes unaligned, bulk_recovery lost a fifth of its throughput
+/// at two jobs).
+struct alignas(64) RecoveryShardSide {
   std::vector<RegionImage> images;
   RecoveryCounters counters;
   /// Struck-word scratch of an interleaved strike (cleared per strike,
@@ -168,9 +164,8 @@ struct RecoveryShardSide {
 /// handed.
 class LiveArrayCampaign {
  public:
-  /// Seed salt of the recovery campaign kind, applied to shard seeds
-  /// (and, re-salted, to the image fill streams) so recovery campaigns
-  /// never share a strike sequence with static ones.
+  /// Seed salt of the recovery campaign kind, applied to shard seeds so
+  /// recovery campaigns never share a strike sequence with static ones.
   static constexpr std::uint64_t kSeedSalt = 0x5c7ab5eedULL;
 
   LiveArrayCampaign(std::vector<RecoveryRegion> regions,
@@ -179,10 +174,9 @@ class LiveArrayCampaign {
   LiveArrayCampaign(const LiveArrayCampaign&) = delete;
   LiveArrayCampaign& operator=(const LiveArrayCampaign&) = delete;
 
-  /// Fills `side`'s images from `shard_seed` (the shard's unsalted
-  /// campaign seed) on first call; later calls are no-ops.
-  void ensure_shard_images(RecoveryShardSide& side,
-                           std::uint64_t shard_seed) const;
+  /// Sizes `side`'s zero error planes on first call; later calls are
+  /// no-ops. Call it on the thread that runs the shard.
+  void ensure_shard_images(RecoveryShardSide& side) const;
 
   /// Advances the shard by up to `max_strikes` strikes, stopping at
   /// config.strikes. Aim draws match the static campaign draw for
@@ -195,10 +189,10 @@ class LiveArrayCampaign {
   /// aim draws over per-chunk region tables, XOR-mask flip scatter that
   /// keeps each word's cached syndrome current, and demand decodes and
   /// scrub sweeps that classify a word with one syndrome-table read.
-  /// Counters, images, grids, and the RNG stream are bit-identical to
-  /// the strike-at-a-time RecoveryReference
-  /// (oracle/recovery_reference.h) — pinned by
-  /// tests/fault/batch_engine_test.cpp.
+  /// Counters, grids, and the RNG stream are bit-identical to the
+  /// strike-at-a-time RecoveryReference (oracle/recovery_reference.h),
+  /// and the error planes equal the reference's data ^ truth and
+  /// check ^ truth_check — pinned by tests/fault/batch_engine_test.cpp.
   void run_chunk(const CampaignConfig& config, CampaignShardState& core,
                  RecoveryShardSide& side, std::uint64_t max_strikes,
                  SensitivityGrid* grid = nullptr) const;

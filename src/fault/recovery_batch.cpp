@@ -23,9 +23,10 @@
 //    syndrome word is invisible to the scrubber: clean, or an alias the
 //    reference leaves latent with no counter, no draw and +0.0 energy.
 //
-// Equivalence contract: counters, images, grids, and the RNG stream
-// match RecoveryReference::run_chunk bit for bit, for every chunk
-// schedule.
+// Equivalence contract: counters, grids, and the RNG stream match
+// RecoveryReference::run_chunk bit for bit, for every chunk schedule,
+// and the error planes equal the reference's data ^ truth and
+// check ^ truth_check.
 // The draw schedule per strike is pick, origin, multiplicity, then
 // per struck word (ascending) one ACE Bernoulli, then (only inside a
 // detected-uncorrectable repair) one dirty-fraction Bernoulli;
@@ -199,10 +200,8 @@ void LiveArrayCampaign::scrub_sweep_batched(RecoveryShardSide& side, Rng& rng,
       continue;
 
     RegionImage& image = side.images[ri];
-    std::uint64_t* const data = image.data.data();
-    std::uint8_t* const check = image.check.data();
-    const std::uint64_t* const truth = image.truth.data();
-    const std::uint8_t* const truth_check = image.truth_check.data();
+    std::uint64_t* const err = image.err.data();
+    std::uint8_t* const err_check = image.err_check.data();
     std::uint8_t* const syndrome = image.syndrome.data();
     const bool secded_region = R.protection == ProtectionKind::SecDed;
     // Repair cost by verdict: 0 corrected (write-back), 1 re-fetched,
@@ -243,19 +242,20 @@ void LiveArrayCampaign::scrub_sweep_batched(RecoveryShardSide& side, Rng& rng,
         const SecDedCodec::SyndromeDecode& sd = secded[s];
         const bool restore =
             !secded_region | (sd.status == DecodeStatus::Detected);
-        // A detected word is restored to its clean encoding. A
-        // corrected one holds the decoder's output: the data with the
-        // corrected data bit flipped, or the check bits with the
-        // corrected check bit (the syndrome itself) flipped. Masks,
-        // not ?:, which GCC 12 turns back into branches.
+        // A detected word is restored: its error is zeroed. A
+        // corrected one holds the decoder's output: the error with the
+        // corrected data bit flipped, or with the corrected check bit
+        // (the syndrome itself) flipped, which folds to a zero
+        // syndrome either way; the correction is right when no data
+        // error is left. Masks, not ?:, which GCC 12 turns back into
+        // branches.
         const std::uint64_t keep = std::uint64_t{restore} - 1;
-        const std::uint64_t corrected_data = data[w] ^ sd.correction_mask;
+        const std::uint64_t corrected = err[w] ^ sd.correction_mask;
         const auto corrected_check = static_cast<std::uint8_t>(
-            check[w] ^ (sd.correction_mask == 0 ? s : 0));
-        corrections += !restore & (corrected_data == truth[w]);
-        data[w] = truth[w] ^ ((truth[w] ^ corrected_data) & keep);
-        check[w] = static_cast<std::uint8_t>(
-            truth_check[w] ^ ((truth_check[w] ^ corrected_check) & keep));
+            err_check[w] ^ (sd.correction_mask == 0 ? s : 0));
+        corrections += !restore & (corrected == 0);
+        err[w] = corrected & keep;
+        err_check[w] = static_cast<std::uint8_t>(corrected_check & keep);
         syndrome[w] = 0;
         detected[visited++] = restore;
         detections += restore;
@@ -297,19 +297,19 @@ StrikeOutcome LiveArrayCampaign::demand_read(const BatchRegion& R,
 
   // The outcome is what the consumer saw: Masked (clean), DRE
   // (corrected or re-fetched), DUE, or SDC (a wrong value consumed
-  // silently). Every rewrite keeps the word's syndrome current: a
-  // restore zeroes it, and a consumed alias moves truth onto the
-  // stored word's code space, which leaves it zero. Only a correction
-  // left unwritten (recover off) keeps its syndrome, as the stored
-  // word keeps its error.
-  //
-  // A detected-uncorrectable word is restored to its truth either way;
-  // with repair on, the re-fetch is booked (or dirty data escalates) —
-  // the reference's DUE arm verbatim.
-  const auto handle_due = [&] {
-    image.data[w] = image.truth[w];
-    image.check[w] = image.truth_check[w];
+  // silently). A restore zeroes the word's error, and a consumed wrong
+  // value becomes what later reads are judged against, which zeroes
+  // the error the code saw. Only a correction left unwritten (recover
+  // off) keeps a nonzero syndrome.
+  const auto restore = [&] {
+    image.err[w] = 0;
+    image.err_check[w] = 0;
     image.syndrome[w] = 0;
+  };
+  // A detected-uncorrectable word is restored either way; with repair
+  // on, the re-fetch is booked (or dirty data escalates).
+  const auto handle_due = [&] {
+    restore();
     if (!recover) return StrikeOutcome::Due;
     if (detail::draw_bernoulli(rng, R.dirty)) {
       ++counters.unrecoverable;
@@ -321,76 +321,56 @@ StrikeOutcome LiveArrayCampaign::demand_read(const BatchRegion& R,
     return StrikeOutcome::Dre;
   };
 
-  const std::uint64_t data_mask = image.data[w] ^ image.truth[w];
+  const std::uint64_t data_err = image.err[w];
   if (R.protection == ProtectionKind::None) {
     // Unchecked words never see their check-half geometry (the
     // reference compares data alone); corruption is consumed.
-    if (data_mask == 0) return StrikeOutcome::Masked;
+    if (data_err == 0) return StrikeOutcome::Masked;
     ++counters.sdc_reads;
-    image.truth[w] = image.data[w];
+    image.err[w] = 0;
     return StrikeOutcome::Sdc;
   }
   const std::uint8_t syndrome = image.syndrome[w];
   if (R.protection == ProtectionKind::Parity) {
     if (syndrome != 0) return handle_due();
-    // Zero syndrome: clean, or an even-flip alias consumed — the new
-    // truth's parity is the cached clean parity folded with the
-    // residual's (the code is linear). Extra check bits past the
-    // parity bit stay flipped, unseen by the code.
-    const auto check_mask =
-        static_cast<std::uint8_t>(image.check[w] ^ image.truth_check[w]);
-    if ((data_mask | check_mask) == 0) return StrikeOutcome::Masked;
+    // Zero syndrome: clean, or an even-flip alias consumed. The parity
+    // bit's error equals the data error's parity, so both go; flips in
+    // check bits past the parity bit stay, unseen by the code.
+    if ((data_err | image.err_check[w]) == 0) return StrikeOutcome::Masked;
     ++counters.sdc_reads;
-    image.truth[w] ^= data_mask;
-    image.truth_check[w] =
-        static_cast<std::uint8_t>(image.truth_check[w] ^ parity64(data_mask));
+    image.err[w] = 0;
+    image.err_check[w] = static_cast<std::uint8_t>(image.err_check[w] & ~1u);
     return StrikeOutcome::Sdc;
   }
   const SecDedCodec::SyndromeDecode& sd = secded[syndrome];
   switch (sd.status) {
     case DecodeStatus::Clean:
-      // The syndrome is compute_check(data_mask) ^ check_mask, so a
-      // zero one with a zero data mask has a zero check mask: the word
-      // is clean. Otherwise it aliased to a valid codeword of the wrong
-      // data: the residual is the data mask itself, and its check image
-      // folds into the cached truth_check (linearity).
-      if (data_mask == 0) return StrikeOutcome::Masked;
+      // The syndrome is compute_check(err) ^ err_check, so a zero one
+      // with no data error has no check error: the word is clean.
+      // Otherwise it aliased to a valid codeword of the wrong data,
+      // which is consumed.
+      if (data_err == 0) return StrikeOutcome::Masked;
       ++counters.sdc_reads;
-      image.truth[w] ^= data_mask;
-      image.truth_check[w] = static_cast<std::uint8_t>(
-          image.truth_check[w] ^ SecDedCodec::compute_check(data_mask));
+      restore();
       return StrikeOutcome::Sdc;
     case DecodeStatus::Corrected: {
-      const std::uint64_t residual = data_mask ^ sd.correction_mask;
-      if (residual == 0) {
-        // Right correction: the decoder rewrote the clean encoding
-        // truth/truth_check already hold.
-        if (recover) {
-          image.data[w] = image.truth[w];
-          image.check[w] = image.truth_check[w];
-          image.syndrome[w] = 0;
-          counters.recovery_cycles += R.write_latency;
-          counters.recovery_energy_pj += R.write_energy;
-          ++counters.corrections;
-        }
-        return StrikeOutcome::Dre;
-      }
-      // Miscorrection, then consumed: decoded becomes both the stored
-      // word (when repairing) and the new truth, so one linear
-      // re-encode serves both.
-      const std::uint64_t decoded = image.truth[w] ^ residual;
-      const auto decoded_check = static_cast<std::uint8_t>(
-          image.truth_check[w] ^ SecDedCodec::compute_check(residual));
+      // The decoder's output, written back, leaves the word clean. A
+      // miscorrection is then consumed; left unwritten, its error is
+      // the decoder's flip, with the check part that keeps the
+      // syndrome (linearity).
+      const bool right = data_err == sd.correction_mask;
       if (recover) {
-        image.data[w] = decoded;
-        image.check[w] = decoded_check;
-        image.syndrome[w] = 0;
+        restore();
         counters.recovery_cycles += R.write_latency;
         counters.recovery_energy_pj += R.write_energy;
+        counters.corrections += right;
+      } else if (!right) {
+        image.err[w] = sd.correction_mask;
+        image.err_check[w] = static_cast<std::uint8_t>(
+            syndrome ^ SecDedCodec::compute_check(sd.correction_mask));
       }
+      if (right) return StrikeOutcome::Dre;
       ++counters.sdc_reads;
-      image.truth[w] = decoded;
-      image.truth_check[w] = decoded_check;
       return StrikeOutcome::Sdc;
     }
     case DecodeStatus::Detected:
@@ -419,10 +399,10 @@ StrikeOutcome LiveArrayCampaign::interleaved_strike(
     const std::uint64_t word = group * R.interleave + lane;
     if (word >= R.words) continue;  // partial final group
     if (cw_bit < RegionGeometry::kDataBitsPerWord) {
-      image.data[word] ^= std::uint64_t{1} << cw_bit;
+      image.err[word] ^= std::uint64_t{1} << cw_bit;
     } else {
-      image.check[word] = static_cast<std::uint8_t>(
-          image.check[word] ^
+      image.err_check[word] = static_cast<std::uint8_t>(
+          image.err_check[word] ^
           (1u << (cw_bit - RegionGeometry::kDataBitsPerWord)));
     }
     if (R.syndrome_runs != nullptr)
@@ -443,7 +423,7 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
                                   RecoveryShardSide& side,
                                   std::uint64_t max_strikes,
                                   SensitivityGrid* grid) const {
-  FTSPM_REQUIRE(side.initialized,
+  FTSPM_REQUIRE(side.images.size() == regions_.size(),
                 "ensure_shard_images must run before run_chunk");
   const std::uint64_t end = std::min(config.strikes, core.done + max_strikes);
   if (end <= core.done) {
@@ -491,8 +471,8 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
       // Immune cells cannot be upset.
     } else if (R.interleave == 1) {
       RegionImage& image = side.images[ri];
-      std::uint64_t* const data = image.data.data();
-      std::uint8_t* const check = image.check.data();
+      std::uint64_t* const err = image.err.data();
+      std::uint8_t* const err_check = image.err_check.data();
       std::uint8_t* const syndrome = image.syndrome.data();
       // Hoisted: the byte stores below may alias R, so per-word reads
       // of its fields would be reloaded (and branched on).
@@ -514,13 +494,14 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
         const auto len = static_cast<std::uint32_t>(
             std::min<std::uint64_t>(R.codeword_bits - bit, remaining));
         const detail::GroupMasks gm = detail::group_masks(bit, bit + len);
-        data[word] ^= gm.data;
+        err[word] ^= gm.data;
         // Unconditional XOR (a zero mask when the run stays in the
         // data half) rather than a branch on gm.check; only regions
         // without a check plane skip it, and their runs never reach
         // one.
         if (has_check)
-          check[word] = static_cast<std::uint8_t>(check[word] ^ gm.check);
+          err_check[word] =
+              static_cast<std::uint8_t>(err_check[word] ^ gm.check);
         if (syndrome_runs != nullptr)
           syndrome[word] ^= syndrome_runs[bit][len];
         if (detail::draw_bernoulli(rng, ace)) {

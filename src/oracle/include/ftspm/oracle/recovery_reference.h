@@ -6,9 +6,12 @@
 // RecoveryReference is the loop it replaced — one next_discrete,
 // next_bool or classify_pattern call per draw, per-bit located flips,
 // per-word scrub resolution — kept as the equivalence oracle for tests
-// and bench/micro_recovery. Counters, images, grids and the RNG stream
-// match the engine bit for bit under any chunk schedule
-// (tests/fault/batch_engine_test.cpp); it is severalfold slower.
+// and bench/micro_recovery. Counters, grids and the RNG stream match
+// the engine bit for bit under any chunk schedule, and its data ^ truth
+// and check ^ truth_check equal the engine's error planes
+// (tests/fault/batch_engine_test.cpp); it is severalfold slower. It
+// does not share the engine's premise that only error patterns matter:
+// its images hold real encoded data beside the truth written.
 #pragma once
 
 #include <cstddef>
@@ -22,6 +25,25 @@
 
 namespace ftspm {
 
+/// The stored codeword image of one region: per-word data bits, check
+/// bits, and the ground-truth values written. Immune regions keep no
+/// image (their cells cannot be upset).
+struct ReferenceImage {
+  std::vector<std::uint64_t> data;
+  std::vector<std::uint8_t> check;
+  std::vector<std::uint64_t> truth;
+  /// Check bits of a clean encoding of `truth`, kept at fill and
+  /// wherever `truth` changes, so a word's error pattern is (data ^
+  /// truth, check ^ truth_check). Sized like `check`.
+  std::vector<std::uint8_t> truth_check;
+};
+
+/// One shard's mutable state under the reference.
+struct RecoveryReferenceSide {
+  std::vector<ReferenceImage> images;
+  RecoveryCounters counters;
+};
+
 class RecoveryReference {
  public:
   /// The same arguments LiveArrayCampaign takes.
@@ -31,12 +53,15 @@ class RecoveryReference {
   RecoveryReference(const RecoveryReference&) = delete;
   RecoveryReference& operator=(const RecoveryReference&) = delete;
 
-  /// LiveArrayCampaign::run_chunk, one strike at a time. `side` must
-  /// have been filled by LiveArrayCampaign::ensure_shard_images for a
-  /// campaign over the same regions. The images' cached syndrome plane
-  /// is the engine's; this loop leaves it stale.
+  /// Fills `side`'s images with random encoded values from a stream per
+  /// (shard_seed, region), never the strike stream.
+  void fill_reference_images(RecoveryReferenceSide& side,
+                             std::uint64_t shard_seed) const;
+
+  /// LiveArrayCampaign::run_chunk, one strike at a time, on a side
+  /// filled by fill_reference_images.
   void run_chunk(const CampaignConfig& config, CampaignShardState& core,
-                 RecoveryShardSide& side, std::uint64_t max_strikes,
+                 RecoveryReferenceSide& side, std::uint64_t max_strikes,
                  SensitivityGrid* grid = nullptr) const;
 
  private:
@@ -49,10 +74,10 @@ class RecoveryReference {
     Silent,         ///< Wrong value consumed without detection.
   };
 
-  WordRepair resolve_word(std::size_t region_index, RegionImage& image,
+  WordRepair resolve_word(std::size_t region_index, ReferenceImage& image,
                           std::uint64_t word, Rng& rng,
                           RecoveryCounters& counters, bool scrub_pass) const;
-  void scrub_sweep(RecoveryShardSide& side, Rng& rng) const;
+  void scrub_sweep(RecoveryReferenceSide& side, Rng& rng) const;
 
   std::vector<RecoveryRegion> regions_;
   const StrikeMultiplicityModel& strikes_;

@@ -13,8 +13,12 @@ namespace ftspm {
 
 namespace {
 
+/// Image fill streams live at this offset within the shard's salted
+/// seed space, far from the strike stream.
+constexpr std::uint64_t kImageStreamBase = 0x1000;
+
 /// Deposits one physical-bit flip into the stored codeword.
-void apply_flip(RegionImage& image, const PhysicalBit& pb) {
+void apply_flip(ReferenceImage& image, const PhysicalBit& pb) {
   if (pb.bit_in_codeword < RegionGeometry::kDataBitsPerWord) {
     image.data[pb.word_index] ^= 1ULL << pb.bit_in_codeword;
   } else {
@@ -26,9 +30,9 @@ void apply_flip(RegionImage& image, const PhysicalBit& pb) {
   }
 }
 
-/// Re-encodes `value` into the stored codeword — the engine's
-/// write-back, copied so the reference shares no private code with it.
-void write_back_word(ProtectionKind protection, RegionImage& image,
+/// Re-encodes `value` into the stored codeword (ground truth is the
+/// caller's business — a hardware write-back never learns it).
+void write_back_word(ProtectionKind protection, ReferenceImage& image,
                      std::uint64_t word, std::uint64_t value) {
   switch (protection) {
     case ProtectionKind::Immune:
@@ -68,8 +72,33 @@ RecoveryReference::RecoveryReference(std::vector<RecoveryRegion> regions,
   }
 }
 
+void RecoveryReference::fill_reference_images(RecoveryReferenceSide& side,
+                                              std::uint64_t shard_seed) const {
+  side.images.assign(regions_.size(), ReferenceImage{});
+  for (std::size_t r = 0; r < regions_.size(); ++r) {
+    const RecoveryRegion& region = regions_[r];
+    if (region.inject.protection == ProtectionKind::Immune) continue;
+    const std::uint64_t words = region.inject.geometry.words();
+    ReferenceImage& image = side.images[r];
+    image.data.resize(words);
+    image.truth.resize(words);
+    if (region.inject.geometry.check_bits_per_word() != 0)
+      image.check.resize(words);
+    // Every shard's array differs, and no draw of the strike stream
+    // goes to the fill.
+    Rng fill = Rng::for_stream(shard_seed ^ LiveArrayCampaign::kSeedSalt,
+                               kImageStreamBase + r);
+    for (std::uint64_t w = 0; w < words; ++w) {
+      image.truth[w] = fill.next_u64();
+      write_back_word(region.inject.protection, image, w, image.truth[w]);
+    }
+    // A freshly-written word is a clean encoding of its truth.
+    image.truth_check = image.check;
+  }
+}
+
 RecoveryReference::WordRepair RecoveryReference::resolve_word(
-    std::size_t region_index, RegionImage& image, std::uint64_t word,
+    std::size_t region_index, ReferenceImage& image, std::uint64_t word,
     Rng& rng, RecoveryCounters& counters, bool scrub_pass) const {
   const RecoveryRegion& region = regions_[region_index];
   const ProtectionKind protection = region.inject.protection;
@@ -189,7 +218,8 @@ RecoveryReference::WordRepair RecoveryReference::resolve_word(
   throw InvalidArgument("unknown protection kind");
 }
 
-void RecoveryReference::scrub_sweep(RecoveryShardSide& side, Rng& rng) const {
+void RecoveryReference::scrub_sweep(RecoveryReferenceSide& side,
+                                    Rng& rng) const {
   ++side.counters.scrub_passes;
   for (std::size_t ri = 0; ri < regions_.size(); ++ri) {
     const RecoveryRegion& region = regions_[ri];
@@ -203,7 +233,7 @@ void RecoveryReference::scrub_sweep(RecoveryShardSide& side, Rng& rng) const {
     // retention refresh: the read cost is real, but there is no
     // codeword image to repair.
     if (region.inject.protection == ProtectionKind::Immune) continue;
-    RegionImage& image = side.images[ri];
+    ReferenceImage& image = side.images[ri];
     for (std::uint64_t w = 0; w < words; ++w)
       resolve_word(ri, image, w, rng, side.counters, /*scrub_pass=*/true);
   }
@@ -211,11 +241,11 @@ void RecoveryReference::scrub_sweep(RecoveryShardSide& side, Rng& rng) const {
 
 void RecoveryReference::run_chunk(const CampaignConfig& config,
                                   CampaignShardState& core,
-                                  RecoveryShardSide& side,
+                                  RecoveryReferenceSide& side,
                                   std::uint64_t max_strikes,
                                   SensitivityGrid* grid) const {
-  FTSPM_REQUIRE(side.initialized,
-                "ensure_shard_images must run before run_chunk");
+  FTSPM_REQUIRE(side.images.size() == regions_.size(),
+                "fill_reference_images must run before run_chunk");
   const auto outcome_of = [](WordRepair repair) {
     switch (repair) {
       case WordRepair::Clean: return StrikeOutcome::Masked;
@@ -228,7 +258,7 @@ void RecoveryReference::run_chunk(const CampaignConfig& config,
     return StrikeOutcome::Masked;
   };
 
-  std::vector<std::uint64_t>& touched = side.touched;
+  std::vector<std::uint64_t> touched;
   const std::uint64_t end = std::min(config.strikes, core.done + max_strikes);
   for (std::uint64_t s = core.done; s < end; ++s) {
     // Aim draws in the static campaign's order (region, origin,
@@ -243,7 +273,7 @@ void RecoveryReference::run_chunk(const CampaignConfig& config,
 
     StrikeOutcome outcome = StrikeOutcome::Masked;
     if (region.inject.protection != ProtectionKind::Immune) {
-      RegionImage& image = side.images[ri];
+      ReferenceImage& image = side.images[ri];
       touched.clear();
       for (std::uint32_t k = 0; k < flips && origin + k < surface; ++k) {
         const PhysicalBit pb = locate_strike_bit(region.inject, origin + k);

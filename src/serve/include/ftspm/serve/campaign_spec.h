@@ -34,9 +34,9 @@ inline constexpr std::uint64_t kMaxSpecInterleave = std::uint64_t{1} << 16;
 inline constexpr std::uint64_t kMaxSpecShards = 4096;
 inline constexpr std::uint64_t kMaxSpecRefetchWords = std::uint64_t{1} << 32;
 /// Largest surface of a recovery spec (recover or scrub_interval set):
-/// each shard in flight keeps a live image of about 19 bytes per 8-byte
-/// word, so 2^24 bytes cost about 40 MB a shard where kMaxSpecSize would
-/// cost 2.4 TiB. validate_spec applies it.
+/// each shard in flight keeps error planes of about 10 bytes per 8-byte
+/// word, so 2^24 bytes cost about 21 MB a shard where kMaxSpecSize would
+/// cost 1.25 TiB. validate_spec applies it.
 inline constexpr std::uint64_t kMaxRecoverySpecSize = std::uint64_t{1} << 24;
 /// Most heartbeats a run reports, whatever its heartbeat_strikes: each
 /// one ends a runner chunk, so a tiny interval must not turn a run

@@ -18,6 +18,7 @@
 // via the standard trace validator.
 #pragma once
 
+#include <cstdint>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -25,6 +26,10 @@
 #include "ftspm/workload/trace.h"
 
 namespace ftspm {
+
+/// Most bytes a trace's blocks may declare in all (the profiler holds
+/// 24 per data word); the largest suite program, jpeg, declares 33,792.
+inline constexpr std::uint64_t kMaxTraceProgramBytes = std::uint64_t{1} << 24;
 
 /// Serializes to the v1 text format.
 std::string serialize_workload(const Workload& workload);
@@ -34,7 +39,8 @@ std::string serialize_workload(const Workload& workload);
 void write_workload(std::ostream& os, const Workload& workload);
 
 /// Parses the v1 text format; throws ftspm::Error with a line number
-/// on any malformed input, and validates the resulting trace.
+/// on any malformed input (InvalidArgument past kMaxTraceProgramBytes),
+/// and validates the resulting trace.
 Workload parse_workload(std::string_view text);
 
 /// File convenience wrappers. Throw on I/O failure.

@@ -132,6 +132,7 @@ Workload read_workload(LineReader& lines) {
     fail(lines.line_no(), "expected 'program <name>'");
 
   std::vector<Block> blocks;
+  std::uint64_t program_bytes = 0;
   std::size_t event_count = 0;
   while (lines.next(line)) {
     const std::size_t line_no = lines.line_no();
@@ -142,9 +143,15 @@ Workload read_workload(LineReader& lines) {
       std::uint64_t bytes = 0;
       fields >> name >> kind >> bytes;
       if (fields.fail()) fail(line_no, "expected 'block <name> <kind> <bytes>'");
+      // A few bytes of file must not ask the profiler for gigabytes.
+      if (bytes > kMaxTraceProgramBytes - program_bytes)
+        throw InvalidArgument(
+            "trace line " + std::to_string(line_no) + ": block size " +
+            std::to_string(bytes) + " takes the program past its limit of " +
+            std::to_string(kMaxTraceProgramBytes) + " bytes");
+      program_bytes += bytes;
       blocks.push_back(Block{name, kind_of(kind, line_no),
-                             narrow_field<std::uint32_t>(bytes, "block size",
-                                                         line_no)});
+                             static_cast<std::uint32_t>(bytes)});
     } else if (keyword == "trace") {
       fields >> event_count;
       if (fields.fail()) fail(line_no, "expected 'trace <count>'");

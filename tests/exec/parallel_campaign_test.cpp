@@ -314,6 +314,36 @@ TEST(ParallelCampaignTest, ResumeUnderDifferentConfigIsRejected) {
   std::remove(path.c_str());
 }
 
+TEST(ParallelCampaignTest, ResumeOfAnInflatedShardBudgetIsRejected) {
+  // A checkpoint whose shard 0 claims 900 of a 1000-strike two-shard
+  // campaign, with counters to match, is consistent in itself; resumed,
+  // it would report 1,400 strikes. Each shard's budget must be its
+  // share of the plan.
+  CampaignConfig cfg;
+  cfg.strikes = 1'000;
+  const std::string path = temp_path("ftspm_resume_inflated_test");
+  ExecConfig exec;
+  exec.shards = 2;
+  exec.checkpoint_path = path;
+  run_campaign_sharded(surfaces(), model(), cfg, exec);
+
+  CampaignCheckpoint cp = load_checkpoint(path);
+  ASSERT_EQ(cp.shards.size(), 2u);
+  ShardCheckpoint& shard = cp.shards[0];
+  ASSERT_EQ(shard.strikes, 500u);
+  shard.partial.dre += 900 - shard.done;
+  shard.partial.strikes = 900;
+  shard.strikes = 900;
+  shard.done = 900;
+  store_checkpoint(cp, path);
+
+  ExecConfig resume;
+  resume.shards = 2;
+  resume.resume_path = path;
+  EXPECT_THROW(run_campaign_sharded(surfaces(), model(), cfg, resume), Error);
+  std::remove(path.c_str());
+}
+
 TEST(ParallelCampaignTest, ProgressIsMonotoneWithOneCompletionCall) {
   CampaignConfig cfg;
   cfg.strikes = 10'000;

@@ -333,9 +333,10 @@ TEST(BatchEngineFlips, SampleFlipsDrawMatchesTheModelDrawForDraw) {
 // Recovery: the batched run_chunk (recovery_batch.cpp) against the
 // strike-at-a-time RecoveryReference (the ftspm_oracle target) it
 // replaced. The contract is stronger than counter equality — the
-// stored images, the recovery counters (cycles and energy bit for
-// bit), the sensitivity grid, and the post-campaign RNG state must all
-// match, under any chunk schedule.
+// recovery counters (cycles and energy bit for bit), the sensitivity
+// grid, the post-campaign RNG state, and every word's error pattern
+// (the engine's planes against the reference's data ^ truth and
+// check ^ truth_check) must all match, under any chunk schedule.
 
 RecoveryRegion make_recovery_region(RegionGeometry geom, ProtectionKind prot,
                                     double ace, std::uint32_t interleave,
@@ -353,6 +354,8 @@ RecoveryRegion make_recovery_region(RegionGeometry geom, ProtectionKind prot,
 struct RecoveryRun {
   CampaignResult strikes;
   RecoveryCounters counters;
+  /// The error planes: the engine's own, or the reference's data ^
+  /// truth and check ^ truth_check (with no syndrome plane).
   std::vector<RegionImage> images;
   std::uint64_t rng_probe = 0;  ///< next_u64 after the campaign
 };
@@ -386,24 +389,18 @@ void expect_syndrome_shadow(const std::vector<RecoveryRegion>& regions,
       EXPECT_TRUE(image.syndrome.empty()) << what << " region " << r;
       continue;
     }
-    const std::size_t words = image.data.size();
+    const std::size_t words = image.err.size();
+    ASSERT_EQ(image.err_check.size(), words) << what << " region " << r;
     ASSERT_EQ(image.syndrome.size(), (words + 63) / 64 * 64)
         << what << " region " << r;
-    std::vector<std::uint64_t> data_masks(words);
-    std::vector<std::uint8_t> check_masks(words);
-    for (std::size_t w = 0; w < words; ++w) {
-      data_masks[w] = image.data[w] ^ image.truth[w];
-      check_masks[w] =
-          static_cast<std::uint8_t>(image.check[w] ^ image.truth_check[w]);
-    }
     std::vector<std::uint8_t> want(words);
     if (protection == ProtectionKind::SecDed)
-      SecDedCodec::fold_syndromes(data_masks.data(), check_masks.data(),
+      SecDedCodec::fold_syndromes(image.err.data(), image.err_check.data(),
                                   words, want.data());
     else
       for (std::size_t w = 0; w < words; ++w)
-        want[w] = static_cast<std::uint8_t>(parity64(data_masks[w]) ^
-                                            (check_masks[w] & 1));
+        want[w] = static_cast<std::uint8_t>(parity64(image.err[w]) ^
+                                            (image.err_check[w] & 1));
     std::size_t stale = 0, first = words;
     for (std::size_t w = 0; w < words; ++w)
       if (image.syndrome[w] != want[w] && stale++ == 0) first = w;
@@ -416,23 +413,48 @@ void expect_syndrome_shadow(const std::vector<RecoveryRegion>& regions,
   }
 }
 
+/// Runs the reference over `schedule` from images filled under
+/// `fill_seed` (the campaign's own seed unless a test picks another).
+RecoveryRun drive_reference(const RecoveryReference& reference,
+                            const CampaignConfig& cfg, std::uint64_t fill_seed,
+                            const std::vector<std::uint64_t>& schedule,
+                            SensitivityGrid* grid = nullptr) {
+  CampaignShardState core =
+      begin_campaign_shard(cfg.seed ^ LiveArrayCampaign::kSeedSalt);
+  RecoveryReferenceSide side;
+  reference.fill_reference_images(side, fill_seed);
+  for (const std::uint64_t step : schedule)
+    reference.run_chunk(cfg, core, side, step, grid);
+  RecoveryRun run;
+  run.strikes = core.partial;
+  run.counters = side.counters;
+  for (const ReferenceImage& image : side.images) {
+    RegionImage& planes = run.images.emplace_back();
+    for (std::size_t w = 0; w < image.data.size(); ++w)
+      planes.err.push_back(image.data[w] ^ image.truth[w]);
+    for (std::size_t w = 0; w < image.check.size(); ++w)
+      planes.err_check.push_back(
+          static_cast<std::uint8_t>(image.check[w] ^ image.truth_check[w]));
+  }
+  run.rng_probe = core.rng.next_u64();
+  return run;
+}
+
 RecoveryRun drive_recovery(const RecoveryUnderTest& campaign,
                            const CampaignConfig& cfg, bool batched,
                            const std::vector<std::uint64_t>& schedule,
                            SensitivityGrid* grid = nullptr) {
+  if (!batched)
+    return drive_reference(campaign.reference, cfg, cfg.seed, schedule, grid);
   CampaignShardState core =
       begin_campaign_shard(cfg.seed ^ LiveArrayCampaign::kSeedSalt);
   RecoveryShardSide side;
-  campaign.engine.ensure_shard_images(side, cfg.seed);
+  campaign.engine.ensure_shard_images(side);
   for (const std::uint64_t step : schedule) {
-    if (batched) {
-      campaign.engine.run_chunk(cfg, core, side, step, grid);
-      expect_syndrome_shadow(campaign.regions, side,
-                             "after chunk ending at " +
-                                 std::to_string(core.done));
-    } else {
-      campaign.reference.run_chunk(cfg, core, side, step, grid);
-    }
+    campaign.engine.run_chunk(cfg, core, side, step, grid);
+    expect_syndrome_shadow(campaign.regions, side,
+                           "after chunk ending at " +
+                               std::to_string(core.done));
   }
   RecoveryRun run;
   run.strikes = core.partial;
@@ -463,13 +485,9 @@ void expect_recovery_equal(const RecoveryRun& got, const RecoveryRun& want,
   EXPECT_EQ(got.rng_probe, want.rng_probe) << what << " (RNG diverged)";
   ASSERT_EQ(got.images.size(), want.images.size()) << what;
   for (std::size_t r = 0; r < got.images.size(); ++r) {
-    EXPECT_EQ(got.images[r].data, want.images[r].data) << what << " region "
-                                                       << r;
-    EXPECT_EQ(got.images[r].check, want.images[r].check) << what << " region "
-                                                         << r;
-    EXPECT_EQ(got.images[r].truth, want.images[r].truth) << what << " region "
-                                                         << r;
-    EXPECT_EQ(got.images[r].truth_check, want.images[r].truth_check)
+    EXPECT_EQ(got.images[r].err, want.images[r].err) << what << " region "
+                                                     << r;
+    EXPECT_EQ(got.images[r].err_check, want.images[r].err_check)
         << what << " region " << r;
   }
 }
@@ -693,6 +711,56 @@ TEST(BatchEngineRecovery, UnwrittenCorrectionsKeepTheirSyndrome) {
   expect_recovery_equal(run,
                         drive_recovery(campaign, cfg, false, {cfg.strikes}),
                         "recover off, no scrub");
+}
+
+TEST(BatchEngineRecovery, ReferenceOutcomesIgnoreTheStoredValues) {
+  // The premise of the engine's error planes: both codes are linear, so
+  // the reference, run from two different fills, gives identical
+  // counters, grids, RNG state and data ^ truth planes. SEC-DED and
+  // parity, interleaved and not, with and without demand repair and
+  // scrubbing; a mix heavy in multi-bit strikes reaches the aliases and
+  // miscorrections.
+  const StrikeMultiplicityModel model(0.4, 0.3, 0.2, 0.1);
+  const std::vector<RecoveryRegion> regions{
+      make_recovery_region(RegionGeometry(1024, 8), ProtectionKind::SecDed,
+                           0.5, 1, 0.25, true),
+      make_recovery_region(RegionGeometry(1024, 8), ProtectionKind::SecDed,
+                           0.5, 2, 0.25, true),
+      make_recovery_region(RegionGeometry(1024, 1), ProtectionKind::Parity,
+                           0.5, 1, 0.5, true),
+      make_recovery_region(RegionGeometry(1024, 4), ProtectionKind::Parity,
+                           0.5, 2, 0.5, true),
+      make_recovery_region(RegionGeometry(512, 0), ProtectionKind::None, 0.5,
+                           1, 0.25, false)};
+  std::vector<InjectionRegion> surfaces;
+  for (const RecoveryRegion& r : regions) surfaces.push_back(r.inject);
+  const CampaignConfig cfg = config_for(0xfa11ed, 6'000);
+  const std::uint64_t other_fill = cfg.seed ^ 0x0dd5eed;
+  for (const bool recover : {true, false}) {
+    for (const std::uint64_t interval : {0u, 64u}) {
+      RecoveryPolicy policy;
+      policy.recover = recover;
+      policy.scrub_interval = interval;
+      const RecoveryReference reference(regions, model, policy);
+      RecoveryReferenceSide fill_a, fill_b;
+      reference.fill_reference_images(fill_a, cfg.seed);
+      reference.fill_reference_images(fill_b, other_fill);
+      for (std::size_t r = 0; r < regions.size(); ++r)
+        ASSERT_NE(fill_a.images[r].truth, fill_b.images[r].truth)
+            << "the fills must differ, region " << r;
+      SensitivityGrid grid_a = make_sensitivity_grid(surfaces, 16);
+      SensitivityGrid grid_b = make_sensitivity_grid(surfaces, 16);
+      const std::string what = "recover=" + std::to_string(recover) +
+                               " interval=" + std::to_string(interval);
+      const RecoveryRun a =
+          drive_reference(reference, cfg, cfg.seed, {cfg.strikes}, &grid_a);
+      const RecoveryRun b =
+          drive_reference(reference, cfg, other_fill, {cfg.strikes}, &grid_b);
+      EXPECT_GT(a.counters.sdc_reads, 0u) << what;
+      expect_recovery_equal(a, b, what);
+      EXPECT_EQ(grid_a.to_csv(), grid_b.to_csv()) << what;
+    }
+  }
 }
 
 TEST(BatchEngineRecovery, RejectsCodedRegionsWithoutCheckBits) {

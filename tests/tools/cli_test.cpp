@@ -525,6 +525,21 @@ TEST(CliTest, UnopenableUserFilesAreUsageErrorsNamingThePath) {
   }
 }
 
+TEST(CliTest, TraceDeclaringAnOversizedProgramIsAUsageError) {
+  // One 32 MiB block in a file of a few dozen bytes: the reader refuses
+  // it, naming the bound, before the profiler sizes anything by it.
+  const std::string path = temp_path("ftspm_cli_oversized.trace");
+  {
+    std::ofstream out(path);
+    out << "ftspm-trace v1\nprogram big\nblock a data 33554432\ntrace 0\n";
+  }
+  const CommandResult r = run_tool_stderr("profile " + path);
+  std::remove(path.c_str());
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("16777216"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("ftspm_tool help"), std::string::npos) << r.output;
+}
+
 TEST(CliTest, LedgerCompareGatesOnRegression) {
   const std::string ledger = temp_path("ftspm_cli_ledger.jsonl");
   std::remove(ledger.c_str());

@@ -3,14 +3,13 @@
 // and fed back through parse_workload. Every mutant must either parse
 // or throw ftspm::Error; every parsed one must either profile or throw
 // ftspm::Error; and a profiled one's reference sequence must be the
-// plain walk of the trace it parsed to. The seed is fixed, so a
-// failure names a mutant that reproduces.
+// plain walk of the trace it parsed to. The reader bounds a program's
+// declared bytes, so every parsed mutant is profiled. The seed is
+// fixed, so a failure names a mutant that reproduces.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <exception>
-#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -21,68 +20,10 @@
 #include "ftspm/workload/suite.h"
 #include "ftspm/workload/trace_io.h"
 #include "support/reference_walk.h"
+#include "support/text_mutator.h"
 
 namespace ftspm {
 namespace {
-
-/// Profiling holds 24 bytes per data word, so a mutant that declares
-/// gigabyte blocks would make this test allocate gigabytes; such a
-/// mutant is parsed but not profiled.
-constexpr std::uint64_t kMaxProfiledDataBytes = std::uint64_t{1} << 24;
-
-/// Numbers that overflow each field's width, or sit at its edge.
-const char* const kHugeNumbers[] = {
-    "4294967295",           "4294967296",
-    "65535",                "65536",
-    "18446744073709551615", "18446744073709551616",
-    "99999999999999999999999999", "-1",
-    "0",                    "255",
-};
-
-std::size_t find_digit(const std::string& text, std::size_t from) {
-  const std::size_t at = text.find_first_of("0123456789", from);
-  return at != std::string::npos ? at
-                                 : text.find_first_of("0123456789");
-}
-
-/// Applies one random mutation to `text`; `donor` lends splices.
-void mutate(std::string& text, const std::string& donor, Rng& rng) {
-  if (text.empty()) {
-    text = donor.substr(0, rng.next_below(donor.size() + 1));
-    return;
-  }
-  const std::size_t at = rng.next_below(text.size());
-  switch (rng.next_below(5)) {
-    case 0:  // bit flip
-      text[at] = static_cast<char>(text[at] ^ (1 << rng.next_below(8)));
-      break;
-    case 1: {  // digit swap
-      const std::size_t d = find_digit(text, at);
-      if (d == std::string::npos) break;
-      text[d] = static_cast<char>('0' + (text[d] - '0' + 1 +
-                                         rng.next_below(9)) % 10);
-      break;
-    }
-    case 2:  // truncation
-      text.resize(at);
-      break;
-    case 3: {  // splice a stretch of the donor in
-      const std::size_t from = rng.next_below(donor.size());
-      const std::size_t len = rng.next_below(
-          std::min<std::size_t>(donor.size() - from, 200) + 1);
-      text.insert(at, donor, from, len);
-      break;
-    }
-    default: {  // replace a number with a huge one
-      const std::size_t d = find_digit(text, at);
-      if (d == std::string::npos) break;
-      const std::size_t end = text.find_first_not_of("0123456789", d);
-      text.replace(d, (end == std::string::npos ? text.size() : end) - d,
-                   kHugeNumbers[rng.next_below(std::size(kHugeNumbers))]);
-      break;
-    }
-  }
-}
 
 struct Tally {
   int parsed = 0;
@@ -97,7 +38,8 @@ Tally run_mutants(const std::string& text, const std::string& donor,
   for (int m = 0; m < mutants; ++m) {
     std::string mutant = text;
     const std::uint64_t edits = 1 + rng.next_below(3);
-    for (std::uint64_t k = 0; k < edits; ++k) mutate(mutant, donor, rng);
+    for (std::uint64_t k = 0; k < edits; ++k)
+      testing_support::mutate(mutant, donor, rng);
     SCOPED_TRACE("mutant " + std::to_string(m));
     std::optional<Workload> parsed;
     try {
@@ -111,7 +53,6 @@ Tally run_mutants(const std::string& text, const std::string& donor,
     }
     ++tally.parsed;
     const Workload& w = *parsed;
-    if (w.program.total_data_bytes() > kMaxProfiledDataBytes) continue;
     try {
       const ProgramProfile prof = profile_workload(w);
       ++tally.profiled;
