@@ -66,7 +66,7 @@ struct CampaignCheckpoint {
 
   bool complete() const noexcept;
 
-  /// Throws ftspm::Error unless this checkpoint describes exactly the
+  /// Throws InvalidArgument unless this checkpoint describes exactly the
   /// campaign (root, shard_count, salt, kind), with each shard's budget
   /// its share of make_shard_plan — a checkpoint resumed under different
   /// parameters would silently produce wrong numbers.
@@ -82,6 +82,7 @@ ShardCheckpoint snapshot_shard_state(std::uint32_t index,
                                      const CampaignShardState& state);
 
 std::string checkpoint_to_json(const CampaignCheckpoint& cp);
+/// Throws InvalidArgument, naming the defect, on malformed text.
 CampaignCheckpoint checkpoint_from_json(std::string_view text);
 
 /// File round trip. store_checkpoint writes to `path + ".tmp"` then

@@ -20,11 +20,24 @@ std::string hex_u64(std::uint64_t v) {
   return buf;
 }
 
+/// A checkpoint is user-named input: every defect in it is an
+/// InvalidArgument carrying the message alone.
+void require(bool ok, const std::string& what) {
+  if (!ok) throw InvalidArgument(what);
+}
+
+const JsonValue& member(const JsonValue& obj, const char* key) {
+  const JsonValue* v = obj.find(key);
+  require(v != nullptr,
+          std::string("checkpoint field '") + key + "' is missing");
+  return *v;
+}
+
 std::uint64_t parse_hex_u64(const JsonValue& v, const char* what) {
-  FTSPM_CHECK(v.is_string() && v.string.size() > 2 &&
-                  v.string.compare(0, 2, "0x") == 0,
-              std::string("checkpoint field '") + what +
-                  "' must be a 0x-prefixed hex string");
+  require(v.is_string() && v.string.size() > 2 &&
+              v.string.compare(0, 2, "0x") == 0,
+          std::string("checkpoint field '") + what +
+              "' must be a 0x-prefixed hex string");
   std::uint64_t out = 0;
   for (std::size_t i = 2; i < v.string.size(); ++i) {
     const char c = v.string[i];
@@ -35,9 +48,10 @@ std::uint64_t parse_hex_u64(const JsonValue& v, const char* what) {
     else if (c >= 'A' && c <= 'F')
       digit = static_cast<std::uint64_t>(c - 'A' + 10);
     else
-      throw Error(std::string("bad hex digit in checkpoint field '") + what +
-                  "'");
-    FTSPM_CHECK(out <= (~0ULL >> 4), "hex value overflows 64 bits");
+      throw InvalidArgument(std::string("bad hex digit in checkpoint field '") +
+                            what + "'");
+    require(out <= (~0ULL >> 4),
+            std::string("checkpoint field '") + what + "' overflows 64 bits");
     out = (out << 4) | digit;
   }
   return out;
@@ -45,9 +59,9 @@ std::uint64_t parse_hex_u64(const JsonValue& v, const char* what) {
 
 std::uint64_t get_u64(const JsonValue& obj, const char* key,
                       std::uint64_t max = UINT64_MAX) {
-  const std::optional<std::uint64_t> n = json_u64(obj.at(key), max);
-  FTSPM_CHECK(n.has_value(), std::string("checkpoint field '") + key +
-                                 "' must be a non-negative number");
+  const std::optional<std::uint64_t> n = json_u64(member(obj, key), max);
+  require(n.has_value(), std::string("checkpoint field '") + key +
+                             "' must be a non-negative number");
   return *n;
 }
 
@@ -99,31 +113,31 @@ void CampaignCheckpoint::validate_against(const CampaignConfig& root,
                                           std::uint32_t shards_expected,
                                           std::uint64_t salt,
                                           std::string_view kind_expected) const {
-  FTSPM_CHECK(root_seed == root.seed,
-              "checkpoint was taken under a different seed");
-  FTSPM_CHECK(strikes == root.strikes,
-              "checkpoint was taken with a different strike budget");
-  FTSPM_CHECK(shard_count == shards_expected,
-              "checkpoint was taken with a different shard count");
-  FTSPM_CHECK(seed_salt == salt,
-              "checkpoint was taken with a different seed salt");
-  FTSPM_CHECK(kind == kind_expected,
-              "checkpoint belongs to a different campaign kind");
-  FTSPM_CHECK(shards.size() == shard_count,
-              "checkpoint shard list does not match its shard count");
+  require(root_seed == root.seed,
+          "checkpoint was taken under a different seed");
+  require(strikes == root.strikes,
+          "checkpoint was taken with a different strike budget");
+  require(shard_count == shards_expected,
+          "checkpoint was taken with a different shard count");
+  require(seed_salt == salt,
+          "checkpoint was taken with a different seed salt");
+  require(kind == kind_expected,
+          "checkpoint belongs to a different campaign kind");
+  require(shards.size() == shard_count,
+          "checkpoint shard list does not match its shard count");
   const std::vector<CampaignShard> plan = make_shard_plan(root, shard_count);
   for (std::size_t i = 0; i < shards.size(); ++i) {
-    FTSPM_CHECK(shards[i].index == i, "checkpoint shards out of order");
-    FTSPM_CHECK(shards[i].strikes == plan[i].config.strikes,
-                "checkpoint shard strike budget does not match the plan's "
-                "share");
-    FTSPM_CHECK(shards[i].done <= shards[i].strikes,
-                "checkpoint shard overran its strike budget");
-    FTSPM_CHECK(shards[i].partial.strikes == shards[i].done &&
-                    shards[i].partial.masked + shards[i].partial.dre +
-                            shards[i].partial.due + shards[i].partial.sdc ==
-                        shards[i].done,
-                "checkpoint shard counters disagree with its progress");
+    require(shards[i].index == i, "checkpoint shards out of order");
+    require(shards[i].strikes == plan[i].config.strikes,
+            "checkpoint shard strike budget does not match the plan's "
+            "share");
+    require(shards[i].done <= shards[i].strikes,
+            "checkpoint shard overran its strike budget");
+    require(shards[i].partial.strikes == shards[i].done &&
+                shards[i].partial.masked + shards[i].partial.dre +
+                        shards[i].partial.due + shards[i].partial.sdc ==
+                    shards[i].done,
+            "checkpoint shard counters disagree with its progress");
   }
 }
 
@@ -177,21 +191,26 @@ std::string checkpoint_to_json(const CampaignCheckpoint& cp) {
 }
 
 CampaignCheckpoint checkpoint_from_json(std::string_view text) {
-  const JsonValue doc = parse_json(text);
-  FTSPM_CHECK(doc.is_object(), "checkpoint document must be an object");
-  FTSPM_CHECK(get_u64(doc, "version") == 1,
-              "unsupported checkpoint version");
+  JsonValue doc;
+  try {
+    doc = parse_json(text);
+  } catch (const Error& e) {
+    throw InvalidArgument(std::string("checkpoint: ") + e.what());
+  }
+  require(doc.is_object(), "checkpoint document must be an object");
+  require(get_u64(doc, "version") == 1,
+          "unsupported checkpoint version");
   CampaignCheckpoint cp;
-  const JsonValue& kind = doc.at("kind");
-  FTSPM_CHECK(kind.is_string(), "checkpoint field 'kind' must be a string");
+  const JsonValue& kind = member(doc, "kind");
+  require(kind.is_string(), "checkpoint field 'kind' must be a string");
   cp.kind = kind.string;
-  cp.root_seed = parse_hex_u64(doc.at("root_seed"), "root_seed");
+  cp.root_seed = parse_hex_u64(member(doc, "root_seed"), "root_seed");
   cp.strikes = get_u64(doc, "strikes");
   cp.shard_count =
       static_cast<std::uint32_t>(get_u64(doc, "shard_count", UINT32_MAX));
-  cp.seed_salt = parse_hex_u64(doc.at("seed_salt"), "seed_salt");
-  const JsonValue& shards = doc.at("shards");
-  FTSPM_CHECK(shards.is_array(), "checkpoint 'shards' must be an array");
+  cp.seed_salt = parse_hex_u64(member(doc, "seed_salt"), "seed_salt");
+  const JsonValue& shards = member(doc, "shards");
+  require(shards.is_array(), "checkpoint 'shards' must be an array");
   cp.shards.reserve(shards.array.size());
   for (const JsonValue& s : shards.array) {
     ShardCheckpoint shard;
@@ -203,9 +222,9 @@ CampaignCheckpoint checkpoint_from_json(std::string_view text) {
     shard.partial.due = get_u64(s, "due");
     shard.partial.sdc = get_u64(s, "sdc");
     shard.partial.strikes = shard.done;
-    const JsonValue& rng = s.at("rng");
-    FTSPM_CHECK(rng.is_array() && rng.array.size() == 4,
-                "checkpoint shard 'rng' must hold four state words");
+    const JsonValue& rng = member(s, "rng");
+    require(rng.is_array() && rng.array.size() == 4,
+            "checkpoint shard 'rng' must hold four state words");
     for (std::size_t i = 0; i < 4; ++i)
       shard.rng_state[i] = parse_hex_u64(rng.array[i], "rng");
     cp.shards.push_back(std::move(shard));

@@ -81,6 +81,29 @@ struct LedgerScan {
 /// warning per skip. A missing file is an empty scan.
 LedgerScan scan_ledger(const std::string& path);
 
+/// How far count_ledger_records has read one ledger file: the file's
+/// identity, the bytes through the last newline it read, and the
+/// records scan_ledger finds in those bytes. A default cursor has read
+/// nothing.
+struct LedgerCursor {
+  std::uint64_t device = 0;
+  std::uint64_t inode = 0;
+  std::uint64_t offset = 0;
+  std::uint64_t records = 0;
+};
+
+/// The number of records scan_ledger(path) returns, reading only the
+/// bytes appended since `cursor` last saw the file, and moving the
+/// cursor past every newline-terminated line. An unterminated last
+/// line is re-read on every call, so a record a concurrent appender is
+/// still writing counts once it is whole, and a torn line that a later
+/// append completes into garbage counts as the full scan counts it.
+/// The cursor starts over when the file is missing, shrank, has a new
+/// device or inode, or no longer has a newline where the cursor ended.
+/// A fresh cursor reads the whole file.
+std::uint64_t count_ledger_records(const std::string& path,
+                                   LedgerCursor& cursor);
+
 /// Appends `record` to the ledger at `path` (created if absent). The
 /// line is written with one ::write on an O_APPEND descriptor, so
 /// concurrent appenders never interleave partial lines. Throws

@@ -4,11 +4,11 @@
 // Chrome trace-event document, but timestamped in real microseconds
 // since the recorder was constructed instead of simulated cycles or
 // strike indices, and safe to feed from several threads at once (the
-// daemon's reader threads, its executor, and its telemetry emitter all
-// record into one trace). Each WallTrace owns a private TraceEventSink
-// guarded by a mutex — it never touches a run's obs::Context trace, so
-// the deterministic simulated-time domains stay single-writer and
-// byte-identical whether or not a wall trace is live.
+// daemon's loop thread and its executor both record into one trace).
+// Each WallTrace owns a private TraceEventSink guarded by a mutex — it
+// never touches a run's obs::Context trace, so the deterministic
+// simulated-time domains stay single-writer and byte-identical whether
+// or not a wall trace is live.
 //
 // The two clock domains share one viewer: wall-clock lanes register
 // under their own process rows ("serve"), so a trace written by
@@ -60,11 +60,8 @@ class WallTrace {
                std::vector<TraceArg> args = {});
   void value(LaneId lane, std::string_view name, double value);
 
-  std::size_t event_count() const;
-
-  /// The trace document (see TraceEventSink::str).
-  std::string str() const;
-  /// Writes str() to `path` (throws ftspm::Error on I/O failure).
+  /// Writes the trace document (see TraceEventSink::str) to `path`
+  /// (throws ftspm::Error on I/O failure).
   void write_file(const std::string& path) const;
 
  private:

@@ -1,6 +1,7 @@
 #include "ftspm/obs/ledger.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -128,6 +129,37 @@ std::vector<LedgerRecord> read_ledger(const std::string& path) {
   return records;
 }
 
+namespace {
+
+/// Calls `on_line(line, end)` for each line of `text`, without its
+/// '\n' or one trailing '\r'. `end` is the offset just past the line's
+/// '\n', or 0 for an unterminated last line.
+template <typename OnLine>
+void for_each_ledger_line(std::string_view text, OnLine on_line) {
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t eol = text.find('\n', pos);
+    const std::size_t end = eol == std::string_view::npos ? 0 : eol + 1;
+    if (end == 0) eol = text.size();
+    std::string_view line = text.substr(pos, eol - pos);
+    pos = eol + 1;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    on_line(line, end);
+  }
+}
+
+bool is_ledger_record(std::string_view line) {
+  if (line.empty()) return false;
+  try {
+    LedgerRecord::from_json(parse_json(line));
+    return true;
+  } catch (const Error&) {
+    return false;
+  }
+}
+
+}  // namespace
+
 LedgerScan scan_ledger(const std::string& path) {
   LedgerScan scan;
   std::ifstream in(path, std::ios::binary);
@@ -138,16 +170,10 @@ LedgerScan scan_ledger(const std::string& path) {
 
   // Split lines by hand (rather than parse_ndjson) so every warning can
   // carry the true file line number even after earlier lines failed.
-  std::size_t pos = 0;
   std::size_t line_no = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size();
+  for_each_ledger_line(text, [&](std::string_view line, std::size_t) {
     ++line_no;
-    std::string_view line(text.data() + pos, eol - pos);
-    pos = eol + 1;
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (line.empty()) continue;
+    if (line.empty()) return;
     try {
       scan.records.push_back(LedgerRecord::from_json(parse_json(line)));
     } catch (const Error& e) {
@@ -155,8 +181,58 @@ LedgerScan scan_ledger(const std::string& path) {
                               std::to_string(line_no) + " skipped: " +
                               e.what());
     }
-  }
+  });
   return scan;
+}
+
+std::uint64_t count_ledger_records(const std::string& path,
+                                   LedgerCursor& cursor) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  struct stat st {};
+  if (fd < 0 || ::fstat(fd, &st) != 0) {
+    if (fd >= 0) ::close(fd);
+    cursor = LedgerCursor{};
+    return 0;  // A ledger that was never written to.
+  }
+  const auto device = static_cast<std::uint64_t>(st.st_dev);
+  const auto inode = static_cast<std::uint64_t>(st.st_ino);
+  if (device != cursor.device || inode != cursor.inode ||
+      static_cast<std::uint64_t>(st.st_size) < cursor.offset)
+    cursor = LedgerCursor{device, inode, 0, 0};
+  // Read from the cursor's own last newline, to check that it is
+  // still there: an edited or replaced file (an inode can be reused)
+  // starts the cursor over.
+  const std::uint64_t from = cursor.offset == 0 ? 0 : cursor.offset - 1;
+  std::string text;
+  char buf[1 << 16];
+  for (auto at = static_cast<off_t>(from);;) {
+    const ssize_t n = ::pread(fd, buf, sizeof(buf), at);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    text.append(buf, static_cast<std::size_t>(n));
+    at += n;
+  }
+  ::close(fd);
+  // Bytes of `text` before the first unread line: the newline the
+  // cursor ended on.
+  const std::size_t skip = cursor.offset == 0 ? 0 : 1;
+  if (skip != 0 && (text.empty() || text.front() != '\n')) {
+    cursor = LedgerCursor{};
+    return count_ledger_records(path, cursor);
+  }
+  std::uint64_t tail = 0;
+  for_each_ledger_line(
+      std::string_view(text).substr(skip),
+      [&](std::string_view line, std::size_t end) {
+        const std::uint64_t record = is_ledger_record(line) ? 1 : 0;
+        if (end == 0) {
+          tail = record;  // Unterminated: counted, but read again.
+          return;
+        }
+        cursor.records += record;
+        cursor.offset = from + skip + end;
+      });
+  return cursor.records + tail;
 }
 
 void append_ledger(const LedgerRecord& record, const std::string& path) {

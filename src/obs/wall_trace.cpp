@@ -50,16 +50,6 @@ void WallTrace::value(LaneId lane, std::string_view name, double value) {
   sink_.value(lane, name, ts, value);
 }
 
-std::size_t WallTrace::event_count() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return sink_.event_count();
-}
-
-std::string WallTrace::str() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return sink_.str();
-}
-
 void WallTrace::write_file(const std::string& path) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   sink_.write_file(path);

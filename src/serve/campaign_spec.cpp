@@ -17,20 +17,15 @@ namespace ftspm::serve {
 
 namespace {
 
-ProtectionKind protection_kind(const std::string& name,
-                               std::uint32_t& check_bits) {
-  if (name == "parity") {
-    check_bits = 1;
-    return ProtectionKind::Parity;
-  }
-  if (name == "secded") {
-    check_bits = 8;
-    return ProtectionKind::SecDed;
-  }
-  if (name == "none") {
-    check_bits = 0;
-    return ProtectionKind::None;
-  }
+struct Protection {
+  ProtectionKind kind;
+  std::uint32_t check_bits;
+};
+
+Protection protection_of(const std::string& name) {
+  if (name == "parity") return {ProtectionKind::Parity, 1};
+  if (name == "secded") return {ProtectionKind::SecDed, 8};
+  if (name == "none") return {ProtectionKind::None, 0};
   throw InvalidArgument("unknown protection '" + name + "'");
 }
 
@@ -57,8 +52,7 @@ double as_double(const JsonValue& v, std::string_view key) {
 }  // namespace
 
 void validate_spec(const CampaignSpec& spec) {
-  std::uint32_t check_bits = 0;
-  protection_kind(spec.protection, check_bits);  // throws on unknown
+  protection_of(spec.protection);  // Throws on an unknown name.
   if (spec.strikes < 1) throw InvalidArgument("spec.strikes must be >= 1");
   if (spec.size < 8) throw InvalidArgument("spec.size must be >= 8 bytes");
   if (spec.size % 8 != 0)
@@ -146,8 +140,7 @@ std::string spec_to_json(const CampaignSpec& spec) {
 CampaignOutcome run_campaign_spec(const CampaignSpec& spec,
                                   const CampaignRunHooks& hooks) {
   validate_spec(spec);
-  std::uint32_t check_bits = 0;
-  const ProtectionKind kind = protection_kind(spec.protection, check_bits);
+  const auto [kind, check_bits] = protection_of(spec.protection);
 
   RecoveryRegion region;
   region.inject = InjectionRegion{RegionGeometry(spec.size, check_bits), kind,

@@ -3,9 +3,9 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
-#include <netinet/in.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstring>
 #include <utility>
 
@@ -47,53 +47,23 @@ Client Client::connect_unix(const std::string& path) {
   return Client(fd);
 }
 
-Client Client::connect_tcp(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  FTSPM_CHECK(fd >= 0, "serve client: cannot create socket");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    ::close(fd);
-    throw Error("serve client: cannot connect to 127.0.0.1:" +
-                std::to_string(port));
-  }
-  return Client(fd);
-}
-
 void Client::send_line(std::string_view frame) {
   FTSPM_REQUIRE(fd_ >= 0, "serve client: not connected");
   std::string line(frame);
   line += '\n';
   std::size_t sent = 0;
   while (sent < line.size()) {
-    const ssize_t n = ::send(fd_, line.data() + sent, line.size() - sent,
-#ifdef MSG_NOSIGNAL
-                             MSG_NOSIGNAL
-#else
-                             0
-#endif
-    );
+    const ssize_t n =
+        ::send(fd_, line.data() + sent, line.size() - sent, MSG_NOSIGNAL);
     FTSPM_CHECK(n > 0, "serve client: send failed (daemon gone?)");
     sent += static_cast<std::size_t>(n);
   }
 }
 
 JsonValue Client::next_frame() {
-  while (true) {
-    if (auto doc = reader_.next()) return std::move(*doc);
-    FTSPM_CHECK(!reader_.exhausted(),
-                "serve client: connection closed by daemon");
-    char buf[4096];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n <= 0) {
-      reader_.finish();
-      continue;  // Drain a final unterminated frame, then throw above.
-    }
-    reader_.feed(std::string_view(buf, static_cast<std::size_t>(n)));
-  }
+  while (true)
+    if (std::optional<JsonValue> frame = poll_frame(-1))
+      return std::move(*frame);
 }
 
 std::optional<JsonValue> Client::poll_frame(int timeout_ms) {
@@ -103,13 +73,14 @@ std::optional<JsonValue> Client::poll_frame(int timeout_ms) {
                 "serve client: connection closed by daemon");
     pollfd pfd{fd_, POLLIN, 0};
     const int rc = ::poll(&pfd, 1, timeout_ms);
+    if (rc < 0 && errno == EINTR) continue;
     if (rc == 0) return std::nullopt;
     FTSPM_CHECK(rc > 0, "serve client: poll failed");
     char buf[4096];
     const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
     if (n <= 0) {
       reader_.finish();
-      continue;
+      continue;  // Drain a final unterminated frame, then throw above.
     }
     reader_.feed(std::string_view(buf, static_cast<std::size_t>(n)));
     timeout_ms = 0;  // Only a probe after the first read.
@@ -119,8 +90,8 @@ std::optional<JsonValue> Client::poll_frame(int timeout_ms) {
 std::string Client::submit(const CampaignSpec& spec, std::string_view id,
                            std::uint32_t priority) {
   send_line(campaign_request(spec, id, priority));
-  // The accepted/error answer is written under the daemon's admission
-  // lock, so it is the next frame *for this id* — but heartbeats and
+  // The daemon queues the accepted/error answer before the request can
+  // run, so it is the next frame *for this id* — but heartbeats and
   // results of earlier submissions may interleave ahead of it.
   while (true) {
     const JsonValue frame = next_frame();
@@ -145,10 +116,6 @@ void Client::ping() {
   const JsonValue* type = frame.find("type");
   FTSPM_CHECK(type != nullptr && type->is_string() && type->string == "pong",
               "serve client: expected pong");
-}
-
-void Client::shutdown_writes() noexcept {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
 }
 
 }  // namespace ftspm::serve

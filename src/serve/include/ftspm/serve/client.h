@@ -22,8 +22,6 @@ class Client {
  public:
   /// Connects to a daemon's unix-domain socket. Throws on failure.
   static Client connect_unix(const std::string& path);
-  /// Connects to 127.0.0.1:port (a daemon started with --tcp).
-  static Client connect_tcp(std::uint16_t port);
 
   Client(Client&& other) noexcept;
   Client& operator=(Client&& other) noexcept;
@@ -54,9 +52,6 @@ class Client {
   void ping();
 
   int fd() const noexcept { return fd_; }
-  /// Closes the write side so the daemon sees EOF while buffered
-  /// responses stay readable.
-  void shutdown_writes() noexcept;
 
  private:
   explicit Client(int fd);

@@ -36,9 +36,8 @@ struct RequestClass {
 };
 
 struct LoadConfig {
-  /// Unix socket path, or (when tcp_port != 0) a 127.0.0.1 TCP port.
+  /// The daemon's unix socket path.
   std::string socket_path;
-  std::uint16_t tcp_port = 0;
   std::vector<RequestClass> classes;
   std::uint32_t connections = 2;
   /// Total requests across all connections.

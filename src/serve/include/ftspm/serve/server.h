@@ -1,38 +1,45 @@
 // The campaign daemon behind `ftspm_tool serve`.
 //
-// One Server owns: the listening sockets (a unix-domain socket, plus an
-// optional 127.0.0.1 TCP listener), one reader thread per accepted
-// connection (NdjsonReader-framed requests), a bounded priority
-// admission queue, and a single executor thread that drains the queue
-// onto one shared exec::ThreadPool via run_campaign_spec(). Every
-// completed run is appended to the configured ledger with the same
-// record a one-shot `ftspm_tool campaign` writes.
+// Threads: a loop thread and an executor thread, plus the shared
+// exec::ThreadPool's workers and, with telemetry_path set, the
+// telemetry writer; the count does not grow with connections. The loop
+// owns every socket (the unix-domain listener, the wake pipe and each
+// client, all non-blocking). It reads NdjsonReader-framed requests,
+// answers ping, status, metrics, cancel and shutdown itself, and admits
+// campaigns into a bounded priority queue. The executor drains that
+// queue one request at a time onto the pool via run_campaign_spec() and
+// appends every completed run to the ledger, with the record a one-shot
+// `ftspm_tool campaign` writes.
+//
+// Every answer is appended to its connection's FIFO outbox, a memory
+// operation, so no socket I/O happens under a shared lock, and
+// `accepted` is queued under the queue lock ahead of any heartbeat or
+// result. The executor tries one non-blocking send after appending; the
+// loop sends the rest when the socket reports POLLOUT. A connection
+// whose outbox passes kMaxOutboxBytes is closed as a slow consumer and
+// counted in serve.requests{outcome=slow_consumer}; as with a hangup,
+// its running request completes into the ledger and its queued ones
+// are cancelled.
 //
 // Admission is explicit backpressure: a full queue answers
-// error(overloaded) immediately — the daemon never queues unboundedly
-// and never silently drops a request. Higher priority runs first; FIFO
-// within a priority level. Cancellation is cooperative: a queued
-// request is removed outright, a running one stops at chunk granularity
-// via ExecConfig::cancel.
-//
+// error(overloaded) at once. Higher priority runs first; FIFO within a
+// level. Cancellation is cooperative: a queued request is removed, a
+// running one stops at chunk granularity via ExecConfig::cancel.
 // Shutdown (request_stop(), signal-safe) stops accepting, cancels the
-// running request, rejects everything still queued with
-// error(shutting_down), and joins every thread; wait() returns once the
-// daemon is fully drained. Determinism: the executor runs one request
-// at a time on the shared pool, and counters depend only on the spec —
-// a served run reproduces the one-shot run bit for bit.
+// running request and answers everything queued error(shutting_down);
+// wait() returns once both threads are joined. A served run reproduces
+// the one-shot run bit for bit: counters depend only on the spec.
 //
-// Live telemetry: every request is tallied into a serving-layer
-// obs::Registry (serve.queue_wait_ms{priority=...} and
-// serve.service_ms{kind=...} histograms, a serve.queue_depth gauge,
-// serve.requests{outcome=...} counters) that the `metrics` frame
-// snapshots on demand, the telemetry thread streams as NDJSON, and the
-// drain folds into ServerConfig::obs. With trace_path set, the same
-// lifecycle is recorded as wall-clock spans (obs::WallTrace) — one
-// lane per request id plus a queue-depth counter lane.
+// Live telemetry: a serving-layer obs::Registry
+// (serve.queue_wait_ms{priority=...} and serve.service_ms{kind=...}
+// histograms, a serve.queue_depth gauge, serve.requests{outcome=...}
+// counters) that the `metrics` frame snapshots, the telemetry writer
+// streams as NDJSON and the drain folds into ServerConfig::obs. With
+// trace_path set, the lifecycle is recorded as wall-clock spans
+// (obs::WallTrace): one lane per request id plus a queue-depth lane.
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -46,11 +53,14 @@ struct Context;
 
 namespace ftspm::serve {
 
+/// Unsent bytes one connection may hold: a run's worth of frames (at
+/// most kMaxSpecHeartbeats heartbeats of about 60 bytes, and a result
+/// of a few hundred) about eight times over.
+inline constexpr std::size_t kMaxOutboxBytes = std::size_t{512} << 10;
+
 struct ServerConfig {
   /// Unix-domain socket path; bound (and unlinked) by start().
   std::string socket_path;
-  /// Also listen on 127.0.0.1:tcp_port when non-zero.
-  std::uint16_t tcp_port = 0;
   /// Shared pool workers (0 = hardware concurrency).
   std::uint32_t jobs = 1;
   /// Admission queue bound; the queue never grows past this.
@@ -91,7 +101,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds the listeners and spawns the accept + executor threads.
+  /// Binds the listener and spawns the loop and executor threads.
   /// Throws on bind/listen failure (e.g. a stale socket path on a
   /// filesystem that forbids unlink).
   void start();
@@ -109,14 +119,10 @@ class Server {
   ServerStatus status() const;
 
   const ServerConfig& config() const noexcept { return config_; }
-  /// The bound TCP port (differs from config when tcp_port was 0 —
-  /// not currently used, reserved for ephemeral-port tests).
-  std::uint16_t bound_tcp_port() const noexcept { return tcp_port_; }
 
  private:
   struct Impl;
   ServerConfig config_;
-  std::uint16_t tcp_port_ = 0;
   /// The drained snapshot wait() leaves behind for status().
   ServerStatus final_status_{};
   std::unique_ptr<Impl> impl_;

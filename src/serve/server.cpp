@@ -1,12 +1,13 @@
 #include "ftspm/serve/server.h"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
-#include <netinet/in.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -31,46 +32,83 @@ namespace ftspm::serve {
 
 namespace {
 
-/// One accepted client. Shared between its reader thread, queued
-/// requests, and the executor; writes are serialized by `write_mutex`
-/// because the executor streams heartbeats/results while the reader
-/// may be answering a ping on the same fd.
+/// One accepted client. The loop thread owns the socket: only it reads,
+/// polls and closes it. Any thread may queue a frame; the outbox is what
+/// they share, under `mutex`. The socket is non-blocking, so a send
+/// under `mutex` never waits on the peer.
 struct Connection {
-  int fd = -1;
-  std::mutex write_mutex;
-  std::atomic<bool> open{true};
+  /// What flush() leaves for the loop to do.
+  enum class State : std::uint8_t {
+    Idle,     ///< Everything queued was sent.
+    Pending,  ///< Bytes wait for the socket to take them (POLLOUT).
+    Slow,     ///< The outbox passed kMaxOutboxBytes: close it.
+    Gone,     ///< Closed, or a send failed: drop it.
+  };
 
-  ~Connection() {
-    if (fd >= 0) ::close(fd);
+  Connection(int socket, std::size_t max_frame_bytes)
+      : fd(socket), reader(max_frame_bytes) {}
+  ~Connection() { close(); }
+
+  /// Appends one frame. Frames to a closed or slow connection are
+  /// dropped: a run never dies because its requester hung up or stopped
+  /// reading.
+  void post(std::string_view frame) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (!open_locked()) return;
+    outbox.append(frame).push_back('\n');
+    slow = outbox.size() > kMaxOutboxBytes;
   }
+
+  /// Sends whatever the socket takes now, without blocking.
+  State flush() {
+    const std::lock_guard<std::mutex> lock(mutex);
+    while (state_locked() == State::Pending) {
+      const ssize_t n = ::send(fd, outbox.data(), outbox.size(), MSG_NOSIGNAL);
+      if (n > 0)
+        outbox.erase(0, static_cast<std::size_t>(n));
+      else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+        break;
+      else if (n == 0 || errno != EINTR)
+        broken = true;
+    }
+    return state_locked();
+  }
+
+  /// Neither closed nor slow: what it asked for is still worth running.
+  bool open() {
+    const std::lock_guard<std::mutex> lock(mutex);
+    return open_locked();
+  }
+
+  /// Loop thread only.
+  void close() {
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (fd >= 0) ::close(fd);
+    fd = -1;
+    std::string().swap(outbox);
+  }
+
+  /// The socket, -1 once closed. The loop thread, its only writer, may
+  /// read it without the lock.
+  int fd;
+  NdjsonReader reader;   ///< Loop thread only.
+  bool hang_up = false;  ///< Close once the outbox is sent. Loop only.
+
+ private:
+  State state_locked() const {
+    if (fd < 0 || broken) return State::Gone;
+    if (slow) return State::Slow;
+    return outbox.empty() ? State::Idle : State::Pending;
+  }
+  bool open_locked() const { return fd >= 0 && !broken && !slow; }
+
+  std::mutex mutex;
+  std::string outbox;  ///< Unsent bytes, oldest first.
+  bool slow = false;
+  bool broken = false;
 };
 
 using ConnectionPtr = std::shared_ptr<Connection>;
-
-/// Writes one NDJSON frame. A failed write (peer gone) marks the
-/// connection closed; frames to a closed connection are dropped — the
-/// run itself must never die because its requester hung up.
-void write_frame(const ConnectionPtr& conn, std::string_view frame) {
-  if (!conn->open.load(std::memory_order_acquire)) return;
-  const std::lock_guard<std::mutex> lock(conn->write_mutex);
-  std::string line(frame);
-  line += '\n';
-  std::size_t sent = 0;
-  while (sent < line.size()) {
-    const ssize_t n = ::send(conn->fd, line.data() + sent, line.size() - sent,
-#ifdef MSG_NOSIGNAL
-                             MSG_NOSIGNAL
-#else
-                             0
-#endif
-    );
-    if (n <= 0) {
-      conn->open.store(false, std::memory_order_release);
-      return;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-}
 
 int make_unix_listener(const std::string& path) {
   FTSPM_REQUIRE(!path.empty(), "serve: socket path must not be empty");
@@ -79,7 +117,8 @@ int make_unix_listener(const std::string& path) {
   FTSPM_REQUIRE(path.size() < sizeof(addr.sun_path),
                 "serve: socket path too long: " + path);
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd =
+      ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   FTSPM_CHECK(fd >= 0, "serve: cannot create unix socket");
   ::unlink(path.c_str());  // A stale socket from a crashed daemon.
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
@@ -87,28 +126,6 @@ int make_unix_listener(const std::string& path) {
     ::close(fd);
     throw Error("serve: cannot bind/listen on '" + path + "'");
   }
-  return fd;
-}
-
-int make_tcp_listener(std::uint16_t port, std::uint16_t& bound) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  FTSPM_CHECK(fd >= 0, "serve: cannot create tcp socket");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);  // Loopback only.
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(fd, 64) != 0) {
-    ::close(fd);
-    throw Error("serve: cannot bind/listen on 127.0.0.1:" +
-                std::to_string(port));
-  }
-  sockaddr_in actual{};
-  socklen_t len = sizeof(actual);
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&actual), &len);
-  bound = ntohs(actual.sin_port);
   return fd;
 }
 
@@ -133,17 +150,16 @@ struct Server::Impl {
 
   const ServerConfig& cfg;
 
-  int unix_fd = -1;
-  int tcp_fd = -1;
+  int listen_fd = -1;
+  /// Wakes the loop: a stop request, or frames the executor queued
+  /// that the socket did not take at once. Both ends non-blocking.
   int wake_pipe[2] = {-1, -1};
+  std::atomic<bool> stop_requested{false};
+  std::atomic<bool> executor_done{false};
 
   std::unique_ptr<exec::ThreadPool> pool;
-  std::thread accept_thread;
+  std::thread loop_thread;
   std::thread executor_thread;
-  std::mutex reader_mutex;  ///< Guards `readers`/`connections`.
-  std::vector<std::thread> readers;
-  std::vector<std::weak_ptr<Connection>> connections;
-  std::atomic<std::uint64_t> live_connections{0};
 
   // Admission queue + executor handshake.
   mutable std::mutex queue_mutex;
@@ -163,10 +179,11 @@ struct Server::Impl {
   std::atomic<bool> accepting{false};
 
   std::mutex ledger_mutex;
+  obs::LedgerCursor ledger_cursor;  // Guarded by ledger_mutex.
 
   // Serving-layer telemetry. `telemetry` is the live registry behind
-  // the `metrics` frame and the telemetry emitter; it is fed from
-  // reader, accept, and executor threads under `telemetry_mutex`.
+  // the `metrics` frame and the telemetry emitter; it is fed from the
+  // loop and executor threads under `telemetry_mutex`.
   // Lock order: queue_mutex before telemetry_mutex, never the reverse
   // (telemetry_line snapshots the queue *before* taking its own lock).
   // The wall trace locks internally and imposes no ordering.
@@ -180,8 +197,10 @@ struct Server::Impl {
   std::atomic<std::uint64_t> telemetry_seq{0};
   std::chrono::steady_clock::time_point started_at;
 
-  void accept_loop();
-  void reader_loop(ConnectionPtr conn);
+  void loop();
+  void accept_all(std::vector<ConnectionPtr>& conns);
+  void read_from(const ConnectionPtr& conn);
+  void begin_shutdown();
   void executor_loop();
   void handle_request(const ConnectionPtr& conn, const Request& req);
   void admit_campaign(const ConnectionPtr& conn, Request req);
@@ -189,6 +208,17 @@ struct Server::Impl {
   ServerStatus snapshot() const;
   void run_one(PendingRequest req);
   void fold_into_registry() const;
+
+  void wake() noexcept {
+    const char byte = 'w';
+    [[maybe_unused]] const ssize_t n = ::write(wake_pipe[1], &byte, 1);
+  }
+  /// Queues a frame from outside the loop thread and tries one send;
+  /// the loop finishes what the socket did not take.
+  void deliver(const ConnectionPtr& conn, std::string_view frame) {
+    conn->post(frame);
+    if (conn->flush() != Connection::State::Idle) wake();
+  }
 
   double uptime_ms() const {
     return std::chrono::duration<double, std::milli>(
@@ -284,10 +314,9 @@ Server::~Server() {
 void Server::start() {
   FTSPM_REQUIRE(impl_ == nullptr, "serve: server already started");
   auto impl = std::make_unique<Impl>(config_);
-  FTSPM_CHECK(::pipe(impl->wake_pipe) == 0, "serve: cannot create wake pipe");
-  impl->unix_fd = make_unix_listener(config_.socket_path);
-  if (config_.tcp_port != 0)
-    impl->tcp_fd = make_tcp_listener(config_.tcp_port, tcp_port_);
+  FTSPM_CHECK(::pipe2(impl->wake_pipe, O_NONBLOCK | O_CLOEXEC) == 0,
+              "serve: cannot create wake pipe");
+  impl->listen_fd = make_unix_listener(config_.socket_path);
   impl->pool = std::make_unique<exec::ThreadPool>(config_.jobs);
   impl->started_at = std::chrono::steady_clock::now();
   if (!config_.trace_path.empty()) {
@@ -301,34 +330,24 @@ void Server::start() {
         [i = impl.get()](bool final) { return i->telemetry_line(final); });
   impl->accepting.store(true, std::memory_order_release);
   impl->executor_thread = std::thread([i = impl.get()] { i->executor_loop(); });
-  impl->accept_thread = std::thread([i = impl.get()] { i->accept_loop(); });
+  impl->loop_thread = std::thread([i = impl.get()] { i->loop(); });
   impl_ = std::move(impl);
 }
 
 void Server::request_stop() noexcept {
   if (impl_ == nullptr) return;
-  // Async-signal-safe: one write, no locks. The accept loop owns the
-  // orderly part of the shutdown.
-  const char byte = 's';
-  [[maybe_unused]] const ssize_t n = ::write(impl_->wake_pipe[1], &byte, 1);
+  // Async-signal-safe: a lock-free store and one write. The loop owns
+  // the orderly part of the shutdown.
+  impl_->stop_requested.store(true, std::memory_order_release);
+  impl_->wake();
 }
 
 void Server::wait() {
   if (impl_ == nullptr) return;
   Impl& impl = *impl_;
-  if (impl.accept_thread.joinable()) impl.accept_thread.join();
-  {
-    // The accept loop has exited: no new readers can appear.
-    const std::lock_guard<std::mutex> lock(impl.reader_mutex);
-    for (std::thread& t : impl.readers)
-      if (t.joinable()) t.join();
-    impl.readers.clear();
-  }
-  {
-    const std::lock_guard<std::mutex> lock(impl.queue_mutex);
-    impl.stopping = true;
-  }
-  impl.queue_cv.notify_all();
+  // The loop returns once the executor is done and the last frames
+  // are flushed.
+  if (impl.loop_thread.joinable()) impl.loop_thread.join();
   if (impl.executor_thread.joinable()) impl.executor_thread.join();
   if (impl.emitter != nullptr) {
     // After the executor join, so the final record carries the drained
@@ -379,41 +398,106 @@ ServerStatus Server::Impl::snapshot() const {
   return s;
 }
 
-void Server::Impl::accept_loop() {
+void Server::Impl::loop() {
+  std::vector<ConnectionPtr> conns;
+  std::vector<pollfd> fds;
+  bool draining = false;
   while (true) {
-    pollfd fds[3];
-    nfds_t nfds = 0;
-    fds[nfds++] = pollfd{wake_pipe[0], POLLIN, 0};
-    fds[nfds++] = pollfd{unix_fd, POLLIN, 0};
-    if (tcp_fd >= 0) fds[nfds++] = pollfd{tcp_fd, POLLIN, 0};
-    const int rc = ::poll(fds, nfds, -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;
+    if (!draining && stop_requested.load(std::memory_order_acquire)) {
+      draining = true;
+      begin_shutdown();
     }
-    if ((fds[0].revents & POLLIN) != 0) break;  // Stop requested.
-    for (nfds_t i = 1; i < nfds; ++i) {
-      if ((fds[i].revents & POLLIN) == 0) continue;
-      const int client = ::accept(fds[i].fd, nullptr, nullptr);
-      if (client < 0) continue;
-      auto conn = std::make_shared<Connection>();
-      conn->fd = client;
-      if (live_connections.load(std::memory_order_relaxed) >=
-          cfg.max_connections) {
-        write_frame(conn, error_frame("", ErrorCode::Overloaded,
-                                      "too many connections"));
-        continue;  // conn dtor closes the fd.
-      }
-      live_connections.fetch_add(1, std::memory_order_relaxed);
-      const std::lock_guard<std::mutex> lock(reader_mutex);
-      connections.push_back(conn);
-      readers.emplace_back([this, conn] { reader_loop(conn); });
-    }
-  }
+    if (draining && executor_done.load(std::memory_order_acquire)) break;
 
-  // Shutdown: stop admissions, cancel the running request, bounce the
-  // queued ones. Reader threads see closed listeners only; they drain
-  // naturally when their clients hang up or the process exits.
+    // Send what was queued since the last pass, drop the connections
+    // that are done, and poll the rest (in `conns` order).
+    fds.assign({pollfd{wake_pipe[0], POLLIN, 0},
+                pollfd{listen_fd, POLLIN, 0}});  // -1 once closed: ignored.
+    std::erase_if(conns, [&](const ConnectionPtr& conn) {
+      const Connection::State state = conn->flush();
+      if (state == Connection::State::Slow) record_outcome("slow_consumer");
+      const bool pending = state == Connection::State::Pending;
+      if (state == Connection::State::Slow ||
+          state == Connection::State::Gone || (!pending && conn->hang_up)) {
+        conn->close();
+        return true;
+      }
+      fds.push_back(pollfd{conn->fd,
+                           static_cast<short>((pending ? POLLOUT : 0) |
+                                              (conn->hang_up ? 0 : POLLIN)),
+                           0});
+      return false;
+    });
+    if (::poll(fds.data(), fds.size(), -1) < 0) {
+      if (errno != EINTR) stop_requested.store(true);
+      continue;
+    }
+    if ((fds[0].revents & POLLIN) != 0) {
+      char drain[64];
+      while (::read(wake_pipe[0], drain, sizeof(drain)) > 0) {
+      }
+    }
+    for (std::size_t i = 0; i + 2 < fds.size(); ++i)
+      if ((fds[i + 2].revents & (POLLIN | POLLHUP | POLLERR)) != 0 &&
+          !conns[i]->hang_up)
+        read_from(conns[i]);
+    if ((fds[1].revents & POLLIN) != 0) accept_all(conns);
+  }
+  // Drained: the executor has queued its last frame. One last attempt
+  // to send it; the connections close as `conns` goes out of scope.
+  for (const ConnectionPtr& conn : conns) conn->flush();
+}
+
+void Server::Impl::accept_all(std::vector<ConnectionPtr>& conns) {
+  while (true) {
+    const int fd = ::accept4(listen_fd, nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) return;  // Nothing more to accept (EAGAIN) or a failure.
+    auto conn = std::make_shared<Connection>(fd, cfg.max_frame_bytes);
+    if (conns.size() >= cfg.max_connections) {
+      // A fresh socket takes one short frame without blocking.
+      conn->post(error_frame("", ErrorCode::Overloaded,
+                             "too many connections"));
+      conn->flush();
+      continue;  // The destructor closes it.
+    }
+    conns.push_back(std::move(conn));
+  }
+}
+
+void Server::Impl::read_from(const ConnectionPtr& conn) {
+  char buf[1 << 16];
+  const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
+  if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR))
+    return;
+  if (n <= 0) {
+    conn->close();  // The peer hung up; its queued frames are dropped.
+    return;
+  }
+  try {
+    conn->reader.feed(std::string_view(buf, static_cast<std::size_t>(n)));
+    while (auto doc = conn->reader.next()) {
+      Request req;
+      try {
+        req = parse_request(*doc);
+      } catch (const Error& e) {
+        conn->post(error_frame("", ErrorCode::BadRequest, e.what()));
+        continue;  // Frame was well-formed JSON; the stream is intact.
+      }
+      handle_request(conn, req);
+    }
+  } catch (const Error& e) {
+    // Unparseable or oversized frame: the byte stream itself can no
+    // longer be trusted, so answer once and drop the connection.
+    conn->post(error_frame("", ErrorCode::BadRequest, e.what()));
+    conn->hang_up = true;
+  }
+}
+
+void Server::Impl::begin_shutdown() {
+  // Stop admissions, cancel the running request, bounce the queued
+  // ones. The loop keeps serving its connections until the executor is
+  // done, so the cancelled run's last frames still go out.
   accepting.store(false, std::memory_order_release);
   std::deque<PendingRequest> orphaned;
   {
@@ -431,73 +515,32 @@ void Server::Impl::accept_loop() {
       trace->end(req.lane);  // "queued"
       trace->instant(req.lane, "shutdown");
     }
-    write_frame(req.conn, error_frame(req.id, ErrorCode::ShuttingDown,
-                                      "daemon is shutting down"));
+    req.conn->post(error_frame(req.id, ErrorCode::ShuttingDown,
+                               "daemon is shutting down"));
   }
   if (!orphaned.empty()) record_queue_depth(0);
-  for (const int fd : {unix_fd, tcp_fd})
-    if (fd >= 0) ::close(fd);
-  unix_fd = tcp_fd = -1;
-  {
-    // Unblock reader threads parked in recv(): a half-close makes
-    // recv return 0 without yanking the fd out from under a writer.
-    const std::lock_guard<std::mutex> lock(reader_mutex);
-    for (const std::weak_ptr<Connection>& weak : connections)
-      if (const ConnectionPtr conn = weak.lock())
-        ::shutdown(conn->fd, SHUT_RD);
-  }
-}
-
-void Server::Impl::reader_loop(ConnectionPtr conn) {
-  NdjsonReader reader(cfg.max_frame_bytes);
-  char buf[4096];
-  while (conn->open.load(std::memory_order_acquire)) {
-    const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    try {
-      reader.feed(std::string_view(buf, static_cast<std::size_t>(n)));
-      while (auto doc = reader.next()) {
-        Request req;
-        try {
-          req = parse_request(*doc);
-        } catch (const Error& e) {
-          write_frame(conn,
-                      error_frame("", ErrorCode::BadRequest, e.what()));
-          continue;  // Frame was well-formed JSON; the stream is intact.
-        }
-        handle_request(conn, req);
-      }
-    } catch (const Error& e) {
-      // Unparseable or oversized frame: the byte stream itself can no
-      // longer be trusted, so answer once and drop the connection.
-      write_frame(conn, error_frame("", ErrorCode::BadRequest, e.what()));
-      break;
-    }
-  }
-  conn->open.store(false, std::memory_order_release);
-  live_connections.fetch_sub(1, std::memory_order_relaxed);
+  ::close(listen_fd);
+  listen_fd = -1;
 }
 
 void Server::Impl::handle_request(const ConnectionPtr& conn,
                                   const Request& req) {
   switch (req.type) {
     case Request::Type::Ping:
-      write_frame(conn, pong_frame());
+      conn->post(pong_frame());
       return;
     case Request::Type::Status:
-      write_frame(conn, status_frame(snapshot()));
+      conn->post(status_frame(snapshot()));
       return;
     case Request::Type::Metrics:
       // Queue snapshot first, then the registry (lock order). The
       // registry JSON schema is deterministic even though the values
       // are live — tests/serve pins it.
-      write_frame(conn, metrics_frame(snapshot(), uptime_ms(),
-                                      registry_json()));
+      conn->post(metrics_frame(snapshot(), uptime_ms(), registry_json()));
       return;
     case Request::Type::Shutdown: {
-      write_frame(conn, shutting_down_frame());
-      const char byte = 's';
-      [[maybe_unused]] const ssize_t n = ::write(wake_pipe[1], &byte, 1);
+      conn->post(shutting_down_frame());
+      stop_requested.store(true, std::memory_order_release);
       return;
     }
     case Request::Type::Cancel:
@@ -520,8 +563,8 @@ void Server::Impl::admit_campaign(const ConnectionPtr& conn, Request req) {
   {
     const std::lock_guard<std::mutex> lock(queue_mutex);
     if (stopping) {
-      write_frame(conn, error_frame(req.id, ErrorCode::ShuttingDown,
-                                    "daemon is shutting down"));
+      conn->post(error_frame(req.id, ErrorCode::ShuttingDown,
+                             "daemon is shutting down"));
       return;
     }
     if (queue.size() >= cfg.max_queue) {
@@ -532,10 +575,9 @@ void Server::Impl::admit_campaign(const ConnectionPtr& conn, Request req) {
                        {obs::TraceArg::str("id", req.id),
                         obs::TraceArg::num(
                             "priority", std::uint64_t{req.priority})});
-      write_frame(conn,
-                  error_frame(req.id, ErrorCode::Overloaded,
-                              "admission queue full (" +
-                                  std::to_string(cfg.max_queue) + ")"));
+      conn->post(error_frame(req.id, ErrorCode::Overloaded,
+                             "admission queue full (" +
+                                 std::to_string(cfg.max_queue) + ")"));
       return;
     }
     pending.seq = next_seq++;
@@ -552,10 +594,10 @@ void Server::Impl::admit_campaign(const ConnectionPtr& conn, Request req) {
     queue.push_back(pending);
     depth = queue.size();
     record_queue_depth(depth);
-    // Written under queue_mutex so the executor (which pops under the
-    // same lock) cannot emit this request's result frame first.
+    // Queued under queue_mutex so the executor (which pops under the
+    // same lock) cannot queue this request's result frame first.
     admitted.fetch_add(1, std::memory_order_relaxed);
-    write_frame(conn, accepted_frame(pending.id, depth));
+    conn->post(accepted_frame(pending.id, depth));
   }
   queue_cv.notify_one();
 }
@@ -580,14 +622,13 @@ void Server::Impl::handle_cancel(const ConnectionPtr& conn,
       // The executor notices at the next chunk boundary and answers
       // the requester with error(cancelled) itself.
       running_cancel->store(true, std::memory_order_relaxed);
-      write_frame(conn, cancelled_frame(target));
+      conn->post(cancelled_frame(target));
       return;
     }
   }
   if (!found) {
-    write_frame(conn, error_frame(target, ErrorCode::NotFound,
-                                  "no queued or running request '" + target +
-                                      "'"));
+    conn->post(error_frame(target, ErrorCode::NotFound,
+                           "no queued or running request '" + target + "'"));
     return;
   }
   cancelled.fetch_add(1, std::memory_order_relaxed);
@@ -596,9 +637,9 @@ void Server::Impl::handle_cancel(const ConnectionPtr& conn,
     trace->end(lane);  // "queued"
     trace->instant(lane, "cancelled");
   }
-  write_frame(requester, error_frame(target, ErrorCode::Cancelled,
-                                     "cancelled while queued"));
-  if (requester != conn) write_frame(conn, cancelled_frame(target));
+  requester->post(
+      error_frame(target, ErrorCode::Cancelled, "cancelled while queued"));
+  if (requester != conn) conn->post(cancelled_frame(target));
 }
 
 void Server::Impl::executor_loop() {
@@ -609,7 +650,7 @@ void Server::Impl::executor_loop() {
       std::unique_lock<std::mutex> lock(queue_mutex);
       queue_cv.wait(lock, [this] { return stopping || !queue.empty(); });
       if (queue.empty()) {
-        if (stopping) return;
+        if (stopping) break;
         continue;
       }
       // Highest priority first; admission order within a level.
@@ -633,17 +674,18 @@ void Server::Impl::executor_loop() {
       running_cancel.reset();
     }
   }
+  executor_done.store(true, std::memory_order_release);
+  wake();
 }
 
 void Server::Impl::run_one(PendingRequest req) {
-  if (req.cancel->load(std::memory_order_relaxed) ||
-      !req.conn->open.load(std::memory_order_acquire)) {
+  if (req.cancel->load(std::memory_order_relaxed) || !req.conn->open()) {
     // Cancelled (or orphaned by a hangup) before it ever ran.
     cancelled.fetch_add(1, std::memory_order_relaxed);
     record_outcome("cancelled");
     if (trace != nullptr) trace->instant(req.lane, "cancelled");
-    write_frame(req.conn, error_frame(req.id, ErrorCode::Cancelled,
-                                      "cancelled before execution"));
+    deliver(req.conn, error_frame(req.id, ErrorCode::Cancelled,
+                                  "cancelled before execution"));
     return;
   }
   const std::string_view kind =
@@ -655,7 +697,7 @@ void Server::Impl::run_one(PendingRequest req) {
   hooks.obs = cfg.obs;
   if (req.spec.heartbeat_strikes != 0) {
     hooks.progress = [this, &req](std::uint64_t done, std::uint64_t total) {
-      write_frame(req.conn, heartbeat_frame(req.id, done, total));
+      deliver(req.conn, heartbeat_frame(req.id, done, total));
     };
   }
   std::uint64_t running_start_us = 0;
@@ -688,7 +730,7 @@ void Server::Impl::run_one(PendingRequest req) {
       trace->end(req.lane);  // "running"
       trace->instant(req.lane, "failed");
     }
-    write_frame(req.conn, error_frame(req.id, ErrorCode::Internal, e.what()));
+    deliver(req.conn, error_frame(req.id, ErrorCode::Internal, e.what()));
     return;
   }
   if (trace != nullptr) trace->end(req.lane);  // "running"
@@ -697,8 +739,8 @@ void Server::Impl::run_one(PendingRequest req) {
     cancelled.fetch_add(1, std::memory_order_relaxed);
     record_outcome("cancelled");
     if (trace != nullptr) trace->instant(req.lane, "cancelled");
-    write_frame(req.conn, error_frame(req.id, ErrorCode::Cancelled,
-                                      "cancelled mid-run"));
+    deliver(req.conn,
+            error_frame(req.id, ErrorCode::Cancelled, "cancelled mid-run"));
     return;
   }
   if (trace != nullptr) trace->begin(req.lane, "flushing result");
@@ -706,17 +748,17 @@ void Server::Impl::run_one(PendingRequest req) {
   std::string run_id;
   if (!cfg.ledger_path.empty()) {
     // Same id convention as the one-shot tool: run-<index> over the
-    // records already present (lenient scan, like append_run_record).
+    // records already present (lenient count, like append_run_record),
+    // reading only what was appended since the last result.
     const std::lock_guard<std::mutex> lock(ledger_mutex);
-    record.id = "run-" + std::to_string(
-                             obs::scan_ledger(cfg.ledger_path).records.size());
+    record.id = "run-" + std::to_string(obs::count_ledger_records(
+                             cfg.ledger_path, ledger_cursor));
     run_id = record.id;
     obs::append_ledger(record, cfg.ledger_path);
   }
   completed.fetch_add(1, std::memory_order_relaxed);
   record_outcome("completed");
-  write_frame(req.conn, result_frame(req.id, record, run_id,
-                                     /*complete=*/true));
+  deliver(req.conn, result_frame(req.id, record, run_id, /*complete=*/true));
   if (trace != nullptr) trace->end(req.lane);  // "flushing result"
 }
 

@@ -31,16 +31,29 @@ class StateError : public Error {
 };
 
 namespace detail {
+/// Separates a failed check's text and location from its message.
+inline constexpr const char* kCheckMessageSeparator = " — ";
+
 [[noreturn]] inline void throw_check_failure(const char* kind, const char* expr,
                                              const char* file, int line,
                                              const std::string& msg) {
   std::ostringstream os;
   os << kind << " failed: (" << expr << ") at " << file << ":" << line;
-  if (!msg.empty()) os << " — " << msg;
+  if (!msg.empty()) os << kCheckMessageSeparator << msg;
   if (std::string(kind) == "FTSPM_REQUIRE") throw InvalidArgument(os.str());
   throw Error(os.str());
 }
 }  // namespace detail
+
+/// The message of a failed FTSPM_CHECK or FTSPM_REQUIRE, without the
+/// check text and source location in front of it; other text as is.
+/// For rethrowing a shared check that user input failed as an
+/// InvalidArgument the user can read.
+inline std::string check_message(const std::string& what) {
+  const std::string separator = detail::kCheckMessageSeparator;
+  const std::string::size_type at = what.find(separator);
+  return at == std::string::npos ? what : what.substr(at + separator.size());
+}
 
 }  // namespace ftspm
 

@@ -33,8 +33,9 @@ AccessType type_of(char code, std::size_t line) {
     case 'C': return AccessType::CallEnter;
     case 'X': return AccessType::CallExit;
     default:
-      throw Error("trace line " + std::to_string(line) +
-                  ": unknown event type '" + std::string(1, code) + "'");
+      throw InvalidArgument("trace line " + std::to_string(line) +
+                            ": unknown event type '" + std::string(1, code) +
+                            "'");
   }
 }
 
@@ -42,12 +43,12 @@ BlockKind kind_of(const std::string& word, std::size_t line) {
   if (word == "code") return BlockKind::Code;
   if (word == "data") return BlockKind::Data;
   if (word == "stack") return BlockKind::Stack;
-  throw Error("trace line " + std::to_string(line) + ": unknown block kind '" +
-              word + "'");
+  throw InvalidArgument("trace line " + std::to_string(line) +
+                        ": unknown block kind '" + word + "'");
 }
 
 [[noreturn]] void fail(std::size_t line, const std::string& what) {
-  throw Error("trace line " + std::to_string(line) + ": " + what);
+  throw InvalidArgument("trace line " + std::to_string(line) + ": " + what);
 }
 
 /// Narrows a parsed field to the width its TraceEvent/Block member
@@ -186,10 +187,17 @@ Workload read_workload(LineReader& lines) {
     trace.push_back(e);
   }
 
-  Workload workload{Program(program_name, std::move(blocks)),
-                    std::move(trace)};
-  validate_trace(workload.program, workload.trace);
-  return workload;
+  // The program's and the trace's checks are shared with generated
+  // workloads, where a failure is a bug. Here the bytes are the user's,
+  // so the check's message alone becomes an InvalidArgument.
+  try {
+    Workload workload{Program(program_name, std::move(blocks)),
+                      std::move(trace)};
+    validate_trace(workload.program, workload.trace);
+    return workload;
+  } catch (const Error& e) {
+    throw InvalidArgument("trace: " + check_message(e.what()));
+  }
 }
 
 }  // namespace

@@ -4,9 +4,9 @@
 // truncations, splices, huge numbers) mostly exercise the parser; shard
 // edits rewrite one shard's budget and progress with counters to match,
 // so they get past it and exercise the validation. Every mutant must
-// either throw ftspm::Error or resume to a run whose merged strikes
-// equal the root budget. The seed is fixed, so a failure names a
-// mutant that reproduces.
+// either throw InvalidArgument (a defect in the user's file) or resume
+// to a run whose merged strikes equal the root budget. The seed is
+// fixed, so a failure names a mutant that reproduces.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -143,10 +143,11 @@ Tally run_mutants(const RunFn& run, const CampaignConfig& cfg,
       ++tally.resumed;
       EXPECT_TRUE(resumed.complete);
       EXPECT_EQ(resumed.merged.strikes, cfg.strikes);
-    } catch (const Error&) {
+    } catch (const InvalidArgument&) {
       ++tally.rejected;
     } catch (const std::exception& e) {
-      ADD_FAILURE() << "resume threw a non-ftspm exception: " << e.what();
+      ADD_FAILURE() << "resume threw something other than InvalidArgument: "
+                    << e.what();
     }
   }
   return tally;

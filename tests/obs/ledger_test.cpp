@@ -297,6 +297,100 @@ TEST(LedgerScanTest, CountsAnOutOfRangeLineAsInvalid) {
   std::remove(path.c_str());
 }
 
+/// Appends raw bytes to `path`.
+void append_bytes(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
+}
+
+/// Replaces `path` with `bytes`, in place (same inode).
+void rewrite_bytes(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
+}
+
+std::uint64_t full_scan_count(const std::string& path) {
+  return scan_ledger(path).records.size();
+}
+
+TEST(LedgerCursorTest, CountsWhatAFullScanCountsAsTheLedgerGrows) {
+  const std::string path = temp_path("ftspm_cursor_grow");
+  std::remove(path.c_str());
+  LedgerCursor cursor;
+  EXPECT_EQ(count_ledger_records(path, cursor), 0u);  // Missing file.
+  const std::string rec = sample("r").to_json();
+  // Each step appends bytes; the cursor must agree with a full scan
+  // after every one of them.
+  const std::vector<std::string> steps = {
+      rec + "\n",
+      rec + "\n" + rec + "\n",
+      rec.substr(0, rec.size() / 2),  // A torn, unterminated line ...
+      rec + "\n",                      // ... that this append garbles.
+      rec,                             // A whole record, unterminated.
+      "\n",                            // Now terminated.
+      "\r\n\n" + rec + "\r\n",          // Blank lines and CRLF.
+      "{\"schema\":1}\n" + rec + "\n",   // An invalid line.
+      rec.substr(0, 10),
+  };
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    append_bytes(path, steps[i]);
+    EXPECT_EQ(count_ledger_records(path, cursor), full_scan_count(path))
+        << "after step " << i;
+    // A second call with nothing new reads only the unterminated tail.
+    EXPECT_EQ(count_ledger_records(path, cursor), full_scan_count(path))
+        << "after step " << i;
+  }
+  // The cursor stops at the last newline: the torn tail is re-read.
+  EXPECT_EQ(cursor.records, full_scan_count(path));
+  struct stat st {};
+  ASSERT_EQ(::stat(path.c_str(), &st), 0);
+  EXPECT_EQ(cursor.offset, static_cast<std::uint64_t>(st.st_size) - 10);
+  // A fresh cursor, as the CLI uses, reads the whole file.
+  LedgerCursor fresh;
+  EXPECT_EQ(count_ledger_records(path, fresh), full_scan_count(path));
+  std::remove(path.c_str());
+}
+
+TEST(LedgerCursorTest, StartsOverWhenTheLedgerIsTruncated) {
+  const std::string path = temp_path("ftspm_cursor_trunc");
+  const std::string rec = sample("r").to_json() + "\n";
+  rewrite_bytes(path, rec + rec + rec);
+  LedgerCursor cursor;
+  EXPECT_EQ(count_ledger_records(path, cursor), 3u);
+  rewrite_bytes(path, rec);
+  EXPECT_EQ(count_ledger_records(path, cursor), 1u);
+  rewrite_bytes(path, "");
+  EXPECT_EQ(count_ledger_records(path, cursor), 0u);
+  std::remove(path.c_str());
+  EXPECT_EQ(count_ledger_records(path, cursor), 0u);
+  append_bytes(path, rec);
+  EXPECT_EQ(count_ledger_records(path, cursor), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(LedgerCursorTest, StartsOverWhenTheLedgerIsReplaced) {
+  const std::string path = temp_path("ftspm_cursor_replace");
+  const std::string other = path + ".new";
+  const std::string rec = sample("r").to_json() + "\n";
+  rewrite_bytes(path, rec + rec);
+  LedgerCursor cursor;
+  EXPECT_EQ(count_ledger_records(path, cursor), 2u);
+  // A longer file moved into place: a new inode.
+  rewrite_bytes(other, rec + "garbage\n" + rec + rec + rec);
+  ASSERT_EQ(std::rename(other.c_str(), path.c_str()), 0);
+  EXPECT_EQ(count_ledger_records(path, cursor), 4u);
+  // The same inode rewritten longer, with no newline where the cursor
+  // stopped: the cursor cannot trust its count and starts over.
+  rewrite_bytes(path, "x" + rec + rec + rec + rec + rec + rec);
+  EXPECT_EQ(count_ledger_records(path, cursor), full_scan_count(path));
+  EXPECT_EQ(count_ledger_records(path, cursor), 5u);
+  std::remove(path.c_str());
+}
+
 TEST(LedgerTest, RejectsUnknownSchema) {
   EXPECT_THROW(
       LedgerRecord::from_json(parse_json(

@@ -9,6 +9,7 @@
 #include "ftspm/serve/server.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -453,6 +455,282 @@ TEST(ServeTest, ShutdownRequestDrainsTheDaemon) {
             "shutting_down");
   server.wait();  // Returns because the shutdown request drains it.
   EXPECT_FALSE(server.status().accepting);
+}
+
+/// A run that holds the executor for seconds until it is cancelled
+/// (cancellation is per shard, so many shards make it prompt).
+CampaignSpec blocker_spec() {
+  CampaignSpec spec;
+  spec.strikes = 400'000'000;
+  spec.shards = 64;
+  return spec;
+}
+
+CampaignSpec small_spec() {
+  CampaignSpec spec;
+  spec.strikes = 1'000;
+  return spec;
+}
+
+TEST(ServeTest, HigherPriorityRunsFirstBehindABusyExecutor) {
+  ServerConfig cfg;
+  cfg.socket_path = test_socket("prio");
+  Server server(cfg);
+  server.start();
+
+  Client client = Client::connect_unix(cfg.socket_path);
+  const std::string blocker = client.submit(blocker_spec(), "blocker");
+  ASSERT_TRUE(wait_for_status(server, [&](const ServerStatus& s) {
+    return s.running_id == blocker;
+  }));
+  client.submit(small_spec(), "low", 0);
+  client.submit(small_spec(), "high", 7);
+  client.send_line(cancel_request(blocker));
+
+  std::vector<std::string> results;
+  while (results.size() < 2) {
+    const JsonValue frame = client.next_frame();
+    const std::string type = frame.at("type").string;
+    if (type == "result") {
+      results.push_back(frame.at("id").string);
+    } else if (type == "error") {
+      EXPECT_EQ(frame.at("id").string, blocker) << frame.dump();
+    }
+  }
+  EXPECT_EQ(results, (std::vector<std::string>{"high", "low"}));
+
+  server.request_stop();
+  server.wait();
+  EXPECT_EQ(server.status().completed, 2u);
+}
+
+TEST(ServeTest, CancellingAQueuedRequestAnswersRequesterAndCanceller) {
+  ServerConfig cfg;
+  cfg.socket_path = test_socket("qcancel");
+  Server server(cfg);
+  server.start();
+
+  Client requester = Client::connect_unix(cfg.socket_path);
+  const std::string blocker = requester.submit(blocker_spec(), "blocker");
+  ASSERT_TRUE(wait_for_status(server, [&](const ServerStatus& s) {
+    return s.running_id == blocker;
+  }));
+  requester.submit(small_spec(), "queued");
+
+  Client canceller = Client::connect_unix(cfg.socket_path);
+  canceller.send_line(cancel_request("queued"));
+  const JsonValue ack = next_frame_of_type(canceller, "cancelled");
+  EXPECT_EQ(ack.at("id").string, "queued");
+  const JsonValue error = next_frame_of_type(requester, "error");
+  EXPECT_EQ(error.at("id").string, "queued");
+  EXPECT_EQ(error.at("code").string, "cancelled");
+  EXPECT_EQ(error.at("message").string, "cancelled while queued");
+  EXPECT_EQ(server.status().queued, 0u);
+
+  server.request_stop();
+  server.wait();
+  EXPECT_EQ(server.status().completed, 0u);
+}
+
+TEST(ServeTest, ShutdownAnswersQueuedRequestsShuttingDown) {
+  ServerConfig cfg;
+  cfg.socket_path = test_socket("drain");
+  Server server(cfg);
+  server.start();
+
+  Client client = Client::connect_unix(cfg.socket_path);
+  const std::string blocker = client.submit(blocker_spec(), "blocker");
+  ASSERT_TRUE(wait_for_status(server, [&](const ServerStatus& s) {
+    return s.running_id == blocker;
+  }));
+  client.submit(small_spec(), "q1");
+  client.submit(small_spec(), "q2");
+  server.request_stop();
+
+  // The queued pair is bounced; the running blocker is cancelled.
+  std::vector<std::string> bounced;
+  while (bounced.size() < 2) {
+    const JsonValue frame = next_frame_of_type(client, "error");
+    const std::string id = frame.at("id").string;
+    if (id == blocker) {
+      EXPECT_EQ(frame.at("code").string, "cancelled");
+    } else {
+      EXPECT_EQ(frame.at("code").string, "shutting_down");
+      bounced.push_back(id);
+    }
+  }
+  std::sort(bounced.begin(), bounced.end());
+  EXPECT_EQ(bounced, (std::vector<std::string>{"q1", "q2"}));
+
+  server.wait();
+  EXPECT_EQ(server.status().cancelled, 3u);
+  EXPECT_EQ(server.status().completed, 0u);
+}
+
+TEST(ServeTest, ConnectionBeyondTheLimitIsAnsweredOverloadedAndClosed) {
+  ServerConfig cfg;
+  cfg.socket_path = test_socket("limit");
+  cfg.max_connections = 1;
+  Server server(cfg);
+  server.start();
+
+  Client first = Client::connect_unix(cfg.socket_path);
+  first.ping();  // Admitted and counted before the second connects.
+  Client second = Client::connect_unix(cfg.socket_path);
+  const JsonValue frame = second.next_frame();
+  EXPECT_EQ(frame.at("type").string, "error");
+  EXPECT_EQ(frame.at("code").string, "overloaded");
+  EXPECT_EQ(frame.at("message").string, "too many connections");
+  EXPECT_THROW(second.next_frame(), Error);  // Closed after the answer.
+  first.ping();  // The admitted connection is unaffected.
+
+  server.request_stop();
+  server.wait();
+}
+
+TEST(ServeTest, SilentClientIsClosedAsSlowConsumerAndOthersAreServed) {
+  // Client A pipelines thousands of one-strike campaigns, each with a
+  // heartbeat, and never reads its answers. Client B and a fresh status
+  // probe must still be served, and A must be closed and counted as a
+  // slow consumer. The waits are bounded, and A is closed before the
+  // teardown, so a daemon that stalls fails here instead of hanging.
+  ServerConfig cfg;
+  cfg.socket_path = test_socket("slow");
+  cfg.max_queue = 4096;
+  Server server(cfg);
+  server.start();
+
+  Client silent = Client::connect_unix(cfg.socket_path);
+  CampaignSpec tiny;
+  tiny.strikes = 1;
+  tiny.heartbeat_strikes = 1;
+  std::thread flood([&] {
+    try {
+      for (int i = 0; i < 3000; ++i)
+        silent.send_line(campaign_request(tiny, "a-" + std::to_string(i), 0));
+    } catch (const Error&) {
+      // The daemon closed A, or the test did: the flood is over.
+    }
+  });
+
+  const auto start = std::chrono::steady_clock::now();
+  const auto deadline = start + std::chrono::seconds(5);
+  const auto remaining_ms = [&] {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    return static_cast<int>(std::max<std::int64_t>(left.count(), 0));
+  };
+  // The first frame of type `want`, if one arrives before the deadline.
+  const auto await = [&](Client& client,
+                         const std::string& want) -> std::optional<JsonValue> {
+    while (remaining_ms() > 0) {
+      std::optional<JsonValue> frame = client.poll_frame(remaining_ms());
+      if (frame.has_value() && frame->at("type").string == want) return frame;
+    }
+    return std::nullopt;
+  };
+
+  Client other = Client::connect_unix(cfg.socket_path);
+  other.send_line(campaign_request(small_spec(), "b", 0));
+  const bool result = await(other, "result").has_value();
+  Client probe = Client::connect_unix(cfg.socket_path);
+  probe.send_line(status_request());
+  const bool status = await(probe, "status").has_value();
+  const auto answered_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start);
+  // A's answers overflow its outbox as its runs complete.
+  bool counted = false;
+  while (status && !counted && remaining_ms() > 0) {
+    probe.send_line(metrics_request());
+    const std::optional<JsonValue> metrics = await(probe, "metrics");
+    const JsonValue* slow =
+        metrics.has_value() ? metrics->at("registry")
+                                  .at("labelled_counters")
+                                  .at("serve.requests")
+                                  .find("outcome=slow_consumer")
+                            : nullptr;
+    counted = slow != nullptr && slow->number == 1.0;
+    if (!counted) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  // The daemon closed A: past what the socket buffered, A reads EOF.
+  bool closed = false;
+  try {
+    while (counted && remaining_ms() > 0) silent.poll_frame(remaining_ms());
+  } catch (const Error&) {
+    closed = true;
+  }
+
+  ::shutdown(silent.fd(), SHUT_RDWR);  // Unblocks a daemon stuck on A.
+  flood.join();
+  EXPECT_TRUE(result) << "client B got no result within 5 s";
+  EXPECT_TRUE(status) << "the status probe got no answer within 5 s";
+  EXPECT_TRUE(counted) << "A was not counted as a slow consumer";
+  EXPECT_TRUE(closed) << "A was not closed";
+  RecordProperty("answered_ms", static_cast<int>(answered_ms.count()));
+
+  server.request_stop();
+  server.wait();
+}
+
+TEST(ServeTest, ServedRunIdsMatchAFullLedgerScan) {
+  // The daemon counts ledger records incrementally. Its run ids must
+  // still be what a full scan gives when another process appends
+  // between two results, the file is truncated or replaced, and the
+  // ledger ends in a torn line.
+  ServerConfig cfg;
+  cfg.socket_path = test_socket("ids");
+  cfg.ledger_path = test_ledger("ids");
+  Server server(cfg);
+  server.start();
+  Client client = Client::connect_unix(cfg.socket_path);
+  int n = 0;
+  const auto served_id = [&] {
+    client.submit(small_spec(), "ids-" + std::to_string(n++));
+    return next_frame_of_type(client, "result").at("run_id").string;
+  };
+  const auto expected_id = [&] {
+    return "run-" +
+           std::to_string(obs::scan_ledger(cfg.ledger_path).records.size());
+  };
+  const auto write_file = [](const std::string& path,
+                             const std::string& bytes, const char* mode) {
+    std::FILE* f = std::fopen(path.c_str(), mode);
+    ASSERT_NE(f, nullptr);
+    std::fwrite(bytes.data(), 1, bytes.size(), f);
+    std::fclose(f);
+  };
+
+  EXPECT_EQ(served_id(), "run-0");
+  obs::LedgerRecord foreign = obs::scan_ledger(cfg.ledger_path).records.at(0);
+  foreign.id = "from-the-cli";
+  const std::string line = foreign.to_json() + "\n";
+  // Another appender between two results.
+  obs::append_ledger(foreign, cfg.ledger_path);
+  std::string want = expected_id();
+  EXPECT_EQ(want, "run-2");
+  EXPECT_EQ(served_id(), want);
+  // Truncated to one record.
+  write_file(cfg.ledger_path, line, "wb");
+  want = expected_id();
+  EXPECT_EQ(served_id(), want);
+  // Replaced by a longer file.
+  const std::string replacement = cfg.ledger_path + ".new";
+  write_file(replacement, line + line + line + line + line, "wb");
+  ASSERT_EQ(std::rename(replacement.c_str(), cfg.ledger_path.c_str()), 0);
+  want = expected_id();
+  EXPECT_EQ(want, "run-5");
+  EXPECT_EQ(served_id(), want);
+  // A torn last line, which the next result's append then garbles.
+  write_file(cfg.ledger_path, line.substr(0, line.size() / 2), "ab");
+  want = expected_id();
+  EXPECT_EQ(served_id(), want);
+  want = expected_id();
+  EXPECT_EQ(served_id(), want);
+
+  server.request_stop();
+  server.wait();
+  std::remove(cfg.ledger_path.c_str());
 }
 
 TEST(ServeTest, LoadSustainsConcurrentClientsWithPerClassQuantiles) {

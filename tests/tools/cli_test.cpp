@@ -314,9 +314,8 @@ TEST(CliTest, SensitivityBucketsRejectsGarbageNegativeAndZero) {
 TEST(CliTest, ServeFlagsRejectGarbageAndOutOfRange) {
   // All of these must die in flag validation (exit 2) without ever
   // binding a socket.
-  const char* cases[] = {"serve --max-queue 4x",   "serve --max-queue -1",
-                         "serve --max-queue 0",    "serve --tcp 65536",
-                         "serve --tcp port",       "serve --max-connections 0",
+  const char* cases[] = {"serve --max-queue 4x", "serve --max-queue -1",
+                         "serve --max-queue 0", "serve --max-connections 0",
                          "serve --max-frame-bytes 16"};
   for (const char* args : cases) {
     const CommandResult r = run_tool(args);
@@ -371,9 +370,17 @@ TEST(CliTest, ServeStatusExitsTwoWhenNoDaemonListens) {
       run_tool("serve-status --socket /tmp/ftspm-cli-no-daemon.sock");
   EXPECT_EQ(r.exit_code, 2) << r.output;
   EXPECT_NE(r.output.find("serve-status:"), std::string::npos) << r.output;
+}
 
-  const CommandResult bad_flag = run_tool("serve-status --tcp 65536");
-  EXPECT_EQ(bad_flag.exit_code, 2) << bad_flag.output;
+TEST(CliTest, TcpIsNotAServeOption) {
+  // The daemon listens on its unix socket only.
+  for (const char* args :
+       {"serve --tcp 7000", "serve-status --tcp 7000", "load --tcp 7000"}) {
+    const CommandResult r = run_tool(args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("unknown option"), std::string::npos)
+        << args << "\n" << r.output;
+  }
 }
 
 TEST(CliTest, CampaignRecoveryStdoutIsJobsInvariant) {
@@ -538,6 +545,38 @@ TEST(CliTest, TraceDeclaringAnOversizedProgramIsAUsageError) {
   EXPECT_EQ(r.exit_code, 2) << r.output;
   EXPECT_NE(r.output.find("16777216"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("ftspm_tool help"), std::string::npos) << r.output;
+}
+
+TEST(CliTest, DefectsInUserFilesAreUsageErrorsWithTheMessageAlone) {
+  // A checkpoint resumed under another shard count, and a trace with an
+  // unknown block kind: exit 2, the message and the usage hint, and no
+  // check text or source path.
+  const std::string checkpoint = temp_path("ftspm_cli_shards.json");
+  const std::string trace = temp_path("ftspm_cli_bad_kind.trace");
+  std::remove(checkpoint.c_str());
+  ASSERT_EQ(run_tool_stdout("campaign --strikes 2000 --shards 2 "
+                            "--checkpoint " +
+                            checkpoint)
+                .exit_code,
+            0);
+  {
+    std::ofstream out(trace);
+    out << "ftspm-trace v1\nprogram p\nblock a dat 64\ntrace 0\n";
+  }
+  const std::pair<std::string, std::string> cases[] = {
+      {"campaign --strikes 2000 --shards 3 --resume " + checkpoint,
+       "checkpoint was taken with a different shard count"},
+      {"profile " + trace, "trace line 3: unknown block kind 'dat'"},
+  };
+  for (const auto& [args, message] : cases) {
+    const CommandResult r = run_tool_stderr(args);
+    EXPECT_EQ(r.exit_code, 2) << args;
+    EXPECT_EQ(r.output,
+              "error: " + message + "\nrun `ftspm_tool help` for usage\n")
+        << args;
+  }
+  std::remove(checkpoint.c_str());
+  std::remove(trace.c_str());
 }
 
 TEST(CliTest, LedgerCompareGatesOnRegression) {

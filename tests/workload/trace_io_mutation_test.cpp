@@ -1,8 +1,8 @@
 // Seeded mutation test for the trace reader: exported traces are
 // mutated (bit flips, digit swaps, truncations, splices, huge numbers)
 // and fed back through parse_workload. Every mutant must either parse
-// or throw ftspm::Error; every parsed one must either profile or throw
-// ftspm::Error; and a profiled one's reference sequence must be the
+// or throw InvalidArgument; every parsed one must either profile or
+// throw InvalidArgument; and a profiled one's reference sequence must be the
 // plain walk of the trace it parsed to. The reader bounds a program's
 // declared bytes, so every parsed mutant is profiled. The seed is
 // fixed, so a failure names a mutant that reproduces.
@@ -44,11 +44,12 @@ Tally run_mutants(const std::string& text, const std::string& donor,
     std::optional<Workload> parsed;
     try {
       parsed.emplace(parse_workload(mutant));
-    } catch (const Error&) {
+    } catch (const InvalidArgument&) {
       ++tally.rejected;
       continue;
     } catch (const std::exception& e) {
-      ADD_FAILURE() << "parse threw a non-ftspm exception: " << e.what();
+      ADD_FAILURE() << "parse threw something other than InvalidArgument: "
+                    << e.what();
       continue;
     }
     ++tally.parsed;
@@ -59,9 +60,10 @@ Tally run_mutants(const std::string& text, const std::string& donor,
       EXPECT_EQ(std::vector<BlockId>(prof.reference_sequence.begin(),
                                      prof.reference_sequence.end()),
                 testing_support::plain_reference_walk(w.trace));
-    } catch (const Error&) {
+    } catch (const InvalidArgument&) {
     } catch (const std::exception& e) {
-      ADD_FAILURE() << "profile threw a non-ftspm exception: " << e.what();
+      ADD_FAILURE() << "profile threw something other than InvalidArgument: "
+                    << e.what();
     }
   }
   return tally;

@@ -19,9 +19,9 @@
 //                       [--sensitivity-out FILE] [--sensitivity-buckets N]
 //                       [--json] [--csv]
 //
-//   ftspm_tool serve    [--socket PATH] [--tcp PORT] [--max-queue N]
+//   ftspm_tool serve    [--socket PATH] [--max-queue N]
 //                       [--max-connections N] [--max-frame-bytes N]
-//   ftspm_tool load     [--socket PATH] [--tcp PORT] [--connections N]
+//   ftspm_tool load     [--socket PATH] [--connections N]
 //                       [--requests N] [--mix name:w[:strikes],...]
 //                       [--rate R] [--seed N] [--quick] [--json] [--csv]
 //   ftspm_tool runs list [--ledger FILE] [--last N]
@@ -289,10 +289,11 @@ void append_run_record(obs::LedgerRecord record) {
   if (g_session == nullptr) return;
   const GlobalOptions& g = g_session->options();
   if (g.ledger.empty()) return;
-  record.id =
-      !g.run_id.empty()
-          ? g.run_id
-          : "run-" + std::to_string(obs::scan_ledger(g.ledger).records.size());
+  obs::LedgerCursor fresh;
+  record.id = !g.run_id.empty()
+                  ? g.run_id
+                  : "run-" + std::to_string(
+                                 obs::count_ledger_records(g.ledger, fresh));
   obs::append_ledger(record, g.ledger);
   std::cerr << "appended run '" << record.id << "' to " << g.ledger << "\n";
 }
@@ -1199,8 +1200,6 @@ int cmd_serve(int argc, const char* const* argv) {
   ArgParser args("ftspm_tool serve",
                  "long-running campaign daemon (NDJSON over a socket)");
   args.add_option("socket", "unix-domain socket path to bind", "ftspm.sock");
-  args.add_option("tcp", "also listen on 127.0.0.1:PORT (0 = unix only)",
-                  "0");
   args.add_option("max-queue",
                   "admission queue bound; a full queue answers "
                   "error(overloaded)",
@@ -1219,7 +1218,6 @@ int cmd_serve(int argc, const char* const* argv) {
 
   serve::ServerConfig cfg;
   cfg.socket_path = args.option("socket");
-  cfg.tcp_port = static_cast<std::uint16_t>(args.option_uint("tcp", 65535));
   cfg.max_queue = args.option_uint("max-queue", 1u << 20);
   FTSPM_REQUIRE(cfg.max_queue > 0, "--max-queue must be positive");
   cfg.max_connections = args.option_uint("max-connections", 65536);
@@ -1248,11 +1246,8 @@ int cmd_serve(int argc, const char* const* argv) {
   g_serve_daemon.store(&server);
   std::signal(SIGINT, serve_signal_handler);
   std::signal(SIGTERM, serve_signal_handler);
-  std::cerr << "serving on " << cfg.socket_path;
-  if (cfg.tcp_port != 0)
-    std::cerr << " and 127.0.0.1:" << server.bound_tcp_port();
-  std::cerr << "  (jobs " << cfg.jobs << ", queue " << cfg.max_queue
-            << "); SIGTERM drains and exits\n";
+  std::cerr << "serving on " << cfg.socket_path << "  (jobs " << cfg.jobs
+            << ", queue " << cfg.max_queue << "); SIGTERM drains and exits\n";
   server.wait();
   std::signal(SIGINT, SIG_DFL);
   std::signal(SIGTERM, SIG_DFL);
@@ -1276,18 +1271,14 @@ int cmd_serve_status(int argc, const char* const* argv) {
   ArgParser args("ftspm_tool serve-status",
                  "query a running daemon's status and metrics frames");
   args.add_option("socket", "daemon unix socket path", "ftspm.sock");
-  args.add_option("tcp", "connect to 127.0.0.1:PORT instead", "0");
   args.add_flag("json", "emit the raw frames (status line, metrics line)");
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().empty(),
                 "serve-status takes no positional arguments");
-  const std::uint16_t tcp =
-      static_cast<std::uint16_t>(args.option_uint("tcp", 65535));
 
   std::optional<serve::Client> client;
   try {
-    client = tcp != 0 ? serve::Client::connect_tcp(tcp)
-                      : serve::Client::connect_unix(args.option("socket"));
+    client = serve::Client::connect_unix(args.option("socket"));
   } catch (const std::exception& e) {
     std::cerr << "serve-status: " << e.what() << "\n";
     return 2;
@@ -1337,7 +1328,6 @@ int cmd_load(int argc, const char* const* argv) {
   ArgParser args("ftspm_tool load",
                  "YCSB-style load injector for a running serve daemon");
   args.add_option("socket", "daemon unix socket path", "ftspm.sock");
-  args.add_option("tcp", "connect to 127.0.0.1:PORT instead", "0");
   args.add_option("connections", "concurrent client connections", "2");
   args.add_option("requests", "total requests across all connections",
                   "16");
@@ -1365,7 +1355,6 @@ int cmd_load(int argc, const char* const* argv) {
 
   serve::LoadConfig cfg;
   cfg.socket_path = args.option("socket");
-  cfg.tcp_port = static_cast<std::uint16_t>(args.option_uint("tcp", 65535));
   cfg.connections =
       static_cast<std::uint32_t>(args.option_uint("connections", 1024));
   FTSPM_REQUIRE(cfg.connections > 0, "--connections must be positive");
@@ -1453,13 +1442,13 @@ void print_usage(std::ostream& os) {
         "  compare  <runA> <runB>   diff two ledger runs; exits 1 on a\n"
         "                           regression (--threshold/--metric)\n"
         "  serve                    campaign daemon: NDJSON requests over\n"
-        "                           a unix socket (--socket/--tcp/\n"
+        "                           a unix socket (--socket/\n"
         "                           --max-queue/--telemetry-out;\n"
         "                           --jobs/--ledger/--trace-out apply;\n"
         "                           see docs/serving.md)\n"
         "  serve-status             one-shot status + metrics probe of a\n"
-        "                           running daemon (--socket/--tcp/\n"
-        "                           --json; exit 2 when unreachable)\n"
+        "                           running daemon (--socket/--json;\n"
+        "                           exit 2 when unreachable)\n"
         "  load                     drive a running daemon with a YCSB-\n"
         "                           style mix (--connections/--requests/\n"
         "                           --mix/--rate/--fail-on-shed;\n"
