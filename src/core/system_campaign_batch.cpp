@@ -12,9 +12,9 @@
 //    region by region in first-match order, with each occupant's end
 //    word and ACE fraction (pre-resolved into next_bool's three arms,
 //    DrawBernoulli) filled in once per campaign;
-//  * aim draws become integer compares against per-chunk tables
-//    (pick_region / FastDiv64 / sample_flips_draw), each bit-identical
-//    to the Rng primitive it replaces;
+//  * aim draws become integer compares against the shared per-chunk
+//    region table (pick_region / FastDiv64 / sample_flips_draw), each
+//    bit-identical to the Rng primitive it replaces;
 //  * classification goes through classify_batch_strike, which reads
 //    each struck word's verdict from the run-outcome table (one byte
 //    per word; no mask is built) and returns the strike's final pre-ACE
@@ -161,12 +161,7 @@ void TemporalCampaign::run_chunk(const CampaignConfig& config,
       grid->record(rid, origin, static_cast<StrikeOutcome>(o));
   }
 
-  state.partial.strikes += end - state.done;
-  state.partial.masked +=
-      tallies[static_cast<std::size_t>(StrikeOutcome::Masked)];
-  state.partial.dre += tallies[static_cast<std::size_t>(StrikeOutcome::Dre)];
-  state.partial.due += tallies[static_cast<std::size_t>(StrikeOutcome::Due)];
-  state.partial.sdc += tallies[static_cast<std::size_t>(StrikeOutcome::Sdc)];
+  detail::flush_tallies(tallies, state.partial);
   state.rng = rng;
   state.done = end;
 }

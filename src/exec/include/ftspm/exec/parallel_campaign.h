@@ -57,8 +57,6 @@ struct HeartbeatConfig {
   std::string out_path;
   /// Milliseconds between beats (clamped to >= 1).
   std::uint32_t interval_ms = 1000;
-  /// Also print a human one-liner per beat to stderr.
-  bool stderr_line = false;
 
   bool enabled() const noexcept { return !out_path.empty(); }
 };

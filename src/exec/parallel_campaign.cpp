@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -192,20 +191,6 @@ obs::PeriodicWriter::LineFn heartbeat_line(
         .field("pool_utilization", utilization)
         .end_object();
     prev_time = now;
-
-    if (config.stderr_line) {
-      const double pct =
-          total_strikes != 0
-              ? 100.0 * static_cast<double>(done) /
-                    static_cast<double>(total_strikes)
-              : 100.0;
-      std::fprintf(stderr,
-                   "heartbeat: %5.1f%% (%llu/%llu strikes) %.0f strikes/s "
-                   "eta %.0fs pool %.0f%%\n",
-                   pct, static_cast<unsigned long long>(done),
-                   static_cast<unsigned long long>(total_strikes), rate,
-                   eta_s, utilization * 100.0);
-    }
     return w.str();
   };
 }

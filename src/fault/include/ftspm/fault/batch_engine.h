@@ -1,16 +1,30 @@
-// Internal machinery of the batched campaign engines.
+// The strike front end shared by the three batched campaign engines:
+// static injection (injector_batch.cpp), live-array recovery with
+// scrubbing (recovery_batch.cpp) and the residency-resolved temporal
+// campaign (core/system_campaign_batch.cpp).
 //
-// PR 8's static-campaign engine (injector_batch.cpp) replaced the
-// per-strike FP draw pipeline with exact integer-domain equivalents:
-// region picks as compares against precomputed subtract-scan
-// breakpoints, Bernoulli trials as compares against ceil(p * 2^53),
-// and flip multiplicities as compares against cumulative cutoffs. The
-// live-array recovery and temporal campaigns batch their hot loops on
-// the same machinery, so the shared pieces live here. Everything in
-// ftspm::detail is an implementation detail of the campaign engines —
-// not API — but the equivalences are load-bearing: each helper is
-// bit-identical to the Rng primitive it replaces (see
-// docs/performance.md, "Integer-domain draws", and
+// This header is the one place that knows how a strike is aimed and
+// how its physical bits land on codewords:
+//
+//  * the region row (BatchRegionInfo, built per chunk by
+//    build_region_table into the shard's CampaignScratch::Batch) and
+//    the region pick (pick_region over its draw-bits breakpoints);
+//  * the draw-domain primitives: Bernoulli trials as compares against
+//    ceil(p * 2^53) (DrawBernoulli), flip multiplicities as compares
+//    against cumulative cutoffs (sample_flips_draw);
+//  * the landing of a strike's flips: for_each_run splits a contiguous
+//    strike into one (word, start bit, length) run per codeword, and
+//    for_each_interleaved_bit locates each flip of an interleaved one;
+//  * the per-outcome tally flush (flush_tallies).
+//
+// Each engine owns what it does with a landed flip: the static and
+// temporal engines classify it (run-outcome tables, word_outcome), the
+// recovery engine deposits it in its error planes and keeps its own
+// per-region repair constants (LiveArrayCampaign::RecoveryRow).
+// Everything in ftspm::detail is an implementation detail of the
+// campaign engines — not API — but the equivalences are load-bearing:
+// each draw helper is bit-identical to the Rng primitive it replaces
+// (see docs/performance.md, "Integer-domain draws", and
 // tests/fault/batch_engine_test.cpp).
 #pragma once
 
@@ -43,14 +57,7 @@ inline std::uint64_t prob_to_draw_bits(double p) noexcept {
   return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
 }
 
-/// Rng::next_bool's three arms resolved once per probability: mode 0
-/// (p <= 0, always false, no draw), mode 1 (p >= 1, always true, no
-/// draw), mode 2 (one draw compared in the draw-bits domain).
-struct DrawBernoulli {
-  std::uint8_t mode = 1;
-  std::uint64_t bits = 0;
-};
-
+/// Resolves Rng::next_bool(p)'s arm once (DrawBernoulli, injector.h).
 inline DrawBernoulli make_draw_bernoulli(double p) noexcept {
   DrawBernoulli b;
   b.mode = p <= 0.0 ? std::uint8_t{0} : p >= 1.0 ? std::uint8_t{1}
@@ -187,11 +194,63 @@ inline auto on_rng_copy(Rng& rng, Fn&& fn) {
   }
 }
 
-/// Rebuilds the per-region constant table (allocation-free after the
-/// first chunk), applying the same validation the per-strike loop ran,
-/// and the region-pick breakpoints (build_pick_bits) into `batch`.
+/// Rebuilds the per-region aim table (allocation-free after the first
+/// chunk), applying the same validation the per-strike loop ran, and
+/// the region-pick breakpoints (build_pick_bits) into `batch`.
 void build_region_table(const std::vector<InjectionRegion>& regions,
                         CampaignScratch::Batch& batch);
+
+/// Walks the flips of a strike of `flips` bits at physical bit `origin`
+/// of an uninterleaved region, clipped at the surface edge: they split
+/// into runs of consecutive bits, one per codeword, and `fn(word, lo,
+/// len)` sees each as codeword bits [lo, lo + len), words ascending.
+template <typename Fn>
+inline void for_each_run(const BatchRegionInfo& R, std::uint64_t origin,
+                         std::uint64_t flips, Fn&& fn) {
+  const std::uint32_t cw = R.codeword_bits;
+  std::uint64_t remaining = std::min(flips, R.physical_bits - origin);
+  std::uint64_t word = R.div_codeword.divide(origin);
+  auto lo = static_cast<std::uint32_t>(origin - word * cw);
+  for (; remaining > 0; ++word, lo = 0) {
+    const auto len =
+        static_cast<std::uint32_t>(std::min<std::uint64_t>(cw - lo, remaining));
+    fn(word, lo, len);
+    remaining -= len;
+  }
+}
+
+/// Walks the flips of a strike of `flips` bits at physical bit `origin`
+/// of an interleaved region, clipped at the surface edge, in physical
+/// order: adjacent physical bits belong to `interleave` different
+/// codewords, and `fn(word, bit)` sees each flip as codeword bit `bit`
+/// of `word` (locate_strike_bit's arithmetic, divides replaced by magic
+/// multiplies). Bits of a partial final group hold no word and are
+/// skipped.
+template <typename Fn>
+inline void for_each_interleaved_bit(const BatchRegionInfo& R,
+                                     std::uint64_t origin,
+                                     std::uint64_t flips, Fn&& fn) {
+  const std::uint64_t end = origin + std::min(flips, R.physical_bits - origin);
+  for (std::uint64_t index = origin; index < end; ++index) {
+    const std::uint64_t group = R.div_group.divide(index);
+    const std::uint64_t within = index - group * R.group_bits;
+    const auto bit = static_cast<std::uint32_t>(R.div_interleave.divide(within));
+    const std::uint64_t word =
+        group * R.interleave + (within - std::uint64_t{bit} * R.interleave);
+    if (word < R.words) fn(word, bit);
+  }
+}
+
+/// Adds a chunk's per-outcome strike counts (indexed by StrikeOutcome
+/// value) to `into`, strikes included.
+inline void flush_tallies(const std::uint64_t (&tallies)[4],
+                          CampaignResult& into) noexcept {
+  into.strikes += tallies[0] + tallies[1] + tallies[2] + tallies[3];
+  into.masked += tallies[static_cast<std::size_t>(StrikeOutcome::Masked)];
+  into.dre += tallies[static_cast<std::size_t>(StrikeOutcome::Dre)];
+  into.due += tallies[static_cast<std::size_t>(StrikeOutcome::Due)];
+  into.sdc += tallies[static_cast<std::size_t>(StrikeOutcome::Sdc)];
+}
 
 /// StrikeOutcome of one struck word's error pattern: `data_mask` holds
 /// the flipped data bits, `check_mask` the flipped check bits shifted
@@ -235,10 +294,10 @@ const RunSyndromeRow* run_syndrome_table(ProtectionKind protection);
 /// general paths against the region table entry `R` and returns its
 /// final pre-ACE verdict (a StrikeOutcome value). Burns exactly one
 /// next_u64 per struck codeword — the documented RNG contract. The
-/// caller owns the ACE-occupancy draw: `R.ace_occupancy` must be 1.0
-/// (no draw taken here), which is how the temporal campaign applies its
-/// per-span ACE fractions after classification. Immune regions
-/// early-out with no draw at all.
+/// caller owns the ACE-occupancy draw: `R.ace` must be the always-kept
+/// arm (an occupancy of 1.0, no draw taken here), which is how the
+/// temporal campaign applies its per-span ACE fractions after
+/// classification. Immune regions early-out with no draw at all.
 std::uint8_t classify_batch_strike(const BatchRegionInfo& R, Rng& rng,
                                    CampaignScratch& scratch,
                                    std::uint64_t origin, std::uint32_t flips);

@@ -104,12 +104,25 @@ inline constexpr std::uint32_t kRunTableBits = 72;
 /// that flips codeword bits [lo, lo + len).
 using RunOutcomeRow = std::array<std::uint8_t, kRunTableBits + 1>;
 
-/// Per-region constants the batched engine derives from an
-/// InjectionRegion once per chunk: geometry scalars hoisted out of the
+namespace detail {
+
+/// Rng::next_bool's three arms resolved once per probability: mode 0
+/// (p <= 0, always false, no draw), mode 1 (p >= 1, always true, no
+/// draw), mode 2 (one draw compared in the draw-bits domain against
+/// `bits`, see batch_engine.h).
+struct DrawBernoulli {
+  std::uint8_t mode = 1;
+  std::uint64_t bits = 0;
+};
+
+}  // namespace detail
+
+/// How a strike is aimed at one region: the per-region constants every
+/// batched engine derives from an InjectionRegion once per chunk
+/// (detail::build_region_table) — geometry scalars hoisted out of the
 /// strike loop plus exact magic-multiply dividers for the bit -> (word,
 /// bit-in-codeword) aim arithmetic.
 struct BatchRegionInfo {
-  double weight = 0.0;  ///< physical_bits as double (discrete pick).
   std::uint64_t physical_bits = 0;
   std::uint64_t words = 0;
   std::uint32_t codeword_bits = 0;
@@ -117,7 +130,6 @@ struct BatchRegionInfo {
   /// codeword_bits * interleave: physical span of one interleave group.
   std::uint64_t group_bits = 0;
   ProtectionKind protection = ProtectionKind::None;
-  double ace_occupancy = 1.0;
   FastDiv64 div_codeword;    ///< by codeword_bits (interleave == 1 aim).
   FastDiv64 div_group;       ///< by group_bits (interleave > 1 aim).
   FastDiv64 div_interleave;  ///< by interleave (interleave > 1 aim).
@@ -130,17 +142,10 @@ struct BatchRegionInfo {
   /// interleaved regions take the general per-word path instead; both
   /// paths share every RNG draw and produce identical outcomes.
   bool fast = false;
-  /// How the ACE-occupancy draw resolves: 0 = always masked (no draw),
-  /// 1 = always kept (no draw), 2 = one Bernoulli draw per non-masked
-  /// strike — mirroring Rng::next_bool's p <= 0 / p >= 1 / else arms.
-  std::uint8_t ace_mode = 1;
-  /// ceil(ace_occupancy * 2^53): the mode-2 Bernoulli draw in the
-  /// integer domain. next_double() returns (x >> 11) * 2^-53 exactly,
-  /// so `u < p  <=>  (x >> 11) < ceil(p * 2^53)` — the product is
-  /// exact (p < 1 keeps it under 2^53) and an integer u_bits is below
-  /// a real threshold iff it is below its ceiling. Comparing raw draw
-  /// bits resolves branches earlier than the convert-to-double chain.
-  std::uint64_t ace_bits = 0;
+  /// The ACE-occupancy draw: always masked, always kept, or one
+  /// Bernoulli draw per non-masked strike (per struck word in the
+  /// recovery campaign).
+  detail::DrawBernoulli ace;
   /// The run-outcome table of `protection` on fast regions (null
   /// otherwise): run[bit][m] is the verdict of a struck word whose flips
   /// are the m-bit run starting at codeword bit `bit`. An uninterleaved
@@ -165,7 +170,9 @@ struct CampaignScratch {
   /// flips; cleared, not shrunk, so it allocates at most once.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> spill;
 
-  /// Workspace of the batched chunk engines. run_campaign_chunk draws
+  /// Workspace of the batched chunk engines. All three (static,
+  /// recovery, temporal) rebuild the shard's region aim table here at
+  /// the start of each chunk. run_campaign_chunk also draws
   /// and classifies one block of `width` strikes at a time, in the
   /// documented draw order; when a sensitivity grid is attached it
   /// records each strike's region, origin and final outcome in the
@@ -177,12 +184,11 @@ struct CampaignScratch {
     /// other values (down to 1) to pin width-invariance of results.
     std::uint32_t width = kCampaignBatchWidth;
 
-    /// Region constant table + total pick weight, rebuilt per chunk.
+    /// Region aim table, rebuilt per chunk by every batched engine.
     std::vector<BatchRegionInfo> regions;
-    /// Compact copy of the pick weights (the discrete-pick scan walks
-    /// one cache line instead of striding through BatchRegionInfo).
+    /// The regions' pick weights (physical bits), the input of the
+    /// breakpoint search below.
     std::vector<double> weights;
-    double total_weight = 0.0;
     /// Region-pick breakpoints in draw-bits space: pick_bits[k] is the
     /// smallest u_bits = x >> 11 whose subtract-scan partial k is
     /// non-negative (2^53 when none is). Every partial is monotone in

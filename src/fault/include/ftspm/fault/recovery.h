@@ -171,6 +171,7 @@ class LiveArrayCampaign {
   LiveArrayCampaign(std::vector<RecoveryRegion> regions,
                     const StrikeMultiplicityModel& strikes,
                     const RecoveryPolicy& policy);
+  ~LiveArrayCampaign();
   LiveArrayCampaign(const LiveArrayCampaign&) = delete;
   LiveArrayCampaign& operator=(const LiveArrayCampaign&) = delete;
 
@@ -185,11 +186,11 @@ class LiveArrayCampaign {
   /// see fault/sensitivity.h) records each strike's origin and final
   /// outcome without affecting results.
   ///
-  /// This is the batched engine (recovery_batch.cpp): integer-domain
-  /// aim draws over per-chunk region tables, XOR-mask flip scatter that
-  /// keeps each word's cached syndrome current, and demand decodes and
-  /// scrub sweeps that classify a word with one syndrome-table read.
-  /// Counters, grids, and the RNG stream are bit-identical to the
+  /// This is the batched engine (recovery_batch.cpp): the shared
+  /// strike front end (fault/batch_engine.h) aims each strike, XOR-mask
+  /// flip scatter keeps each word's cached syndrome current, and demand
+  /// decodes and scrub sweeps classify a word with one syndrome-table
+  /// read. Counters, grids, and the RNG stream are bit-identical to the
   /// strike-at-a-time RecoveryReference (oracle/recovery_reference.h),
   /// and the error planes equal the reference's data ^ truth and
   /// check ^ truth_check — pinned by tests/fault/batch_engine_test.cpp.
@@ -198,29 +199,34 @@ class LiveArrayCampaign {
                  SensitivityGrid* grid = nullptr) const;
 
  private:
-  /// Per-chunk constants of the batched engine (recovery_batch.cpp):
-  /// region tables with integer-domain draw thresholds and precomputed
-  /// repair costs, region-pick breakpoints, flip cutoffs.
-  struct BatchTables;
-  void build_batch_tables(BatchTables& tables, std::uint32_t max_flips) const;
+  /// Recovery's own per-region constants (dirty draw, write-back,
+  /// scrub and re-fetch costs, check plane, run-syndrome table), built
+  /// once by the constructor. The aim rows (BatchRegionInfo) are not
+  /// here: run_chunk rebuilds them into the shard's
+  /// CampaignScratch::Batch with detail::build_region_table, as the
+  /// static and temporal engines do, from `surfaces_`.
+  struct RecoveryRow;
+  /// One scrub pass over the regions flagged for scrubbing; `aims` is
+  /// the chunk's aim table.
   void scrub_sweep_batched(RecoveryShardSide& side, Rng& rng,
-                           const BatchTables& tables) const;
+                           const BatchRegionInfo* aims) const;
   /// The batched engine's out-of-line strike halves: the demand read of
-  /// one struck word, and a whole strike on an interleaved region.
-  /// run_chunk lends them its generator through detail::on_rng_copy.
-  struct BatchRegion;
-  StrikeOutcome demand_read(const BatchRegion& R, RegionImage& image,
-                            std::uint64_t word, RecoveryCounters& counters,
-                            Rng& rng) const;
-  StrikeOutcome interleaved_strike(const BatchRegion& R, RegionImage& image,
+  /// one struck word of a `protection` region, and a whole strike on an
+  /// interleaved region (aim row `A`). run_chunk lends them its
+  /// generator through detail::on_rng_copy.
+  StrikeOutcome demand_read(ProtectionKind protection, const RecoveryRow& R,
+                            RegionImage& image, std::uint64_t word,
+                            RecoveryCounters& counters, Rng& rng) const;
+  StrikeOutcome interleaved_strike(const BatchRegionInfo& A,
+                                   const RecoveryRow& R, RegionImage& image,
                                    std::vector<std::uint64_t>& touched,
-                                   std::uint64_t origin, std::uint64_t flips,
+                                   std::uint64_t origin, std::uint32_t flips,
                                    RecoveryCounters& counters, Rng& rng) const;
 
-  std::vector<RecoveryRegion> regions_;
+  std::vector<InjectionRegion> surfaces_;  ///< The regions' inject halves.
+  std::vector<RecoveryRow> rows_;
   const StrikeMultiplicityModel& strikes_;
   RecoveryPolicy policy_;
-  std::vector<double> weights_;
 };
 
 // run_recovery_campaign, the serial entry point, is a one-shard run of

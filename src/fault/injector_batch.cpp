@@ -34,11 +34,11 @@
 // and count identically; tight mode just skips materializing state
 // nobody reads.
 //
-// The draw-domain primitives (integer-image Bernoulli/discrete picks,
-// flip cutoffs, the region table build) live in
-// ftspm/fault/batch_engine.h and are shared with the batched recovery
-// and temporal engines (recovery_batch.cpp, system_campaign_batch.cpp); the
-// non-trivial ones are defined at the bottom of this file.
+// The strike front end (region table, draw-domain primitives, the run
+// and interleave walks) lives in ftspm/fault/batch_engine.h and is
+// shared with the batched recovery and temporal engines
+// (recovery_batch.cpp, system_campaign_batch.cpp); its out-of-line
+// pieces are defined at the bottom of this file.
 //
 // Equivalence contract: identical counters, grids, and RNG stream
 // position to the old per-strike loop for every (regions, strikes,
@@ -66,19 +66,6 @@ using detail::pick_region;
 using detail::prob_to_draw_bits;
 
 namespace {
-
-/// Mask of data-word bits [lo, hi), hi <= 64, lo < hi.
-inline std::uint64_t range_mask64(std::uint32_t lo, std::uint32_t hi) {
-  const std::uint32_t len = hi - lo;
-  return (len >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << len) - 1) << lo;
-}
-
-/// Mask of check bits [lo, hi) (0-based above the data word), hi - lo
-/// <= 32 — check_mask has always been accumulated in 32 bits.
-inline std::uint32_t range_mask32(std::uint32_t lo, std::uint32_t hi) {
-  const std::uint32_t len = hi - lo;
-  return (len >= 32 ? ~0u : (1u << len) - 1) << lo;
-}
 
 /// Whether (protection, geometry) qualifies for the run-table classify
 /// path: the protection kind must have a run-outcome table and every
@@ -108,7 +95,6 @@ bool lut_classifiable(ProtectionKind protection, std::uint32_t check_bits) {
 [[gnu::noinline]] std::uint8_t classify_general_strike(
     const BatchRegionInfo& R, Rng& rng, CampaignScratch& scratch,
     std::uint64_t origin, std::uint32_t flips) {
-  const std::uint32_t cw = R.codeword_bits;
   StrikeOutcome worst = StrikeOutcome::Masked;
   const auto note_word = [&](std::uint64_t data_mask,
                              std::uint32_t check_mask) {
@@ -120,36 +106,17 @@ bool lut_classifiable(ProtectionKind protection, std::uint32_t check_bits) {
   };
 
   if (R.interleave <= 1) {
-    // Contiguous aim: surviving flips clip at the surface edge and
-    // split into runs of consecutive bits per codeword, so each
-    // word's masks are plain bit ranges — no per-bit loop, no sort.
-    auto remaining = static_cast<std::uint64_t>(
-        std::min<std::uint64_t>(flips, R.physical_bits - origin));
-    std::uint64_t word = R.div_codeword.divide(origin);
-    auto bit = static_cast<std::uint32_t>(origin - word * cw);
-    while (remaining > 0) {
-      const auto len = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(cw - bit, remaining));
-      const std::uint32_t hi = bit + len;
-      std::uint64_t data_mask = 0;
-      std::uint32_t check_mask = 0;
-      if (bit < RegionGeometry::kDataBitsPerWord)
-        data_mask = range_mask64(
-            bit, std::min(hi, RegionGeometry::kDataBitsPerWord));
-      if (hi > RegionGeometry::kDataBitsPerWord)
-        check_mask = range_mask32(
-            std::max(bit, RegionGeometry::kDataBitsPerWord) -
-                RegionGeometry::kDataBitsPerWord,
-            hi - RegionGeometry::kDataBitsPerWord);
-      note_word(data_mask, check_mask);
-      remaining -= len;
-      bit = 0;
-      ++word;
-    }
+    // Contiguous aim: each word's masks are plain bit ranges — no
+    // per-bit loop, no sort.
+    detail::for_each_run(R, origin, flips,
+                         [&](std::uint64_t, std::uint32_t lo,
+                             std::uint32_t len) {
+                           const GroupMasks gm = group_masks(lo, lo + len);
+                           note_word(gm.data, gm.check);
+                         });
   } else {
     // Interleaved aim (the ablation path): per-bit located hits,
-    // word-sorted, grouped — the shape of the per-strike
-    // classifier, with the divides replaced by the magic multiply.
+    // word-sorted, grouped — the shape of the per-strike classifier.
     using WordHit = std::pair<std::uint64_t, std::uint32_t>;
     WordHit* hits = scratch.hits.data();
     if (flips > CampaignScratch::kInlineHits) {
@@ -158,17 +125,10 @@ bool lut_classifiable(ProtectionKind protection, std::uint32_t check_bits) {
       hits = scratch.spill.data();
     }
     std::size_t n = 0;
-    for (std::uint32_t k = 0; k < flips && origin + k < R.physical_bits;
-         ++k) {
-      const std::uint64_t g = origin + k;
-      const std::uint64_t group = R.div_group.divide(g);
-      const std::uint64_t within = g - group * R.group_bits;
-      const std::uint64_t word =
-          group * R.interleave + R.div_interleave.modulo(within);
-      if (word >= R.words) continue;
-      hits[n++] = WordHit{
-          word, static_cast<std::uint32_t>(R.div_interleave.divide(within))};
-    }
+    detail::for_each_interleaved_bit(
+        R, origin, flips, [&](std::uint64_t word, std::uint32_t bit) {
+          hits[n++] = WordHit{word, bit};
+        });
     for (std::size_t i = 1; i < n; ++i) {
       const WordHit h = hits[i];
       std::size_t j = i;
@@ -193,30 +153,25 @@ bool lut_classifiable(ProtectionKind protection, std::uint32_t check_bits) {
 
   // ACE draw, in stream position: the per-strike loop drew exactly
   // when the pre-ACE outcome was not Masked.
-  if (worst != StrikeOutcome::Masked && !rng.next_bool(R.ace_occupancy))
+  if (worst != StrikeOutcome::Masked && !detail::draw_bernoulli(rng, R.ace))
     worst = StrikeOutcome::Masked;
   return static_cast<std::uint8_t>(worst);
 }
 
 /// Fast-path strike that straddles codeword boundaries (< 1% of
-/// strikes at realistic word sizes): its run splits into the tail
-/// [bit, cw) of the first word and a head [0, len) of each later one,
-/// whose run-table verdicts max-merge. Out of line for the same reason
-/// as classify_general_strike. Draw order matches the inline path —
-/// one burned draw per struck codeword, in address order.
+/// strikes at realistic word sizes): the run-table verdicts of its
+/// per-word runs max-merge. Out of line for the same reason as
+/// classify_general_strike. Draw order matches the inline path — one
+/// burned draw per struck codeword, in address order.
 [[gnu::noinline]] std::uint8_t classify_straddle_strike(
-    const BatchRegionInfo& R, Rng& rng, std::uint32_t bit, std::uint64_t m) {
-  const std::uint32_t cw = R.codeword_bits;
-  (void)rng.next_u64();
-  std::uint8_t worst = R.run[bit][cw - bit];
-  std::uint64_t remaining = m - (cw - bit);
-  while (remaining > 0) {
-    const auto len =
-        static_cast<std::uint32_t>(std::min<std::uint64_t>(cw, remaining));
-    (void)rng.next_u64();
-    worst = std::max(worst, R.run[0][len]);
-    remaining -= len;
-  }
+    const BatchRegionInfo& R, Rng& rng, std::uint64_t origin,
+    std::uint32_t flips) {
+  std::uint8_t worst = 0;
+  detail::for_each_run(R, origin, flips,
+                       [&](std::uint64_t, std::uint32_t lo, std::uint32_t len) {
+                         (void)rng.next_u64();
+                         worst = std::max(worst, R.run[lo][len]);
+                       });
   return worst;
 }
 
@@ -236,7 +191,7 @@ bool lut_classifiable(ProtectionKind protection, std::uint32_t check_bits) {
     return R.run[bit][m];
   }
   return detail::on_rng_copy(rng, [&](Rng& r) {
-    return classify_straddle_strike(R, r, bit, m);
+    return classify_straddle_strike(R, r, origin, flips);
   });
 }
 
@@ -326,14 +281,13 @@ void build_region_table(const std::vector<InjectionRegion>& regions,
     FTSPM_REQUIRE(r.interleave >= 1, "interleave degree must be >= 1");
     BatchRegionInfo info;
     info.physical_bits = r.geometry.physical_bits();
-    info.weight = static_cast<double>(info.physical_bits);
     info.words = r.geometry.words();
     info.codeword_bits = r.geometry.codeword_bits();
     info.interleave = r.interleave;
     info.group_bits =
         static_cast<std::uint64_t>(info.codeword_bits) * r.interleave;
     info.protection = r.protection;
-    info.ace_occupancy = r.ace_occupancy;
+    info.ace = make_draw_bernoulli(r.ace_occupancy);
     info.div_codeword = FastDiv64(info.codeword_bits, info.physical_bits);
     if (r.interleave > 1) {
       info.div_group = FastDiv64(info.group_bits, info.physical_bits);
@@ -343,18 +297,12 @@ void build_region_table(const std::vector<InjectionRegion>& regions,
                 lut_classifiable(r.protection,
                                  r.geometry.check_bits_per_word());
     if (info.fast) info.run = run_outcome_table(r.protection);
-    info.ace_mode = r.ace_occupancy <= 0.0   ? std::uint8_t{0}
-                    : r.ace_occupancy >= 1.0 ? std::uint8_t{1}
-                                             : std::uint8_t{2};
-    if (info.ace_mode == 2)
-      info.ace_bits = prob_to_draw_bits(r.ace_occupancy);
     // next_discrete validated the weights on every strike; the weights
     // are per-chunk constants, so once per chunk is the same check.
-    total += info.weight;
-    weights.push_back(info.weight);
+    weights.push_back(static_cast<double>(info.physical_bits));
+    total += weights.back();
     table.push_back(info);
   }
-  batch.total_weight = total;
   build_pick_bits(weights, total, batch.pick_bits, batch.pick_fallback);
 }
 
@@ -493,15 +441,9 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
         } else if (R.fast) [[likely]] {
           const std::uint8_t worst =
               classify_fast_strike(R, rng, origin, flips);
-          // next_bool's three arms, resolved per region at table
-          // build: 0 / 1 skip the draw, 2 consumes exactly one draw
-          // compared in the draw-bits domain. Unconditional for fast
-          // strikes — never Masked pre-ACE.
-          std::uint8_t keep;
-          if (R.ace_mode == 2)
-            keep = (rng.next_u64() >> 11) < R.ace_bits ? 1 : 0;
-          else
-            keep = R.ace_mode;
+          // The ACE draw, unconditional for fast strikes: they are
+          // never Masked pre-ACE.
+          const bool keep = detail::draw_bernoulli(rng, R.ace);
           outcome = static_cast<std::uint8_t>(worst * keep);
         } else {
           outcome = detail::on_rng_copy(rng, [&](Rng& r) {

@@ -7,12 +7,15 @@
 // classify_pattern call per decoded word. This file replays the
 // identical campaign on the batch engine (batch_engine.h):
 //
-//  * aim draws become integer compares against per-chunk tables —
-//    region-pick breakpoints, Bernoulli thresholds, flip cutoffs — each
-//    bit-identical to the Rng primitive it replaces;
-//  * an uninterleaved strike deposits its flips as one or two XOR
-//    masks (group_masks) instead of bit-by-bit locate calls, and the
-//    struck words come out ascending and unique for free;
+//  * aim draws become integer compares against the shared region table
+//    the static engine builds (build_region_table into the shard's
+//    CampaignScratch::Batch) — region-pick breakpoints, Bernoulli
+//    thresholds, flip cutoffs — each bit-identical to the Rng
+//    primitive it replaces;
+//  * an uninterleaved strike deposits its flips as one XOR mask pair
+//    (group_masks) per codeword run (for_each_run) instead of
+//    bit-by-bit locate calls, and the struck words come out ascending
+//    and unique for free;
 //  * every deposit also XORs the run's syndrome (run_syndrome_table)
 //    into the word's cached syndrome (RegionImage::syndrome), so the
 //    syndrome of each stored word is always current and nothing folds:
@@ -53,25 +56,17 @@
 
 namespace ftspm {
 
-/// Per-chunk constants of one region: every scalar the reference's
-/// per-word resolve re-derives per word, hoisted to one cache-friendly
-/// row, with the draw probabilities pre-resolved into next_bool's three
-/// arms (DrawBernoulli) and the repair costs pre-multiplied.
-struct LiveArrayCampaign::BatchRegion {
-  std::uint64_t physical_bits = 0;
-  std::uint64_t words = 0;
-  std::uint32_t codeword_bits = 0;
-  std::uint32_t interleave = 1;
-  std::uint64_t group_bits = 0;
-  FastDiv64 div_codeword;    ///< by codeword_bits (interleave == 1).
-  FastDiv64 div_group;       ///< by group_bits (interleave > 1).
-  FastDiv64 div_interleave;  ///< by interleave (interleave > 1).
-  ProtectionKind protection = ProtectionKind::None;
+/// Recovery's own constants of one region, built once per campaign:
+/// every repair scalar the reference's per-word resolve re-derives per
+/// word, with the dirty-fraction draw pre-resolved into next_bool's
+/// three arms (DrawBernoulli) and the repair costs pre-multiplied. How
+/// a strike lands (geometry, dividers, ACE draw) is the aim row
+/// (BatchRegionInfo) of the same index.
+struct LiveArrayCampaign::RecoveryRow {
   bool has_check = false;
   bool scrub = false;
   /// run_syndrome_table(protection): null for None and Immune.
   const detail::RunSyndromeRow* syndrome_runs = nullptr;
-  detail::DrawBernoulli ace;    ///< inject.ace_occupancy.
   detail::DrawBernoulli dirty;  ///< dirty_fraction (DUE escalation).
   std::uint32_t write_latency = 0;
   double write_energy = 0.0;
@@ -81,15 +76,6 @@ struct LiveArrayCampaign::BatchRegion {
   /// One DMA re-fetch, exactly as the reference books it.
   std::uint64_t refetch_cycles = 0;
   double refetch_energy = 0.0;
-};
-
-/// Per-chunk constants of the batched engine: the region rows plus the
-/// region-pick breakpoints and flip cutoffs.
-struct LiveArrayCampaign::BatchTables {
-  std::vector<BatchRegion> regions;
-  std::vector<std::uint64_t> pick_bits;
-  std::size_t pick_fallback = 0;
-  detail::FlipCutoffs cuts;
 };
 
 namespace detail {
@@ -133,34 +119,31 @@ inline std::uint64_t nonzero_bytes(std::uint64_t bytes) noexcept {
 
 }  // namespace
 
-void LiveArrayCampaign::build_batch_tables(BatchTables& tables,
-                                           std::uint32_t max_flips) const {
-  tables.regions.clear();
-  tables.regions.reserve(regions_.size());
-  for (const RecoveryRegion& r : regions_) {
+LiveArrayCampaign::LiveArrayCampaign(std::vector<RecoveryRegion> regions,
+                                     const StrikeMultiplicityModel& strikes,
+                                     const RecoveryPolicy& policy)
+    : strikes_(strikes), policy_(policy) {
+  FTSPM_REQUIRE(!regions.empty(), "campaign needs at least one region");
+  surfaces_.reserve(regions.size());
+  rows_.reserve(regions.size());
+  for (const RecoveryRegion& r : regions) {
     const RegionGeometry& g = r.inject.geometry;
-    BatchRegion b;
-    b.physical_bits = g.physical_bits();
-    b.words = g.words();
-    b.codeword_bits = g.codeword_bits();
-    b.interleave = r.inject.interleave;
-    b.group_bits = static_cast<std::uint64_t>(b.codeword_bits) * b.interleave;
-    b.div_codeword = FastDiv64(b.codeword_bits, b.physical_bits);
-    if (b.interleave > 1) {
-      b.div_group = FastDiv64(b.group_bits, b.physical_bits);
-      b.div_interleave = FastDiv64(b.interleave, b.group_bits);
-    }
-    b.protection = r.inject.protection;
+    FTSPM_REQUIRE(r.dirty_fraction >= 0.0 && r.dirty_fraction <= 1.0,
+                  "dirty_fraction out of [0,1]");
+    FTSPM_REQUIRE((r.inject.protection != ProtectionKind::Parity &&
+                   r.inject.protection != ProtectionKind::SecDed) ||
+                      g.check_bits_per_word() != 0,
+                  "a parity or SEC-DED region needs check bits");
+    RecoveryRow b;
     b.has_check = g.check_bits_per_word() != 0;
     b.scrub = r.scrub;
-    b.syndrome_runs = detail::run_syndrome_table(b.protection);
-    b.ace = detail::make_draw_bernoulli(r.inject.ace_occupancy);
+    b.syndrome_runs = detail::run_syndrome_table(r.inject.protection);
     b.dirty = detail::make_draw_bernoulli(r.dirty_fraction);
     b.write_latency = r.tech.write_latency_cycles;
     b.write_energy = r.tech.write_energy_pj;
-    b.scrub_read_cycles = b.words * r.tech.read_latency_cycles;
+    b.scrub_read_cycles = g.words() * r.tech.read_latency_cycles;
     b.scrub_read_energy =
-        static_cast<double>(b.words) * r.tech.read_energy_pj;
+        static_cast<double>(g.words()) * r.tech.read_energy_pj;
     const std::uint64_t refetch_words =
         std::max<std::uint64_t>(1, r.refetch_words);
     const std::uint64_t per_word = std::max<std::uint32_t>(
@@ -170,40 +153,38 @@ void LiveArrayCampaign::build_batch_tables(BatchTables& tables,
     b.refetch_energy =
         static_cast<double>(refetch_words) *
         (policy_.dram_read_energy_pj + r.tech.write_energy_pj);
-    tables.regions.push_back(b);
+    surfaces_.push_back(r.inject);
+    rows_.push_back(b);
   }
-  // next_discrete accumulated the total left to right on every strike;
-  // the breakpoints must see the identical sum.
-  double total = 0.0;
-  for (const double w : weights_) total += w;
-  detail::build_pick_bits(weights_, total, tables.pick_bits,
-                          tables.pick_fallback);
-  tables.cuts = detail::make_flip_cutoffs(strikes_, max_flips);
 }
 
-void LiveArrayCampaign::scrub_sweep_batched(RecoveryShardSide& side, Rng& rng,
-                                            const BatchTables& tables) const {
+LiveArrayCampaign::~LiveArrayCampaign() = default;
+
+void LiveArrayCampaign::scrub_sweep_batched(
+    RecoveryShardSide& side, Rng& rng, const BatchRegionInfo* aims) const {
   ++side.counters.scrub_passes;
   const auto& secded = SecDedCodec::syndrome_table();
-  for (std::size_t ri = 0; ri < tables.regions.size(); ++ri) {
-    const BatchRegion& R = tables.regions[ri];
+  for (std::size_t ri = 0; ri < rows_.size(); ++ri) {
+    const RecoveryRow& R = rows_[ri];
+    const std::uint64_t words = aims[ri].words;
+    const ProtectionKind protection = aims[ri].protection;
     if (!R.scrub) continue;
-    side.counters.scrub_words += R.words;
+    side.counters.scrub_words += words;
     side.counters.recovery_cycles += R.scrub_read_cycles;
     side.counters.recovery_energy_pj += R.scrub_read_energy;
     // Immune arrays are swept as a retention refresh (cost only);
     // unchecked arrays cannot surface an error to the scrubber at all —
     // the reference resolves every word of both as Clean, touching
     // neither counters nor the RNG.
-    if (R.protection == ProtectionKind::Immune ||
-        R.protection == ProtectionKind::None)
+    if (protection == ProtectionKind::Immune ||
+        protection == ProtectionKind::None)
       continue;
 
     RegionImage& image = side.images[ri];
     std::uint64_t* const err = image.err.data();
     std::uint8_t* const err_check = image.err_check.data();
     std::uint8_t* const syndrome = image.syndrome.data();
-    const bool secded_region = R.protection == ProtectionKind::SecDed;
+    const bool secded_region = protection == ProtectionKind::SecDed;
     // Repair cost by verdict: 0 corrected (write-back), 1 re-fetched,
     // 2 unrecoverable (nothing to book).
     const std::uint64_t cost_cycles[3] = {R.write_latency, R.refetch_cycles,
@@ -226,7 +207,7 @@ void LiveArrayCampaign::scrub_sweep_batched(RecoveryShardSide& side, Rng& rng,
     std::uint64_t corrections = 0, unrecoverable = 0, refetches = 0;
     std::uint64_t cycles = side.counters.recovery_cycles;
     double energy = side.counters.recovery_energy_pj;
-    for (std::uint64_t base = 0; base < R.words; base += 64) {
+    for (std::uint64_t base = 0; base < words; base += 64) {
       std::uint64_t live = 0;  // bit j: word base + j is not clean
       for (unsigned lane = 0; lane < 8; ++lane) {
         std::uint64_t bytes;
@@ -286,7 +267,8 @@ void LiveArrayCampaign::scrub_sweep_batched(RecoveryShardSide& side, Rng& rng,
   }
 }
 
-StrikeOutcome LiveArrayCampaign::demand_read(const BatchRegion& R,
+StrikeOutcome LiveArrayCampaign::demand_read(ProtectionKind protection,
+                                             const RecoveryRow& R,
                                              RegionImage& image,
                                              std::uint64_t w,
                                              RecoveryCounters& counters,
@@ -322,7 +304,7 @@ StrikeOutcome LiveArrayCampaign::demand_read(const BatchRegion& R,
   };
 
   const std::uint64_t data_err = image.err[w];
-  if (R.protection == ProtectionKind::None) {
+  if (protection == ProtectionKind::None) {
     // Unchecked words never see their check-half geometry (the
     // reference compares data alone); corruption is consumed.
     if (data_err == 0) return StrikeOutcome::Masked;
@@ -331,7 +313,7 @@ StrikeOutcome LiveArrayCampaign::demand_read(const BatchRegion& R,
     return StrikeOutcome::Sdc;
   }
   const std::uint8_t syndrome = image.syndrome[w];
-  if (R.protection == ProtectionKind::Parity) {
+  if (protection == ProtectionKind::Parity) {
     if (syndrome != 0) return handle_due();
     // Zero syndrome: clean, or an even-flip alias consumed. The parity
     // bit's error equals the data error's parity, so both go; flips in
@@ -380,41 +362,32 @@ StrikeOutcome LiveArrayCampaign::demand_read(const BatchRegion& R,
 }
 
 StrikeOutcome LiveArrayCampaign::interleaved_strike(
-    const BatchRegion& R, RegionImage& image,
+    const BatchRegionInfo& A, const RecoveryRow& R, RegionImage& image,
     std::vector<std::uint64_t>& touched, std::uint64_t origin,
-    std::uint64_t flips, RecoveryCounters& counters, Rng& rng) const {
-  // Each flip lands in its own codeword via the magic-multiply form of
-  // locate_strike_bit's arithmetic, so a word's flips are not one run:
-  // each is a single-bit run for the syndrome, and the struck words are
-  // read once every flip has landed, ascending and unique like the
-  // reference's.
+    std::uint32_t flips, RecoveryCounters& counters, Rng& rng) const {
+  // Each flip lands in its own codeword, so a word's flips are not one
+  // run: each is a single-bit run for the syndrome, and the struck
+  // words are read once every flip has landed, ascending and unique
+  // like the reference's.
   touched.clear();
-  for (std::uint64_t k = 0; k < flips; ++k) {
-    const std::uint64_t index = origin + k;
-    const std::uint64_t group = R.div_group.divide(index);
-    const std::uint64_t within = index - group * R.group_bits;
-    const auto cw_bit =
-        static_cast<std::uint32_t>(R.div_interleave.divide(within));
-    const std::uint64_t lane = within - cw_bit * R.interleave;
-    const std::uint64_t word = group * R.interleave + lane;
-    if (word >= R.words) continue;  // partial final group
-    if (cw_bit < RegionGeometry::kDataBitsPerWord) {
-      image.err[word] ^= std::uint64_t{1} << cw_bit;
-    } else {
-      image.err_check[word] = static_cast<std::uint8_t>(
-          image.err_check[word] ^
-          (1u << (cw_bit - RegionGeometry::kDataBitsPerWord)));
-    }
-    if (R.syndrome_runs != nullptr)
-      image.syndrome[word] ^= R.syndrome_runs[cw_bit][1];
-    touched.push_back(word);
-  }
+  detail::for_each_interleaved_bit(
+      A, origin, flips, [&](std::uint64_t word, std::uint32_t bit) {
+        const detail::GroupMasks gm = detail::group_masks(bit, bit + 1);
+        image.err[word] ^= gm.data;
+        if (R.has_check)
+          image.err_check[word] =
+              static_cast<std::uint8_t>(image.err_check[word] ^ gm.check);
+        if (R.syndrome_runs != nullptr)
+          image.syndrome[word] ^= R.syndrome_runs[bit][1];
+        touched.push_back(word);
+      });
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
   StrikeOutcome outcome = StrikeOutcome::Masked;
   for (const std::uint64_t w : touched)
-    if (detail::draw_bernoulli(rng, R.ace))
-      outcome = std::max(outcome, demand_read(R, image, w, counters, rng));
+    if (detail::draw_bernoulli(rng, A.ace))
+      outcome = std::max(
+          outcome, demand_read(A.protection, R, image, w, counters, rng));
   return outcome;
 }
 
@@ -423,7 +396,7 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
                                   RecoveryShardSide& side,
                                   std::uint64_t max_strikes,
                                   SensitivityGrid* grid) const {
-  FTSPM_REQUIRE(side.images.size() == regions_.size(),
+  FTSPM_REQUIRE(side.images.size() == rows_.size(),
                 "ensure_shard_images must run before run_chunk");
   const std::uint64_t end = std::min(config.strikes, core.done + max_strikes);
   if (end <= core.done) {
@@ -431,13 +404,14 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
     return;
   }
 
-  BatchTables tables;
-  build_batch_tables(tables, config.max_flips);
-  const BatchRegion* const region_table = tables.regions.data();
-  const std::uint64_t* const pick_breaks = tables.pick_bits.data();
-  const std::size_t region_count = tables.regions.size();
-  const std::size_t pick_fallback = tables.pick_fallback;
-  const detail::FlipCutoffs cuts = tables.cuts;
+  CampaignScratch::Batch& batch = core.scratch.batch;
+  detail::build_region_table(surfaces_, batch);
+  const BatchRegionInfo* const aims = batch.regions.data();
+  const std::uint64_t* const pick_breaks = batch.pick_bits.data();
+  const std::size_t region_count = batch.regions.size();
+  const std::size_t pick_fallback = batch.pick_fallback;
+  const detail::FlipCutoffs cuts =
+      detail::make_flip_cutoffs(strikes_, config.max_flips);
 
   // The generator runs as a local copy, written back once per chunk and
   // lent to the out-of-line demand read, interleaved strike and scrub
@@ -459,41 +433,37 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
     // Aim draws in the reference order: region, origin, multiplicity.
     const std::size_t ri =
         detail::pick_region(rng, pick_breaks, region_count, pick_fallback);
-    const BatchRegion& R = region_table[ri];
-    const std::uint64_t origin = rng.next_below(R.physical_bits);
+    const BatchRegionInfo& A = aims[ri];
+    const RecoveryRow& R = rows_[ri];
+    const std::uint64_t origin = rng.next_below(A.physical_bits);
     const std::uint32_t flips =
         detail::sample_flips_draw(rng, cuts, config.max_flips);
-    const std::uint64_t m =
-        std::min<std::uint64_t>(flips, R.physical_bits - origin);
 
     StrikeOutcome outcome = StrikeOutcome::Masked;
-    if (R.protection == ProtectionKind::Immune) {
+    if (A.protection == ProtectionKind::Immune) {
       // Immune cells cannot be upset.
-    } else if (R.interleave == 1) {
+    } else if (A.interleave == 1) {
       RegionImage& image = side.images[ri];
       std::uint64_t* const err = image.err.data();
       std::uint8_t* const err_check = image.err_check.data();
       std::uint8_t* const syndrome = image.syndrome.data();
-      // Hoisted: the byte stores below may alias R, so per-word reads
-      // of its fields would be reloaded (and branched on).
+      // Hoisted: the byte stores below may alias the rows, so per-word
+      // reads of their fields would be reloaded (and branched on).
       const bool has_check = R.has_check;
       const detail::RunSyndromeRow* const syndrome_runs = R.syndrome_runs;
-      const detail::DrawBernoulli ace = R.ace;
-      // Contiguous flips split into per-codeword runs: one XOR mask
-      // pair per struck word, words ascending and unique by
-      // construction (matching the reference's sort + unique). Each
+      const detail::DrawBernoulli ace = A.ace;
+      const ProtectionKind protection = A.protection;
+      // One XOR mask pair per struck word, words ascending and unique
+      // by construction (matching the reference's sort + unique). Each
       // word is demand-read with probability = ACE occupancy right
       // after its own deposit — the reference's draw order, since a
       // read of word w rewrites only word w. ace mode 0 (occupancy
       // <= 0) skips every word with no draw in the reference too; the
       // flips stay latent either way.
-      std::uint64_t word = R.div_codeword.divide(origin);
-      auto bit = static_cast<std::uint32_t>(origin - word * R.codeword_bits);
-      std::uint64_t remaining = m;
-      while (remaining > 0) {
-        const auto len = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(R.codeword_bits - bit, remaining));
-        const detail::GroupMasks gm = detail::group_masks(bit, bit + len);
+      detail::for_each_run(A, origin, flips, [&](std::uint64_t word,
+                                                 std::uint32_t lo,
+                                                 std::uint32_t len) {
+        const detail::GroupMasks gm = detail::group_masks(lo, lo + len);
         err[word] ^= gm.data;
         // Unconditional XOR (a zero mask when the run stays in the
         // data half) rather than a branch on gm.check; only regions
@@ -503,21 +473,18 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
           err_check[word] =
               static_cast<std::uint8_t>(err_check[word] ^ gm.check);
         if (syndrome_runs != nullptr)
-          syndrome[word] ^= syndrome_runs[bit][len];
+          syndrome[word] ^= syndrome_runs[lo][len];
         if (detail::draw_bernoulli(rng, ace)) {
           outcome = std::max(outcome, detail::on_rng_copy(rng, [&](Rng& r) {
-                               return demand_read(R, image, word,
+                               return demand_read(protection, R, image, word,
                                                   side.counters, r);
                              }));
         }
-        ++word;
-        bit = 0;
-        remaining -= len;
-      }
+      });
     } else {
       outcome = detail::on_rng_copy(rng, [&](Rng& r) {
-        return interleaved_strike(R, side.images[ri], side.touched, origin, m,
-                                  side.counters, r);
+        return interleaved_strike(A, R, side.images[ri], side.touched, origin,
+                                  flips, side.counters, r);
       });
     }
 
@@ -527,14 +494,10 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
     if (interval != 0 && --until_scrub == 0) {
       until_scrub = interval;
       detail::on_rng_copy(
-          rng, [&](Rng& r) { scrub_sweep_batched(side, r, tables); });
+          rng, [&](Rng& r) { scrub_sweep_batched(side, r, aims); });
     }
   }
-  core.partial.strikes += end - core.done;
-  core.partial.masked += tallies[static_cast<std::size_t>(StrikeOutcome::Masked)];
-  core.partial.dre += tallies[static_cast<std::size_t>(StrikeOutcome::Dre)];
-  core.partial.due += tallies[static_cast<std::size_t>(StrikeOutcome::Due)];
-  core.partial.sdc += tallies[static_cast<std::size_t>(StrikeOutcome::Sdc)];
+  detail::flush_tallies(tallies, core.partial);
   core.rng = rng;
   core.done = end;
 }

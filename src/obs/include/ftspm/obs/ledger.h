@@ -60,15 +60,11 @@ struct LedgerRecord {
   static LedgerRecord from_json(const JsonValue& v);
 };
 
-/// Reads every record from an NDJSON ledger file. A missing file is an
-/// empty ledger; malformed lines throw ftspm::Error with line numbers.
-std::vector<LedgerRecord> read_ledger(const std::string& path);
-
-/// A lenient ledger read: the records that parsed plus one warning per
-/// skipped line. Browsing commands (`runs list`, `report trend`) use
-/// this so one truncated line — a crashed appender, a partial copy —
-/// cannot hide every other run; gating commands (`compare`) stay on
-/// the strict read_ledger.
+/// A ledger read: the records that parsed plus one warning per skipped
+/// line. Every reader of the ledger (`runs list`, `report`, `compare`,
+/// the appenders' run numbering) uses it, so one truncated line — a
+/// crashed appender, a partial copy — cannot hide every other run, and
+/// every command numbers the runs alike.
 struct LedgerScan {
   std::vector<LedgerRecord> records;
   /// One human-readable warning per skipped line, in file order, each
@@ -76,9 +72,9 @@ struct LedgerScan {
   std::vector<std::string> warnings;
 };
 
-/// Reads `path` like read_ledger but skips malformed lines (bad JSON,
-/// bad record shape, unknown schema) instead of throwing, collecting a
-/// warning per skip. A missing file is an empty scan.
+/// Reads every record of the NDJSON ledger at `path`, skipping
+/// malformed lines (bad JSON, bad record shape, unknown schema) with a
+/// warning each. A missing file is an empty scan.
 LedgerScan scan_ledger(const std::string& path);
 
 /// How far count_ledger_records has read one ledger file: the file's

@@ -110,25 +110,6 @@ LedgerRecord LedgerRecord::from_json(const JsonValue& v) {
   return r;
 }
 
-std::vector<LedgerRecord> read_ledger(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return {};  // A ledger that was never written to.
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::vector<LedgerRecord> records;
-  const std::vector<JsonValue> docs = parse_ndjson(buffer.str());
-  records.reserve(docs.size());
-  for (std::size_t i = 0; i < docs.size(); ++i) {
-    try {
-      records.push_back(LedgerRecord::from_json(docs[i]));
-    } catch (const Error& e) {
-      throw Error("ledger '" + path + "' record " + std::to_string(i) + ": " +
-                  e.what());
-    }
-  }
-  return records;
-}
-
 namespace {
 
 /// Calls `on_line(line, end)` for each line of `text`, without its

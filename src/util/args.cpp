@@ -81,9 +81,8 @@ const std::string& ArgParser::option(const std::string& name) const {
   return spec.value;
 }
 
-std::uint64_t ArgParser::option_uint(const std::string& name,
-                                     std::uint64_t max) const {
-  const std::string& raw = option(name);
+std::uint64_t parse_uint(const std::string& flag, const std::string& raw,
+                         std::uint64_t max) {
   // Digits only: strtoull would accept leading whitespace, a sign
   // (silently wrapping "-1" to 2^64-1), and clamp on overflow — all of
   // which have bitten real flag typos. Parse by hand instead.
@@ -102,13 +101,17 @@ std::uint64_t ArgParser::option_uint(const std::string& name,
     v = v * 10 + digit;
   }
   if (!ok)
-    throw InvalidArgument("--" + name +
-                          " expects a non-negative integer, got '" + raw +
-                          "'");
+    throw InvalidArgument(flag + " expects a non-negative integer, got '" +
+                          raw + "'");
   if (v > max)
-    throw InvalidArgument("--" + name + " must be at most " +
-                          std::to_string(max) + ", got '" + raw + "'");
+    throw InvalidArgument(flag + " must be at most " + std::to_string(max) +
+                          ", got '" + raw + "'");
   return v;
+}
+
+std::uint64_t ArgParser::option_uint(const std::string& name,
+                                     std::uint64_t max) const {
+  return parse_uint("--" + name, option(name), max);
 }
 
 namespace {

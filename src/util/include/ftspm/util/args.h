@@ -11,6 +11,13 @@
 
 namespace ftspm {
 
+/// Strict non-negative integer `raw` for the command-line option
+/// `flag` (e.g. "--jobs"): digits only — no sign, whitespace or
+/// trailing garbage — and at most `max`. Throws InvalidArgument naming
+/// the flag and the text otherwise (exit 2 at the CLI).
+std::uint64_t parse_uint(const std::string& flag, const std::string& raw,
+                         std::uint64_t max = UINT64_MAX);
+
 class ArgParser {
  public:
   /// `program` and `summary` head the usage text.
@@ -29,8 +36,7 @@ class ArgParser {
 
   bool flag(const std::string& name) const;
   const std::string& option(const std::string& name) const;
-  /// Strict non-negative integer: rejects signs, trailing garbage, and
-  /// values above `max` with InvalidArgument (exit 2 at the CLI).
+  /// parse_uint of the option's value.
   std::uint64_t option_uint(const std::string& name,
                             std::uint64_t max = UINT64_MAX) const;
   /// Strict finite decimal: plain `[+-]digits[.digits][e[+-]digits]`

@@ -62,11 +62,6 @@ class FastDiv64 {
     return n / divisor_;
   }
 
-  /// n mod divisor, via divide (one multiply-subtract, no idiv).
-  std::uint64_t modulo(std::uint64_t n) const noexcept {
-    return n - divide(n) * divisor_;
-  }
-
  private:
   std::uint64_t divisor_ = 1;
   std::uint64_t magic_ = 0;  ///< 0 = hardware-divide fallback.

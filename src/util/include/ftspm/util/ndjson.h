@@ -17,8 +17,10 @@
 //    daemon's framing layer).
 //
 // parse_ndjson (util/json.h) is a thin wrapper: feed the whole text,
-// finish(), drain. The ledger and event-log readers go through it, so
-// every NDJSON surface in the tree shares this one framing path.
+// finish(), drain. It is strict: one malformed line throws. The run
+// ledger is the one NDJSON file read leniently: obs::scan_ledger splits
+// its lines itself, so a torn line is skipped with a warning naming
+// its file line, not a failure of the whole read.
 #pragma once
 
 #include <cstddef>

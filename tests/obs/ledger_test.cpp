@@ -65,10 +65,13 @@ TEST(LedgerTest, JsonSortsCountersByKey) {
 TEST(LedgerTest, AppendAndReadBack) {
   const std::string path = temp_path("ftspm_ledger_test");
   std::remove(path.c_str());
-  EXPECT_TRUE(read_ledger(path).empty());  // missing file = empty ledger
+  // A missing file is an empty ledger.
+  EXPECT_TRUE(scan_ledger(path).records.empty());
   append_ledger(sample("run-0"), path);
   append_ledger(sample("run-1"), path);
-  const std::vector<LedgerRecord> runs = read_ledger(path);
+  const LedgerScan scan = scan_ledger(path);
+  EXPECT_TRUE(scan.warnings.empty());
+  const std::vector<LedgerRecord>& runs = scan.records;
   ASSERT_EQ(runs.size(), 2u);
   EXPECT_EQ(runs[0].id, "run-0");
   EXPECT_EQ(runs[1].id, "run-1");
@@ -200,9 +203,7 @@ TEST(LedgerScanTest, SkipsCorruptLinesWithTheirLineNumbers) {
     std::fwrite(body.data(), 1, body.size(), f);
     std::fclose(f);
   }
-  // The strict reader refuses the whole file ...
-  EXPECT_THROW(read_ledger(path), Error);
-  // ... while the scan keeps every parseable record.
+  // The scan keeps every parseable record.
   const LedgerScan scan = scan_ledger(path);
   ASSERT_EQ(scan.records.size(), 3u);
   EXPECT_EQ(scan.records[0].id, "run-0");

@@ -258,12 +258,18 @@ TEST(CliTest, BadJobsValueFailsWithUsageExit) {
 }
 
 TEST(CliTest, JobsWithTrailingGarbageFailsWithUsageExit) {
-  // std::stoul would silently parse "8x" as 8; the CLI must reject it.
-  const CommandResult r = run_tool("--jobs 8x suite --scale 64");
-  EXPECT_EQ(r.exit_code, 2);
-  EXPECT_NE(r.output.find("--jobs"), std::string::npos);
-  EXPECT_NE(r.output.find("run `ftspm_tool help` for usage"),
-            std::string::npos);
+  // std::stoul would silently parse "8x" as 8, "+2" and " 2" as 2; the
+  // CLI must reject them, as it rejects "--strikes +10".
+  for (const char* bad : {"8x", "+2", "' 2'"}) {
+    const CommandResult r =
+        run_tool(std::string("--jobs ") + bad + " suite --scale 64");
+    EXPECT_EQ(r.exit_code, 2) << bad;
+    EXPECT_NE(r.output.find("--jobs expects a non-negative integer"),
+              std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("run `ftspm_tool help` for usage"),
+              std::string::npos);
+  }
 }
 
 TEST(CliTest, PartitionBadWeightFailsWithUsageExit) {
@@ -283,7 +289,7 @@ TEST(CliTest, PartitionBadWeightFailsWithUsageExit) {
 TEST(CliTest, HeartbeatIntervalRejectsGarbageAndZero) {
   // Same contract as --jobs: trailing garbage, signs, and out-of-range
   // values are usage errors (exit 2), never silently truncated.
-  for (const char* bad : {"100x", "0", "-5", "1e3", ""}) {
+  for (const char* bad : {"100x", "0", "-5", "1e3", "", "+5", " 5"}) {
     const CommandResult r =
         run_tool(std::string("--heartbeat-interval-ms ") + "'" + bad +
                  "' campaign --strikes 1000");
@@ -548,9 +554,10 @@ TEST(CliTest, TraceDeclaringAnOversizedProgramIsAUsageError) {
 }
 
 TEST(CliTest, DefectsInUserFilesAreUsageErrorsWithTheMessageAlone) {
-  // A checkpoint resumed under another shard count, and a trace with an
-  // unknown block kind: exit 2, the message and the usage hint, and no
-  // check text or source path.
+  // A checkpoint resumed under another shard count, a trace with an
+  // unknown block kind, and flag and argument checks written as
+  // FTSPM_REQUIRE: exit 2, the message and the usage hint, and no check
+  // text or source path.
   const std::string checkpoint = temp_path("ftspm_cli_shards.json");
   const std::string trace = temp_path("ftspm_cli_bad_kind.trace");
   std::remove(checkpoint.c_str());
@@ -567,6 +574,13 @@ TEST(CliTest, DefectsInUserFilesAreUsageErrorsWithTheMessageAlone) {
       {"campaign --strikes 2000 --shards 3 --resume " + checkpoint,
        "checkpoint was taken with a different shard count"},
       {"profile " + trace, "trace line 3: unknown block kind 'dat'"},
+      {"load --mix 'x:0'", "mix weight '0' must be a finite number > 0"},
+      {"serve --max-queue 0", "--max-queue must be positive"},
+      {"--heartbeat-interval-ms 0 campaign --strikes 10",
+       "--heartbeat-interval-ms must be positive"},
+      {"simulate case_study --trace-out",
+       "--trace-out requires a file argument"},
+      {"profile", "expected one workload name"},
   };
   for (const auto& [args, message] : cases) {
     const CommandResult r = run_tool_stderr(args);
@@ -577,6 +591,27 @@ TEST(CliTest, DefectsInUserFilesAreUsageErrorsWithTheMessageAlone) {
   }
   std::remove(checkpoint.c_str());
   std::remove(trace.c_str());
+}
+
+TEST(CliTest, ProgressAndHeartbeatShareNoStderrLine) {
+  // With a heartbeat file, --progress still prints only its own lines:
+  // the beats go to the file alone.
+  const std::string beats = temp_path("ftspm_cli_progress_beats.ndjson");
+  std::remove(beats.c_str());
+  const CommandResult r = run_tool_stderr(
+      "--heartbeat-out " + beats + " --progress campaign --strikes 10");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(r.output.find("heartbeat"), std::string::npos) << r.output;
+  std::istringstream lines(r.output);
+  std::size_t progress_lines = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("strikes ") == std::string::npos) continue;
+    EXPECT_EQ(line.rfind("strikes ", 0), 0u) << line;
+    ++progress_lines;
+  }
+  EXPECT_EQ(progress_lines, 10u) << r.output;
+  EXPECT_FALSE(slurp(beats).empty());
+  std::remove(beats.c_str());
 }
 
 TEST(CliTest, LedgerCompareGatesOnRegression) {
@@ -752,7 +787,8 @@ TEST(CliTest, CampaignLedgerCountersMatchRunCampaignSpec) {
                               " campaign --strikes 20000" + flags)
                   .exit_code,
               0);
-    const std::vector<obs::LedgerRecord> records = obs::read_ledger(ledger);
+    const std::vector<obs::LedgerRecord> records =
+        obs::scan_ledger(ledger).records;
     std::remove(ledger.c_str());
     ASSERT_EQ(records.size(), 1u) << flags;
     const obs::LedgerRecord& got = records[0];
@@ -866,6 +902,7 @@ TEST(CliTest, RunsListLastLimitsTheListing) {
 }
 
 TEST(CliTest, RunsListSkipsCorruptLedgerLinesWithAWarning) {
+  // Two runs with a torn append (a crashed writer) between them.
   const std::string ledger = temp_path("ftspm_cli_ledger_corrupt.jsonl");
   std::remove(ledger.c_str());
   ASSERT_EQ(
@@ -890,10 +927,19 @@ TEST(CliTest, RunsListSkipsCorruptLedgerLinesWithAWarning) {
   EXPECT_NE(listing.output.find("run-0"), std::string::npos);
   EXPECT_NE(listing.output.find("run-1"), std::string::npos);
 
-  // The strict compare gate still refuses the damaged file.
-  const CommandResult compare =
-      run_tool("--ledger " + ledger + " compare run-0 run-1");
-  EXPECT_NE(compare.exit_code, 0);
+  // compare reads the ledger the same way: it skips the torn line with
+  // the same warning, and run-N and @N name the runs runs list shows.
+  for (const char* refs : {"run-0 run-1", "run-0 @1", "@0 run-1"}) {
+    const CommandResult compare =
+        run_tool("--ledger " + ledger + " compare " + refs);
+    EXPECT_EQ(compare.exit_code, 0) << refs << "\n" << compare.output;
+    EXPECT_NE(compare.output.find("warning: ledger '" + ledger +
+                                  "' line 2 skipped"),
+              std::string::npos)
+        << compare.output;
+    EXPECT_NE(compare.output.find("no regression"), std::string::npos)
+        << compare.output;
+  }
   std::remove(ledger.c_str());
 }
 

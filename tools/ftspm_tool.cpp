@@ -240,37 +240,15 @@ std::vector<std::string> extract_global_options(int argc,
     if (take_value(arg, "--heartbeat-out", &g.heartbeat_out, i)) continue;
     if (take_value(arg, "--ledger", &g.ledger, i)) continue;
     if (take_value(arg, "--run-id", &g.run_id, i)) continue;
-    // stoul stops at the first non-digit, so "8x" would silently parse
-    // as 8; demand that the whole token was consumed.
-    auto parse_count = [](std::string_view name, const std::string& text,
-                          unsigned long max) {
-      try {
-        std::size_t consumed = 0;
-        const unsigned long v = std::stoul(text, &consumed);
-        if (consumed != text.size())
-          throw InvalidArgument(std::string(name) + " value '" + text +
-                                "' has trailing characters");
-        if (v > max)
-          throw InvalidArgument(std::string(name) + " must be at most " +
-                                std::to_string(max));
-        return v;
-      } catch (const InvalidArgument&) {
-        throw;
-      } catch (const std::exception&) {
-        throw InvalidArgument(std::string(name) +
-                              " requires a non-negative integer");
-      }
-    };
     std::string jobs_text;
     if (take_value(arg, "--jobs", &jobs_text, i)) {
-      g.jobs =
-          static_cast<std::uint32_t>(parse_count("--jobs", jobs_text, 1024));
+      g.jobs = static_cast<std::uint32_t>(parse_uint("--jobs", jobs_text, 1024));
       continue;
     }
     std::string interval_text;
     if (take_value(arg, "--heartbeat-interval-ms", &interval_text, i)) {
-      const unsigned long v =
-          parse_count("--heartbeat-interval-ms", interval_text, 3600000);
+      const std::uint64_t v =
+          parse_uint("--heartbeat-interval-ms", interval_text, 3600000);
       FTSPM_REQUIRE(v > 0, "--heartbeat-interval-ms must be positive");
       g.heartbeat_interval_ms = static_cast<std::uint32_t>(v);
       continue;
@@ -910,7 +888,6 @@ int cmd_campaign(int argc, const char* const* argv) {
   if (g_session != nullptr) {
     hooks.heartbeat.out_path = g_session->options().heartbeat_out;
     hooks.heartbeat.interval_ms = g_session->options().heartbeat_interval_ms;
-    hooks.heartbeat.stderr_line = progress_requested();
   }
   if (progress_requested()) {
     spec.heartbeat_strikes = std::max<std::uint64_t>(1, spec.strikes / 20);
@@ -1130,8 +1107,8 @@ int cmd_runs(int argc, const char* const* argv) {
                     args.positionals()[0] == "list",
                 "expected `runs list`");
   const std::string path = ledger_path_or_default();
-  // Lenient scan: a browsing command should list every run that did
-  // parse, not die on the first truncated line (compare stays strict).
+  // Lenient scan: list every run that did parse, not die on the first
+  // truncated line.
   const obs::LedgerScan scan = obs::scan_ledger(path);
   for (const std::string& warning : scan.warnings)
     std::cerr << "warning: " << warning << "\n";
@@ -1170,9 +1147,13 @@ int cmd_compare(int argc, const char* const* argv) {
   FTSPM_REQUIRE(args.positionals().size() == 2,
                 "expected two run references (id or index)");
   const std::string path = ledger_path_or_default();
-  const std::vector<obs::LedgerRecord> runs = obs::read_ledger(path);
-  const obs::LedgerRecord* a = obs::find_run(runs, args.positionals()[0]);
-  const obs::LedgerRecord* b = obs::find_run(runs, args.positionals()[1]);
+  const obs::LedgerScan scan = obs::scan_ledger(path);
+  for (const std::string& warning : scan.warnings)
+    std::cerr << "warning: " << warning << "\n";
+  const obs::LedgerRecord* a =
+      obs::find_run(scan.records, args.positionals()[0]);
+  const obs::LedgerRecord* b =
+      obs::find_run(scan.records, args.positionals()[1]);
   if (a == nullptr)
     throw InvalidArgument("run '" + args.positionals()[0] + "' not found in " +
                           path);
@@ -1543,7 +1524,9 @@ int main(int argc, char** argv) {
   try {
     return ftspm::dispatch(argc, argv);
   } catch (const ftspm::InvalidArgument& e) {
-    std::cerr << "error: " << e.what() << "\n";
+    // A user error prints its message alone: an FTSPM_REQUIRE's check
+    // text and source location are for bug reports, not for users.
+    std::cerr << "error: " << ftspm::check_message(e.what()) << "\n";
     std::cerr << "run `ftspm_tool help` for usage\n";
     return 2;
   } catch (const std::exception& e) {
