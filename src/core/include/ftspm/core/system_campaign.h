@@ -112,26 +112,22 @@ class TemporalCampaign {
 /// repository; the static campaign and the analytic Eqs. 1-7 are its
 /// successively coarser approximations, and tests assert the three
 /// agree in that order. A one-shard run of
-/// run_temporal_campaign_parallel on the calling thread; `grid`
-/// (nullable) accumulates every strike, and `obs` (nullable) is the
-/// runner's ExecConfig::obs.
+/// run_temporal_campaign_parallel on the calling thread with a default
+/// ExecConfig: no grid, no telemetry.
 CampaignResult run_temporal_campaign(const SpmLayout& layout,
                                      const MappingPlan& plan,
                                      const Program& program,
                                      const ProgramProfile& profile,
                                      const StrikeMultiplicityModel& strikes,
-                                     const CampaignConfig& config = {},
-                                     SensitivityGrid* grid = nullptr,
-                                     obs::Context* obs = nullptr);
+                                     const CampaignConfig& config = {});
 
 /// Sharded/parallel run_temporal_campaign (see ftspm/exec): for a
 /// fixed (seed, strikes, shard count) the merged counters are
-/// bit-identical across any jobs value. `grid` as in
-/// exec::run_campaign_sharded.
+/// bit-identical across any jobs value. exec_config.sensitivity_buckets
+/// grids the campaign's surfaces() into ShardedRun::sensitivity.
 exec::ShardedRun run_temporal_campaign_parallel(
     const SpmLayout& layout, const MappingPlan& plan, const Program& program,
     const ProgramProfile& profile, const StrikeMultiplicityModel& strikes,
-    const CampaignConfig& config, const exec::ExecConfig& exec_config,
-    SensitivityGrid* grid = nullptr);
+    const CampaignConfig& config, const exec::ExecConfig& exec_config);
 
 }  // namespace ftspm

@@ -1,7 +1,6 @@
 #include "ftspm/core/system_campaign.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "ftspm/util/error.h"
 
@@ -100,33 +99,27 @@ CampaignResult run_temporal_campaign(const SpmLayout& layout,
                                      const Program& program,
                                      const ProgramProfile& profile,
                                      const StrikeMultiplicityModel& strikes,
-                                     const CampaignConfig& config,
-                                     SensitivityGrid* grid,
-                                     obs::Context* obs) {
-  exec::ExecConfig exec;
-  exec.obs = obs;
+                                     const CampaignConfig& config) {
   return run_temporal_campaign_parallel(layout, plan, program, profile,
-                                        strikes, config, exec, grid)
+                                        strikes, config, {})
       .merged;
 }
 
 exec::ShardedRun run_temporal_campaign_parallel(
     const SpmLayout& layout, const MappingPlan& plan, const Program& program,
     const ProgramProfile& profile, const StrikeMultiplicityModel& strikes,
-    const CampaignConfig& config, const exec::ExecConfig& exec_config,
-    SensitivityGrid* grid) {
+    const CampaignConfig& config, const exec::ExecConfig& exec_config) {
   const TemporalCampaign campaign(layout, plan, program, profile, strikes);
-  SensitivityGrid own;
-  SensitivityGrid* target =
-      exec::sensitivity_target(grid, exec_config, campaign.surfaces(), own);
-  exec::ShardedRun run = exec::run_sharded_campaign(
-      config, exec_config, "temporal", TemporalCampaign::kSeedSalt, target,
+  return exec::run_sharded_campaign(
+      config, exec_config, "temporal", TemporalCampaign::kSeedSalt,
+      exec_config.sensitivity_buckets == 0
+          ? SensitivityGrid{}
+          : make_sensitivity_grid(campaign.surfaces(),
+                                  exec_config.sensitivity_buckets),
       [&](const exec::CampaignShard& shard, CampaignShardState& state,
           std::uint64_t max_strikes, SensitivityGrid* shard_grid) {
         campaign.run_chunk(shard.config, state, max_strikes, shard_grid);
       });
-  run.sensitivity = std::move(own);
-  return run;
 }
 
 }  // namespace ftspm

@@ -110,7 +110,7 @@ void TemporalCampaign::run_chunk(const CampaignConfig& config,
   CampaignScratch::Batch& batch = state.scratch.batch;
   detail::build_region_table(surfaces_, batch);
   const detail::FlipCutoffs cuts =
-      detail::make_flip_cutoffs(strikes_, config.max_flips);
+      detail::make_flip_cutoffs(strikes_, kMaxFlips);
   const BatchRegionInfo* const regions = batch.regions.data();
   const std::uint64_t* const pick_breaks = batch.pick_bits.data();
   const std::size_t region_count = batch.regions.size();
@@ -145,7 +145,7 @@ void TemporalCampaign::run_chunk(const CampaignConfig& config,
     std::uint8_t o = static_cast<std::uint8_t>(StrikeOutcome::Masked);
     if (occupant != nullptr) {
       const std::uint32_t flips =
-          detail::sample_flips_draw(rng, cuts, config.max_flips);
+          detail::sample_flips_draw(rng, cuts, kMaxFlips);
       o = detail::on_rng_copy(rng, [&](Rng& r) {
         return detail::classify_batch_strike(R, r, state.scratch, origin,
                                              flips);

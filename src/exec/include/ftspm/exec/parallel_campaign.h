@@ -15,7 +15,7 @@
 //
 // Determinism contract: for a fixed (seed, strikes, shard_count) the
 // merged counters are bit-identical across any jobs value, any chunk
-// size, and any suspend/resume schedule — each shard's sequence is a
+// schedule, and any suspend/resume schedule — each shard's sequence is a
 // pure function of its derived seed, and the merge is a plain sum in
 // shard order. Only shard_count changes results; shard_count == 1
 // keeps the root seed.
@@ -32,7 +32,6 @@
 #include "ftspm/fault/recovery.h"
 #include "ftspm/fault/sensitivity.h"
 #include "ftspm/fault/strike_model.h"
-#include "ftspm/util/error.h"
 
 namespace ftspm::obs {
 struct Context;
@@ -77,9 +76,6 @@ struct ExecConfig {
   std::string resume_path;
   /// Per-shard strikes between checkpoint writes.
   std::uint64_t checkpoint_interval = 1u << 20;
-  /// Scheduling granule: strikes a worker runs between bookkeeping
-  /// (progress, checkpoint, cancel checks). Never affects results.
-  std::uint64_t chunk_strikes = 1u << 16;
   /// Live telemetry (off unless out_path is set). Never affects
   /// results or deterministic artefacts.
   HeartbeatConfig heartbeat;
@@ -121,12 +117,15 @@ struct ExecConfig {
 
   std::uint32_t effective_jobs() const noexcept;
   std::uint32_t effective_shards() const noexcept;
-  /// chunk_strikes rounded up to a whole number of campaign batch
-  /// blocks (kCampaignBatchWidth) so workers hand the batched engine
-  /// full blocks; tiny explicit granules (below one block) are kept
-  /// verbatim. Like chunk_strikes itself, never affects results.
-  std::uint64_t effective_chunk_strikes() const noexcept;
 };
+
+/// Scheduling granule: the most strikes a worker runs between
+/// bookkeeping (progress, checkpoint, cancel checks). Chunks also end
+/// at each multiple of CampaignConfig::progress_interval when a
+/// progress callback is set. Never affects results.
+inline constexpr std::uint64_t kChunkStrikes = std::uint64_t{1} << 16;
+static_assert(kChunkStrikes % kCampaignBatchWidth == 0,
+              "chunks must hand the batched engines whole blocks");
 
 /// What a sharded run produced. `shard_results` holds per-shard
 /// partial counters in shard order (partials when halted).
@@ -161,10 +160,10 @@ using ShardChunkFn = std::function<void(
 /// the `campaign.strikes` / `campaign.vulnerable` counters, booked from
 /// each shard's counters after the join.
 ///
-/// `grid` (nullable, active) receives the run's strikes: each shard
-/// records into a zeroed copy, and the copies are added into `grid` in
-/// shard order after the join, so a caller's grid keeps accumulating
-/// across runs.
+/// `grid` is the run's zeroed sensitivity grid, which each kind builds
+/// over its regions from exec.sensitivity_buckets (inactive when that
+/// is 0). Each shard records into its own copy, and the copies are
+/// added in shard order after the join into ShardedRun::sensitivity.
 ///
 /// Root progress callbacks fire with globally aggregated strike
 /// counts, monotonically, completion exactly once. Each chunk ends at
@@ -172,33 +171,14 @@ using ShardChunkFn = std::function<void(
 /// run reports at exactly the multiples of the interval.
 ShardedRun run_sharded_campaign(const CampaignConfig& root,
                                 const ExecConfig& exec, std::string_view kind,
-                                std::uint64_t seed_salt, SensitivityGrid* grid,
+                                std::uint64_t seed_salt, SensitivityGrid grid,
                                 const ShardChunkFn& run_chunk);
 
-/// The grid a kind's run records into: `caller` when given; else
-/// `own`, built over `regions` when exec.sensitivity_buckets asks for
-/// one; else none. Passing both a grid and sensitivity_buckets is an
-/// error.
-template <typename Region>
-SensitivityGrid* sensitivity_target(SensitivityGrid* caller,
-                                    const ExecConfig& exec,
-                                    const std::vector<Region>& regions,
-                                    SensitivityGrid& own) {
-  if (exec.sensitivity_buckets == 0) return caller;
-  FTSPM_REQUIRE(caller == nullptr,
-                "pass a sensitivity grid or sensitivity_buckets, not both");
-  own = make_sensitivity_grid(regions, exec.sensitivity_buckets);
-  return &own;
-}
-
-/// The static injector campaign (fault/injector.h), sharded. `grid`
-/// (nullable) is the caller's grid, as in run_sharded_campaign; without
-/// it, exec.sensitivity_buckets fills ShardedRun::sensitivity.
+/// The static injector campaign (fault/injector.h), sharded.
 ShardedRun run_campaign_sharded(const std::vector<InjectionRegion>& regions,
                                 const StrikeMultiplicityModel& strikes,
                                 const CampaignConfig& config,
-                                const ExecConfig& exec,
-                                SensitivityGrid* grid = nullptr);
+                                const ExecConfig& exec);
 
 /// What a sharded recovery campaign produced: merged strike and
 /// recovery counters plus the per-shard partials, all in shard order.
@@ -217,13 +197,11 @@ struct RecoveryShardedRun {
 /// — never on --jobs. With `!policy.active()` this delegates to
 /// run_campaign_sharded, matching the static campaign bit for bit.
 /// Checkpoint/resume is rejected: the error planes are not serialized,
-/// so a resumed shard could not reconstruct its state. `grid` as in
-/// run_campaign_sharded.
+/// so a resumed shard could not reconstruct its state.
 RecoveryShardedRun run_recovery_campaign_sharded(
     const std::vector<RecoveryRegion>& regions,
     const StrikeMultiplicityModel& strikes, const CampaignConfig& config,
-    const RecoveryPolicy& policy, const ExecConfig& exec,
-    SensitivityGrid* grid = nullptr);
+    const RecoveryPolicy& policy, const ExecConfig& exec);
 
 }  // namespace ftspm::exec
 
@@ -231,26 +209,20 @@ namespace ftspm {
 
 /// Runs a campaign of uniformly-aimed strikes over the given surfaces
 /// (weighted by physical bits). Deterministic for a fixed config. A
-/// one-shard run of exec::run_campaign_sharded on the calling thread.
-/// `grid` (nullable) accumulates every strike's (region, origin bit,
-/// final outcome) — see fault/sensitivity.h; it never affects results.
-/// `obs` (nullable) is the runner's ExecConfig::obs.
+/// one-shard run of exec::run_campaign_sharded on the calling thread
+/// with a default ExecConfig: no grid, no telemetry.
 CampaignResult run_campaign(const std::vector<InjectionRegion>& regions,
                             const StrikeMultiplicityModel& strikes,
-                            const CampaignConfig& config = {},
-                            SensitivityGrid* grid = nullptr,
-                            obs::Context* obs = nullptr);
+                            const CampaignConfig& config = {});
 
 /// Recovery campaign (fault/recovery.h) as a one-shard run of
-/// exec::run_recovery_campaign_sharded on the calling thread. With
-/// `!policy.active()` this is exactly run_campaign; otherwise the
-/// live-array loop runs under `config.seed ^ LiveArrayCampaign::
-/// kSeedSalt`. `grid` and `obs` as in run_campaign.
+/// exec::run_recovery_campaign_sharded on the calling thread, as
+/// run_campaign is. With `!policy.active()` this is exactly
+/// run_campaign; otherwise the live-array loop runs under
+/// `config.seed ^ LiveArrayCampaign::kSeedSalt`.
 RecoveryResult run_recovery_campaign(const std::vector<RecoveryRegion>& regions,
                                      const StrikeMultiplicityModel& strikes,
                                      const CampaignConfig& config,
-                                     const RecoveryPolicy& policy,
-                                     SensitivityGrid* grid = nullptr,
-                                     obs::Context* obs = nullptr);
+                                     const RecoveryPolicy& policy);
 
 }  // namespace ftspm

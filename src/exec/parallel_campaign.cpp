@@ -24,12 +24,6 @@ std::uint32_t ExecConfig::effective_shards() const noexcept {
   return shards == 0 ? std::max<std::uint32_t>(effective_jobs(), 1) : shards;
 }
 
-std::uint64_t ExecConfig::effective_chunk_strikes() const noexcept {
-  if (chunk_strikes < kCampaignBatchWidth) return chunk_strikes;
-  const std::uint64_t rem = chunk_strikes % kCampaignBatchWidth;
-  return rem == 0 ? chunk_strikes : chunk_strikes + (kCampaignBatchWidth - rem);
-}
-
 namespace {
 
 /// Serializes the root progress callback across workers: counts are
@@ -241,12 +235,9 @@ void emit_observability(const std::vector<CampaignShardState>& states,
 
 ShardedRun run_sharded_campaign(const CampaignConfig& root,
                                 const ExecConfig& exec, std::string_view kind,
-                                std::uint64_t seed_salt, SensitivityGrid* grid,
+                                std::uint64_t seed_salt, SensitivityGrid grid,
                                 const ShardChunkFn& run_chunk) {
   FTSPM_REQUIRE(static_cast<bool>(run_chunk), "a chunk runner is required");
-  FTSPM_REQUIRE(exec.chunk_strikes >= 1, "chunk_strikes must be >= 1");
-  FTSPM_REQUIRE(grid == nullptr || grid->active(),
-                "the sensitivity grid must be active");
   const std::uint32_t jobs = exec.effective_jobs();
   const std::uint32_t shard_count = exec.effective_shards();
   const std::vector<CampaignShard> plan = make_shard_plan(root, shard_count);
@@ -316,31 +307,26 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
                     obs::TraceArg::num("seed", plan[i].config.seed)});
   }
 
-  // Per-shard sensitivity grids: zeroed copies of the caller's grid,
-  // each touched only by its shard's worker, added into `grid` in shard
+  // Per-shard sensitivity grids: zeroed copies of the run's grid,
+  // each touched only by its shard's worker, added into it in shard
   // order after the join.
   std::vector<SensitivityGrid> grids;
-  if (grid != nullptr)
-    grids.assign(shard_count,
-                 SensitivityGrid(grid->regions(), grid->buckets()));
+  if (grid.active()) grids.assign(shard_count, grid);
 
-  // Chunk schedule: at most one granule, cut at the shard's next
+  // Chunk schedule: at most kChunkStrikes, cut at the shard's next
   // multiple of the progress interval so a report can land exactly
   // there. Chunking never affects results.
-  const std::uint64_t granule = exec.effective_chunk_strikes();
   const std::uint64_t cut = root.progress ? root.progress_interval : 0;
-  const auto chunk_end = [granule, cut](std::uint64_t done,
-                                        std::uint64_t total) {
-    std::uint64_t step = std::min(granule, total - done);
+  const auto chunk_end = [cut](std::uint64_t done, std::uint64_t total) {
+    std::uint64_t step = std::min(kChunkStrikes, total - done);
     if (cut != 0) step = std::min(step, cut - done % cut);
     return done + step;
   };
   // How many chunks chunk_end makes of [done, total): whole granules
   // between consecutive cuts, in closed form.
-  const auto chunk_count = [granule, cut](std::uint64_t done,
-                                          std::uint64_t total) {
-    const auto granules = [granule](std::uint64_t n) {
-      return n / granule + (n % granule != 0 ? 1 : 0);
+  const auto chunk_count = [cut](std::uint64_t done, std::uint64_t total) {
+    const auto granules = [](std::uint64_t n) {
+      return n / kChunkStrikes + (n % kChunkStrikes != 0 ? 1 : 0);
     };
     if (cut == 0 || total - done <= cut - done % cut)
       return granules(total - done);
@@ -468,7 +454,8 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
   run.complete = true;
   for (std::uint32_t i = 0; i < shard_count; ++i)
     if (states[i].done < plan[i].config.strikes) run.complete = false;
-  for (const SensitivityGrid& shard_grid : grids) grid->merge_from(shard_grid);
+  for (const SensitivityGrid& shard_grid : grids) grid.merge_from(shard_grid);
+  run.sensitivity = std::move(grid);
 
   // One final write so a halted (or freshly finished) run leaves a
   // consistent resume point on disk.
@@ -512,19 +499,17 @@ ShardedRun run_sharded_campaign(const CampaignConfig& root,
 ShardedRun run_campaign_sharded(const std::vector<InjectionRegion>& regions,
                                 const StrikeMultiplicityModel& strikes,
                                 const CampaignConfig& config,
-                                const ExecConfig& exec,
-                                SensitivityGrid* grid) {
-  SensitivityGrid own;
-  ShardedRun run = run_sharded_campaign(
+                                const ExecConfig& exec) {
+  return run_sharded_campaign(
       config, exec, "static", /*seed_salt=*/0,
-      sensitivity_target(grid, exec, regions, own),
+      exec.sensitivity_buckets == 0
+          ? SensitivityGrid{}
+          : make_sensitivity_grid(regions, exec.sensitivity_buckets),
       [&](const CampaignShard& shard, CampaignShardState& state,
           std::uint64_t max_strikes, SensitivityGrid* shard_grid) {
         run_campaign_chunk(regions, strikes, shard.config, state, max_strikes,
                            shard_grid);
       });
-  run.sensitivity = std::move(own);
-  return run;
 }
 
 namespace {
@@ -568,8 +553,7 @@ void emit_recovery_observability(const RecoveryShardedRun& run,
 RecoveryShardedRun run_recovery_campaign_sharded(
     const std::vector<RecoveryRegion>& regions,
     const StrikeMultiplicityModel& strikes, const CampaignConfig& config,
-    const RecoveryPolicy& policy, const ExecConfig& exec,
-    SensitivityGrid* grid) {
+    const RecoveryPolicy& policy, const ExecConfig& exec) {
   RecoveryShardedRun out;
   if (!policy.active()) {
     // Static semantics: reuse the static sharded path (including its
@@ -577,7 +561,7 @@ RecoveryShardedRun run_recovery_campaign_sharded(
     std::vector<InjectionRegion> inject;
     inject.reserve(regions.size());
     for (const RecoveryRegion& r : regions) inject.push_back(r.inject);
-    ShardedRun run = run_campaign_sharded(inject, strikes, config, exec, grid);
+    ShardedRun run = run_campaign_sharded(inject, strikes, config, exec);
     out.complete = run.complete;
     out.merged = RecoveryResult{run.merged, {}};
     out.shard_results.reserve(run.shard_results.size());
@@ -595,9 +579,11 @@ RecoveryShardedRun run_recovery_campaign_sharded(
   // sides live here, indexed by shard, touched only by that shard's
   // worker, which sizes its planes at first use.
   std::vector<RecoveryShardSide> sides(exec.effective_shards());
-  const ShardedRun run = run_sharded_campaign(
+  ShardedRun run = run_sharded_campaign(
       config, exec, "recovery", LiveArrayCampaign::kSeedSalt,
-      sensitivity_target(grid, exec, regions, out.sensitivity),
+      exec.sensitivity_buckets == 0
+          ? SensitivityGrid{}
+          : make_sensitivity_grid(regions, exec.sensitivity_buckets),
       [&](const CampaignShard& shard, CampaignShardState& state,
           std::uint64_t max_strikes, SensitivityGrid* shard_grid) {
         RecoveryShardSide& side = sides[shard.index];
@@ -607,6 +593,7 @@ RecoveryShardedRun run_recovery_campaign_sharded(
       });
 
   out.complete = run.complete;
+  out.sensitivity = std::move(run.sensitivity);
   out.shard_results.reserve(run.shard_results.size());
   for (std::size_t i = 0; i < run.shard_results.size(); ++i)
     out.shard_results.push_back(
@@ -626,24 +613,16 @@ namespace ftspm {
 
 CampaignResult run_campaign(const std::vector<InjectionRegion>& regions,
                             const StrikeMultiplicityModel& strikes,
-                            const CampaignConfig& config,
-                            SensitivityGrid* grid, obs::Context* obs) {
-  exec::ExecConfig exec;
-  exec.obs = obs;
-  return exec::run_campaign_sharded(regions, strikes, config, exec, grid)
-      .merged;
+                            const CampaignConfig& config) {
+  return exec::run_campaign_sharded(regions, strikes, config, {}).merged;
 }
 
 RecoveryResult run_recovery_campaign(const std::vector<RecoveryRegion>& regions,
                                      const StrikeMultiplicityModel& strikes,
                                      const CampaignConfig& config,
-                                     const RecoveryPolicy& policy,
-                                     SensitivityGrid* grid,
-                                     obs::Context* obs) {
-  exec::ExecConfig exec;
-  exec.obs = obs;
+                                     const RecoveryPolicy& policy) {
   return exec::run_recovery_campaign_sharded(regions, strikes, config, policy,
-                                             exec, grid)
+                                             {})
       .merged;
 }
 

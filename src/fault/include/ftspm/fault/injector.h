@@ -56,7 +56,6 @@ struct InjectionRegion {
 struct CampaignConfig {
   std::uint64_t strikes = 100'000;
   std::uint64_t seed = 0x57a1ce5eed;
-  std::uint32_t max_flips = 16;
 
   /// When non-zero, `progress` is invoked every `progress_interval`
   /// strikes and once at completion with (strikes_done, strikes_total).
@@ -91,8 +90,7 @@ class SensitivityGrid;
 /// Strikes per block of the static campaign engine: it tallies and
 /// records (sensitivity grid) this many strikes at a time
 /// (docs/performance.md, "Batched classification"). Block size is pure
-/// scheduling — any width yields bit-identical results — and tests pin
-/// that by overriding CampaignScratch::Batch::width.
+/// scheduling: a chunk that ends mid-block yields the same results.
 inline constexpr std::uint32_t kCampaignBatchWidth = 256;
 
 /// Widest codeword the run-outcome tables cover: 64 data bits plus the
@@ -156,34 +154,28 @@ struct BatchRegionInfo {
 
 /// Reusable hot-loop scratch of one campaign shard. The engines'
 /// general (interleaved) classify path records each strike's per-word
-/// hits in the fixed inline array (`flips <= kInlineHits` covers any
-/// realistic CampaignConfig::max_flips) and only falls back to the
-/// heap — once, then reusing the buffer — beyond it, and the chunk
-/// loop keeps its batch workspace here across calls; together the
-/// campaign inner loop performs no per-strike allocation. Scratch is
-/// pure workspace: it never affects results and is not checkpointed.
+/// hits in the fixed inline array, which holds every flip of a strike
+/// (at most kMaxFlips), and the chunk loop keeps its batch workspace
+/// here across calls; together the campaign inner loop performs no
+/// per-strike allocation. Scratch is pure workspace: it never affects
+/// results and is not checkpointed.
 struct CampaignScratch {
   static constexpr std::uint32_t kInlineHits = 64;
+  static_assert(kMaxFlips <= kInlineHits, "a strike's hits must fit inline");
   /// (word index, bit-in-codeword) hits of the strike being classified.
   std::array<std::pair<std::uint64_t, std::uint32_t>, kInlineHits> hits;
-  /// Spill buffer for strikes with more than kInlineHits surviving
-  /// flips; cleared, not shrunk, so it allocates at most once.
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> spill;
 
   /// Workspace of the batched chunk engines. All three (static,
   /// recovery, temporal) rebuild the shard's region aim table here at
   /// the start of each chunk. run_campaign_chunk also draws
-  /// and classifies one block of `width` strikes at a time, in the
-  /// documented draw order; when a sensitivity grid is attached it
-  /// records each strike's region, origin and final outcome in the
-  /// per-strike arrays and replays them into the grid after the block
-  /// (without a grid it stores nothing per strike). All
-  /// vectors are sized on first use and reused for the whole campaign.
+  /// and classifies one block of kCampaignBatchWidth strikes at a
+  /// time, in the documented draw order; when a sensitivity grid is
+  /// attached it records each strike's region, origin and final
+  /// outcome in the per-strike arrays and replays them into the grid
+  /// after the block (without a grid it stores nothing per strike).
+  /// The vectors are sized on first use and reused for the whole
+  /// campaign; the per-strike arrays hold one block.
   struct Batch {
-    /// Block width. kCampaignBatchWidth for real campaigns; tests set
-    /// other values (down to 1) to pin width-invariance of results.
-    std::uint32_t width = kCampaignBatchWidth;
-
     /// Region aim table, rebuilt per chunk by every batched engine.
     std::vector<BatchRegionInfo> regions;
     /// The regions' pick weights (physical bits), the input of the
@@ -202,9 +194,9 @@ struct CampaignScratch {
     std::size_t pick_fallback = 0;
 
     // Per-strike arrays, indexed by slot in the current block.
-    std::vector<std::uint32_t> region_of;
-    std::vector<std::uint64_t> origin;
-    std::vector<std::uint8_t> outcome;  ///< StrikeOutcome, after ACE.
+    std::array<std::uint32_t, kCampaignBatchWidth> region_of;
+    std::array<std::uint64_t, kCampaignBatchWidth> origin;
+    std::array<std::uint8_t, kCampaignBatchWidth> outcome;  ///< After ACE.
   };
   Batch batch;
 };

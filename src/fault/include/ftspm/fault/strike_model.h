@@ -17,6 +17,10 @@
 
 namespace ftspm {
 
+/// Most bits one strike flips: the ">3" tail is capped here by every
+/// campaign and, by default, by the analytic pmf.
+inline constexpr std::uint32_t kMaxFlips = 16;
+
 /// Distribution of flips-per-strike at one process node.
 class StrikeMultiplicityModel {
  public:
@@ -41,14 +45,15 @@ class StrikeMultiplicityModel {
 
   /// Samples a concrete flip count. The ">3" tail is drawn as
   /// 4 + Geometric(1/2), capped at `max_flips`.
-  std::uint32_t sample_flips(Rng& rng, std::uint32_t max_flips = 16) const;
+  std::uint32_t sample_flips(Rng& rng,
+                             std::uint32_t max_flips = kMaxFlips) const;
 
   /// The concrete probability mass function the sampler realises:
   /// index k (1-based) holds P(exactly k flips); the ">3" tail is
   /// spread as 4 + Geometric(1/2) truncated at `max_flips`. Sums to 1.
   /// This is what makes the analytic equations and the Monte-Carlo
   /// campaign agree on the tail.
-  std::vector<double> pmf(std::uint32_t max_flips = 16) const;
+  std::vector<double> pmf(std::uint32_t max_flips = kMaxFlips) const;
 
  private:
   double p1_, p2_, p3_, p_gt3_;

@@ -5,7 +5,7 @@
 // branch overhead: re-validated weight tables, hardware divides for the
 // aim arithmetic, a generic per-word classify call, and observer/grid
 // virtual-ish hops for every strike. This engine processes strikes in
-// blocks of CampaignScratch::Batch::width:
+// blocks of kCampaignBatchWidth:
 //
 //  stage 1 — sequential generation + run-table classification. Each
 //      slot draws its region, origin, and flip count from the shard RNG
@@ -119,11 +119,6 @@ bool lut_classifiable(ProtectionKind protection, std::uint32_t check_bits) {
     // word-sorted, grouped — the shape of the per-strike classifier.
     using WordHit = std::pair<std::uint64_t, std::uint32_t>;
     WordHit* hits = scratch.hits.data();
-    if (flips > CampaignScratch::kInlineHits) {
-      scratch.spill.clear();
-      scratch.spill.resize(flips);
-      hits = scratch.spill.data();
-    }
     std::size_t n = 0;
     detail::for_each_interleaved_bit(
         R, origin, flips, [&](std::uint64_t word, std::uint32_t bit) {
@@ -368,7 +363,6 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
                         SensitivityGrid* grid) {
   FTSPM_REQUIRE(!regions.empty(), "campaign needs at least one region");
   CampaignScratch::Batch& batch = state.scratch.batch;
-  FTSPM_REQUIRE(batch.width >= 1, "batch width must be >= 1");
 
   const std::uint64_t end =
       std::min(config.strikes, state.done + max_strikes);
@@ -382,22 +376,12 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
   // Flip-count cutoffs in the draw-bits domain (see make_flip_cutoffs
   // for the exactness argument).
   const detail::FlipCutoffs cuts =
-      detail::make_flip_cutoffs(strikes, config.max_flips);
+      detail::make_flip_cutoffs(strikes, kMaxFlips);
 
-  // A block tallies at most `block` outcomes and flushes its packed
-  // tally at the end, so capping the block at the tally's capacity
-  // keeps every lane from wrapping; block width is pure scheduling.
-  const std::uint32_t width =
-      std::min(batch.width, OutcomeTally::kCapacity);
-
-  // Only a grid reads per-strike state; only then are the per-slot
-  // arrays filled (see the header comment).
-  const bool record = grid != nullptr;
-  if (record) {
-    batch.region_of.resize(width);
-    batch.origin.resize(width);
-    batch.outcome.resize(width);
-  }
+  // A block tallies at most kCampaignBatchWidth outcomes and flushes
+  // its packed tally at the end, so no lane wraps.
+  static_assert(kCampaignBatchWidth <= OutcomeTally::kCapacity,
+                "a block must fit the packed tally's lanes");
 
   // Hot-loop locals. The generator runs as a local copy (written back
   // once per chunk, lent to out-of-line classifiers only through
@@ -419,9 +403,10 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
     constexpr bool kRecord = decltype(recording)::value;
     Rng rng = state.rng;
     OutcomeTally tally;
-    for (std::uint64_t base = state.done; base < end; base += width) {
+    for (std::uint64_t base = state.done; base < end;
+         base += kCampaignBatchWidth) {
       const auto block = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(width, end - base));
+          std::min<std::uint64_t>(kCampaignBatchWidth, end - base));
 
       // ---- Stages 1 and 2: draw, classify, ACE-filter, tally.
       for (std::uint32_t slot = 0; slot < block; ++slot) {
@@ -430,7 +415,7 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
         const BatchRegionInfo& R = region_table[ri];
         const std::uint64_t origin = rng.next_below(R.physical_bits);
         const std::uint32_t flips =
-            detail::sample_flips_draw(rng, cuts, config.max_flips);
+            detail::sample_flips_draw(rng, cuts, kMaxFlips);
 
         std::uint8_t outcome;
         if (R.protection == ProtectionKind::Immune) {
@@ -470,7 +455,7 @@ void run_campaign_chunk(const std::vector<InjectionRegion>& regions,
     }
     state.rng = rng;
   };
-  if (record)
+  if (grid != nullptr)
     run_blocks(std::true_type{});
   else
     run_blocks(std::false_type{});

@@ -411,7 +411,7 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
   const std::size_t region_count = batch.regions.size();
   const std::size_t pick_fallback = batch.pick_fallback;
   const detail::FlipCutoffs cuts =
-      detail::make_flip_cutoffs(strikes_, config.max_flips);
+      detail::make_flip_cutoffs(strikes_, kMaxFlips);
 
   // The generator runs as a local copy, written back once per chunk and
   // lent to the out-of-line demand read, interleaved strike and scrub
@@ -437,7 +437,7 @@ void LiveArrayCampaign::run_chunk(const CampaignConfig& config,
     const RecoveryRow& R = rows_[ri];
     const std::uint64_t origin = rng.next_below(A.physical_bits);
     const std::uint32_t flips =
-        detail::sample_flips_draw(rng, cuts, config.max_flips);
+        detail::sample_flips_draw(rng, cuts, kMaxFlips);
 
     StrikeOutcome outcome = StrikeOutcome::Masked;
     if (A.protection == ProtectionKind::Immune) {

@@ -27,7 +27,6 @@ class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept { value_ += n; }
   std::uint64_t value() const noexcept { return value_; }
-  void reset() noexcept { value_ = 0; }
 
  private:
   std::uint64_t value_ = 0;
@@ -38,7 +37,6 @@ class Gauge {
  public:
   void set(double v) noexcept { value_ = v; }
   double value() const noexcept { return value_; }
-  void reset() noexcept { value_ = 0.0; }
 
  private:
   double value_ = 0.0;
@@ -72,7 +70,6 @@ class Histogram {
   /// pure function of the bucket counts, so snapshots stay
   /// deterministic.
   double quantile(double q) const noexcept;
-  void reset() noexcept;
 
   /// Adds `other`'s observations into this histogram (bucket-wise).
   /// Requires identical bucket bounds.
@@ -99,7 +96,6 @@ class TimerStat {
   std::uint64_t count() const noexcept { return count_; }
   std::uint64_t total_ns() const noexcept { return total_ns_; }
   std::uint64_t max_ns() const noexcept { return max_ns_; }
-  void reset() noexcept { count_ = total_ns_ = max_ns_ = 0; }
 
   /// Folds another accumulator's summary in (count/total add, max
   /// keeps the larger).
@@ -149,12 +145,6 @@ class Registry {
   std::string to_json(const SnapshotOptions& options = {}) const;
   /// Flat CSV: kind,name,field,value — one row per scalar.
   std::string to_csv(const SnapshotOptions& options = {}) const;
-
-  /// Zeroes every instrument but keeps registrations (and histogram
-  /// bucket layouts) so cached handles stay valid.
-  void reset_values();
-  /// Drops every instrument. Invalidates cached handles.
-  void clear();
 
   /// Folds `other`'s instruments into this registry: counters and
   /// timers add, histograms merge bucket-wise (created here on first

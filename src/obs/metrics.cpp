@@ -51,12 +51,6 @@ double Histogram::quantile(double q) const noexcept {
   return max_;
 }
 
-void Histogram::reset() noexcept {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-  sum_ = min_ = max_ = 0.0;
-}
-
 void Histogram::merge_from(const Histogram& other) {
   FTSPM_REQUIRE(bounds_ == other.bounds_,
                 "cannot merge histograms with different bucket bounds");
@@ -256,26 +250,6 @@ std::string Registry::to_csv(const SnapshotOptions& options) const {
     }
   }
   return out;
-}
-
-void Registry::reset_values() {
-  for (auto& [name, c] : counters_) c.reset();
-  for (auto& [name, g] : gauges_) g.reset();
-  for (auto& [name, h] : histograms_) h.reset();
-  for (auto& [name, t] : timers_) t.reset();
-  for (auto& [name, series] : labelled_counters_)
-    for (auto& [labels, c] : series) c.reset();
-  for (auto& [name, family] : labelled_histograms_)
-    for (auto& [labels, h] : family.series) h.reset();
-}
-
-void Registry::clear() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-  timers_.clear();
-  labelled_counters_.clear();
-  labelled_histograms_.clear();
 }
 
 void Registry::merge_from(const Registry& other) {

@@ -19,8 +19,9 @@
 
 namespace ftspm {
 
-/// Injects one m-bit adjacent upset starting at `first_bit` of a region
-/// and classifies it (ACE filtering excluded — pure code behaviour).
+/// Injects one m-bit adjacent upset (1 <= m <= CampaignScratch::
+/// kInlineHits) starting at `first_bit` of a region and classifies it
+/// (ACE filtering excluded — pure code behaviour).
 ///
 /// Classification runs on the codecs' syndrome kernel
 /// (classify_pattern): parity and SEC-DED are linear, so the outcome

@@ -268,8 +268,7 @@ void RecoveryReference::run_chunk(const CampaignConfig& config,
     const RecoveryRegion& region = regions_[ri];
     const std::uint64_t surface = region.inject.geometry.physical_bits();
     const std::uint64_t origin = core.rng.next_below(surface);
-    const std::uint32_t flips =
-        strikes_.sample_flips(core.rng, config.max_flips);
+    const std::uint32_t flips = strikes_.sample_flips(core.rng);
 
     StrikeOutcome outcome = StrikeOutcome::Masked;
     if (region.inject.protection != ProtectionKind::Immune) {

@@ -147,18 +147,15 @@ StrikeOutcome classify_strike(const InjectionRegion& region,
                               std::uint64_t first_bit, std::uint32_t flips,
                               Rng& rng, CampaignScratch& scratch) {
   FTSPM_REQUIRE(flips >= 1, "a strike flips at least one bit");
+  FTSPM_REQUIRE(flips <= CampaignScratch::kInlineHits,
+                "a strike's flips must fit the scratch hit array");
   if (region.protection == ProtectionKind::Immune)
     return StrikeOutcome::Masked;
 
   const std::uint64_t surface = region.geometry.physical_bits();
   FTSPM_REQUIRE(first_bit < surface, "strike origin outside the region");
 
-  WordHit* hits = scratch.hits.data();
-  if (flips > CampaignScratch::kInlineHits) {
-    scratch.spill.clear();
-    scratch.spill.resize(flips);
-    hits = scratch.spill.data();
-  }
+  WordHit* const hits = scratch.hits.data();
   const std::size_t n = gather_hits(region, first_bit, flips, surface, hits);
   return classify_hits(region.protection, hits, n, rng);
 }
@@ -166,9 +163,7 @@ StrikeOutcome classify_strike(const InjectionRegion& region,
 StrikeOutcome classify_strike(const InjectionRegion& region,
                               std::uint64_t first_bit, std::uint32_t flips,
                               Rng& rng) {
-  // The inline hit array lives on the stack; only pathological flip
-  // counts (> kInlineHits) cost an allocation on this scratch-less
-  // convenience overload.
+  // The inline hit array lives on the stack.
   CampaignScratch scratch;
   return classify_strike(region, first_bit, flips, rng, scratch);
 }
@@ -222,7 +217,7 @@ CampaignResult reference_campaign(const std::vector<InjectionRegion>& regions,
     const InjectionRegion& region = regions[idx];
     const std::uint64_t origin =
         rng.next_below(region.geometry.physical_bits());
-    const std::uint32_t flips = model.sample_flips(rng, cfg.max_flips);
+    const std::uint32_t flips = model.sample_flips(rng);
     StrikeOutcome o = classify_strike(region, origin, flips, rng, scratch);
     if (o != StrikeOutcome::Masked && !rng.next_bool(region.ace_occupancy))
       o = StrikeOutcome::Masked;

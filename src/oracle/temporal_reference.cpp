@@ -71,8 +71,7 @@ void TemporalReference::run_chunk(const CampaignConfig& config,
 
     StrikeOutcome outcome = StrikeOutcome::Masked;
     if (occupant != nullptr) {
-      const std::uint32_t flips =
-          strikes_.sample_flips(state.rng, config.max_flips);
+      const std::uint32_t flips = strikes_.sample_flips(state.rng);
       outcome =
           classify_strike(surface, origin, flips, state.rng, state.scratch);
       if (outcome != StrikeOutcome::Masked &&

@@ -8,21 +8,16 @@
 
 namespace ftspm {
 
-ArgParser::ArgParser(std::string program, std::string summary)
-    : program_(std::move(program)), summary_(std::move(summary)) {}
-
-ArgParser& ArgParser::add_flag(const std::string& name, std::string help) {
+ArgParser& ArgParser::add_flag(const std::string& name) {
   FTSPM_REQUIRE(!specs_.count(name), "duplicate option --" + name);
-  specs_[name] = Spec{std::move(help), false, "", false};
-  order_.push_back(name);
+  specs_[name] = Spec{false, "", false};
   return *this;
 }
 
-ArgParser& ArgParser::add_option(const std::string& name, std::string help,
+ArgParser& ArgParser::add_option(const std::string& name,
                                  std::string default_value) {
   FTSPM_REQUIRE(!specs_.count(name), "duplicate option --" + name);
-  specs_[name] = Spec{std::move(help), true, std::move(default_value), false};
-  order_.push_back(name);
+  specs_[name] = Spec{true, std::move(default_value), false};
   return *this;
 }
 
@@ -166,18 +161,6 @@ double ArgParser::option_double(const std::string& name, double min_value,
     throw InvalidArgument(os.str());
   }
   return v;
-}
-
-std::string ArgParser::usage() const {
-  std::ostringstream os;
-  os << program_ << " — " << summary_ << "\n";
-  for (const std::string& name : order_) {
-    const Spec& spec = specs_.at(name);
-    os << "  --" << name;
-    if (spec.takes_value) os << " <value (default: " << spec.value << ")>";
-    os << "\n      " << spec.help << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace ftspm

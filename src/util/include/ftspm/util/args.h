@@ -1,7 +1,8 @@
 // Minimal command-line argument parsing for the ftspm_tool driver and
 // the examples. Supports `--flag`, `--option value`, `--option=value`,
 // and positional arguments; unknown options are errors. No external
-// dependencies, deterministic help text.
+// dependencies. The options each command takes are documented in
+// docs/cli.md, the tool's one manual.
 #pragma once
 
 #include <cstdint>
@@ -20,15 +21,11 @@ std::uint64_t parse_uint(const std::string& flag, const std::string& raw,
 
 class ArgParser {
  public:
-  /// `program` and `summary` head the usage text.
-  ArgParser(std::string program, std::string summary);
-
   /// Registers a boolean `--name` flag.
-  ArgParser& add_flag(const std::string& name, std::string help);
+  ArgParser& add_flag(const std::string& name);
 
   /// Registers a value-taking `--name <value>` option with a default.
-  ArgParser& add_option(const std::string& name, std::string help,
-                        std::string default_value);
+  ArgParser& add_option(const std::string& name, std::string default_value);
 
   /// Parses argv[start..). Throws InvalidArgument on unknown options,
   /// missing values, or malformed numbers requested later.
@@ -52,11 +49,8 @@ class ArgParser {
     return positionals_;
   }
 
-  std::string usage() const;
-
  private:
   struct Spec {
-    std::string help;
     bool takes_value = false;
     std::string value;  // default, then parsed
     bool seen = false;
@@ -64,10 +58,7 @@ class ArgParser {
 
   const Spec& known(const std::string& name) const;
 
-  std::string program_;
-  std::string summary_;
   std::map<std::string, Spec> specs_;
-  std::vector<std::string> order_;
   std::vector<std::string> positionals_;
 };
 

@@ -109,8 +109,10 @@ JsonValue parse_json(std::string_view text);
 
 /// Parses newline-delimited JSON (NDJSON): one document per line,
 /// blank lines skipped, CR tolerated before LF. Each line is parsed
-/// strictly; errors are rethrown with a 1-based line number. Used by
-/// the event-log and run-ledger readers.
+/// strictly; errors are rethrown with a 1-based line number. Tests use
+/// it to read whole event logs, heartbeat streams and ledgers; the
+/// ledger scanner splits its lines itself, to skip a bad one with a
+/// warning instead of throwing.
 std::vector<JsonValue> parse_ndjson(std::string_view text);
 
 }  // namespace ftspm

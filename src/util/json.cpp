@@ -475,9 +475,9 @@ JsonValue parse_json(std::string_view text) {
 }
 
 std::vector<JsonValue> parse_ndjson(std::string_view text) {
-  // Whole-document convenience wrapper over the incremental framer so
-  // ledger / event-log readers share one NDJSON path with the socket
-  // layer. Cap 0: callers hand us trusted local files of any size.
+  // Whole-document convenience wrapper over the incremental framer, so
+  // it frames lines exactly as the socket layer does. Cap 0: callers
+  // hand it whole local files of any size.
   NdjsonReader reader(0);
   reader.feed(text);
   reader.finish();

@@ -119,7 +119,6 @@ TEST(ParallelTemporalCampaignTest, JobsInvariantAndResumable) {
   std::atomic<bool> cancel{false};
   exec::ExecConfig halted = four;
   halted.checkpoint_path = path;
-  halted.chunk_strikes = 1'000;
   halted.cancel = &cancel;
   CampaignConfig cancelling = cfg;
   cancelling.progress_interval = 1'000;
@@ -151,9 +150,9 @@ TEST(ParallelTemporalCampaignTest, SensitivityGridIsJobsInvariant) {
                             f.workload.program, f.profile,
                             f.evaluator.strike_model());
   SensitivityGrid serial = make_sensitivity_grid(campaign.surfaces(), 24);
-  run_temporal_campaign(f.evaluator.ftspm_layout(), f.ftspm.plan,
-                        f.workload.program, f.profile,
-                        f.evaluator.strike_model(), cfg, &serial);
+  CampaignShardState state =
+      begin_campaign_shard(cfg.seed ^ TemporalCampaign::kSeedSalt);
+  campaign.run_chunk(cfg, state, cfg.strikes, &serial);
 
   std::string first;
   for (std::uint32_t jobs : {1u, 4u}) {

@@ -66,7 +66,6 @@ std::string halfway_checkpoint(const RunFn& run, const CampaignConfig& cfg,
   ExecConfig exec;
   exec.shards = kShards;
   exec.checkpoint_path = path;
-  exec.chunk_strikes = 500;
   exec.cancel = &cancel;
   CampaignConfig cancelling = cfg;
   cancelling.progress_interval = 500;

@@ -78,7 +78,6 @@ TEST(ParallelCampaignTest, OneShardReproducesTheSerialCampaign) {
 /// What one campaign call leaves in the telemetry of the context it is
 /// handed, a context with an event log and a trace.
 struct Telemetry {
-  std::string metrics;
   std::string events;
   std::string trace;
   std::uint64_t strikes = 0;     ///< The campaign.strikes counter.
@@ -94,7 +93,6 @@ Telemetry capture(Run&& run) {
   ctx.trace = &trace;
   run(&ctx);
   Telemetry t;
-  t.metrics = ctx.registry.to_json();
   t.events = events.str();
   t.trace = trace.str();
   t.strikes = ctx.registry.counter("campaign.strikes").value();
@@ -109,38 +107,29 @@ ExecConfig exec_with(obs::Context* obs) {
   return exec;
 }
 
-/// A serial entry point is a one-shard run of the campaign runner: it
-/// leaves the same registry snapshot, event log and trace as the
-/// sharded call with a default ExecConfig, and the runner's counters
-/// agree with the result.
-void expect_serial_is_one_shard(const char* kind, const Telemetry& serial,
-                                const Telemetry& sharded,
+/// A serial entry point is a one-shard run of the campaign runner: its
+/// result is the sharded call's with a default ExecConfig, and that
+/// call books the runner's records and counters, which agree with it.
+void expect_serial_is_one_shard(const char* kind, const Telemetry& sharded,
                                 const CampaignResult& result) {
   SCOPED_TRACE(kind);
-  EXPECT_EQ(serial.metrics, sharded.metrics);
-  EXPECT_EQ(serial.events, sharded.events);
-  EXPECT_EQ(serial.trace, sharded.trace);
-  EXPECT_NE(serial.events.find("\"phase_start\""), std::string::npos);
-  EXPECT_NE(serial.trace.find("shard0"), std::string::npos);
-  EXPECT_EQ(serial.strikes, result.strikes);
-  EXPECT_EQ(serial.vulnerable, result.due + result.sdc);
+  EXPECT_NE(sharded.events.find("\"phase_start\""), std::string::npos);
+  EXPECT_NE(sharded.trace.find("shard0"), std::string::npos);
   EXPECT_EQ(sharded.strikes, result.strikes);
+  EXPECT_EQ(sharded.vulnerable, result.due + result.sdc);
 }
 
 TEST(ParallelCampaignTest, SerialEntryPointsAreOneShardRuns) {
   CampaignConfig cfg;
   cfg.strikes = 20'000;
 
-  CampaignResult result;
-  const Telemetry serial_static = capture([&](obs::Context* obs) {
-    result = run_campaign(surfaces(), model(), cfg, nullptr, obs);
-  });
+  CampaignResult result = run_campaign(surfaces(), model(), cfg);
   const Telemetry sharded_static = capture([&](obs::Context* obs) {
     expect_same(
         run_campaign_sharded(surfaces(), model(), cfg, exec_with(obs)).merged,
         result);
   });
-  expect_serial_is_one_shard("static", serial_static, sharded_static, result);
+  expect_serial_is_one_shard("static", sharded_static, result);
 
   const TechnologyLibrary lib;
   RecoveryRegion live;
@@ -152,29 +141,22 @@ TEST(ParallelCampaignTest, SerialEntryPointsAreOneShardRuns) {
   RecoveryPolicy policy;
   policy.recover = true;
   policy.scrub_interval = 1'024;
-  const Telemetry serial_recovery = capture([&](obs::Context* obs) {
-    result = run_recovery_campaign({live}, model(), cfg, policy, nullptr, obs)
-                 .strikes;
-  });
+  result = run_recovery_campaign({live}, model(), cfg, policy).strikes;
   const Telemetry sharded_recovery = capture([&](obs::Context* obs) {
     expect_same(run_recovery_campaign_sharded({live}, model(), cfg, policy,
                                               exec_with(obs))
                     .merged.strikes,
                 result);
   });
-  expect_serial_is_one_shard("recovery", serial_recovery, sharded_recovery,
-                             result);
+  expect_serial_is_one_shard("recovery", sharded_recovery, result);
 
   const Workload w = make_case_study(CaseStudyTargets{}.scaled_down(8));
   const ProgramProfile profile = profile_workload(w);
   const StructureEvaluator evaluator;
   const SystemResult sys = evaluator.evaluate_ftspm(w, profile);
-  const Telemetry serial_temporal = capture([&](obs::Context* obs) {
-    result = run_temporal_campaign(evaluator.ftspm_layout(), sys.plan,
-                                   w.program, profile,
-                                   evaluator.strike_model(), cfg, nullptr,
-                                   obs);
-  });
+  result = run_temporal_campaign(evaluator.ftspm_layout(), sys.plan,
+                                 w.program, profile, evaluator.strike_model(),
+                                 cfg);
   const Telemetry sharded_temporal = capture([&](obs::Context* obs) {
     expect_same(run_temporal_campaign_parallel(
                     evaluator.ftspm_layout(), sys.plan, w.program, profile,
@@ -182,8 +164,7 @@ TEST(ParallelCampaignTest, SerialEntryPointsAreOneShardRuns) {
                     .merged,
                 result);
   });
-  expect_serial_is_one_shard("temporal", serial_temporal, sharded_temporal,
-                             result);
+  expect_serial_is_one_shard("temporal", sharded_temporal, result);
 }
 
 TEST(ParallelCampaignTest, ResultsIdenticalAcrossJobCounts) {
@@ -234,12 +215,15 @@ TEST(ParallelCampaignTest, MergedEqualsIndependentPerShardRuns) {
 TEST(ParallelCampaignTest, ChunkSizeNeverChangesResults) {
   CampaignConfig cfg;
   cfg.strikes = 9'000;
-  ExecConfig coarse;
-  coarse.shards = 2;
-  ExecConfig fine = coarse;
-  fine.chunk_strikes = 577;  // forces many oddly-aligned chunks
-  const ShardedRun a = run_campaign_sharded(surfaces(), model(), cfg, coarse);
-  const ShardedRun b = run_campaign_sharded(surfaces(), model(), cfg, fine);
+  ExecConfig exec;
+  exec.shards = 2;
+  // Progress cuts end a chunk at every multiple of 577 strikes: many
+  // chunks, none aligned to a batch block.
+  CampaignConfig fine = cfg;
+  fine.progress_interval = 577;
+  fine.progress = [](std::uint64_t, std::uint64_t) {};
+  const ShardedRun a = run_campaign_sharded(surfaces(), model(), cfg, exec);
+  const ShardedRun b = run_campaign_sharded(surfaces(), model(), fine, exec);
   expect_same(a.merged, b.merged);
 }
 
@@ -260,7 +244,6 @@ TEST(ParallelCampaignTest, HaltCheckpointResumeMatchesUninterrupted) {
   std::atomic<bool> cancel{false};
   ExecConfig first = plain;
   first.checkpoint_path = path;
-  first.chunk_strikes = 1'000;
   first.cancel = &cancel;
   CampaignConfig cancelling = cfg;
   cancelling.progress_interval = 1'000;
@@ -288,6 +271,35 @@ TEST(ParallelCampaignTest, HaltCheckpointResumeMatchesUninterrupted) {
   EXPECT_TRUE(final_cp.complete());
   EXPECT_NO_THROW(final_cp.validate_against(cfg, 3, 0, "static"));
   std::remove(path.c_str());
+}
+
+TEST(ParallelCampaignTest, EventLogCountsEachShardsCheckpointWrites) {
+  // Progress cuts end every chunk at a multiple of 1,000 strikes, and
+  // each chunk reaches the checkpoint interval: 5 writes per 5,000-strike
+  // shard, the last at the shard's end.
+  CampaignConfig cfg;
+  cfg.strikes = 10'000;
+  cfg.progress_interval = 1'000;
+  cfg.progress = [](std::uint64_t, std::uint64_t) {};
+  const std::string path = temp_path("ftspm_checkpoint_writes_test");
+  obs::EventLog events;
+  obs::Context ctx;
+  ctx.events = &events;
+  ExecConfig exec;
+  exec.shards = 2;
+  exec.checkpoint_path = path;
+  exec.checkpoint_interval = 1'000;
+  exec.obs = &ctx;
+  EXPECT_TRUE(run_campaign_sharded(surfaces(), model(), cfg, exec).complete);
+  std::remove(path.c_str());
+
+  std::vector<std::uint64_t> shards;
+  for (const JsonValue& record : parse_ndjson(events.str())) {
+    if (record.at("event").string != "checkpoint") continue;
+    shards.push_back(static_cast<std::uint64_t>(record.at("shard").number));
+    EXPECT_DOUBLE_EQ(record.at("writes").number, 5.0);
+  }
+  EXPECT_EQ(shards, (std::vector<std::uint64_t>{0, 1}));
 }
 
 TEST(ParallelCampaignTest, ResumeUnderDifferentConfigIsRejected) {
@@ -358,7 +370,6 @@ TEST(ParallelCampaignTest, ProgressIsMonotoneWithOneCompletionCall) {
   ExecConfig exec;
   exec.jobs = 4;
   exec.shards = 4;
-  exec.chunk_strikes = 500;
   run_campaign_sharded(surfaces(), model(), cfg, exec);
 
   ASSERT_FALSE(calls.empty());
@@ -399,12 +410,13 @@ TEST(ParallelCampaignTest, MetricsSnapshotIdenticalAcrossJobCounts) {
 TEST(ParallelCampaignTest, HeartbeatStreamIsSchemaValidNdjson) {
   CampaignConfig cfg;
   cfg.strikes = 60'000;
+  cfg.progress_interval = 1'000;  // chunks of 1,000 strikes
+  cfg.progress = [](std::uint64_t, std::uint64_t) {};
   const std::string path = temp_path("ftspm_heartbeat_test");
   std::remove(path.c_str());
   ExecConfig exec;
   exec.jobs = 4;
   exec.shards = 4;
-  exec.chunk_strikes = 1'000;
   exec.heartbeat.out_path = path;
   exec.heartbeat.interval_ms = 1;  // force at least one mid-run beat
   const ShardedRun run = run_campaign_sharded(surfaces(), model(), cfg, exec);
@@ -435,18 +447,17 @@ TEST(ParallelCampaignTest, HeartbeatStreamIsSchemaValidNdjson) {
 
 TEST(ParallelCampaignTest, HeartbeatChunksTotalCountsProgressCuts) {
   // Chunks end at each shard's multiples of the progress interval as
-  // well as at granule boundaries; the final beat must have run every
-  // chunk chunks_total announced.
+  // well as at kChunkStrikes boundaries; the final beat must have run
+  // every chunk chunks_total announced.
   CampaignConfig cfg;
-  cfg.strikes = 50'003;
-  cfg.progress_interval = 1'500;
+  cfg.strikes = 750'003;
+  cfg.progress_interval = 100'000;
   cfg.progress = [](std::uint64_t, std::uint64_t) {};
   const std::string path = temp_path("ftspm_heartbeat_chunks_test");
   std::remove(path.c_str());
   ExecConfig exec;
   exec.jobs = 2;
   exec.shards = 3;
-  exec.chunk_strikes = 1'000;
   exec.heartbeat.out_path = path;
   run_campaign_sharded(surfaces(), model(), cfg, exec);
 
@@ -457,10 +468,11 @@ TEST(ParallelCampaignTest, HeartbeatChunksTotalCountsProgressCuts) {
   ASSERT_FALSE(beats.empty());
   const JsonValue& last = beats.back();
   EXPECT_EQ(last.at("final").boolean, true);
-  // Shards of 16,668/16,668/16,667 strikes in granules of 1,024, cut
-  // at every multiple of 1,500: two chunks in each of 11 whole
-  // intervals, then one for the tail (17 per shard without the cuts).
-  EXPECT_DOUBLE_EQ(last.at("chunks_total").number, 3.0 * (11 * 2 + 1));
+  // Shards of 250,001 strikes in chunks of at most 65,536, cut at
+  // every multiple of 100,000: two chunks in each of the 2 whole
+  // intervals, then one for the tail (4 per shard without the cuts).
+  static_assert(kChunkStrikes == 65'536);
+  EXPECT_DOUBLE_EQ(last.at("chunks_total").number, 3.0 * (2 * 2 + 1));
   EXPECT_DOUBLE_EQ(last.at("chunks_done").number,
                    last.at("chunks_total").number);
   std::remove(path.c_str());
@@ -524,7 +536,6 @@ TEST(ParallelCampaignTest, PreCancelledRunStopsWithPartialResults) {
   ExecConfig exec;
   exec.jobs = 2;
   exec.shards = 2;
-  exec.chunk_strikes = 1'000;
   std::atomic<bool> cancel{true};  // Cancelled before the first chunk.
   exec.cancel = &cancel;
   const ShardedRun run = run_campaign_sharded(surfaces(), model(), cfg, exec);
@@ -539,7 +550,6 @@ TEST(ParallelCampaignTest, MidRunCancelHaltsBeforeCompletion) {
   ExecConfig exec;
   exec.jobs = 2;
   exec.shards = 2;
-  exec.chunk_strikes = 1'000;
   exec.cancel = &cancel;
   cfg.progress_interval = 1'000;
   cfg.progress = [&](std::uint64_t done, std::uint64_t) {

@@ -124,14 +124,16 @@ TEST(RecoveryParallelCampaignTest, ResultsIdenticalAcrossJobCounts) {
 TEST(RecoveryParallelCampaignTest, ChunkSizeNeverChangesResults) {
   CampaignConfig cfg;
   cfg.strikes = 9'000;
-  ExecConfig coarse;
-  coarse.shards = 2;
-  ExecConfig fine = coarse;
-  fine.chunk_strikes = 577;  // forces many oddly-aligned chunks
+  ExecConfig exec;
+  exec.shards = 2;
+  // Progress cuts end a chunk at every multiple of 577 strikes.
+  CampaignConfig fine = cfg;
+  fine.progress_interval = 577;
+  fine.progress = [](std::uint64_t, std::uint64_t) {};
   const RecoveryShardedRun a = run_recovery_campaign_sharded(
-      recovery_regions(), model(), cfg, policy(), coarse);
+      recovery_regions(), model(), cfg, policy(), exec);
   const RecoveryShardedRun b = run_recovery_campaign_sharded(
-      recovery_regions(), model(), cfg, policy(), fine);
+      recovery_regions(), model(), fine, policy(), exec);
   expect_same(a.merged, b.merged);
 }
 

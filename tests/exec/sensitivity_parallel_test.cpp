@@ -84,7 +84,8 @@ TEST(SensitivityParallelTest, OneShardGridMatchesSerialRecording) {
   CampaignConfig cfg;
   cfg.strikes = 12'000;
   SensitivityGrid serial = make_sensitivity_grid(surfaces(), 32);
-  run_campaign(surfaces(), model(), cfg, &serial);
+  CampaignShardState state = begin_campaign_shard(cfg.seed);
+  run_campaign_chunk(surfaces(), model(), cfg, state, cfg.strikes, &serial);
 
   ExecConfig exec;
   exec.jobs = 2;

@@ -4,8 +4,9 @@
 // "RNG draw-order contract") through the classify_strike oracle. The
 // engine reorders *work* — region tables, run-table classification,
 // blocked tallies — but never *draws*, so every schedule below must
-// reproduce the reference counters exactly: any block width, any chunk
-// schedule, tight (no grid) and observed (grid-recording) paths alike.
+// reproduce the reference counters exactly: any chunk schedule, chunks
+// that end mid-block, tight (no grid) and observed (grid-recording)
+// paths alike.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -95,19 +96,6 @@ TEST(BatchEngine, MatchesReferenceOnExoticGeometries) {
                reference_campaign(regions, model, cfg), "exotic");
 }
 
-TEST(BatchEngine, MatchesReferenceWithSpillSizedStrikes) {
-  // max_flips beyond CampaignScratch::kInlineHits exercises the spill
-  // buffer and the multi-word straddle path in the same run.
-  const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
-  CampaignConfig cfg = config_for(0xfeedf00d, 20'000);
-  cfg.max_flips = CampaignScratch::kInlineHits + 32;
-  const std::vector<InjectionRegion> regions{
-      {RegionGeometry(2048, 8), ProtectionKind::SecDed, 0.75, 1},
-      {RegionGeometry(2048, 8), ProtectionKind::SecDed, 0.75, 3}};
-  expect_equal(run_campaign(regions, model, cfg),
-               reference_campaign(regions, model, cfg), "spill");
-}
-
 TEST(BatchEngine, MatchesReferenceAtAceOccupancyEdges) {
   // ace 0 (every unmasked strike dies, no draw) and ace 1 (every one
   // survives, no draw) skip the Bernoulli draw entirely — exactly as
@@ -122,26 +110,11 @@ TEST(BatchEngine, MatchesReferenceAtAceOccupancyEdges) {
                reference_campaign(regions, model, cfg), "ace edges");
 }
 
-TEST(BatchEngine, BlockWidthNeverChangesCounters) {
-  // Block size is pure scheduling (injector.h, kCampaignBatchWidth):
-  // width 1 degenerates to strike-at-a-time, 33 leaves a ragged last
-  // block, 256 is the production width.
-  const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
-  const CampaignConfig cfg = config_for(0x57a1ce5eed, 40'000);
-  const CampaignResult want = reference_campaign(mixed_surfaces(), model, cfg);
-  for (const std::uint32_t width : {1u, 3u, 7u, 33u, 256u, 1000u}) {
-    CampaignShardState state = begin_campaign_shard(cfg.seed);
-    state.scratch.batch.width = width;
-    run_campaign_chunk(mixed_surfaces(), model, cfg, state, cfg.strikes);
-    expect_equal(state.partial, want,
-                 ("width " + std::to_string(width)).c_str());
-  }
-}
-
 TEST(BatchEngine, ChunkScheduleNeverChangesCounters) {
   // Any chunk schedule reaching config.strikes must agree with one
-  // serial run — chunks cut blocks short mid-campaign, so this pins
-  // the resume path (checkpointing) too.
+  // serial run. Chunks of 1 and 997 strikes end in the middle of a
+  // kCampaignBatchWidth block, so this pins both the ragged last block
+  // and the resume path (checkpointing).
   const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
   const CampaignConfig cfg = config_for(0x7a7aa77a, 30'000);
   const CampaignResult want = reference_campaign(mixed_surfaces(), model, cfg);
@@ -158,17 +131,28 @@ TEST(BatchEngine, ChunkScheduleNeverChangesCounters) {
   }
 }
 
+/// One run_campaign_chunk call over the whole campaign, recording into
+/// `grid` when it is non-null.
+CampaignResult run_one_chunk(const std::vector<InjectionRegion>& regions,
+                             const StrikeMultiplicityModel& model,
+                             const CampaignConfig& cfg,
+                             SensitivityGrid* grid) {
+  CampaignShardState state = begin_campaign_shard(cfg.seed);
+  run_campaign_chunk(regions, model, cfg, state, cfg.strikes, grid);
+  return state.partial;
+}
+
 TEST(BatchEngine, TightAndObservedPathsAgree) {
   // With a grid attached the engine keeps full per-slot SoA arrays;
-  // without one it tallies in registers and stores nothing. Same counters either way, and the grid totals
-  // must re-add to them.
+  // without one it tallies in registers and stores nothing. Same
+  // counters either way, and the grid totals must re-add to them.
   const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
   const CampaignConfig cfg = config_for(0x9e3779b9, 40'000);
   const CampaignResult tight = run_campaign(mixed_surfaces(), model, cfg);
 
   SensitivityGrid grid = make_sensitivity_grid(mixed_surfaces(), 16);
   const CampaignResult observed =
-      run_campaign(mixed_surfaces(), model, cfg, &grid);
+      run_one_chunk(mixed_surfaces(), model, cfg, &grid);
   expect_equal(observed, tight, "tight vs observed");
 
   const CampaignResult totals = grid.totals();
@@ -187,7 +171,7 @@ TEST(BatchEngine, GridCellsMatchReference) {
   SensitivityGrid engine_grid = make_sensitivity_grid(mixed_surfaces(), 16);
   SensitivityGrid reference_grid = make_sensitivity_grid(mixed_surfaces(), 16);
   const CampaignResult engine =
-      run_campaign(mixed_surfaces(), model, cfg, &engine_grid);
+      run_one_chunk(mixed_surfaces(), model, cfg, &engine_grid);
   const CampaignResult reference =
       reference_campaign(mixed_surfaces(), model, cfg, &reference_grid);
   expect_equal(engine, reference, "gridded counters");
@@ -199,37 +183,29 @@ TEST(BatchEngine, GridCellsMatchReference) {
 /// 64-bit words; their runs of this length guard any narrower tally.
 constexpr std::uint64_t kPastOneLane = (std::uint64_t{1} << 16) + 1;
 
-/// Block widths past a lane's capacity: the static engine must still
-/// flush before a lane wraps.
-constexpr std::uint32_t kWideBlocks[] = {70'000u, 1u << 17};
-
 TEST(BatchEngine, PackedTallyCountsPastOneLaneOfOneOutcome) {
   // Every strike on an all-Immune surface is Masked, so one lane takes
-  // every count — in the tight loop and in the gridded stage-3 tally.
+  // every count of a one-chunk run — in the tight loop and in the
+  // gridded stage-3 tally. The tally must flush every block.
   const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
   const std::vector<InjectionRegion> regions{
       {RegionGeometry(1024, 0), ProtectionKind::Immune, 1.0, 1}};
   const CampaignConfig cfg = config_for(0x7a11e5, kPastOneLane);
-  for (const std::uint32_t width : kWideBlocks) {
-    for (const bool gridded : {false, true}) {
-      SensitivityGrid grid = make_sensitivity_grid(regions, 4);
-      CampaignShardState state = begin_campaign_shard(cfg.seed);
-      state.scratch.batch.width = width;
-      run_campaign_chunk(regions, model, cfg, state, cfg.strikes,
-                         gridded ? &grid : nullptr);
-      const std::string what = "width " + std::to_string(width) +
-                               (gridded ? " gridded" : " tight");
-      EXPECT_EQ(state.partial.strikes, kPastOneLane) << what;
-      EXPECT_EQ(state.partial.masked, kPastOneLane) << what;
-      EXPECT_EQ(state.partial.dre + state.partial.due + state.partial.sdc, 0u)
-          << what;
-    }
+  for (const bool gridded : {false, true}) {
+    SensitivityGrid grid = make_sensitivity_grid(regions, 4);
+    const CampaignResult run =
+        run_one_chunk(regions, model, cfg, gridded ? &grid : nullptr);
+    const char* what = gridded ? "gridded" : "tight";
+    EXPECT_EQ(run.strikes, kPastOneLane) << what;
+    EXPECT_EQ(run.masked, kPastOneLane) << what;
+    EXPECT_EQ(run.dre + run.due + run.sdc, 0u) << what;
   }
 }
 
-TEST(BatchEngine, MatchesReferenceAtBlockWidthsPastOneLane) {
+TEST(BatchEngine, MatchesReferencePastOneLane) {
   // A fully occupied SEC-DED surface corrects ~58% of these strikes, so
-  // a 2^17-strike block holds more Dre outcomes than one lane can.
+  // a one-chunk run holds more Dre outcomes than one lane can: every
+  // block must flush its tally, tight and gridded alike.
   const StrikeMultiplicityModel model = StrikeMultiplicityModel::at_40nm();
   const std::vector<InjectionRegion> regions{
       {RegionGeometry(8192, 8), ProtectionKind::SecDed, 1.0, 1},
@@ -237,18 +213,11 @@ TEST(BatchEngine, MatchesReferenceAtBlockWidthsPastOneLane) {
   const CampaignConfig cfg = config_for(0x3a5e1a7e, 2 * kPastOneLane + 7);
   const CampaignResult want = reference_campaign(regions, model, cfg);
   ASSERT_GT(want.dre, kPastOneLane);
-  for (const std::uint32_t width : kWideBlocks) {
-    for (const bool gridded : {false, true}) {
-      SensitivityGrid grid = make_sensitivity_grid(regions, 4);
-      CampaignShardState state = begin_campaign_shard(cfg.seed);
-      state.scratch.batch.width = width;
-      run_campaign_chunk(regions, model, cfg, state, cfg.strikes,
-                         gridded ? &grid : nullptr);
-      expect_equal(state.partial, want,
-                   ("width " + std::to_string(width) +
-                    (gridded ? " gridded" : " tight"))
-                       .c_str());
-    }
+  for (const bool gridded : {false, true}) {
+    SensitivityGrid grid = make_sensitivity_grid(regions, 4);
+    expect_equal(
+        run_one_chunk(regions, model, cfg, gridded ? &grid : nullptr), want,
+        gridded ? "gridded" : "tight");
   }
 }
 
@@ -815,17 +784,13 @@ struct TemporalUnderTest {
         reference(layout, plan, program, profile, strikes) {}
 };
 
-/// Drives the temporal campaign with the shard scratch's block width
-/// set to `width`. The temporal engine tallies strike by strike and
-/// has no blocks, so no width may change its counters either.
+/// Drives the temporal campaign, batched or reference, over `schedule`.
 TemporalRun drive_temporal(const TemporalUnderTest& campaign,
                            const CampaignConfig& cfg, bool batched,
-                           std::uint32_t width,
                            const std::vector<std::uint64_t>& schedule,
                            SensitivityGrid* grid = nullptr) {
   CampaignShardState state =
       begin_campaign_shard(cfg.seed ^ TemporalCampaign::kSeedSalt);
-  state.scratch.batch.width = width;
   for (const std::uint64_t step : schedule) {
     if (batched)
       campaign.engine.run_chunk(cfg, state, step, grid);
@@ -835,7 +800,7 @@ TemporalRun drive_temporal(const TemporalUnderTest& campaign,
   return TemporalRun{state.partial, state.rng.next_u64()};
 }
 
-TEST(BatchEngineTemporal, MatchesReferenceAcrossWidthsAndChunks) {
+TEST(BatchEngineTemporal, MatchesReferenceAcrossChunks) {
   // The FTSPM layout plus the pure-SRAM one: the engine's span table is
   // built once per campaign, and a layout with a different region mix
   // must flatten into the same first-match scan as the reference's.
@@ -857,20 +822,13 @@ TEST(BatchEngineTemporal, MatchesReferenceAcrossWidthsAndChunks) {
     for (const std::uint64_t seed : {0x57a1ce5eedULL, 0x1234fedcULL}) {
       const CampaignConfig cfg = config_for(seed, 25'000);
       const TemporalRun want =
-          drive_temporal(campaign, cfg, false, 256, {cfg.strikes});
-      for (const std::uint32_t width : {1u, 33u, 256u}) {
-        const TemporalRun got =
-            drive_temporal(campaign, cfg, true, width, {cfg.strikes});
-        expect_equal(got.strikes, want.strikes,
-                     ("temporal width " + std::to_string(width)).c_str());
-        EXPECT_EQ(got.rng_probe, want.rng_probe) << "width " << width;
-      }
+          drive_temporal(campaign, cfg, false, {cfg.strikes});
       for (const std::vector<std::uint64_t>& schedule :
-           std::vector<std::vector<std::uint64_t>>{{1, 1, 1, 24'997},
+           std::vector<std::vector<std::uint64_t>>{{25'000},
+                                                   {1, 1, 1, 24'997},
                                                    {997, 4096, 25'000},
                                                    {5'000, 5'000, 15'000}}) {
-        const TemporalRun got =
-            drive_temporal(campaign, cfg, true, 256, schedule);
+        const TemporalRun got = drive_temporal(campaign, cfg, true, schedule);
         expect_equal(got.strikes, want.strikes, "temporal chunk schedule");
         EXPECT_EQ(got.rng_probe, want.rng_probe) << "chunk schedule";
       }
@@ -889,9 +847,9 @@ TEST(BatchEngineTemporal, GridCellsMatchReference) {
       make_sensitivity_grid(campaign.engine.surfaces(), 16);
   const CampaignConfig cfg = config_for(0x9e3779b9, 25'000);
   const TemporalRun batched =
-      drive_temporal(campaign, cfg, true, 256, {cfg.strikes}, &batched_grid);
-  const TemporalRun reference = drive_temporal(campaign, cfg, false, 256,
-                                               {cfg.strikes}, &reference_grid);
+      drive_temporal(campaign, cfg, true, {cfg.strikes}, &batched_grid);
+  const TemporalRun reference =
+      drive_temporal(campaign, cfg, false, {cfg.strikes}, &reference_grid);
   expect_equal(batched.strikes, reference.strikes, "gridded temporal");
   EXPECT_EQ(batched.rng_probe, reference.rng_probe);
   EXPECT_EQ(batched_grid.to_csv(), reference_grid.to_csv());
@@ -910,29 +868,23 @@ TEST(BatchEngineTemporal, CountsPastOneLaneOfOneOutcome) {
                                    fix.workload.program, fix.profile,
                                    fix.evaluator.strike_model());
   const CampaignConfig cfg = config_for(0x7e3, kPastOneLane);
-  for (const std::uint32_t width : kWideBlocks) {
-    const TemporalRun run =
-        drive_temporal(campaign, cfg, true, width, {cfg.strikes});
-    EXPECT_EQ(run.strikes.strikes, kPastOneLane) << "width " << width;
-    EXPECT_EQ(run.strikes.masked, kPastOneLane) << "width " << width;
-  }
+  const TemporalRun run = drive_temporal(campaign, cfg, true, {cfg.strikes});
+  EXPECT_EQ(run.strikes.strikes, kPastOneLane);
+  EXPECT_EQ(run.strikes.masked, kPastOneLane);
 }
 
-TEST(BatchEngineTemporal, MatchesReferenceAtBlockWidthsPastOneLane) {
+TEST(BatchEngineTemporal, MatchesReferencePastOneLane) {
+  // One chunk longer than a 16-bit lane, with every outcome in play.
   const TemporalFixture fix;
   const TemporalUnderTest campaign(fix.evaluator.ftspm_layout(),
                                    fix.system.plan, fix.workload.program,
                                    fix.profile, fix.evaluator.strike_model());
   const CampaignConfig cfg = config_for(0x57a1ce5eed, 2 * kPastOneLane + 7);
   const TemporalRun want =
-      drive_temporal(campaign, cfg, false, 256, {cfg.strikes});
-  for (const std::uint32_t width : kWideBlocks) {
-    const TemporalRun got =
-        drive_temporal(campaign, cfg, true, width, {cfg.strikes});
-    expect_equal(got.strikes, want.strikes,
-                 ("temporal width " + std::to_string(width)).c_str());
-    EXPECT_EQ(got.rng_probe, want.rng_probe) << "width " << width;
-  }
+      drive_temporal(campaign, cfg, false, {cfg.strikes});
+  const TemporalRun got = drive_temporal(campaign, cfg, true, {cfg.strikes});
+  expect_equal(got.strikes, want.strikes, "temporal past one lane");
+  EXPECT_EQ(got.rng_probe, want.rng_probe);
 }
 
 // ---------------------------------------------------------------------------
@@ -1018,8 +970,6 @@ multi_bit_models() {
           {"tail", StrikeMultiplicityModel(0.0, 0.0, 0.0, 1.0)}};
 }
 
-constexpr std::uint32_t kMultiBitWidths[] = {1u, 7u, 256u};
-
 TEST(BatchEngineRunTable, StaticMatchesReferenceOnMultiBitRuns) {
   // The mixed surfaces plus an interleaved SEC-DED region, whose
   // multi-bit strikes take the general path; tight (no grid) and
@@ -1033,19 +983,14 @@ TEST(BatchEngineRunTable, StaticMatchesReferenceOnMultiBitRuns) {
         reference_campaign(regions, model, cfg, &reference_grid);
     // Miscorrected runs: the verdicts only a syndrome can tell.
     ASSERT_GT(want.sdc, 0u) << name;
-    for (const std::uint32_t width : kMultiBitWidths) {
-      for (const bool recording : {false, true}) {
-        SensitivityGrid grid = make_sensitivity_grid(regions, 16);
-        CampaignShardState state = begin_campaign_shard(cfg.seed);
-        state.scratch.batch.width = width;
-        run_campaign_chunk(regions, model, cfg, state, cfg.strikes,
-                           recording ? &grid : nullptr);
-        const std::string what = name + " width " + std::to_string(width) +
-                                 (recording ? " recording" : " tight");
-        expect_equal(state.partial, want, what.c_str());
-        if (recording) {
-          EXPECT_EQ(grid.to_csv(), reference_grid.to_csv()) << what;
-        }
+    for (const bool recording : {false, true}) {
+      SensitivityGrid grid = make_sensitivity_grid(regions, 16);
+      const CampaignResult got =
+          run_one_chunk(regions, model, cfg, recording ? &grid : nullptr);
+      const std::string what = name + (recording ? " recording" : " tight");
+      expect_equal(got, want, what.c_str());
+      if (recording) {
+        EXPECT_EQ(grid.to_csv(), reference_grid.to_csv()) << what;
       }
     }
   }
@@ -1059,16 +1004,12 @@ TEST(BatchEngineRunTable, TemporalMatchesReferenceOnMultiBitRuns) {
                                      fix.profile, model);
     const CampaignConfig cfg = config_for(0x7e3b175e, 25'000);
     const TemporalRun want =
-        drive_temporal(campaign, cfg, false, 256, {cfg.strikes});
+        drive_temporal(campaign, cfg, false, {cfg.strikes});
     ASSERT_GT(want.strikes.dre + want.strikes.due + want.strikes.sdc, 0u)
         << name;
-    for (const std::uint32_t width : kMultiBitWidths) {
-      const TemporalRun got =
-          drive_temporal(campaign, cfg, true, width, {cfg.strikes});
-      const std::string what = name + " width " + std::to_string(width);
-      expect_equal(got.strikes, want.strikes, what.c_str());
-      EXPECT_EQ(got.rng_probe, want.rng_probe) << what;
-    }
+    const TemporalRun got = drive_temporal(campaign, cfg, true, {cfg.strikes});
+    expect_equal(got.strikes, want.strikes, name.c_str());
+    EXPECT_EQ(got.rng_probe, want.rng_probe) << name;
   }
 }
 

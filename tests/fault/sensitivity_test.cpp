@@ -194,9 +194,12 @@ TEST(SensitivityCampaignTest, GridTotalsEqualCampaignCounters) {
   config.strikes = 2000;
   config.seed = 0xfeedface;
 
-  SensitivityGrid grid = make_sensitivity_grid(regions, 16);
-  const CampaignResult with_grid =
-      run_campaign(regions, model, config, &grid);
+  exec::ExecConfig exec;
+  exec.sensitivity_buckets = 16;
+  const exec::ShardedRun run =
+      exec::run_campaign_sharded(regions, model, config, exec);
+  const SensitivityGrid& grid = run.sensitivity;
+  const CampaignResult& with_grid = run.merged;
   const CampaignResult without = run_campaign(regions, model, config);
 
   // Recording never perturbs the campaign.
@@ -224,7 +227,8 @@ TEST(SensitivityCampaignTest, ChunkedRecordingMatchesSerial) {
   config.seed = 42;
 
   SensitivityGrid serial = make_sensitivity_grid(regions, 8);
-  run_campaign(regions, model, config, &serial);
+  CampaignShardState whole = begin_campaign_shard(config.seed);
+  run_campaign_chunk(regions, model, config, whole, config.strikes, &serial);
 
   SensitivityGrid chunked = make_sensitivity_grid(regions, 8);
   CampaignShardState state = begin_campaign_shard(config.seed);

@@ -133,16 +133,5 @@ TEST(LabelledMetricsTest, MergeFromAddsSerieswiseLikeShards) {
   EXPECT_EQ(merged.to_csv(), serial.to_csv());
 }
 
-TEST(LabelledMetricsTest, ResetAndClearCoverLabelledFamilies) {
-  Registry reg;
-  reg.counter("o", LabelSet{{"k", "v"}}).add(9);
-  reg.histogram("h", LabelSet{{"k", "v"}}, {1.0}).observe(0.5);
-  reg.reset_values();
-  EXPECT_EQ(reg.counter("o", LabelSet{{"k", "v"}}).value(), 0u);
-  EXPECT_EQ(reg.size(), 2u);  // series survive a value reset
-  reg.clear();
-  EXPECT_EQ(reg.size(), 0u);
-}
-
 }  // namespace
 }  // namespace ftspm::obs

@@ -8,14 +8,12 @@
 namespace ftspm::obs {
 namespace {
 
-TEST(CounterTest, AddAccumulatesAndResetZeroes) {
+TEST(CounterTest, AddAccumulates) {
   Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.add();
   c.add(41);
   EXPECT_EQ(c.value(), 42u);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
 }
 
 TEST(GaugeTest, LastWriteWins) {
@@ -23,8 +21,6 @@ TEST(GaugeTest, LastWriteWins) {
   g.set(3.5);
   g.set(-1.25);
   EXPECT_DOUBLE_EQ(g.value(), -1.25);
-  g.reset();
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
 }
 
 TEST(HistogramTest, BucketBoundariesAreInclusive) {
@@ -43,16 +39,6 @@ TEST(HistogramTest, BucketBoundariesAreInclusive) {
   EXPECT_DOUBLE_EQ(h.min(), 10.0);
   EXPECT_DOUBLE_EQ(h.max(), 31.0);
   EXPECT_NEAR(h.mean(), 81.5 / 4.0, 1e-12);
-}
-
-TEST(HistogramTest, ResetKeepsTheBucketLayout) {
-  Histogram h({1.0, 2.0});
-  h.observe(0.5);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  ASSERT_EQ(h.buckets().size(), 3u);
-  EXPECT_EQ(h.buckets()[0], 0u);
-  EXPECT_EQ(h.bounds().size(), 2u);
 }
 
 TEST(HistogramTest, RejectsNonIncreasingBounds) {
@@ -82,12 +68,6 @@ TEST(HistogramTest, QuantileOfEmptyHistogramIsZero) {
   EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);
   EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
   EXPECT_DOUBLE_EQ(h.quantile(1.0), 0.0);
-  // reset() returns a populated histogram to the same sentinel.
-  h.observe(1.5);
-  EXPECT_GT(h.quantile(0.5), 0.0);
-  h.reset();
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.99), 0.0);
 }
 
 TEST(HistogramTest, SnapshotCarriesQuantiles) {
@@ -186,17 +166,6 @@ TEST(RegistryTest, LookupCreatesOnceAndHandlesAreStable) {
   // Later lookups ignore the bounds argument.
   EXPECT_EQ(r.histogram("h", {99.0}).bounds().size(), 2u);
   EXPECT_EQ(r.size(), 3u);
-}
-
-TEST(RegistryTest, ResetValuesKeepsRegistrationsClearDropsThem) {
-  Registry r;
-  Counter& c = r.counter("c");
-  c.add(5);
-  r.reset_values();
-  EXPECT_EQ(c.value(), 0u);  // handle still valid
-  EXPECT_EQ(r.size(), 1u);
-  r.clear();
-  EXPECT_EQ(r.size(), 0u);
 }
 
 TEST(RegistryTest, JsonSnapshotIsDeterministicAndSorted) {

@@ -186,7 +186,6 @@ TEST(ServeTest, SpecRunResumedFromCheckpointMatchesUninterruptedRun) {
   cancelling.heartbeat_strikes = 4096;
   CampaignRunHooks halt;
   halt.jobs = 2;
-  halt.chunk_strikes = 4096;
   halt.cancel = &cancel;
   halt.progress = [&](std::uint64_t done, std::uint64_t) {
     if (done >= 100'000) cancel.store(true, std::memory_order_relaxed);

@@ -1,50 +1,6 @@
-// ftspm_tool — command-line driver over the whole library.
-//
-//   ftspm_tool list
-//   ftspm_tool profile  <workload> [--scale N] [--csv]
-//   ftspm_tool map      <workload> [--priority P] [--perf-overhead F]
-//                       [--energy-overhead F] [--write-threshold N]
-//                       [--word-threshold N] [--scale N]
-//   ftspm_tool simulate <workload> [--structure ftspm|sram|stt] [--scale N]
-//   ftspm_tool evaluate <workload> [--scale N]
-//   ftspm_tool schedule <workload> [--scale N] [--max-commands N]
-//   ftspm_tool suite    [--scale N]
-//   ftspm_tool stats    <workload> [--structure ftspm|sram|stt] [--scale N]
-//   ftspm_tool campaign [--protection parity|secded] [--strikes N]
-//                       [--interleave K] [--node NM] [--shards N]
-//                       [--checkpoint FILE] [--resume FILE]
-//                       [--checkpoint-interval N]
-//                       [--recover] [--scrub-interval N]
-//                       [--dirty-fraction F] [--refetch-words N]
-//                       [--sensitivity-out FILE] [--sensitivity-buckets N]
-//                       [--json] [--csv]
-//
-//   ftspm_tool serve    [--socket PATH] [--max-queue N]
-//                       [--max-connections N] [--max-frame-bytes N]
-//   ftspm_tool load     [--socket PATH] [--connections N]
-//                       [--requests N] [--mix name:w[:strikes],...]
-//                       [--rate R] [--seed N] [--quick] [--json] [--csv]
-//   ftspm_tool runs list [--ledger FILE] [--last N]
-//   ftspm_tool compare <runA> <runB> [--ledger FILE] [--threshold PCT]
-//                      [--metric NAME]
-//   ftspm_tool report <run> [--metrics FILE] [--sensitivity FILE]
-//                     [--html FILE] [--out-csv FILE]
-//   ftspm_tool report trend [--csv]
-//
-// Global options (accepted by every command, any position):
-//   --trace-out FILE    write a Chrome trace-event JSON of the run
-//   --metrics-out FILE  write the metrics registry snapshot as JSON
-//   --events-out FILE   write the structured NDJSON event log
-//   --heartbeat-out FILE        live NDJSON heartbeats (campaign)
-//   --heartbeat-interval-ms N   milliseconds between heartbeats (1000)
-//   --ledger FILE       append this run's record to an NDJSON ledger
-//   --run-id NAME       ledger record id (default run-<index>)
-//   --progress          report progress on stderr (suite/report/campaign)
-//   --jobs N            worker threads for suite/report/campaign
-//                       (default 1 = serial; 0 = hardware concurrency)
-//
-// Workloads: `case_study` (the paper's Section-IV program) or any
-// MiBench-style suite name (`ftspm_tool list`).
+// ftspm_tool — command-line front end to the whole library. Every
+// command, its options and its exit codes are documented in
+// docs/cli.md.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -346,16 +302,12 @@ MdaConfig mda_config_from(const ArgParser& args) {
 }
 
 void add_common_options(ArgParser& args) {
-  args.add_option("scale", "trace scale divisor (1 = full size)", "1");
-  args.add_option("priority",
-                  "MDA priority: reliability|performance|power|endurance",
-                  "reliability");
-  args.add_option("perf-overhead", "MDA performance threshold", "0.75");
-  args.add_option("energy-overhead", "MDA energy threshold", "0.80");
-  args.add_option("write-threshold", "MDA block write-cycles threshold",
-                  "100000");
-  args.add_option("word-threshold", "MDA per-word write threshold (0=off)",
-                  "1000");
+  args.add_option("scale", "1");
+  args.add_option("priority", "reliability");
+  args.add_option("perf-overhead", "0.75");
+  args.add_option("energy-overhead", "0.80");
+  args.add_option("write-threshold", "100000");
+  args.add_option("word-threshold", "1000");
 }
 
 int cmd_list() {
@@ -366,9 +318,9 @@ int cmd_list() {
 }
 
 int cmd_profile(int argc, const char* const* argv) {
-  ArgParser args("ftspm_tool profile", "profile a workload (Table I)");
-  args.add_option("scale", "trace scale divisor", "1");
-  args.add_flag("csv", "emit CSV instead of an ASCII table");
+  ArgParser args;
+  args.add_option("scale", "1");
+  args.add_flag("csv");
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().size() == 1, "expected one workload name");
   const Workload w =
@@ -397,7 +349,7 @@ int cmd_profile(int argc, const char* const* argv) {
 }
 
 int cmd_map(int argc, const char* const* argv) {
-  ArgParser args("ftspm_tool map", "run MDA on a workload (Table II)");
+  ArgParser args;
   add_common_options(args);
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().size() == 1, "expected one workload name");
@@ -413,11 +365,10 @@ int cmd_map(int argc, const char* const* argv) {
 }
 
 int cmd_simulate(int argc, const char* const* argv) {
-  ArgParser args("ftspm_tool simulate",
-                 "simulate a workload on one structure");
+  ArgParser args;
   add_common_options(args);
-  args.add_option("structure", "ftspm|sram|stt", "ftspm");
-  args.add_flag("blocks", "print the per-block diagnostic table");
+  args.add_option("structure", "ftspm");
+  args.add_flag("blocks");
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().size() == 1, "expected one workload name");
   const Workload w =
@@ -468,10 +419,9 @@ int cmd_simulate(int argc, const char* const* argv) {
 }
 
 int cmd_evaluate(int argc, const char* const* argv) {
-  ArgParser args("ftspm_tool evaluate",
-                 "compare all three structures on a workload");
+  ArgParser args;
   add_common_options(args);
-  args.add_flag("json", "emit machine-readable JSON");
+  args.add_flag("json");
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().size() == 1, "expected one workload name");
   const std::uint64_t scale = scale_option(args);
@@ -515,10 +465,9 @@ int cmd_evaluate(int argc, const char* const* argv) {
 }
 
 int cmd_schedule(int argc, const char* const* argv) {
-  ArgParser args("ftspm_tool schedule",
-                 "emit the on-line phase transfer commands");
+  ArgParser args;
   add_common_options(args);
-  args.add_option("max-commands", "listing length cap", "40");
+  args.add_option("max-commands", "40");
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().size() == 1, "expected one workload name");
   const Workload w =
@@ -536,9 +485,9 @@ int cmd_schedule(int argc, const char* const* argv) {
 }
 
 int cmd_suite(int argc, const char* const* argv) {
-  ArgParser args("ftspm_tool suite", "run the full evaluation sweep");
-  args.add_option("scale", "trace scale divisor", "1");
-  args.add_flag("json", "emit machine-readable JSON");
+  ArgParser args;
+  args.add_option("scale", "1");
+  args.add_flag("json");
   args.parse(argc, argv, 2);
   const std::uint64_t scale = scale_option(args);
   const StructureEvaluator evaluator;
@@ -591,11 +540,10 @@ int cmd_suite(int argc, const char* const* argv) {
 }
 
 int cmd_reuse(int argc, const char* const* argv) {
-  ArgParser args("ftspm_tool reuse",
-                 "LRU reuse-distance analysis of a workload");
-  args.add_option("scale", "trace scale divisor", "8");
-  args.add_option("line-bytes", "cache line size", "32");
-  args.add_option("scope", "data|instructions", "data");
+  ArgParser args;
+  args.add_option("scale", "8");
+  args.add_option("line-bytes", "32");
+  args.add_option("scope", "data");
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().size() == 1, "expected one workload name");
   const ReuseScope scope = [&] {
@@ -640,10 +588,9 @@ int cmd_reuse(int argc, const char* const* argv) {
 }
 
 int cmd_partition(int argc, const char* const* argv) {
-  ArgParser args("ftspm_tool partition",
-                 "split the hybrid SPM among a weighted task set");
-  args.add_option("scale", "trace scale divisor", "2");
-  args.add_option("granule", "allocation granule in bytes", "512");
+  ArgParser args;
+  args.add_option("scale", "2");
+  args.add_option("granule", "512");
   args.parse(argc, argv, 2);
   // Positionals: workload[:weight] ...
   FTSPM_REQUIRE(!args.positionals().empty(),
@@ -699,9 +646,8 @@ int cmd_partition(int argc, const char* const* argv) {
 /// `report trend`: the whole ledger reduced to its strikes/sec and
 /// residual-SDC-rate trajectories, as a table or CSV.
 int cmd_report_trend(int argc, const char* const* argv) {
-  ArgParser args("ftspm_tool report trend",
-                 "throughput and residual-SDC trajectories over the ledger");
-  args.add_flag("csv", "emit CSV instead of an ASCII table");
+  ArgParser args;
+  args.add_flag("csv");
   args.parse(argc, argv, 3);
   FTSPM_REQUIRE(args.positionals().empty(),
                 "report trend takes no further arguments");
@@ -725,15 +671,11 @@ int cmd_report_trend(int argc, const char* const* argv) {
 /// `report <run>`: one completed run rendered as a self-contained HTML
 /// report (heatmaps, outcome tables, percentiles) plus optional CSV.
 int cmd_report_run(int argc, const char* const* argv) {
-  ArgParser args("ftspm_tool report <run>",
-                 "render one completed campaign run as HTML (+ CSV)");
-  args.add_option("metrics",
-                  "the run's metrics snapshot JSON (--metrics-out file)", "");
-  args.add_option("sensitivity",
-                  "the run's sensitivity grid CSV (--sensitivity-out file)",
-                  "");
-  args.add_option("html", "HTML output path", "ftspm_report.html");
-  args.add_option("out-csv", "also write the report as CSV to FILE", "");
+  ArgParser args;
+  args.add_option("metrics", "");
+  args.add_option("sensitivity", "");
+  args.add_option("html", "ftspm_report.html");
+  args.add_option("out-csv", "");
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().size() == 1,
                 "expected one run reference (id or index)");
@@ -771,11 +713,10 @@ int cmd_report_run(int argc, const char* const* argv) {
 /// bench/saturation_sweep.cpp) as the knee chart HTML, plus optional
 /// CSV for external plotting.
 int cmd_report_saturation(int argc, const char* const* argv) {
-  ArgParser args("ftspm_tool report saturation",
-                 "render a saturation sweep artefact as the knee chart");
-  args.add_option("in", "the sweep artefact", "BENCH_saturation.json");
-  args.add_option("html", "HTML output path", "ftspm_saturation.html");
-  args.add_option("out-csv", "also write the flat CSV to FILE", "");
+  ArgParser args;
+  args.add_option("in", "BENCH_saturation.json");
+  args.add_option("html", "ftspm_saturation.html");
+  args.add_option("out-csv", "");
   args.parse(argc, argv, 3);
   FTSPM_REQUIRE(args.positionals().empty(),
                 "report saturation takes no further arguments");
@@ -813,10 +754,9 @@ int cmd_report(int argc, const char* const* argv) {
     if (first == "saturation") return cmd_report_saturation(argc, argv);
     if (!first.empty() && first[0] != '-') return cmd_report_run(argc, argv);
   }
-  ArgParser args("ftspm_tool report",
-                 "write every table/figure as CSV for external plotting");
-  args.add_option("scale", "trace scale divisor for the suite", "1");
-  args.add_option("out-dir", "output directory", "ftspm_report");
+  ArgParser args;
+  args.add_option("scale", "1");
+  args.add_option("out-dir", "ftspm_report");
   args.parse(argc, argv, 2);
   const StructureEvaluator evaluator;
   const std::vector<SuiteRow> rows =
@@ -830,33 +770,26 @@ int cmd_report(int argc, const char* const* argv) {
 }
 
 int cmd_campaign(int argc, const char* const* argv) {
-  ArgParser args("ftspm_tool campaign",
-                 "Monte-Carlo strike campaign on one protected surface");
-  args.add_option("protection", "parity|secded|none", "secded");
-  args.add_option("strikes", "number of simulated strikes", "100000");
-  args.add_option("interleave", "physical bit interleaving degree", "1");
-  args.add_option("node", "process node in nm (multiplicity model)", "40");
-  args.add_option("size", "surface payload size in bytes", "8192");
-  args.add_option("occupancy", "ACE occupancy of the surface [0,1]", "1.0");
-  args.add_option("shards", "campaign shards (0 = one per job)", "0");
-  args.add_option("checkpoint", "write resumable progress to FILE", "");
-  args.add_option("resume", "resume from a checkpoint FILE", "");
-  args.add_option("checkpoint-interval",
-                  "strikes between checkpoint writes", "1048576");
-  args.add_flag("recover", "repair demand-read errors (live-array mode)");
-  args.add_option("scrub-interval",
-                  "strikes between scrub sweeps (0 = no scrubbing)", "0");
-  args.add_option("dirty-fraction",
-                  "probability a DUE word is dirty (unrecoverable)", "0.25");
-  args.add_option("refetch-words", "words per DUE re-fetch transfer", "64");
-  args.add_option("sensitivity-out",
-                  "write the per-region fault-sensitivity grid CSV to FILE",
-                  "");
-  args.add_option("sensitivity-buckets",
-                  "address buckets per region in the sensitivity grid", "64");
-  args.add_flag("json", "emit machine-readable JSON");
-  args.add_flag("csv", "emit a single-row CSV");
-  args.add_flag("time", "report wall-clock time and strikes/sec (stderr)");
+  ArgParser args;
+  args.add_option("protection", "secded");
+  args.add_option("strikes", "100000");
+  args.add_option("interleave", "1");
+  args.add_option("node", "40");
+  args.add_option("size", "8192");
+  args.add_option("occupancy", "1.0");
+  args.add_option("shards", "0");
+  args.add_option("checkpoint", "");
+  args.add_option("resume", "");
+  args.add_option("checkpoint-interval", "1048576");
+  args.add_flag("recover");
+  args.add_option("scrub-interval", "0");
+  args.add_option("dirty-fraction", "0.25");
+  args.add_option("refetch-words", "64");
+  args.add_option("sensitivity-out", "");
+  args.add_option("sensitivity-buckets", "64");
+  args.add_flag("json");
+  args.add_flag("csv");
+  args.add_flag("time");
   args.parse(argc, argv, 2);
 
   serve::CampaignSpec spec;
@@ -1018,10 +951,9 @@ int cmd_campaign(int argc, const char* const* argv) {
 }
 
 int cmd_stats(int argc, const char* const* argv) {
-  ArgParser args("ftspm_tool stats",
-                 "per-phase cycle and energy breakdown of one run");
+  ArgParser args;
   add_common_options(args);
-  args.add_option("structure", "ftspm|sram|stt", "ftspm");
+  args.add_option("structure", "ftspm");
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().size() == 1, "expected one workload name");
   const Workload w =
@@ -1078,10 +1010,9 @@ int cmd_stats(int argc, const char* const* argv) {
 }
 
 int cmd_export(int argc, const char* const* argv) {
-  ArgParser args("ftspm_tool export",
-                 "write a workload out in the trace text format");
-  args.add_option("scale", "trace scale divisor", "1");
-  args.add_option("out", "output path ('-' = stdout)", "-");
+  ArgParser args;
+  args.add_option("scale", "1");
+  args.add_option("out", "-");
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().size() == 1, "expected one workload name");
   const Workload w =
@@ -1100,8 +1031,8 @@ int cmd_export(int argc, const char* const* argv) {
 }
 
 int cmd_runs(int argc, const char* const* argv) {
-  ArgParser args("ftspm_tool runs", "inspect the run ledger");
-  args.add_option("last", "show only the last N runs (0 = all)", "0");
+  ArgParser args;
+  args.add_option("last", "0");
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().size() == 1 &&
                     args.positionals()[0] == "list",
@@ -1137,12 +1068,9 @@ int cmd_runs(int argc, const char* const* argv) {
 }
 
 int cmd_compare(int argc, const char* const* argv) {
-  ArgParser args("ftspm_tool compare",
-                 "diff two ledger runs; nonzero exit on regression");
-  args.add_option("threshold",
-                  "tolerated |relative delta| in percent (0 = exact)", "0");
-  args.add_option("metric", "gate only this counter/metric (default: all)",
-                  "");
+  ArgParser args;
+  args.add_option("threshold", "0");
+  args.add_option("metric", "");
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().size() == 2,
                 "expected two run references (id or index)");
@@ -1178,21 +1106,13 @@ void serve_signal_handler(int) {
 }
 
 int cmd_serve(int argc, const char* const* argv) {
-  ArgParser args("ftspm_tool serve",
-                 "long-running campaign daemon (NDJSON over a socket)");
-  args.add_option("socket", "unix-domain socket path to bind", "ftspm.sock");
-  args.add_option("max-queue",
-                  "admission queue bound; a full queue answers "
-                  "error(overloaded)",
-                  "16");
-  args.add_option("max-connections",
-                  "concurrent client connections before shedding", "64");
-  args.add_option("max-frame-bytes", "per-request NDJSON frame cap",
-                  "1048576");
-  args.add_option("telemetry-out",
-                  "append periodic NDJSON registry snapshots to FILE", "");
-  args.add_option("telemetry-interval-ms",
-                  "ms between telemetry snapshots (1000)", "1000");
+  ArgParser args;
+  args.add_option("socket", "ftspm.sock");
+  args.add_option("max-queue", "16");
+  args.add_option("max-connections", "64");
+  args.add_option("max-frame-bytes", "1048576");
+  args.add_option("telemetry-out", "");
+  args.add_option("telemetry-interval-ms", "1000");
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().empty(),
                 "serve takes no positional arguments");
@@ -1249,10 +1169,9 @@ int cmd_serve(int argc, const char* const* argv) {
 /// Exit 2 when the daemon is unreachable, so scripts can distinguish
 /// "daemon down" from "probe bug".
 int cmd_serve_status(int argc, const char* const* argv) {
-  ArgParser args("ftspm_tool serve-status",
-                 "query a running daemon's status and metrics frames");
-  args.add_option("socket", "daemon unix socket path", "ftspm.sock");
-  args.add_flag("json", "emit the raw frames (status line, metrics line)");
+  ArgParser args;
+  args.add_option("socket", "ftspm.sock");
+  args.add_flag("json");
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().empty(),
                 "serve-status takes no positional arguments");
@@ -1306,29 +1225,17 @@ int cmd_serve_status(int argc, const char* const* argv) {
 }
 
 int cmd_load(int argc, const char* const* argv) {
-  ArgParser args("ftspm_tool load",
-                 "YCSB-style load injector for a running serve daemon");
-  args.add_option("socket", "daemon unix socket path", "ftspm.sock");
-  args.add_option("connections", "concurrent client connections", "2");
-  args.add_option("requests", "total requests across all connections",
-                  "16");
-  args.add_option("mix",
-                  "request mix: name:weight[:strikes],... "
-                  "(default: built-in small/medium/large)",
-                  "");
-  args.add_option("rate",
-                  "open-loop arrival rate per connection in req/sec "
-                  "(0 = closed loop)",
-                  "0");
-  args.add_option("seed", "mix RNG seed (reproducible request sequence)",
-                  "1");
-  args.add_option("fail-on-shed",
-                  "exit 1 when the shed rate exceeds PCT percent "
-                  "(-1 = never)",
-                  "-1");
-  args.add_flag("quick", "shrink the built-in mix for smoke tests");
-  args.add_flag("json", "emit the machine-readable report");
-  args.add_flag("csv", "emit the per-class CSV report");
+  ArgParser args;
+  args.add_option("socket", "ftspm.sock");
+  args.add_option("connections", "2");
+  args.add_option("requests", "16");
+  args.add_option("mix", "");
+  args.add_option("rate", "0");
+  args.add_option("seed", "1");
+  args.add_option("fail-on-shed", "-1");
+  args.add_flag("quick");
+  args.add_flag("json");
+  args.add_flag("csv");
   args.parse(argc, argv, 2);
   FTSPM_REQUIRE(args.positionals().empty(),
                 "load takes no positional arguments");
@@ -1451,8 +1358,7 @@ void print_usage(std::ostream& os) {
         "                           campaign (1 = serial, 0 = auto)\n"
         "workloads: case_study, any suite benchmark, or a path to a\n"
         "           .trace file (see `export`).\n"
-        "subcommand options are listed in this source file's header\n"
-        "comment.\n";
+        "every command's options: docs/cli.md\n";
 }
 
 int dispatch(int argc, const char* const* argv) {
